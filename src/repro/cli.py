@@ -463,13 +463,12 @@ def _cmd_serve(arguments) -> int:
         print(f"\n{completed} completed, {failed} failed "
               f"({snapshot['shed']} shed, {snapshot['timeouts']} deadlined, "
               f"{client.retries} retried)")
-        rows = [("Counter", "Value")] + [
-            (key, snapshot[key])
-            for key in ("submitted", "admitted", "completed", "failed",
-                        "shed", "oversized", "timeouts", "fallback_scans",
-                        "breaker_trips", "breaker_recoveries",
-                        "worker_restarts")
-        ]
+        keys = ("submitted", "admitted", "completed", "failed",
+                "shed", "oversized", "timeouts", "fallback_scans",
+                "breaker_trips", "breaker_recoveries", "worker_restarts")
+        if arguments.scan_workers:
+            keys += ("pool_dispatches", "pool_chunks", "pool_respawns")
+        rows = [("Counter", "Value")] + [(key, snapshot[key]) for key in keys]
         print(format_table(rows))
         return 0 if failed == 0 else 1
 
@@ -540,10 +539,16 @@ def _serve_network(arguments, rules) -> int:
         await service.stop(drain_timeout=arguments.drain_timeout)
         await server.stop()
         snapshot = service.metrics_snapshot()
+        pooled = ""
+        if arguments.scan_workers:
+            pooled = (
+                f"; {snapshot['pool_chunks']} chunk(s) in "
+                f"{snapshot['pool_dispatches']} pool dispatch(es)"
+            )
         print(
             f"drained: {snapshot['completed']} completed, "
             f"{snapshot['shed']} shed, {snapshot['timeouts']} deadlined, "
-            f"{snapshot['failed']} failed",
+            f"{snapshot['failed']} failed{pooled}",
             flush=True,
         )
         return 130 if signum == signal.SIGINT else 0

@@ -39,14 +39,23 @@ fairness, and drain responsive without threads.  The clock is
 injectable for deterministic tests.
 
 * **Process-pool execution** — ``scan_workers=N`` (default 0 = in-loop)
-  dispatches every primary-tier chunk to a persistent pool of worker
+  dispatches every primary-tier scan to a persistent pool of worker
   *processes* (:mod:`repro.service.procpool`) via ``run_in_executor``,
-  lifting the one-core ceiling while keeping all of the above: the
-  dispatch unit is still one chunk + checkpoint, so deadlines interrupt
-  at the same boundaries, chunks of one request may migrate between
-  processes, results are bit-identical to ``scan_workers=0``, and a
-  dead process surfaces as a retryable
-  :class:`~repro.service.errors.WorkerCrashed` with the pool respawned.
+  lifting the one-core ceiling while keeping all of the above.  The
+  dispatch unit is a *span*: the rest of the request's bytes plus its
+  checkpoint and absolute deadline.  The worker runs the same chunk
+  loop, at the same chunk boundaries, and hands back at the first
+  boundary past the deadline or a 5 ms hold quantum
+  (:data:`~repro.service.procpool.SPAN_HOLD_S`); the request loop here
+  re-reads the deadline between spans and resumes from the returned
+  offset.  Deadlines therefore still interrupt at chunk boundaries,
+  drain and fairness wait at most one quantum for a worker, spans of
+  one request may land on different processes, results are
+  bit-identical to ``scan_workers=0``, and a dead process surfaces as a
+  retryable :class:`~repro.service.errors.WorkerCrashed` with the pool
+  respawned.  An injected ``clock=`` or a ``set_scan_delay`` hook has
+  to see every chunk boundary from this side, so then a span is exactly
+  one chunk.
   Lazy-DFA tenants publish their packed kernel + warm DFA tables once
   through a :class:`~repro.sim.shard.SharedTables` block so workers
   rebuild zero-copy; other backends rebuild from the registration
@@ -150,6 +159,8 @@ class ServiceMetrics:
     fallback_scans: int = 0
     reloads: int = 0
     pool_respawns: int = 0
+    pool_dispatches: int = 0
+    pool_chunks: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -303,7 +314,7 @@ class ScanService:
             raise ReproError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
         self.worker_count = workers
         #: 0 = scan in-loop (PR 8 semantics, one core); N > 0 = dispatch
-        #: primary-tier chunks to N persistent worker processes.
+        #: primary-tier spans to N persistent worker processes.
         self.scan_workers = scan_workers
         self._procpool: Optional[ProcPoolScanExecutor] = None
         if scan_workers > 0:
@@ -471,7 +482,7 @@ class ScanService:
         """Chaos hook: SIGKILL one scan worker *process* (returns its
         pid, or ``None`` without a process pool).
 
-        The next chunk dispatched to the broken pool fails with a
+        The next span dispatched to the broken pool fails with a
         retryable :class:`WorkerCrashed` and the pool is respawned —
         the process-level twin of :meth:`crash_worker`.
         """
@@ -543,8 +554,10 @@ class ScanService:
         this is called.  Queued and in-flight requests run to
         completion; if ``drain_timeout`` seconds pass first, every
         pending request's deadline is forced to *now*, so in-flight
-        scans are interrupted at their next chunk boundary with a
-        :class:`DeadlineExceeded` carrying their partial progress.  Scan
+        scans are interrupted at their next chunk boundary (on the
+        process pool: when the span a worker holds comes back, at most
+        the hold quantum later) with a :class:`DeadlineExceeded`
+        carrying their partial progress.  Scan
         worker pools and shared-memory blocks are per-call and closed by
         their context managers (:class:`~repro.sim.shard.SharedTables`),
         so once the queue is empty the service holds no OS resources
@@ -742,7 +755,9 @@ class ScanService:
     async def _scan_request(
         self, state: _TenantState, request: _Request
     ) -> ScanOutcome:
-        """Chunked scan with deadline checks at every chunk boundary."""
+        """Chunked scan with deadline checks at every chunk boundary
+        (in-loop) or between spans and, worker-side, at every chunk
+        boundary within one (process pool)."""
         breaker = state.breaker
         on_primary = breaker.allow_primary()
         if on_primary:
@@ -752,7 +767,7 @@ class ScanService:
             backend = state.fallback()
             self.metrics.fallback_scans += 1
             state.counters["fallback_scans"] += 1
-        # Primary-tier chunks go to the process pool when one is
+        # Primary-tier scans go to the process pool when one is
         # configured; the golden-fallback tier always scans in-loop.
         pool = self._procpool if on_primary else None
         spec = self._tenant_worker_spec(state) if pool is not None else None
@@ -779,18 +794,32 @@ class ScanService:
                     raise state.chaos_error
                 if state.chaos_delay:
                     await asyncio.sleep(state.chaos_delay)
-                piece = data[position : position + self.chunk_bytes]
-                if pool is not None:
-                    result = await pool.scan_chunk(
-                        loop, spec, backend, piece, checkpoint
-                    )
-                else:
+                if pool is None:
+                    piece = data[position : position + self.chunk_bytes]
                     result = backend.scan(piece, resume=checkpoint)
+                    position += len(piece)
+                else:
+                    # A worker holds a span for up to the hold quantum
+                    # on its own monotonic clock.  An injected clock or
+                    # a per-chunk delay has to see every chunk boundary
+                    # from here, so then the span is one chunk.  (An
+                    # armed fault never gets this far: it was raised
+                    # two statements up.)
+                    if self._clock is time.monotonic and not state.chaos_delay:
+                        span, deadline_at = data[position:], request.deadline_at
+                    else:
+                        span = data[position : position + self.chunk_bytes]
+                        deadline_at = None
+                    result = await pool.scan_span(
+                        loop, spec, backend, span, checkpoint,
+                        self.chunk_bytes, deadline_at,
+                    )
+                    position += result.consumed
                 checkpoint = result.checkpoint
                 reports.extend(result.reports)
-                position += len(piece)
-                # Yield between chunks: this is what keeps deadlines,
-                # fairness, and drain responsive on one event loop.
+                # Yield between chunks (spans): this is what keeps
+                # deadlines, fairness, and drain responsive on one
+                # event loop.
                 await asyncio.sleep(0)
         except DeadlineExceeded:
             raise
@@ -898,6 +927,8 @@ class ScanService:
         """Counters, queue gauges, breaker states, and recent events."""
         if self._procpool is not None:
             self.metrics.pool_respawns = self._procpool.respawns
+            self.metrics.pool_dispatches = self._procpool.dispatched
+            self.metrics.pool_chunks = self._procpool.chunks
         return {
             **self.metrics.as_dict(),
             "scan_workers": self.scan_workers,

@@ -1,10 +1,10 @@
 """Multi-process scan execution plane (``repro.service.procpool``).
 
 The load-bearing property is bit-identity: whatever the execution plane
-— chunks scanned in the event loop (``scan_workers=0``) or dispatched
-to a pool of worker processes (``scan_workers=N``), including deadline
-interruption and mid-request resume — the report stream must be
-byte-for-byte the same.  Supervision (SIGKILLed worker process →
+— chunks scanned in the event loop (``scan_workers=0``) or spans of
+chunks dispatched to a pool of worker processes (``scan_workers=N``),
+including deadline interruption and mid-request resume — the report
+stream must be byte-for-byte the same.  Supervision (SIGKILLed worker process →
 retryable ``WorkerCrashed`` → pool respawn) mirrors the coroutine
 contract, now across real process boundaries.
 """
@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
+import random
+import time
+from collections import OrderedDict
 
 import pytest
 
@@ -26,6 +30,9 @@ from repro.service import (
     ServiceClosed,
     WorkerCrashed,
 )
+from repro.backends import registry as backend_registry
+from repro.backends.mapped import PackedKernelBackend
+from repro.service import procpool
 from repro.service.procpool import (
     ProcPoolScanExecutor,
     default_mp_method,
@@ -131,6 +138,188 @@ class TestDifferentialBitIdentity:
         assert rows(error.reports) + rows(rest) == reference
 
 
+class TestWorkerSpan:
+    """``_worker_scan_span`` called in this process: what one job does
+    with its bytes, chunk size and deadline."""
+
+    @pytest.fixture(params=[None, "lazy-dfa"])
+    def tenant(self, request, monkeypatch):
+        """(spec, span) for the engine-rebuild and shared-tables paths;
+        ``span(data, checkpoint, chunk_bytes, deadline_at)`` returns
+        (report rows, checkpoint, bytes consumed)."""
+        service = ScanService(workers=1, scan_workers=1, cache=False)
+        service.register("acme", PATTERNS, backend=request.param)
+        state = service._tenant("acme")
+        spec = service._tenant_worker_spec(state)
+        assert (spec.shm_meta is not None) == (request.param == "lazy-dfa")
+        # This process plays the worker: give it an engine cache of its
+        # own for the length of the test.
+        monkeypatch.setattr(procpool, "_WORKER_ENGINES", OrderedDict())
+
+        def span(data, checkpoint, chunk_bytes, deadline_at):
+            kind, body = procpool._worker_scan_span(
+                spec, data, procpool._cursor(checkpoint),
+                chunk_bytes, deadline_at, True,
+            )
+            if kind == "raw":
+                base = 0 if checkpoint is None else checkpoint.symbols_processed
+                result = state.engine.backend.materialise_raw(body, base, True)
+                return rows(result.reports), result.checkpoint, body[4]
+            reports, after, consumed = body
+            return rows(reports), after, consumed
+
+        yield state.engine.backend, span
+        state.close_shared()
+
+    def test_expired_deadline_scans_one_chunk_and_resumes(self, tenant):
+        backend, span = tenant
+        whole = backend.scan(DATA)
+        first, checkpoint, consumed = span(
+            DATA, None, 16, time.monotonic() - 1.0
+        )
+        assert consumed == 16
+        assert checkpoint == backend.scan(DATA[:16]).checkpoint
+        got = first
+        while consumed < len(DATA):  # one more span, unless the host stalls
+            more, checkpoint, step = span(DATA[consumed:], checkpoint, 16, None)
+            got += more
+            consumed += step
+        assert got == rows(whole.reports)
+        assert checkpoint == whole.checkpoint
+
+    def test_no_deadline_consumes_all_the_data(self, tenant, monkeypatch):
+        # The hold quantum still applies without a deadline; lift it so
+        # a stalled host cannot cut this span short.
+        monkeypatch.setattr(procpool, "SPAN_HOLD_S", 60.0)
+        backend, span = tenant
+        whole = backend.scan(DATA)
+        got, checkpoint, consumed = span(DATA, None, 16, None)
+        assert consumed == len(DATA)
+        assert got == rows(whole.reports)
+        assert checkpoint == whole.checkpoint
+
+    def test_hold_quantum_cuts_a_span_at_a_chunk_boundary(
+        self, tenant, monkeypatch
+    ):
+        monkeypatch.setattr(procpool, "SPAN_HOLD_S", 0.0)
+        _, span = tenant
+        _, checkpoint, consumed = span(DATA, None, 48, None)
+        assert consumed == 48
+        assert checkpoint.symbols_processed == 48
+
+
+class TestSpans:
+    """Requests that take several spans, on the real clock."""
+
+    @pytest.mark.parametrize("backend", [None, "lazy-dfa"])
+    def test_odd_chunk_sizes_match_inloop(self, backend):
+        """Both worker paths, chunk sizes that do not divide the data:
+        offsets, STE ids, report codes and the final checkpoint are
+        those of ``scan_workers=0``."""
+        data = DATA * 64
+        rng = random.Random(12)
+        sizes = [
+            size for size in (rng.randrange(7, 1500) for _ in range(8))
+            if len(data) % size
+        ][:3]
+        assert len(sizes) == 3
+
+        async def scan(scan_workers, chunk_bytes):
+            service = ScanService(
+                workers=1, scan_workers=scan_workers,
+                chunk_bytes=chunk_bytes, cache=False,
+            )
+            service.register("acme", PATTERNS, backend=backend)
+            await service.start()
+            try:
+                outcome = await service.scan("acme", data)
+                return rows(outcome), outcome.checkpoint, outcome.offset
+            finally:
+                await service.stop()
+
+        for chunk_bytes in sizes:
+            assert run(scan(2, chunk_bytes)) == run(scan(0, chunk_bytes))
+
+    @pytest.mark.parametrize(
+        "backend, copies, chunk_bytes",
+        [(None, 320, 256), ("lazy-dfa", 5242, 2048)],
+    )
+    def test_real_clock_deadline_interrupts_and_resumes(
+        self, backend, copies, chunk_bytes
+    ):
+        """The worker reads the request's deadline on its own monotonic
+        clock: a budget several times shorter than the scan (>= 100 ms
+        on either substrate, ~0.5 ms a chunk) interrupts it part-way at
+        a chunk boundary, and resuming reproduces the uninterrupted
+        rows."""
+        data = DATA * copies
+        reference, _ = run(
+            scan_rows(
+                data, backend=backend, scan_workers=0, chunk_bytes=chunk_bytes
+            )
+        )
+
+        async def scenario():
+            service = ScanService(
+                workers=1, scan_workers=2, chunk_bytes=chunk_bytes,
+                cache=False,
+            )
+            service.register("acme", PATTERNS, backend=backend)
+            await service.start()
+            try:
+                await service.scan("acme", DATA)  # worker cold start
+                with pytest.raises(DeadlineExceeded) as info:
+                    await service.scan("acme", data, deadline=0.03)
+                error = info.value
+                rest = await service.scan(
+                    "acme", data[error.offset:], resume=error.checkpoint
+                )
+                return error, rest, service.metrics_snapshot()
+            finally:
+                await service.stop()
+
+        error, rest, snapshot = run(scenario())
+        assert 0 < error.offset < len(data)
+        assert error.offset % chunk_bytes == 0
+        assert rows(error.reports) + rows(rest) == reference
+        assert snapshot["timeouts"] == 1
+        # Several chunks rode each executor round trip.
+        assert 0 < snapshot["pool_dispatches"] < snapshot["pool_chunks"]
+
+    def test_drain_timeout_interrupts_a_large_request(self):
+        """A worker hands back within the hold quantum, so forcing the
+        deadlines at ``drain_timeout`` stops a 1 MiB request that has no
+        deadline of its own long before it would finish (~2 s)."""
+        data = DATA * 5242
+
+        async def scenario():
+            service = ScanService(workers=1, scan_workers=1, cache=False)
+            service.register("acme", PATTERNS)
+            await service.start()
+            await service.scan("acme", DATA)  # worker cold start
+            request = asyncio.ensure_future(service.scan("acme", data))
+            while service._executing == 0:
+                await asyncio.sleep(0.001)
+            started = time.monotonic()
+            await service.stop(drain_timeout=0.05)
+            elapsed = time.monotonic() - started
+            with pytest.raises(DeadlineExceeded) as info:
+                await request
+            return elapsed, info.value
+
+        elapsed, error = run(scenario())
+        assert elapsed < 1.0
+        assert 0 < error.offset < len(data)
+
+    def test_counters_reach_the_snapshot(self):
+        _, snapshot = run(scan_rows(DATA, scan_workers=1))
+        assert snapshot["pool_dispatches"] >= 1
+        # 200 bytes in 16-byte chunks.
+        assert snapshot["pool_chunks"] == 13
+        _, snapshot = run(scan_rows(DATA, scan_workers=0))
+        assert snapshot["pool_dispatches"] == snapshot["pool_chunks"] == 0
+
+
 class TestSupervision:
     def test_crashed_process_is_typed_and_pool_respawns(self):
         async def scenario():
@@ -175,6 +364,80 @@ class TestSupervision:
                 await service.stop()
 
         assert run(scenario()) == "closed"
+
+
+    def test_kill_mid_span_is_typed_and_retry_has_no_duplicates(self):
+        """SIGKILL the only worker while it holds a span of a long
+        request: the request fails with the retryable error (partial
+        reports are dropped with it) and the retry from the start equals
+        the in-loop rows — nothing reported twice."""
+        data = DATA * 1280
+        reference, _ = run(scan_rows(data, scan_workers=0, chunk_bytes=512))
+
+        async def scenario():
+            service = ScanService(
+                workers=1, scan_workers=1, chunk_bytes=512, cache=False
+            )
+            service.register("acme", PATTERNS)
+            await service.start()
+            try:
+                request = asyncio.ensure_future(service.scan("acme", data))
+                while service._procpool.dispatched == 0:
+                    await asyncio.sleep(0.001)
+                assert service.crash_scan_process() is not None
+                with pytest.raises(WorkerCrashed) as info:
+                    await request
+                assert info.value.retryable
+                retried = await service.scan("acme", data)
+                return rows(retried), service.metrics_snapshot()
+            finally:
+                await service.stop()
+
+        retried, snapshot = run(scenario())
+        assert retried == reference
+        assert snapshot["pool_respawns"] == 1
+
+    def test_worker_side_exception_is_not_a_crash(self):
+        """An ``OSError``/``RuntimeError`` raised *by the scan* inside a
+        live worker is the tenant's fault: it propagates as itself,
+        charges the breaker (so the tenant lands on the golden tier
+        instead of retrying forever) and leaves the pool — and other
+        tenants' spans in it — alone."""
+        parent = os.getpid()
+        saved = dict(backend_registry._REGISTRY)
+
+        @backend_registry.register_backend("raises-in-worker")
+        class RaisesInWorker(PackedKernelBackend):
+            def scan(self, data, **kwargs):
+                if os.getpid() != parent:
+                    raise RuntimeError("engine rebuild hit the recursion limit")
+                return super().scan(data, **kwargs)
+
+        async def scenario():
+            # fork: the workers inherit the registration above.
+            service = ScanService(
+                workers=1, scan_workers=1, breaker_threshold=1,
+                cache=False, mp_method="fork",
+            )
+            service.register("acme", PATTERNS, backend="raises-in-worker")
+            await service.start()
+            try:
+                with pytest.raises(RuntimeError, match="recursion limit"):
+                    await service.scan("acme", DATA)
+                assert service.breaker_state("acme") == "open"
+                outcome = await service.scan("acme", DATA)
+                return outcome, service.metrics_snapshot()
+            finally:
+                await service.stop()
+
+        try:
+            outcome, snapshot = run(scenario())
+        finally:
+            backend_registry._REGISTRY.clear()
+            backend_registry._REGISTRY.update(saved)
+        assert outcome.fallback
+        assert snapshot["pool_respawns"] == 0
+        assert snapshot["breaker_trips"] == 1
 
 
 class TestLifecycle:
