@@ -467,7 +467,8 @@ def _cmd_serve(arguments) -> int:
                 "shed", "oversized", "timeouts", "fallback_scans",
                 "breaker_trips", "breaker_recoveries", "worker_restarts")
         if arguments.scan_workers:
-            keys += ("pool_dispatches", "pool_chunks", "pool_respawns")
+            keys += ("pool_dispatches", "pool_chunks", "pool_respawns",
+                     "pool_cold_tables", "pool_cold_rebuilds")
         rows = [("Counter", "Value")] + [(key, snapshot[key]) for key in keys]
         print(format_table(rows))
         return 0 if failed == 0 else 1
@@ -543,7 +544,10 @@ def _serve_network(arguments, rules) -> int:
         if arguments.scan_workers:
             pooled = (
                 f"; {snapshot['pool_chunks']} chunk(s) in "
-                f"{snapshot['pool_dispatches']} pool dispatch(es)"
+                f"{snapshot['pool_dispatches']} pool dispatch(es), "
+                f"{snapshot['pool_respawns']} respawn(s), cold starts "
+                f"{snapshot['pool_cold_tables']} tables / "
+                f"{snapshot['pool_cold_rebuilds']} rebuild"
             )
         print(
             f"drained: {snapshot['completed']} completed, "

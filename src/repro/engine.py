@@ -560,6 +560,19 @@ class CacheAutomatonEngine:
             ),
         )
 
+    def health_event_count(self) -> int:
+        """Health events ever logged by this engine and its backend —
+        ``len(events) + events_dropped`` of :meth:`health` without
+        building the snapshot.  Monotonic; consumers diff it across a
+        scan (the service's breaker does, twice per request)."""
+        backend = self._backend
+        return (
+            len(self._health_events)
+            + self._health_events.dropped
+            + len(getattr(backend, "health_events", ()))
+            + int(getattr(backend, "health_events_dropped", 0))
+        )
+
     @property
     def backend(self) -> AutomatonBackend:
         """The execution backend serving this engine's traffic."""

@@ -2,30 +2,66 @@
 
 PR 8's :class:`~repro.service.service.ScanService` runs every CPU-bound
 scan as a coroutine on one event loop, so one core is the throughput
-ceiling.  This module moves the chunk scans into a persistent pool of
-worker *processes* while keeping every PR 8 semantic — deadlines at
-chunk boundaries, checkpoint-resume bit-identity, breaker/fallback,
-graceful drain.
+ceiling.  This module moves the chunk scans into long-lived worker
+*processes* while keeping every PR 8 semantic — deadlines at chunk
+boundaries, checkpoint-resume bit-identity, breaker/fallback, graceful
+drain.
 
-The unit of dispatch is a **span**: one job carries the rest of the
-request's bytes, the service's ``chunk_bytes`` and the request's
-absolute deadline.  The worker runs the chunk loop the event loop would
-have run — one ``scan(piece, resume=checkpoint)`` per chunk, so chunk
-boundaries and checkpoints are those of the in-loop plane — always
-scans at least one chunk, and returns at the first chunk boundary where
+**The plane.**  ``N`` worker processes, each on its own duplex
+:func:`multiprocessing.Pipe`, driven by the event loop itself: the
+parent end of every pipe is registered with ``loop.add_reader``, a span
+is one ``conn.send`` from the loop thread to an idle worker and one
+``conn.recv`` when the descriptor turns readable.  There is no manager
+thread, no feeder thread and no future crossing threads.  A worker has
+**one span in flight**; further spans wait first-in first-out in the
+parent and the reader callback hands the next one to a worker before it
+resolves the span that just came back, so the worker scans while the
+parent materialises.  Because a worker is only ever sent to while it
+sits in ``recv``, neither side can block the other on a full pipe
+buffer, whatever the size of a request or of a report-dense reply.
+
+**Messages** (pickled by the pipe):
+
+* parent → worker ``(fingerprint, bytes, cursor, chunk_bytes,
+  deadline_at, collect_reports)`` — one span.  ``cursor`` is the resume
+  checkpoint flattened to ``(symbols, vector, sod)`` or ``None``.
+* worker → parent ``("need-spec",)`` — the worker holds no engine for
+  that fingerprint (first span of the tenant on this process, engine
+  evicted from the per-process LRU, process respawned); the parent
+  answers with the tenant's :class:`TenantWorkerSpec` and the worker
+  goes on with the span it already has.  The spec — pattern list
+  included, 2–7 KB for the suite rulesets — therefore crosses a pipe
+  once per (worker, fingerprint) instead of once per span, and the
+  worker's engine cache is the only record of who knows what.
+* worker → parent ``(kind, body, degrades, built, tables_error)`` — the
+  span's result: ``("raw", RawScanResult)`` or ``("scan", (reports,
+  checkpoint, consumed))`` as below, the health events the worker's
+  backend logged while scanning (the parent feeds them to the tenant's
+  breaker: its own engine did not scan), and, on a cold start, how the
+  engine was built (``"tables"``/``"rebuild"``) plus the reason a
+  published shared-tables block could not be used.
+* worker → parent ``("error", exception)`` — the scan raised in a live
+  worker; it propagates as itself and is the tenant's fault, as it
+  would be in-loop.
+* parent → worker ``None`` — stop.
+
+The unit of dispatch is a **span**: the rest of the request's bytes,
+the service's ``chunk_bytes`` and the request's absolute deadline.  The
+worker runs the chunk loop the event loop would have run — one
+``scan(piece, resume=checkpoint)`` per chunk, so chunk boundaries and
+checkpoints are those of the in-loop plane — always scans at least one
+chunk, and returns at the first chunk boundary where
 ``time.monotonic()`` has passed the deadline or :data:`SPAN_HOLD_S`
-since the span started.  One executor round trip (~0.4 ms, more than
-two 2 KiB chunks of scanning) is thus paid per span, not per chunk,
-while a worker is never held longer than the hold quantum plus one
-chunk: that bound, in time and independent of how fast the tenant's
-ruleset scans, is what drain, the parent's own deadline check between
-spans, and fairness between tenants rely on.  The parent resumes from
-the offset and checkpoint a span returns, and checkpoints are plain
-picklable values, so successive spans of one request may land on
-different processes.  When something parent-side has to observe every
-chunk boundary — an injected ``clock=``, a ``set_scan_delay`` chaos
-hook — the service ships exactly one chunk and the span degenerates to
-per-chunk dispatch.
+since the span started.  A worker is never held longer than the hold
+quantum plus one chunk: that bound, in time and independent of how fast
+the tenant's ruleset scans, is what drain, the parent's own deadline
+check between spans, and fairness between tenants rely on.  The parent
+resumes from the offset and checkpoint a span returns, and checkpoints
+are plain picklable values, so successive spans of one request may land
+on different processes.  When something parent-side has to observe
+every chunk boundary — an injected ``clock=``, a ``set_scan_delay``
+chaos hook — the service ships exactly one chunk and the span
+degenerates to per-chunk dispatch.
 
 Each worker process keeps a small per-tenant engine cache keyed by the
 registration fingerprint.  Cold-starting a tenant in a worker takes one
@@ -42,35 +78,38 @@ of two paths:
   materialises through the registered backend — so ``(offset, ste_id,
   report_code)`` identity is resolved exactly once, parent-side, and is
   bit-identical to the in-loop path.
-* **Engine rebuild path** (every other backend, and any shared-memory
-  failure): the worker rebuilds a full
-  :class:`~repro.engine.CacheAutomatonEngine` from the registration
-  shipped in the spec, warm-starting from the same content-addressed
-  artifact cache directory the parent used, and returns finished
+* **Engine rebuild path** (every other backend, and a block that is
+  gone or does not attach): the worker rebuilds a full
+  :class:`~repro.engine.CacheAutomatonEngine` from the registration in
+  the spec, warm-starting from the same content-addressed artifact
+  cache directory the parent used, and returns finished
   ``Report``/``Checkpoint`` objects.
 
-Supervision: a dead worker process breaks the whole
-:class:`~concurrent.futures.ProcessPoolExecutor`, so the executor is
-respawned (counted in :attr:`ProcPoolScanExecutor.respawns`) and the
-in-flight span fails with a retryable
-:class:`~repro.service.errors.WorkerCrashed` — exactly the PR 8
-contract, now for real processes.  Only the pool's own death counts:
-an exception the scan raised inside a live worker comes back as itself
-and is the tenant's fault, as it would be in-loop.
+**Tracker rule.**  Attaching a block registers it with
+:mod:`multiprocessing.resource_tracker`.  A worker forked before the
+parent's tracker exists would start a private one on its first attach,
+and that tracker unlinks the tenant's *live* block when its worker
+dies.  The tracker is therefore started before any worker is, so every
+child inherits the parent's.
+
+**Supervision is per worker.**  End-of-file on a pipe, a reply that
+cannot be read, or a failed send means that one process is gone: the
+span it held fails with a retryable
+:class:`~repro.service.errors.WorkerCrashed`, the process is replaced
+(counted in :attr:`ProcPoolScanExecutor.respawns`) and every other
+worker, with the span it holds, carries on.  A death costs the span the
+worker held or, if it held none, exactly the next span dispatched —
+never zero, never two: a worker found dead while idle moves to the
+front of the idle queue, where the next send to it fails.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from functools import partial
-from multiprocessing import get_context
-from multiprocessing.connection import wait as wait_for_exit
-from typing import NamedTuple, Optional, Sequence, Tuple
+from multiprocessing import get_context, resource_tracker, util
+from typing import Deque, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,11 +125,16 @@ from repro.sim.shard import RawScanResult, _scan_one, attach_tables
 WORKER_ENGINE_CACHE_LIMIT = 8
 
 #: Hold quantum: a span returns at the first chunk boundary this many
-#: seconds after it started scanning.  Long enough that the executor
+#: seconds after it started scanning.  Long enough that the pipe
 #: round trip is a small share of it, short enough that drain-timeout
 #: overshoot and head-of-line blocking behind one tenant stay at the
 #: scale of a few in-loop chunks.
 SPAN_HOLD_S = 0.005
+
+#: How long :meth:`ProcPoolScanExecutor.shutdown` waits for workers told
+#: to stop before it kills them.  An idle worker exits within
+#: milliseconds; one that has not after this long is wedged.
+EXIT_GRACE_S = 1.0
 
 
 def default_mp_method() -> str:
@@ -163,6 +207,9 @@ class _TablesWorkerEngine:
         self.kernel = kernel
         self.dfa = dfa
 
+    def health_event_count(self) -> int:
+        return 0  # the bare kernel pair has no degraded mode to log
+
     def scan_span(self, data, cursor, chunk_bytes, stop_at, collect_reports):
         base = 0 if cursor is None else cursor[0]
         events = []
@@ -185,8 +232,12 @@ class _TablesWorkerEngine:
 class _BackendWorkerEngine:
     """Worker-side engine rebuilt from the full registration."""
 
-    def __init__(self, backend):
-        self.backend = backend
+    def __init__(self, engine):
+        self.engine = engine
+        self.backend = engine.backend
+
+    def health_event_count(self) -> int:
+        return self.engine.health_event_count()
 
     def scan_span(self, data, cursor, chunk_bytes, stop_at, collect_reports):
         checkpoint = None if cursor is None else Checkpoint(*cursor)
@@ -247,34 +298,41 @@ def _build_backend_engine(spec: TenantWorkerSpec) -> _BackendWorkerEngine:
         backend_options=dict(spec.backend_options) or None,
         compile_jobs=spec.compile_jobs,
     )
-    return _BackendWorkerEngine(engine.backend)
+    return _BackendWorkerEngine(engine)
 
 
-def _worker_engine(spec: TenantWorkerSpec):
-    engine = _WORKER_ENGINES.get(spec.fingerprint)
-    if engine is None:
-        if spec.shm_meta is not None:
-            try:
-                engine = _build_tables_engine(spec)
-            except Exception:
-                # The block can be gone (hot-reload unlinked it) or the
-                # attach can fail; the registration in the spec always
-                # suffices to rebuild the slow way.
-                engine = _build_backend_engine(spec)
-        else:
-            engine = _build_backend_engine(spec)
-        _WORKER_ENGINES[spec.fingerprint] = engine
-        while len(_WORKER_ENGINES) > WORKER_ENGINE_CACHE_LIMIT:
-            _WORKER_ENGINES.popitem(last=False)
-    else:
-        _WORKER_ENGINES.move_to_end(spec.fingerprint)
+def _cached_engine(fingerprint: str):
+    engine = _WORKER_ENGINES.get(fingerprint)
+    if engine is not None:
+        _WORKER_ENGINES.move_to_end(fingerprint)
     return engine
 
 
-def _worker_scan_span(
-    spec, data, cursor, chunk_bytes, deadline_at, collect_reports
-):
-    """Scan one span in a worker process (top-level so it pickles).
+def _build_engine(spec: TenantWorkerSpec):
+    """Cold-start the spec's engine in this process and cache it.
+
+    Returns ``(engine, built, tables_error)``: ``built`` is ``"tables"``
+    or ``"rebuild"``; ``tables_error`` says why a published block was
+    not used (hot-reload unlinked it, the attach failed) — the
+    registration in the spec always suffices to rebuild the slow way,
+    but the parent gets to count and log that it happened.
+    """
+    engine, built, tables_error = None, "rebuild", None
+    if spec.shm_meta is not None:
+        try:
+            engine, built = _build_tables_engine(spec), "tables"
+        except Exception as error:
+            tables_error = f"{type(error).__name__}: {error}"
+    if engine is None:
+        engine = _build_backend_engine(spec)
+    _WORKER_ENGINES[spec.fingerprint] = engine
+    while len(_WORKER_ENGINES) > WORKER_ENGINE_CACHE_LIMIT:
+        _WORKER_ENGINES.popitem(last=False)
+    return engine, built, tables_error
+
+
+def _scan_span(engine, data, cursor, chunk_bytes, deadline_at, collect_reports):
+    """One span on a worker engine.
 
     ``cursor`` is the resume checkpoint flattened to ``(symbols, vector,
     sod)`` or ``None``; ``deadline_at`` is the request's deadline on
@@ -283,7 +341,7 @@ def _worker_scan_span(
     after the other from ``cursor``; it always scans the first, and
     stops at the first boundary past the deadline or past
     :data:`SPAN_HOLD_S` (counted from here, after any engine cold
-    start, so a queued or cold job still gets its quantum).  Returns
+    start, so a queued or cold span still gets its quantum).  Returns
     ``("raw", RawScanResult)`` (fast path — event offsets relative to
     the span start, the parent materialises reports) or ``("scan",
     (reports, checkpoint, consumed))`` (engine path — already global
@@ -291,25 +349,70 @@ def _worker_scan_span(
     either way the bytes consumed are a whole number of chunks unless
     the data ran out.
     """
-    engine = _worker_engine(spec)
     stop_at = time.monotonic() + SPAN_HOLD_S
     if deadline_at is not None:
         stop_at = min(stop_at, deadline_at)
     return engine.scan_span(data, cursor, chunk_bytes, stop_at, collect_reports)
 
 
-def _worker_pid() -> int:
-    """Chaos-hook helper: the worker process's own pid."""
-    return os.getpid()
+def _worker_scan_span(
+    spec, data, cursor, chunk_bytes, deadline_at, collect_reports
+):
+    """:func:`_scan_span` for a caller that has the spec at hand."""
+    engine = _cached_engine(spec.fingerprint) or _build_engine(spec)[0]
+    return _scan_span(
+        engine, data, cursor, chunk_bytes, deadline_at, collect_reports
+    )
+
+
+def _serve_span(conn, fingerprint, *span):
+    """One span message, start to reply, asking the parent for the
+    tenant's spec when this process has no engine for it."""
+    engine = _cached_engine(fingerprint)
+    built = tables_error = None
+    if engine is None:
+        conn.send(("need-spec",))
+        engine, built, tables_error = _build_engine(conn.recv())
+    events_before = engine.health_event_count()
+    kind, body = _scan_span(engine, *span)
+    degrades = engine.health_event_count() - events_before
+    return kind, body, degrades, built, tables_error
+
+
+def _worker_main(conn, inherited) -> None:
+    """A scan worker process: spans off its pipe, one at a time, until
+    the parent says stop or goes away."""
+    # A forked child holds a copy of every descriptor the parent had
+    # open, the parent's ends of all the pipes among them; while any
+    # copy is open no worker ever reads end-of-file from a parent that
+    # died without saying stop.
+    for parent_end in inherited:
+        parent_end.close()
+    try:
+        while True:
+            message = conn.recv()
+            if message is None:
+                return
+            try:
+                reply = _serve_span(conn, *message)
+            except Exception as error:  # the scan's own failure: report it
+                reply = ("error", error)
+            conn.send(reply)
+    except (EOFError, OSError):
+        return  # the parent's end of the pipe is closed
 
 
 class _SpanResult(NamedTuple):
     """What the service's request loop consumes of one span: the slice
-    of BackendResult the in-loop plane reads, plus the bytes consumed."""
+    of BackendResult the in-loop plane reads, the bytes consumed, the
+    health events the worker's backend logged meanwhile, and why a cold
+    start could not use the tenant's published tables (else ``None``)."""
 
     reports: Sequence[Report]
     checkpoint: Checkpoint
     consumed: int
+    degrades: int
+    tables_error: Optional[str]
 
 
 def _cursor(checkpoint: Optional[Checkpoint]):
@@ -324,18 +427,40 @@ def _cursor(checkpoint: Optional[Checkpoint]):
     )
 
 
-class ProcPoolScanExecutor:
-    """A supervised ``ProcessPoolExecutor`` dispatching scan spans.
+class _Span(NamedTuple):
+    """One span between ``scan_span`` and the worker that serves it."""
 
-    ``scan_span`` is the only hot entry point: it ships ``(spec, bytes,
-    checkpoint, chunk_bytes, deadline)`` to a worker via
-    ``loop.run_in_executor`` and hands back ``.reports``/``.checkpoint``
-    /``.consumed``, materialising fast-path raw payloads through the
-    parent's registered backend.  A broken pool (worker process died) is
-    respawned on the spot and the failed span surfaces as a retryable
-    :class:`WorkerCrashed` — mirroring the coroutine-worker supervision
-    contract.  ``dispatched`` counts spans that came back and ``chunks``
-    the chunks they covered; the service publishes both.
+    spec: TenantWorkerSpec
+    message: tuple
+    future: object
+
+
+class _Worker:
+    """One worker process, the parent's end of its pipe, the span it
+    holds (``None`` = idle) and the loop watching the pipe."""
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+        self.span: Optional[_Span] = None
+        self.loop = None
+
+
+class ProcPoolScanExecutor:
+    """Supervised scan worker processes the event loop drives directly.
+
+    ``scan_span`` is the only hot entry point: it sends ``(fingerprint,
+    bytes, checkpoint, chunk_bytes, deadline)`` down an idle worker's
+    pipe (or queues the span until one is idle), awaits the reply the
+    loop's reader callback picks up, and hands back ``.reports``/
+    ``.checkpoint``/``.consumed``, materialising fast-path raw payloads
+    through the parent's registered backend.  A worker that died is
+    replaced on the spot and the span it held — or, if it was idle, the
+    next one sent to it — surfaces as a retryable :class:`WorkerCrashed`,
+    mirroring the coroutine-worker supervision contract.  ``dispatched``
+    counts spans that came back and ``chunks`` the chunks they covered;
+    ``cold_tables``/``cold_rebuilds`` count worker engine cold starts by
+    path.  The service publishes all of them.
     """
 
     def __init__(self, workers: int, *, mp_method: Optional[str] = None):
@@ -343,62 +468,184 @@ class ProcPoolScanExecutor:
             raise ValueError(f"need at least one scan worker, got {workers}")
         self.workers = workers
         self._mp_method = mp_method or default_mp_method()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._workers: List[_Worker] = []
+        self._idle: Deque[_Worker] = deque()
+        self._pending: Deque[_Span] = deque()
         self.respawns = 0
         self.dispatched = 0
         self.chunks = 0
+        self.cold_tables = 0
+        self.cold_rebuilds = 0
+
+    # -- processes ----------------------------------------------------------
 
     def start(self) -> None:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=get_context(self._mp_method),
-            )
+        """Bring the plane up to ``workers`` processes."""
+        while len(self._workers) < self.workers:
+            self._ready(self._spawn())
+
+    def _spawn(self) -> _Worker:
+        # Before the fork, so the child inherits this tracker instead of
+        # starting its own on its first attach (module docstring).
+        resource_tracker.ensure_running()
+        context = get_context(self._mp_method)
+        parent_end, child_end = context.Pipe()
+        inherited = ()
+        if self._mp_method == "fork":
+            inherited = [parent_end, *(peer.conn for peer in self._workers)]
+        process = context.Process(
+            target=_worker_main, args=(child_end, inherited), name="scan-process"
+        )
+        process.start()
+        child_end.close()
+        worker = _Worker(process, parent_end)
+        # An owner that never calls shutdown() must not hang the
+        # interpreter's exit, which joins every child still running.
+        util.Finalize(worker, process.kill, exitpriority=10)
+        self._workers.append(worker)
+        return worker
+
+    def _retire(self, worker: _Worker) -> None:
+        self._unwatch(worker)
+        worker.conn.close()
+        worker.process.kill()
+        worker.process.join()
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def _respawn(self, broken: Optional[ProcessPoolExecutor]) -> None:
-        if self._pool is not broken:
-            return  # a concurrent failure already swapped the pool
-        self._pool = None
-        if broken is not None:
-            broken.shutdown(wait=False, cancel_futures=True)
-        self.respawns += 1
-        self.start()
+        """Stop every worker; bounded by :data:`EXIT_GRACE_S` even when
+        one is wedged.  Spans still held or queued (none after a drain)
+        fail with :class:`WorkerCrashed`."""
+        workers, self._workers = self._workers, []
+        self._idle.clear()
+        orphans = [worker.span for worker in workers if worker.span is not None]
+        orphans.extend(self._pending)
+        self._pending.clear()
+        for worker in workers:
+            self._unwatch(worker)
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass  # already dead
+            worker.conn.close()
+        give_up_at = time.monotonic() + EXIT_GRACE_S
+        for worker in workers:
+            worker.process.join(max(0.0, give_up_at - time.monotonic()))
+            self._retire(worker)
+        for span in orphans:
+            if not span.future.done():
+                span.future.set_exception(WorkerCrashed(span.spec.tenant))
 
     def worker_pids(self) -> Tuple[int, ...]:
-        """Pids of the live pool processes (chaos hooks / tests).
-
-        The pool spawns processes lazily, so this dispatches a no-op
-        job first to guarantee at least one process exists.
-        """
-        if self._pool is None:
-            return ()
-        self._pool.submit(_worker_pid).result()
-        return tuple(self._pool._processes.keys())
+        """Pids of the worker processes (chaos hooks / tests)."""
+        return tuple(worker.process.pid for worker in self._workers)
 
     def crash_one(self) -> Optional[int]:
-        """Chaos hook: SIGKILL one pool process; returns its pid.
+        """Chaos hook: SIGKILL one worker process; returns its pid.
 
-        A span in flight, or else the next one dispatched, observes the
-        broken pool, fails with a retryable :class:`WorkerCrashed`, and
-        triggers a respawn.  The kill is asynchronous, so this returns
-        only once the process has ended: a whole request is often one
-        span, and one submitted ahead of the death could complete on
-        another worker before the executor noticed anything.
+        The victim is the worker the next span would go to, or a busy
+        one when none is idle, so the span in flight, or else the next
+        one dispatched, fails with a retryable :class:`WorkerCrashed`.
+        Returns only once the process has been reaped: until then its
+        end of the pipe may still be open, and a span sent in that
+        window would be neither refused nor answered deterministically.
         """
-        import signal
-
-        pids = self.worker_pids()
-        if not pids:
+        if not self._workers:
             return None
-        victim = self._pool._processes[pids[0]]
-        os.kill(victim.pid, signal.SIGKILL)
-        wait_for_exit([victim.sentinel], timeout=5.0)
-        return victim.pid
+        victim = self._idle[0] if self._idle else self._workers[0]
+        victim.process.kill()
+        victim.process.join()
+        return victim.process.pid
+
+    def kill_busy(self) -> int:
+        """SIGKILL every worker still holding a span (drain gave up on
+        them); supervision fails those spans and replaces the workers."""
+        busy = [worker for worker in self._workers if worker.span is not None]
+        for worker in busy:
+            worker.process.kill()
+        return len(busy)
+
+    # -- the pipe plane -----------------------------------------------------
+
+    def _watch(self, worker: _Worker, loop) -> None:
+        self._unwatch(worker)
+        loop.add_reader(worker.conn.fileno(), self._on_readable, worker)
+        worker.loop = loop
+
+    def _unwatch(self, worker: _Worker) -> None:
+        # Always before the descriptor closes: the selector keys on it.
+        if worker.loop is not None and not worker.loop.is_closed():
+            worker.loop.remove_reader(worker.conn.fileno())
+        worker.loop = None
+
+    def _ready(self, worker: _Worker) -> None:
+        """An idle worker: give it the oldest span still wanted, else
+        queue it at the back of the idle line."""
+        while self._pending:
+            span = self._pending.popleft()
+            if not span.future.done():  # else its waiter was cancelled
+                self._send(worker, span)
+                return
+        self._idle.append(worker)
+
+    def _send(self, worker: _Worker, span: _Span) -> None:
+        loop = span.future.get_loop()
+        if worker.loop is not loop:
+            self._watch(worker, loop)
+        worker.span = span
+        try:
+            worker.conn.send(span.message)
+        except OSError as error:  # EPIPE: the process died while idle
+            self._lost(worker, error)
+
+    def _lost(self, worker: _Worker, error: BaseException) -> None:
+        """The worker's process is gone (or unreadable): fail the span it
+        held, replace it, and leave every other worker alone."""
+        span, worker.span = worker.span, None
+        if span is not None and not span.future.done():
+            crashed = WorkerCrashed(span.spec.tenant)
+            # Without its traceback: the frames are the pipe's, they say
+            # nothing, and they would pin its buffers until a GC pass.
+            crashed.__cause__ = error.with_traceback(None)
+            span.future.set_exception(crashed)
+        self._workers.remove(worker)
+        self._retire(worker)
+        self.respawns += 1
+        self._ready(self._spawn())
+
+    def _on_readable(self, worker: _Worker) -> None:
+        span = worker.span
+        try:
+            reply = worker.conn.recv()
+        except Exception as error:  # EOF, reset, a reply that won't unpickle
+            if span is not None:
+                self._lost(worker, error)
+            else:
+                # Died while idle.  Stop watching (end-of-file stays
+                # readable for ever) and make it the next worker picked:
+                # that send fails, so exactly one span pays for the death.
+                self._unwatch(worker)
+                self._idle.remove(worker)
+                self._idle.appendleft(worker)
+            return
+        if reply[0] == "need-spec":
+            try:
+                worker.conn.send(span.spec)
+            except OSError as error:
+                self._lost(worker, error)
+            return
+        # The worker is free the moment its reply is read, and not
+        # before: a cancelled waiter's span is still running in the
+        # process, and handing the worker out early would give the next
+        # request this reply.  Feed it before resolving, so it scans
+        # while the loop materialises.
+        worker.span = None
+        self._ready(worker)
+        if span.future.done():
+            return  # the waiter was cancelled; nobody wants this reply
+        if reply[0] == "error":
+            span.future.set_exception(reply[1])
+        else:
+            span.future.set_result(reply)
 
     async def scan_span(
         self,
@@ -411,37 +658,31 @@ class ProcPoolScanExecutor:
         deadline_at: Optional[float],
         collect_reports: bool = True,
     ) -> _SpanResult:
-        if self._pool is None:
+        if len(self._workers) < self.workers:
             self.start()
-        pool = self._pool
-        job = partial(
-            _worker_scan_span,
-            spec, data, _cursor(checkpoint),
+        message = (
+            spec.fingerprint, data, _cursor(checkpoint),
             chunk_bytes, deadline_at, collect_reports,
         )
-        # Pool death shows in two places and nowhere else: submit refuses
-        # a broken (BrokenProcessPool, a RuntimeError) or shut-down pool
-        # or cannot start a process, and a process dying under the job
-        # fails the future with BrokenProcessPool.  Respawn so the *next*
-        # span lands on fresh workers, and fail this one with the typed
-        # retryable error.  Anything else the future raises was raised by
-        # the scan in a live worker and propagates as itself.
-        try:
-            future = loop.run_in_executor(pool, job)
-        except (OSError, RuntimeError) as error:
-            self._respawn(pool)
-            raise WorkerCrashed(spec.tenant) from error
-        try:
-            kind, body = await future
-        except BrokenProcessPool as error:
-            self._respawn(pool)
-            raise WorkerCrashed(spec.tenant) from error
+        span = _Span(spec, message, loop.create_future())
+        if self._idle:
+            self._send(self._idle.popleft(), span)
+        else:
+            self._pending.append(span)
+        # The future carries WorkerCrashed when the worker died (it has
+        # been replaced already) and the scan's own exception when a live
+        # worker raised it; that one propagates as itself.
+        kind, body, degrades, built, tables_error = await span.future
         if kind == "raw":
             base = 0 if checkpoint is None else checkpoint.symbols_processed
             result = backend.materialise_raw(body, base, collect_reports)
-            span = _SpanResult(result.reports, result.checkpoint, body[4])
+            reports, after, consumed = result.reports, result.checkpoint, body[4]
         else:
-            span = _SpanResult(*body)
+            reports, after, consumed = body
         self.dispatched += 1
-        self.chunks += -(-span.consumed // chunk_bytes)
-        return span
+        self.chunks += -(-consumed // chunk_bytes)
+        if built == "tables":
+            self.cold_tables += 1
+        elif built == "rebuild":
+            self.cold_rebuilds += 1
+        return _SpanResult(reports, after, consumed, degrades, tables_error)

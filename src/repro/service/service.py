@@ -39,9 +39,9 @@ fairness, and drain responsive without threads.  The clock is
 injectable for deterministic tests.
 
 * **Process-pool execution** — ``scan_workers=N`` (default 0 = in-loop)
-  dispatches every primary-tier scan to a persistent pool of worker
-  *processes* (:mod:`repro.service.procpool`) via ``run_in_executor``,
-  lifting the one-core ceiling while keeping all of the above.  The
+  dispatches every primary-tier scan to long-lived worker *processes*
+  (:mod:`repro.service.procpool`), each on its own pipe watched by this
+  loop, lifting the one-core ceiling while keeping all of the above.  The
   dispatch unit is a *span*: the rest of the request's bytes plus its
   checkpoint and absolute deadline.  The worker runs the same chunk
   loop, at the same chunk boundaries, and hands back at the first
@@ -52,10 +52,10 @@ injectable for deterministic tests.
   drain and fairness wait at most one quantum for a worker, spans of
   one request may land on different processes, results are
   bit-identical to ``scan_workers=0``, and a dead process surfaces as a
-  retryable :class:`~repro.service.errors.WorkerCrashed` with the pool
-  respawned.  An injected ``clock=`` or a ``set_scan_delay`` hook has
-  to see every chunk boundary from this side, so then a span is exactly
-  one chunk.
+  retryable :class:`~repro.service.errors.WorkerCrashed` for the span
+  it held, with that one process replaced.  An injected ``clock=`` or a
+  ``set_scan_delay`` hook has to see every chunk boundary from this
+  side, so then a span is exactly one chunk.
   Lazy-DFA tenants publish their packed kernel + warm DFA tables once
   through a :class:`~repro.sim.shard.SharedTables` block so workers
   rebuild zero-copy; other backends rebuild from the registration
@@ -161,6 +161,8 @@ class ServiceMetrics:
     pool_respawns: int = 0
     pool_dispatches: int = 0
     pool_chunks: int = 0
+    pool_cold_tables: int = 0
+    pool_cold_rebuilds: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -482,9 +484,9 @@ class ScanService:
         """Chaos hook: SIGKILL one scan worker *process* (returns its
         pid, or ``None`` without a process pool).
 
-        The next span dispatched to the broken pool fails with a
-        retryable :class:`WorkerCrashed` and the pool is respawned —
-        the process-level twin of :meth:`crash_worker`.
+        The span it held, or else the next one dispatched, fails with
+        a retryable :class:`WorkerCrashed` and that process is replaced
+        — the process-level twin of :meth:`crash_worker`.
         """
         if self._procpool is None:
             return None
@@ -557,7 +559,10 @@ class ScanService:
         scans are interrupted at their next chunk boundary (on the
         process pool: when the span a worker holds comes back, at most
         the hold quantum later) with a :class:`DeadlineExceeded`
-        carrying their partial progress.  Scan
+        carrying their partial progress.  A scan process that still
+        holds its span a second ``drain_timeout`` after that is wedged:
+        it is killed, which fails the span with :class:`WorkerCrashed`,
+        so the drain is bounded whatever a worker does.  Scan
         worker pools and shared-memory blocks are per-call and closed by
         their context managers (:class:`~repro.sim.shard.SharedTables`),
         so once the queue is empty the service holds no OS resources
@@ -578,6 +583,18 @@ class ScanService:
                 self.events.append(
                     f"drain timeout: deadlined {expired} pending request(s)"
                 )
+                if self._procpool is not None:
+                    try:
+                        await asyncio.wait_for(
+                            self._cond.wait_for(self._idle), drain_timeout
+                        )
+                    except asyncio.TimeoutError:
+                        killed = self._procpool.kill_busy()
+                        if killed:
+                            self.events.append(
+                                f"drain timeout: killed {killed} wedged "
+                                "scan process(es)"
+                            )
                 await self._cond.wait_for(self._idle)
             self._shutdown = True
             self._cond.notify_all()
@@ -762,7 +779,7 @@ class ScanService:
         on_primary = breaker.allow_primary()
         if on_primary:
             backend = state.engine.backend
-            health_before = self._health_size(state.engine)
+            health_before = state.engine.health_event_count()
         else:
             backend = state.fallback()
             self.metrics.fallback_scans += 1
@@ -777,6 +794,7 @@ class ScanService:
         base = 0 if checkpoint is None else checkpoint.symbols_processed
         reports: List[Report] = []
         position = 0
+        worker_degrades = 0
         try:
             while position < len(data):
                 if (
@@ -815,6 +833,15 @@ class ScanService:
                         self.chunk_bytes, deadline_at,
                     )
                     position += result.consumed
+                    # The parent's engine did not scan: what degraded,
+                    # degraded in the worker.
+                    worker_degrades += result.degrades
+                    if result.tables_error is not None:
+                        self.events.append(
+                            f"tenant {state.name!r}: scan process could "
+                            "not use the published tables "
+                            f"({result.tables_error}); engine rebuilt"
+                        )
                 checkpoint = result.checkpoint
                 reports.extend(result.reports)
                 # Yield between chunks (spans): this is what keeps
@@ -827,11 +854,11 @@ class ScanService:
             raise
         except WorkerCrashed:
             # A dead scan process is an infrastructure fault, not a
-            # tenant fault: surface the retryable error (the pool has
-            # already respawned) without charging the breaker.
+            # tenant fault: surface the retryable error (the process
+            # has already been replaced) without charging the breaker.
             self.events.append(
                 f"scan process died serving tenant {state.name!r}; "
-                "pool respawned"
+                "process replaced"
             )
             raise
         except Exception:
@@ -839,7 +866,10 @@ class ScanService:
                 self._note_trip(state)
             raise
         if on_primary:
-            degrades = self._health_size(state.engine) - health_before
+            degrades = (
+                state.engine.health_event_count() - health_before
+                + worker_degrades
+            )
             if degrades > 0:
                 self.events.append(
                     f"tenant {state.name!r}: {degrades} engine degrade "
@@ -892,11 +922,6 @@ class ScanService:
             )
         return state.worker_spec
 
-    @staticmethod
-    def _health_size(engine: CacheAutomatonEngine) -> int:
-        health = engine.health()
-        return len(health.events) + health.events_dropped
-
     def _note_trip(self, state: _TenantState) -> None:
         self.metrics.breaker_trips += 1
         state.counters["breaker_trips"] += 1
@@ -929,6 +954,8 @@ class ScanService:
             self.metrics.pool_respawns = self._procpool.respawns
             self.metrics.pool_dispatches = self._procpool.dispatched
             self.metrics.pool_chunks = self._procpool.chunks
+            self.metrics.pool_cold_tables = self._procpool.cold_tables
+            self.metrics.pool_cold_rebuilds = self._procpool.cold_rebuilds
         return {
             **self.metrics.as_dict(),
             "scan_workers": self.scan_workers,

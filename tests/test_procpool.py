@@ -28,6 +28,7 @@ from repro.service import (
     DeadlineExceeded,
     ScanService,
     ServiceClosed,
+    TenantLimits,
     WorkerCrashed,
 )
 from repro.backends import registry as backend_registry
@@ -532,6 +533,422 @@ class TestExecutorUnit:
         assert CompileCache(spec).directory == cache.directory
         for passthrough in ("auto", True, False, None):
             assert worker_cache_spec(passthrough) == passthrough
+
+
+# -- the pipe plane ---------------------------------------------------------
+
+
+def process_gone(pid: int) -> bool:
+    """True once ``pid`` has been reaped (children of this process)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+async def until(condition, timeout=10.0):
+    """Poll ``condition()`` on the running loop; fail past ``timeout``."""
+    give_up_at = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < give_up_at, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+class TestPipePlane:
+    def test_spec_crosses_the_pipe_once_per_worker(self, monkeypatch):
+        """50 spans over two workers: the spec is pickled once for each
+        worker that served the tenant — as often as an engine was cold
+        started — and never again."""
+        pickled = []
+
+        def counting_getstate(self):
+            pickled.append(self.fingerprint)
+            return self.__dict__
+
+        monkeypatch.setattr(
+            procpool.TenantWorkerSpec, "__getstate__", counting_getstate,
+            raising=False,
+        )
+
+        async def scenario():
+            service = ScanService(
+                workers=4, scan_workers=2, chunk_bytes=64, cache=False
+            )
+            service.register(
+                "acme", PATTERNS, backend="lazy-dfa",
+                limits=TenantLimits(max_in_flight=50),
+            )
+            await service.start()
+            try:
+                outcomes = await asyncio.gather(
+                    *(service.scan("acme", DATA) for _ in range(50))
+                )
+                return outcomes, service.metrics_snapshot()
+            finally:
+                await service.stop()
+
+        reference, _ = run(scan_rows(DATA, backend="lazy-dfa", chunk_bytes=64))
+        outcomes, snapshot = run(scenario())
+        assert all(rows(outcome) == reference for outcome in outcomes)
+        assert snapshot["pool_dispatches"] >= 50
+        assert 1 <= len(pickled) <= 2
+        assert snapshot["pool_cold_tables"] == len(pickled)
+        assert snapshot["pool_cold_rebuilds"] == 0
+
+    def test_need_spec_after_eviction_stays_bit_identical(self):
+        """More tenants than a worker's engine cache holds, visited in a
+        cycle: every visit finds the engine evicted, asks for the spec
+        again, cold starts — and reports what the in-loop plane does."""
+        count = procpool.WORKER_ENGINE_CACHE_LIMIT + 1
+        tenants = {
+            f"tenant-{index}": (
+                PATTERNS + [f"bat{index}"],
+                "lazy-dfa" if index % 2 else None,
+            )
+            for index in range(count)
+        }
+        data = DATA + b" bat0 bat3 bat8 "
+
+        async def scan_all(scan_workers):
+            service = ScanService(
+                workers=1, scan_workers=scan_workers, chunk_bytes=64,
+                cache=False,
+            )
+            for name, (patterns, backend) in tenants.items():
+                service.register(name, patterns, backend=backend)
+            await service.start()
+            try:
+                seen = [
+                    (name, rows(await service.scan(name, data)))
+                    for _ in range(2)
+                    for name in tenants
+                ]
+                return seen, service.metrics_snapshot()
+            finally:
+                await service.stop()
+
+        pooled, snapshot = run(scan_all(1))
+        inloop, _ = run(scan_all(0))
+        assert pooled == inloop
+        assert any(found for _, found in pooled)
+        cold = snapshot["pool_cold_tables"] + snapshot["pool_cold_rebuilds"]
+        assert cold == 2 * count
+        assert snapshot["pool_cold_tables"] == 2 * (count // 2)
+
+    def test_hot_reload_under_traffic(self):
+        """Re-registering while requests are queued and in flight: each
+        request is served whole by the pattern set it started on, none
+        fails, and everything admitted after the reload sees the new
+        set."""
+        data = DATA * 40
+        old_rows, _ = run(scan_rows(data, chunk_bytes=256))
+
+        async def scenario():
+            service = ScanService(
+                workers=4, scan_workers=2, chunk_bytes=256, cache=False
+            )
+            service.register("acme", PATTERNS, backend="lazy-dfa")
+            await service.start()
+            try:
+                before = [
+                    asyncio.ensure_future(service.scan("acme", data))
+                    for _ in range(4)
+                ]
+                await until(lambda: service._procpool.dispatched > 0)
+                assert service.register("acme", ["sat", "bat"], backend="lazy-dfa")
+                after = [
+                    asyncio.ensure_future(service.scan("acme", data))
+                    for _ in range(4)
+                ]
+                return (
+                    [rows(outcome) for outcome in await asyncio.gather(*before)],
+                    [rows(outcome) for outcome in await asyncio.gather(*after)],
+                    rows(service.tenant_engine("acme").backend.scan(data).reports),
+                )
+            finally:
+                await service.stop()
+
+        before, after, new_rows = run(scenario())
+        assert new_rows != old_rows
+        assert all(found in (old_rows, new_rows) for found in before)
+        assert before[0] == old_rows  # it was in a worker when the reload came
+        assert all(found == new_rows for found in after)
+
+    @pytest.mark.parametrize("backend", [None, "lazy-dfa"])
+    def test_reply_larger_than_the_pipe_buffer(self, backend):
+        """40 000 reports come back in one reply — far past the 64 KiB a
+        pipe buffers — while more spans are queued behind it."""
+        data = b"a" * 40_000
+
+        async def scan(scan_workers):
+            service = ScanService(
+                workers=2, scan_workers=scan_workers, chunk_bytes=1 << 16,
+                cache=False,
+            )
+            service.register("acme", ["a"], backend=backend)
+            await service.start()
+            try:
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(service.scan("acme", data) for _ in range(3))
+                    ),
+                    60,
+                )
+                return [rows(outcome) for outcome in outcomes]
+            finally:
+                await service.stop()
+
+        pooled = run(scan(1))
+        assert len(pooled[0]) == 40_000
+        assert pooled == run(scan(0))
+
+    def test_cancelled_waiter_does_not_leak_its_reply(self):
+        """``crash_worker`` cancels a service coroutine whose span is
+        still running in the process.  That reply is read and dropped
+        before the process serves anyone else: the next request, on the
+        same process, gets its own rows."""
+        long_data = b"dog " * 50_000
+        reference, _ = run(scan_rows(DATA, chunk_bytes=512))
+
+        async def scenario():
+            service = ScanService(
+                workers=1, scan_workers=1, chunk_bytes=512, cache=False
+            )
+            service.register("acme", PATTERNS)
+            await service.start()
+            try:
+                pool = service._procpool
+                doomed = asyncio.ensure_future(service.scan("acme", long_data))
+                await until(lambda: not pool._idle)  # the span is out
+                assert service.crash_worker(0)
+                with pytest.raises(WorkerCrashed):
+                    await doomed
+                outcome = await service.scan("acme", DATA)
+                return outcome, pool.worker_pids(), service.metrics_snapshot()
+            finally:
+                await service.stop()
+
+        outcome, pids, snapshot = run(scenario())
+        assert rows(outcome) == reference
+        assert outcome.offset == len(DATA)
+        assert snapshot["worker_restarts"] == 1
+        assert snapshot["pool_respawns"] == 0 and len(pids) == 1
+
+
+class TestPerWorkerSupervision:
+    def test_idle_worker_killed_costs_exactly_the_next_span(self):
+        """SIGKILL, from outside, the idle worker that is *not* next in
+        line.  The loop sees its pipe close, the next span pays with a
+        retryable error, one process is replaced — and the replacement
+        still attaches the tenant's shared block."""
+
+        async def scenario():
+            service = ScanService(
+                workers=2, scan_workers=2, chunk_bytes=64, cache=False
+            )
+            service.register("acme", PATTERNS, backend="lazy-dfa")
+            await service.start()
+            try:
+                pool = service._procpool
+
+                async def burst():
+                    return await asyncio.gather(
+                        *(service.scan("acme", DATA) for _ in range(8))
+                    )
+
+                reference = rows((await burst())[0])
+                # Both processes have served: both pipes are watched.
+                assert service.metrics_snapshot()["pool_cold_tables"] == 2
+                victim = pool._idle[-1].process
+                os.kill(victim.pid, 9)
+                await until(lambda: not victim.is_alive())
+                await asyncio.sleep(0.05)  # the reader sees end-of-file
+                with pytest.raises(WorkerCrashed) as info:
+                    await service.scan("acme", DATA)
+                assert info.value.retryable
+                after = await burst()
+                return reference, after, victim.pid, pool.worker_pids(), \
+                    service.metrics_snapshot()
+            finally:
+                await service.stop()
+
+        reference, after, victim, pids, snapshot = run(scenario())
+        assert all(rows(outcome) == reference for outcome in after)
+        assert snapshot["pool_respawns"] == 1
+        assert len(pids) == 2 and victim not in pids
+        assert snapshot["pool_cold_tables"] == 3
+        assert snapshot["pool_cold_rebuilds"] == 0
+        assert snapshot["failed"] == 1
+
+    def test_busy_worker_killed_spares_the_other_workers_span(self):
+        """Two long requests, one per process; SIGKILL one process.
+        Exactly one request fails (retryable), the other finishes with
+        in-loop rows, and one process is replaced."""
+        data = DATA * 2000
+        reference, _ = run(
+            scan_rows(data, backend="lazy-dfa", chunk_bytes=512)
+        )
+
+        async def scenario():
+            service = ScanService(
+                workers=2, scan_workers=2, chunk_bytes=512, cache=False
+            )
+            service.register("acme", PATTERNS, backend="lazy-dfa")
+            await service.start()
+            try:
+                pool = service._procpool
+                await asyncio.gather(
+                    *(service.scan("acme", DATA) for _ in range(8))
+                )
+                requests = [
+                    asyncio.ensure_future(service.scan("acme", data))
+                    for _ in range(2)
+                ]
+                await until(
+                    lambda: all(w.span is not None for w in pool._workers)
+                )
+                os.kill(pool._workers[0].process.pid, 9)
+                results = await asyncio.gather(
+                    *requests, return_exceptions=True
+                )
+                retried = await service.scan("acme", data)
+                return results, retried, service.metrics_snapshot()
+            finally:
+                await service.stop()
+
+        results, retried, snapshot = run(scenario())
+        crashed = [r for r in results if isinstance(r, WorkerCrashed)]
+        served = [r for r in results if not isinstance(r, Exception)]
+        assert len(crashed) == 1 and len(served) == 1, results
+        assert rows(served[0]) == reference
+        assert rows(retried) == reference
+        assert snapshot["pool_respawns"] == 1
+        assert snapshot["pool_cold_rebuilds"] == 0
+
+    def test_drain_kills_a_wedged_worker_and_leaves_no_child(self):
+        """SIGSTOP the only worker while it holds a span: the drain
+        deadlines the request, waits its budget once more, kills the
+        process (the span fails retryable) and returns — with every
+        child, the replacement included, reaped."""
+        data = DATA * 5242
+
+        async def scenario():
+            service = ScanService(workers=1, scan_workers=1, cache=False)
+            service.register("acme", PATTERNS)
+            await service.start()
+            pool = service._procpool
+            await service.scan("acme", DATA)  # worker cold start
+            request = asyncio.ensure_future(service.scan("acme", data))
+            await until(lambda: not pool._idle)
+            (wedged,) = pool.worker_pids()
+            os.kill(wedged, 19)  # SIGSTOP
+            started = time.monotonic()
+            try:
+                await service.stop(drain_timeout=0.1)
+            finally:
+                if not process_gone(wedged):  # a failed drain: clean up
+                    os.kill(wedged, 9)
+            elapsed = time.monotonic() - started
+            with pytest.raises(WorkerCrashed):
+                await request
+            return elapsed, wedged, service.metrics_snapshot()
+
+        elapsed, wedged, snapshot = run(scenario())
+        assert elapsed < 5.0
+        assert process_gone(wedged)
+        assert snapshot["pool_respawns"] == 1
+        assert any("wedged" in event for event in snapshot["events"])
+        assert not [
+            child for child in multiprocessing.active_children()
+            if child.name == "scan-process"
+        ]
+
+
+class TestWorkerSideSignals:
+    """What only the worker knows has to come back in the span reply."""
+
+    def test_worker_side_degrade_reaches_the_breaker(self):
+        """Under the pool the parent's engine does not scan, so its own
+        health log never moves; the degrade events a worker's backend
+        logs ride the reply and charge the tenant as they would
+        in-loop."""
+        parent = os.getpid()
+        saved = dict(backend_registry._REGISTRY)
+
+        @backend_registry.register_backend("degrades-in-worker")
+        class DegradesInWorker(PackedKernelBackend):
+            health_events_dropped = 0
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.health_events = ()
+
+            def scan(self, data, **kwargs):
+                if os.getpid() != parent:
+                    self.health_events += ("group fell back to golden",)
+                return super().scan(data, **kwargs)
+
+        async def scenario():
+            # fork: the worker inherits the registration above.
+            service = ScanService(
+                workers=1, scan_workers=1, breaker_threshold=2,
+                chunk_bytes=64, cache=False, mp_method="fork",
+            )
+            service.register("acme", PATTERNS, backend="degrades-in-worker")
+            await service.start()
+            try:
+                first = await service.scan("acme", DATA)
+                state = service.breaker_state("acme")
+                second = await service.scan("acme", DATA)
+                return first, state, second, service.metrics_snapshot()
+            finally:
+                await service.stop()
+
+        try:
+            first, state, second, snapshot = run(scenario())
+        finally:
+            backend_registry._REGISTRY.clear()
+            backend_registry._REGISTRY.update(saved)
+        # 200 bytes in 64-byte chunks: four scans, four events, one span.
+        assert not first.fallback and state == "open"
+        assert second.fallback and rows(second) == rows(first)
+        assert snapshot["breaker_trips"] == 1
+        assert any("4 engine degrade" in e for e in snapshot["events"])
+
+    def test_unusable_shared_block_is_counted_and_logged(self):
+        """A respawned worker finds the tenant's published block gone:
+        it rebuilds from the registration, bit-identically, and the
+        parent counts the rebuild and logs why."""
+
+        async def scenario():
+            service = ScanService(
+                workers=1, scan_workers=1, chunk_bytes=64, cache=False
+            )
+            service.register("acme", PATTERNS, backend="lazy-dfa")
+            await service.start()
+            try:
+                before = await service.scan("acme", DATA)
+                warm = service.metrics_snapshot()
+                # Unlink behind the spec's back, then lose the engine.
+                service._tenant("acme").shared.close()
+                service.crash_scan_process()
+                with pytest.raises(WorkerCrashed):
+                    await service.scan("acme", DATA)
+                after = await service.scan("acme", DATA)
+                return before, after, warm, service.metrics_snapshot()
+            finally:
+                await service.stop()
+
+        before, after, warm, snapshot = run(scenario())
+        assert rows(after) == rows(before)
+        assert (warm["pool_cold_tables"], warm["pool_cold_rebuilds"]) == (1, 0)
+        assert snapshot["pool_cold_tables"] == 1
+        assert snapshot["pool_cold_rebuilds"] == 1
+        assert any(
+            "could not use the published tables (FileNotFoundError" in event
+            for event in snapshot["events"]
+        )
 
 
 # -- cross-process artifact-cache contention (satellite) --------------------

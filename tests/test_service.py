@@ -500,6 +500,24 @@ class TestBoundedEventLog:
         assert len(health.events) <= limit
         assert len(health.events) + health.events_dropped >= limit + 10
 
+    def test_health_event_count_is_the_snapshot_total(self):
+        """The breaker's cheap counter agrees with the ``health()``
+        snapshot it replaces, across both logs and past the ring."""
+        engine = CacheAutomatonEngine.from_patterns(
+            ["abc"], cache=None, backend="lazy-dfa"
+        )
+
+        def total():
+            health = engine.health()
+            return len(health.events) + health.events_dropped
+
+        assert engine.health_event_count() == total()
+        engine.backend._health_events.append("scan-time degrade")
+        for index in range(engine._health_events.limit + 3):
+            engine._health_events.append(f"degrade-{index}")
+        assert engine.health_event_count() == total()
+        assert total() >= engine._health_events.limit + 4
+
 
 class TestServiceObservability:
     def test_metrics_snapshot_shape(self):
