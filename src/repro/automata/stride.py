@@ -11,7 +11,7 @@ a few hundred for k=2 on real rulesets, not 65536.
 This module derives that compressed alphabet:
 
 - :func:`resolve_stride` — stride selection mirroring
-  :func:`repro.sim.shard.resolve_scan_jobs` (explicit value, else the
+  :func:`repro.parallel.resolve_jobs` (explicit value, else the
   ``REPRO_STRIDE`` environment variable, else 1), validating against
   the supported values {1, 2, 4}.
 - :class:`StrideAlphabet` — the byte-class map plus the fold that

@@ -16,8 +16,7 @@ rebuild zero-copy and return raw report events, and the parent
 materialises :class:`Report` objects — so results are deterministic and
 independent of the worker count.  Control the pool with the ``jobs=``
 backend option (engine: ``backend_options={"jobs": N}``) or
-``REPRO_SCAN_JOBS``; pool-level failures degrade to the serial loop
-with a :class:`~repro.errors.DegradedModeWarning`.
+``REPRO_SCAN_JOBS``.
 
 The ``stride=`` option (or ``REPRO_STRIDE``) turns on k-stride
 execution: the DFA consumes k bytes per cached transition over a
@@ -34,9 +33,10 @@ replays the true event stream — bit-identical to the serial scan at
 every worker count and stride, STE identity and resume cursor
 included.  Control it with the ``split_jobs=`` backend option (or
 ``REPRO_SPLIT_JOBS``); a chunk whose entry-state frontier explodes is
-rescanned serially and surfaced through :attr:`health_events`, and a
-pool-level failure degrades the whole call to the serial loop with a
-:class:`~repro.errors.DegradedModeWarning`.
+rescanned serially and surfaced through :attr:`health_events`.  A
+failure of the worker plane degrades either fan-out to the serial loop
+with a :class:`~repro.errors.DegradedModeWarning`
+(:func:`repro.parallel.fan_out` holds that policy).
 """
 
 from __future__ import annotations
@@ -57,20 +57,23 @@ from repro.backends.base import (
 from repro.backends.registry import register_backend
 from repro.backends.validation import require_resume_count
 from repro.errors import DegradedModeWarning
+from repro.parallel import resolve_jobs
 from repro.sim.functional import MappedSimulator
 from repro.sim.golden import Checkpoint, Report, RunStats
 from repro.sim.kernel import as_symbols
 from repro.sim.lazydfa import LazyDfaKernel, merge_cache_infos
 from repro.sim.shard import (
+    SCAN_JOBS_ENV,
     RawScanResult,
-    resolve_scan_jobs,
+    _cursor,
+    _scan_one,
     scan_streams_sharded,
 )
 from repro.sim.split import (
+    SPLIT_JOBS_ENV,
     SPLIT_MIN_CHUNK,
     SfaKernel,
     effective_split_jobs,
-    resolve_split_jobs,
     scan_stream_split,
 )
 
@@ -199,22 +202,12 @@ class LazyDfaBackend(AutomatonBackend):
         :meth:`~repro.sim.lazydfa.LazyDfaKernel.export_tables` (warm
         transition tables plus the compressed stride alphabet when
         strided) — publish it once through
-        :class:`~repro.sim.shard.SharedTables` and workers rebuild
+        :class:`~repro.parallel.SharedTables` and workers rebuild
         zero-copy with ``BitsetKernel.from_packed`` + ``seed``.
         """
         tables = dict(self.simulator.kernel.packed_tables())
         tables.update(self.dfa.export_tables())
         return tables
-
-    def materialise_raw(
-        self, raw: RawScanResult, base_offset: int, collect_reports: bool
-    ) -> BackendResult:
-        """Turn a worker's :data:`~repro.sim.shard.RawScanResult` into a
-        full :class:`~repro.backends.base.BackendResult` with parent-side
-        STE identity (raw reporting-row bytes -> ``(ste_id,
-        report_code)`` via the memoised ident table), a global-offset
-        checkpoint, and the same report ordering as a serial scan."""
-        return self._materialise(raw, base_offset, collect_reports)
 
     def cache_info(self) -> Dict[str, int]:
         """The DFA transition cache's effectiveness counters."""
@@ -272,9 +265,15 @@ class LazyDfaBackend(AutomatonBackend):
             self._idents[rep_bytes] = ident
         return ident
 
-    def _materialise(
+    def materialise_raw(
         self, raw: RawScanResult, base_offset: int, collect_reports: bool
     ) -> BackendResult:
+        """Turn a :data:`~repro.sim.shard.RawScanResult` — this
+        process's or a worker's — into a full
+        :class:`~repro.backends.base.BackendResult` with parent-side
+        STE identity (raw reporting-row bytes -> ``(ste_id,
+        report_code)`` via the memoised ident table), a global-offset
+        checkpoint, and the same report ordering as a serial scan."""
         raw_events, report_total, vector, sod, symbols = raw
         reports: List[Report] = []
         if collect_reports:
@@ -313,38 +312,22 @@ class LazyDfaBackend(AutomatonBackend):
         a worker pool with bit-identical results (:mod:`repro.sim.
         split`); otherwise — including pool failure — the serial loop
         below runs."""
-        workers = resolve_split_jobs(
-            self._split_jobs if split_jobs is None else split_jobs
+        # Opt-in: splitting one stream forks processes, so unset means 1.
+        workers = resolve_jobs(
+            self._split_jobs if split_jobs is None else split_jobs,
+            SPLIT_JOBS_ENV,
+            1,
         )
         if workers > 1:
             result = self._scan_split(data, resume, workers, collect_reports)
             if result is not None:
                 return result
-        symbols = as_symbols(data)
-        kernel = self.simulator.kernel
-        if resume is None:
-            prev = kernel.pack(0)
-            sod = kernel.has_sod
-            base_offset = 0
-        else:
-            prev = kernel.pack(resume.active_state_vector)
-            sod = kernel.has_sod and resume.start_of_data_pending
-            base_offset = resume.symbols_processed
-        events, report_total, final_row, sod = self.dfa.scan(
-            symbols, prev=prev, sod=sod, collect_events=collect_reports
+        raw = _scan_one(
+            self.simulator.kernel, self.dfa, data, _cursor(resume),
+            collect_reports,
         )
-        raw_events = [
-            (event_offset,) + self.dfa.event(event_id)
-            for event_offset, event_id in events
-        ]
-        raw = (
-            raw_events,
-            report_total,
-            kernel.unpack(final_row),
-            bool(sod),
-            len(symbols),
-        )
-        return self._materialise(raw, base_offset, collect_reports)
+        base_offset = 0 if resume is None else resume.symbols_processed
+        return self.materialise_raw(raw, base_offset, collect_reports)
 
     def _scan_split(
         self,
@@ -362,22 +345,13 @@ class LazyDfaBackend(AutomatonBackend):
             if self._split_slot_limit is not None:
                 options["slot_limit"] = self._split_slot_limit
             self._sfa = SfaKernel(self.simulator.kernel, **options)
-        cursor = None
-        base_offset = 0
-        if resume is not None:
-            cursor = (
-                resume.symbols_processed,
-                resume.active_state_vector,
-                resume.start_of_data_pending,
-            )
-            base_offset = resume.symbols_processed
         outcome = scan_stream_split(
             self.simulator.kernel,
             self.dfa,
             self._sfa,
             data,
             jobs,
-            resume=cursor,
+            resume=_cursor(resume),
         )
         if outcome is None:
             return None
@@ -392,7 +366,8 @@ class LazyDfaBackend(AutomatonBackend):
             )
             self._health_events.append(notice)
             warnings.warn(notice, DegradedModeWarning, stacklevel=3)
-        return self._materialise(raw, base_offset, collect_reports)
+        base_offset = 0 if resume is None else resume.symbols_processed
+        return self.materialise_raw(raw, base_offset, collect_reports)
 
     def scan_many(
         self,
@@ -409,27 +384,27 @@ class LazyDfaBackend(AutomatonBackend):
         """
         streams = list(streams)
         resumes = require_resume_count(resumes, len(streams))
-        workers = resolve_scan_jobs(self._jobs if jobs is None else jobs)
+        workers = resolve_jobs(
+            self._jobs if jobs is None else jobs, SCAN_JOBS_ENV
+        )
         if workers > 1 and len(streams) > 1:
-            items = []
-            for index, (data, resume) in enumerate(zip(streams, resumes)):
-                cursor = None
-                if resume is not None:
-                    cursor = (
-                        resume.symbols_processed,
-                        resume.active_state_vector,
-                        resume.start_of_data_pending,
-                    )
-                items.append((index, bytes(as_symbols(data)), cursor))
+            items = [
+                (bytes(as_symbols(data)), _cursor(resume))
+                for data, resume in zip(streams, resumes)
+            ]
             tables = self.share_tables()
             outcome = scan_streams_sharded(
-                tables, items, workers, collect_events=collect_reports
+                tables,
+                items,
+                workers,
+                collect_events=collect_reports,
+                max_states=self.dfa.cache_info()["max_states"],
             )
             if outcome is not None:
                 raws, worker_infos = outcome
                 self._absorb_worker_infos(worker_infos)
                 return [
-                    self._materialise(
+                    self.materialise_raw(
                         raw,
                         0 if resume is None else resume.symbols_processed,
                         collect_reports,

@@ -18,20 +18,17 @@ the design's wire budget by :mod:`repro.compiler.constraints`.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-import warnings
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.automata.anml import HomogeneousAutomaton
 from repro.automata.components import connected_components
 from repro.core.design import DesignPoint
-from repro.errors import CapacityError, DegradedModeWarning
+from repro.errors import CapacityError
+from repro.parallel import fan_out, resolve_jobs
 from repro.partitioning import PartitionGraph, partition_into_capacity
 
 #: Environment override for the split-and-place worker count ("1" = serial).
@@ -39,18 +36,6 @@ COMPILE_JOBS_ENV = "REPRO_COMPILE_JOBS"
 
 #: Oversized-CC states below which process fan-out cannot pay for itself.
 PARALLEL_SPLIT_MIN_STATES = 4096
-
-
-def resolve_compile_jobs(jobs: Union[int, str, None] = None) -> int:
-    """Worker count for parallel CC splitting.
-
-    ``jobs`` may be an int, a numeric string, or ``None``/"auto" — the
-    latter consults ``REPRO_COMPILE_JOBS`` and falls back to the CPU
-    count.  The result is always >= 1.
-    """
-    if jobs is None or jobs == "auto":
-        jobs = os.environ.get(COMPILE_JOBS_ENV) or (os.cpu_count() or 1)
-    return max(1, int(jobs))
 
 
 def _component_seed(base_seed: int, component: List[str]) -> int:
@@ -81,7 +66,7 @@ def _component_split_payload(
 def _split_payload_worker(
     payload: Tuple[int, List[Tuple[int, int]], List[str], int, int],
 ) -> List[List[str]]:
-    """Split one oversized CC (top-level so process pools can pickle it)."""
+    """Split one oversized CC (module-level: workers import it by name)."""
     node_count, edges, component, capacity, seed = payload
     graph = PartitionGraph([1] * node_count)
     for source, target in edges:
@@ -294,45 +279,23 @@ class Compiler:
             + (partition_size, _component_seed(base_seed, component))
             for component in components
         ]
-        jobs = resolve_compile_jobs(self.jobs)
+        jobs = resolve_jobs(self.jobs, COMPILE_JOBS_ENV)
         total_states = sum(payload[0] for payload in payloads)
         if (
             jobs > 1
             and len(payloads) > 1
             and total_states >= PARALLEL_SPLIT_MIN_STATES
         ):
-            workers = min(jobs, len(payloads))
-            # Degrade to the serial path only when the *pool* is unusable
-            # (no fork/spawn on this host, workers killed): those surface
-            # as OSError from process creation or BrokenProcessPool from
-            # the map.  A genuine exception raised *inside*
-            # _split_payload_worker is a compiler bug or an infeasible
-            # split and must propagate — retrying it serially would just
-            # mask it (or fail identically, twice as slowly).
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    return list(pool.map(_split_payload_worker, payloads))
-            except (OSError, BrokenProcessPool) as error:
-                warnings.warn(
-                    "parallel CC splitting unavailable "
-                    f"({type(error).__name__}: {error}); "
-                    "degrading to serial compilation",
-                    DegradedModeWarning,
-                    stacklevel=3,
-                )
+            # None = the worker plane was unusable (already warned); an
+            # exception raised inside _split_payload_worker is a compiler
+            # bug or an infeasible split and has propagated.
+            splits = fan_out(
+                _split_payload_worker, payloads, jobs,
+                what="parallel CC splitting",
+            )
+            if splits is not None:
+                return splits
         return [_split_payload_worker(payload) for payload in payloads]
-
-    def _split_component(
-        self,
-        automaton: HomogeneousAutomaton,
-        component: List[str],
-        partition_size: int,
-    ) -> List[List[str]]:
-        payload = _component_split_payload(automaton, component) + (
-            partition_size,
-            _component_seed(self.rng.getrandbits(32), component),
-        )
-        return _split_payload_worker(payload)
 
     # -- placement ----------------------------------------------------------------
 

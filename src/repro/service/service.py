@@ -28,10 +28,10 @@ engine) and is robust by construction:
   restarted; the event is counted and logged.
 * **Graceful drain** — :meth:`ScanService.stop` stops admitting,
   lets queued and in-flight work finish (or deadlines it out after
-  ``drain_timeout``), then joins the workers.  Worker pools and
-  shared-memory blocks are per-scan and context-managed
-  (:class:`~repro.sim.shard.SharedTables`), so a drained service holds
-  no leaked OS resources.
+  ``drain_timeout``), then joins the workers.  Scan worker processes
+  live as long as the service, a tenant's shared-memory block
+  (:class:`~repro.parallel.SharedTables`) as long as its registration;
+  ``stop`` ends both, so a drained service holds no OS resources.
 
 Scanning is CPU-bound Python, so workers are cooperating coroutines on
 one loop: each yields between chunks, which is what makes deadlines,
@@ -40,10 +40,11 @@ injectable for deterministic tests.
 
 * **Process-pool execution** — ``scan_workers=N`` (default 0 = in-loop)
   dispatches every primary-tier scan to long-lived worker *processes*
-  (:mod:`repro.service.procpool`), each on its own pipe watched by this
-  loop, lifting the one-core ceiling while keeping all of the above.  The
-  dispatch unit is a *span*: the rest of the request's bytes plus its
-  checkpoint and absolute deadline.  The worker runs the same chunk
+  (:mod:`repro.service.procpool`, on the :mod:`repro.parallel` plane),
+  each on its own pipe watched by this loop, lifting the one-core
+  ceiling while keeping all of the above.  The dispatch unit is a
+  *span*: the rest of the request's bytes plus its checkpoint and
+  absolute deadline.  The worker runs the same chunk
   loop, at the same chunk boundaries, and hands back at the first
   boundary past the deadline or a 5 ms hold quantum
   (:data:`~repro.service.procpool.SPAN_HOLD_S`); the request loop here
@@ -57,7 +58,7 @@ injectable for deterministic tests.
   ``set_scan_delay`` hook has to see every chunk boundary from this
   side, so then a span is exactly one chunk.
   Lazy-DFA tenants publish their packed kernel + warm DFA tables once
-  through a :class:`~repro.sim.shard.SharedTables` block so workers
+  through a :class:`~repro.parallel.SharedTables` block so workers
   rebuild zero-copy; other backends rebuild from the registration
   through the shared artifact cache.  The golden-fallback tier (breaker
   open) always runs in-loop — the reference interpreter must not depend
@@ -79,6 +80,7 @@ from repro.backends.validation import require_bytes
 from repro.core.design import CA_P, DesignPoint
 from repro.engine import CacheAutomatonEngine
 from repro.errors import ReproError
+from repro.parallel import SharedTables
 from repro.service.breaker import CircuitBreaker
 from repro.service.errors import (
     DeadlineExceeded,
@@ -94,7 +96,6 @@ from repro.service.procpool import (
     worker_cache_spec,
 )
 from repro.sim.golden import Checkpoint, Report
-from repro.sim.shard import SharedTables
 
 #: Default per-chunk scan granularity — the deadline/fairness quantum.
 DEFAULT_CHUNK_BYTES = 4096
@@ -562,11 +563,11 @@ class ScanService:
         carrying their partial progress.  A scan process that still
         holds its span a second ``drain_timeout`` after that is wedged:
         it is killed, which fails the span with :class:`WorkerCrashed`,
-        so the drain is bounded whatever a worker does.  Scan
-        worker pools and shared-memory blocks are per-call and closed by
-        their context managers (:class:`~repro.sim.shard.SharedTables`),
-        so once the queue is empty the service holds no OS resources
-        beyond the engines themselves.
+        so the drain is bounded whatever a worker does.  The pool is
+        then shut down and every tenant's published
+        :class:`~repro.parallel.SharedTables` block unlinked, so a
+        stopped service holds no OS resources beyond the engines
+        themselves.
         """
         if not self._started or self._shutdown:
             return

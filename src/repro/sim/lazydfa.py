@@ -106,7 +106,7 @@ class LazyDfaKernel:
     :meth:`cache_info`.
 
     ``max_states`` bounds the cached DFA (default derived from
-    ``cache_bytes``); crossing it flushes the whole cache, RE2-style.
+    :data:`DFA_CACHE_BYTES`); crossing it flushes the whole cache, RE2-style.
     The instance is single-threaded mutable state — share the underlying
     kernel across threads/processes, not this object.
     """
@@ -115,7 +115,6 @@ class LazyDfaKernel:
         self,
         kernel: BitsetKernel,
         *,
-        cache_bytes: int = DFA_CACHE_BYTES,
         max_states: Optional[int] = None,
         stride: Union[int, str, None] = 1,
         alphabet: Optional[StrideAlphabet] = None,
@@ -143,7 +142,9 @@ class LazyDfaKernel:
             # A strided table instead spends proportionally more bytes
             # (width/256 × the nominal budget, worst case) — that is
             # the classic multi-stride memory-for-throughput trade.
-            max_states = cache_bytes // (_STATE_COST_BYTES + kernel.row_bytes)
+            max_states = DFA_CACHE_BYTES // (
+                _STATE_COST_BYTES + kernel.row_bytes
+            )
         self._max_states = max(64, int(max_states))
         self._lookups = 0
         self._misses = 0
@@ -200,11 +201,6 @@ class LazyDfaKernel:
         return grown
 
     @property
-    def dfa_states(self) -> int:
-        """Number of DFA states currently interned."""
-        return len(self._rows)
-
-    @property
     def stride(self) -> int:
         """Effective stride (after any class-budget degrade)."""
         return self._stride
@@ -213,10 +209,6 @@ class LazyDfaKernel:
     def alphabet(self) -> Optional[StrideAlphabet]:
         """The compressed stride alphabet, or ``None`` when unstrided."""
         return self._alphabet
-
-    def state_row(self, sid: int) -> np.ndarray:
-        """The packed activation row interned as state ``sid``."""
-        return self._rows[sid]
 
     def event(self, event_id: int) -> Tuple[int, bytes]:
         """``(report_count, reporting_row_bytes)`` of one report event."""

@@ -1,41 +1,30 @@
 """Process-parallel sharded scanning over shared kernel/DFA tables.
 
 The Section 6 multi-stream scenario scales past one core by sharding
-independent input streams across a process pool.  The expensive state —
-the packed kernel tables and the lazy-DFA transition tables — is
-published *once* through :mod:`multiprocessing.shared_memory` as a
-single block; each worker maps it zero-copy, rebuilds a
-:class:`~repro.sim.kernel.BitsetKernel` via ``from_packed`` and a
-warm-seeded :class:`~repro.sim.lazydfa.LazyDfaKernel`, and scans its
-shard of streams.  Results carry the original stream indices so the
-caller reassembles them in deterministic submission order — the worker
-count never changes what a scan returns, only how fast it returns.
-
-Pool policy mirrors :mod:`repro.compiler.mapping`: only a *pool-level*
-failure (``OSError`` from process creation, ``BrokenProcessPool``)
-degrades to the caller's serial path, with a
-:class:`~repro.errors.DegradedModeWarning`; an exception raised inside a
-worker (bad input, corrupt tables) propagates — retrying it serially
-would mask it or fail identically, twice as slowly.
+independent input streams across worker processes
+(:func:`repro.parallel.fan_out`).  The expensive state — the packed
+kernel tables and the lazy-DFA transition tables — is published *once*
+as a single shared-memory block; each worker maps it zero-copy, rebuilds
+a :class:`~repro.sim.kernel.BitsetKernel` via ``from_packed`` and a
+warm-seeded :class:`~repro.sim.lazydfa.LazyDfaKernel`
+(:func:`attach_kernel_dfa`), and scans its shard of streams.  Shards
+are strided slices and come back in submission order, so reassembly is
+deterministic — the worker count never changes what a scan returns,
+only how fast it returns.
 
 Worker count comes from ``jobs=`` or the ``REPRO_SCAN_JOBS`` environment
-variable, defaulting to the CPU count (:func:`resolve_scan_jobs`).
+variable, defaulting to the CPU count.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.automata.stride import StrideAlphabet
 from repro.backends.validation import as_symbols
-from repro.errors import DegradedModeWarning
+from repro.parallel import attach_tables, detach_tables, fan_out
 from repro.sim.kernel import BitsetKernel
 from repro.sim.lazydfa import LazyDfaKernel
 
@@ -46,97 +35,61 @@ SCAN_JOBS_ENV = "REPRO_SCAN_JOBS"
 #:  final_state_vector_int, sod_pending, symbols_scanned).
 RawScanResult = Tuple[List[Tuple[int, int, bytes]], int, int, bool, int]
 
-#: One stream's pickled work item: (index, data, resume-tuple-or-None).
-_WorkItem = Tuple[int, bytes, Optional[Tuple[int, int, bool]]]
+#: One stream's pickled work item: (data, resume-tuple-or-None).
+_WorkItem = Tuple[bytes, Optional[Tuple[int, int, bool]]]
 
 
-def resolve_scan_jobs(jobs: Union[int, str, None] = None) -> int:
-    """Worker count for sharded scanning.
+def attach_kernel_dfa(meta, max_states: Optional[int], *, copy: bool):
+    """Rebuild the kernel + warm lazy DFA a parent published
+    (:meth:`~repro.backends.lazydfa.LazyDfaBackend.share_tables`) under
+    the parent's DFA state budget; returns ``(kernel, dfa, handle)``.
 
-    ``jobs`` may be an int, a numeric string, or ``None``/"auto" — the
-    latter consults ``REPRO_SCAN_JOBS`` and falls back to the CPU
-    count.  The result is always >= 1 (1 means scan serially).
+    ``copy=False`` is zero-copy: the kernel aliases the mapping, and the
+    caller drops the pair, then closes ``handle``.  ``copy=True`` copies
+    the arrays out and closes the mapping here (``handle`` is ``None``):
+    a long-lived worker's pair outlives a block its parent may unlink at
+    any time (hot reload, drain).
     """
-    if jobs is None or jobs == "auto":
-        jobs = os.environ.get(SCAN_JOBS_ENV) or (os.cpu_count() or 1)
-    return max(1, int(jobs))
+    handle, tables = attach_tables(meta)
+    try:
+        if copy:
+            tables = {name: np.array(view) for name, view in tables.items()}
+        alphabet = None
+        if "stride_k" in tables:
+            # from_tables copies, so the alphabet outlives the mapping.
+            alphabet = StrideAlphabet.from_tables(tables)
+        kernel = BitsetKernel.from_packed(tables)
+        dfa = LazyDfaKernel(kernel, max_states=max_states, alphabet=alphabet)
+        dfa.seed(tables["dfa_rows"], tables["dfa_next"], tables["dfa_reps"])
+    except BaseException:
+        del tables
+        detach_tables(handle)
+        raise
+    if copy:  # no view of the mapping is left
+        handle.close()
+        return kernel, dfa, None
+    return kernel, dfa, handle
 
 
-class SharedTables:
-    """A dict of numpy arrays published as one shared-memory block.
-
-    ``meta`` is the picklable handle workers pass to
-    :func:`attach_tables`: the block name plus per-array (name, dtype,
-    shape, byte offset) entries.  The creator must :meth:`close` when
-    every consumer is done (the pool has exited) — use the instance as
-    a context manager so the block is released on *every* exit path,
-    including a pool that died before doing any work.  :meth:`close` is
-    idempotent and tolerates a block someone else already unlinked, so
-    belt-and-braces cleanup in error paths cannot raise over the
-    original failure.
-    """
-
-    def __init__(self, tables: Dict[str, np.ndarray]):
-        entries = []
-        arrays = []
-        offset = 0
-        for name, array in tables.items():
-            array = np.asarray(array)
-            if not array.flags.c_contiguous:
-                # NB: not ascontiguousarray — that promotes 0-d to (1,).
-                array = np.ascontiguousarray(array)
-            entries.append((name, array.dtype.str, array.shape, offset))
-            arrays.append(array)
-            # Keep every region 8-byte aligned for the uint64 tables.
-            offset += (array.nbytes + 7) & ~7
-        self._closed = True  # nothing to release until the block exists
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, offset))
-        self._closed = False
-        try:
-            for (name, dtype, shape, start), array in zip(entries, arrays):
-                view = np.ndarray(
-                    shape, dtype=dtype, buffer=self._shm.buf, offset=start
-                )
-                view[...] = array
-                del view
-            self.meta = (self._shm.name, tuple(entries))
-        except BaseException:
-            # Never leak the block when population fails half-way.
-            self.close()
-            raise
-
-    def __enter__(self) -> "SharedTables":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._shm.close()
-        finally:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+def _cursor(checkpoint) -> Optional[Tuple[int, int, bool]]:
+    """A resume :class:`~repro.sim.golden.Checkpoint` flattened to the
+    ``(symbols, vector, sod)`` tuple a scan starts from — what crosses
+    a pipe instead of the object; ``None`` stays ``None``."""
+    if checkpoint is None:
+        return None
+    return (
+        checkpoint.symbols_processed,
+        checkpoint.active_state_vector,
+        checkpoint.start_of_data_pending,
+    )
 
 
-def attach_tables(meta) -> Tuple[shared_memory.SharedMemory, Dict[str, np.ndarray]]:
-    """Map a :class:`SharedTables` block; returns (handle, array views).
-
-    The views alias the mapping — the caller must drop every view (and
-    everything built on them) before closing the handle.
-    """
-    name, entries = meta
-    shm = shared_memory.SharedMemory(name=name)
-    tables = {
-        entry_name: np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=start)
-        for entry_name, dtype, shape, start in entries
-    }
-    return shm, tables
+def _entry_row(kernel: BitsetKernel, resume: Optional[Tuple[int, int, bool]]):
+    """``(activation row, start-of-data armed)`` a scan enters with."""
+    if resume is None:
+        return kernel.pack(0), kernel.has_sod
+    _, vector, pending = resume
+    return kernel.pack(vector), kernel.has_sod and pending
 
 
 def _scan_one(
@@ -146,74 +99,38 @@ def _scan_one(
     resume: Optional[Tuple[int, int, bool]],
     collect_events: bool,
 ) -> RawScanResult:
-    """Scan one stream on a worker-local kernel/DFA pair."""
-    if resume is None:
-        prev = kernel.pack(0)
-        sod = kernel.has_sod
-    else:
-        _, vector, pending = resume
-        prev = kernel.pack(vector)
-        sod = kernel.has_sod and pending
+    """Scan one stream on a kernel/DFA pair — the parent's serial scan
+    and every worker's, so they cannot differ."""
+    prev, sod = _entry_row(kernel, resume)
     symbols = as_symbols(data)
     events, total, final_row, sod = dfa.scan(
         symbols, prev=prev, sod=sod, collect_events=collect_events
     )
-    raw_events = []
-    for event_offset, event_id in events:
-        count, rep_bytes = dfa.event(event_id)
-        raw_events.append((event_offset, count, rep_bytes))
+    raw_events = [(offset,) + dfa.event(event_id) for offset, event_id in events]
     return raw_events, total, kernel.unpack(final_row), bool(sod), len(symbols)
 
 
-def _scan_shard_worker(
-    payload,
-) -> Tuple[List[Tuple[int, RawScanResult]], Dict[str, int]]:
+def _scan_shard_worker(job) -> Tuple[List[RawScanResult], Dict[str, int]]:
     """Scan one shard of streams against the shared tables.
 
-    Top-level so the function pickles; rebuilds the kernel zero-copy
-    from the shared block, seeds the lazy DFA from the parent's warm
-    transition tables, and returns (original index, raw result) pairs
-    plus the worker DFA's :meth:`~LazyDfaKernel.cache_info` counters —
-    per-worker hit/miss/flush totals would otherwise die with the
-    process, leaving the parent's aggregate blind to the fan-out.
+    Returns the raw results plus the worker DFA's
+    :meth:`~LazyDfaKernel.cache_info` counters — per-worker
+    hit/miss/flush totals would otherwise die with the process, leaving
+    the parent's aggregate blind to the fan-out.
     """
-    meta, items, collect_events = payload
-    shm, tables = attach_tables(meta)
+    meta, (items, collect_events, max_states) = job
+    kernel, dfa, handle = attach_kernel_dfa(meta, max_states, copy=False)
     try:
-        dfa_rows = tables.pop("dfa_rows")
-        dfa_next = tables.pop("dfa_next")
-        dfa_reps = tables.pop("dfa_reps")
-        alphabet = None
-        if "stride_k" in tables:
-            # from_tables copies, so the alphabet outlives the mapping.
-            alphabet = StrideAlphabet.from_tables(
-                {
-                    "stride_k": tables.pop("stride_k"),
-                    "stride_class_of": tables.pop("stride_class_of"),
-                    "stride_reps": tables.pop("stride_reps"),
-                }
-            )
-        kernel = BitsetKernel.from_packed(tables)
-        dfa = LazyDfaKernel(kernel, alphabet=alphabet)
-        dfa.seed(dfa_rows, dfa_next, dfa_reps)
-        results = [
-            (index, _scan_one(kernel, dfa, data, resume, collect_events))
-            for index, data, resume in items
+        raws = [
+            _scan_one(kernel, dfa, data, resume, collect_events)
+            for data, resume in items
         ]
-        return results, dfa.cache_info()
+        return raws, dfa.cache_info()
     finally:
-        # Every view of the mapping must die before close() (else
-        # BufferError); seeding copied what the DFA keeps, so dropping
-        # the locals releases all of them.
-        del tables
-        try:
-            del dfa_rows, dfa_next, dfa_reps, kernel, dfa
-        except NameError:
-            pass
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - defensive
-            pass
+        # Seeding copied what the DFA keeps of the mapping; the kernel
+        # aliases it.
+        kernel = dfa = None
+        detach_tables(handle)
 
 
 def scan_streams_sharded(
@@ -222,41 +139,33 @@ def scan_streams_sharded(
     jobs: int,
     *,
     collect_events: bool = True,
+    max_states: Optional[int] = None,
 ) -> Optional[Tuple[List[RawScanResult], List[Dict[str, int]]]]:
-    """Shard ``items`` across ``jobs`` workers; results in index order.
+    """Shard ``items`` across ``jobs`` workers; results in item order.
 
     ``tables`` is the union of the kernel's packed tables and the lazy
-    DFA's :meth:`~repro.sim.lazydfa.LazyDfaKernel.export_tables`.
-    Returns ``(raw results, per-worker cache counters)`` — merge the
-    counters with :func:`~repro.sim.lazydfa.merge_cache_infos` — or
-    ``None`` when the pool itself is unusable (the caller falls back to
-    its serial path); worker exceptions propagate.
+    DFA's :meth:`~repro.sim.lazydfa.LazyDfaKernel.export_tables`;
+    ``max_states`` the parent DFA's state budget, which every worker's
+    DFA takes over.  Returns ``(raw results, per-worker cache
+    counters)`` — merge the counters with
+    :func:`~repro.sim.lazydfa.merge_cache_infos` — or ``None`` when the
+    worker plane itself is unusable (the caller falls back to its serial
+    path); worker exceptions propagate.
     """
     items = list(items)
     if not items:
         return [], []
     jobs = min(max(1, jobs), len(items))
-    shards = [items[start::jobs] for start in range(jobs)]
-    # The context manager guarantees the published block is released on
-    # every exit path — the pool-death fallback used to leak it.
-    with SharedTables(tables) as shared:
-        payloads = [(shared.meta, shard, collect_events) for shard in shards]
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                shard_results = list(pool.map(_scan_shard_worker, payloads))
-        except (OSError, BrokenProcessPool) as error:
-            warnings.warn(
-                "process-sharded scanning unavailable "
-                f"({type(error).__name__}: {error}); "
-                "degrading to serial scanning",
-                DegradedModeWarning,
-                stacklevel=3,
-            )
-            return None
-    ordered: Dict[int, RawScanResult] = {}
-    worker_infos: List[Dict[str, int]] = []
-    for shard_result, info in shard_results:
-        worker_infos.append(info)
-        for index, raw in shard_result:
-            ordered[index] = raw
-    return [ordered[index] for index in range(len(items))], worker_infos
+    shard_results = fan_out(
+        _scan_shard_worker,
+        [(items[start::jobs], collect_events, max_states) for start in range(jobs)],
+        jobs,
+        what="process-sharded scanning",
+        tables=tables,
+    )
+    if shard_results is None:
+        return None
+    raws: List[RawScanResult] = [None] * len(items)
+    for start, (shard_raws, _) in enumerate(shard_results):
+        raws[start::jobs] = shard_raws
+    return raws, [info for _, info in shard_results]

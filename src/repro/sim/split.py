@@ -40,26 +40,22 @@ a chunk's first byte than ``slot_limit``), the worker abandons the
 mapping and the parent rescans that one chunk serially at join time —
 degradation is per-chunk, reported through the backend's health events.
 
-Worker count comes from ``split_jobs=`` or ``REPRO_SPLIT_JOBS``
-(:func:`resolve_split_jobs`), defaulting to 1: splitting a stream forks
-processes, so it is opt-in, unlike the multi-stream sharder's
-CPU-count default.
+Worker count comes from ``split_jobs=`` or ``REPRO_SPLIT_JOBS``,
+defaulting to 1: splitting a stream forks processes, so it is opt-in,
+unlike the multi-stream sharder's CPU-count default.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.backends.validation import as_symbols
-from repro.errors import DegradedModeWarning
+from repro.parallel import attach_tables, detach_tables, fan_out
 from repro.sim.kernel import BitsetKernel
-from repro.sim.shard import RawScanResult, SharedTables, attach_tables
+from repro.sim.shard import RawScanResult, _entry_row
 
 SPLIT_JOBS_ENV = "REPRO_SPLIT_JOBS"
 
@@ -74,21 +70,6 @@ SFA_SLOT_LIMIT = 256
 #: Smallest chunk worth forking a worker for; shorter inputs scan
 #: serially even when ``split_jobs`` asks for more workers.
 SPLIT_MIN_CHUNK = 4096
-
-
-def resolve_split_jobs(jobs: Union[int, str, None] = None) -> int:
-    """Worker count for split-stream scanning.
-
-    ``jobs`` may be an int, a numeric string, ``"auto"``, or ``None``.
-    ``None`` consults ``REPRO_SPLIT_JOBS`` and falls back to 1 (serial)
-    — splitting is opt-in; ``"auto"`` falls back to the CPU count.
-    The result is always >= 1.
-    """
-    if jobs is None:
-        jobs = os.environ.get(SPLIT_JOBS_ENV) or 1
-    elif jobs == "auto":
-        jobs = os.environ.get(SPLIT_JOBS_ENV) or (os.cpu_count() or 1)
-    return max(1, int(jobs))
 
 
 def effective_split_jobs(length: int, jobs: int, min_chunk: int) -> int:
@@ -125,7 +106,6 @@ class SfaKernel:
         self,
         kernel: BitsetKernel,
         *,
-        cache_bytes: int = SFA_CACHE_BYTES,
         max_states: Optional[int] = None,
         slot_limit: int = SFA_SLOT_LIMIT,
     ):
@@ -135,7 +115,7 @@ class SfaKernel:
             # States are heavier than lazy-DFA states: a const row, a
             # handful of slot rows, and a 256-entry transition list.
             est = 16 * kernel.row_bytes + 256 * 8 + 512
-            max_states = cache_bytes // est
+            max_states = SFA_CACHE_BYTES // est
         self._max_states = max(64, int(max_states))
         self._lookups = 0
         self._misses = 0
@@ -200,10 +180,6 @@ class SfaKernel:
             self._effect_of[key] = eid
             self._effects.append((survivors, const_rep, slot_reps))
         return eid
-
-    @property
-    def sfa_states(self) -> int:
-        return len(self._states)
 
     @property
     def slot_limit(self) -> int:
@@ -497,44 +473,27 @@ class SfaKernel:
 # -- worker ----------------------------------------------------------------
 
 
-def _split_mapping_worker(payload):
-    """Build chunk mappings against the shared tables.
+def _split_mapping_worker(job):
+    """Build one chunk's mapping against the shared tables.
 
-    Top-level so the function pickles; rebuilds the kernel zero-copy,
-    seeds the SFA from the parent's warm silent transitions, and maps
-    its chunks.  Returns ``(indexed mappings, newly-warmed SFA tables,
-    cache counters)`` — the parent merges the tables back so the cache
-    keeps warming across calls.
+    Rebuilds the kernel zero-copy, seeds the SFA from the parent's warm
+    silent transitions, and maps its chunk.  Returns ``(mapping,
+    newly-warmed SFA tables, cache counters)`` — the parent merges the
+    tables back so the cache keeps warming across calls.
     """
-    meta, items, slot_limit, return_tables = payload
-    shm, tables = attach_tables(meta)
+    meta, (data, slot_limit) = job
+    handle, tables = attach_tables(meta)
     try:
-        sfa_tables = {
-            name: tables.pop(name)
-            for name in list(tables)
-            if name.startswith("sfa_")
-        }
         kernel = BitsetKernel.from_packed(tables)
         sfa = SfaKernel(kernel, slot_limit=slot_limit)
-        sfa.seed(sfa_tables)
-        results = [
-            (index, sfa.scan_mapping(as_symbols(data)))
-            for index, data in items
-        ]
-        export = sfa.export_tables() if return_tables else None
-        return results, export, sfa.cache_info()
+        sfa.seed(tables)
+        mapping = sfa.scan_mapping(as_symbols(data))
+        return mapping, sfa.export_tables(), sfa.cache_info()
     finally:
-        # Every view of the mapping must die before close() (else
-        # BufferError); seeding and from_packed copied what they keep.
-        del tables
-        try:
-            del sfa_tables, kernel, sfa
-        except NameError:
-            pass
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - defensive
-            pass
+        # Seeding copied what the SFA keeps of the mapping; the kernel
+        # and ``tables`` alias it.
+        kernel = sfa = tables = None
+        detach_tables(handle)
 
 
 # -- join ------------------------------------------------------------------
@@ -609,16 +568,15 @@ def scan_stream_split(
     jobs: int,
     *,
     resume: Optional[Tuple[int, int, bool]] = None,
-    merge_tables: bool = True,
 ) -> Optional[Tuple[RawScanResult, dict]]:
     """Scan one stream across ``jobs`` parallel actors; exact join.
 
     The parent is actor 0: it publishes the kernel + SFA tables once
-    through shared memory, hands chunks 1..N-1 to a process pool, scans
-    chunk 0 itself on the (warm) lazy DFA ``dfa`` while the pool runs,
+    through shared memory, hands chunks 1..N-1 to worker processes,
+    scans chunk 0 itself on the (warm) lazy DFA ``dfa`` while they run,
     then joins left-to-right.  Returns ``(raw result, stats)`` in the
-    sharded scanner's raw form, or ``None`` when the pool itself is
-    unusable (the caller falls back to its serial path); worker
+    sharded scanner's raw form, or ``None`` when the worker plane itself
+    is unusable (the caller falls back to its serial path); worker
     exceptions propagate.  A chunk whose mapping was abandoned
     (frontier explosion) is rescanned serially on ``dfa`` during the
     join and counted in ``stats["degraded_chunks"]``.
@@ -626,80 +584,43 @@ def scan_stream_split(
     symbols = as_symbols(data)
     length = len(symbols)
     bounds = _chunk_bounds(length, max(2, int(jobs)))
-    if resume is None:
-        prev = kernel.pack(0)
-        sod = kernel.has_sod
-    else:
-        _, vector, pending = resume
-        prev = kernel.pack(vector)
-        sod = kernel.has_sod and pending
+    prev, sod = _entry_row(kernel, resume)
 
     tables = dict(kernel.packed_tables())
     tables.update(sfa.export_tables())
-    futures = []
-    try:
-        with SharedTables(tables) as shared:
-            try:
-                with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
-                    for index, (start, end) in enumerate(bounds[1:], 1):
-                        payload = (
-                            shared.meta,
-                            [(index, bytes(data[start:end]))],
-                            sfa.slot_limit,
-                            merge_tables,
-                        )
-                        futures.append(
-                            pool.submit(_split_mapping_worker, payload)
-                        )
-                    # Actor 0: the parent scans the leader chunk on its
-                    # own warm DFA while the pool maps the rest.
-                    leader_events, leader_total, prev, sod = dfa.scan(
-                        symbols[bounds[0][0] : bounds[0][1]],
-                        prev=prev,
-                        sod=sod,
-                        collect_events=True,
-                    )
-                    worker_returns = [future.result() for future in futures]
-            except (OSError, BrokenProcessPool) as error:
-                warnings.warn(
-                    "split-stream scanning unavailable "
-                    f"({type(error).__name__}: {error}); "
-                    "degrading to serial scanning",
-                    DegradedModeWarning,
-                    stacklevel=3,
-                )
-                return None
-    except (OSError, BrokenProcessPool) as error:
-        # Shared-memory publication itself failed (e.g. /dev/shm full).
-        warnings.warn(
-            "split-stream scanning unavailable "
-            f"({type(error).__name__}: {error}); degrading to serial",
-            DegradedModeWarning,
-            stacklevel=3,
-        )
+    # Actor 0: the parent scans the leader chunk on its own warm DFA
+    # while the workers map the rest.
+    scan_leader = partial(
+        dfa.scan,
+        symbols[bounds[0][0] : bounds[0][1]],
+        prev=prev,
+        sod=sod,
+        collect_events=True,
+    )
+    leader: list = []
+    worker_returns = fan_out(
+        _split_mapping_worker,
+        [(bytes(data[start:end]), sfa.slot_limit) for start, end in bounds[1:]],
+        len(bounds) - 1,
+        what="split-stream scanning",
+        tables=tables,
+        meanwhile=lambda: leader.append(scan_leader()),
+    )
+    if worker_returns is None:
         return None
-
-    mappings: Dict[int, Optional[dict]] = {}
-    worker_infos = []
-    for results, export, info in worker_returns:
-        for index, mapping in results:
-            mappings[index] = mapping
-        worker_infos.append(info)
-        if merge_tables and export is not None:
-            sfa.seed(export)
+    leader_events, leader_total, prev, sod = leader[0]
+    for _, export, _ in worker_returns:
+        sfa.seed(export)
 
     # Offsets stay stream-local: the caller's materialisation applies
     # the resume base, exactly as it does for the serial raw results.
-    raw_events: List[Tuple[int, int, bytes]] = []
-    total = 0
-    for offset, event_id in leader_events:
-        count, rep_bytes = dfa.event(event_id)
-        raw_events.append((offset, count, rep_bytes))
-    total += leader_total
+    raw_events: List[Tuple[int, int, bytes]] = [
+        (offset,) + dfa.event(event_id) for offset, event_id in leader_events
+    ]
+    total = leader_total
 
     degraded = 0
-    for index, (start, end) in enumerate(bounds[1:], 1):
-        mapping = mappings.get(index)
+    for (mapping, _, _), (start, end) in zip(worker_returns, bounds[1:]):
         if mapping is None:
             # Frontier explosion: rescan this one chunk serially from
             # its (now known) true entry row.
@@ -707,9 +628,10 @@ def scan_stream_split(
             events, chunk_total, prev, sod = dfa.scan(
                 symbols[start:end], prev=prev, sod=sod, collect_events=True
             )
-            for offset, event_id in events:
-                count, rep_bytes = dfa.event(event_id)
-                raw_events.append((start + offset, count, rep_bytes))
+            raw_events.extend(
+                (start + offset,) + dfa.event(event_id)
+                for offset, event_id in events
+            )
             total += chunk_total
             continue
         chunk_events, prev = _apply_mapping(
@@ -730,7 +652,6 @@ def scan_stream_split(
     stats = {
         "chunks": len(bounds),
         "degraded_chunks": degraded,
-        "worker_cache_infos": worker_infos,
-        "sfa_states": sfa.sfa_states,
+        "worker_cache_infos": [info for _, _, info in worker_returns],
     }
     return raw, stats

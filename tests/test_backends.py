@@ -39,6 +39,7 @@ from repro.regex.compile import compile_patterns
 from repro.sim.golden import match_offsets
 from repro.workloads.inputs import LOWERCASE, random_over_alphabet
 from repro.workloads.suite import build_suite
+from tests.test_parallel import inject_spawn_failure
 
 PATTERNS = ["bat", "c[ao]t", "dog+", "bar[t]?"]
 DATA = b"the cat sat on the bat; doggg barts in cots near a bart"
@@ -237,15 +238,7 @@ class TestLazyDfa:
     def test_pool_failure_degrades_to_serial(
         self, pattern_artifact, monkeypatch
     ):
-        from repro.sim import shard as shard_module
-
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no worker processes available")
-
-        monkeypatch.setattr(
-            shard_module, "ProcessPoolExecutor", ExplodingPool
-        )
+        inject_spawn_failure(monkeypatch)
         backend = create_backend("lazy-dfa", pattern_artifact)
         golden = match_offsets(pattern_artifact.automaton, DATA)
         with pytest.warns(DegradedModeWarning, match="degrading to serial"):
@@ -256,18 +249,29 @@ class TestLazyDfa:
             == backend.scan(DATA[3:25]).report_offsets()
         )
 
+    def test_sharded_workers_keep_the_parents_state_budget(
+        self, pattern_artifact
+    ):
+        backend = create_backend("lazy-dfa", pattern_artifact, max_states=64)
+        assert backend.cache_info()["max_states"] == 64
+        backend.scan_many([DATA, DATA[7:], DATA[13:]], jobs=2)
+        info = backend.worker_cache_info()
+        assert info["workers"] == 2
+        assert info["max_states"] == 64
+
     def test_resolve_scan_jobs(self, monkeypatch):
-        from repro.sim.shard import SCAN_JOBS_ENV, resolve_scan_jobs
+        from repro.parallel import resolve_jobs
+        from repro.sim.shard import SCAN_JOBS_ENV
 
         monkeypatch.delenv(SCAN_JOBS_ENV, raising=False)
-        assert resolve_scan_jobs(4) == 4
-        assert resolve_scan_jobs("3") == 3
-        assert resolve_scan_jobs(0) == 1
-        assert resolve_scan_jobs(None) >= 1
+        assert resolve_jobs(4, SCAN_JOBS_ENV) == 4
+        assert resolve_jobs("3", SCAN_JOBS_ENV) == 3
+        assert resolve_jobs(0, SCAN_JOBS_ENV) == 1
+        assert resolve_jobs(None, SCAN_JOBS_ENV) >= 1
         monkeypatch.setenv(SCAN_JOBS_ENV, "5")
-        assert resolve_scan_jobs() == 5
-        assert resolve_scan_jobs("auto") == 5
-        assert resolve_scan_jobs(2) == 2
+        assert resolve_jobs(None, SCAN_JOBS_ENV) == 5
+        assert resolve_jobs("auto", SCAN_JOBS_ENV) == 5
+        assert resolve_jobs(2, SCAN_JOBS_ENV) == 2
 
     def test_engine_scan_jobs_passthrough(self, tmp_path):
         engine = CacheAutomatonEngine.from_patterns(

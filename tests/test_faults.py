@@ -46,6 +46,12 @@ from repro.sim.functional import MappedSimulator
 from repro.sim.golden import match_offsets
 from repro.workloads.inputs import LOWERCASE, random_over_alphabet
 from tests.conftest import chain_automaton
+from tests.test_parallel import (
+    _dies_in_worker,
+    _raises_in_worker,
+    inject_job_fault,
+    inject_spawn_failure,
+)
 
 
 @pytest.fixture(scope="module")
@@ -366,21 +372,10 @@ class TestEngineDegradation:
             MappedSimulator.from_cached(simulator.mapping, tables)
 
 
-class _FakePoolBase:
-    """Stand-in for ProcessPoolExecutor (real workers are pickled by
-    name, so monkeypatched failures never reach a genuine pool)."""
-
-    def __init__(self, max_workers=None):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
 class TestPoolFallback:
+    """The compile site on a worker plane that fails for real (fault
+    injection shared with ``tests/test_parallel.py``)."""
+
     @pytest.fixture()
     def parallel_setup(self, monkeypatch):
         monkeypatch.setattr(mapping_module, "PARALLEL_SPLIT_MIN_STATES", 0)
@@ -393,37 +388,25 @@ class TestPoolFallback:
         return merge(chains, automaton_id="pool-fallback")
 
     def test_worker_exception_propagates(self, parallel_setup, monkeypatch):
-        class WorkerFails(_FakePoolBase):
-            def map(self, _function, _payloads):
-                raise ValueError("infeasible split: synthetic worker bug")
-
-        monkeypatch.setattr(
-            mapping_module, "ProcessPoolExecutor", WorkerFails
+        inject_job_fault(
+            monkeypatch, mapping_module, "_split_payload_worker",
+            _raises_in_worker,
         )
-        with pytest.raises(ValueError, match="infeasible split"):
+        with pytest.raises(ValueError, match="rejected its payload"):
             Compiler(CA_P, jobs=2).compile(parallel_setup)
 
     def test_broken_pool_degrades_to_serial(self, parallel_setup, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-
-        class PoolBreaks(_FakePoolBase):
-            def map(self, _function, _payloads):
-                raise BrokenProcessPool("workers died: synthetic")
-
-        monkeypatch.setattr(
-            mapping_module, "ProcessPoolExecutor", PoolBreaks
-        )
         serial = Compiler(CA_P, jobs=1).compile(parallel_setup)
+        inject_job_fault(
+            monkeypatch, mapping_module, "_split_payload_worker",
+            _dies_in_worker,
+        )
         with pytest.warns(DegradedModeWarning, match="serial"):
             degraded = Compiler(CA_P, jobs=2).compile(parallel_setup)
         assert dict(degraded.location) == dict(serial.location)
 
     def test_pool_creation_failure_degrades(self, parallel_setup, monkeypatch):
-        class NoFork(_FakePoolBase):
-            def __init__(self, max_workers=None):
-                raise OSError("fork unavailable: synthetic")
-
-        monkeypatch.setattr(mapping_module, "ProcessPoolExecutor", NoFork)
+        inject_spawn_failure(monkeypatch)
         with pytest.warns(DegradedModeWarning, match="serial"):
             degraded = Compiler(CA_P, jobs=2).compile(parallel_setup)
         serial = Compiler(CA_P, jobs=1).compile(parallel_setup)

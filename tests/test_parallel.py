@@ -1,0 +1,251 @@
+"""The worker plane (``repro.parallel``), on real processes.
+
+One fault family for the plane itself and the three one-shot call sites
+built on :func:`repro.parallel.fan_out` — oversized-CC splitting in the
+compiler, ``scan_many`` sharding, split-stream scanning: a job that
+SIGKILLs its own worker and a plane that cannot spawn degrade, once,
+to the serial result and leave no shared-memory block behind; a job
+that raises propagates as itself.  Faults are injected by replacing the
+site's job function with one that misbehaves *only in a worker process*
+(under ``fork`` the workers inherit the patched module), so the serial
+path the site falls back to is the real one.
+"""
+
+from __future__ import annotations
+
+import glob
+import os
+import re
+import signal
+import sys
+import time
+import warnings
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.backends import create_backend
+from repro.backends.artifact import CompiledArtifact
+from repro.automata.anml import merge
+from repro.compiler import Compiler, compile_automaton
+from repro.compiler import mapping as mapping_module
+from repro.core.design import CA_P
+from repro.errors import DegradedModeWarning
+from repro.parallel import WorkerLost, WorkerPool, ask_parent, fan_out
+from repro.regex.compile import compile_patterns
+from repro.sim import shard as shard_module
+from repro.sim import split as split_module
+from tests.conftest import chain_automaton
+
+PARENT = os.getpid()
+
+#: The job function a fault stands in front of.  Filled before the
+#: workers fork, so they inherit it.
+_REAL = {}
+
+
+def _dies_in_worker(payload):
+    if os.getpid() != PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _REAL["job"](payload)
+
+
+def _raises_in_worker(payload):
+    if os.getpid() != PARENT:
+        raise ValueError("job rejected its payload")
+    return _REAL["job"](payload)
+
+
+def inject_job_fault(monkeypatch, module, name, fault) -> None:
+    """Replace ``module.name`` — a site's job function — with ``fault``
+    (:func:`_dies_in_worker` or :func:`_raises_in_worker`)."""
+    monkeypatch.setitem(_REAL, "job", getattr(module, name))
+    monkeypatch.setattr(module, name, fault)
+
+
+def inject_spawn_failure(monkeypatch) -> None:
+    def no_fork(self):
+        raise OSError("fork unavailable: injected")
+
+    monkeypatch.setattr(WorkerPool, "_spawn", no_fork)
+
+
+def shm_blocks() -> set:
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+# -- the four sites -----------------------------------------------------------
+
+
+def _square(payload):
+    return payload * payload
+
+
+def _run_plane(jobs):
+    payloads = list(range(6))
+    squares = None
+    if jobs > 1:
+        squares = fan_out(_square, payloads, jobs, what="squaring")
+    if squares is None:
+        squares = [_square(payload) for payload in payloads]
+    return squares
+
+
+def _run_compile(jobs):
+    chains = [
+        chain_automaton(300, seed=23 + index, automaton_id=f"cc{index}")
+        for index in range(3)
+    ]
+    mapping = Compiler(CA_P, jobs=jobs).compile(
+        merge(chains, automaton_id="plane-faults")
+    )
+    return dict(mapping.location), [p.way for p in mapping.partitions]
+
+
+PATTERNS = ["needle", "na[gn]a+", "c[ao]t+", "dog+"]
+STREAM = b"a needle in a nagaaa cattt dogg stack; " * 60
+
+
+def _lazy_dfa(**options):
+    machine = compile_patterns(PATTERNS, report_codes=PATTERNS)
+    artifact = CompiledArtifact.from_mapping(compile_automaton(machine, CA_P))
+    return create_backend("lazy-dfa", artifact, **options)
+
+
+def _rows(result):
+    return (
+        [(r.offset, r.ste_id, r.report_code) for r in result.reports],
+        result.checkpoint,
+    )
+
+
+def _run_shard(jobs):
+    streams = [STREAM, STREAM[5:700], STREAM[11:], b"dogg"]
+    return [_rows(r) for r in _lazy_dfa().scan_many(streams, jobs=jobs)]
+
+
+def _run_split(jobs):
+    backend = _lazy_dfa(split_min_chunk=8)
+    return _rows(backend.scan(STREAM, split_jobs=jobs))
+
+
+#: site -> (run(jobs) -> comparable result, module and name of its job).
+SITES = {
+    "plane": (_run_plane, sys.modules[__name__], "_square"),
+    "compile": (_run_compile, mapping_module, "_split_payload_worker"),
+    "shard": (_run_shard, shard_module, "_scan_shard_worker"),
+    "split": (_run_split, split_module, "_split_mapping_worker"),
+}
+
+
+@pytest.fixture(params=sorted(SITES))
+def site(request, monkeypatch):
+    # Three ~300-state CCs are far below the size where fanning a
+    # compile out pays; lower the bar so the compile site fans out.
+    monkeypatch.setattr(mapping_module, "PARALLEL_SPLIT_MIN_STATES", 0)
+    return SITES[request.param]
+
+
+class TestFaultFamily:
+    @pytest.mark.parametrize("fault", ["worker-killed", "spawn-fails"])
+    def test_plane_failure_degrades_once_to_the_serial_result(
+        self, site, fault, monkeypatch
+    ):
+        run, module, job = site
+        serial = run(1)
+        assert run(2) == serial  # the healthy plane agrees to begin with
+        before = shm_blocks()
+        if fault == "worker-killed":
+            inject_job_fault(monkeypatch, module, job, _dies_in_worker)
+        else:
+            inject_spawn_failure(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            degraded = run(2)
+        assert degraded == serial
+        notices = [
+            w for w in caught if issubclass(w.category, DegradedModeWarning)
+        ]
+        assert len(notices) == 1, [str(w.message) for w in caught]
+        assert "degrading to serial" in str(notices[0].message)
+        assert shm_blocks() == before
+
+    def test_job_exception_propagates_as_itself(self, site, monkeypatch):
+        run, module, job = site
+        before = shm_blocks()
+        inject_job_fault(monkeypatch, module, job, _raises_in_worker)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedModeWarning)
+            with pytest.raises(ValueError, match="rejected its payload"):
+                run(2)
+        assert shm_blocks() == before
+
+
+# -- the plane's blocking driver ---------------------------------------------
+
+
+def _slow_when_small(payload):
+    time.sleep(0.02 * (6 - payload))
+    return payload
+
+
+def _context_of_job(payload):
+    return payload, ask_parent()
+
+
+class TestBlockingDriver:
+    def test_run_returns_results_in_submission_order(self):
+        """Seven jobs on two workers, the early ones the slowest: jobs
+        queue behind busy workers and finish out of order."""
+        pool = WorkerPool(2)
+        try:
+            assert pool.run(_slow_when_small, range(7)) == list(range(7))
+            assert len(pool.worker_pids()) == 2
+            assert pool.respawns == 0
+        finally:
+            pool.shutdown()
+        assert pool.worker_pids() == ()
+
+    def test_ask_parent_fetches_the_jobs_context(self):
+        pool = WorkerPool(1)
+        try:
+            futures = [
+                pool.submit(_context_of_job, index, context=f"spec-{index}")
+                for index in range(3)
+            ]
+            pool.wait(futures)
+            assert [future.result() for future in futures] == [
+                (0, "spec-0"), (1, "spec-1"), (2, "spec-2"),
+            ]
+        finally:
+            pool.shutdown()
+
+    def test_lost_worker_is_replaced_and_the_pool_carries_on(self):
+        pool = WorkerPool(1)
+        try:
+            _REAL["job"] = _square
+            with pytest.raises(WorkerLost):
+                pool.run(_dies_in_worker, [3])
+            assert pool.respawns == 1
+            assert pool.run(_square, [3, 4]) == [9, 16]
+        finally:
+            pool.shutdown()
+            _REAL.clear()
+
+
+# -- guard --------------------------------------------------------------------
+
+
+def test_parallel_is_the_only_module_that_imports_process_machinery():
+    """A fifth pool site fails here instead of in review."""
+    pattern = re.compile(
+        r"^\s*(from|import) (multiprocessing|concurrent\.futures)", re.M
+    )
+    root = Path(repro.__file__).parent
+    offenders = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if pattern.search(path.read_text(encoding="utf-8"))
+    )
+    assert offenders == ["parallel.py"]

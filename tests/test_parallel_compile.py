@@ -15,8 +15,8 @@ from repro.automata.anml import merge
 from repro.compiler import Compiler, compile_automaton
 from repro.compiler import mapping as mapping_module
 from repro.compiler.cache import automaton_fingerprint, design_fingerprint
-from repro.compiler.mapping import resolve_compile_jobs
 from repro.core.design import CA_64, CA_P
+from repro.parallel import resolve_jobs
 from repro.workloads.suite import build_suite
 from tests.conftest import chain_automaton
 
@@ -42,6 +42,12 @@ def _multi_cc_oversized():
         for index in range(4)
     ]
     return merge(chains, automaton_id="parallel-test")
+
+
+def resolve_compile_jobs(jobs):
+    """Resolution as ``Compiler._split_components`` calls it:
+    ``REPRO_COMPILE_JOBS``, else the CPU count."""
+    return resolve_jobs(jobs, mapping_module.COMPILE_JOBS_ENV)
 
 
 class TestResolveJobs:

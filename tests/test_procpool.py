@@ -33,12 +33,9 @@ from repro.service import (
 )
 from repro.backends import registry as backend_registry
 from repro.backends.mapped import PackedKernelBackend
+from repro.parallel import default_mp_method
 from repro.service import procpool
-from repro.service.procpool import (
-    ProcPoolScanExecutor,
-    default_mp_method,
-    worker_cache_spec,
-)
+from repro.service.procpool import ProcPoolScanExecutor, worker_cache_spec
 from tests.conftest import chain_automaton
 
 PATTERNS = ["cat", "dog+", "ba[rt]"]

@@ -21,18 +21,28 @@ from repro.core.design import CA_P
 from repro.engine import CacheAutomatonEngine
 from repro.errors import DegradedModeWarning
 from repro.regex.compile import compile_patterns
+from repro import parallel as parallel_module
+from repro.parallel import SharedTables, resolve_jobs
 from repro.sim import shard as shard_module
 from repro.sim import split as split_module
 from repro.sim.golden import match_offsets
 from repro.sim.lazydfa import merge_cache_infos
-from repro.sim.shard import SharedTables, scan_streams_sharded
-from repro.sim.split import (
-    SPLIT_JOBS_ENV,
-    SfaKernel,
-    effective_split_jobs,
-    resolve_split_jobs,
-)
+from repro.sim.shard import scan_streams_sharded
+from repro.sim.split import SPLIT_JOBS_ENV, SfaKernel, effective_split_jobs
 from repro.workloads.suite import build_suite
+from tests.test_parallel import (
+    _dies_in_worker,
+    _raises_in_worker,
+    inject_job_fault,
+    inject_spawn_failure,
+)
+
+
+def resolve_split_jobs(jobs):
+    """Split-stream resolution as the lazy-DFA backend calls it:
+    ``REPRO_SPLIT_JOBS``, opt-in (default 1)."""
+    return resolve_jobs(jobs, SPLIT_JOBS_ENV, 1)
+
 
 #: Patterns chosen to keep entry-state influence alive across chunk
 #: boundaries: a plus-loop, an overlap pair ("spl"/"it" spans "split"),
@@ -274,11 +284,7 @@ class TestDegradation:
 
     def test_pool_failure_degrades_to_serial(self, monkeypatch, artifact,
                                              stream, serial_result):
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no processes for you")
-
-        monkeypatch.setattr(split_module, "ProcessPoolExecutor", ExplodingPool)
+        inject_spawn_failure(monkeypatch)
         backend = create_backend(
             "lazy-dfa", artifact, split_jobs=2, split_min_chunk=8
         )
@@ -289,37 +295,14 @@ class TestDegradation:
     def test_worker_exception_propagates(self, monkeypatch, artifact, stream):
         """A worker-side failure is a bug, not a degrade: it must
         surface, mirroring the sharded pool policy."""
-
-        def boom(payload):
-            raise ValueError("worker corrupted")
-
-        monkeypatch.setattr(split_module, "_split_mapping_worker", boom)
-
-        class InlinePool:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, payload):
-                from concurrent.futures import Future
-
-                future = Future()
-                try:
-                    future.set_result(fn(payload))
-                except BaseException as error:  # noqa: BLE001
-                    future.set_exception(error)
-                return future
-
-        monkeypatch.setattr(split_module, "ProcessPoolExecutor", InlinePool)
+        inject_job_fault(
+            monkeypatch, split_module, "_split_mapping_worker",
+            _raises_in_worker,
+        )
         backend = create_backend(
             "lazy-dfa", artifact, split_jobs=2, split_min_chunk=8
         )
-        with pytest.raises(ValueError, match="worker corrupted"):
+        with pytest.raises(ValueError, match="rejected its payload"):
             backend.scan(stream)
 
 
@@ -328,7 +311,7 @@ class TestSharedMemoryHygiene:
 
     def _recording_shm(self, monkeypatch):
         created = []
-        real = shard_module.shared_memory.SharedMemory
+        real = parallel_module.shared_memory.SharedMemory
 
         class Recording(real):
             def __init__(self, *args, **kwargs):
@@ -342,7 +325,7 @@ class TestSharedMemoryHygiene:
                 super().unlink()
 
         monkeypatch.setattr(
-            shard_module.shared_memory, "SharedMemory", Recording
+            parallel_module.shared_memory, "SharedMemory", Recording
         )
         return created
 
@@ -354,15 +337,8 @@ class TestSharedMemoryHygiene:
 
     def test_sharded_pool_death_releases_block(self, monkeypatch, artifact):
         created = self._recording_shm(monkeypatch)
-
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("fork failed")
-
-        monkeypatch.setattr(
-            shard_module, "ProcessPoolExecutor", ExplodingPool
-        )
-        items = [(0, b"abcabc", None), (1, b"defdef", None)]
+        inject_spawn_failure(monkeypatch)
+        items = [(b"abcabc", None), (b"defdef", None)]
         with pytest.warns(DegradedModeWarning, match="degrading to serial"):
             outcome = scan_streams_sharded(self._tables(artifact), items, 2)
         assert outcome is None
@@ -370,25 +346,11 @@ class TestSharedMemoryHygiene:
         assert all(shm._unlinked for shm in created), "shared memory leaked"
 
     def test_broken_pool_mid_map_releases_block(self, monkeypatch, artifact):
-        from concurrent.futures.process import BrokenProcessPool
-
         created = self._recording_shm(monkeypatch)
-
-        class DyingPool:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, payloads):
-                raise BrokenProcessPool("worker died")
-
-        monkeypatch.setattr(shard_module, "ProcessPoolExecutor", DyingPool)
-        items = [(0, b"abcabc", None)]
+        inject_job_fault(
+            monkeypatch, shard_module, "_scan_shard_worker", _dies_in_worker
+        )
+        items = [(b"abcabc", None)]
         with pytest.warns(DegradedModeWarning):
             outcome = scan_streams_sharded(self._tables(artifact), items, 2)
         assert outcome is None
@@ -397,14 +359,7 @@ class TestSharedMemoryHygiene:
     def test_split_pool_death_releases_block(self, monkeypatch, artifact,
                                              stream):
         created = self._recording_shm(monkeypatch)
-
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("fork failed")
-
-        monkeypatch.setattr(
-            split_module, "ProcessPoolExecutor", ExplodingPool
-        )
+        inject_spawn_failure(monkeypatch)
         backend = create_backend(
             "lazy-dfa", artifact, split_jobs=2, split_min_chunk=8
         )
@@ -421,7 +376,7 @@ class TestSharedMemoryHygiene:
         with SharedTables({"a": np.arange(8, dtype=np.uint64)}) as shared:
             name = shared.meta[0]
         with pytest.raises(FileNotFoundError):
-            shard_module.shared_memory.SharedMemory(name=name)
+            parallel_module.shared_memory.SharedMemory(name=name)
 
 
 class TestWorkerCounters:
