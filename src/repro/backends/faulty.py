@@ -26,6 +26,7 @@ from repro.backends.base import (
     BackendCapabilities,
     BackendResult,
 )
+from repro.backends.mapped import simulator_from_artifact
 from repro.backends.registry import register_backend
 from repro.faults.injector import FaultRunReport, FaultySimulator
 from repro.faults.models import FaultEvent
@@ -70,14 +71,9 @@ class FaultInjectedBackend(AutomatonBackend):
         simulator_cls=None,
         **_options,
     ) -> "FaultInjectedBackend":
-        simulator_cls = simulator_cls or MappedSimulator
-        if artifact.kernel_tables:
-            simulator = simulator_cls.from_cached(
-                artifact.mapping, artifact.kernel_tables
-            )
-        else:
-            simulator = simulator_cls(artifact.mapping)
-        return cls(simulator, tuple(events))
+        return cls(
+            simulator_from_artifact(artifact, simulator_cls), tuple(events)
+        )
 
     def capabilities(self) -> BackendCapabilities:
         return _CAPABILITIES

@@ -54,6 +54,7 @@ from repro.backends.base import (
     BackendResult,
     BoundedEventLog,
 )
+from repro.backends.mapped import PackedKernelBackend, simulator_from_artifact
 from repro.backends.registry import register_backend
 from repro.backends.validation import require_resume_count
 from repro.errors import DegradedModeWarning
@@ -164,13 +165,7 @@ class LazyDfaBackend(AutomatonBackend):
         artifact's cached ``stride_tables``, the compressed alphabet is
         rebuilt from the cache instead of rederived.
         """
-        simulator_cls = simulator_cls or MappedSimulator
-        if artifact.kernel_tables:
-            simulator = simulator_cls.from_cached(
-                artifact.mapping, artifact.kernel_tables
-            )
-        else:
-            simulator = simulator_cls(artifact.mapping)
+        simulator = simulator_from_artifact(artifact, simulator_cls)
         if stride is None and artifact.stride != 1:
             stride = artifact.stride
         stride = resolve_stride(stride)
@@ -191,9 +186,7 @@ class LazyDfaBackend(AutomatonBackend):
     def capabilities(self) -> BackendCapabilities:
         return _CAPABILITIES
 
-    def packed_tables(self) -> dict:
-        """The simulator's kernel tables, for persisting into the cache."""
-        return self.simulator.packed_tables()
+    packed_tables = PackedKernelBackend.packed_tables
 
     def share_tables(self) -> Dict[str, np.ndarray]:
         """Everything a worker process needs to rebuild this backend.

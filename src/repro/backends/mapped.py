@@ -37,6 +37,25 @@ _CAPABILITIES = BackendCapabilities(
 )
 
 
+def simulator_from_artifact(
+    artifact: CompiledArtifact, simulator_cls=None
+) -> MappedSimulator:
+    """The mapped simulator of ``artifact``: from its kernel tables when
+    present (the warm path — no per-state Python loops), else from the
+    mapping.
+
+    ``simulator_cls`` substitutes the simulator implementation (the
+    degradation tests drive this); it must match the
+    :class:`MappedSimulator` construction surface.
+    """
+    simulator_cls = simulator_cls or MappedSimulator
+    if artifact.kernel_tables:
+        return simulator_cls.from_cached(
+            artifact.mapping, artifact.kernel_tables
+        )
+    return simulator_cls(artifact.mapping)
+
+
 def _to_result(run: MappedRunResult) -> BackendResult:
     return BackendResult(
         reports=run.reports,
@@ -60,21 +79,8 @@ class PackedKernelBackend(AutomatonBackend):
     def from_artifact(
         cls, artifact: CompiledArtifact, *, simulator_cls=None, **_options
     ) -> "PackedKernelBackend":
-        """Build from the artifact's kernel tables when present (the warm
-        path — no per-state Python loops), else from the mapping.
-
-        ``simulator_cls`` substitutes the simulator implementation (the
-        degradation tests drive this); it must match the
-        :class:`MappedSimulator` construction surface.
-        """
-        simulator_cls = simulator_cls or MappedSimulator
-        if artifact.kernel_tables:
-            simulator = simulator_cls.from_cached(
-                artifact.mapping, artifact.kernel_tables
-            )
-        else:
-            simulator = simulator_cls(artifact.mapping)
-        return cls(simulator)
+        """Build over :func:`simulator_from_artifact`'s simulator."""
+        return cls(simulator_from_artifact(artifact, simulator_cls))
 
     def capabilities(self) -> BackendCapabilities:
         return _CAPABILITIES

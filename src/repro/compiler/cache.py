@@ -47,7 +47,7 @@ import warnings
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -373,31 +373,6 @@ class CompileCache:
             return None
         self.stats.hits += 1
         return artifact
-
-    # -- mapping + simulator tables (tuple-era shims) ----------------------
-
-    def store_mapping(
-        self,
-        mapping: Mapping,
-        kernel_arrays: Optional[Dict[str, np.ndarray]] = None,
-    ) -> Optional[Path]:
-        """Persist a compiled mapping (and optional packed simulator
-        tables); shim over :meth:`store_artifact` for pre-artifact callers."""
-        from repro.backends.artifact import CompiledArtifact
-
-        return self.store_artifact(
-            CompiledArtifact.from_mapping(mapping, kernel_arrays)
-        )
-
-    def load_mapping(
-        self, automaton: HomogeneousAutomaton, design: DesignPoint
-    ) -> Optional[Tuple[Mapping, Dict[str, np.ndarray]]]:
-        """``(mapping, kernel_arrays)`` on a hit, else ``None``; shim over
-        :meth:`load_artifact` for pre-artifact callers."""
-        artifact = self.load_artifact(automaton, design)
-        if artifact is None:
-            return None
-        return artifact.mapping, artifact.kernel_tables
 
     # -- bitstreams --------------------------------------------------------
 

@@ -50,8 +50,10 @@ registration fingerprint.  Cold-starting a tenant in a worker takes one
 of two paths:
 
 * **Shared-tables fast path** (lazy-DFA tenants): the parent publishes
-  the kernel's packed tables plus the warm DFA transition tables once
-  per tenant through a :class:`~repro.parallel.SharedTables`
+  the kernel's packed tables plus the warm DFA's ``dfa_rows`` (state
+  keys) and ``dfa_next`` (silent successors, ``-1`` where a transition
+  is missing or reports) and, when striding, the ``stride_*`` alphabet
+  tables, once per tenant through a :class:`~repro.parallel.SharedTables`
   shared-memory block; the worker attaches, copies the arrays out (the
   block may be unlinked on hot-reload while the worker lives on),
   rebuilds ``BitsetKernel.from_packed`` + a seeded

@@ -3,11 +3,14 @@
 The Section 6 multi-stream scenario scales past one core by sharding
 independent input streams across worker processes
 (:func:`repro.parallel.fan_out`).  The expensive state — the packed
-kernel tables and the lazy-DFA transition tables — is published *once*
-as a single shared-memory block; each worker maps it zero-copy, rebuilds
-a :class:`~repro.sim.kernel.BitsetKernel` via ``from_packed`` and a
-warm-seeded :class:`~repro.sim.lazydfa.LazyDfaKernel`
-(:func:`attach_kernel_dfa`), and scans its shard of streams.  Shards
+kernel tables and the lazy DFA's two published tables, ``dfa_rows``
+(state keys) and ``dfa_next`` (silent successors; see
+:mod:`repro.sim.lazytable`), plus the stride alphabet when striding —
+is published *once* as a single shared-memory block; each worker maps
+it zero-copy, rebuilds a :class:`~repro.sim.kernel.BitsetKernel` via
+``from_packed`` and a warm-seeded
+:class:`~repro.sim.lazydfa.LazyDfaKernel` (:func:`attach_kernel_dfa`),
+and scans its shard of streams.  Shards
 are strided slices and come back in submission order, so reassembly is
 deterministic — the worker count never changes what a scan returns,
 only how fast it returns.
@@ -60,7 +63,7 @@ def attach_kernel_dfa(meta, max_states: Optional[int], *, copy: bool):
             alphabet = StrideAlphabet.from_tables(tables)
         kernel = BitsetKernel.from_packed(tables)
         dfa = LazyDfaKernel(kernel, max_states=max_states, alphabet=alphabet)
-        dfa.seed(tables["dfa_rows"], tables["dfa_next"], tables["dfa_reps"])
+        dfa.seed(tables)
     except BaseException:
         del tables
         detach_tables(handle)

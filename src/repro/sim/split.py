@@ -22,11 +22,13 @@ every cycle) and ``linear[bit]`` tracks the entry bit's influence with
 only ever merge or die (the reachable entry-state frontier the
 DFA-vs-NFA literature observes stays small), so a worker tracks one
 const row plus a short ordered tuple of distinct linear rows — and that
-whole tuple is hash-consed into a :class:`SfaKernel` state with cached
-transitions, RE2-style.  A warm worker byte is therefore **one list
+whole tuple is one :class:`SfaKernel` state, a key of the same
+:class:`~repro.sim.lazytable.LazyTable` the lazy DFA caches its
+transitions in (hash-consing, bounded budget with flush, publication:
+see that module).  A warm worker byte is therefore **one list
 index**, the same cost as the serial lazy DFA; rare transitions with
 *effects* (slot deaths/merges, report events) carry their bookkeeping
-on the side.
+on the side, as the table's flush-immune records.
 
 The join applies each chunk's mapping to the exit row of the previous
 chunk: resolve the entry bits to their slot groups, union the const and
@@ -55,6 +57,7 @@ import numpy as np
 from repro.backends.validation import as_symbols
 from repro.parallel import attach_tables, detach_tables, fan_out
 from repro.sim.kernel import BitsetKernel
+from repro.sim.lazytable import Interner, LazyTable
 from repro.sim.shard import RawScanResult, _entry_row
 
 SPLIT_JOBS_ENV = "REPRO_SPLIT_JOBS"
@@ -80,13 +83,18 @@ def effective_split_jobs(length: int, jobs: int, min_chunk: int) -> int:
     return max(1, min(int(jobs), length // min_chunk))
 
 
+def _rows_of(key: Tuple[bytes, ...]) -> Tuple[np.ndarray, ...]:
+    return tuple(np.frombuffer(row, np.uint64) for row in key)
+
+
 class SfaKernel:
     """Lazily-determinised *mapping* automaton over one packed kernel.
 
     A state is the whole chunk-scan mapping at one input position,
     canonically represented as ``(const row, ordered distinct linear
-    rows)`` — rows hash-consed into a shared pool, states into dense
-    ids, transitions cached per state in 256-entry lists exactly like
+    rows)`` — a tuple of row bytes, the key of one
+    :class:`~repro.sim.lazytable.LazyTable` state, with transitions
+    cached per state in 256-entry lists exactly like
     :class:`~repro.sim.lazydfa.LazyDfaKernel`.  Most transitions are
     *silent* (every linear slot survives 1:1, nobody reports): those
     encode as the bare successor id and cost one list index.  The rest
@@ -116,70 +124,16 @@ class SfaKernel:
             # handful of slot rows, and a 256-entry transition list.
             est = 16 * kernel.row_bytes + 256 * 8 + 512
             max_states = SFA_CACHE_BYTES // est
-        self._max_states = max(64, int(max_states))
-        self._lookups = 0
-        self._misses = 0
-        self._flushes = 0
-        # Effects are flush-immune, like the lazy DFA's report events:
-        # encoded transitions created after a flush reuse their ids.
-        self._effects: List[
-            Tuple[Optional[Tuple[int, ...]], Optional[bytes],
-                  Tuple[Tuple[int, bytes], ...]]
-        ] = []
-        self._effect_of: Dict[tuple, int] = {}
+        #: State keys are ``(const row, slot rows...)`` bytes, decoded
+        #: to row arrays.  Transition records are *effects*:
+        #: ``(survivors or None when 1:1, const reporting row or None,
+        #: ((slot, reporting row), ...))``.
+        self._table = LazyTable(256, max(64, int(max_states)), _rows_of)
         # Per-first-byte entry construction, memoised by byte value:
-        # (const row, slot rows, bit -> group table, const offset-0
-        # reporting row).  Stores rows, not state ids, so it survives
-        # cache flushes.
+        # (state key, bit -> group table, const offset-0 reporting
+        # row).  Stores row bytes, not state ids, so it survives cache
+        # flushes.
         self._entries: Dict[int, tuple] = {}
-        self._reset_states()
-
-    def _reset_states(self):
-        self._row_ids: Dict[bytes, int] = {}
-        self._row_pool: List[np.ndarray] = []
-        self._state_ids: Dict[tuple, int] = {}
-        #: Per-state (const row id, tuple of slot row ids).
-        self._states: List[Tuple[int, Tuple[int, ...]]] = []
-        #: Hot-loop view: per-state 256-entry encoded transitions
-        #: (-1 missing; ``next_id`` when silent and 1:1; else
-        #: ``(effect_id + 1) << 32 | next_id``).
-        self._enc_rows: List[list] = []
-
-    # -- interning ---------------------------------------------------------
-
-    def _intern_row(self, row: np.ndarray) -> int:
-        key = np.ascontiguousarray(row).tobytes()
-        rid = self._row_ids.get(key)
-        if rid is None:
-            rid = len(self._row_pool)
-            self._row_ids[key] = rid
-            frozen = np.frombuffer(key, dtype=np.uint64)
-            self._row_pool.append(frozen)
-        return rid
-
-    def _intern_state(self, const_rid: int, slot_rids: Tuple[int, ...]) -> int:
-        key = (const_rid,) + slot_rids
-        sid = self._state_ids.get(key)
-        if sid is None:
-            sid = len(self._states)
-            self._state_ids[key] = sid
-            self._states.append((const_rid, slot_rids))
-            self._enc_rows.append([-1] * 256)
-        return sid
-
-    def _effect_id(
-        self,
-        survivors: Optional[Tuple[int, ...]],
-        const_rep: Optional[bytes],
-        slot_reps: Tuple[Tuple[int, bytes], ...],
-    ) -> int:
-        key = (survivors, const_rep, slot_reps)
-        eid = self._effect_of.get(key)
-        if eid is None:
-            eid = len(self._effects)
-            self._effect_of[key] = eid
-            self._effects.append((survivors, const_rep, slot_reps))
-        return eid
 
     @property
     def slot_limit(self) -> int:
@@ -206,7 +160,6 @@ class SfaKernel:
             const_rep = idle_matched & kernel.report_row
             const0 = const_rep.tobytes() if const_rep.any() else None
             group_of_bit = np.full(kernel.n_bits, -1, dtype=np.int32)
-            slot_rows: List[np.ndarray] = []
             slot_keys: Dict[bytes, int] = {}
             for bit in kernel.bit_indices(kernel.match_matrix[sym0]):
                 successors = kernel.propagate(
@@ -214,32 +167,23 @@ class SfaKernel:
                 )[0]
                 if not successors.any():
                     continue
-                key = successors.tobytes()
-                group = slot_keys.get(key)
-                if group is None:
-                    group = len(slot_rows)
-                    slot_keys[key] = group
-                    slot_rows.append(successors)
-                group_of_bit[bit] = group
+                group_of_bit[bit] = slot_keys.setdefault(
+                    successors.tobytes(), len(slot_keys)
+                )
             group_of_bit.setflags(write=False)
-            memo = (const_row, tuple(slot_rows), group_of_bit, const0)
+            key = (const_row.tobytes(),) + tuple(slot_keys)
+            memo = (key, group_of_bit, const0)
             self._entries[sym0] = memo
         return memo
 
     # -- transitions -------------------------------------------------------
 
     def _miss(self, sid: int, symbol: int) -> Tuple[int, int]:
-        """Fill the ``(sid, symbol)`` transition; returns ``(sid, enc)``.
-
-        May flush the whole cache when the state budget is exhausted;
-        the returned ``sid`` is the (possibly re-interned) id of the
-        *current* state, so the scan loop's cursor survives the remap.
-        """
-        self._misses += 1
+        """Fill the ``(sid, symbol)`` transition; returns ``(sid, enc)``
+        as :meth:`LazyTable.fill` does (``sid`` may have been remapped
+        by a flush)."""
         kernel = self._kernel
-        const_rid, slot_rids = self._states[sid]
-        const_row = self._row_pool[const_rid]
-        slot_rows = [self._row_pool[rid] for rid in slot_rids]
+        const_row, *slot_rows = self._table.states[sid]
 
         match_row = kernel.match_matrix[symbol]
         matched_const = match_row & (const_row | kernel.start_all_row)
@@ -249,7 +193,6 @@ class SfaKernel:
 
         survivors: List[int] = []
         next_keys: Dict[bytes, int] = {}
-        next_rows: List[np.ndarray] = []
         slot_reps: List[Tuple[int, bytes]] = []
         for index, row in enumerate(slot_rows):
             matched = match_row & row
@@ -260,38 +203,22 @@ class SfaKernel:
             if not nonzero:
                 survivors.append(-1)
                 continue
-            key = successor.tobytes()
-            dest = next_keys.get(key)
-            if dest is None:
-                dest = len(next_rows)
-                next_keys[key] = dest
-                next_rows.append(successor)
-            survivors.append(dest)
+            survivors.append(
+                next_keys.setdefault(successor.tobytes(), len(next_keys))
+            )
 
-        identity = (
-            len(next_rows) == len(slot_rows)
-            and all(dest == index for index, dest in enumerate(survivors))
-        )
-        if len(self._states) >= self._max_states:
-            self._flushes += 1
-            self._reset_states()
-            const_rid = self._intern_row(const_row)
-            slot_rids = tuple(self._intern_row(row) for row in slot_rows)
-            sid = self._intern_state(const_rid, slot_rids)
-        next_const_rid = self._intern_row(next_const)
-        next_slot_rids = tuple(self._intern_row(row) for row in next_rows)
-        nid = self._intern_state(next_const_rid, next_slot_rids)
+        identity = survivors == list(range(len(slot_rows)))
         if identity and const_rep_bytes is None and not slot_reps:
-            enc = nid
+            effect = None
         else:
-            effect = self._effect_id(
+            effect = (
                 None if identity else tuple(survivors),
                 const_rep_bytes,
                 tuple(slot_reps),
             )
-            enc = ((effect + 1) << 32) | nid
-        self._enc_rows[sid][symbol] = enc
-        return sid, enc
+        return self._table.fill(
+            sid, symbol, (next_const.tobytes(),) + tuple(next_keys), effect
+        )
 
     # -- mapping scan ------------------------------------------------------
 
@@ -309,14 +236,12 @@ class SfaKernel:
         if length == 0:
             raise ValueError("split mapping chunks must be non-empty")
         sym_list = symbols.tolist()
-        const_row, slot_rows, group_of_bit, const0 = self._entry(sym_list[0])
-        n_groups = len(slot_rows)
+        entry_key, group_of_bit, const0 = self._entry(sym_list[0])
+        n_groups = len(entry_key) - 1
         if n_groups > self._slot_limit:
             return None
-        const_rid = self._intern_row(const_row)
-        sid = self._intern_state(
-            const_rid, tuple(self._intern_row(row) for row in slot_rows)
-        )
+        table = self._table
+        sid = table.intern(entry_key)
         # Per-chunk bookkeeping: which original groups ride each slot.
         slot_groups: List[List[int]] = [[group] for group in range(n_groups)]
         const_events: List[Tuple[int, bytes]] = []
@@ -324,16 +249,14 @@ class SfaKernel:
             const_events.append((0, const0))
         linear_events: List[Tuple[int, bytes, Tuple[int, ...]]] = []
 
-        self._lookups += length - 1
-        enc_rows = self._enc_rows
-        effects = self._effects
+        table.lookups += length - 1
+        enc_rows = table.enc_rows
+        effects = table.records.values
         row = enc_rows[sid]
         for i in range(1, length):
             value = row[sym_list[i]]
             if value < 0:
                 sid, value = self._miss(sid, sym_list[i])
-                enc_rows = self._enc_rows
-                effects = self._effects
             if value < 4294967296:
                 sid = value
             else:
@@ -358,16 +281,15 @@ class SfaKernel:
                     ]
             row = enc_rows[sid]
 
-        const_exit_rid, exit_slot_rids = self._states[sid]
+        const_exit, *exit_slots = table.keys[sid]
         exit_of_group: List[Optional[bytes]] = [None] * n_groups
         for slot_index, groups in enumerate(slot_groups):
-            row_bytes = self._row_pool[exit_slot_rids[slot_index]].tobytes()
             for group in groups:
-                exit_of_group[group] = row_bytes
+                exit_of_group[group] = exit_slots[slot_index]
         return {
             "group_of_bit": np.asarray(group_of_bit),
             "n_groups": n_groups,
-            "const_exit": self._row_pool[const_exit_rid].tobytes(),
+            "const_exit": const_exit,
             "exit_of_group": exit_of_group,
             "const_events": const_events,
             "linear_events": linear_events,
@@ -379,95 +301,65 @@ class SfaKernel:
     def export_tables(self) -> Dict[str, np.ndarray]:
         """Canonical SFA tables for shared-memory publication.
 
-        Only *silent* transitions ship (bare next ids); effectful ones
-        recompute on first use in the consumer, exactly the discipline
+        State keys travel as a pool of distinct rows (``sfa_rows``) plus,
+        per state, its row ids — const first, then the slots
+        (``sfa_key_rids`` sliced by ``sfa_key_indptr``).  Only *silent*
+        transitions ship (``sfa_next``); effectful ones recompute on
+        first use in the consumer, exactly the discipline
         :meth:`LazyDfaKernel.export_tables` applies to reporting
         transitions.
         """
-        states = len(self._states)
-        words = self._kernel.words
-        if self._row_pool:
-            rows = np.ascontiguousarray(np.stack(self._row_pool))
-        else:
-            rows = np.zeros((0, words), dtype=np.uint64)
-        const = np.fromiter(
-            (state[0] for state in self._states), dtype=np.int32, count=states
-        )
-        indptr = np.zeros(states + 1, dtype=np.int32)
-        for index, (_, slot_rids) in enumerate(self._states):
-            indptr[index + 1] = indptr[index] + len(slot_rids)
-        slot_rids = np.fromiter(
-            (
-                rid
-                for _, state_slots in self._states
-                for rid in state_slots
-            ),
-            dtype=np.int32,
-            count=int(indptr[-1]),
-        )
-        nxt = np.full((states, 256), -1, dtype=np.int32)
-        for sid, enc_row in enumerate(self._enc_rows):
-            for symbol, enc in enumerate(enc_row):
-                if 0 <= enc < 4294967296:
-                    nxt[sid, symbol] = enc
+        keys, nxt = self._table.publish()
+        pool = Interner()
+        rids: List[int] = []
+        indptr = [0]
+        for key in keys:
+            rids.extend(map(pool.id, key))
+            indptr.append(len(rids))
         return {
-            "sfa_rows": rows,
-            "sfa_state_const": const,
-            "sfa_slot_indptr": indptr,
-            "sfa_slot_rids": slot_rids,
+            "sfa_rows": np.frombuffer(
+                b"".join(pool.values), dtype=np.uint64
+            ).reshape(len(pool.values), self._kernel.words),
+            "sfa_key_indptr": np.array(indptr, dtype=np.int32),
+            "sfa_key_rids": np.array(rids, dtype=np.int32),
             "sfa_next": nxt,
         }
 
     def seed(self, tables: Dict[str, np.ndarray]) -> None:
-        """Merge :meth:`export_tables` output into this kernel.
+        """Merge :meth:`export_tables` output into this kernel, up to
+        the state budget (:meth:`LazyTable.adopt`).
 
-        Works on a warm kernel too (ids are remapped through the
-        intern tables), which is how the parent folds each worker's
-        newly-discovered states back into its master cache after a
-        join — the next split call ships the union to every worker.
+        Works on a warm kernel too (ids are remapped through the keys),
+        which is how the parent folds each worker's newly-discovered
+        states back into its master cache after a join — the next split
+        call ships the union to every worker.
         """
-        rows = np.asarray(tables["sfa_rows"], dtype=np.uint64)
-        const = np.asarray(tables["sfa_state_const"])
-        indptr = np.asarray(tables["sfa_slot_indptr"])
-        slot_rids = np.asarray(tables["sfa_slot_rids"])
-        nxt = np.asarray(tables["sfa_next"])
-        states = len(const)
-        if not states:
-            return
-        # Copy: the rows may view a shared-memory block that is
-        # unmapped right after seeding.
-        rows = np.array(rows, dtype=np.uint64)
-        rid_map = [self._intern_row(rows[index]) for index in range(len(rows))]
-        sid_map = []
-        for sid in range(states):
-            mapped_slots = tuple(
-                rid_map[rid]
-                for rid in slot_rids[indptr[sid] : indptr[sid + 1]]
-            )
-            sid_map.append(
-                self._intern_state(rid_map[const[sid]], mapped_slots)
-            )
-        for sid in range(states):
-            enc_row = self._enc_rows[sid_map[sid]]
-            source = nxt[sid]
-            for symbol in np.flatnonzero(source >= 0):
-                if enc_row[symbol] < 0:
-                    enc_row[symbol] = sid_map[source[symbol]]
+        # tobytes copies: the rows may view a shared-memory block that
+        # is unmapped right after seeding.
+        rows = [
+            row.tobytes()
+            for row in np.asarray(tables["sfa_rows"], dtype=np.uint64)
+        ]
+        indptr = np.asarray(tables["sfa_key_indptr"]).tolist()
+        rids = np.asarray(tables["sfa_key_rids"]).tolist()
+        keys = [
+            tuple(rows[rid] for rid in rids[start:end])
+            for start, end in zip(indptr, indptr[1:])
+        ]
+        self._table.adopt(keys, tables["sfa_next"])
 
     # -- introspection -----------------------------------------------------
 
     def cache_info(self) -> Dict[str, int]:
-        """Mapping-automaton cache counters (lazy-DFA conventions)."""
-        return {
-            "states": len(self._states),
-            "rows": len(self._row_pool),
-            "max_states": self._max_states,
-            "hits": self._lookups - self._misses,
-            "misses": self._misses,
-            "flushes": self._flushes,
-            "effects": len(self._effects),
-            "slot_limit": self._slot_limit,
-        }
+        """Mapping-automaton cache counters (lazy-DFA conventions);
+        ``rows`` counts the distinct packed rows the live states hold."""
+        info = self._table.counters()
+        info.update(
+            rows=len({row for key in self._table.keys for row in key}),
+            effects=len(self._table.records.values),
+            slot_limit=self._slot_limit,
+        )
+        return info
 
 
 # -- worker ----------------------------------------------------------------

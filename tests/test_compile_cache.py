@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.backends.artifact import CompiledArtifact
 from repro.compiler import compile_automaton
 from repro.compiler.bitstream import generate
 from repro.compiler.cache import (
@@ -66,11 +67,12 @@ class TestFingerprints:
 
 class TestMappingRoundTrip:
     def test_miss_then_hit(self, cache, automaton):
-        assert cache.load_mapping(automaton, CA_P) is None
+        assert cache.load_artifact(automaton, CA_P) is None
         assert cache.stats.misses == 1
         mapping = compile_automaton(automaton, CA_P)
-        assert cache.store_mapping(mapping) is not None
-        loaded, tables = cache.load_mapping(automaton, CA_P)
+        stored = cache.store_artifact(CompiledArtifact.from_mapping(mapping))
+        assert stored is not None
+        loaded = cache.load_artifact(automaton, CA_P).mapping
         assert cache.stats.hits == 1
         assert dict(loaded.location) == dict(mapping.location)
         assert [p.ste_ids for p in loaded.partitions] == [
@@ -85,8 +87,11 @@ class TestMappingRoundTrip:
     def test_lazy_structures_equal_eager(self, cache, automaton):
         mapping = compile_automaton(automaton, CA_P)
         simulator = MappedSimulator(mapping)
-        cache.store_mapping(mapping, simulator.packed_tables())
-        loaded, tables = cache.load_mapping(automaton, CA_P)
+        cache.store_artifact(
+            CompiledArtifact.from_mapping(mapping, simulator.packed_tables())
+        )
+        artifact = cache.load_artifact(automaton, CA_P)
+        loaded, tables = artifact.mapping, artifact.kernel_tables
         # Location behaves as a plain dict before materialisation…
         some_id = next(iter(mapping.location))
         assert loaded.location[some_id] == mapping.location[some_id]
@@ -106,22 +111,22 @@ class TestMappingRoundTrip:
 
     def test_different_design_misses(self, cache, automaton):
         mapping = compile_automaton(automaton, CA_P)
-        cache.store_mapping(mapping)
-        assert cache.load_mapping(automaton, CA_64) is None
+        cache.store_artifact(CompiledArtifact.from_mapping(mapping))
+        assert cache.load_artifact(automaton, CA_64) is None
 
     def test_mutated_automaton_misses(self, cache, automaton):
         from repro.automata.symbols import SymbolSet
 
         mapping = compile_automaton(automaton, CA_P)
-        cache.store_mapping(mapping)
+        cache.store_artifact(CompiledArtifact.from_mapping(mapping))
         automaton.add_ste("tail", SymbolSet.from_range("q", "q"))
-        assert cache.load_mapping(automaton, CA_P) is None
+        assert cache.load_artifact(automaton, CA_P) is None
 
     def test_corrupt_artifact_is_a_miss(self, cache, automaton):
         mapping = compile_automaton(automaton, CA_P)
-        path = cache.store_mapping(mapping)
+        path = cache.store_artifact(CompiledArtifact.from_mapping(mapping))
         path.write_bytes(b"not an npz archive")
-        assert cache.load_mapping(automaton, CA_P) is None
+        assert cache.load_artifact(automaton, CA_P) is None
 
 
 class TestBitstreamRoundTrip:
@@ -248,7 +253,9 @@ class TestConcurrentTierChain:
         scan results."""
         directory = tmp_path / "shared"
         seeder = CompileCache(directory)
-        seeder.store_mapping(compile_automaton(automaton, CA_P))
+        seeder.store_artifact(
+            CompiledArtifact.from_mapping(compile_automaton(automaton, CA_P))
+        )
         artifact_path = next(directory.rglob("*.npz"))
         artifact_path.write_bytes(b"garbage, not an npz archive")
 

@@ -1,0 +1,311 @@
+"""The lazy-determinisation table (:mod:`repro.sim.lazytable`).
+
+One contract family for the three users of :class:`LazyTable` — the
+lazy DFA at stride 1, the lazy DFA at stride 2 and the SFA mapping
+kernel: the bounded budget flushes mid-scan without changing results,
+record ids survive flushes, ``export_tables -> seed`` warms a fresh
+kernel and merges correctly into a warm one whose ids differ, seeding
+respects the budget, and ``cache_info()`` keeps its keys.  Then the
+table itself, and a source scan that keeps the mechanism in one place.
+"""
+
+import io
+import random
+import re
+import tokenize
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.sim
+from repro.backends import create_backend
+from repro.backends.artifact import CompiledArtifact
+from repro.compiler import compile_automaton
+from repro.core.design import CA_P
+from repro.regex.compile import compile_patterns
+from repro.sim.lazydfa import LazyDfaKernel
+from repro.sim.lazytable import LazyTable
+from repro.sim.split import SfaKernel
+
+#: Overlapping wildcard patterns over {a,b,c,d}: ~190 DFA states, ~190
+#: SFA states and a report event every ~18 bytes on the stream below —
+#: enough to overflow the 64-state floor many times in 6000 bytes.
+PATTERNS = [
+    "aac[cd]b", "[cd][ab][cd]cc.b", "a.[ab]bd[ab]d", "[cd].c.d.c",
+    "[cd]acdc", "d.b.bb", "abcbb", ".c.[ab].bd", "[ab].[cd]c[cd].",
+    "c[cd]db[cd]d",
+]
+FLOOR = 64
+
+_DFA_KEYS = {
+    "states", "max_states", "hits", "misses", "flushes", "events",
+    "stride", "stride_requested", "stride_classes", "tail_steps",
+}
+_SFA_KEYS = {
+    "states", "rows", "max_states", "hits", "misses", "flushes",
+    "effects", "slot_limit",
+}
+
+
+@pytest.fixture(scope="module")
+def artifact():
+    machine = compile_patterns(PATTERNS, report_codes=PATTERNS)
+    return CompiledArtifact.from_mapping(compile_automaton(machine, CA_P))
+
+
+@pytest.fixture(scope="module")
+def kernel(artifact):
+    return create_backend("lazy-dfa", artifact).simulator.kernel
+
+
+@pytest.fixture(scope="module")
+def data():
+    rng = random.Random(5)
+    return bytes(rng.choice(b"abcd") for _ in range(6000))
+
+
+@pytest.fixture(scope="module")
+def symbols(data):
+    return np.frombuffer(data, dtype=np.uint8)
+
+
+class _Dfa:
+    """Lazy DFA at one stride, behind the two calls the family needs."""
+
+    cache_keys = _DFA_KEYS
+
+    def __init__(self, stride):
+        self.stride = stride
+
+    def make(self, kernel, **options):
+        return LazyDfaKernel(kernel, stride=self.stride, **options)
+
+    def run(self, user, kernel, symbols):
+        """A scan from the initial cursor with event ids resolved, so
+        results of kernels that number their events differently compare."""
+        events, total, final, sod = user.scan(
+            symbols, prev=kernel.pack(0), sod=kernel.has_sod
+        )
+        resolved = [(offset,) + user.event(eid) for offset, eid in events]
+        return resolved, total, final.tobytes(), sod
+
+
+class _Sfa:
+    cache_keys = _SFA_KEYS
+
+    def make(self, kernel, **options):
+        return SfaKernel(kernel, **options)
+
+    def run(self, user, kernel, symbols):
+        mapping = dict(user.scan_mapping(symbols))
+        mapping["group_of_bit"] = mapping["group_of_bit"].tobytes()
+        return mapping
+
+
+KINDS = [
+    pytest.param(_Dfa(1), id="dfa-stride1"),
+    pytest.param(_Dfa(2), id="dfa-stride2"),
+    pytest.param(_Sfa(), id="sfa"),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestTableUsers:
+    def test_floor_budget_flushes_mid_scan_bit_identically(
+        self, kind, kernel, symbols
+    ):
+        lavish = kind.make(kernel)
+        tight = kind.make(kernel, max_states=FLOOR)
+        assert kind.run(tight, kernel, symbols) == kind.run(
+            lavish, kernel, symbols
+        )
+        assert lavish.cache_info()["flushes"] == 0
+        info = tight.cache_info()
+        assert info["flushes"] > 0
+        assert info["states"] <= FLOOR + 1  # + the scan's entry state
+        # The thrashing cache still agrees on a second pass.
+        assert kind.run(tight, kernel, symbols) == kind.run(
+            lavish, kernel, symbols
+        )
+
+    def test_record_ids_survive_a_flush(self, kind, kernel, symbols):
+        tight = kind.make(kernel, max_states=FLOOR)
+        records = tight._table.records.values
+        half = len(symbols) // 2
+        kind.run(tight, kernel, symbols[:half])
+        before = list(records)
+        flushes = tight.cache_info()["flushes"]
+        assert before, "the workload recorded nothing"
+        kind.run(tight, kernel, symbols[half:])
+        assert tight.cache_info()["flushes"] > flushes
+        assert records[: len(before)] == before
+
+    def test_export_seed_into_fresh_kernel_cuts_misses(
+        self, kind, kernel, symbols
+    ):
+        warm = kind.make(kernel)
+        expected = kind.run(warm, kernel, symbols)
+        cold = kind.make(kernel)
+        cold.seed(warm.export_tables())
+        assert cold.cache_info()["states"] == warm.cache_info()["states"]
+        assert kind.run(cold, kernel, symbols) == expected
+        # Only transitions that carry a record re-miss.
+        assert cold.cache_info()["misses"] < warm.cache_info()["misses"] / 4
+        assert cold.cache_info()["hits"] > 0
+
+    def test_seed_into_warm_kernel_with_other_ids_equals_fresh(
+        self, kind, kernel, symbols
+    ):
+        """The two kernels met their states in different orders, so the
+        same id names different states in each; a seed that trusts the
+        source's numbering wires transitions to the wrong successors."""
+        expected = kind.run(kind.make(kernel), kernel, symbols)
+        source = kind.make(kernel)
+        kind.run(source, kernel, symbols[3000:])
+        warm = kind.make(kernel)
+        kind.run(warm, kernel, symbols[:1000])
+        states_before = warm.cache_info()["states"]
+        misses_before = warm.cache_info()["misses"]
+        warm.seed(source.export_tables())
+        assert warm.cache_info()["states"] > states_before
+        assert kind.run(warm, kernel, symbols) == expected
+        # ... and it did merge: far fewer misses than a scan from cold.
+        cold_misses = kind.make(kernel)
+        kind.run(cold_misses, kernel, symbols)
+        assert (
+            warm.cache_info()["misses"] - misses_before
+            < cold_misses.cache_info()["misses"] / 2
+        )
+
+    def test_seed_over_budget_stops_at_max_states(
+        self, kind, kernel, symbols
+    ):
+        lavish = kind.make(kernel)
+        expected = kind.run(lavish, kernel, symbols)
+        assert lavish.cache_info()["states"] > 2 * FLOOR
+        tight = kind.make(kernel, max_states=FLOOR)
+        tight.seed(lavish.export_tables())
+        assert 0 < tight.cache_info()["states"] <= FLOOR
+        assert tight.cache_info()["flushes"] == 0
+        assert kind.run(tight, kernel, symbols) == expected
+
+    def test_cache_info_keys(self, kind, kernel, symbols):
+        user = kind.make(kernel)
+        assert set(user.cache_info()) == kind.cache_keys
+        kind.run(user, kernel, symbols[:500])
+        assert set(user.cache_info()) == kind.cache_keys
+
+
+def test_split_master_stays_under_budget_and_bit_identical(
+    artifact, kernel, data, symbols
+):
+    """The split master only ever exports and seeds (workers do all the
+    mapping), so seeding is the one place its budget can be enforced."""
+    lavish = SfaKernel(kernel)
+    lavish.scan_mapping(symbols)
+    assert lavish.cache_info()["states"] > FLOOR
+    serial = create_backend("lazy-dfa", artifact).scan(data)
+    backend = create_backend(
+        "lazy-dfa", artifact, split_jobs=2, split_min_chunk=8
+    )
+    backend._sfa = SfaKernel(kernel, max_states=FLOOR)
+    backend._sfa.seed(lavish.export_tables())
+    assert backend._sfa.cache_info()["states"] <= FLOOR
+    for _ in range(2):  # each join folds the workers' tables back in
+        split = backend.scan(data)
+        assert backend.worker_cache_info()["workers"] > 0
+        assert [
+            (r.offset, r.ste_id, r.report_code) for r in split.reports
+        ] == [(r.offset, r.ste_id, r.report_code) for r in serial.reports]
+        assert split.checkpoint == serial.checkpoint
+        assert backend._sfa.cache_info()["states"] <= FLOOR
+
+
+class TestLazyTable:
+    def test_fill_returns_the_reinterned_sid(self):
+        table = LazyTable(4, 3, str.upper)
+        enc_rows = table.enc_rows
+        a = table.intern("a")
+        assert table.fill(a, 0, "b") == (0, 1)
+        assert table.fill(1, 1, "c") == (1, 2)
+        # Budget reached: everything goes, "c" comes back as state 0.
+        assert table.fill(2, 3, "d") == (0, 1)
+        assert table.keys == ["c", "d"]
+        assert table.states == ["C", "D"]  # decoded once, at interning
+        assert table.enc_rows is enc_rows, "flush must clear in place"
+        assert enc_rows == [[-1, -1, -1, 1], [-1] * 4]
+        table.lookups += 3  # what a scan loop adds before it indexes
+        assert table.counters() == {
+            "states": 2, "max_states": 3, "hits": 0, "misses": 3,
+            "flushes": 1,
+        }
+
+    def test_silent_and_recorded_encodings(self):
+        table = LazyTable(2, 8, str.upper)
+        a = table.intern("a")
+        assert table.fill(a, 0, "b") == (a, 1)
+        _, enc = table.fill(a, 1, "c", record=("payload", 7))
+        assert enc == (1 << 32) | 2
+        assert table.records.values == [("payload", 7)]
+        # The same record again reuses its id; a new one gets the next.
+        assert table.fill(1, 0, "a", record=("payload", 7))[1] == (1 << 32) | 0
+        assert table.fill(1, 1, "a", record="other")[1] == (2 << 32) | 0
+
+    def test_published_table_omits_recorded_transitions(self):
+        table = LazyTable(2, 8, str.upper)
+        a = table.intern("a")
+        table.fill(a, 0, "b")
+        table.fill(a, 1, "c", record="r")
+        keys, nxt = table.publish()
+        assert keys == ["a", "b", "c"]
+        assert nxt.dtype == np.int32
+        assert nxt.tolist() == [[1, -1], [-1, -1], [-1, -1]]
+
+    def test_adopt_remaps_ids_and_keeps_what_is_there(self):
+        source = LazyTable(2, 8, str.upper)
+        source.fill(source.intern("x"), 0, "y")
+        source.fill(1, 1, "x")
+        target = LazyTable(2, 8, str.upper)
+        y = target.intern("y")
+        target.fill(y, 0, "z", record="r")
+        target.adopt(*source.publish())
+        x = target.intern("x")
+        assert (y, x) == (0, 2)
+        assert target.enc_rows[x] == [y, -1]
+        assert target.enc_rows[y] == [(1 << 32) | 1, x]
+        assert target.publish()[1].tolist() == [[-1, x], [-1, -1], [y, -1]]
+
+    def test_adopt_rejects_a_table_of_another_shape(self):
+        with pytest.raises(ValueError, match="adopt"):
+            LazyTable(4, 8, str.upper).adopt(["a"], np.full((1, 2), -1, dtype=np.int32))
+
+
+# -- guard --------------------------------------------------------------------
+
+
+def _code_only(path: Path) -> str:
+    """Source text with comments and string literals (docstrings) removed."""
+    tokens = tokenize.generate_tokens(
+        io.StringIO(path.read_text(encoding="utf-8")).readline
+    )
+    return " ".join(
+        token.string
+        for token in tokens
+        if token.type not in (tokenize.COMMENT, tokenize.STRING)
+    )
+
+
+def test_flush_and_transition_encode_live_in_the_table_alone():
+    """A fourth private transition cache fails here instead of in review:
+    under ``sim/``, only the table (and the packed kernel's step cache,
+    which chains list -> list with no ids to encode) may count a flush or
+    pack a record id above bit 32."""
+    pattern = re.compile(r"flush\w*\s*\+=|<<\s*32\b")
+    root = Path(repro.sim.__file__).parent
+    offenders = sorted(
+        path.name
+        for path in root.rglob("*.py")
+        if pattern.search(_code_only(path))
+    )
+    assert offenders == ["kernel.py", "lazytable.py"]

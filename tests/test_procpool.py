@@ -32,6 +32,7 @@ from repro.service import (
     WorkerCrashed,
 )
 from repro.backends import registry as backend_registry
+from repro.backends.artifact import CompiledArtifact
 from repro.backends.mapped import PackedKernelBackend
 from repro.parallel import default_mp_method
 from repro.service import procpool
@@ -990,7 +991,9 @@ class TestCrossProcessCacheContention:
             _CONTENTION_PATTERNS_SIZE, seed=3, automaton_id="contention"
         )
         seeder = CompileCache(directory)
-        seeder.store_mapping(compile_automaton(automaton, CA_P))
+        seeder.store_artifact(
+            CompiledArtifact.from_mapping(compile_automaton(automaton, CA_P))
+        )
         artifact = next((tmp_path / "shared").rglob("*.npz"))
         artifact.write_bytes(b"garbage, not an npz archive")
 
