@@ -29,10 +29,12 @@ from repro.backends.base import (
 from repro.backends.registry import register_backend
 from repro.backends.validation import as_symbols
 from repro.baselines.cpu import DfaCpuEngine
-from repro.errors import DeterminisationExplosion
+from repro.errors import DeterminisationExplosion, SimulationError
 from repro.sim.golden import Checkpoint, Report, RunStats
 
-#: STE id stamped on every report (determinisation erased the real one).
+#: STE id stamped on every report (determinisation erased the real one),
+#: and the dialect of this backend's checkpoints: a minimised-DFA state
+#: id is no active state vector, so nothing else may resume from one.
 REPORT_ID = "eager-dfa"
 
 _CAPABILITIES = BackendCapabilities(
@@ -132,7 +134,8 @@ class CpuDfaBackend(AutomatonBackend):
         The DFA enters an accepting state *after* consuming the matching
         symbol, so the report offset is the 0-based index of that symbol
         — identical to the golden interpreter's convention.  On resume
-        the checkpoint's ``active_state_vector`` carries the DFA state.
+        the checkpoint's ``active_state_vector`` carries the DFA state,
+        hence the marked dialect, the only one accepted here.
         """
         symbols = as_symbols(data)
         dfa = self.engine.dfa
@@ -140,7 +143,13 @@ class CpuDfaBackend(AutomatonBackend):
             state = dfa.start
             base_offset = 0
         else:
+            resume.require(REPORT_ID)
             state = int(resume.active_state_vector)
+            if state >= len(dfa.table):
+                raise SimulationError(
+                    f"checkpoint names DFA state {state} of {len(dfa.table)}; "
+                    "was it taken on a different automaton?"
+                )
             base_offset = resume.symbols_processed
         table = dfa.table
         accepting = dfa.accepting
@@ -156,6 +165,7 @@ class CpuDfaBackend(AutomatonBackend):
             symbols_processed=base_offset + len(symbols),
             active_state_vector=state,
             start_of_data_pending=False,
+            dialect=REPORT_ID,
         )
         stats = RunStats(symbols_processed=len(symbols))
         return self._basic_result(

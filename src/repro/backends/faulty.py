@@ -113,7 +113,11 @@ class FaultInjectedBackend(AutomatonBackend):
                 "resume"
             )
         run = self.run_report(data)
-        reports = self._decode(run.signature)
+        # A faulted kernel keeps the placement's bit order, so the
+        # signature's rows decode like any clean reporting row.
+        reports: List[Report] = []
+        for offset, row_bytes in run.signature:
+            self.simulator.decoder.emit(row_bytes, offset, reports)
         result = self._basic_result(
             reports if collect_reports else [],
             symbols=len(data),
@@ -121,18 +125,3 @@ class FaultInjectedBackend(AutomatonBackend):
         )
         result.detected = run.detected
         return result
-
-    def _decode(
-        self, signature: Sequence[Tuple[int, bytes]]
-    ) -> List[Report]:
-        """Signature rows -> golden-convention reports (offset + STE)."""
-        automaton = self.simulator.mapping.automaton
-        ids = self.simulator._bit_ids()
-        kernel = self.faulty._kernel
-        reports: List[Report] = []
-        for offset, row_bytes in signature:
-            row = np.frombuffer(row_bytes, dtype=np.uint64)
-            for bit in kernel.bit_indices(row):
-                ste = automaton.ste(ids[bit])
-                reports.append(Report(offset, ste.ste_id, ste.report_code))
-        return reports

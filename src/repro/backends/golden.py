@@ -1,16 +1,21 @@
 """The golden-interpreter backend: ground-truth semantics, no placement.
 
 Wraps :class:`~repro.sim.golden.GoldenSimulator` (the VASim stand-in)
-behind the backend protocol.  It ignores the artifact's placement and
-kernel tables entirely — which is exactly why the engine uses it as the
-last-resort fallback tier: it cannot be poisoned by a corrupt artifact.
+behind the backend protocol.  The simulator ignores the artifact's
+placement and kernel tables entirely — which is exactly why the engine
+uses it as the last-resort fallback tier: it cannot be poisoned by a
+corrupt artifact.  The placement is read for one thing only, here:
+checkpoints cross this adapter in the portable placement layout
+(:mod:`repro.sim.kernel`), so a stream suspended on any other backend of
+the artifact — the service's primary tier when its breaker opens, say —
+resumes on this one, and the other way round.
 No activity profile beyond symbol/report totals (there is no placement
 to attribute activity to).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.backends.artifact import CompiledArtifact
 from repro.backends.base import (
@@ -19,7 +24,9 @@ from repro.backends.base import (
     BackendResult,
 )
 from repro.backends.registry import register_backend
-from repro.sim.golden import Checkpoint, GoldenSimulator
+from repro.errors import SimulationError
+from repro.sim.golden import AUTOMATON_ORDER, GoldenSimulator
+from repro.sim.kernel import Checkpoint, placement_bits
 
 _CAPABILITIES = BackendCapabilities(
     resume=True,
@@ -38,14 +45,26 @@ _CAPABILITIES = BackendCapabilities(
 class GoldenInterpreterBackend(AutomatonBackend):
     """Execution on the hardware-agnostic reference interpreter."""
 
-    def __init__(self, simulator: GoldenSimulator):
-        self.simulator = simulator
+    def __init__(self, artifact: CompiledArtifact):
+        self.simulator = GoldenSimulator(artifact.automaton)
+        placed = placement_bits(artifact.mapping)
+        #: placement bit -> simulator bit, and back (checkpoint relays).
+        try:
+            self._inward: Dict[int, int] = {
+                placed[ste_id]: bit
+                for ste_id, bit in self.simulator.bit_of.items()
+            }
+        except KeyError as missing:
+            raise SimulationError(
+                f"corrupt artifact: its placement holds no slot for STE {missing}"
+            ) from None
+        self._outward = {bit: at for at, bit in self._inward.items()}
 
     @classmethod
     def from_artifact(
         cls, artifact: CompiledArtifact, **_options
     ) -> "GoldenInterpreterBackend":
-        return cls(GoldenSimulator(artifact.automaton))
+        return cls(artifact)
 
     def capabilities(self) -> BackendCapabilities:
         return _CAPABILITIES
@@ -57,13 +76,16 @@ class GoldenInterpreterBackend(AutomatonBackend):
         collect_reports: bool = True,
         resume: Optional[Checkpoint] = None,
     ) -> BackendResult:
-        # Reports are always materialised internally so the profile's
-        # report count stays correct when the caller only wants totals.
-        run = self.simulator.run(data, resume=resume)
+        if resume is not None:
+            resume.require(None)
+            resume = resume.relaid(self._inward, AUTOMATON_ORDER)
+        run = self.simulator.run(
+            data, collect_reports=collect_reports, resume=resume
+        )
         return self._basic_result(
-            run.reports if collect_reports else [],
+            run.reports,
             symbols=run.stats.symbols_processed,
-            report_count=len(run.reports),
-            checkpoint=run.checkpoint,
+            report_count=run.report_count,
+            checkpoint=run.checkpoint.relaid(self._outward),
             stats=run.stats,
         )

@@ -14,13 +14,17 @@ merged stream is bit-identical to running the whole automaton on a
 single identity-preserving backend, because each report is produced by
 exactly one CC and CCs do not interact.
 
-Checkpoints compose: a :class:`HybridCheckpoint` is the tuple of
-per-group checkpoints (plus the shared symbol cursor), so chunked
-``stream``/resume scanning and batched ``scan_many`` work exactly as on
-a single backend.  Degradation is *per group*: a group whose backend
-cannot be built, or whose scan raises, falls back to the golden
-interpreter for that group alone — the other groups stay on their fast
-substrates — and the event is surfaced through :attr:`health_events`.
+Checkpoints are plain: a scan resumes from, and leaves, one
+:class:`~repro.sim.kernel.Checkpoint` in the *whole* artifact's placement
+layout — what a single backend over the same artifact reads and writes —
+scattered onto the groups' own sub-placements by STE id at entry and
+gathered back at exit.  So chunked ``stream``/resume scanning, batched
+``scan_many``, the process-pool plane, the wire and a fallback tier all
+work exactly as on a single backend.  Degradation is *per group*: a
+group whose backend cannot be built, or whose scan raises, falls back to
+the golden interpreter for that group alone — the other groups stay on
+their fast substrates — and the event is surfaced through
+:attr:`health_events`.
 
 Options accepted by ``from_artifact`` (unknown options are ignored, per
 the registry contract): ``stride``/``jobs``/``split_jobs``/``max_states``
@@ -51,23 +55,10 @@ from repro.compiler.classify import (
 )
 from repro.errors import AutomatonError, SimulationError
 from repro.sim.golden import Checkpoint, Report, RunStats
+from repro.sim.kernel import placement_bits
 
 #: Per-group fallback substrate when the assigned backend fails.
 FALLBACK_SUBSTRATE = "golden-interpreter"
-
-
-@dataclass(frozen=True)
-class HybridCheckpoint(Checkpoint):
-    """A hybrid stream cursor: the tuple of per-group checkpoints.
-
-    Subclasses :class:`~repro.sim.golden.Checkpoint` so it flows through
-    every checkpoint-agnostic layer (engine stream scanners, the service
-    deadline machinery, which reads only ``symbols_processed``);
-    ``active_state_vector`` is unused (the real state lives in
-    ``group_checkpoints``) and kept 0.
-    """
-
-    group_checkpoints: Tuple[Optional[Checkpoint], ...] = ()
 
 
 @dataclass
@@ -119,6 +110,18 @@ class HybridBackend(AutomatonBackend):
         self._order: Dict[str, int] = {
             ste_id: position for position, ste_id in enumerate(arrays.ids)
         }
+        whole = placement_bits(artifact.mapping)
+        owns = [placement_bits(group.artifact.mapping) for group in groups]
+        #: Per group: whole-placement bit -> the group's own placement
+        #: bit for its members, and back.
+        self._scatters = [
+            {whole[ste_id]: own[ste_id] for ste_id in group.members}
+            for group, own in zip(groups, owns)
+        ]
+        self._gathers = [
+            {bit: at for at, bit in scatter.items()}
+            for scatter in self._scatters
+        ]
 
     # -- construction ------------------------------------------------------
 
@@ -261,22 +264,21 @@ class HybridBackend(AutomatonBackend):
 
     # -- scanning ----------------------------------------------------------
 
-    def _group_resumes(
-        self, resume: Optional[Checkpoint]
-    ) -> List[Optional[Checkpoint]]:
+    def _scatter(self, resume: Optional[Checkpoint]) -> List[Optional[Checkpoint]]:
+        """``resume`` as one checkpoint per group, in the group's layout."""
         if resume is None:
             return [None] * len(self.groups)
-        if not isinstance(resume, HybridCheckpoint):
+        resume.require(None)
+        parts = [resume.relaid(own, partial=True) for own in self._scatters]
+        # Every active state belongs to exactly one group; one that landed
+        # in none sits on a bit this artifact's placement leaves empty.
+        placed = sum(part.active_state_vector.bit_count() for part in parts)
+        if placed != resume.active_state_vector.bit_count():
             raise SimulationError(
-                "hybrid scans resume from a HybridCheckpoint produced by "
-                f"this backend, got {type(resume).__name__}"
+                "checkpoint activates state bits this artifact's placement "
+                "leaves empty; was it taken on a different automaton?"
             )
-        if len(resume.group_checkpoints) != len(self.groups):
-            raise SimulationError(
-                f"checkpoint carries {len(resume.group_checkpoints)} group "
-                f"cursors for {len(self.groups)} groups"
-            )
-        return list(resume.group_checkpoints)
+        return parts
 
     def _degrade_group(self, group: HybridGroup, error: Exception) -> None:
         """Swap one group onto the golden interpreter after a scan error."""
@@ -289,46 +291,27 @@ class HybridBackend(AutomatonBackend):
         group.backend = create_backend(FALLBACK_SUBSTRATE, group.artifact)
         group.backend_name = FALLBACK_SUBSTRATE
 
-    def _scan_group(
-        self,
-        group: HybridGroup,
-        data: bytes,
-        resume: Optional[Checkpoint],
-        collect_reports: bool,
-    ) -> BackendResult:
+    def _on_group(self, group: HybridGroup, method: str, *args, **kwargs):
+        """``group.backend.<method>(...)``, retried once on the golden
+        interpreter when the assigned substrate raises."""
         try:
-            return group.backend.scan(
-                data, collect_reports=collect_reports, resume=resume
-            )
+            return getattr(group.backend, method)(*args, **kwargs)
         except Exception as error:  # noqa: BLE001 - degrade per group
             if group.backend_name == FALLBACK_SUBSTRATE:
                 raise
             self._degrade_group(group, error)
-            return group.backend.scan(
-                data, collect_reports=collect_reports, resume=resume
-            )
+            return getattr(group.backend, method)(*args, **kwargs)
 
     def _merge(
         self,
         group_results: Sequence[BackendResult],
         data_symbols: int,
-        collect_reports: bool,
     ) -> BackendResult:
         reports: List[Report] = []
         report_count = 0
-        checkpoints: List[Optional[Checkpoint]] = []
-        symbols_processed = 0
-        sod_pending = False
         for result in group_results:
             report_count += result.profile.reports
-            if collect_reports:
-                reports.extend(result.reports)
-            checkpoints.append(result.checkpoint)
-            if result.checkpoint is not None:
-                symbols_processed = result.checkpoint.symbols_processed
-                sod_pending = (
-                    sod_pending or result.checkpoint.start_of_data_pending
-                )
+            reports.extend(result.reports)  # none, unless collected
         order = self._order
         reports.sort(
             key=lambda report: (
@@ -336,17 +319,15 @@ class HybridBackend(AutomatonBackend):
                 order.get(report.ste_id, len(order)),
             )
         )
-        checkpoint = HybridCheckpoint(
-            symbols_processed=symbols_processed,
-            active_state_vector=0,
-            start_of_data_pending=sod_pending,
-            group_checkpoints=tuple(checkpoints),
-        )
+        parts = [
+            result.checkpoint.relaid(whole)
+            for whole, result in zip(self._gathers, group_results)
+        ]
         return self._basic_result(
             reports,
             symbols=data_symbols,
             report_count=report_count,
-            checkpoint=checkpoint,
+            checkpoint=Checkpoint.union(parts),
             stats=RunStats(symbols_processed=data_symbols),
         )
 
@@ -358,12 +339,14 @@ class HybridBackend(AutomatonBackend):
         resume: Optional[Checkpoint] = None,
     ) -> BackendResult:
         """Scan every group over ``data`` and merge in offset order."""
-        resumes = self._group_resumes(resume)
         results = [
-            self._scan_group(group, data, group_resume, collect_reports)
-            for group, group_resume in zip(self.groups, resumes)
+            self._on_group(
+                group, "scan", data,
+                collect_reports=collect_reports, resume=group_resume,
+            )
+            for group, group_resume in zip(self.groups, self._scatter(resume))
         ]
-        return self._merge(results, len(data), collect_reports)
+        return self._merge(results, len(data))
 
     def scan_many(
         self,
@@ -374,39 +357,24 @@ class HybridBackend(AutomatonBackend):
     ) -> List[BackendResult]:
         """Batched scan: each group batches natively across the streams
         (the lazy-DFA group shards across processes, the packed group
-        advances all streams through one kernel), then per-stream merge.
+        runs them one after the other on its warm kernel), then
+        per-stream merge.
         """
         streams = list(streams)
         resumes = require_resume_count(resumes, len(streams))
-        per_group_resumes = [
-            self._group_resumes(resume) for resume in resumes
+        scattered = [self._scatter(resume) for resume in resumes]
+        group_results = [
+            self._on_group(
+                group, "scan_many", streams,
+                resumes=[parts[position] for parts in scattered],
+                collect_reports=collect_reports,
+            )
+            for position, group in enumerate(self.groups)
         ]
-        group_results: List[List[BackendResult]] = []
-        for group_position, group in enumerate(self.groups):
-            group_cursor = [
-                cursors[group_position] for cursors in per_group_resumes
-            ]
-            try:
-                results = group.backend.scan_many(
-                    streams,
-                    resumes=group_cursor,
-                    collect_reports=collect_reports,
-                )
-            except Exception as error:  # noqa: BLE001 - degrade per group
-                if group.backend_name == FALLBACK_SUBSTRATE:
-                    raise
-                self._degrade_group(group, error)
-                results = group.backend.scan_many(
-                    streams,
-                    resumes=group_cursor,
-                    collect_reports=collect_reports,
-                )
-            group_results.append(results)
         return [
             self._merge(
                 [results[stream] for results in group_results],
                 len(streams[stream]),
-                collect_reports,
             )
             for stream in range(len(streams))
         ]

@@ -66,8 +66,7 @@ from repro.sim.lazydfa import LazyDfaKernel, merge_cache_infos
 from repro.sim.shard import (
     SCAN_JOBS_ENV,
     RawScanResult,
-    _cursor,
-    _scan_one,
+    scan_one,
     scan_streams_sharded,
 )
 from repro.sim.split import (
@@ -135,8 +134,6 @@ class LazyDfaBackend(AutomatonBackend):
         #: every sharded and split scan (see :meth:`worker_cache_info`).
         self._worker_totals: Dict[str, int] = {"workers": 0}
         self._health_events = BoundedEventLog()
-        #: reporting-row bytes -> ((ste_id, report_code), ...) memo.
-        self._idents: Dict[bytes, Tuple[Tuple[str, Optional[str]], ...]] = {}
 
     @classmethod
     def from_artifact(
@@ -240,53 +237,30 @@ class LazyDfaBackend(AutomatonBackend):
 
     # -- report materialisation --------------------------------------------
 
-    def _ident_of(
-        self, rep_bytes: bytes
-    ) -> Tuple[Tuple[str, Optional[str]], ...]:
-        """(ste_id, report_code) per firing bit of one reporting row."""
-        ident = self._idents.get(rep_bytes)
-        if ident is None:
-            kernel = self.simulator.kernel
-            ids = self.simulator._bit_ids()
-            automaton = self.simulator.mapping.automaton
-            row = np.frombuffer(rep_bytes, dtype=np.uint64)
-            entries = []
-            for bit in kernel.bit_indices(row):
-                ste = automaton.ste(ids[int(bit)])
-                entries.append((ste.ste_id, ste.report_code))
-            ident = tuple(entries)
-            self._idents[rep_bytes] = ident
-        return ident
-
     def materialise_raw(
-        self, raw: RawScanResult, base_offset: int, collect_reports: bool
+        self, raw: RawScanResult, collect_reports: bool
     ) -> BackendResult:
         """Turn a :data:`~repro.sim.shard.RawScanResult` — this
         process's or a worker's — into a full
-        :class:`~repro.backends.base.BackendResult` with parent-side
-        STE identity (raw reporting-row bytes -> ``(ste_id,
-        report_code)`` via the memoised ident table), a global-offset
-        checkpoint, and the same report ordering as a serial scan."""
-        raw_events, report_total, vector, sod, symbols = raw
+        :class:`~repro.backends.base.BackendResult` with parent-side STE
+        identity (raw reporting-row bytes -> ``(ste_id, report_code)``
+        via the simulator's memoising decoder) and the same report
+        ordering as a serial scan; the checkpoint is the one the scan
+        left the kernel with, which also says where in its stream the
+        scan began."""
+        raw_events, report_total, checkpoint, symbols = raw
+        base_offset = checkpoint.symbols_processed - symbols
         reports: List[Report] = []
         if collect_reports:
+            emit = self.simulator.decoder.emit
             for event_offset, _count, rep_bytes in raw_events:
-                for ste_id, code in self._ident_of(rep_bytes):
-                    reports.append(
-                        Report(base_offset + event_offset, ste_id, code)
-                    )
-        checkpoint = Checkpoint(
-            symbols_processed=base_offset + symbols,
-            active_state_vector=vector,
-            start_of_data_pending=sod,
-        )
-        stats = RunStats(symbols_processed=symbols)
+                emit(rep_bytes, base_offset + event_offset, reports)
         return self._basic_result(
             reports,
             symbols=symbols,
             report_count=report_total,
             checkpoint=checkpoint,
-            stats=stats,
+            stats=RunStats(symbols_processed=symbols),
         )
 
     # -- scanning ----------------------------------------------------------
@@ -311,24 +285,16 @@ class LazyDfaBackend(AutomatonBackend):
             SPLIT_JOBS_ENV,
             1,
         )
-        if workers > 1:
-            result = self._scan_split(data, resume, workers, collect_reports)
-            if result is not None:
-                return result
-        raw = _scan_one(
-            self.simulator.kernel, self.dfa, data, _cursor(resume),
-            collect_reports,
-        )
-        base_offset = 0 if resume is None else resume.symbols_processed
-        return self.materialise_raw(raw, base_offset, collect_reports)
+        raw = self._scan_split(data, resume, workers) if workers > 1 else None
+        if raw is None:
+            raw = scan_one(
+                self.simulator.kernel, self.dfa, data, resume, collect_reports
+            )
+        return self.materialise_raw(raw, collect_reports)
 
     def _scan_split(
-        self,
-        data: bytes,
-        resume: Optional[Checkpoint],
-        workers: int,
-        collect_reports: bool,
-    ) -> Optional[BackendResult]:
+        self, data: bytes, resume: Optional[Checkpoint], workers: int
+    ) -> Optional[RawScanResult]:
         """One SFA-split scan attempt; ``None`` falls back to serial."""
         jobs = effective_split_jobs(len(data), workers, self._split_min_chunk)
         if jobs < 2:
@@ -344,7 +310,7 @@ class LazyDfaBackend(AutomatonBackend):
             self._sfa,
             data,
             jobs,
-            resume=_cursor(resume),
+            resume=resume,
         )
         if outcome is None:
             return None
@@ -359,8 +325,7 @@ class LazyDfaBackend(AutomatonBackend):
             )
             self._health_events.append(notice)
             warnings.warn(notice, DegradedModeWarning, stacklevel=3)
-        base_offset = 0 if resume is None else resume.symbols_processed
-        return self.materialise_raw(raw, base_offset, collect_reports)
+        return raw
 
     def scan_many(
         self,
@@ -382,7 +347,7 @@ class LazyDfaBackend(AutomatonBackend):
         )
         if workers > 1 and len(streams) > 1:
             items = [
-                (bytes(as_symbols(data)), _cursor(resume))
+                (bytes(as_symbols(data)), resume)
                 for data, resume in zip(streams, resumes)
             ]
             tables = self.share_tables()
@@ -397,12 +362,7 @@ class LazyDfaBackend(AutomatonBackend):
                 raws, worker_infos = outcome
                 self._absorb_worker_infos(worker_infos)
                 return [
-                    self.materialise_raw(
-                        raw,
-                        0 if resume is None else resume.symbols_processed,
-                        collect_reports,
-                    )
-                    for raw, resume in zip(raws, resumes)
+                    self.materialise_raw(raw, collect_reports) for raw in raws
                 ]
         return [
             self.scan(data, collect_reports=collect_reports, resume=resume)

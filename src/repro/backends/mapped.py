@@ -3,9 +3,10 @@
 Wraps :class:`~repro.sim.functional.MappedSimulator` — the
 cycle-functional model of the compiled placement — behind the
 :class:`~repro.backends.base.AutomatonBackend` protocol.  This is the
-only backend with the full capability set: checkpointed resume, native
-multi-stream batching, and the complete energy-model activity profile
-(partition activations, G1/G4 switch crossings, CBOX output buffer).
+only backend with the full capability set: checkpointed resume,
+multi-stream scanning on one warm kernel, and the complete energy-model
+activity profile (partition activations, G1/G4 switch crossings, CBOX
+output buffer).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.backends.base import (
     BackendResult,
 )
 from repro.backends.registry import register_backend
-from repro.backends.validation import require_resume_count
 from repro.sim.functional import MappedRunResult, MappedSimulator
 from repro.sim.golden import Checkpoint
 
@@ -31,8 +31,8 @@ _CAPABILITIES = BackendCapabilities(
     fault_events=False,
     description=(
         "packed-bitset simulation of the compiled mapping; full "
-        "activity/energy accounting, resume, and batched multi-stream "
-        "scanning"
+        "activity/energy accounting, resume, and multi-stream scanning "
+        "(a per-stream loop on one shared warm kernel)"
     ),
 )
 
@@ -109,9 +109,7 @@ class PackedKernelBackend(AutomatonBackend):
         resumes: Optional[Sequence[Optional[Checkpoint]]] = None,
         collect_reports: bool = True,
     ) -> List[BackendResult]:
-        streams = list(streams)
-        resumes = require_resume_count(resumes, len(streams))
-        runs = self.simulator.run_many(
+        runs = self.simulator.run_many(  # checks the resume count
             streams, resumes=resumes, collect_reports=collect_reports
         )
         return [_to_result(run) for run in runs]

@@ -20,10 +20,10 @@ quarantine-and-recompile, or golden-interpreter fallback
 
 Streams can be scanned incrementally (:meth:`CacheAutomatonEngine.stream`
 returns a stateful scanner using the Section 2.9 checkpoint mechanism),
-several independent streams can be batched through one packed-bitset
-kernel invocation (:meth:`CacheAutomatonEngine.scan_many` for whole
-inputs, :meth:`CacheAutomatonEngine.stream_many` for chunked traffic —
-the Section 6 multi-stream scenario), and :meth:`performance_summary`
+several independent streams can share one warm packed-bitset kernel
+(:meth:`CacheAutomatonEngine.scan_many` for whole inputs,
+:meth:`CacheAutomatonEngine.stream_many` for chunked traffic — the
+Section 6 multi-stream scenario), and :meth:`performance_summary`
 reports the modelled line rate, cache footprint, and energy for the
 traffic seen so far.
 """
@@ -175,11 +175,11 @@ class MultiStreamScanner:
     """Batched incremental scanner over several logical input streams.
 
     Each call to :meth:`scan` feeds one chunk per stream; on the default
-    backend all chunks advance together through one kernel invocation
-    (:meth:`repro.sim.functional.MappedSimulator.run_many`), sharing the
-    match-matrix gather and the propagation table across streams.  Match
-    offsets are global per stream, exactly as if each stream were scanned
-    on its own.
+    backend the chunks run one after the other on one warm kernel
+    (:meth:`repro.sim.functional.MappedSimulator.run_many`), sharing its
+    match matrix and its memoised propagation and step tables across
+    streams.  Match offsets are global per stream, exactly as if each
+    stream were scanned on its own.
     """
 
     def __init__(self, engine: "CacheAutomatonEngine", count: int):
@@ -719,12 +719,14 @@ class CacheAutomatonEngine:
         return result.profile.reports
 
     def scan_many(self, streams: Sequence[bytes]) -> List[List[Match]]:
-        """Scan several independent streams in one batched backend pass.
+        """Scan several independent streams in one backend call.
 
         The Section 6 multi-stream scenario: every stream runs the same
-        compiled automaton, so the default backend advances all of them
-        through one shared kernel and amortises its table lookups across
-        the batch (backends without native batching fall back to a
+        compiled automaton, so the default backend scans them one after
+        the other on one shared warm kernel — a transition any stream
+        has visited is a cache hit for all of them (the lazy-DFA backend
+        additionally shards the streams across processes; backends
+        without a ``scan_many`` of their own get the protocol's
         per-stream loop).  Returns one match list per stream, each
         identical to ``scan`` on that stream alone.
         """

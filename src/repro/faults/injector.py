@@ -46,7 +46,7 @@ from repro.faults.models import (
     FaultSite,
 )
 from repro.sim.functional import MappedSimulator
-from repro.sim.kernel import CHUNK_SYMBOLS, as_symbols, popcount_rows
+from repro.sim.kernel import CHUNK_SYMBOLS, as_symbols, placement_bits, popcount_rows
 
 
 def draw_event(
@@ -202,23 +202,14 @@ class FaultySimulator:
     def __init__(self, simulator: MappedSimulator):
         self._kernel = simulator.kernel
         self._parity = self._kernel.match_parity()
-        mapping = simulator.mapping
-        size = mapping.design.partition_size
-
-        def bit_of(ste_id: str) -> int:
-            partition, slot = mapping.location[ste_id]
-            return partition * size + slot
-
+        bit_of = placement_bits(simulator.mapping)
         #: Occupied state-bit indices (injection targets; padding slots
         #: hold no automaton state, so faults there are trivially masked).
-        self.state_bits = np.array(
-            sorted(bit_of(ste_id) for ste_id in mapping.location),
-            dtype=np.int64,
-        )
+        self.state_bits = np.array(sorted(bit_of.values()), dtype=np.int64)
         #: Transitions as (source_bit, target_bit), in automaton order.
         self.edge_bits: List[Tuple[int, int]] = [
-            (bit_of(source), bit_of(target))
-            for source, target in mapping.automaton.edges()
+            (bit_of[source], bit_of[target])
+            for source, target in simulator.mapping.automaton.edges()
         ]
 
     def run(
@@ -251,9 +242,7 @@ class FaultySimulator:
 
         signature: List[Tuple[int, bytes]] = []
         detected: List[int] = []
-        prev = kernel.pack(0)
-        prev_nonzero = False
-        sod = kernel.has_sod
+        prev, prev_nonzero, sod, _ = kernel.enter(None)
         start_row = kernel.start_all_row
         report_row = kernel.report_row
         for start in range(0, len(symbols), CHUNK_SYMBOLS):

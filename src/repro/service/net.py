@@ -39,7 +39,9 @@ order; the client correlates by id) and ``op``:
 
 Checkpoints serialise as ``[symbols, hex(state_vector), sod]`` — the
 active-state vector is an arbitrary-precision integer, which JSON
-numbers cannot carry exactly.
+numbers cannot carry exactly — with the dialect as a fourth element
+when the writer marked one
+(:meth:`~repro.sim.kernel.Checkpoint.wire_row`).
 
 Backpressure: the server reads at most ``max_inflight`` frames per
 connection ahead of their responses; past that it simply stops reading
@@ -110,25 +112,14 @@ async def read_frame(reader) -> Tuple[Dict[str, object], bytes]:
 
 
 def encode_checkpoint(checkpoint: Optional[Checkpoint]):
-    if checkpoint is None:
-        return None
-    return [
-        checkpoint.symbols_processed,
-        hex(checkpoint.active_state_vector),
-        bool(checkpoint.start_of_data_pending),
-    ]
+    return None if checkpoint is None else checkpoint.wire_row()
 
 
 def decode_checkpoint(row) -> Optional[Checkpoint]:
     if row is None:
         return None
     try:
-        symbols, vector, sod = row
-        return Checkpoint(
-            symbols_processed=int(symbols),
-            active_state_vector=int(vector, 16),
-            start_of_data_pending=bool(sod),
-        )
+        return Checkpoint.from_wire_row(row)
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"malformed checkpoint {row!r}: {error}") from None
 

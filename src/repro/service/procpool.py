@@ -12,8 +12,8 @@ tracker rule and per-worker supervision are :mod:`repro.parallel`'s
 :class:`~repro.parallel.WorkerPool`, driven by the service's event loop;
 this module is what is about *scanning* on top of it.
 
-**A span job** is :func:`_serve_span` on ``(fingerprint, bytes, cursor,
-chunk_bytes, deadline_at, collect_reports)``, submitted with the
+**A span job** is :func:`_serve_span` on ``(fingerprint, bytes, resume
+checkpoint, chunk_bytes, deadline_at, collect_reports)``, submitted with the
 tenant's :class:`TenantWorkerSpec` as its context.  A worker that holds
 no engine for the fingerprint (first span of the tenant on this process,
 engine evicted from the per-process LRU, process respawned) fetches the
@@ -84,12 +84,7 @@ from repro.service.errors import WorkerCrashed
 from repro.sim.golden import Checkpoint, Report
 from repro.sim.kernel import BitsetKernel
 from repro.sim.lazydfa import LazyDfaKernel
-from repro.sim.shard import (
-    RawScanResult,
-    _cursor,
-    _scan_one,
-    attach_kernel_dfa,
-)
+from repro.sim.shard import attach_kernel_dfa, scan_one
 
 #: Per-worker-process engine cache bound (fingerprint-keyed, LRU).
 WORKER_ENGINE_CACHE_LIMIT = 8
@@ -165,13 +160,12 @@ class _TablesWorkerEngine:
     def health_event_count(self) -> int:
         return 0  # the bare kernel pair has no degraded mode to log
 
-    def scan_span(self, data, cursor, chunk_bytes, stop_at, collect_reports):
-        base = 0 if cursor is None else cursor[0]
+    def scan_span(self, data, checkpoint, chunk_bytes, stop_at, collect_reports):
         events = []
         total = consumed = 0
         for position, piece in _span_pieces(data, chunk_bytes, stop_at):
-            piece_events, count, vector, sod, symbols = _scan_one(
-                self.kernel, self.dfa, piece, cursor, collect_reports
+            piece_events, count, checkpoint, symbols = scan_one(
+                self.kernel, self.dfa, piece, checkpoint, collect_reports
             )
             events.extend(
                 (position + offset, fired, rep_bytes)
@@ -179,9 +173,7 @@ class _TablesWorkerEngine:
             )
             total += count
             consumed += symbols
-            cursor = (base + consumed, vector, sod)
-        raw: RawScanResult = (events, total, vector, sod, consumed)
-        return "raw", raw
+        return "raw", (events, total, checkpoint, consumed)
 
 
 class _BackendWorkerEngine:
@@ -194,8 +186,7 @@ class _BackendWorkerEngine:
     def health_event_count(self) -> int:
         return self.engine.health_event_count()
 
-    def scan_span(self, data, cursor, chunk_bytes, stop_at, collect_reports):
-        checkpoint = None if cursor is None else Checkpoint(*cursor)
+    def scan_span(self, data, checkpoint, chunk_bytes, stop_at, collect_reports):
         reports = []
         consumed = 0
         for _, piece in _span_pieces(data, chunk_bytes, stop_at):
@@ -259,14 +250,14 @@ def _build_engine(spec: TenantWorkerSpec):
     return engine, built, tables_error
 
 
-def _scan_span(engine, data, cursor, chunk_bytes, deadline_at, collect_reports):
+def _scan_span(engine, data, resume, chunk_bytes, deadline_at, collect_reports):
     """One span on a worker engine.
 
-    ``cursor`` is the resume checkpoint flattened to ``(symbols, vector,
-    sod)`` or ``None``; ``deadline_at`` is the request's deadline on
+    ``resume`` is the resume checkpoint, as it came down the pipe, or
+    ``None``; ``deadline_at`` is the request's deadline on
     ``time.monotonic()`` — one clock for every process on the host — or
     ``None``.  The span is cut into ``chunk_bytes`` pieces scanned one
-    after the other from ``cursor``; it always scans the first, and
+    after the other from ``resume``; it always scans the first, and
     stops at the first boundary past the deadline or past
     :data:`SPAN_HOLD_S` (counted from here, after any engine cold
     start, so a queued or cold span still gets its quantum).  Returns
@@ -280,16 +271,16 @@ def _scan_span(engine, data, cursor, chunk_bytes, deadline_at, collect_reports):
     stop_at = time.monotonic() + SPAN_HOLD_S
     if deadline_at is not None:
         stop_at = min(stop_at, deadline_at)
-    return engine.scan_span(data, cursor, chunk_bytes, stop_at, collect_reports)
+    return engine.scan_span(data, resume, chunk_bytes, stop_at, collect_reports)
 
 
 def _worker_scan_span(
-    spec, data, cursor, chunk_bytes, deadline_at, collect_reports
+    spec, data, resume, chunk_bytes, deadline_at, collect_reports
 ):
     """:func:`_scan_span` for a caller that has the spec at hand."""
     engine = _cached_engine(spec.fingerprint) or _build_engine(spec)[0]
     return _scan_span(
-        engine, data, cursor, chunk_bytes, deadline_at, collect_reports
+        engine, data, resume, chunk_bytes, deadline_at, collect_reports
     )
 
 
@@ -352,8 +343,10 @@ class ProcPoolScanExecutor(WorkerPool):
         deadline_at: Optional[float],
         collect_reports: bool = True,
     ) -> _SpanResult:
+        # The checkpoint crosses the pipe as it is (one layout, or a
+        # marked dialect): nothing to flatten, nothing to lose.
         message = (
-            spec.fingerprint, data, _cursor(checkpoint),
+            spec.fingerprint, data, checkpoint,
             chunk_bytes, deadline_at, collect_reports,
         )
         # The future carries WorkerCrashed when the worker died (it has
@@ -363,9 +356,8 @@ class ProcPoolScanExecutor(WorkerPool):
             _serve_span, message, context=spec, loop=loop
         )
         if kind == "raw":
-            base = 0 if checkpoint is None else checkpoint.symbols_processed
-            result = backend.materialise_raw(body, base, collect_reports)
-            reports, after, consumed = result.reports, result.checkpoint, body[4]
+            result = backend.materialise_raw(body, collect_reports)
+            reports, after, consumed = result.reports, result.checkpoint, body[3]
         else:
             reports, after, consumed = body
         self.dispatched += 1

@@ -219,8 +219,10 @@ class _TenantState:
     def fallback(self):
         """The tenant's golden-fallback backend (built on first use).
 
-        The reference interpreter runs from the automaton alone, so it
-        cannot be poisoned by whatever degraded the primary."""
+        The reference interpreter scans from the automaton alone, so it
+        cannot be poisoned by whatever degraded the primary; its adapter
+        reads the artifact's placement only to translate checkpoints, so
+        a stream the primary suspended resumes here."""
         if self._fallback is None:
             self._fallback = create_backend(
                 "golden-interpreter", self.engine.artifact

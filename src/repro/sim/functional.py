@@ -22,29 +22,32 @@ batchwise over whole chunks of cycle history with
 multi-megabyte runs tractable while staying bit-for-bit equivalent to
 the scalar reference semantics.
 
-:meth:`MappedSimulator.run_many` additionally batches several independent
-input streams through one kernel invocation (the Section 6 multi-stream
-scenario): per-cycle state for all streams advances through shared
-``(streams, words)`` matrix operations and one shared propagation table.
+:meth:`MappedSimulator.run_many` runs several independent input streams
+(the Section 6 multi-stream scenario) one after the other on the one warm
+kernel: they share its match matrix, memoised propagation and step tables
+and idle fast-path tables, nothing more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.automata.anml import StartKind
 from repro.backends.validation import require_resume_count
 from repro.compiler.mapping import Mapping
 from repro.core.energy import ActivityProfile
 from repro.errors import SimulationError
-from repro.sim.golden import Checkpoint, Report, RunStats
+from repro.sim.golden import RunStats
 from repro.sim.kernel import (
-    CHUNK_SYMBOLS,
     BitsetKernel,
-    as_symbols,
+    Checkpoint,
+    Report,
+    ReportDecoder,
+    placement_bits,
+    placement_ids,
     popcount_rows,
 )
 
@@ -179,8 +182,8 @@ class _RunAccumulator:
                 offset = base_offset + cycle
                 self.buffer_model.record(int(report_counts[cycle]))
                 if self.collect_reports:
-                    simulator._emit_reports(
-                        reporting_rows[cycle], offset, self.reports
+                    simulator.decoder.emit(
+                        reporting_rows[cycle].tobytes(), offset, self.reports
                     )
                 if self.collect_records:
                     simulator._emit_records(
@@ -216,51 +219,19 @@ class MappedSimulator:
         partition_size = mapping.design.partition_size
         partition_count = mapping.partition_count
 
-        # Global state order: partition-major, slot-minor; each partition
-        # padded to a full partition_size span so numpy can reduce spans.
         self._init_span_geometry()
-        total_bits = partition_count * partition_size
-
-        self._ids: Optional[List[str]] = [""] * total_bits
-        bit_of = {}
-        for partition in mapping.partitions:
-            base = partition.index * partition_size
-            for slot, ste_id in enumerate(partition.ste_ids):
-                bit_of[ste_id] = base + slot
-                self._ids[base + slot] = ste_id
-        self._bit_of = bit_of
-
-        automaton = mapping.automaton
-        successor_masks = [0] * total_bits
+        bit_of = placement_bits(mapping)
+        self._kernel = BitsetKernel.from_automaton(
+            mapping.automaton, bit_of, partition_count * partition_size
+        )
         g1_sources = 0
         g4_sources = 0
-        for source, target in automaton.edges():
-            successor_masks[bit_of[source]] |= 1 << bit_of[target]
+        for source, target in mapping.automaton.edges_unordered():
             kind = mapping.edge_kind(source, target)
             if kind == "g1":
                 g1_sources |= 1 << bit_of[source]
             elif kind == "g4":
                 g4_sources |= 1 << bit_of[source]
-
-        start_all = 0
-        start_sod = 0
-        report_mask = 0
-        match_table = [0] * 256
-        for ste in automaton.stes():
-            bit = 1 << bit_of[ste.ste_id]
-            if ste.start is StartKind.ALL_INPUT:
-                start_all |= bit
-            elif ste.start is StartKind.START_OF_DATA:
-                start_sod |= bit
-            if ste.reporting:
-                report_mask |= bit
-            for symbol in ste.symbols:
-                match_table[symbol] |= bit
-
-        self._kernel = BitsetKernel(
-            total_bits, successor_masks, match_table,
-            start_all, start_sod, report_mask,
-        )
         self._g1_row = self._kernel.pack(g1_sources)
         self._g1_row.setflags(write=False)
         self._g4_row = self._kernel.pack(g4_sources)
@@ -268,6 +239,7 @@ class MappedSimulator:
         self._init_way_groups()
 
     def _init_span_geometry(self):
+        """Span geometry and the report decoder (both construction paths)."""
         design = self.mapping.design
         partition_size = design.partition_size
         self._span_bits = partition_size
@@ -276,6 +248,11 @@ class MappedSimulator:
             raise SimulationError("partition size must be byte-aligned")
         self._span_words = partition_size // 64 if partition_size % 64 == 0 else 0
         self._mask_bytes = self.mapping.partition_count * partition_size // 8
+        # Reporting rows -> report identities in placement bit order; the
+        # bit -> STE id table is built on the first report, so rebuilding
+        # from cached tables stays free of per-state Python loops.
+        ids = partial(placement_ids, self.mapping)
+        self.decoder = ReportDecoder(self.mapping.automaton, ids)
 
     def _init_way_groups(self):
         # Way id per partition, for per-way G-switch activation counting;
@@ -326,39 +303,18 @@ class MappedSimulator:
     def from_cached(cls, mapping: Mapping, tables: dict) -> "MappedSimulator":
         """Rebuild a simulator from :meth:`packed_tables` output.
 
-        Skips every per-state Python loop of regular construction; the
-        bit -> STE id table (needed only to materialise report records)
-        is built lazily on the first report.
+        Skips every per-state Python loop of regular construction.
         """
         self = cls.__new__(cls)
         self.mapping = mapping
         self._init_span_geometry()
-        self._ids = None
-        self._bit_of = None
-        kernel_tables = {
-            name: array
-            for name, array in tables.items()
-            if name not in ("g1_row", "g4_row")
-        }
-        self._kernel = BitsetKernel.from_packed(kernel_tables)
+        self._kernel = BitsetKernel.from_packed(tables)  # reads its own keys
         self._g1_row = np.ascontiguousarray(tables["g1_row"])
         self._g1_row.setflags(write=False)
         self._g4_row = np.ascontiguousarray(tables["g4_row"])
         self._g4_row.setflags(write=False)
         self._init_way_groups()
         return self
-
-    def _bit_ids(self) -> List[str]:
-        """bit index -> STE id (lazy for cache-rebuilt simulators)."""
-        if self._ids is None:
-            partition_size = self.mapping.design.partition_size
-            ids = [""] * (self.mapping.partition_count * partition_size)
-            for partition in self.mapping.partitions:
-                base = partition.index * partition_size
-                for slot, ste_id in enumerate(partition.ste_ids):
-                    ids[base + slot] = ste_id
-            self._ids = ids
-        return self._ids
 
     # -- packed-history helpers -------------------------------------------
 
@@ -381,13 +337,6 @@ class MappedSimulator:
         hits = np.logical_or.reduceat(activity, group_starts, axis=1)
         return int(np.count_nonzero(hits))
 
-    def _emit_reports(self, row: np.ndarray, offset: int, reports: List[Report]):
-        automaton = self.mapping.automaton
-        ids = self._bit_ids()
-        for bit in self._kernel.bit_indices(row):
-            ste = automaton.ste(ids[bit])
-            reports.append(Report(offset, ste.ste_id, ste.report_code))
-
     def _emit_records(
         self,
         reporting_row: np.ndarray,
@@ -408,14 +357,6 @@ class MappedSimulator:
                     partition, int.from_bytes(span, "little"), symbol, offset
                 )
             )
-
-    def _initial_cursor(self, resume: Optional[Checkpoint]):
-        kernel = self._kernel
-        if resume is None:
-            return kernel.pack(0), False, kernel.has_sod, 0
-        prev = kernel.pack(resume.active_state_vector)
-        sod = kernel.has_sod and resume.start_of_data_pending
-        return prev, bool(prev.any()), sod, resume.symbols_processed
 
     # -- simulation --------------------------------------------------------
 
@@ -442,8 +383,6 @@ class MappedSimulator:
         ``collect_cycle_stats`` keeps the per-cycle matched-state counts,
         mirroring the golden simulator's flag.
         """
-        symbols = as_symbols(data)
-        kernel = self._kernel
         accumulator = _RunAccumulator(
             self,
             collect_reports=collect_reports,
@@ -451,89 +390,43 @@ class MappedSimulator:
             collect_records=collect_records,
             collect_cycle_stats=collect_cycle_stats,
         )
-        prev, prev_nonzero, sod, base_offset = self._initial_cursor(resume)
-        for start in range(0, len(symbols), CHUNK_SYMBOLS):
-            sym = symbols[start : start + CHUNK_SYMBOLS]
-            matched_rows = kernel.match_matrix[sym]
-            enabled_rows = np.empty((len(sym), kernel.words), dtype=np.uint64)
-            prev, prev_nonzero, sod = kernel.run_chunk(
-                sym, matched_rows, enabled_rows, prev, prev_nonzero, sod
-            )
-            accumulator.add(sym, matched_rows, enabled_rows, base_offset + start)
-        checkpoint = Checkpoint(
-            symbols_processed=base_offset + len(symbols),
-            active_state_vector=kernel.unpack(prev),
-            start_of_data_pending=bool(sod),
+        symbols, checkpoint = self._kernel.drive(
+            data, resume, accumulator.add, enabled_history=True
         )
-        return accumulator.finish(len(symbols), checkpoint)
+        return accumulator.finish(symbols, checkpoint)
 
     def run_many(
         self,
         streams: Sequence[bytes],
         *,
         resumes: Optional[Sequence[Optional[Checkpoint]]] = None,
-        collect_reports: bool = True,
-        collect_partition_stats: bool = False,
-        collect_records: bool = False,
-        collect_cycle_stats: bool = False,
+        **collect,
     ) -> List[MappedRunResult]:
-        """Batch several independent streams through one shared kernel.
+        """Run several independent streams on this simulator's kernel.
 
         This is the Section 6 multi-stream scenario: every stream scans
         the same compiled automaton, so they share one packed kernel —
         the match matrix, the memoised propagation table, and the idle
         fast-path tables all warm up once and serve the whole batch (a
         propagation pattern any stream has visited is a dictionary hit
-        for all of them).  Each stream then advances through the same
-        chunked hot loop as :meth:`run`, so per-stream throughput matches
-        the solo path and results stay bit-for-bit identical to running
-        each stream through :meth:`run` on its own.  An earlier revision
+        for all of them).  Each stream is one :meth:`run`, so per-stream
+        throughput matches the solo path and results are bit-for-bit
+        those of running each stream on its own.  An earlier revision
         advanced all streams in cycle lockstep through ``(streams,
         words)`` matrix rows; that paid 3-D slicing overhead every cycle,
         disabled the idle fast path (all streams are rarely idle
         *simultaneously*), and amortised nothing the shared propagation
         table did not already amortise — aggregate throughput trailed the
         solo path by ~20%.  ``resumes`` optionally supplies one
-        checkpoint (or ``None``) per stream.
+        checkpoint (or ``None``) per stream; the ``collect_*`` flags
+        are :meth:`run`'s.
         """
-        buffers = [as_symbols(stream) for stream in streams]
-        resumes = require_resume_count(resumes, len(buffers))
-        kernel = self._kernel
-        flags = dict(
-            collect_reports=collect_reports,
-            collect_partition_stats=collect_partition_stats,
-            collect_records=collect_records,
-            collect_cycle_stats=collect_cycle_stats,
-        )
-        results: List[MappedRunResult] = []
-        for index, symbols in enumerate(buffers):
-            accumulator = _RunAccumulator(self, **flags)
-            prev, prev_nonzero, sod, base_offset = self._initial_cursor(
-                resumes[index]
-            )
-            for start in range(0, len(symbols), CHUNK_SYMBOLS):
-                sym = symbols[start : start + CHUNK_SYMBOLS]
-                matched_rows = kernel.match_matrix[sym]
-                enabled_rows = np.empty(
-                    (len(sym), kernel.words), dtype=np.uint64
-                )
-                prev, prev_nonzero, sod = kernel.run_chunk(
-                    sym, matched_rows, enabled_rows, prev, prev_nonzero, sod
-                )
-                accumulator.add(
-                    sym, matched_rows, enabled_rows, base_offset + start
-                )
-            checkpoint = Checkpoint(
-                symbols_processed=base_offset + len(symbols),
-                active_state_vector=kernel.unpack(prev),
-                start_of_data_pending=bool(sod),
-            )
-            results.append(accumulator.finish(len(symbols), checkpoint))
-        return results
-
-    def _partition_activity(self, mask: int) -> np.ndarray:
-        """Boolean per-partition 'has any set bit in its span' (one vector)."""
-        return self._partition_any(self._kernel.pack(mask).reshape(1, -1))[0]
+        streams = list(streams)
+        resumes = require_resume_count(resumes, len(streams))
+        return [
+            self.run(stream, resume=resume, **collect)
+            for stream, resume in zip(streams, resumes)
+        ]
 
 
 def simulate_mapping(

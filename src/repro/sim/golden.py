@@ -24,21 +24,25 @@ the input are skipped in whole vectorised slices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.automata.anml import HomogeneousAutomaton, StartKind
-from repro.sim.kernel import CHUNK_SYMBOLS, BitsetKernel, as_symbols, popcount_rows
+from repro.automata.anml import HomogeneousAutomaton
+from repro.sim.kernel import (  # Checkpoint, Report: re-exported
+    BitsetKernel,
+    Checkpoint,
+    Report,
+    ReportDecoder,
+    popcount_rows,
+)
 
-
-@dataclass(frozen=True)
-class Report:
-    """One match event: ``ste_id`` fired on the symbol at ``offset``."""
-
-    offset: int
-    ste_id: str
-    report_code: Optional[str] = None
+#: :attr:`Checkpoint.dialect` of checkpoints :class:`GoldenSimulator`
+#: itself writes and reads: bit = position in ``automaton.ste_ids()``.
+#: The simulator knows no placement — it is the reference, and must not
+#: be poisonable by one — so the portable placement layout is the
+#: business of its backend adapter (:mod:`repro.backends.golden`).
+AUTOMATON_ORDER = "automaton-order"
 
 
 @dataclass
@@ -63,28 +67,15 @@ class RunStats:
         return self.total_matched_states / self.symbols_processed
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """Suspend/resume state (Section 2.9).
-
-    The OS can suspend an NFA process "by recording the number of input
-    symbols processed and the active state vector to memory" — which is
-    exactly this object: the global symbol counter, the active-state
-    vector (successor activations pending for the next symbol), and
-    whether the start-of-data states are still armed.
-    """
-
-    symbols_processed: int
-    active_state_vector: int
-    start_of_data_pending: bool
-
-
 @dataclass
 class RunResult:
     reports: List[Report]
     stats: RunStats
     #: Resume state after the run (pass back via ``resume=`` to continue).
     checkpoint: Optional["Checkpoint"] = None
+    #: Reporting-STE firings, counted whether or not ``reports`` was
+    #: materialised.
+    report_count: int = 0
 
     def report_offsets(self) -> List[int]:
         return sorted({report.offset for report in self.reports})
@@ -96,33 +87,12 @@ class GoldenSimulator:
     def __init__(self, automaton: HomogeneousAutomaton):
         automaton.validate()
         self.automaton = automaton
-        self._ids: List[str] = automaton.ste_ids()
-        index = {ste_id: i for i, ste_id in enumerate(self._ids)}
-        self._index = index
-
-        successor_masks: List[int] = [0] * len(self._ids)
-        for source, target in automaton.edges():
-            successor_masks[index[source]] |= 1 << index[target]
-
-        start_all = 0
-        start_sod = 0
-        report_mask = 0
-        match_table = [0] * 256
-        for ste in automaton.stes():
-            bit = 1 << index[ste.ste_id]
-            if ste.start is StartKind.ALL_INPUT:
-                start_all |= bit
-            elif ste.start is StartKind.START_OF_DATA:
-                start_sod |= bit
-            if ste.reporting:
-                report_mask |= bit
-            for symbol in ste.symbols:
-                match_table[symbol] |= bit
-
-        self._kernel = BitsetKernel(
-            len(self._ids), successor_masks, match_table,
-            start_all, start_sod, report_mask,
-        )
+        ids = automaton.ste_ids()
+        #: STE id -> bit of this simulator's state vector.
+        self.bit_of: Dict[str, int] = {s: bit for bit, s in enumerate(ids)}
+        self._kernel = BitsetKernel.from_automaton(automaton, self.bit_of, len(ids))
+        self._kernel.dialect = AUTOMATON_ORDER
+        self._decoder = ReportDecoder(automaton, automaton.ste_ids)
 
     def run(
         self,
@@ -135,57 +105,40 @@ class GoldenSimulator:
         """Process ``data`` and return reports plus activity statistics.
 
         ``collect_reports=False`` skips report materialisation (useful for
-        very long activity-profiling runs); ``collect_cycle_stats`` keeps
-        the full per-cycle matched-state counts, not just the total.
+        very long activity-profiling runs; ``report_count`` is still
+        kept); ``collect_cycle_stats`` keeps the full per-cycle
+        matched-state counts, not just the total.
 
         Passing a previous run's ``checkpoint`` as ``resume`` continues a
         suspended stream: report offsets stay global, and splitting a
         stream at any point yields exactly the reports of one long run.
+        Entry, the chunk loop and exit are the kernel's
+        (:meth:`~repro.sim.kernel.BitsetKernel.drive`).
         """
-        symbols = as_symbols(data)
         kernel = self._kernel
-        reports: List[Report] = []
-        stats = RunStats()
-        if resume is None:
-            base_offset = 0
-            prev = kernel.pack(0)
-            sod = kernel.has_sod
-        else:
-            base_offset = resume.symbols_processed
-            prev = kernel.pack(resume.active_state_vector)
-            sod = kernel.has_sod and resume.start_of_data_pending
-        prev_nonzero = bool(prev.any())
+        result = RunResult([], RunStats())
+        stats = result.stats
 
-        for start in range(0, len(symbols), CHUNK_SYMBOLS):
-            sym = symbols[start : start + CHUNK_SYMBOLS]
-            matched_rows = kernel.match_matrix[sym]
-            prev, prev_nonzero, sod = kernel.run_chunk(
-                sym, matched_rows, None, prev, prev_nonzero, sod
-            )
+        def on_chunk(sym, matched_rows, _enabled_rows, offset):
             counts = popcount_rows(matched_rows)
             stats.total_matched_states += int(counts.sum())
             if collect_cycle_stats:
                 stats.matched_per_cycle.extend(counts.tolist())
+            reporting_rows = matched_rows & kernel.report_row
+            fired = popcount_rows(reporting_rows)
+            result.report_count += int(fired.sum())
             if collect_reports:
-                reporting_rows = matched_rows & kernel.report_row
-                for cycle in np.flatnonzero(reporting_rows.any(axis=1)):
-                    self._emit_reports(
-                        reporting_rows[cycle],
-                        base_offset + start + int(cycle),
-                        reports,
+                for cycle in np.flatnonzero(fired).tolist():
+                    self._decoder.emit(
+                        reporting_rows[cycle].tobytes(),
+                        offset + cycle,
+                        result.reports,
                     )
-        stats.symbols_processed = len(symbols)
-        checkpoint = Checkpoint(
-            symbols_processed=base_offset + len(symbols),
-            active_state_vector=kernel.unpack(prev),
-            start_of_data_pending=bool(sod),
-        )
-        return RunResult(reports, stats, checkpoint)
 
-    def _emit_reports(self, row, offset: int, reports: List[Report]):
-        for bit in self._kernel.bit_indices(row):
-            ste = self.automaton.ste(self._ids[bit])
-            reports.append(Report(offset, ste.ste_id, ste.report_code))
+        stats.symbols_processed, result.checkpoint = kernel.drive(
+            data, resume, on_chunk
+        )
+        return result
 
 
 def simulate(automaton: HomogeneousAutomaton, data: bytes, **kwargs) -> RunResult:

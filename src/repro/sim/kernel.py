@@ -25,15 +25,25 @@ which fills per-cycle matched/enabled histories; all statistics (match
 counts, partition activity, reports) are then computed *batchwise* over the
 packed history arrays, keeping them bit-for-bit identical to the scalar
 reference semantics.
+
+This module is also the only one that knows how a stream gets *into and
+out of* a kernel (DESIGN.md, "Entering and leaving the kernel"): build
+(:meth:`BitsetKernel.from_automaton`), enter (:meth:`~BitsetKernel.enter`),
+drive (:meth:`~BitsetKernel.drive`, the one ``CHUNK_SYMBOLS`` loop), leave
+(:meth:`~BitsetKernel.leave`) and decode (:class:`ReportDecoder`).  The
+decision behind them is the bit layout of a :class:`Checkpoint`, and
+there is one: the artifact's placement layout (:func:`placement_ids`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends.validation import as_symbols  # noqa: F401  (re-export)
+from repro.automata.anml import HomogeneousAutomaton, StartKind
+from repro.backends.validation import as_symbols
 from repro.errors import FaultError, SimulationError
 
 #: Symbols processed per kernel chunk (gather + batched-stats granularity).
@@ -47,6 +57,10 @@ PROPAGATE_CACHE_BYTES = 32 * 1024 * 1024
 
 #: Budget for memoised full-cycle step results (bytes of cached rows).
 STEP_CACHE_BYTES = 32 * 1024 * 1024
+
+#: Distinct reporting rows a :class:`ReportDecoder` memoises before it
+#: drops them all and starts over.
+DECODE_MEMO_ROWS = 65536
 
 
 def _popcount_rows_native(rows: np.ndarray) -> np.ndarray:
@@ -78,15 +92,191 @@ def popcount_row(row: np.ndarray) -> int:
     return int(_popcount_rows_impl(np.ascontiguousarray(row)[None, :])[0])
 
 
+@dataclass(frozen=True)
+class Report:
+    """One match event: ``ste_id`` fired on the symbol at ``offset``."""
+
+    offset: int
+    ste_id: str
+    report_code: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """Suspend/resume state (Section 2.9).
+
+    The OS can suspend an NFA process "by recording the number of input
+    symbols processed and the active state vector to memory" — which is
+    exactly this object: the global symbol counter, the active-state
+    vector (successor activations pending for the next symbol), and
+    whether the start-of-data states are still armed.
+
+    ``dialect`` is ``None`` for the one portable layout — the artifact's
+    placement, see :func:`placement_ids` — which every backend built
+    from the same artifact reads and writes.  A writer whose vector
+    means something else (the golden *simulator*'s automaton order, the
+    eager DFA's minimised state id) names itself here, and only a reader
+    asking for that dialect accepts the checkpoint (:meth:`require`).
+    """
+
+    symbols_processed: int
+    active_state_vector: int
+    start_of_data_pending: bool
+    dialect: Optional[str] = None
+
+    def require(self, dialect: Optional[str]) -> None:
+        """Raise :class:`SimulationError` unless this checkpoint is in
+        ``dialect``, the one the caller resumes from, and its vector is
+        one a writer could have produced.  Every reader calls this
+        first: a checkpoint can come from outside (the wire), and a
+        negative vector has no lowest set bit to stop :meth:`relaid`."""
+        if self.dialect != dialect:
+            raise SimulationError(
+                f"cannot resume a {self.dialect or 'placement-layout'} "
+                f"checkpoint where {dialect or 'placement-layout'} ones "
+                "are read: its state vector means something else there"
+            )
+        if self.active_state_vector < 0:
+            raise SimulationError(
+                "checkpoint carries a negative state vector; was it taken "
+                "on a different automaton?"
+            )
+
+    def relaid(
+        self,
+        target_of: Mapping[int, int],
+        dialect: Optional[str] = None,
+        *,
+        partial: bool = False,
+    ) -> "Checkpoint":
+        """This suspended stream with every active bit renumbered
+        through ``target_of`` (source bit -> target bit) and stamped
+        ``dialect``; the cost is the number of *active* states.  A bit
+        ``target_of`` does not name means another automaton wrote the
+        checkpoint and raises, unless ``partial``: a scatter onto one of
+        several machines keeps only that machine's states."""
+        vector, relaid = self.active_state_vector, 0
+        while vector:
+            low = vector & -vector
+            target = target_of.get(low.bit_length() - 1)
+            if target is not None:
+                relaid |= 1 << target
+            elif not partial:
+                raise SimulationError(
+                    f"checkpoint activates state bit {low.bit_length() - 1}, which "
+                    "holds no state here; was it taken on a different automaton?"
+                )
+            vector ^= low
+        return Checkpoint(
+            self.symbols_processed, relaid, self.start_of_data_pending, dialect
+        )
+
+    @staticmethod
+    def union(parts: Sequence["Checkpoint"]) -> "Checkpoint":
+        """One checkpoint for machines that scanned the same bytes side
+        by side (``parts`` already relaid onto disjoint bits of one
+        layout): vectors and armed start-of-data flags OR together."""
+        vector, pending = 0, False
+        for part in parts:
+            vector |= part.active_state_vector
+            pending = pending or part.start_of_data_pending
+        return Checkpoint(parts[0].symbols_processed, vector, pending)
+
+    def wire_row(self) -> list:
+        """``[symbols, hex(vector), sod]``, plus the dialect when there
+        is one (JSON numbers cannot carry the vector exactly)."""
+        pending = bool(self.start_of_data_pending)
+        row = [self.symbols_processed, hex(self.active_state_vector), pending]
+        return row if self.dialect is None else row + [self.dialect]
+
+    @classmethod
+    def from_wire_row(cls, row) -> "Checkpoint":
+        """Inverse of :meth:`wire_row`; ``TypeError``/``ValueError`` on a
+        malformed row (three-element rows are placement-layout)."""
+        symbols, vector, sod, *dialect = row
+        if len(dialect) > 1 or not all(isinstance(d, str) for d in dialect):
+            raise ValueError("expected [symbols, vector, sod] or [..., dialect]")
+        vector = int(vector, 16)
+        if vector < 0:
+            raise ValueError("a state vector is not negative")
+        return cls(int(symbols), vector, bool(sod), *dialect)
+
+
+def placement_ids(mapping) -> List[str]:
+    """State-vector bit -> STE id in the placement layout of ``mapping``
+    (a :class:`~repro.compiler.mapping.Mapping`), the layout of every
+    portable :class:`Checkpoint`: partition-major, slot-minor, each
+    partition padded (``""``) to a full ``partition_size`` span so numpy
+    can reduce spans."""
+    size = mapping.design.partition_size
+    ids = [""] * (mapping.partition_count * size)
+    for partition in mapping.partitions:
+        base = partition.index * size
+        ids[base : base + len(partition.ste_ids)] = partition.ste_ids
+    return ids
+
+
+def placement_bits(mapping) -> Dict[str, int]:
+    """STE id -> state-vector bit: the inverse of :func:`placement_ids`."""
+    ids = placement_ids(mapping)
+    return {ste_id: bit for bit, ste_id in enumerate(ids) if ste_id}
+
+
+class ReportDecoder:
+    """Reporting-row bytes -> the ``(ste_id, report_code)`` of every
+    firing bit, ascending bit order, memoised by the row's bytes (an
+    automaton fires few distinct reporting rows).  ``bit_ids()`` builds
+    the substrate's own bit -> STE id table — so each substrate keeps
+    its intra-cycle report order — and is called on the first decode: a
+    simulator rebuilt from cached tables never touches the automaton
+    until a report fires.
+    """
+
+    def __init__(
+        self,
+        automaton: HomogeneousAutomaton,
+        bit_ids: Callable[[], Sequence[str]],
+    ):
+        self._automaton = automaton
+        self._bit_ids = bit_ids
+        self._ids: Optional[Sequence[str]] = None
+        self._memo: Dict[bytes, Tuple[Tuple[str, Optional[str]], ...]] = {}
+
+    def emit(self, row_bytes: bytes, offset: int, reports: List[Report]) -> None:
+        """Append one :class:`Report` per firing bit of the row."""
+        found = self._memo.get(row_bytes)
+        if found is None:
+            found = self._decode(row_bytes)
+        for ste_id, code in found:
+            reports.append(Report(offset, ste_id, code))
+
+    def _decode(self, row_bytes: bytes) -> Tuple[Tuple[str, Optional[str]], ...]:
+        if self._ids is None:
+            self._ids = self._bit_ids()
+        bits = BitsetKernel.bit_indices(np.frombuffer(row_bytes, np.uint64))
+        stes = [self._automaton.ste(self._ids[bit]) for bit in bits]
+        found = tuple((ste.ste_id, ste.report_code) for ste in stes)
+        if len(self._memo) >= DECODE_MEMO_ROWS:
+            self._memo.clear()
+        self._memo[row_bytes] = found
+        return found
+
+
 class BitsetKernel:
     """Packed-word execution engine for one fixed automaton bit layout.
 
     ``n_bits`` is the size of the state vector (for the mapped simulator
     this includes per-partition span padding); ``successor_masks``,
     ``match_table`` (256 entries), ``start_all``, ``start_sod`` and
-    ``report_mask`` are the arbitrary-precision-int tables the simulators
-    already build — the kernel packs them once at construction.
+    ``report_mask`` are arbitrary-precision-int tables
+    (:meth:`from_automaton` derives them) — the kernel packs them once
+    at construction.
     """
+
+    #: The :attr:`Checkpoint.dialect` this kernel reads and writes:
+    #: ``None`` when its bits are the placement layout (whoever builds
+    #: it on another bit order says so here).
+    dialect: Optional[str] = None
 
     def __init__(
         self,
@@ -136,6 +326,32 @@ class BitsetKernel:
             self._csr_masks = np.array(csr_masks, dtype=np.uint64)
 
         self._init_caches()
+
+    @classmethod
+    def from_automaton(
+        cls, automaton: HomogeneousAutomaton, bit_of: Mapping[str, int], n_bits: int
+    ) -> "BitsetKernel":
+        """The kernel of ``automaton`` with STE ``s`` at bit ``bit_of[s]``
+        of an ``n_bits`` vector (bits no STE owns stay inert)."""
+        successor_masks = [0] * n_bits
+        for source, target in automaton.edges_unordered():
+            successor_masks[bit_of[source]] |= 1 << bit_of[target]
+        start_all = start_sod = report_mask = 0
+        match_table = [0] * 256
+        for ste in automaton.stes():
+            bit = 1 << bit_of[ste.ste_id]
+            if ste.start is StartKind.ALL_INPUT:
+                start_all |= bit
+            elif ste.start is StartKind.START_OF_DATA:
+                start_sod |= bit
+            if ste.reporting:
+                report_mask |= bit
+            for symbol in ste.symbols:
+                match_table[symbol] |= bit
+        return cls(
+            n_bits, successor_masks, match_table,
+            start_all, start_sod, report_mask,
+        )
 
     def _init_caches(self):
         """Fresh memoisation state (shared by all construction paths)."""
@@ -317,7 +533,8 @@ class BitsetKernel:
             .copy()
         )
 
-    def bit_indices(self, row: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def bit_indices(row: np.ndarray) -> np.ndarray:
         """Ascending indices of the set bits in one packed row."""
         flat = np.unpackbits(
             np.ascontiguousarray(row).view(np.uint8), bitorder="little"
@@ -433,6 +650,9 @@ class BitsetKernel:
     # -- idle fast path ----------------------------------------------------
 
     def _ensure_idle_tables(self):
+        """``_idle_next[symbol]`` is the activation row an idle machine
+        (only all-input start states enabled) produces on ``symbol``;
+        ``_idle_escape[symbol]`` flags the symbols that wake it up."""
         if self._idle_next is not None:
             return
         idle_matched = self.match_matrix & self.start_all_row
@@ -446,17 +666,54 @@ class BitsetKernel:
         self._idle_next = nxt
         self._idle_escape = escape
 
-    def idle_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(next_row, escape)`` idle tables, built on first use.
+    # -- entering, driving, leaving -----------------------------------------
 
-        ``next_row[symbol]`` is the successor-activation row produced by
-        an idle machine (only all-input start states enabled) consuming
-        ``symbol``; ``escape[symbol]`` flags the symbols that wake it up
-        (nonzero ``next_row``).  Shared by the solo and batched scan
-        paths.
+    def enter(self, resume: Optional[Checkpoint]) -> Tuple[np.ndarray, bool, bool, int]:
+        """The ``(prev, prev_nonzero, sod, base)`` cursor a scan starts
+        from: a fresh stream, or the suspended one ``resume`` describes
+        (``base`` is its global symbol counter)."""
+        if resume is None:
+            return self.pack(0), False, self.has_sod, 0
+        resume.require(self.dialect)
+        vector = resume.active_state_vector
+        sod = self.has_sod and resume.start_of_data_pending
+        return self.pack(vector), vector != 0, sod, resume.symbols_processed
+
+    def leave(self, prev: np.ndarray, sod: bool, symbols_processed: int) -> Checkpoint:
+        """The :class:`Checkpoint` of a scan suspended at cursor ``(prev,
+        sod)`` after ``symbols_processed`` symbols of its stream."""
+        vector = self.unpack(prev)
+        return Checkpoint(symbols_processed, vector, bool(sod), self.dialect)
+
+    def drive(
+        self,
+        data: bytes,
+        resume: Optional[Checkpoint],
+        on_chunk: Callable[..., None],
+        *,
+        enabled_history: bool = False,
+    ) -> Tuple[int, Checkpoint]:
+        """Scan ``data`` from ``resume``, :data:`CHUNK_SYMBOLS` at a time.
+
+        After each chunk ``on_chunk(sym, matched_rows, enabled_rows,
+        offset)`` gets its symbols, per-cycle matched history, enabled
+        history (``None`` unless ``enabled_history``) and the global
+        offset of its first symbol.  Returns ``(symbols scanned,
+        checkpoint to resume from)``.
         """
-        self._ensure_idle_tables()
-        return self._idle_next, self._idle_escape
+        symbols = as_symbols(data)
+        prev, prev_nonzero, sod, base = self.enter(resume)
+        for start in range(0, len(symbols), CHUNK_SYMBOLS):
+            sym = symbols[start : start + CHUNK_SYMBOLS]
+            matched_rows = self.match_matrix[sym]
+            enabled_rows = None
+            if enabled_history:
+                enabled_rows = np.empty((len(sym), self.words), np.uint64)
+            prev, prev_nonzero, sod = self.run_chunk(
+                sym, matched_rows, enabled_rows, prev, prev_nonzero, sod
+            )
+            on_chunk(sym, matched_rows, enabled_rows, base + start)
+        return len(symbols), self.leave(prev, sod, base + len(symbols))
 
     # -- chunk stepping ----------------------------------------------------
 

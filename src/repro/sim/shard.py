@@ -26,20 +26,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.automata.stride import StrideAlphabet
-from repro.backends.validation import as_symbols
 from repro.parallel import attach_tables, detach_tables, fan_out
-from repro.sim.kernel import BitsetKernel
+from repro.sim.kernel import BitsetKernel, Checkpoint, as_symbols
 from repro.sim.lazydfa import LazyDfaKernel
 
 SCAN_JOBS_ENV = "REPRO_SCAN_JOBS"
 
 #: One stream's raw scan outcome, before report materialisation:
-#: (events as (offset, count, reporting_row_bytes), report_total,
-#:  final_state_vector_int, sod_pending, symbols_scanned).
-RawScanResult = Tuple[List[Tuple[int, int, bytes]], int, int, bool, int]
-
-#: One stream's pickled work item: (data, resume-tuple-or-None).
-_WorkItem = Tuple[bytes, Optional[Tuple[int, int, bool]]]
+#: (events as (offset from the scan's first symbol, count,
+#:  reporting_row_bytes), report_total, checkpoint to resume from,
+#:  symbols_scanned) — so the scan began ``symbols_scanned`` before the
+#: checkpoint's global symbol counter.
+RawScanResult = Tuple[List[Tuple[int, int, bytes]], int, Checkpoint, int]
 
 
 def attach_kernel_dfa(meta, max_states: Optional[int], *, copy: bool):
@@ -74,43 +72,23 @@ def attach_kernel_dfa(meta, max_states: Optional[int], *, copy: bool):
     return kernel, dfa, handle
 
 
-def _cursor(checkpoint) -> Optional[Tuple[int, int, bool]]:
-    """A resume :class:`~repro.sim.golden.Checkpoint` flattened to the
-    ``(symbols, vector, sod)`` tuple a scan starts from — what crosses
-    a pipe instead of the object; ``None`` stays ``None``."""
-    if checkpoint is None:
-        return None
-    return (
-        checkpoint.symbols_processed,
-        checkpoint.active_state_vector,
-        checkpoint.start_of_data_pending,
-    )
-
-
-def _entry_row(kernel: BitsetKernel, resume: Optional[Tuple[int, int, bool]]):
-    """``(activation row, start-of-data armed)`` a scan enters with."""
-    if resume is None:
-        return kernel.pack(0), kernel.has_sod
-    _, vector, pending = resume
-    return kernel.pack(vector), kernel.has_sod and pending
-
-
-def _scan_one(
+def scan_one(
     kernel: BitsetKernel,
     dfa: LazyDfaKernel,
     data: bytes,
-    resume: Optional[Tuple[int, int, bool]],
+    resume: Optional[Checkpoint],
     collect_events: bool,
 ) -> RawScanResult:
     """Scan one stream on a kernel/DFA pair — the parent's serial scan
     and every worker's, so they cannot differ."""
-    prev, sod = _entry_row(kernel, resume)
     symbols = as_symbols(data)
+    prev, _, sod, base = kernel.enter(resume)
     events, total, final_row, sod = dfa.scan(
         symbols, prev=prev, sod=sod, collect_events=collect_events
     )
     raw_events = [(offset,) + dfa.event(event_id) for offset, event_id in events]
-    return raw_events, total, kernel.unpack(final_row), bool(sod), len(symbols)
+    checkpoint = kernel.leave(final_row, sod, base + len(symbols))
+    return raw_events, total, checkpoint, len(symbols)
 
 
 def _scan_shard_worker(job) -> Tuple[List[RawScanResult], Dict[str, int]]:
@@ -125,7 +103,7 @@ def _scan_shard_worker(job) -> Tuple[List[RawScanResult], Dict[str, int]]:
     kernel, dfa, handle = attach_kernel_dfa(meta, max_states, copy=False)
     try:
         raws = [
-            _scan_one(kernel, dfa, data, resume, collect_events)
+            scan_one(kernel, dfa, data, resume, collect_events)
             for data, resume in items
         ]
         return raws, dfa.cache_info()
@@ -138,13 +116,14 @@ def _scan_shard_worker(job) -> Tuple[List[RawScanResult], Dict[str, int]]:
 
 def scan_streams_sharded(
     tables: Dict[str, np.ndarray],
-    items: Sequence[_WorkItem],
+    items: Sequence[Tuple[bytes, Optional[Checkpoint]]],
     jobs: int,
     *,
     collect_events: bool = True,
     max_states: Optional[int] = None,
 ) -> Optional[Tuple[List[RawScanResult], List[Dict[str, int]]]]:
-    """Shard ``items`` across ``jobs`` workers; results in item order.
+    """Shard ``items`` — ``(data, resume checkpoint or None)`` pairs —
+    across ``jobs`` workers; results in item order.
 
     ``tables`` is the union of the kernel's packed tables and the lazy
     DFA's :meth:`~repro.sim.lazydfa.LazyDfaKernel.export_tables`;

@@ -54,11 +54,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.validation import as_symbols
 from repro.parallel import attach_tables, detach_tables, fan_out
-from repro.sim.kernel import BitsetKernel
+from repro.sim.kernel import BitsetKernel, Checkpoint, as_symbols
 from repro.sim.lazytable import Interner, LazyTable
-from repro.sim.shard import RawScanResult, _entry_row
+from repro.sim.shard import RawScanResult
 
 SPLIT_JOBS_ENV = "REPRO_SPLIT_JOBS"
 
@@ -459,7 +458,7 @@ def scan_stream_split(
     data: bytes,
     jobs: int,
     *,
-    resume: Optional[Tuple[int, int, bool]] = None,
+    resume: Optional[Checkpoint] = None,
 ) -> Optional[Tuple[RawScanResult, dict]]:
     """Scan one stream across ``jobs`` parallel actors; exact join.
 
@@ -476,7 +475,7 @@ def scan_stream_split(
     symbols = as_symbols(data)
     length = len(symbols)
     bounds = _chunk_bounds(length, max(2, int(jobs)))
-    prev, sod = _entry_row(kernel, resume)
+    prev, _, sod, base = kernel.enter(resume)
 
     tables = dict(kernel.packed_tables())
     tables.update(sfa.export_tables())
@@ -535,11 +534,7 @@ def scan_stream_split(
             total += count
 
     raw: RawScanResult = (
-        raw_events,
-        total,
-        kernel.unpack(prev),
-        bool(sod),
-        length,
+        raw_events, total, kernel.leave(prev, sod, base + length), length
     )
     stats = {
         "chunks": len(bounds),

@@ -1,19 +1,35 @@
 """Tests for suspend/resume (Section 2.9): splitting a stream at any point
 and resuming from the checkpoint must reproduce one long run exactly."""
 
+import ast
+import asyncio
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.backends import create_backend
 from repro.backends.artifact import CompiledArtifact
 from repro.compiler import compile_automaton
 from repro.core.design import CA_P
+from repro.errors import SimulationError
 from repro.regex.compile import compile_patterns
+from repro.service import (
+    DeadlineExceeded,
+    NetScanClient,
+    ProtocolError,
+    ScanServer,
+    ScanService,
+)
+from repro.service.net import decode_checkpoint, encode_checkpoint
 from repro.sim.functional import MappedSimulator
 from repro.sim.golden import Checkpoint, GoldenSimulator
+from tests.test_lazytable import _code_only
+from tests.test_procpool import Ticker
 
 
 def reports_of(result):
@@ -188,3 +204,371 @@ class TestCheckpointProperties:
         checkpoint = Checkpoint(0, 0, True)
         with pytest.raises(AttributeError):
             checkpoint.symbols_processed = 5
+
+
+# ---------------------------------------------------------------------------
+# One checkpoint layout: a stream suspended on any substrate of an
+# artifact resumes on any other — in-process, on the service's fallback
+# tier, across the scan-worker pipe and over the wire.
+
+PORTABLE_PATTERNS = ["needle", "na[gn]a+", "^anchor", "spl", "it", "x.{14}y"]
+
+#: Registry name and options of every substrate that speaks the portable
+#: layout (eager-dfa cannot: see TestEagerDfaDialect).
+SUBSTRATES = {
+    "golden-interpreter": ("golden-interpreter", {}),
+    "packed-kernel": ("packed-kernel", {}),
+    "lazy-dfa": ("lazy-dfa", {}),
+    "lazy-dfa-stride2": ("lazy-dfa", {"stride": 2}),
+    "lazy-dfa-split2": ("lazy-dfa", {"split_jobs": 2, "split_min_chunk": 8}),
+    "hybrid": ("hybrid", {}),
+}
+
+
+def _portable_stream() -> bytes:
+    rng = random.Random(5)
+    data = bytearray(rng.choice(b"abceghilnoprst ") for _ in range(177))
+    data[0:6] = b"anchor"
+    # "needle" sits inside the x.{14}y gap: a cut in it is inside two
+    # matches that run on different hybrid groups.
+    data[30:46] = b"xab needle cdefy"
+    data[100:105] = b"split"
+    data[120:126] = b"nanana"
+    return bytes(data)
+
+
+PORTABLE_STREAM = _portable_stream()
+
+#: 0, 1, inside ``^anchor``, just after it, inside needle/the gap, len.
+PORTABLE_CUTS = [0, 1, 3, 6, 37, len(PORTABLE_STREAM)]
+
+
+def rows_of(result):
+    return [(r.offset, r.ste_id, r.report_code) for r in result.reports]
+
+
+@pytest.fixture(scope="module")
+def portable_artifact():
+    machine = compile_patterns(PORTABLE_PATTERNS, report_codes=PORTABLE_PATTERNS)
+    return CompiledArtifact.from_mapping(compile_automaton(machine, CA_P))
+
+
+class TestCheckpointPortability:
+    """Head on A, tail on B, for every pair: the reports are the golden
+    whole scan's and every B ends on the same checkpoint."""
+
+    @pytest.fixture(scope="class")
+    def backends(self, portable_artifact):
+        built = {
+            label: create_backend(name, portable_artifact, **options)
+            for label, (name, options) in SUBSTRATES.items()
+        }
+        # The matrix means something only if hybrid really splits the
+        # ruleset across two substrates with their own sub-placements.
+        assert len(built["hybrid"].groups) == 2
+        return built
+
+    @pytest.fixture(scope="class")
+    def golden_rows(self, backends):
+        return sorted(rows_of(backends["golden-interpreter"].scan(PORTABLE_STREAM)))
+
+    @pytest.mark.parametrize("cut", PORTABLE_CUTS)
+    @pytest.mark.parametrize("head_on", SUBSTRATES)
+    def test_head_on_a_tail_on_b(self, backends, golden_rows, head_on, cut):
+        head = backends[head_on].scan(PORTABLE_STREAM[:cut])
+        assert type(head.checkpoint) is Checkpoint
+        finals = {}
+        for tail_on, backend in backends.items():
+            tail = backend.scan(PORTABLE_STREAM[cut:], resume=head.checkpoint)
+            assert sorted(rows_of(head) + rows_of(tail)) == golden_rows, (
+                head_on, tail_on,
+            )
+            finals[tail_on] = tail.checkpoint
+        assert len(set(finals.values())) == 1, finals
+
+    def test_simulator_checkpoints_do_not_pass_for_portable_ones(
+        self, portable_artifact, backends
+    ):
+        """``GoldenSimulator`` itself knows no placement; its own
+        checkpoints say so, and a placement-layout reader refuses them
+        instead of misreading the vector."""
+        own = GoldenSimulator(portable_artifact.automaton).run(b"anc").checkpoint
+        assert own.dialect is not None
+        for label in ("packed-kernel", "lazy-dfa", "hybrid", "golden-interpreter"):
+            with pytest.raises(SimulationError, match="means something else"):
+                backends[label].scan(b"hor", resume=own)
+
+    def test_a_negative_vector_is_refused_not_walked(self, backends):
+        """Translating a vector clears its lowest set bit until none is
+        left, and -1 never runs out: every reader refuses it first, and
+        the wire codec does not let one in."""
+        for label, backend in backends.items():
+            with pytest.raises(SimulationError, match="different automaton"):
+                backend.scan(b"tail", resume=Checkpoint(3, -1, False))
+        with pytest.raises(ProtocolError, match="malformed checkpoint"):
+            decode_checkpoint([0, "-1", False])
+
+
+class TestPortabilityThroughTheService:
+    """The same guarantee at the surfaces that hand checkpoints between
+    substrates on their own: breaker fallback, the pool plane, TCP."""
+
+    @pytest.mark.parametrize("backend", [None, "lazy-dfa", "hybrid"])
+    def test_fallback_tier_resumes_the_primary_tiers_checkpoint(self, backend):
+        """Head on the primary tier, the breaker opens, tail on the
+        golden-fallback tier: at every cut the stream is the whole
+        scan's.  (The fallback tier used to read the primary's vector in
+        its own bit order — wrong reports, ``fallback=True``, no error.)"""
+        data = PORTABLE_STREAM
+
+        async def scenario():
+            service = ScanService(
+                workers=1, breaker_threshold=1, breaker_cooldown=1e9,
+                cache=False,
+            )
+            service.register("acme", PORTABLE_PATTERNS, backend=backend)
+            await service.start()
+            try:
+                whole = await service.scan("acme", data)
+                heads = [
+                    await service.scan("acme", data[:cut])
+                    for cut in range(1, len(data))
+                ]
+                service.inject_scan_faults("acme", 1, SimulationError("injected"))
+                with pytest.raises(SimulationError):
+                    await service.scan("acme", data)
+                assert service.breaker_state("acme") == "open"
+                tails = [
+                    await service.scan(
+                        "acme", data[head.offset:], resume=head.checkpoint
+                    )
+                    for head in heads
+                ]
+                return whole, heads, tails
+            finally:
+                await service.stop()
+
+        whole, heads, tails = asyncio.run(scenario())
+        assert not whole.fallback and rows_of(whole)
+        for head, tail in zip(heads, tails):
+            assert not head.fallback and tail.fallback
+            assert tail.served_by == "golden-interpreter"
+            assert sorted(rows_of(head) + rows_of(tail)) == sorted(
+                rows_of(whole)
+            ), head.offset
+
+    def test_deadline_checkpoint_resumes_on_the_fallback_tier(self):
+        data = PORTABLE_STREAM
+        clock = Ticker(step=1.0)
+
+        async def scenario():
+            service = ScanService(
+                workers=1, chunk_bytes=8, breaker_threshold=1,
+                breaker_cooldown=1e9, clock=clock, cache=False,
+            )
+            service.register("acme", PORTABLE_PATTERNS, backend="hybrid")
+            await service.start()
+            try:
+                whole = await service.scan("acme", data, deadline=1e6)
+                with pytest.raises(DeadlineExceeded) as info:
+                    await service.scan("acme", data, deadline=5.5)
+                service.inject_scan_faults("acme", 1, SimulationError("injected"))
+                with pytest.raises(SimulationError):
+                    await service.scan("acme", data, deadline=1e6)
+                rest = await service.scan(
+                    "acme", data[info.value.offset:], deadline=1e6,
+                    resume=info.value.checkpoint,
+                )
+                return whole, info.value, rest
+            finally:
+                await service.stop()
+
+        whole, error, rest = asyncio.run(scenario())
+        assert error.offset == 40  # inside needle and the x.{14}y gap
+        assert rest.fallback
+        assert sorted(rows_of(error) + rows_of(rest)) == sorted(rows_of(whole))
+
+    def test_hybrid_tenant_takes_several_spans_on_the_pool_plane(self):
+        """One dispatch covers at most the hold quantum, so 20 kB in
+        2 KiB chunks needs a second span resumed from the first one's
+        checkpoint (the pipe used to flatten a hybrid checkpoint to an
+        empty vector and the resume was refused)."""
+        data = (PORTABLE_STREAM * 120)[:20_000]
+
+        async def scan(scan_workers):
+            service = ScanService(
+                workers=1, scan_workers=scan_workers, chunk_bytes=2048,
+                cache=False,
+            )
+            service.register("acme", PORTABLE_PATTERNS, backend="hybrid")
+            await service.start()
+            try:
+                outcome = await service.scan("acme", data)
+                return (
+                    rows_of(outcome), outcome.checkpoint,
+                    service.metrics_snapshot().get("pool_dispatches", 0),
+                )
+            finally:
+                await service.stop()
+
+        pooled, pooled_checkpoint, dispatches = asyncio.run(scan(1))
+        inloop, inloop_checkpoint, _ = asyncio.run(scan(0))
+        assert pooled == inloop and pooled
+        assert pooled_checkpoint == inloop_checkpoint
+        assert dispatches >= 2
+
+    def test_hybrid_tenant_resumes_over_tcp(self):
+        data = PORTABLE_STREAM
+
+        async def scenario():
+            service = ScanService(workers=1, cache=False)
+            service.register("acme", PORTABLE_PATTERNS, backend="hybrid")
+            await service.start()
+            server = ScanServer(service)
+            await server.start()
+            try:
+                whole = await service.scan("acme", data)
+                async with await NetScanClient.connect(*server.address) as client:
+                    head = await client.scan("acme", data[:37])
+                    # One bad resume frame is answered, not scanned; the
+                    # connection and the event loop keep serving.
+                    with pytest.raises(ProtocolError, match="malformed"):
+                        await client.scan(
+                            "acme", data[37:], resume=Checkpoint(0, -1, False)
+                        )
+                    tail = await client.scan(
+                        "acme", data[37:], resume=head.checkpoint
+                    )
+                return whole, head, tail
+            finally:
+                await server.stop()
+                await service.stop()
+
+        whole, head, tail = asyncio.run(scenario())
+        assert rows_of(head) + rows_of(tail) == rows_of(whole)
+        assert tail.checkpoint == whole.checkpoint
+
+
+class TestEagerDfaDialect:
+    """A minimised-DFA state id cannot express the active state vector:
+    eager-dfa marks its checkpoints, resumes only its own, and every
+    other substrate refuses them — typed, wherever the resume lands."""
+
+    #: Without ``x.{14}y``: subset construction would explode on it.
+    PATTERNS = PORTABLE_PATTERNS[:5]
+
+    def test_rejected_by_every_other_substrate_and_the_other_way(self):
+        machine = compile_patterns(self.PATTERNS)
+        portable_artifact = CompiledArtifact.from_mapping(
+            compile_automaton(machine, CA_P)
+        )
+        eager = create_backend("eager-dfa", portable_artifact)
+        whole = eager.scan(PORTABLE_STREAM).report_offsets()
+        for cut in PORTABLE_CUTS:
+            head = eager.scan(PORTABLE_STREAM[:cut])
+            assert head.checkpoint.dialect == "eager-dfa"
+            tail = eager.scan(PORTABLE_STREAM[cut:], resume=head.checkpoint)
+            assert sorted(
+                set(head.report_offsets()) | set(tail.report_offsets())
+            ) == whole
+        for label, (name, options) in SUBSTRATES.items():
+            other = create_backend(name, portable_artifact, **options)
+            with pytest.raises(SimulationError, match="eager-dfa"):
+                other.scan(b"tail", resume=head.checkpoint)
+            with pytest.raises(SimulationError, match="eager-dfa"):
+                eager.scan(b"tail", resume=other.scan(b"head").checkpoint)
+        for state in (-1, 1 << 40):  # marked like its own, but no state of it
+            with pytest.raises(SimulationError, match="different automaton"):
+                eager.scan(b"tail", resume=Checkpoint(3, state, False, "eager-dfa"))
+
+    def test_survives_the_wire_codec(self):
+        marked = Checkpoint(7, 5, False, "eager-dfa")
+        assert decode_checkpoint(encode_checkpoint(marked)) == marked
+        plain = Checkpoint(7, 1 << 70, True)
+        assert len(encode_checkpoint(plain)) == 3
+        assert decode_checkpoint(encode_checkpoint(plain)) == plain
+        assert decode_checkpoint([7, hex(1 << 70), True]) == plain
+
+    @pytest.mark.parametrize("scan_workers", [0, 1])
+    def test_resumes_itself_and_is_refused_across_the_pipe(self, scan_workers):
+        data = PORTABLE_STREAM
+
+        async def scenario():
+            service = ScanService(
+                workers=1, scan_workers=scan_workers, cache=False
+            )
+            service.register("eager", self.PATTERNS, backend="eager-dfa")
+            service.register("lazy", self.PATTERNS, backend="lazy-dfa")
+            await service.start()
+            try:
+                whole = await service.scan("eager", data)
+                head = await service.scan("eager", data[:37])
+                tail = await service.scan(
+                    "eager", data[37:], resume=head.checkpoint
+                )
+                with pytest.raises(SimulationError, match="eager-dfa"):
+                    await service.scan("lazy", data[37:], resume=head.checkpoint)
+                return whole, head, tail
+            finally:
+                await service.stop()
+
+        whole, head, tail = asyncio.run(scenario())
+        assert head.checkpoint.dialect == "eager-dfa"
+        assert rows_of(head) + rows_of(tail) == rows_of(whole)
+
+
+# -- guard --------------------------------------------------------------------
+
+#: What only ``sim/kernel.py`` may do under ``src/repro``, as a pattern
+#: over comment- and string-free source, and who else may, with why.
+KERNEL_ONLY = {
+    "constructs a Checkpoint": (
+        r"(?<![\w.])Checkpoint\s*\(",
+        {
+            "backends/cpu.py": "its vector is a minimised-DFA state id: "
+            "written under a marked dialect nothing else reads",
+        },
+    ),
+    "loops over CHUNK_SYMBOLS": (
+        r"\bCHUNK_SYMBOLS\b",
+        {
+            "faults/injector.py": "the fault harness intervenes between "
+            "cycles and between the gather and the enabled-AND",
+        },
+    ),
+    "turns a reporting row into Reports": (
+        r"(?<![\w.])Report\s*\(",
+        {
+            "backends/cpu.py": "no reporting row: determinisation erased "
+            "STE identity, reports carry offsets only",
+            "sim/circuit.py": "set-based counter/gate interpreter, runs "
+            "on no packed kernel",
+            "sim/crossbar.py": "bit-level switch model, reads partition "
+            "slots, not packed rows",
+            "service/net.py": "decodes wire rows, not reporting rows",
+        },
+    ),
+}
+
+
+def test_one_way_in_and_out_of_the_packed_kernel():
+    """A second entry, drive loop, exit or row decoder fails here instead
+    of in review; so does reaching into ``sim/shard.py``'s privates."""
+    root = Path(repro.__file__).parent
+    sources = {
+        path.relative_to(root).as_posix(): path for path in root.rglob("*.py")
+    }
+    code = {name: _code_only(path) for name, path in sources.items()}
+    for what, (pattern, allowed) in KERNEL_ONLY.items():
+        doing = {name for name in code if re.search(pattern, code[name])}
+        assert doing == {"sim/kernel.py", *allowed}, what
+
+    reaching = []
+    for name, path in sources.items():
+        if re.search(r"\bshard\s*\.\s*_[a-z]", code[name]):
+            reaching.append(name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "repro.sim.shard":
+                if any(alias.name.startswith("_") for alias in node.names):
+                    reaching.append(name)
+    assert reaching == []

@@ -16,11 +16,7 @@ import warnings
 import pytest
 
 from repro.backends.artifact import CompiledArtifact
-from repro.backends.hybrid import (
-    FALLBACK_SUBSTRATE,
-    HybridBackend,
-    HybridCheckpoint,
-)
+from repro.backends.hybrid import FALLBACK_SUBSTRATE, HybridBackend
 from repro.backends.registry import create_backend
 from repro.compiler import compile_automaton
 from repro.compiler.classify import (
@@ -236,9 +232,14 @@ class TestHybridBackend:
                     for r in result.reports
                 )
                 checkpoint = result.checkpoint
-                assert isinstance(checkpoint, HybridCheckpoint)
+                # A plain checkpoint in the whole artifact's placement
+                # layout: nothing hybrid-specific rides on it.
+                assert type(checkpoint) is Checkpoint
+                assert checkpoint.dialect is None
             assert sorted(reports) == golden_reports
-            assert checkpoint.symbols_processed == len(DATA)
+            assert checkpoint == create_backend(
+                "packed-kernel", mixed_artifact
+            ).scan(DATA).checkpoint
 
     def test_scan_many_identical(self, mixed_artifact, golden_reports):
         backend = create_backend("hybrid", mixed_artifact)
@@ -256,22 +257,27 @@ class TestHybridBackend:
         assert result.profile.reports == len(golden_reports)
 
     def test_foreign_checkpoint_rejected(self, mixed_artifact):
+        """Foreign now means what it means everywhere: a checkpoint in
+        a marked dialect (eager-dfa's state id), or a vector naming
+        state bits this artifact's placement does not have."""
         backend = create_backend("hybrid", mixed_artifact)
-        plain = Checkpoint(
-            symbols_processed=3,
-            active_state_vector=0,
-            start_of_data_pending=False,
-        )
-        with pytest.raises(SimulationError):
-            backend.scan(b"abc", resume=plain)
-        wrong_arity = HybridCheckpoint(
-            symbols_processed=3,
-            active_state_vector=0,
-            start_of_data_pending=False,
-            group_checkpoints=(None,),
-        )
-        with pytest.raises(SimulationError):
-            backend.scan(b"abc", resume=wrong_arity)
+        eager = create_backend("eager-dfa", _artifact(FRIENDLY_PATTERNS))
+        with pytest.raises(SimulationError, match="eager-dfa"):
+            backend.scan(b"abc", resume=eager.scan(b"abc").checkpoint)
+        placement = mixed_artifact.mapping
+        n_bits = placement.partition_count * placement.design.partition_size
+        # Too wide; a padding bit; negative (no lowest set bit to end on).
+        for vector in (1 << n_bits, 1 << (n_bits - 1), -1):
+            foreign = Checkpoint(
+                symbols_processed=3,
+                active_state_vector=vector,
+                start_of_data_pending=False,
+            )
+            with pytest.raises(SimulationError, match="different automaton"):
+                backend.scan(b"abc", resume=foreign)
+        # A plain checkpoint that does fit is just a resume point.
+        plain = Checkpoint(3, 0, False)
+        assert backend.scan(b"cat", resume=plain).report_offsets() == [5]
 
     def test_group_degrades_to_golden(self, mixed_artifact, golden_reports):
         backend = create_backend("hybrid", mixed_artifact)

@@ -157,13 +157,12 @@ class TestWorkerSpan:
 
         def span(data, checkpoint, chunk_bytes, deadline_at):
             kind, body = procpool._worker_scan_span(
-                spec, data, procpool._cursor(checkpoint),
+                spec, data, checkpoint,
                 chunk_bytes, deadline_at, True,
             )
             if kind == "raw":
-                base = 0 if checkpoint is None else checkpoint.symbols_processed
-                result = state.engine.backend.materialise_raw(body, base, True)
-                return rows(result.reports), result.checkpoint, body[4]
+                result = state.engine.backend.materialise_raw(body, True)
+                return rows(result.reports), result.checkpoint, body[3]
             reports, after, consumed = body
             return rows(reports), after, consumed
 
