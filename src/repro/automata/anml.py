@@ -14,10 +14,11 @@ and the ANMLZoo benchmarks (the subset this library needs).
 
 from __future__ import annotations
 
+import json
 import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set
 
 import numpy as np
 
@@ -55,6 +56,11 @@ class StartKind(Enum):
     START_OF_DATA = "start-of-data"
     #: Active for every input symbol (unanchored search).
     ALL_INPUT = "all-input"
+
+
+#: Start kinds in the order :meth:`HomogeneousAutomaton.to_arrays` numbers
+#: them (part of the stored layout).
+_START_KINDS = tuple(StartKind)
 
 
 @dataclass(frozen=True)
@@ -277,19 +283,180 @@ class HomogeneousAutomaton:
 
     def relabelled(self, prefix: str) -> "HomogeneousAutomaton":
         """A copy with states renamed ``{prefix}0..{prefix}N`` (stable order)."""
-        names = {old: f"{prefix}{index}" for index, old in enumerate(self._stes)}
         renamed = HomogeneousAutomaton(self.automaton_id)
+        self._insert_into(renamed, prefix)
+        return renamed
+
+    def _insert_into(self, other: "HomogeneousAutomaton", prefix: str):
+        """Add this automaton's states, renamed ``{prefix}0..{prefix}N`` in
+        their own order, and its edges to ``other``."""
+        names = {old: f"{prefix}{index}" for index, old in enumerate(self._stes)}
         for old_id, ste in self._stes.items():
-            renamed.add_ste(
+            other.add_ste(
                 names[old_id],
                 ste.symbols,
                 start=ste.start,
                 reporting=ste.reporting,
                 report_code=ste.report_code,
             )
-        for source, target in self.edges():
-            renamed.add_edge(names[source], names[target])
-        return renamed
+        for source, target in self.edges_unordered():
+            other.add_edge(names[source], names[target])
+
+    # -- array form ----------------------------------------------------------
+
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """The automaton as flat arrays, the inverse of :meth:`from_arrays`.
+
+        The layout is :meth:`edge_index_arrays`'s: per-state columns in
+        sorted-id order, edges as index pairs into it, in (source, target)
+        order — equal automata give equal arrays whatever order their
+        successor sets iterate in.  ``order`` lists the states in
+        insertion order, which ``stes()`` exposes and a copy must keep.
+        The columns index tables of the *distinct* symbol masks and
+        report codes; strings travel as one JSON document (lossless for
+        any ``str``).
+        """
+        edge_arrays = self.edge_index_arrays()
+        masks: Dict[int, int] = {}
+        codes: Dict[str, int] = {}
+        mask_of, start, reporting, code_of = [], [], [], []
+        for ste in map(self._stes.__getitem__, edge_arrays.ids):
+            mask_of.append(masks.setdefault(ste.symbols.mask, len(masks)))
+            start.append(_START_KINDS.index(ste.start))
+            reporting.append(ste.reporting)
+            code_of.append(
+                -1
+                if ste.report_code is None
+                else codes.setdefault(ste.report_code, len(codes))
+            )
+        edge_order = edge_arrays.argsort_edges()
+        names = json.dumps(
+            {
+                "id": self.automaton_id,
+                "ids": edge_arrays.ids,
+                "codes": list(codes),
+            }
+        )
+        return {
+            "names": np.frombuffer(names.encode("ascii"), dtype=np.uint8),
+            "order": np.fromiter(
+                map(edge_arrays.index.__getitem__, self._stes),
+                dtype=np.int32,
+                count=len(self._stes),
+            ),
+            "masks": np.frombuffer(
+                b"".join(mask.to_bytes(32, "little") for mask in masks),
+                dtype=np.uint8,
+            ).reshape(len(masks), 32),
+            "mask_of": np.asarray(mask_of, dtype=np.int32),
+            "start": np.asarray(start, dtype=np.uint8),
+            "reporting": np.asarray(reporting, dtype=np.bool_),
+            "code_of": np.asarray(code_of, dtype=np.int32),
+            "sources": edge_arrays.sources[edge_order],
+            "targets": edge_arrays.targets[edge_order],
+        }
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray]
+    ) -> "HomogeneousAutomaton":
+        """Rebuild an automaton from :meth:`to_arrays` output in bulk.
+
+        The arrays may come from disk, so everything :meth:`add_ste` and
+        :meth:`add_edge` would have refused is refused here too — duplicate
+        ids, empty symbol sets, edges to unknown states — along with any
+        missing member, wrong shape or out-of-range index, all as
+        :class:`AutomatonError`.  The edge arrays arrive in
+        :meth:`edge_index_arrays`'s own layout, so that view is installed
+        rather than derived again from the sets just built from it.
+        """
+        try:
+            names = json.loads(bytes(arrays["names"]))
+            automaton_id, ids, codes = names["id"], names["ids"], names["codes"]
+            order = np.asarray(arrays["order"], dtype=np.int32)
+            masks = np.asarray(arrays["masks"], dtype=np.uint8)
+            mask_of = np.asarray(arrays["mask_of"], dtype=np.int32)
+            start = np.asarray(arrays["start"], dtype=np.uint8)
+            reporting = np.asarray(arrays["reporting"], dtype=np.bool_)
+            code_of = np.asarray(arrays["code_of"], dtype=np.int32)
+            sources = np.asarray(arrays["sources"], dtype=np.int32)
+            targets = np.asarray(arrays["targets"], dtype=np.int32)
+        except (KeyError, TypeError, ValueError) as error:
+            raise AutomatonError(
+                f"unreadable automaton arrays: {type(error).__name__}: {error}"
+            ) from None
+
+        def within(column: np.ndarray, low: int, high: int) -> bool:
+            return column.size == 0 or (
+                int(column.min()) >= low and int(column.max()) < high
+            )
+
+        count = len(ids) if isinstance(ids, list) else -1
+        if not (
+            isinstance(automaton_id, str)
+            and isinstance(codes, list)
+            and count >= 0
+            and set(map(type, ids)) <= {str}
+            and set(map(type, codes)) <= {str}
+            and masks.ndim == 2
+            and masks.shape[1] == 32
+            and all(
+                column.shape == (count,)
+                for column in (order, mask_of, start, reporting, code_of)
+            )
+            and sources.ndim == 1
+            and sources.shape == targets.shape
+            and within(mask_of, 0, masks.shape[0])
+            and within(start, 0, len(_START_KINDS))
+            and within(code_of, -1, len(codes))
+            and within(sources, 0, count)
+            and within(targets, 0, count)
+        ):
+            raise AutomatonError("malformed automaton arrays")
+        index = dict(zip(ids, range(count)))
+        if len(index) != count or ids != sorted(ids):
+            raise AutomatonError("automaton arrays repeat or misorder STE ids")
+        if not np.array_equal(np.sort(order), np.arange(count)):
+            raise AutomatonError("automaton arrays' order is no permutation")
+        edge_keys = sources.astype(np.int64) * count + targets
+        if not (edge_keys[1:] > edge_keys[:-1]).all():
+            raise AutomatonError("automaton arrays repeat or misorder edges")
+        if masks.shape[0] and not masks.any(axis=1).all():
+            raise AutomatonError("automaton arrays hold an empty symbol set")
+        symbol_sets = [
+            SymbolSet.from_mask(int.from_bytes(row.tobytes(), "little"))
+            for row in masks
+        ]
+        codes.append(None)  # what code_of's -1 selects
+        stes = list(
+            map(
+                Ste,
+                ids,
+                map(symbol_sets.__getitem__, mask_of.tolist()),
+                map(_START_KINDS.__getitem__, start.tolist()),
+                reporting.tolist(),
+                map(codes.__getitem__, code_of.tolist()),
+            )
+        )
+        automaton = cls(automaton_id)
+        automaton._stes = {
+            ste.ste_id: ste for ste in map(stes.__getitem__, order.tolist())
+        }
+        successors = automaton._successors = {
+            ste_id: set() for ste_id in automaton._stes
+        }
+        predecessors = automaton._predecessors = {
+            ste_id: set() for ste_id in automaton._stes
+        }
+        for source, target in zip(
+            map(ids.__getitem__, sources.tolist()),
+            map(ids.__getitem__, targets.tolist()),
+        ):
+            successors[source].add(target)
+            predecessors[target].add(source)
+        automaton._edge_arrays = EdgeIndexArrays(ids, index, sources, targets)
+        automaton._edge_arrays_version = automaton._mutation_version
+        return automaton
 
     def __repr__(self) -> str:
         return (
@@ -305,17 +472,7 @@ def merge(
     """Disjoint union of homogeneous automata (multi-pattern machine)."""
     combined = HomogeneousAutomaton(automaton_id)
     for index, automaton in enumerate(automata):
-        part = automaton.relabelled(f"m{index}_")
-        for ste in part.stes():
-            combined.add_ste(
-                ste.ste_id,
-                ste.symbols,
-                start=ste.start,
-                reporting=ste.reporting,
-                report_code=ste.report_code,
-            )
-        for source, target in part.edges():
-            combined.add_edge(source, target)
+        automaton._insert_into(combined, f"m{index}_")
     return combined
 
 

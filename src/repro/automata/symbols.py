@@ -13,7 +13,7 @@ character classes: single symbols, ranges, unions, complements, and the
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -242,6 +242,29 @@ class SymbolSet:
 
     def __repr__(self) -> str:
         return f"SymbolSet({self.canonical_expression()})"
+
+
+def byte_signatures(labelled_bits: Iterable[Tuple[int, int]]) -> List[int]:
+    """Per-byte OR of the ``bits`` of every ``(mask, bits)`` pair whose
+    256-bit symbol ``mask`` contains the byte.
+
+    With one pair per state and ``bits`` the state's position bit, entry
+    ``b`` is the set of states matching byte ``b`` — a kernel's match
+    table, a component's alphabet signature.  A ruleset has thousands of
+    states but a few dozen distinct masks, many of them wide (``.`` is
+    256 bits), so the bits are ORed per distinct mask first and each
+    mask's members walked once.
+    """
+    by_mask: dict[int, int] = {}
+    for mask, bits in labelled_bits:
+        by_mask[mask] = by_mask.get(mask, 0) | bits
+    signatures = [0] * ALPHABET_SIZE
+    for mask, bits in by_mask.items():
+        while mask:
+            low_bit = mask & -mask
+            signatures[low_bit.bit_length() - 1] |= bits
+            mask ^= low_bit
+    return signatures
 
 
 def equivalence_classes(

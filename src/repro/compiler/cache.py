@@ -1,43 +1,56 @@
 """Content-addressed on-disk cache for compiled artefacts.
 
-Compiling an automaton is deterministic in exactly two inputs: the
-automaton's structure (states, labels, flags, edges) and the design
-point.  This module hashes both into one cache key and persists the
-expensive products of compilation — the placement, the packed simulator
-tables, and the configuration bitstream — under a versioned directory
-(``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), so repeated engine
-construction over the same workload skips the compiler and the
-simulator-table build entirely.
+Everything between a pattern list and a ready backend is a pure function
+of its inputs, so every stage's product is an entry of this cache, under
+a versioned directory (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), and
+a warm start is "read, verify, build the backend" and nothing else.
+There are two levels of key:
 
-Key scheme / invalidation rules:
+* the **source key** (:func:`source_key`) hashes what the regex front
+  end reads — :data:`FRONT_END_VERSION`, the ordered pattern list, the
+  report codes, the automaton id — and addresses the *compiled
+  automaton* (``<key>.automaton.npz``: the arrays of
+  :meth:`~repro.automata.anml.HomogeneousAutomaton.to_arrays` plus the
+  key and the automaton's fingerprint), so ``from_patterns`` rebuilds the
+  automaton in bulk instead of parsing and merging again.  Reordering
+  the list, editing a rule or a rule id, or bumping the version constant
+  gives another key; stale entries are never looked up again;
+* the **artefact key** (:func:`cache_key`) hashes the two inputs of the
+  compiler proper and addresses the placement, the packed simulator
+  tables, the per-component classification (the ``auto=True`` placement
+  decision), and the configuration bitstream:
 
-* the **automaton fingerprint** hashes the canonically ordered state
-  list (ids sorted), each state's symbol mask / start kind / report
-  flags, and the canonically ordered edge list — any structural change
-  changes the key (the hash is memoised on the automaton's mutation
-  counter, so unchanged automata fingerprint once per process);
-* the **design fingerprint** hashes every field of the
-  :class:`~repro.core.design.DesignPoint`, so any parameter change
-  (partition size, wire budgets, geometry, clock) busts the key;
+  * the **automaton fingerprint** hashes the canonically ordered state
+    list (ids sorted), each state's symbol mask / start kind / report
+    flags, and the canonically ordered edge list — any structural change
+    changes the key (the hash is memoised on the automaton's mutation
+    counter, so unchanged automata fingerprint once per process; a
+    rebuilt automaton pays it once, as its own verification);
+  * the **design fingerprint** hashes every field of the
+    :class:`~repro.core.design.DesignPoint`, so any parameter change
+    (partition size, wire budgets, geometry, clock) busts the key;
 * the cache directory embeds :data:`CACHE_FORMAT_VERSION` (which also
   folds in the mapping serialisation format version), so artefact-layout
   changes simply start a fresh namespace — stale artefacts are never
   reinterpreted.
 
-The payload layout itself is owned by
-:class:`repro.backends.artifact.CompiledArtifact` — this module only
-addresses, stores, and quarantines it.  Artefacts store the fingerprints
-they were written under and are re-verified on load; mismatches and
-unreadable files count as misses, never errors.  Corrupt artefacts are additionally *quarantined*
-(deleted) so every subsequent warm start does not re-hit the same bad
-file, and transient I/O errors are retried with bounded, jittered
-exponential backoff before the cache degrades to a cold compile
-(:class:`~repro.errors.DegradedModeWarning` is emitted when it does).
+The artefact payload layout is owned by
+:class:`repro.backends.artifact.CompiledArtifact` and the automaton's by
+:class:`~repro.automata.anml.HomogeneousAutomaton` — this module only
+addresses, stores, and quarantines them.  Entries store the keys and
+fingerprints they were written under and are re-verified on load;
+mismatches and unreadable files count as misses, never errors.  Corrupt
+entries are additionally *quarantined* (deleted) so every subsequent
+warm start does not re-hit the same bad file, and transient I/O errors
+are retried with bounded, jittered exponential backoff before the cache
+degrades to a cold compile (:class:`~repro.errors.DegradedModeWarning`
+is emitted when it does).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -47,21 +60,30 @@ import warnings
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
-from repro.automata.anml import HomogeneousAutomaton
+from repro.automata.anml import HomogeneousAutomaton, StartKind
 from repro.compiler.mapping import Mapping
 from repro.compiler.serialize import FORMAT_VERSION as MAPPING_FORMAT_VERSION
 from repro.core.design import DesignPoint
-from repro.errors import ArtifactError, DegradedModeWarning
+from repro.errors import ArtifactError, AutomatonError, DegradedModeWarning
+
+_Entry = TypeVar("_Entry")
 
 #: Environment override for the cache directory root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Bump when the artefact layout changes; versions the cache namespace.
 CACHE_FORMAT_VERSION = 1
+
+#: Bump whenever the regex front end (parser, Glushkov construction,
+#: ``merge``'s state naming) would compile some pattern list to a
+#: different automaton, or the stored automaton's array layout changes.
+#: It is hashed into every source key, so entries written by the older
+#: front end are simply never looked up again.
+FRONT_END_VERSION = 1
 
 #: Bounded-retry policy for transient cache I/O errors.
 RETRY_ATTEMPTS = 3
@@ -84,6 +106,9 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
+_START_BYTES = {kind: kind.value.encode("ascii") for kind in StartKind}
+
+
 def automaton_fingerprint(automaton: HomogeneousAutomaton) -> str:
     """Content hash of the automaton's structure (canonical order).
 
@@ -95,15 +120,25 @@ def automaton_fingerprint(automaton: HomogeneousAutomaton) -> str:
         return memo[1]
     digest = hashlib.sha256()
     arrays = automaton.edge_index_arrays()
-    for ste_id in arrays.ids:
-        ste = automaton.ste(ste_id)
-        digest.update(ste_id.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(ste.symbols.mask.to_bytes(32, "little"))
-        digest.update(ste.start.value.encode("ascii"))
-        digest.update(b"R" if ste.reporting else b"-")
-        digest.update((ste.report_code or "").encode("utf-8"))
-        digest.update(b"\x00")
+    # One join and one update for all states: a ruleset has thousands of
+    # states but few distinct masks, whose 32-byte forms are memoised.
+    mask_bytes: Dict[int, bytes] = {}
+    fields = []
+    for ste in map(automaton.ste, arrays.ids):
+        mask = ste.symbols.mask
+        packed = mask_bytes.get(mask)
+        if packed is None:
+            packed = mask_bytes[mask] = mask.to_bytes(32, "little")
+        fields += (
+            ste.ste_id.encode("utf-8"),
+            b"\x00",
+            packed,
+            _START_BYTES[ste.start],
+            b"R" if ste.reporting else b"-",
+            (ste.report_code or "").encode("utf-8"),
+            b"\x00",
+        )
+    digest.update(b"".join(fields))
     order = arrays.argsort_edges()
     digest.update(arrays.sources[order].astype("<i4").tobytes())
     digest.update(arrays.targets[order].astype("<i4").tobytes())
@@ -143,12 +178,27 @@ def cache_key(
     return hashlib.sha256(combined.encode("ascii")).hexdigest()
 
 
+def source_key(
+    patterns: Sequence[str], report_codes: Sequence[str], automaton_id: str
+) -> str:
+    """The content address of the automaton the regex front end compiles
+    from these inputs (order matters: states are named by rule index)."""
+    payload = json.dumps(
+        [FRONT_END_VERSION, automaton_id, list(patterns), list(report_codes)]
+    )
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/bypass accounting for one cache instance.
 
-    ``quarantines`` counts corrupt artefacts deleted on load;
-    ``retries`` counts transient I/O errors that were retried.
+    ``hits``/``misses``/``stores`` count artefact (and bitstream)
+    lookups; compiled-automaton lookups by source key have their own
+    ``automaton_*`` counters, so the artefact hit ratio keeps its
+    meaning.  ``quarantines`` counts corrupt entries of either kind
+    deleted on load; ``retries`` counts transient I/O errors that were
+    retried.
     """
 
     hits: int = 0
@@ -157,16 +207,12 @@ class CacheStats:
     stores: int = 0
     quarantines: int = 0
     retries: int = 0
+    automaton_hits: int = 0
+    automaton_misses: int = 0
+    automaton_stores: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "bypasses": self.bypasses,
-            "stores": self.stores,
-            "quarantines": self.quarantines,
-            "retries": self.retries,
-        }
+        return dict(vars(self))
 
 
 class CompileCache:
@@ -291,6 +337,118 @@ class CompileCache:
             os.unlink(handle.name)
             raise
 
+    def _store_entry(self, path: Path, payload: bytes) -> bool:
+        """Write ``payload`` to ``path`` atomically, retrying transient
+        errors; ``False`` when the directory is unwritable (the cache then
+        behaves as uncached)."""
+        try:
+            self._with_retries(lambda: self._write_atomic(path, payload))
+        except OSError:
+            return False
+        return True
+
+    def _load_entry(
+        self, path: Path, decode: Callable[..., _Entry]
+    ) -> Optional[_Entry]:
+        """``decode(members)`` of the ``.npz`` entry at ``path``, or
+        ``None`` on any kind of miss.
+
+        Failure handling: a missing file is a plain miss; transient read
+        errors are retried with backoff, then degrade to a miss with a
+        :class:`DegradedModeWarning`; an entry that is not an archive,
+        whose members do not read back (truncated, failed checksum), or
+        that ``decode`` refuses with :class:`~repro.errors.ArtifactError`
+        (the content address pins the key and the fingerprints, so a
+        mismatch means the file's bytes are wrong) is quarantined.
+        """
+
+        def read() -> _Entry:
+            # The file is opened here, not by numpy, which leaks the
+            # handle when the archive's directory does not parse.
+            with open(path, "rb") as handle:
+                members = np.load(handle, allow_pickle=False)
+                if not hasattr(members, "files"):
+                    raise ArtifactError("a bare array, not an archive")
+                with members:
+                    return decode(members)
+
+        try:
+            return self._with_retries(read)
+        except FileNotFoundError:
+            return None
+        except OSError as error:
+            warnings.warn(
+                f"cache read failed after {self.retry_attempts} attempt(s) "
+                f"({error}); compiling cold",
+                DegradedModeWarning,
+                stacklevel=3,
+            )
+            return None
+        except (
+            ArtifactError, ValueError, zipfile.BadZipFile, EOFError
+        ) as error:
+            self._quarantine(path, str(error))
+            return None
+
+    # -- compiled automata ---------------------------------------------------
+
+    def automaton_path(self, key: str) -> Path:
+        return self._artifact_path(key, ".automaton.npz")
+
+    def store_automaton(
+        self, key: str, automaton: HomogeneousAutomaton
+    ) -> Optional[Path]:
+        """Persist the automaton the front end compiled for source key
+        ``key`` (see :func:`source_key`); returns the entry's path, or
+        ``None`` when the cache is disabled or unwritable."""
+        if not self.enabled:
+            return None
+        path = self.automaton_path(key)
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
+            key=np.asarray(key),
+            fingerprint=np.asarray(automaton_fingerprint(automaton)),
+            **automaton.to_arrays(),
+        )
+        if not self._store_entry(path, buffer.getvalue()):
+            return None
+        self.stats.automaton_stores += 1
+        return path
+
+    def load_automaton(self, key: str) -> Optional[HomogeneousAutomaton]:
+        """The compiled automaton stored under source key ``key``, or
+        ``None`` on a miss.
+
+        The automaton is rebuilt in bulk from the stored arrays and its
+        fingerprint recomputed and compared with the stored one, so a hit
+        is as good as a compile, and the hash — memoised on the automaton
+        — is the one the artefact lookup that follows needs anyway.
+        Failures are handled as :meth:`load_artifact` handles them.
+        """
+        if not self.enabled:
+            return None
+
+        def decode(data) -> HomogeneousAutomaton:
+            try:
+                if str(data["key"]) != key:
+                    raise ArtifactError("stored source key does not match")
+                automaton = HomogeneousAutomaton.from_arrays(data)
+                if str(data["fingerprint"]) != automaton_fingerprint(automaton):
+                    raise ArtifactError(
+                        "stored fingerprint does not match the automaton"
+                    )
+            except (AutomatonError, KeyError) as error:
+                raise ArtifactError(f"unreadable automaton: {error}") from None
+            return automaton
+
+        automaton = self._load_entry(self.automaton_path(key), decode)
+        if automaton is None:
+            self.stats.automaton_misses += 1
+        else:
+            self.stats.automaton_hits += 1
+        return automaton
+
     # -- compiled artifacts ------------------------------------------------
 
     def store_artifact(self, artifact) -> Optional[Path]:
@@ -305,12 +463,8 @@ class CompileCache:
             artifact.design,
             stride=getattr(artifact, "stride", 1),
         )
-        try:
-            self._with_retries(
-                lambda: self._write_atomic(path, artifact.npz_bytes())
-            )
-        except OSError:
-            return None  # unwritable cache dir: behave as uncached
+        if not self._store_entry(path, artifact.npz_bytes()):
+            return None
         self.stats.stores += 1
         return path
 
@@ -327,51 +481,25 @@ class CompileCache:
         The artifact's per-state structures materialise lazily; the hit
         is trusted without re-running constraint checks, because
         artefacts are only ever written after a validated compile and
-        the content address pins both compiler inputs.
-
-        Failure handling: a missing file is a plain miss; transient read
-        errors are retried with backoff, then degrade to a miss with a
-        :class:`DegradedModeWarning`; a corrupt or mismatching artefact
-        (the content address pins both fingerprints, so a mismatch means
-        the file's bytes are wrong — surfaced by the deserialiser as
-        :class:`~repro.errors.ArtifactError`) is quarantined and counts
-        as a miss.
+        the content address pins both compiler inputs.  Failures —
+        missing, unreadable after retries, corrupt or mismatching — are
+        misses, handled as :meth:`_load_entry` describes.
         """
         from repro.backends.artifact import CompiledArtifact
 
         if not self.enabled:
             self.stats.bypasses += 1
             return None
-        path = self.mapping_path(automaton, design, stride=stride)
-        try:
-            data = self._with_retries(
-                lambda: np.load(path, allow_pickle=False)
-            )
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError as error:
-            self.stats.misses += 1
-            warnings.warn(
-                f"cache read failed after {self.retry_attempts} attempt(s) "
-                f"({error}); compiling cold",
-                DegradedModeWarning,
-                stacklevel=2,
-            )
-            return None
-        except (ValueError, zipfile.BadZipFile) as error:
-            self._quarantine(path, str(error))
-            self.stats.misses += 1
-            return None
-        try:
-            artifact = CompiledArtifact.from_payload(
+        artifact = self._load_entry(
+            self.mapping_path(automaton, design, stride=stride),
+            lambda data: CompiledArtifact.from_payload(
                 data, automaton, design, stride=stride
-            )
-        except ArtifactError as error:
-            self._quarantine(path, str(error))
+            ),
+        )
+        if artifact is None:
             self.stats.misses += 1
-            return None
-        self.stats.hits += 1
+        else:
+            self.stats.hits += 1
         return artifact
 
     # -- bitstreams --------------------------------------------------------
@@ -382,9 +510,7 @@ class CompileCache:
             self.stats.bypasses += 1
             return None
         path = self.bitstream_path(mapping.automaton, mapping.design)
-        try:
-            self._with_retries(lambda: self._write_atomic(path, payload))
-        except OSError:
+        if not self._store_entry(path, payload):
             return None
         self.stats.stores += 1
         return path

@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.automata.anml import HomogeneousAutomaton, StartKind
 from repro.automata.components import connected_components
+from repro.automata.symbols import byte_signatures
 from repro.errors import AutomatonError
 
 #: Candidate substrates, in preference order (ties go to the earlier
@@ -172,6 +173,10 @@ class CostModel:
             "dfa_budget": self.dfa_budget,
         }
 
+    def as_row(self) -> List[float]:
+        """The coefficients as the ``classify_model`` table row."""
+        return [float(value) for value in self.as_dict().values()]
+
 
 #: Packed word count of the calibration workload (PowerEN: 1315 states).
 CALIBRATION_WORDS = 21
@@ -186,17 +191,10 @@ def _component_byte_signatures(
     ``b``; bytes with identical signatures are one equivalence class of
     the CC's alphabet.
     """
-    signatures = [0] * 256
-    for position, ste_id in enumerate(members):
-        mask = automaton.ste(ste_id).symbols.mask
-        bit = 1 << position
-        byte = 0
-        while mask:
-            low = mask & -mask
-            byte = low.bit_length() - 1
-            signatures[byte] |= bit
-            mask ^= low
-    return signatures
+    return byte_signatures(
+        (automaton.ste(ste_id).symbols.mask, 1 << position)
+        for position, ste_id in enumerate(members)
+    )
 
 
 def probe_subset_closure(
@@ -204,6 +202,7 @@ def probe_subset_closure(
     members: Sequence[str],
     *,
     budget: Optional[int] = None,
+    signatures: Optional[Sequence[int]] = None,
 ) -> Tuple[int, bool, int]:
     """Bounded subset-closure probe of one CC's scanning semantics.
 
@@ -212,7 +211,8 @@ def probe_subset_closure(
     hash-cons — and stops as soon as more than ``budget`` distinct rows
     exist.  Returns ``(rows_visited, aborted, byte_classes)``; when
     ``aborted`` is True the closure is larger than the budget (possibly
-    exponentially so).
+    exponentially so).  ``signatures`` are the CC's
+    :func:`_component_byte_signatures`, for a caller that already has them.
 
     Deterministic: the worklist is ordered, byte classes are iterated in
     first-occurrence order, and rows are Python ints.
@@ -222,7 +222,8 @@ def probe_subset_closure(
     if budget is None:
         budget = default_probe_budget(len(members))
     position = {ste_id: index for index, ste_id in enumerate(members)}
-    signatures = _component_byte_signatures(automaton, members)
+    if signatures is None:
+        signatures = _component_byte_signatures(automaton, members)
     # Distinct byte classes, in first-byte order.
     classes: List[int] = []
     seen_signatures = set()
@@ -370,14 +371,7 @@ class ComponentClassification:
             ),
             f"{CLASSIFY_PREFIX}substrates": np.asarray(self.substrates),
             f"{CLASSIFY_PREFIX}model": np.asarray(
-                [
-                    self.cost_model.lazy_warm_us,
-                    self.cost_model.lazy_miss_us,
-                    self.cost_model.kernel_base_us,
-                    self.cost_model.kernel_word_us,
-                    float(self.cost_model.dfa_budget),
-                ],
-                dtype=np.float64,
+                self.cost_model.as_row(), dtype=np.float64
             ),
         }
 
@@ -448,6 +442,32 @@ class ComponentClassification:
         )
 
 
+def cached_substrates(
+    tables: Dict[str, np.ndarray]
+) -> Optional[List[str]]:
+    """Each component's substrate as ``classify_*`` tables recorded it —
+    what :func:`classify_automaton` with default arguments would assign —
+    or ``None`` when the tables cannot stand in for that call: absent,
+    written under another :data:`CLASSIFY_TABLE_VERSION`, substrate list
+    or :class:`CostModel`, or malformed.
+    """
+    try:
+        if (
+            int(tables[f"{CLASSIFY_PREFIX}version"]) != CLASSIFY_TABLE_VERSION
+            or tuple(tables[f"{CLASSIFY_PREFIX}substrates"].tolist())
+            != SUBSTRATES
+            or tables[f"{CLASSIFY_PREFIX}model"].tolist()
+            != CostModel().as_row()
+        ):
+            return None
+        assignment = tables[f"{CLASSIFY_PREFIX}assignment"].tolist()
+        if min(assignment, default=0) < 0:
+            return None
+        return [SUBSTRATES[index] for index in assignment]
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError):
+        return None
+
+
 def classify_automaton(
     automaton: HomogeneousAutomaton,
     *,
@@ -470,15 +490,14 @@ def classify_automaton(
     assignment = np.zeros(len(components), dtype=np.int32)
     for index, members in enumerate(components):
         state_count = len(members)
+        member_set = set(members)
         edge_count = sum(
-            1
+            len(automaton.successors(ste_id) & member_set)
             for ste_id in members
-            for target in automaton.successors(ste_id)
-            if target in set(members)
         )
         signatures = _component_byte_signatures(automaton, members)
         probe_states, aborted, byte_classes = probe_subset_closure(
-            automaton, members, budget=probe_budget
+            automaton, members, budget=probe_budget, signatures=signatures
         )
         starts = [
             automaton.ste(ste_id).start

@@ -56,7 +56,12 @@ from repro.backends.validation import (
 )
 from repro.baselines.ap import ApModel
 from repro.compiler import Mapping, compile_automaton, compile_space_optimized
-from repro.compiler.cache import CompileCache
+from repro.compiler.cache import CacheStats, CompileCache, source_key
+from repro.compiler.classify import (
+    ComponentClassification,
+    cached_substrates,
+    classify_automaton,
+)
 from repro.core.design import CA_P, DesignPoint
 from repro.core.energy import ActivityProfile, EnergyModel
 from repro.errors import DegradedModeWarning, ReproError, SimulationError
@@ -273,11 +278,14 @@ class CacheAutomatonEngine:
         partitions the ruleset per connected component across substrates
         (see :mod:`repro.backends.hybrid`).  ``auto=True`` (default off)
         is the placement policy knob: when no backend is named, the
-        engine runs the per-CC classifier
-        (:mod:`repro.compiler.classify`) and picks the substrate itself
-        — ``hybrid`` when components disagree about their best
-        substrate, the single agreed substrate otherwise; the decision
-        is recorded in :meth:`health`.  ``backend_options`` are passed
+        engine picks the substrate itself from the per-CC classification
+        (:mod:`repro.compiler.classify`) — ``hybrid`` when components
+        disagree about their best substrate, the single agreed substrate
+        otherwise; the decision is recorded in :meth:`health`.  The
+        classification is a compile product like the placement: it is
+        read from the cached artifact when that carries one, the
+        classifier runs only when it does not, and whatever it found is
+        stored with the artifact.  ``backend_options`` are passed
         through to the backend's ``from_artifact``.
         ``scan_jobs`` presets the worker count for process-sharded
         ``scan_many`` on backends that support it (the lazy-DFA
@@ -325,10 +333,6 @@ class CacheAutomatonEngine:
         )
         backend_name = self._requested_backend or DEFAULT_BACKEND
         backend_options = dict(backend_options or {})
-        if auto and self._requested_backend is None:
-            backend_name = self._auto_placement(
-                automaton, optimize, backend_options
-            )
         if scan_jobs is not None:
             backend_options.setdefault("jobs", scan_jobs)
         if split_jobs is not None:
@@ -353,7 +357,42 @@ class CacheAutomatonEngine:
         backend_options.setdefault("stride", stride)
         engine_backend: Optional[AutomatonBackend] = None
         artifact: Optional[CompiledArtifact] = None
+        loaded: Optional[CompiledArtifact] = None
+        classification: Optional[ComponentClassification] = None
         recompiling = False
+
+        if self._cache is not None and not optimize:
+            # load_artifact quarantines (deletes + warns about) corrupt
+            # artifacts itself; the stats delta tells us it happened.
+            quarantines_before = self._cache.stats.quarantines
+            loaded = self._cache.load_artifact(
+                automaton, design, stride=stride
+            )
+            if self._cache.stats.quarantines > quarantines_before:
+                recompiling = True
+                self._health_events.append(
+                    "quarantined corrupt cache artifact"
+                )
+        if auto and self._requested_backend is None:
+            substrates = (
+                None
+                if loaded is None
+                else cached_substrates(loaded.classify_tables)
+            )
+            if substrates is None:
+                classification = classify_automaton(automaton)
+                substrates = [
+                    classification.backend_of(index)
+                    for index in range(classification.component_count)
+                ]
+                if not optimize:
+                    # The mapped automaton is the input automaton here,
+                    # so a hybrid backend can build its groups from this
+                    # classification as it stands.
+                    backend_options.setdefault(
+                        "classification", classification
+                    )
+            backend_name = self._auto_placement(substrates)
 
         if optimize:
             if self._cache is not None:
@@ -366,20 +405,6 @@ class CacheAutomatonEngine:
             # rederive the alphabet from the kernel it actually runs.
             artifact = CompiledArtifact.from_mapping(mapping)
         else:
-            loaded = None
-            if self._cache is not None:
-                # load_artifact quarantines (deletes + warns about)
-                # corrupt artifacts itself; the stats delta tells us it
-                # happened.
-                quarantines_before = self._cache.stats.quarantines
-                loaded = self._cache.load_artifact(
-                    automaton, design, stride=stride
-                )
-                if self._cache.stats.quarantines > quarantines_before:
-                    recompiling = True
-                    self._health_events.append(
-                        "quarantined corrupt cache artifact"
-                    )
             if loaded is not None:
                 try:
                     engine_backend = self._create_backend(
@@ -431,18 +456,24 @@ class CacheAutomatonEngine:
             self._cache is not None
             and not optimize
             and self._tier is not TIER_GOLDEN
-            and not artifact.kernel_tables
         ):
             stored = artifact
-            if hasattr(engine_backend, "packed_tables"):
-                stored = artifact.with_kernel_tables(
+            if not artifact.kernel_tables and hasattr(
+                engine_backend, "packed_tables"
+            ):
+                stored = stored.with_kernel_tables(
                     engine_backend.packed_tables()
                 )
-            if not artifact.classify_tables and hasattr(
+            # Persist the per-CC classification, whichever of the two
+            # ran the classifier, so warm starts skip the subset-closure
+            # probes; the engine's own supersedes tables it did not trust.
+            if classification is not None:
+                stored = stored.with_classify_tables(
+                    classification.to_tables()
+                )
+            elif not artifact.classify_tables and hasattr(
                 engine_backend, "classify_tables"
             ):
-                # Persist the per-CC classification so warm hybrid
-                # starts skip the subset-closure probes.
                 stored = stored.with_classify_tables(
                     engine_backend.classify_tables()
                 )
@@ -457,37 +488,22 @@ class CacheAutomatonEngine:
         self.automaton = artifact.automaton
         self._profile = ActivityProfile()
 
-    def _auto_placement(
-        self,
-        automaton: HomogeneousAutomaton,
-        optimize: bool,
-        backend_options: Dict[str, object],
-    ) -> str:
-        """The ``auto=True`` policy: classify the ruleset's components
-        and pick the substrate — ``hybrid`` when components disagree,
-        the single agreed substrate otherwise.  Records the decision as
-        a health event."""
-        from repro.compiler.classify import classify_automaton
-
-        classification = classify_automaton(automaton)
-        substrates = {
-            classification.backend_of(index)
-            for index in range(classification.component_count)
-        }
-        if len(substrates) > 1:
+    def _auto_placement(self, substrates: Sequence[str]) -> str:
+        """The ``auto=True`` policy over the components' substrates, one
+        entry per component: ``hybrid`` when they disagree, the single
+        agreed substrate otherwise.  Records the decision as a health
+        event."""
+        distinct = set(substrates)
+        if len(distinct) > 1:
             chosen = "hybrid"
-            if not optimize:
-                # The mapped automaton is the input automaton here, so
-                # the decision's classification is reusable as-is.
-                backend_options.setdefault("classification", classification)
-        elif substrates:
-            chosen = resolve_backend_name(next(iter(substrates)))
+        elif distinct:
+            chosen = resolve_backend_name(next(iter(distinct)))
         else:
             chosen = DEFAULT_BACKEND
         self._health_events.append(
             f"auto placement selected {chosen} "
-            f"({classification.component_count} components over "
-            f"{max(1, len(substrates))} substrate(s))"
+            f"({len(substrates)} components over "
+            f"{max(1, len(distinct))} substrate(s))"
         )
         return chosen
 
@@ -584,17 +600,11 @@ class CacheAutomatonEngine:
 
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss/bypass/store counts for this engine's artifact cache
-        (all zero when caching is disabled)."""
-        if self._cache is None:
-            return {
-                "hits": 0,
-                "misses": 0,
-                "bypasses": 0,
-                "stores": 0,
-                "quarantines": 0,
-                "retries": 0,
-            }
-        return self._cache.stats.as_dict()
+        (all zero when caching is disabled); the compiled-automaton
+        lookups of :meth:`from_patterns` are counted apart, under
+        ``automaton_*``."""
+        stats = CacheStats() if self._cache is None else self._cache.stats
+        return stats.as_dict()
 
     # -- constructors ------------------------------------------------------
 
@@ -615,12 +625,31 @@ class CacheAutomatonEngine:
         backend_options: Optional[Dict[str, object]] = None,
         auto: bool = False,
     ) -> "CacheAutomatonEngine":
-        """Compile a regex rule set; matches carry the rule id."""
+        """Compile a regex rule set; matches carry the rule id.
+
+        The compiled automaton is itself a cache entry, addressed by the
+        pattern list, the rule ids and the front-end version
+        (:func:`~repro.compiler.cache.source_key`): with a populated
+        cache the regex front end does not run, the automaton is rebuilt
+        from stored arrays and re-verified by its fingerprint.  A corrupt
+        entry is quarantined and the patterns compiled as on a miss.
+        """
         codes = list(rule_ids) if rule_ids is not None else list(patterns)
-        machine = compile_patterns(
-            patterns, report_codes=codes, automaton_id="engine"
-        )
-        return cls(
+        cache = _resolve_cache(cache)
+        machine = key = None
+        quarantined = False
+        if cache is not None and not optimize:
+            key = source_key(patterns, codes, "engine")
+            quarantines_before = cache.stats.quarantines
+            machine = cache.load_automaton(key)
+            quarantined = cache.stats.quarantines > quarantines_before
+        if machine is None:
+            machine = compile_patterns(
+                patterns, report_codes=codes, automaton_id="engine"
+            )
+            if key is not None:
+                cache.store_automaton(key, machine)
+        engine = cls(
             machine,
             design=design,
             optimize=optimize,
@@ -633,6 +662,11 @@ class CacheAutomatonEngine:
             backend_options=backend_options,
             auto=auto,
         )
+        if quarantined:
+            engine._health_events.append(
+                "quarantined corrupt cached automaton; patterns recompiled"
+            )
+        return engine
 
     @classmethod
     def from_anml(

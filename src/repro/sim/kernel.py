@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.automata.anml import HomogeneousAutomaton, StartKind
+from repro.automata.symbols import byte_signatures
 from repro.backends.validation import as_symbols
 from repro.errors import FaultError, SimulationError
 
@@ -337,7 +338,7 @@ class BitsetKernel:
         for source, target in automaton.edges_unordered():
             successor_masks[bit_of[source]] |= 1 << bit_of[target]
         start_all = start_sod = report_mask = 0
-        match_table = [0] * 256
+        labelled_bits = []
         for ste in automaton.stes():
             bit = 1 << bit_of[ste.ste_id]
             if ste.start is StartKind.ALL_INPUT:
@@ -346,8 +347,8 @@ class BitsetKernel:
                 start_sod |= bit
             if ste.reporting:
                 report_mask |= bit
-            for symbol in ste.symbols:
-                match_table[symbol] |= bit
+            labelled_bits.append((ste.symbols.mask, bit))
+        match_table = byte_signatures(labelled_bits)
         return cls(
             n_bits, successor_masks, match_table,
             start_all, start_sod, report_mask,

@@ -1,5 +1,7 @@
 """Tests for the homogeneous automaton model and ANML XML round-tripping."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.automata.anml import (
@@ -91,6 +93,34 @@ class TestModel:
         assert len(combined) == 4
         # Reports double up but offsets are identical.
         assert match_offsets(combined, b"ab") == [1]
+
+    def test_merge_names_states_by_part_and_position(self):
+        """``merge`` renames while inserting: ids are ``m{part}_{n}`` in
+        each part's own state order, parts in list order, and every part's
+        states, flags and edges arrive under the new names."""
+        left = small_machine()
+        right = small_machine()
+        right.add_ste("c", SymbolSet.single("c"), reporting=True, report_code="C")
+        right.add_edge("b", "c")
+        right.add_edge("c", "c")
+        combined = merge([left, right], automaton_id="both")
+        assert combined.automaton_id == "both"
+        assert combined.ste_ids() == [
+            f"m0_{n}" for n in range(len(left))
+        ] + [f"m1_{n}" for n in range(len(right))]
+        for part, automaton in enumerate([left, right]):
+            names = {
+                old: f"m{part}_{n}" for n, old in enumerate(automaton.ste_ids())
+            }
+            for old, new in names.items():
+                assert combined.ste(new) == replace(automaton.ste(old), ste_id=new)
+                assert combined.successors(new) == {
+                    names[target] for target in automaton.successors(old)
+                }
+                assert combined.predecessors(new) == {
+                    names[source] for source in automaton.predecessors(old)
+                }
+        combined.validate()
 
     def test_average_fan_out(self):
         assert small_machine().average_fan_out() == pytest.approx(0.5)

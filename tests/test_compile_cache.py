@@ -1,32 +1,45 @@
 """Content-addressed artifact cache: round trips, keys, invalidation.
 
-The cache key is ``(format version, mapping format, design fingerprint,
-automaton fingerprint)``; a hit must reproduce the cold artifacts
-bit-for-bit, and any change to the automaton or the design parameters
-must miss.
+The artifact key is ``(format version, mapping format, design
+fingerprint, automaton fingerprint)``; a hit must reproduce the cold
+artifacts bit-for-bit, and any change to the automaton or the design
+parameters must miss.  One level up, the source key ``(front-end
+version, patterns, report codes, automaton id)`` addresses the compiled
+automaton itself, rebuilt from arrays and re-verified by fingerprint.
 """
 
 from __future__ import annotations
 
+import io
+import multiprocessing
 import random
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.automata.anml import HomogeneousAutomaton, StartKind
+from repro.automata.symbols import SymbolSet
 from repro.backends.artifact import CompiledArtifact
 from repro.compiler import compile_automaton
 from repro.compiler.bitstream import generate
 from repro.compiler.cache import (
+    CacheStats,
     CompileCache,
     automaton_fingerprint,
     bitstream_bytes,
     cache_key,
     design_fingerprint,
+    source_key,
 )
 from repro.core.design import CA_64, CA_P
 from repro.engine import CacheAutomatonEngine
+from repro.errors import AutomatonError, DegradedModeWarning
+from repro.parallel import default_mp_method
+from repro.regex.compile import compile_patterns
 from repro.sim.functional import MappedSimulator
+from repro.workloads import synth
 from tests.conftest import chain_automaton
 
 
@@ -129,6 +142,301 @@ class TestMappingRoundTrip:
         assert cache.load_artifact(automaton, CA_P) is None
 
 
+def _same_automaton(rebuilt, compiled):
+    """Everything a user of the automaton can observe, order included."""
+    assert rebuilt.automaton_id == compiled.automaton_id
+    assert rebuilt.ste_ids() == compiled.ste_ids()
+    assert list(rebuilt.stes()) == list(compiled.stes())
+    assert sorted(rebuilt.edges()) == sorted(compiled.edges())
+    for ste_id in compiled.ste_ids():
+        assert rebuilt.predecessors(ste_id) == compiled.predecessors(ste_id)
+    rebuilt.validate()
+    assert automaton_fingerprint(rebuilt) == automaton_fingerprint(compiled)
+
+
+SYNTH_LISTS = {
+    "ids": lambda: synth.ids_rules(40, seed=5),
+    "dotstar": lambda: synth.dotstar_rules(30, 0.3, seed=6),
+    "exact": lambda: synth.exact_match_rules(50, seed=7),
+    "range": lambda: synth.range_rules(25, 1.0, seed=8),
+}
+
+#: ``compile_patterns(PINNED_PATTERNS, report_codes=PINNED_PATTERNS,
+#: automaton_id="engine")`` under front-end version 1.
+PINNED_PATTERNS = ["bat", "c[ao]t", "dog+", "bar[t]?", "x.{3}y", "^ab*c", "q|rs"]
+PINNED_FINGERPRINT = (
+    "2460d1c5d7f3d063102e2a8bb99793feeba055f59bc68c33b74ca53f6471890a"
+)
+
+
+class TestSourceKey:
+    def test_order_content_and_rule_ids_change_the_key(self):
+        patterns = ["bat", "c[ao]t", "dog+"]
+        base = source_key(patterns, patterns, "engine")
+        assert base == source_key(list(patterns), tuple(patterns), "engine")
+        assert base != source_key(patterns[::-1], patterns[::-1], "engine")
+        assert base != source_key(patterns[::-1], patterns, "engine")
+        edited = ["bat", "c[ao]t", "dog*"]
+        assert base != source_key(edited, patterns, "engine")
+        assert base != source_key(patterns, ["A", "B", "C"], "engine")
+        assert base != source_key(patterns, patterns, "ruleset")
+        # List boundaries are part of the key, not just the characters.
+        assert source_key(["ab", "c"], ["x", "y"], "e") != source_key(
+            ["a", "bc"], ["x", "y"], "e"
+        )
+
+    def test_front_end_version_changes_the_key(self, monkeypatch):
+        patterns = ["bat"]
+        before = source_key(patterns, patterns, "engine")
+        monkeypatch.setattr("repro.compiler.cache.FRONT_END_VERSION", 99)
+        assert source_key(patterns, patterns, "engine") != before
+
+    def test_compiled_automaton_is_pinned(self):
+        compiled = compile_patterns(
+            PINNED_PATTERNS, report_codes=PINNED_PATTERNS, automaton_id="engine"
+        )
+        assert automaton_fingerprint(compiled) == PINNED_FINGERPRINT, (
+            "the regex front end now compiles this list to a different "
+            "automaton: bump repro.compiler.cache.FRONT_END_VERSION (cached "
+            "automata written by the old front end must stop being served "
+            "for these patterns), then re-pin this fingerprint"
+        )
+
+
+class TestAutomatonRoundTrip:
+    @pytest.mark.parametrize("kind", sorted(SYNTH_LISTS))
+    def test_rebuilt_equals_compiled(self, cache, kind):
+        patterns = SYNTH_LISTS[kind]()
+        compiled = compile_patterns(
+            patterns, report_codes=patterns, automaton_id="engine"
+        )
+        key = source_key(patterns, patterns, "engine")
+        assert cache.load_automaton(key) is None
+        assert cache.store_automaton(key, compiled) is not None
+        rebuilt = cache.load_automaton(key)
+        _same_automaton(rebuilt, compiled)
+        assert cache.stats.as_dict() == {
+            **CacheStats().as_dict(),
+            "automaton_misses": 1,
+            "automaton_stores": 1,
+            "automaton_hits": 1,
+        }
+
+    def test_every_field_survives(self):
+        """Anchored and all-input starts, a reporting state without a
+        code, a code on a non-reporting state, a self loop, an id and a
+        code JSON must escape, insertion order that is not sorted order."""
+        automaton = HomogeneousAutomaton("odd \u2603 id")
+        automaton.add_ste("z", SymbolSet.any(), start=StartKind.START_OF_DATA)
+        automaton.add_ste(
+            "a\n\"b", SymbolSet.single(0), start=StartKind.ALL_INPUT,
+            reporting=True,
+        )
+        automaton.add_ste(
+            "m", SymbolSet.from_range(250, 255), report_code="unused\x00",
+        )
+        automaton.add_ste(
+            "b", SymbolSet.any(), reporting=True, report_code="c\u00f8de",
+        )
+        for source, target in [("z", "m"), ("m", "m"), ("m", "b"), ("z", "b")]:
+            automaton.add_edge(source, target)
+        rebuilt = HomogeneousAutomaton.from_arrays(automaton.to_arrays())
+        _same_automaton(rebuilt, automaton)
+        # The rebuilt automaton is an ordinary one: it can be edited, and
+        # its derived views follow.
+        rebuilt.add_ste("tail", SymbolSet.single("t"))
+        rebuilt.add_edge("b", "tail")
+        assert "tail" in rebuilt.edge_index_arrays().index
+        assert automaton_fingerprint(rebuilt) != automaton_fingerprint(automaton)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda a: a.pop("start"),
+            lambda a: a.update(names=a["names"][:-3]),
+            lambda a: a.update(order=a["order"][:-1]),
+            lambda a: a.update(order=np.zeros_like(a["order"])),
+            lambda a: a.update(mask_of=a["mask_of"] + len(a["masks"])),
+            lambda a: a.update(masks=np.zeros_like(a["masks"])),
+            lambda a: a.update(masks=a["masks"][:, :16]),
+            lambda a: a.update(start=a["start"] + 3),
+            lambda a: a.update(code_of=a["code_of"] - 1),
+            lambda a: a.update(targets=a["targets"] + len(a["order"])),
+            lambda a: a.update(sources=a["sources"][:-1]),
+            lambda a: a.update(
+                sources=np.repeat(a["sources"][:1], len(a["sources"])),
+                targets=np.repeat(a["targets"][:1], len(a["targets"])),
+            ),
+            lambda a: a.update(
+                names=np.frombuffer(
+                    bytes(a["names"]).replace(b'"m1_0"', b'"m0_0"'),
+                    dtype=np.uint8,
+                )
+            ),
+        ],
+    )
+    def test_bulk_constructor_refuses_bad_arrays(self, damage):
+        arrays = compile_patterns(["bat", "c[ao]t"]).to_arrays()
+        HomogeneousAutomaton.from_arrays(arrays)
+        damage(arrays)
+        with pytest.raises(AutomatonError):
+            HomogeneousAutomaton.from_arrays(arrays)
+
+
+PATTERNS = ["bat", "c[ao]t", "dog+", "bar[t]?"]
+PATTERN_DATA = b"the cat sat on the bat; dogged bart in a cot"
+
+
+def _rows(engine, data=PATTERN_DATA):
+    return [(m.end, m.state, m.rule) for m in engine.scan(data)]
+
+
+def _automaton_entry(directory):
+    [path] = list(directory.rglob("*.automaton.npz"))
+    return path
+
+
+def _rewrite_entry(path, **members):
+    """The entry at ``path`` with ``members`` replaced, as a valid archive."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays.update(members)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    path.write_bytes(buffer.getvalue())
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _flip_bit(path):
+    """One bit inside the ``targets`` column's data: the archive still
+    opens and every header parses, only that member's checksum fails."""
+    with np.load(path) as data:
+        column = data["targets"].tobytes()
+    payload = bytearray(path.read_bytes())
+    payload[payload.index(column) + len(column) // 2] ^= 0x01
+    path.write_bytes(bytes(payload))
+
+
+def _wrong_key(path):
+    _rewrite_entry(path, key=np.asarray("0" * 64))
+
+
+def _other_automaton(path):
+    """A well-formed entry whose arrays are another list's automaton."""
+    _rewrite_entry(path, **compile_patterns(["zebra"]).to_arrays())
+
+
+def _stale_fingerprint(path):
+    _rewrite_entry(path, fingerprint=np.asarray("f" * 64))
+
+
+class TestAutomatonEntryFailures:
+    @pytest.mark.parametrize(
+        "damage",
+        [_truncate, _flip_bit, _wrong_key, _other_automaton, _stale_fingerprint],
+    )
+    def test_bad_entry_is_quarantined_and_recompiled(self, tmp_path, damage):
+        directory = tmp_path / "cache"
+        cold = CacheAutomatonEngine.from_patterns(PATTERNS, cache=directory)
+        entry = _automaton_entry(directory)
+        damage(entry)
+        cache = CompileCache(directory)
+        with pytest.warns(DegradedModeWarning, match="quarantined"):
+            recovered = CacheAutomatonEngine.from_patterns(PATTERNS, cache=cache)
+        assert cache.stats.quarantines == 1
+        assert cache.stats.automaton_hits == 0
+        assert cache.stats.automaton_stores == 1
+        assert any(
+            "cached automaton" in event for event in recovered.health().events
+        )
+        # The artifact was not implicated, and the recompiled automaton
+        # found it: warm tier, healthy, same answers.
+        assert recovered.health().tier == "warm-cache"
+        assert not recovered.health().degraded
+        assert _rows(recovered) == _rows(cold)
+        _same_automaton(recovered.automaton, cold.automaton)
+        # The recompile re-stored a good entry.
+        relieved = CompileCache(directory)
+        CacheAutomatonEngine.from_patterns(PATTERNS, cache=relieved)
+        assert relieved.stats.automaton_hits == 1
+        assert relieved.stats.quarantines == 0
+
+    def test_transient_read_errors_are_retried(self, tmp_path, monkeypatch):
+        directory = tmp_path / "cache"
+        CacheAutomatonEngine.from_patterns(PATTERNS, cache=directory)
+        monkeypatch.setattr("repro.compiler.cache.time.sleep", lambda _: None)
+        real_load = np.load
+        failures = [OSError("transient"), OSError("transient")]
+
+        def flaky_load(handle, *args, **kwargs):
+            if handle.name.endswith(".automaton.npz") and failures:
+                raise failures.pop()
+            return real_load(handle, *args, **kwargs)
+
+        monkeypatch.setattr("repro.compiler.cache.np.load", flaky_load)
+        cache = CompileCache(directory)
+        engine = CacheAutomatonEngine.from_patterns(PATTERNS, cache=cache)
+        assert cache.stats.retries == 2
+        assert cache.stats.automaton_hits == 1
+        assert engine.health().tier == "warm-cache"
+
+    def test_persistent_read_errors_degrade_to_a_compile(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "cache"
+        cold = CacheAutomatonEngine.from_patterns(PATTERNS, cache=directory)
+        monkeypatch.setattr("repro.compiler.cache.time.sleep", lambda _: None)
+        real_load = np.load
+
+        def failing_load(handle, *args, **kwargs):
+            if handle.name.endswith(".automaton.npz"):
+                raise OSError("device not ready")
+            return real_load(handle, *args, **kwargs)
+
+        monkeypatch.setattr("repro.compiler.cache.np.load", failing_load)
+        cache = CompileCache(directory)
+        with pytest.warns(DegradedModeWarning, match="cache read failed"):
+            engine = CacheAutomatonEngine.from_patterns(PATTERNS, cache=cache)
+        assert cache.stats.automaton_misses == 1
+        assert cache.stats.quarantines == 0
+        assert _automaton_entry(directory).exists()
+        assert _rows(engine) == _rows(cold)
+
+    def test_unwritable_directory_behaves_uncached(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the cache directory should go")
+        uncached = CacheAutomatonEngine.from_patterns(PATTERNS, cache=None)
+        for _ in range(2):
+            cache = CompileCache(blocker)
+            with pytest.warns(DegradedModeWarning, match="cache read failed"):
+                engine = CacheAutomatonEngine.from_patterns(
+                    PATTERNS, cache=cache
+                )
+            assert engine.health().tier == "cold-compile"
+            assert cache.stats.automaton_misses == 1
+            assert cache.stats.automaton_stores == 0
+            assert cache.stats.stores == 0
+            assert _rows(engine) == _rows(uncached) != []
+
+    def test_disabled_cache_and_optimize_bypass_the_front_end_entry(
+        self, tmp_path
+    ):
+        off = CompileCache(tmp_path / "off", enabled=False)
+        CacheAutomatonEngine.from_patterns(PATTERNS, cache=off)
+        optimized = CompileCache(tmp_path / "optimized")
+        CacheAutomatonEngine.from_patterns(
+            PATTERNS, cache=optimized, optimize=True
+        )
+        for cache in (off, optimized):
+            assert not list(cache.directory.rglob("*.npz"))
+            assert cache.stats.automaton_misses == 0
+            assert cache.stats.automaton_stores == 0
+        assert optimized.stats.bypasses == 1
+
+
 class TestBitstreamRoundTrip:
     def test_hit_returns_bit_identical_payload(self, cache, automaton):
         mapping = compile_automaton(automaton, CA_P)
@@ -163,6 +471,7 @@ class TestEngineCachePath:
         assert engine.cache_info() == {
             "hits": 0, "misses": 0, "bypasses": 0, "stores": 0,
             "quarantines": 0, "retries": 0,
+            "automaton_hits": 0, "automaton_misses": 0, "automaton_stores": 0,
         }
 
     def test_optimize_bypasses_cache(self, cache, automaton):
@@ -175,6 +484,25 @@ class TestEngineCachePath:
         first = CacheAutomatonEngine(automaton, cache=cache)
         second = CacheAutomatonEngine(automaton, cache=cache)
         assert second.cache_info()["hits"] == 0
+
+    def test_artifact_counters_count_artifact_lookups_only(self, tmp_path):
+        """``hits``/``misses``/``stores`` (and the hit ratio read off
+        them) mean what they meant before ``from_patterns`` had entries of
+        its own: one artifact lookup per engine."""
+        cache = CompileCache(tmp_path / "cache")
+        cold = CacheAutomatonEngine.from_patterns(PATTERNS, cache=cache)
+        assert cold.cache_info() == {
+            "hits": 0, "misses": 1, "bypasses": 0, "stores": 1,
+            "quarantines": 0, "retries": 0,
+            "automaton_hits": 0, "automaton_misses": 1, "automaton_stores": 1,
+        }
+        warm = CacheAutomatonEngine.from_patterns(PATTERNS, cache=cache)
+        assert warm.cache_info() == {
+            "hits": 1, "misses": 1, "bypasses": 0, "stores": 1,
+            "quarantines": 0, "retries": 0,
+            "automaton_hits": 1, "automaton_misses": 1, "automaton_stores": 1,
+        }
+        assert warm.health().cache == warm.cache_info()
 
 
 class TestRetryJitter:
@@ -244,7 +572,60 @@ class TestRetryJitter:
         assert len(sleeps) == 2  # attempts 1..2 back off; 3rd raises
 
 
+def _cold_race_build(slot, directory, barrier, queue):
+    """Child-process body: ``from_patterns`` against a shared, empty cache
+    directory.  Module-level so it works under any mp start method."""
+    cache = CompileCache(directory)
+    barrier.wait()
+    engine = CacheAutomatonEngine.from_patterns(
+        PATTERNS + ["x.{14}y"], auto=True, cache=cache
+    )
+    health = engine.health()
+    queue.put((slot, health.tier, health.backend, health.placement, _rows(engine)))
+
+
 class TestConcurrentTierChain:
+    def test_two_processes_racing_cold_both_end_healthy(self, tmp_path):
+        """Both children miss both levels, compile, and store the same
+        two entries through atomic renames; neither may see a torn file,
+        and what is left serves a third start warm at both levels."""
+        directory = str(tmp_path / "shared")
+        context = multiprocessing.get_context(default_mp_method())
+        barrier = context.Barrier(2)
+        queue = context.Queue()
+        children = [
+            context.Process(
+                target=_cold_race_build, args=(slot, directory, barrier, queue)
+            )
+            for slot in range(2)
+        ]
+        for child in children:
+            child.start()
+        results = {}
+        for _ in children:
+            slot, *result = queue.get(timeout=120)
+            results[slot] = result
+        for child in children:
+            child.join(timeout=120)
+            assert child.exitcode == 0
+        assert set(results) == {0, 1}
+        for tier, backend, _, _ in results.values():
+            assert tier in ("cold-compile", "warm-cache")
+            assert backend == "hybrid"
+        assert results[0][1:] == results[1][1:]
+        cache = CompileCache(directory)
+        relieved = CacheAutomatonEngine.from_patterns(
+            PATTERNS + ["x.{14}y"], auto=True, cache=cache
+        )
+        assert relieved.health().tier == "warm-cache"
+        assert cache.stats.automaton_hits == 1 and cache.stats.hits == 1
+        assert cache.stats.quarantines == 0
+        assert [
+            relieved.health().backend, relieved.health().placement,
+            _rows(relieved),
+        ] == results[0][1:]
+        assert not list((tmp_path / "shared").rglob("*.tmp"))
+
     def test_quarantine_race_lands_both_healthy(self, tmp_path, automaton):
         """Two engines, one cache directory, a corrupt artifact on disk:
         both constructors race through the warm-cache -> quarantine ->

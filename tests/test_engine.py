@@ -1,10 +1,23 @@
 """Tests for the high-level scanning engine façade."""
 
+import ast
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import repro.engine
+from repro.compiler.cache import CompileCache
+from repro.compiler.classify import (
+    ComponentClassification,
+    CostModel,
+    cached_substrates,
+    classify_automaton,
+)
 from repro.core.design import CA_S
 from repro.engine import CacheAutomatonEngine, Match
 from repro.errors import ReproError, SimulationError
+from repro.regex.compile import compile_patterns
 from repro.sim.golden import match_offsets
 
 
@@ -210,3 +223,248 @@ class TestInputValidation:
         assert engine.scan_many([]) == []
         assert engine.scan_many([b"", b""]) == [[], []]
         assert engine.count(b"") == 0
+
+
+# -- warm starts ------------------------------------------------------------
+
+FRIENDLY = ["bat", "c[ao]t", "dog+", "bar[t]?"]
+HOSTILE = ["x.{14}y"]
+WARM_DATA = (
+    b"the cat sat on the bat while x0123456789abcdy dogged bart bar dog; "
+    b"a second xAAAAAAAAAAAAAAy gap match and one cot at the end cot"
+)
+PLACEMENTS = {
+    "lazy-dfa": FRIENDLY,
+    "packed-kernel": HOSTILE,
+    "hybrid": FRIENDLY + HOSTILE,
+}
+
+
+def _observed(engine):
+    """What must not depend on whether the engine came up warm or cold."""
+    health = engine.health()
+    return (
+        health.backend,
+        health.placement,
+        health.events,
+        sorted((m.end, m.rule, m.state) for m in engine.scan(WARM_DATA)),
+    )
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"a warm start called {name}")
+
+    return refused
+
+
+@pytest.fixture()
+def no_front_end(monkeypatch):
+    """Arms raising stubs in place of the regex compiler and the per-CC
+    classifier, wherever the engine or the hybrid backend would reach
+    them."""
+
+    def arm():
+        for target in (
+            "repro.engine.compile_patterns",
+            "repro.engine.classify_automaton",
+            "repro.backends.hybrid.classify_automaton",
+        ):
+            monkeypatch.setattr(target, _refuse(target))
+
+    return arm
+
+
+class TestWarmStartRecomputesNothing:
+    @pytest.mark.parametrize("backend", sorted(PLACEMENTS))
+    def test_from_patterns(self, tmp_path, no_front_end, backend):
+        patterns = PLACEMENTS[backend]
+        cold = CacheAutomatonEngine.from_patterns(
+            patterns, auto=True, cache=tmp_path
+        )
+        assert cold.health().tier == "cold-compile"
+        assert cold.health().backend == backend
+        assert any("auto placement" in event for event in cold.health().events)
+        no_front_end()
+        warm = CacheAutomatonEngine.from_patterns(
+            patterns, auto=True, cache=tmp_path
+        )
+        assert warm.health().tier == "warm-cache"
+        assert _observed(warm) == _observed(cold)
+        assert warm.cache_info()["stores"] == 0
+        assert warm.automaton.ste_ids() == cold.automaton.ste_ids()
+
+    @pytest.mark.parametrize("backend", sorted(PLACEMENTS))
+    def test_from_automaton(self, tmp_path, no_front_end, backend):
+        patterns = PLACEMENTS[backend]
+        automaton = compile_patterns(patterns, report_codes=patterns)
+        cold = CacheAutomatonEngine(automaton, auto=True, cache=tmp_path)
+        assert cold.health().backend == backend
+        no_front_end()
+        warm = CacheAutomatonEngine(automaton, auto=True, cache=tmp_path)
+        assert warm.health().tier == "warm-cache"
+        assert _observed(warm) == _observed(cold)
+
+    def test_checkpoints_travel_between_cold_and_warm(self, tmp_path):
+        patterns = PLACEMENTS["hybrid"]
+        cold = CacheAutomatonEngine.from_patterns(
+            patterns, auto=True, cache=tmp_path
+        )
+        warm = CacheAutomatonEngine.from_patterns(
+            patterns, auto=True, cache=tmp_path
+        )
+        head, tail = WARM_DATA[:50], WARM_DATA[50:]
+        for first, second in ((cold, warm), (warm, cold)):
+            left = first.backend.scan(head)
+            right = second.backend.scan(tail, resume=left.checkpoint)
+            whole = second.backend.scan(WARM_DATA)
+            assert right.checkpoint == whole.checkpoint
+            assert sorted(
+                (r.offset, r.ste_id) for r in left.reports + right.reports
+            ) == sorted((r.offset, r.ste_id) for r in whole.reports)
+
+    def test_decision_is_stored_by_whoever_classified_first(self, tmp_path):
+        """An engine that was told its backend stores no classification;
+        the first ``auto=True`` engine on that artifact classifies once
+        and adds it, the next one reads it."""
+        CacheAutomatonEngine.from_patterns(
+            FRIENDLY, backend="packed-kernel", cache=tmp_path
+        )
+        first = CompileCache(tmp_path)
+        engine = CacheAutomatonEngine.from_patterns(
+            FRIENDLY, auto=True, cache=first
+        )
+        assert engine.health().tier == "warm-cache"
+        assert engine.health().backend == "lazy-dfa"
+        assert first.stats.stores == 1
+        second = CompileCache(tmp_path)
+        again = CacheAutomatonEngine.from_patterns(
+            FRIENDLY, auto=True, cache=second
+        )
+        assert second.stats.stores == 0
+        assert again.artifact.classify_tables
+        assert _observed(again) == _observed(engine)
+
+
+class TestStaleClassification:
+    """Tables that default ``classify_automaton`` would not have written
+    are not a placement decision: the ruleset is classified again and the
+    tables replaced."""
+
+    @staticmethod
+    def _restore(tmp_path, patterns, edit):
+        """Cold-start ``patterns``, then rewrite the stored artifact's
+        classification through ``edit``; returns the cold engine."""
+        cold = CacheAutomatonEngine.from_patterns(
+            patterns, auto=True, cache=tmp_path
+        )
+        artifact = CompileCache(tmp_path).load_artifact(
+            cold.automaton, cold.design
+        )
+        CompileCache(tmp_path).store_artifact(
+            artifact.with_classify_tables(edit(artifact.classify_tables))
+        )
+        return cold
+
+    @staticmethod
+    def _other_model(tables):
+        """Every component sent to the packed kernel by a cost model in
+        which a warm DFA transition is expensive."""
+        model = CostModel(lazy_warm_us=50.0)
+        skewed = ComponentClassification(
+            components=(),
+            features=tables["classify_features"],
+            costs=tables["classify_costs"],
+            assignment=np.ones_like(tables["classify_assignment"]),
+            cost_model=model,
+        ).to_tables()
+        assert skewed["classify_model"].tolist() == model.as_row()
+        return skewed
+
+    @staticmethod
+    def _other_version(tables):
+        edited = dict(tables)
+        edited["classify_version"] = np.asarray(99, dtype=np.int64)
+        edited["classify_assignment"] = np.ones_like(
+            tables["classify_assignment"]
+        )
+        return edited
+
+    @pytest.mark.parametrize("backend", ["lazy-dfa", "hybrid"])
+    @pytest.mark.parametrize("edit", ["_other_model", "_other_version"])
+    def test_ignored_and_reclassified(
+        self, tmp_path, monkeypatch, backend, edit
+    ):
+        patterns = PLACEMENTS[backend]
+        cold = self._restore(tmp_path, patterns, getattr(self, edit))
+        calls = []
+        classify = repro.engine.classify_automaton
+        monkeypatch.setattr(
+            "repro.engine.classify_automaton",
+            lambda automaton: calls.append(1) or classify(automaton),
+        )
+        cache = CompileCache(tmp_path)
+        warm = CacheAutomatonEngine.from_patterns(
+            patterns, auto=True, cache=cache
+        )
+        assert calls == [1]
+        assert warm.health().tier == "warm-cache"
+        assert _observed(warm) == _observed(cold)
+        # The fresh tables replaced the stale ones: the next start reads
+        # the decision again.
+        assert cache.stats.stores == 1
+        stored = CompileCache(tmp_path).load_artifact(
+            warm.automaton, warm.design
+        )
+        assert cached_substrates(stored.classify_tables) is not None
+        CacheAutomatonEngine.from_patterns(patterns, auto=True, cache=tmp_path)
+        assert calls == [1]
+
+    def test_malformed_tables_are_no_decision(self):
+        tables = classify_automaton(
+            CacheAutomatonEngine.from_patterns(
+                PLACEMENTS["hybrid"], cache=None
+            ).automaton
+        ).to_tables()
+        assert sorted(set(cached_substrates(tables))) == [
+            "lazy-dfa", "packed-kernel",
+        ]
+        assert cached_substrates({}) is None
+        for name, value in (
+            ("classify_assignment", np.asarray([0, 7], dtype=np.int32)),
+            ("classify_assignment", np.asarray([0, -1], dtype=np.int32)),
+            ("classify_assignment", np.asarray([0.0, 1.0])),
+            ("classify_substrates", np.asarray(["packed-kernel", "lazy-dfa"])),
+            ("classify_model", tables["classify_model"][:-1]),
+        ):
+            assert cached_substrates({**tables, name: value}) is None
+
+
+def test_engine_classifies_only_when_the_artifact_has_no_decision():
+    """``classify_automaton`` is a compile stage, not a start-up step: the
+    engine may call it in one place, under the test that found no usable
+    decision in the cached artifact."""
+    tree = ast.parse(Path(repro.engine.__file__).read_text(encoding="utf-8"))
+    guarded = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.If):
+            continue
+        test = ast.unparse(node.test)
+        for inner in node.body:
+            for call in ast.walk(inner):
+                if (
+                    isinstance(call, ast.Call)
+                    and ast.unparse(call.func) == "classify_automaton"
+                ):
+                    guarded.append(test)
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("classify_automaton")
+    ]
+    assert len(calls) == 1
+    assert "substrates is None" in guarded
+    source = ast.unparse(tree)
+    assert source.index("load_artifact(") < source.index("classify_automaton(")
+    assert "substrates = None if loaded is None else cached_substrates(" in source

@@ -119,6 +119,42 @@ class TestClassifier:
                 )
                 assert again == rows
 
+    def test_per_component_columns_equal_the_per_state_loops(self):
+        """The classifier computes each CC's byte signatures once, through
+        the distinct-mask grouping, and hands them to the probe; the
+        columns derived from them must be what the plain loops give."""
+        from repro.compiler.classify import (
+            FEATURE_COLUMNS,
+            _component_byte_signatures,
+        )
+        from repro.workloads.suite import build_suite
+
+        suite = {bench.name: bench for bench in build_suite(0.1)}
+        for name in ("Hamming", "Fermi", "Snort", "Ranges1"):
+            automaton = suite[name].build()
+            classification = classify_automaton(automaton)
+            for index, members in enumerate(classification.components):
+                signatures = [0] * 256
+                for position, ste_id in enumerate(members):
+                    for symbol in automaton.ste(ste_id).symbols:
+                        signatures[symbol] |= 1 << position
+                assert signatures == _component_byte_signatures(
+                    automaton, members
+                )
+                edges = sum(
+                    1
+                    for ste_id in members
+                    for target in automaton.successors(ste_id)
+                    if target in members
+                )
+                probed = probe_subset_closure(automaton, list(members))
+                row = dict(zip(FEATURE_COLUMNS, classification.features[index]))
+                assert row["edges"] == edges
+                assert row["byte_classes"] == len(set(signatures)) == probed[2]
+                assert (row["probe_states"], bool(row["probe_aborted"])) == (
+                    probed[0], probed[1],
+                )
+
     def test_probe_budget_scales_and_caps(self):
         assert default_probe_budget(1) == 48
         assert default_probe_budget(10) == 80

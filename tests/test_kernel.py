@@ -73,6 +73,23 @@ class TestPacking:
         for symbol in (0, 17, 255):
             assert kernel.unpack(kernel.match_matrix[symbol]) == match_table[symbol]
 
+    def test_from_automaton_match_matrix_equals_the_per_state_loop(self):
+        """``from_automaton`` ORs state bits per distinct symbol mask
+        before walking a mask's bytes; row ``b`` must still be exactly the
+        states whose label contains ``b``."""
+        automaton = compile_patterns(["a.{3}[^b]c", "[a-f]+x", ".*q", "[0-9]{2}"])
+        ids = automaton.ste_ids()
+        random.Random(5).shuffle(ids)
+        bit_of = {ste_id: 3 * position for position, ste_id in enumerate(ids)}
+        kernel = BitsetKernel.from_automaton(automaton, bit_of, 3 * len(ids) + 7)
+        for symbol in range(256):
+            expected = sum(
+                1 << bit_of[ste.ste_id]
+                for ste in automaton.stes()
+                if ste.matches(symbol)
+            )
+            assert kernel.unpack(kernel.match_matrix[symbol]) == expected
+
     def test_popcount_rows(self):
         kernel = make_kernel(seed=4)
         rows = np.stack([kernel.pack(0b1011), kernel.pack((1 << 99) | 1)])

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.automata.symbols import ALPHABET_SIZE, ANY, NONE, SymbolSet
+from repro.automata.symbols import (
+    ALPHABET_SIZE,
+    ANY,
+    NONE,
+    SymbolSet,
+    byte_signatures,
+)
 from repro.errors import SymbolSetError
 
 symbol_sets = st.builds(
@@ -168,3 +174,15 @@ class TestProperties:
     @given(symbol_sets, st.integers(min_value=0, max_value=255))
     def test_matches_agrees_with_iteration(self, s, symbol):
         assert s.matches(symbol) == (symbol in set(s))
+
+    @given(st.lists(st.tuples(symbol_sets, st.integers(0, 40)), max_size=30))
+    def test_byte_signatures_equal_the_per_state_loop(self, labelled):
+        """Grouping states by distinct mask first must give what walking
+        every state's every symbol gives."""
+        expected = [0] * ALPHABET_SIZE
+        for symbols, position in labelled:
+            for symbol in symbols:
+                expected[symbol] |= 1 << position
+        assert expected == byte_signatures(
+            (symbols.mask, 1 << position) for symbols, position in labelled
+        )
