@@ -9,9 +9,9 @@ The 20-benchmark suite evaluation is computed once per session; set
 (default 8000 symbols; the paper uses 10 MB traces — trends are stable
 far earlier).  Setting ``REPRO_BENCH_SMOKE=1`` shrinks the default to
 2000 symbols so ``pytest benchmarks -q --benchmark-disable`` doubles as
-a fast CI smoke target; ``scripts`` usage lives in
-``benchmarks/bench_simulator.py``, which records simulator symbols/sec
-trajectories into ``BENCH_simulator.json``.
+a fast CI smoke target.  These modules reproduce the paper's numbers;
+the software's own performance is measured by ``benchmarks/e2e`` (see
+``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations

@@ -11,7 +11,11 @@ Subcommands::
                         [--design CA_P] [--limit N] [--backend NAME]
                         [--jobs N] [--split-jobs N] [--stride K]
         compile, map, and scan one or more binary input files; print
-        match records and the modelled performance/energy summary.
+        match records and the modelled performance/energy summary over
+        all of them.  Builds through the engine, so the compiled
+        automaton and artifact come from the cache under
+        ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``) when a previous
+        run — ``scan`` or ``serve`` — left them there.
         ``--backend`` selects any registered execution backend (default:
         the packed kernel; ``--backend lazy-dfa`` for the lazy-DFA
         transition cache).  With several inputs and a sharding backend,
@@ -76,8 +80,8 @@ Subcommands::
         ``faulted`` scenario kills a worker, slows one tenant past its
         deadline, submits oversized streams, and injects backend
         faults (circuit breaker trips to the golden-fallback tier and
-        recovers).  Prints the run table recorded by
-        ``benchmarks/bench_service.py``.
+        recovers).  Prints the run table and exits 1 if any exception
+        escaped the typed-error surface.
 """
 
 from __future__ import annotations
@@ -88,13 +92,11 @@ from typing import List, Optional
 
 from repro.automata.anml import from_anml, to_anml
 from repro.automata.components import component_stats
-from repro.automata.stride import resolve_stride
 from repro.backends import (
     DEFAULT_BACKEND,
     backend_names,
     backend_spec,
     create_backend,
-    resolve_backend_name,
 )
 from repro.backends.artifact import CompiledArtifact
 from repro.baselines.ap import ApModel
@@ -108,6 +110,7 @@ from repro.compiler import (
 from repro.core.design import CA_64, CA_P, CA_S, DesignPoint
 from repro.core.energy import EnergyModel
 from repro.core.system import ConfigurationModel
+from repro.engine import CacheAutomatonEngine
 from repro.errors import ReproError
 from repro.eval.tables import format_table
 from repro.regex.compile import compile_patterns
@@ -187,22 +190,23 @@ def _cmd_compile(arguments) -> int:
 
 def _cmd_scan(arguments) -> int:
     design = _design(arguments.design)
-    backend_name = resolve_backend_name(arguments.backend)
-    mapping = _compile(_load_rules(arguments.rules), design)
+    rules = _load_rules(arguments.rules)
     streams = []
     for path in arguments.input:
         with open(path, "rb") as handle:
             streams.append(handle.read())
-    options = {}
-    if arguments.jobs is not None:
-        options["jobs"] = arguments.jobs
-    if arguments.split_jobs is not None:
-        options["split_jobs"] = arguments.split_jobs
-    if arguments.stride is not None:
-        options["stride"] = resolve_stride(arguments.stride)
-    backend = create_backend(
-        backend_name, CompiledArtifact.from_mapping(mapping), **options
-    )
+    # The library's front door: artifact cache, warm start and the tier
+    # chain are the engine's; the printed lines need the backend's own
+    # results (reports, activity profile, output buffer).
+    backend = CacheAutomatonEngine.from_patterns(
+        rules,
+        design=design,
+        optimize=design.name.startswith("CA_S"),
+        backend=arguments.backend,
+        scan_jobs=arguments.jobs,
+        split_jobs=arguments.split_jobs,
+        stride=arguments.stride,
+    ).backend
     if len(streams) == 1:
         results = [backend.scan(streams[0])]
     else:
@@ -217,21 +221,26 @@ def _cmd_scan(arguments) -> int:
             print(f"offset {record.offset}: {record.report_code!r}")
         if len(result.reports) > len(shown):
             print(f"... and {len(result.reports) - len(shown)} more")
-    result = results[0]
-    data = streams[0]
+    # The summary covers every input, whatever order they came in.
+    total_bytes = sum(map(len, streams))
+    profile = results[0].profile
+    for result in results[1:]:
+        profile = profile.merged_with(result.profile)
+    buffers = [r.output_buffer for r in results if r.output_buffer is not None]
     energy = EnergyModel(design)
     ap = ApModel()
-    print(f"\n{total_matches} matches in {sum(map(len, streams))} bytes "
+    print(f"\n{total_matches} matches in {total_bytes} bytes "
           f"(backend {backend.name})")
-    print(f"modelled scan:  {len(data)/(design.frequency_ghz*1e9)*1e3:.4f} ms "
+    print(f"modelled scan:  {total_bytes/(design.frequency_ghz*1e9)*1e3:.4f} ms "
           f"at {design.throughput_gbps:.1f} Gb/s "
           f"({ap.speedup_of(design):.1f}x Micron's AP)")
-    if backend.capabilities().activity_profile and result.profile.symbols:
+    if backend.capabilities().activity_profile and profile.symbols:
         print(f"energy:         "
-              f"{energy.energy_per_symbol_nj(result.profile):.3f} nJ/symbol, "
-              f"avg power {energy.average_power_watts(result.profile):.2f} W")
-    if result.output_buffer is not None:
-        print(f"output buffer:  {result.output_buffer.interrupts} interrupt(s)")
+              f"{energy.energy_per_symbol_nj(profile):.3f} nJ/symbol, "
+              f"avg power {energy.average_power_watts(profile):.2f} W")
+    if buffers:
+        print(f"output buffer:  "
+              f"{sum(buffer.interrupts for buffer in buffers)} interrupt(s)")
     return 0
 
 
@@ -689,7 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.set_defaults(handler=_cmd_compile)
 
     scan_parser = subparsers.add_parser(
-        "scan", help="compile and scan one or more input files"
+        "scan",
+        help="compile (or load from the $REPRO_CACHE_DIR artifact cache) "
+             "and scan one or more input files",
     )
     scan_parser.add_argument("rules")
     scan_parser.add_argument("input", nargs="+")
@@ -697,8 +708,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan_parser.add_argument("--limit", type=int, default=20,
                              help="max match records to print (per input)")
     scan_parser.add_argument(
-        "--backend", default=DEFAULT_BACKEND,
-        help="execution backend (see `python -m repro.cli backends`)",
+        "--backend", default=None,
+        help="execution backend (see `python -m repro.cli backends`; "
+             f"default {DEFAULT_BACKEND})",
     )
     scan_parser.add_argument(
         "--jobs", default=None,

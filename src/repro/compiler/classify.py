@@ -15,10 +15,8 @@ of a homogeneous automaton:
   rows the lazy-DFA backend would hash-cons, so it predicts both the
   eager backend's blow-up and the lazy backend's cache pressure;
 * a **cost model** — per-symbol microsecond estimates for running the CC
-  on each candidate substrate, with coefficients calibrated from the
-  repo's ``BENCH_simulator.json`` measurement history
-  (:meth:`CostModel.from_history`); the baked-in defaults are the
-  calibration result for the most recent recorded run;
+  on each candidate substrate, from the fixed coefficients of
+  :class:`CostModel`;
 * the resulting **partition assignment** — each CC is placed on the
   substrate with the lowest predicted cost.  DFA-friendly CCs (small
   subset closure) go to ``lazy-dfa``; subset-hostile CCs (the ones that
@@ -95,11 +93,14 @@ def default_probe_budget(state_count: int) -> int:
 class CostModel:
     """Per-symbol substrate cost coefficients, in microseconds.
 
-    The defaults are calibrated from the most recent
-    ``BENCH_simulator.json`` entry carrying both a packed-kernel and a
-    warm lazy-DFA rate (PowerEN, 21 packed words — see
-    :data:`CALIBRATION_WORDS`); :meth:`from_history` recomputes them
-    from any history list.
+    The defaults are fixed constants, not a live calibration: they were
+    derived once from the PowerEN rates of the ``pr7-split-scan``
+    measurement on a one-core host (3.84M warm lazy-DFA and 460k mapped
+    symbols/s over 21 packed words — see :data:`CALIBRATION_WORDS`) and
+    have not moved since, because stored ``classify_model`` rows are
+    compared with them (:func:`cached_substrates`): a changed constant
+    invalidates every cached placement.  :meth:`from_history` derives a
+    model from any list of such rate pairs.
 
     * ``lazy_warm_us`` — one warm lazy-DFA transition (size-independent);
     * ``lazy_miss_us`` — one lazy-DFA cache miss (a packed kernel step
@@ -119,7 +120,7 @@ class CostModel:
 
     @classmethod
     def from_history(cls, history: Sequence[dict]) -> "CostModel":
-        """Calibrate from a ``BENCH_simulator.json`` history list.
+        """Calibrate from a list of measured PowerEN rates, oldest first.
 
         Uses the newest entry recording both ``mapped_symbols_per_sec``
         and ``lazy_dfa_warm_symbols_per_sec``; entries missing either

@@ -99,6 +99,11 @@ class SimulationError(ReproError):
     """The functional simulator was driven with invalid state or input."""
 
 
+class JobsError(ReproError):
+    """A worker count (``jobs=`` argument or its environment variable)
+    that is neither an integer nor ``"auto"``."""
+
+
 class BackendError(ReproError):
     """Unknown execution backend, or a backend request it cannot serve."""
 

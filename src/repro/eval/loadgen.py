@@ -19,9 +19,11 @@ injecting faults mid-run:
 Each run produces one :class:`RunRecord` — a flat row in the style of a
 benchmark run table (throughput_rps, avg/p50/p95/p99 latency — global
 *and* per tenant — failure/shed/timeout/retry counters, breaker and
-worker events) — which ``benchmarks/bench_service.py`` appends to
-``BENCH_service.json`` so every later performance PR has a
-latency-percentile and failure-rate scoreboard, not just throughput.
+worker events) — which ``repro loadgen`` prints and
+``tests/test_loadgen.py`` gates on (zero unhandled exceptions, breaker
+trip *and* recovery, shed or retried requests under faults).  It is a
+chaos harness, not the benchmark: performance numbers come from
+``benchmarks/e2e`` (``BENCHMARK.json``).
 
 The execution plane and transport are configurable so the same
 open-loop schedule can compare serving modes like-for-like:
@@ -64,8 +66,7 @@ from repro.workloads.inputs import LOWERCASE, random_over_alphabet
 
 #: Run-row schema generation: bumped when the run table gains required
 #: columns (2 = scan_workers/transport/pool_respawns + per-tenant
-#: latency percentiles); ``benchmarks/check_service_schema.py`` keys
-#: its required-column set off this.
+#: latency percentiles); ``tests/test_loadgen.py`` pins the row keys.
 RUN_SCHEMA_VERSION = 2
 
 
@@ -146,7 +147,7 @@ class LoadgenConfig:
 
 @dataclass
 class RunRecord:
-    """One row of the service run table (``BENCH_service.json``)."""
+    """One row of the service run table."""
 
     run_id: str
     label: str
@@ -565,8 +566,8 @@ def serving_config(
 ) -> LoadgenConfig:
     """The serving-plane comparison scenario: identical open-loop load,
     parameterised over the execution plane (``scan_workers``) and the
-    transport (``inproc`` vs ``tcp``), so ``bench_service.py`` can put
-    in-loop, process-pool, and networked serving rows side by side.
+    transport (``inproc`` vs ``tcp``), so in-loop, process-pool, and
+    networked serving rows can be put side by side.
 
     Streams are larger than the baseline scenario's (16 KiB, chunked at
     2 KiB) so each request does enough CPU work for the execution plane

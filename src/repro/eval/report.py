@@ -9,7 +9,6 @@ scale or input length.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 from typing import List, Optional, Sequence
 
@@ -18,7 +17,7 @@ from repro.eval.experiments import (
     evaluate_suite,
     registry,
 )
-from repro.eval.runner import _TITLES
+from repro.eval.runner import TITLES
 from repro.eval.tables import format_cell
 
 
@@ -57,7 +56,7 @@ def generate_report(
         return cache
 
     runners = registry(evaluations)
-    wanted = experiments or list(_TITLES)
+    wanted = experiments or list(TITLES)
     sections = [
         "# Cache Automaton — measured results",
         "",
@@ -66,394 +65,11 @@ def generate_report(
         "",
     ]
     for name in wanted:
-        sections.append(f"## {_TITLES[name]}")
+        sections.append(f"## {TITLES[name]}")
         sections.append("")
         sections.append(rows_to_markdown(runners[name]()))
         sections.append("")
-    throughput = simulator_throughput_section()
-    if throughput:
-        sections.append(throughput)
-        sections.append("")
-    compile_times = compiler_trajectory_section()
-    if compile_times:
-        sections.append(compile_times)
-        sections.append("")
-    service = service_trajectory_section()
-    if service:
-        sections.append(service)
-        sections.append("")
     return "\n".join(sections)
-
-
-BENCH_TRAJECTORY = (
-    pathlib.Path(__file__).resolve().parents[3] / "BENCH_simulator.json"
-)
-
-COMPILER_TRAJECTORY = (
-    pathlib.Path(__file__).resolve().parents[3] / "BENCH_compiler.json"
-)
-
-SERVICE_TRAJECTORY = (
-    pathlib.Path(__file__).resolve().parents[3] / "BENCH_service.json"
-)
-
-
-def simulator_throughput_section(
-    trajectory: pathlib.Path = BENCH_TRAJECTORY,
-) -> str:
-    """Render the simulator symbols/sec history recorded by
-    ``benchmarks/bench_simulator.py`` (empty string if none exists)."""
-    if not trajectory.exists():
-        return ""
-    entries = json.loads(trajectory.read_text(encoding="utf-8"))
-    if not entries:
-        return ""
-    backend_columns = sorted(
-        {name for entry in entries for name in entry.get("backends", {})}
-    )
-    # Every rate is input bytes/sec (one symbol == one input byte at any
-    # stride); the bench normalises strided runs by input length, never
-    # by the k-fold smaller DFA step count.
-    rows: List[Sequence] = [
-        ["Label", "Workload", "Golden B/s", "Mapped B/s",
-         "run_many agg B/s", "Lazy-DFA warm B/s",
-         "Strided warm B/s", "Stride",
-         "Sharded scan_many B/s", "Sharded strided B/s",
-         "Split B/s (max jobs)", "Split speedup"]
-        + [f"{name} B/s" for name in backend_columns]
-    ]
-    for entry in entries:
-        split = entry.get("split_scan", {})
-        split_rates = split.get("symbols_per_sec_by_jobs", {})
-        split_top = (
-            split_rates[max(split_rates, key=int)] if split_rates else "-"
-        )
-        split_speedup = split.get("speedup_at_max_jobs")
-        row = [
-            entry.get("label", "?"),
-            entry.get("workload", "?"),
-            entry.get("golden_symbols_per_sec"),
-            entry.get("mapped_symbols_per_sec"),
-            entry.get("run_many_aggregate_symbols_per_sec") or "-",
-            entry.get("lazy_dfa_warm_symbols_per_sec") or "-",
-            entry.get("lazy_dfa_strided_warm_symbols_per_sec") or "-",
-            entry.get("stride_effective", entry.get("stride")) or "-",
-            entry.get("sharded_scan_many_symbols_per_sec") or "-",
-            entry.get("sharded_strided_scan_many_symbols_per_sec") or "-",
-            split_top,
-            f"{split_speedup:g}x" if split_speedup else "-",
-        ]
-        for name in backend_columns:
-            cell = entry.get("backends", {}).get(name, {})
-            if "symbols_per_sec" in cell:
-                row.append(cell["symbols_per_sec"])
-            elif "skipped" in cell:
-                row.append("skipped")
-            else:
-                row.append("-")
-        rows.append(row)
-    section = (
-        "## Simulator software throughput (BENCH_simulator.json)\n\n"
-        + rows_to_markdown(rows)
-    )
-    if any(entry.get("split_scan") for entry in entries):
-        section += (
-            "\n\nThe split columns measure intra-stream parallelism: ONE "
-            "long stream chunked across a worker pool (SFA entry→exit "
-            "mappings, bit-identical join; see DESIGN.md), with speedup "
-            "relative to the same entry's jobs=1 serial scan.  The ratio "
-            "is bounded by the host's core count — on a single-CPU "
-            "runner the parallel chunks time-slice one core and the "
-            "honest ratio lands below 1; the per-jobs rates live in each "
-            "entry's `split_scan.symbols_per_sec_by_jobs`."
-        )
-    notes = [
-        (entry.get("label", "?"), entry["note"])
-        for entry in entries
-        if entry.get("note")
-    ]
-    if notes:
-        section += "\n\nEntry notes:\n\n" + "\n".join(
-            f"- **{label}** — {note}" for label, note in notes
-        )
-    counters = _cache_counter_rows(entries)
-    if counters:
-        section += (
-            "\n\n### Simulation cache counters (newest entry)\n\n"
-            + rows_to_markdown(counters)
-        )
-    placement = _hybrid_placement_rows(entries)
-    if placement:
-        section += (
-            "\n\n### Hybrid per-component placement (newest entry)\n\n"
-            + rows_to_markdown(placement)
-        )
-        newest = next(
-            entry for entry in reversed(entries) if entry.get("hybrid")
-        )
-        hybrid = newest["hybrid"]
-        if hybrid.get("speedup_vs_best_single") is not None:
-            section += (
-                f"\n\nHybrid whole-ruleset rate "
-                f"{hybrid.get('symbols_per_sec'):,} B/s vs best single "
-                f"backend {hybrid.get('best_single_backend')} at "
-                f"{hybrid.get('best_single_symbols_per_sec'):,} B/s — "
-                f"{hybrid['speedup_vs_best_single']:g}x, reports "
-                + (
-                    "bit-identical to the golden interpreter."
-                    if hybrid.get("bit_identical")
-                    else "NOT verified bit-identical."
-                )
-            )
-    return section
-
-
-def _hybrid_placement_rows(entries: Sequence[dict]) -> List[Sequence]:
-    """Per-group placement table from the newest entry carrying a
-    ``hybrid`` measurement (see ``benchmarks/bench_simulator.py``)."""
-    newest = next(
-        (entry for entry in reversed(entries) if entry.get("hybrid")),
-        None,
-    )
-    if newest is None:
-        return []
-    placement = newest["hybrid"].get("placement") or []
-    if not placement:
-        return []
-    rows: List[Sequence] = [
-        ["Group", "Backend", "Requested", "Components", "States"]
-    ]
-    for group in placement:
-        rows.append([
-            group.get("group"),
-            group.get("backend"),
-            group.get("requested"),
-            group.get("components"),
-            group.get("states"),
-        ])
-    return rows
-
-
-def _cache_counter_rows(entries: Sequence[dict]) -> List[Sequence]:
-    """Hit/miss/flush table from the newest entry carrying counters."""
-    newest = next(
-        (
-            entry
-            for entry in reversed(entries)
-            if entry.get("cache_counters")
-        ),
-        None,
-    )
-    if newest is None:
-        return []
-    rows: List[Sequence] = [
-        ["Cache", "Hits", "Misses", "Flushes", "Size", "Limit", "Stride",
-         "Workers"]
-    ]
-    for owner, caches in sorted(newest["cache_counters"].items()):
-        # Kernel counters nest one dict per cache; the lazy DFA's (and
-        # the worker-process aggregates) are a single flat stats dict —
-        # normalise to (label, stats) pairs.
-        if any(isinstance(value, dict) for value in caches.values()):
-            named = [
-                (f"{owner}.{cache_name}", stats)
-                for cache_name, stats in sorted(caches.items())
-                if isinstance(stats, dict)
-            ]
-        else:
-            named = [(owner, caches)]
-        for label, stats in named:
-            rows.append([
-                label,
-                stats.get("hits", "-"),
-                stats.get("misses", "-"),
-                stats.get("flushes", "-"),
-                stats.get("size", stats.get("states", "-")),
-                stats.get("limit", stats.get("max_states", "-")),
-                stats.get("stride", "-"),
-                stats.get("workers", "-"),
-            ])
-    return rows if len(rows) > 1 else []
-
-
-def compiler_trajectory_section(
-    trajectory: pathlib.Path = COMPILER_TRAJECTORY,
-) -> str:
-    """Render the compile-time history recorded by
-    ``benchmarks/bench_compiler.py`` (empty string if none exists).
-
-    One row per workload: cold-compile milliseconds under every recorded
-    label, then the artifact-cache columns (cold/warm engine
-    construction and their ratio) from the newest entry that measured
-    them.
-    """
-    if not trajectory.exists():
-        return ""
-    entries = json.loads(trajectory.read_text(encoding="utf-8"))
-    if not entries:
-        return ""
-    labels = [entry.get("label", "?") for entry in entries]
-    cached = next(
-        (
-            entry
-            for entry in reversed(entries)
-            if any(
-                "warm_engine_ms" in stats
-                for stats in entry.get("workloads", {}).values()
-            )
-        ),
-        None,
-    )
-    workloads = sorted(
-        {
-            name
-            for entry in entries
-            for name in entry.get("workloads", {})
-        },
-        key=lambda name: -(
-            entries[-1].get("workloads", {}).get(name, {}).get("states", 0)
-        ),
-    )
-    header: List = ["Workload", "States"]
-    header += [f"Cold ms ({label})" for label in labels]
-    if cached is not None:
-        header += ["Cold engine ms", "Warm engine ms", "Warm speedup"]
-    rows: List[Sequence] = [header]
-    for name in workloads:
-        states = next(
-            (
-                entry["workloads"][name].get("states")
-                for entry in reversed(entries)
-                if name in entry.get("workloads", {})
-            ),
-            None,
-        )
-        row: List = [name, states]
-        for entry in entries:
-            stats = entry.get("workloads", {}).get(name, {})
-            row.append(stats.get("cold_compile_ms", "-"))
-        if cached is not None:
-            stats = cached.get("workloads", {}).get(name, {})
-            row += [
-                stats.get("cold_engine_ms", "-"),
-                stats.get("warm_engine_ms", "-"),
-                f"{stats['warm_speedup']:g}x"
-                if stats.get("warm_speedup")
-                else "-",
-            ]
-        rows.append(row)
-    return (
-        "## Compile-time trajectory (BENCH_compiler.json)\n\n"
-        + rows_to_markdown(rows)
-    )
-
-
-def service_trajectory_section(
-    trajectory: pathlib.Path = SERVICE_TRAJECTORY,
-) -> str:
-    """Render the scan-service resilience history recorded by
-    ``benchmarks/bench_service.py`` (empty string if none exists).
-
-    One row per (entry, scenario): the execution plane (scan worker
-    processes and transport), throughput and latency percentiles next
-    to the failure/shed/timeout/retry counters and the breaker and
-    worker-supervision events observed under injected faults.  Entries
-    recorded at schema version 2+ also get a per-tenant latency table
-    (p50/p95/p99 per tenant per scenario).
-    """
-    if not trajectory.exists():
-        return ""
-    entries = json.loads(trajectory.read_text(encoding="utf-8"))
-    if not entries:
-        return ""
-
-    def _plane(run) -> str:
-        if "scan_workers" not in run and "transport" not in run:
-            return "-"
-        return f"{run.get('transport', 'inproc')}/w{run.get('scan_workers', 0)}"
-
-    def _ms(value) -> object:
-        return value if value is not None else "-"
-
-    rows: List[Sequence] = [
-        ["Label", "Scenario", "Plane", "Sent", "Done", "Shed", "Timeout",
-         "Retried", "Thru rps", "p50 ms", "p95 ms", "p99 ms", "Fail rate",
-         "Trips", "Recov", "Restarts", "Respawns", "Fallback", "CPU s",
-         "Max RSS MB"]
-    ]
-    tenant_rows: List[Sequence] = [
-        ["Label", "Scenario", "Tenant", "Submitted", "Done", "Failed",
-         "p50 ms", "p95 ms", "p99 ms"]
-    ]
-    for entry in entries:
-        for run in entry.get("runs", []):
-            rows.append([
-                entry.get("label", "?"),
-                run.get("scenario", "?"),
-                _plane(run),
-                run.get("requests_sent"),
-                run.get("completed"),
-                run.get("shed"),
-                run.get("timeouts"),
-                run.get("retried"),
-                run.get("throughput_rps"),
-                _ms(run.get("latency_p50_ms")),
-                _ms(run.get("latency_p95_ms")),
-                _ms(run.get("latency_p99_ms")),
-                run.get("failure_rate"),
-                run.get("breaker_trips"),
-                run.get("breaker_recoveries"),
-                run.get("worker_restarts"),
-                run.get("pool_respawns", "-"),
-                run.get("fallback_scans"),
-                _ms(run.get("cpu_time_s")),
-                _ms(run.get("max_rss_mb")),
-            ])
-            per_tenant = run.get("per_tenant") or {}
-            for tenant in sorted(per_tenant):
-                stats = per_tenant[tenant]
-                if "latency_p50_ms" not in stats:
-                    continue  # pre-v2 entry: no per-tenant percentiles
-                tenant_rows.append([
-                    entry.get("label", "?"),
-                    run.get("scenario", "?"),
-                    tenant,
-                    stats.get("submitted"),
-                    stats.get("completed"),
-                    stats.get("failed"),
-                    _ms(stats.get("latency_p50_ms")),
-                    _ms(stats.get("latency_p95_ms")),
-                    _ms(stats.get("latency_p99_ms")),
-                ])
-    section = (
-        "## Scan-service resilience (BENCH_service.json)\n\n"
-        + rows_to_markdown(rows)
-        + "\n\nFailure rate counts every request that did not complete — "
-        "shed, deadlined, oversized, or abandoned after retry "
-        "exhaustion; the fault-injected scenario kills a worker, slows "
-        "one tenant past its deadline, submits oversized streams, and "
-        "injects primary-backend faults, so its counters demonstrate "
-        "the breaker trip → golden-fallback → recovery path (see "
-        "DESIGN.md's serving-layer section).  The *Plane* column is "
-        "`transport/wN`: how requests reached the service (in-process "
-        "calls vs the TCP frame protocol) and how many scan worker "
-        "processes executed chunks (`w0` scans in the event loop)."
-    )
-    if len(tenant_rows) > 1:
-        section += (
-            "\n\n### Per-tenant latency (serving scenarios)\n\n"
-            + rows_to_markdown(tenant_rows)
-        )
-    notes = [
-        (entry.get("label", "?"), entry["note"])
-        for entry in entries
-        if entry.get("note")
-    ]
-    if notes:
-        section += "\n\nEntry notes:\n\n" + "\n".join(
-            f"- **{label}** — {note}" for label, note in notes
-        )
-    return section
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -462,7 +78,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--input-length", type=int, default=DEFAULT_INPUT_LENGTH)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--experiments", nargs="*", default=None)
+    parser.add_argument(
+        "--experiments", nargs="*", default=None, choices=list(TITLES)
+    )
     arguments = parser.parse_args(argv)
     report = generate_report(
         input_length=arguments.input_length,

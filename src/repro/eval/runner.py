@@ -24,7 +24,9 @@ from repro.eval.experiments import (
 )
 from repro.eval.tables import format_table
 
-_TITLES = {
+#: Experiment id -> section title, in the order a full run prints them;
+#: the ids are the keys of :func:`repro.eval.experiments.registry`.
+TITLES = {
     "table1": "Table 1: benchmark characteristics",
     "table2": "Table 2: switch parameters",
     "table3": "Table 3: pipeline stage delays and operating frequency",
@@ -44,7 +46,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "experiments", nargs="*", default=[],
-        help=f"experiment ids (default: all of {', '.join(_TITLES)})",
+        help=f"experiment ids (default: all of {', '.join(TITLES)})",
     )
     parser.add_argument(
         "--input-length", type=int, default=DEFAULT_INPUT_LENGTH,
@@ -76,12 +78,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cache
 
     experiments = registry(evaluations)
-    wanted = arguments.experiments or list(_TITLES)
+    wanted = arguments.experiments or list(TITLES)
     unknown = [name for name in wanted if name not in experiments]
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
     for name in wanted:
-        print(f"\n== {_TITLES[name]} ==")
+        print(f"\n== {TITLES[name]} ==")
         print(format_table(experiments[name]()))
     return 0
 

@@ -66,7 +66,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import DegradedModeWarning, ReproError
+from repro.errors import DegradedModeWarning, JobsError, ReproError
 
 #: How long :meth:`WorkerPool.shutdown` waits for workers told to stop
 #: before it kills them.  An idle worker exits within milliseconds; one
@@ -93,12 +93,22 @@ def resolve_jobs(
     ``default`` (``None`` = the CPU count).  ``"auto"`` means ``env``,
     else the CPU count whatever the default — how an opt-in site
     (default 1) is asked for every core.  Never below 1 (= stay serial).
+    Anything else raises :class:`~repro.errors.JobsError` naming the
+    argument or the environment variable it came from, so a typo fails
+    as a one-line diagnostic where the count is first needed.
     """
+    source = "jobs"
     if jobs is None or jobs == "auto":
         if jobs == "auto" or default is None:
             default = os.cpu_count() or 1
         jobs = os.environ.get(env) or default
-    return max(1, int(jobs))
+        source = env
+    try:
+        return max(1, int(jobs))
+    except (TypeError, ValueError):
+        raise JobsError(
+            f"{source} must be an integer or 'auto', got {jobs!r}"
+        ) from None
 
 
 # -- shared tables -----------------------------------------------------------

@@ -67,6 +67,75 @@ class TestScan:
         assert "and 47 more" in output
 
 
+class TestScanThroughTheEngine:
+    """``scan`` builds through ``CacheAutomatonEngine.from_patterns``:
+    one front door, so the CLI starts warm from the artifact cache, and
+    its summary is over every input it was given."""
+
+    @pytest.fixture(autouse=True)
+    def cache_dir(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
+        return path
+
+    @pytest.fixture
+    def two_inputs(self, tmp_path):
+        rules = tmp_path / "r.txt"
+        rules.write_text("a\n")
+        big = tmp_path / "big.bin"
+        big.write_bytes(b"a" * 4000)
+        small = tmp_path / "small.bin"
+        small.write_bytes(b"xx a")
+        return str(rules), str(big), str(small)
+
+    @staticmethod
+    def summary(output: str):
+        return output.split("\n\n", 1)[1].splitlines()
+
+    def test_summary_does_not_depend_on_input_order(self, two_inputs, capsys):
+        rules, big, small = two_inputs
+        assert main(["scan", rules, big, small, "--limit", "0"]) == 0
+        forward = self.summary(capsys.readouterr().out)
+        assert main(["scan", rules, small, big, "--limit", "0"]) == 0
+        assert self.summary(capsys.readouterr().out) == forward
+        assert "4001 matches in 4004 bytes" in forward[0]
+        assert "0.0020 ms" in forward[1]
+        assert forward[-1].endswith("62 interrupt(s)")
+
+    def test_second_scan_starts_from_the_cache(
+        self, rules_file, input_file, cache_dir, capsys, monkeypatch
+    ):
+        assert main(["scan", rules_file, input_file]) == 0
+        cold = capsys.readouterr().out
+        stored = sorted(path.name for path in cache_dir.rglob("*.npz"))
+        assert len(stored) == 2
+        assert sum(name.endswith(".automaton.npz") for name in stored) == 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm scan ran the front end or the compiler")
+
+        for module in ("repro.cli", "repro.engine"):
+            for name in ("compile_patterns", "compile_automaton",
+                         "compile_space_optimized"):
+                monkeypatch.setattr(f"{module}.{name}", refuse)
+        assert main(["scan", rules_file, input_file]) == 0
+        assert capsys.readouterr().out == cold
+
+    @pytest.mark.parametrize("how", ["--jobs", "REPRO_SCAN_JOBS"])
+    def test_mistyped_worker_count_is_one_error_line(
+        self, how, two_inputs, capsys, monkeypatch
+    ):
+        argv = ["scan", *two_inputs, "--backend", "lazy-dfa"]
+        if how == "--jobs":
+            argv += ["--jobs", "x"]
+        else:
+            monkeypatch.setenv(how, "many")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {how.lstrip('-')} must be")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestDesigns:
     def test_lists_design_points(self, capsys):
         assert main(["designs"]) == 0

@@ -1,8 +1,12 @@
 """Tests for the ANML corpus exporter, the eval runner CLI, and the
 exception hierarchy."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import errors
 from repro.automata.anml import from_anml
 from repro.sim.golden import match_offsets
@@ -103,3 +107,67 @@ class TestMarkdownReport:
         assert rows_to_markdown([]) == ""
         table = rows_to_markdown([("A", "B"), (1, 2.5)])
         assert table.splitlines()[1] == "|---|---|"
+
+
+class TestOneBenchmarkOfRecord:
+    """``BENCHMARK.json`` + ``benchmarks/e2e`` is the only thing that
+    measures: the package keeps no measurement history of its own and
+    reaches for no file outside itself."""
+
+    def test_package_reads_nothing_outside_itself(self):
+        """A module that climbs out of the package (``parents[3]``) or
+        names a repo-root ``BENCH_*`` history fails here, not in review."""
+        root = Path(repro.__file__).parent
+        offenders = sorted(
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if re.search(r"parents\[|BENCH_", path.read_text(encoding="utf-8"))
+        )
+        assert offenders == []
+
+    def test_ci_run_blocks_name_only_files_that_exist(self):
+        repo = Path(__file__).resolve().parents[1]
+        workflow = repo / ".github" / "workflows" / "ci.yml"
+        if not workflow.exists():
+            pytest.skip("not running from a repository checkout")
+        named = set()
+        block_indent = None
+        for line in workflow.read_text(encoding="utf-8").splitlines():
+            indent = len(line) - len(line.lstrip())
+            if block_indent is not None and line.strip() and indent <= block_indent:
+                block_indent = None
+            if re.match(r"\s*run:", line):
+                block_indent = indent
+            if block_indent is not None:
+                named.update(
+                    re.findall(r"\b(?:benchmarks|tests)/[\w./-]*\w", line)
+                )
+        assert any(path.startswith("benchmarks/e2e/") for path in named)
+        missing = sorted(path for path in named if not (repo / path).exists())
+        assert missing == []
+
+    def test_report_is_exactly_the_requested_sections(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.eval.report import generate_report
+        from repro.eval.runner import TITLES
+
+        monkeypatch.chdir(tmp_path)
+        wanted = ["table2", "fig10", "table3"]
+        report = generate_report(experiments=wanted)
+        headings = [
+            line[3:] for line in report.splitlines() if line.startswith("## ")
+        ]
+        assert headings == [TITLES[name] for name in wanted]
+        assert report.endswith("|\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_rejects_an_unknown_experiment(self, tmp_path, capsys):
+        from repro.eval.report import main as report_main
+
+        output = tmp_path / "out.md"
+        with pytest.raises(SystemExit) as usage:
+            report_main([str(output), "--experiments", "nope"])
+        assert usage.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert not output.exists()

@@ -31,8 +31,9 @@ from repro.automata.anml import merge
 from repro.compiler import Compiler, compile_automaton
 from repro.compiler import mapping as mapping_module
 from repro.core.design import CA_P
-from repro.errors import DegradedModeWarning
+from repro.errors import DegradedModeWarning, JobsError
 from repro.parallel import WorkerLost, WorkerPool, ask_parent, fan_out
+from repro.parallel import resolve_jobs
 from repro.regex.compile import compile_patterns
 from repro.sim import shard as shard_module
 from repro.sim import split as split_module
@@ -249,3 +250,27 @@ def test_parallel_is_the_only_module_that_imports_process_machinery():
         if pattern.search(path.read_text(encoding="utf-8"))
     )
     assert offenders == ["parallel.py"]
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        mapping_module.COMPILE_JOBS_ENV,
+        shard_module.SCAN_JOBS_ENV,
+        split_module.SPLIT_JOBS_ENV,
+    ],
+)
+def test_a_mistyped_worker_count_is_a_typed_error_naming_its_source(
+    env, monkeypatch
+):
+    """Compile, shard and split resolve their worker count through one
+    function; a typo must reach the CLI as a one-line ``ReproError``
+    that says whether the argument or the environment was wrong."""
+    monkeypatch.delenv(env, raising=False)
+    with pytest.raises(JobsError, match=r"^jobs must be .* got 'x'$"):
+        resolve_jobs("x", env)
+    monkeypatch.setenv(env, "many")
+    for unset in (None, "auto"):
+        with pytest.raises(JobsError, match=rf"^{env} must be .* got 'many'$"):
+            resolve_jobs(unset, env, 1)
+    assert resolve_jobs(3, env) == 3  # an explicit count never reads env
