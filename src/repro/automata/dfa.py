@@ -80,9 +80,6 @@ class Dfa:
                 matches.append(offset + 1)
         return matches
 
-    def count_matches(self, data: bytes) -> int:
-        return len(self.find_matches(data))
-
     # -- minimisation ------------------------------------------------------
 
     def minimize(self) -> "Dfa":

@@ -204,13 +204,6 @@ class CircuitAutomaton:
             if target == element_id and edge_port == port
         )
 
-    def outputs_of(self, element_id: str) -> List[Tuple[str, str]]:
-        return sorted(
-            (target, port)
-            for source, target, port in self._edges
-            if source == element_id
-        )
-
     def reporting_elements(self) -> List[str]:
         names = [s.ste_id for s in self._stes.values() if s.reporting]
         names += [g.gate_id for g in self._gates.values() if g.reporting]

@@ -21,7 +21,6 @@ states that can never activate or can never contribute to a report.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.automata.anml import HomogeneousAutomaton, StartKind
@@ -171,15 +170,3 @@ def _induced(
         if source in keep and target in keep:
             induced.add_edge(source, target)
     return induced
-
-
-def label_report_codes(
-    automaton: HomogeneousAutomaton, codes: Dict[str, str]
-) -> HomogeneousAutomaton:
-    """Attach report codes to reporting states (id -> code)."""
-    updated = automaton.copy()
-    for ste_id, code in codes.items():
-        ste = updated.ste(ste_id)
-        if ste.reporting:
-            updated.replace_ste(replace(ste, report_code=code))
-    return updated

@@ -7,7 +7,8 @@ The package splits into three layers:
   bitstream export;
 * :mod:`~repro.backends.base` — the :class:`AutomatonBackend` protocol
   (``from_artifact`` / ``scan`` / ``scan_many`` / ``stream`` /
-  ``capabilities``) and its result/capability types;
+  ``capabilities``) and its capability type; what a scan returns is
+  :class:`repro.sim.kernel.ScanResult`, the simulators' own;
 * :mod:`~repro.backends.registry` — name -> backend class, with the
   built-in substrates (packed kernel, golden interpreter, circuit
   interpreter, lazy-DFA, eager-DFA baseline, fault-injection harness)
@@ -46,7 +47,6 @@ _LAZY = {
     "CompiledArtifact": "repro.backends.artifact",
     "AutomatonBackend": "repro.backends.base",
     "BackendCapabilities": "repro.backends.base",
-    "BackendResult": "repro.backends.base",
     "BackendStream": "repro.backends.base",
     "PackedKernelBackend": "repro.backends.mapped",
     "GoldenInterpreterBackend": "repro.backends.golden",

@@ -19,13 +19,12 @@ per-report STE identity.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.backends.validation import require_resume_count
-from repro.core.energy import ActivityProfile
 from repro.errors import SimulationError
-from repro.sim.golden import Checkpoint, Report, RunStats
+from repro.sim.kernel import Checkpoint, ScanResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.backends.artifact import CompiledArtifact
@@ -107,30 +106,6 @@ class BackendCapabilities:
     description: str = ""
 
 
-@dataclass
-class BackendResult:
-    """Normalised result of one backend scan.
-
-    ``reports`` follow golden-simulator conventions (0-based end
-    offsets); ``profile`` always carries at least ``symbols`` and
-    ``reports`` counts (full activity only when the backend's
-    capabilities claim ``activity_profile``); ``checkpoint`` resumes the
-    stream on backends supporting it.  ``stats``, ``output_buffer`` and
-    ``detected`` are substrate extras: run statistics, the CBOX
-    output-buffer model, and fault-parity detection cycles.
-    """
-
-    reports: List[Report]
-    profile: ActivityProfile
-    checkpoint: Optional[Checkpoint] = None
-    stats: Optional[RunStats] = None
-    output_buffer: Optional[object] = None
-    detected: Tuple[int, ...] = field(default_factory=tuple)
-
-    def report_offsets(self) -> List[int]:
-        return sorted({report.offset for report in self.reports})
-
-
 class BackendStream:
     """Stateful chunked scanner over one backend (global offsets)."""
 
@@ -144,7 +119,7 @@ class BackendStream:
             return 0
         return self.checkpoint.symbols_processed
 
-    def scan(self, chunk: bytes, *, collect_reports: bool = True) -> BackendResult:
+    def scan(self, chunk: bytes, *, collect_reports: bool = True) -> ScanResult:
         result = self._backend.scan(
             chunk, collect_reports=collect_reports, resume=self.checkpoint
         )
@@ -170,6 +145,13 @@ class AutomatonBackend:
     #: (quarantine + recompile) or the request itself.
     consumes_kernel_tables: bool = False
 
+    #: Scan-time degradation notices and how many a bounded log evicted
+    #: (:class:`BoundedEventLog`); a backend that records none — every
+    #: one but lazy-dfa and hybrid — keeps these empty defaults, so the
+    #: engine reads them as plain attributes.
+    health_events: Tuple[str, ...] = ()
+    health_events_dropped: int = 0
+
     @classmethod
     def from_artifact(
         cls, artifact: "CompiledArtifact", **options
@@ -185,7 +167,7 @@ class AutomatonBackend:
         *,
         collect_reports: bool = True,
         resume: Optional[Checkpoint] = None,
-    ) -> BackendResult:
+    ) -> ScanResult:
         raise NotImplementedError
 
     def scan_many(
@@ -194,13 +176,18 @@ class AutomatonBackend:
         *,
         resumes: Optional[Sequence[Optional[Checkpoint]]] = None,
         collect_reports: bool = True,
-    ) -> List[BackendResult]:
+    ) -> List[ScanResult]:
         streams = list(streams)
         resumes = require_resume_count(resumes, len(streams))
         return [
             self.scan(data, collect_reports=collect_reports, resume=resume)
             for data, resume in zip(streams, resumes)
         ]
+
+    def placement(self) -> Sequence[Dict[str, object]]:
+        """One row per substrate group; empty on a single-substrate
+        backend (hybrid overrides)."""
+        return ()
 
     def stream(self) -> BackendStream:
         if not self.capabilities().resume:
@@ -209,20 +196,3 @@ class AutomatonBackend:
                 "streaming (capabilities().resume is False)"
             )
         return BackendStream(self)
-
-    def _basic_result(
-        self,
-        reports: List[Report],
-        *,
-        symbols: int,
-        report_count: Optional[int] = None,
-        checkpoint: Optional[Checkpoint] = None,
-        stats: Optional[RunStats] = None,
-    ) -> BackendResult:
-        """Result with a symbols/reports-only activity profile."""
-        profile = ActivityProfile()
-        profile.add_activity(
-            symbols=symbols,
-            reports=len(reports) if report_count is None else report_count,
-        )
-        return BackendResult(reports, profile, checkpoint, stats)

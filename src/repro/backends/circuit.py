@@ -17,16 +17,12 @@ from typing import Optional
 from repro.automata.anml import HomogeneousAutomaton
 from repro.automata.elements import CircuitAutomaton
 from repro.backends.artifact import CompiledArtifact
-from repro.backends.base import (
-    AutomatonBackend,
-    BackendCapabilities,
-    BackendResult,
-)
+from repro.backends.base import AutomatonBackend, BackendCapabilities
 from repro.backends.registry import register_backend
 from repro.backends.validation import require_bytes
 from repro.errors import SimulationError
 from repro.sim.circuit import CircuitSimulator
-from repro.sim.golden import Checkpoint
+from repro.sim.kernel import Checkpoint, ScanResult
 
 _CAPABILITIES = BackendCapabilities(
     resume=False,
@@ -79,14 +75,14 @@ class CircuitInterpreterBackend(AutomatonBackend):
         *,
         collect_reports: bool = True,
         resume: Optional[Checkpoint] = None,
-    ) -> BackendResult:
+    ) -> ScanResult:
         if resume is not None:
             raise SimulationError(
                 "backend 'circuit' does not support checkpointed resume"
             )
         require_bytes(data, "input")
         run = self.simulator.run(data)
-        return self._basic_result(
+        return ScanResult.counted(
             run.reports if collect_reports else [],
             symbols=len(data),
             report_count=len(run.reports),

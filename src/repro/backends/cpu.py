@@ -21,16 +21,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.backends.artifact import CompiledArtifact
-from repro.backends.base import (
-    AutomatonBackend,
-    BackendCapabilities,
-    BackendResult,
-)
+from repro.backends.base import AutomatonBackend, BackendCapabilities
 from repro.backends.registry import register_backend
 from repro.backends.validation import as_symbols
 from repro.baselines.cpu import DfaCpuEngine
 from repro.errors import DeterminisationExplosion, SimulationError
-from repro.sim.golden import Checkpoint, Report, RunStats
+from repro.sim.kernel import Checkpoint, Report, RunStats, ScanResult
 
 #: STE id stamped on every report (determinisation erased the real one),
 #: and the dialect of this backend's checkpoints: a minimised-DFA state
@@ -128,7 +124,7 @@ class CpuDfaBackend(AutomatonBackend):
         *,
         collect_reports: bool = True,
         resume: Optional[Checkpoint] = None,
-    ) -> BackendResult:
+    ) -> ScanResult:
         """One table load per symbol; golden-convention report offsets.
 
         The DFA enters an accepting state *after* consuming the matching
@@ -168,7 +164,7 @@ class CpuDfaBackend(AutomatonBackend):
             dialect=REPORT_ID,
         )
         stats = RunStats(symbols_processed=len(symbols))
-        return self._basic_result(
+        return ScanResult.counted(
             reports,
             symbols=len(symbols),
             report_count=report_count,

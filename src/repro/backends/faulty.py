@@ -21,18 +21,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.artifact import CompiledArtifact
-from repro.backends.base import (
-    AutomatonBackend,
-    BackendCapabilities,
-    BackendResult,
-)
+from repro.backends.base import AutomatonBackend, BackendCapabilities
 from repro.backends.mapped import simulator_from_artifact
 from repro.backends.registry import register_backend
 from repro.faults.injector import FaultRunReport, FaultySimulator
 from repro.faults.models import FaultEvent
 from repro.errors import SimulationError
 from repro.sim.functional import MappedSimulator
-from repro.sim.golden import Checkpoint, Report
+from repro.sim.kernel import Checkpoint, Report, ScanResult
 
 _CAPABILITIES = BackendCapabilities(
     resume=False,
@@ -106,7 +102,7 @@ class FaultInjectedBackend(AutomatonBackend):
         *,
         collect_reports: bool = True,
         resume: Optional[Checkpoint] = None,
-    ) -> BackendResult:
+    ) -> ScanResult:
         if resume is not None:
             raise SimulationError(
                 "backend 'fault-injected' does not support checkpointed "
@@ -118,7 +114,7 @@ class FaultInjectedBackend(AutomatonBackend):
         reports: List[Report] = []
         for offset, row_bytes in run.signature:
             self.simulator.decoder.emit(row_bytes, offset, reports)
-        result = self._basic_result(
+        result = ScanResult.counted(
             reports if collect_reports else [],
             symbols=len(data),
             report_count=len(reports),

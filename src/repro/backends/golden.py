@@ -18,15 +18,11 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.backends.artifact import CompiledArtifact
-from repro.backends.base import (
-    AutomatonBackend,
-    BackendCapabilities,
-    BackendResult,
-)
+from repro.backends.base import AutomatonBackend, BackendCapabilities
 from repro.backends.registry import register_backend
 from repro.errors import SimulationError
 from repro.sim.golden import AUTOMATON_ORDER, GoldenSimulator
-from repro.sim.kernel import Checkpoint, placement_bits
+from repro.sim.kernel import Checkpoint, ScanResult, placement_bits
 
 _CAPABILITIES = BackendCapabilities(
     resume=True,
@@ -75,17 +71,12 @@ class GoldenInterpreterBackend(AutomatonBackend):
         *,
         collect_reports: bool = True,
         resume: Optional[Checkpoint] = None,
-    ) -> BackendResult:
+    ) -> ScanResult:
         if resume is not None:
             resume.require(None)
             resume = resume.relaid(self._inward, AUTOMATON_ORDER)
-        run = self.simulator.run(
+        result = self.simulator.run(
             data, collect_reports=collect_reports, resume=resume
         )
-        return self._basic_result(
-            run.reports,
-            symbols=run.stats.symbols_processed,
-            report_count=run.report_count,
-            checkpoint=run.checkpoint.relaid(self._outward),
-            stats=run.stats,
-        )
+        result.checkpoint = result.checkpoint.relaid(self._outward)
+        return result

@@ -43,7 +43,6 @@ from repro.backends.artifact import CompiledArtifact
 from repro.backends.base import (
     AutomatonBackend,
     BackendCapabilities,
-    BackendResult,
     BoundedEventLog,
 )
 from repro.backends.registry import create_backend, register_backend
@@ -54,8 +53,13 @@ from repro.compiler.classify import (
     classify_automaton,
 )
 from repro.errors import AutomatonError, SimulationError
-from repro.sim.golden import Checkpoint, Report, RunStats
-from repro.sim.kernel import placement_bits
+from repro.sim.kernel import (
+    Checkpoint,
+    Report,
+    RunStats,
+    ScanResult,
+    placement_bits,
+)
 
 #: Per-group fallback substrate when the assigned backend fails.
 FALLBACK_SUBSTRATE = "golden-interpreter"
@@ -250,16 +254,14 @@ class HybridBackend(AutomatonBackend):
         """Per-group build/scan degradation notices (bounded log)."""
         events = list(self._health_events)
         for group in self.groups:
-            events.extend(getattr(group.backend, "health_events", ()))
+            events.extend(group.backend.health_events)
         return tuple(events)
 
     @property
     def health_events_dropped(self) -> int:
         dropped = self._health_events.dropped
         for group in self.groups:
-            dropped += int(
-                getattr(group.backend, "health_events_dropped", 0)
-            )
+            dropped += group.backend.health_events_dropped
         return dropped
 
     # -- scanning ----------------------------------------------------------
@@ -304,9 +306,9 @@ class HybridBackend(AutomatonBackend):
 
     def _merge(
         self,
-        group_results: Sequence[BackendResult],
+        group_results: Sequence[ScanResult],
         data_symbols: int,
-    ) -> BackendResult:
+    ) -> ScanResult:
         reports: List[Report] = []
         report_count = 0
         for result in group_results:
@@ -323,7 +325,7 @@ class HybridBackend(AutomatonBackend):
             result.checkpoint.relaid(whole)
             for whole, result in zip(self._gathers, group_results)
         ]
-        return self._basic_result(
+        return ScanResult.counted(
             reports,
             symbols=data_symbols,
             report_count=report_count,
@@ -337,7 +339,7 @@ class HybridBackend(AutomatonBackend):
         *,
         collect_reports: bool = True,
         resume: Optional[Checkpoint] = None,
-    ) -> BackendResult:
+    ) -> ScanResult:
         """Scan every group over ``data`` and merge in offset order."""
         results = [
             self._on_group(
@@ -354,11 +356,11 @@ class HybridBackend(AutomatonBackend):
         *,
         resumes: Optional[Sequence[Optional[Checkpoint]]] = None,
         collect_reports: bool = True,
-    ) -> List[BackendResult]:
+    ) -> List[ScanResult]:
         """Batched scan: each group batches natively across the streams
-        (the lazy-DFA group shards across processes, the packed group
-        runs them one after the other on its warm kernel), then
-        per-stream merge.
+        (the lazy-DFA group shards across processes when ``jobs`` asks
+        for workers, the packed group runs them one after the other on
+        its warm kernel), then per-stream merge.
         """
         streams = list(streams)
         resumes = require_resume_count(resumes, len(streams))

@@ -51,7 +51,6 @@ from repro.backends.artifact import CompiledArtifact
 from repro.backends.base import (
     AutomatonBackend,
     BackendCapabilities,
-    BackendResult,
     BoundedEventLog,
 )
 from repro.backends.mapped import PackedKernelBackend, simulator_from_artifact
@@ -60,8 +59,13 @@ from repro.backends.validation import require_resume_count
 from repro.errors import DegradedModeWarning
 from repro.parallel import resolve_jobs
 from repro.sim.functional import MappedSimulator
-from repro.sim.golden import Checkpoint, Report, RunStats
-from repro.sim.kernel import as_symbols
+from repro.sim.kernel import (
+    Checkpoint,
+    Report,
+    RunStats,
+    ScanResult,
+    as_symbols,
+)
 from repro.sim.lazydfa import LazyDfaKernel, merge_cache_infos
 from repro.sim.shard import (
     SCAN_JOBS_ENV,
@@ -153,7 +157,7 @@ class LazyDfaBackend(AutomatonBackend):
         path), else from the mapping; no subset construction ever runs.
 
         ``jobs`` presets the ``scan_many`` worker count (``None`` defers
-        to ``REPRO_SCAN_JOBS``/CPU count at scan time); ``split_jobs``
+        to ``REPRO_SCAN_JOBS``, default serial); ``split_jobs``
         presets the single-stream split worker count (``None`` defers to
         ``REPRO_SPLIT_JOBS``, default serial); ``max_states`` overrides
         the DFA cache's state budget.  ``stride`` resolution: explicit
@@ -239,10 +243,10 @@ class LazyDfaBackend(AutomatonBackend):
 
     def materialise_raw(
         self, raw: RawScanResult, collect_reports: bool
-    ) -> BackendResult:
+    ) -> ScanResult:
         """Turn a :data:`~repro.sim.shard.RawScanResult` — this
         process's or a worker's — into a full
-        :class:`~repro.backends.base.BackendResult` with parent-side STE
+        :class:`~repro.sim.kernel.ScanResult` with parent-side STE
         identity (raw reporting-row bytes -> ``(ste_id, report_code)``
         via the simulator's memoising decoder) and the same report
         ordering as a serial scan; the checkpoint is the one the scan
@@ -255,7 +259,7 @@ class LazyDfaBackend(AutomatonBackend):
             emit = self.simulator.decoder.emit
             for event_offset, _count, rep_bytes in raw_events:
                 emit(rep_bytes, base_offset + event_offset, reports)
-        return self._basic_result(
+        return ScanResult.counted(
             reports,
             symbols=symbols,
             report_count=report_total,
@@ -272,7 +276,7 @@ class LazyDfaBackend(AutomatonBackend):
         collect_reports: bool = True,
         resume: Optional[Checkpoint] = None,
         split_jobs: Union[int, str, None] = None,
-    ) -> BackendResult:
+    ) -> ScanResult:
         """Scan one stream; when ``split_jobs`` (argument, backend
         option, or ``REPRO_SPLIT_JOBS``) resolves above 1 and the input
         is long enough to amortise the fork, the stream is split across
@@ -334,16 +338,19 @@ class LazyDfaBackend(AutomatonBackend):
         resumes: Optional[Sequence[Optional[Checkpoint]]] = None,
         collect_reports: bool = True,
         jobs: Union[int, str, None] = None,
-    ) -> List[BackendResult]:
+    ) -> List[ScanResult]:
         """Scan a batch of streams, sharding across processes when
-        ``jobs`` (argument, backend option, or ``REPRO_SCAN_JOBS``)
-        resolves above 1.  Results are index-ordered and identical to
-        the serial loop for every worker count.
+        ``jobs`` (argument, backend option, or ``REPRO_SCAN_JOBS``;
+        unset means 1, ``"auto"`` every core) resolves above 1.  Results
+        are index-ordered and identical to the serial loop for every
+        worker count.
         """
         streams = list(streams)
         resumes = require_resume_count(resumes, len(streams))
+        # Opt-in, like the split above: sharding forks a pool and
+        # publishes a shared-memory block whatever the batch holds.
         workers = resolve_jobs(
-            self._jobs if jobs is None else jobs, SCAN_JOBS_ENV
+            self._jobs if jobs is None else jobs, SCAN_JOBS_ENV, 1
         )
         if workers > 1 and len(streams) > 1:
             items = [

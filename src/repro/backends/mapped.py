@@ -14,14 +14,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.backends.artifact import CompiledArtifact
-from repro.backends.base import (
-    AutomatonBackend,
-    BackendCapabilities,
-    BackendResult,
-)
+from repro.backends.base import AutomatonBackend, BackendCapabilities
 from repro.backends.registry import register_backend
-from repro.sim.functional import MappedRunResult, MappedSimulator
-from repro.sim.golden import Checkpoint
+from repro.sim.functional import MappedSimulator
+from repro.sim.kernel import Checkpoint, ScanResult
 
 _CAPABILITIES = BackendCapabilities(
     resume=True,
@@ -56,16 +52,6 @@ def simulator_from_artifact(
     return simulator_cls(artifact.mapping)
 
 
-def _to_result(run: MappedRunResult) -> BackendResult:
-    return BackendResult(
-        reports=run.reports,
-        profile=run.profile,
-        checkpoint=run.checkpoint,
-        stats=run.stats,
-        output_buffer=run.output_buffer,
-    )
-
-
 @register_backend("packed-kernel", aliases=("kernel", "mapped"))
 class PackedKernelBackend(AutomatonBackend):
     """Execution on the packed uint64 kernel of the mapped simulator."""
@@ -95,11 +81,9 @@ class PackedKernelBackend(AutomatonBackend):
         *,
         collect_reports: bool = True,
         resume: Optional[Checkpoint] = None,
-    ) -> BackendResult:
-        return _to_result(
-            self.simulator.run(
-                data, collect_reports=collect_reports, resume=resume
-            )
+    ) -> ScanResult:
+        return self.simulator.run(
+            data, collect_reports=collect_reports, resume=resume
         )
 
     def scan_many(
@@ -108,8 +92,7 @@ class PackedKernelBackend(AutomatonBackend):
         *,
         resumes: Optional[Sequence[Optional[Checkpoint]]] = None,
         collect_reports: bool = True,
-    ) -> List[BackendResult]:
-        runs = self.simulator.run_many(  # checks the resume count
+    ) -> List[ScanResult]:
+        return self.simulator.run_many(  # checks the resume count
             streams, resumes=resumes, collect_reports=collect_reports
         )
-        return [_to_result(run) for run in runs]

@@ -320,10 +320,10 @@ def _cmd_anml_info(arguments) -> int:
     return 0
 
 
-def _cmd_profile_compile(arguments) -> int:
-    from repro.eval.profiling import profile_compile
-
-    design = _design(arguments.design)
+def _workload_automaton(arguments):
+    """The automaton of a command that takes a rules file or
+    ``--workload NAME`` (+ ``--scale``), and the label it prints as the
+    source."""
     if arguments.workload:
         from repro.workloads.suite import build_suite
 
@@ -338,12 +338,18 @@ def _cmd_profile_compile(arguments) -> int:
                 f"unknown workload {arguments.workload!r}; choose from "
                 f"{', '.join(sorted(suite))}"
             ) from None
-        source = f"{arguments.workload} (scale {arguments.scale:g})"
-    elif arguments.rules:
-        automaton = compile_patterns(_load_rules(arguments.rules))
-        source = arguments.rules
-    else:
-        raise ReproError("supply a rules file or --workload NAME")
+        return automaton, f"{arguments.workload} (scale {arguments.scale:g})"
+    if arguments.rules:
+        rules = _load_rules(arguments.rules)
+        return compile_patterns(rules, report_codes=rules), arguments.rules
+    raise ReproError("supply a rules file or --workload NAME")
+
+
+def _cmd_profile_compile(arguments) -> int:
+    from repro.eval.profiling import profile_compile
+
+    design = _design(arguments.design)
+    automaton, source = _workload_automaton(arguments)
     profile, mapping = profile_compile(
         automaton, design, include_bitstream=not arguments.no_bitstream
     )
@@ -360,27 +366,7 @@ def _cmd_fault_campaign(arguments) -> int:
     from repro.workloads.inputs import LOWERCASE, random_over_alphabet
 
     design = _design(arguments.design)
-    if arguments.workload:
-        from repro.workloads.suite import build_suite
-
-        suite = {
-            benchmark.name: benchmark
-            for benchmark in build_suite(arguments.scale)
-        }
-        try:
-            automaton = suite[arguments.workload].build()
-        except KeyError:
-            raise ReproError(
-                f"unknown workload {arguments.workload!r}; choose from "
-                f"{', '.join(sorted(suite))}"
-            ) from None
-        source = f"{arguments.workload} (scale {arguments.scale:g})"
-    elif arguments.rules:
-        rules = _load_rules(arguments.rules)
-        automaton = compile_patterns(rules, report_codes=rules)
-        source = arguments.rules
-    else:
-        raise ReproError("supply a rules file or --workload NAME")
+    automaton, source = _workload_automaton(arguments)
     data = random_over_alphabet(
         arguments.input_bytes, LOWERCASE, seed=arguments.seed
     )
@@ -400,16 +386,30 @@ def _cmd_fault_campaign(arguments) -> int:
     return 0
 
 
+def _tenant_service(arguments, rules):
+    """The ``serve`` command's service (batch and network mode alike):
+    built from its flags, with its one tenant registered."""
+    from repro.service import ScanService, TenantLimits
+
+    service = ScanService(
+        workers=arguments.workers,
+        scan_workers=arguments.scan_workers,
+        chunk_bytes=arguments.chunk_bytes,
+        default_deadline=arguments.deadline,
+    )
+    service.register(
+        arguments.tenant,
+        rules,
+        limits=TenantLimits(max_stream_bytes=arguments.max_stream_bytes),
+        backend=arguments.backend,
+    )
+    return service
+
+
 def _cmd_serve(arguments) -> int:
     import asyncio
 
-    from repro.service import (
-        DeadlineExceeded,
-        RetryingClient,
-        ScanService,
-        ServiceError,
-        TenantLimits,
-    )
+    from repro.service import DeadlineExceeded, RetryingClient, ServiceError
 
     rules = _load_rules(arguments.rules)
     if arguments.port is not None:
@@ -425,18 +425,7 @@ def _cmd_serve(arguments) -> int:
             streams.append((path, handle.read()))
 
     async def run() -> int:
-        service = ScanService(
-            workers=arguments.workers,
-            scan_workers=arguments.scan_workers,
-            chunk_bytes=arguments.chunk_bytes,
-            default_deadline=arguments.deadline,
-        )
-        service.register(
-            arguments.tenant,
-            rules,
-            limits=TenantLimits(max_stream_bytes=arguments.max_stream_bytes),
-            backend=arguments.backend,
-        )
+        service = _tenant_service(arguments, rules)
         client = RetryingClient(service)
         completed = failed = 0
         async with service:
@@ -497,21 +486,10 @@ def _serve_network(arguments, rules) -> int:
     import asyncio
     import signal
 
-    from repro.service import ScanServer, ScanService, TenantLimits
+    from repro.service import ScanServer
 
     async def run() -> int:
-        service = ScanService(
-            workers=arguments.workers,
-            scan_workers=arguments.scan_workers,
-            chunk_bytes=arguments.chunk_bytes,
-            default_deadline=arguments.deadline,
-        )
-        service.register(
-            arguments.tenant,
-            rules,
-            limits=TenantLimits(max_stream_bytes=arguments.max_stream_bytes),
-            backend=arguments.backend,
-        )
+        service = _tenant_service(arguments, rules)
         await service.start()
         server = ScanServer(
             service, host=arguments.host, port=arguments.port
@@ -715,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_parser.add_argument(
         "--jobs", default=None,
         help="worker processes for multi-input scans on backends that "
-             "shard (lazy-dfa); default REPRO_SCAN_JOBS or the CPU count",
+             "shard (lazy-dfa); default REPRO_SCAN_JOBS or 1 (no sharding)",
     )
     scan_parser.add_argument(
         "--split-jobs", default=None, dest="split_jobs",

@@ -459,9 +459,7 @@ class CompileCache:
             self.stats.bypasses += 1
             return None
         path = self.mapping_path(
-            artifact.automaton,
-            artifact.design,
-            stride=getattr(artifact, "stride", 1),
+            artifact.automaton, artifact.design, stride=artifact.stride
         )
         if not self._store_entry(path, artifact.npz_bytes()):
             return None

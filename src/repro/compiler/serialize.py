@@ -106,31 +106,3 @@ def mapping_from_json(
     mapping = Mapping(design, automaton, partitions, location)
     check(mapping)
     return mapping
-
-
-def artifact_to_json(artifact) -> str:
-    """Serialise a :class:`~repro.backends.artifact.CompiledArtifact`'s
-    placement to the portable JSON mapping format.
-
-    Kernel tables are deliberately not included — JSON artefacts are the
-    cross-machine deployment format, and tables rebuild deterministically
-    from the placement; the binary ``npz`` payload
-    (:meth:`~repro.backends.artifact.CompiledArtifact.npz_bytes`) is the
-    cache-local fast path that carries them.
-    """
-    return mapping_to_json(artifact.mapping)
-
-
-def artifact_from_json(
-    document: str,
-    *,
-    designs: Dict[str, DesignPoint] | None = None,
-):
-    """Load a JSON mapping artefact as a
-    :class:`~repro.backends.artifact.CompiledArtifact` (fingerprints
-    recomputed from the loaded, re-validated mapping)."""
-    from repro.backends.artifact import CompiledArtifact
-
-    return CompiledArtifact.from_mapping(
-        mapping_from_json(document, designs=designs)
-    )

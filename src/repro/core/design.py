@@ -204,17 +204,6 @@ class DesignPoint:
 
     # -- capacity ---------------------------------------------------------------
 
-    def cache_bytes_for_states(self, states: int) -> int:
-        """Cache footprint (bytes) of a mapped automaton with ``states`` STEs.
-
-        Each partition stores its STE one-hot columns (8 KB); partially
-        filled partitions still occupy whole arrays.
-        """
-        partitions = -(-states // self.partition_size)
-        return self.geometry.cache_bytes_for_partitions(
-            partitions, full_subarrays=self.full_subarrays
-        )
-
     # -- variants ---------------------------------------------------------------
 
     def without_sa_cycling(self) -> "DesignPoint":

@@ -67,7 +67,6 @@ from repro.core.energy import ActivityProfile, EnergyModel
 from repro.errors import DegradedModeWarning, ReproError, SimulationError
 from repro.regex.compile import compile_patterns
 from repro.sim.functional import MappedSimulator
-from repro.sim.golden import Checkpoint
 
 #: Accepted values for the engine's ``cache`` argument.
 CacheSpec = Union[CompileCache, str, Path, bool, None]
@@ -159,19 +158,17 @@ class StreamScanner:
 
     def __init__(self, engine: "CacheAutomatonEngine"):
         self._engine = engine
-        self._checkpoint: Optional[Checkpoint] = None
+        # Raises SimulationError on a backend that cannot resume.
+        self._stream = engine._backend.stream()
 
     @property
     def position(self) -> int:
         """Symbols consumed so far."""
-        if self._checkpoint is None:
-            return 0
-        return self._checkpoint.symbols_processed
+        return self._stream.position
 
     def scan(self, chunk: bytes) -> List[Match]:
         require_bytes(chunk, "stream chunk")
-        result = self._engine._backend.scan(chunk, resume=self._checkpoint)
-        self._checkpoint = result.checkpoint
+        result = self._stream.scan(chunk)
         self._engine._accumulate(result.profile)
         return self._engine._matches(result.reports)
 
@@ -192,25 +189,19 @@ class MultiStreamScanner:
             raise SimulationError(
                 f"stream count must be positive, got {count}"
             )
-        if not engine._backend.capabilities().resume:
-            raise SimulationError(
-                f"backend {engine._backend.name!r} does not support "
-                "checkpointed streaming (capabilities().resume is False)"
-            )
         self._engine = engine
-        self._checkpoints: List[Optional[Checkpoint]] = [None] * count
+        # One resume cursor per stream; ``stream()`` raises
+        # SimulationError on a backend that cannot resume.
+        self._streams = [engine._backend.stream() for _ in range(count)]
 
     @property
     def stream_count(self) -> int:
-        return len(self._checkpoints)
+        return len(self._streams)
 
     @property
     def positions(self) -> List[int]:
         """Symbols consumed so far, per stream."""
-        return [
-            0 if checkpoint is None else checkpoint.symbols_processed
-            for checkpoint in self._checkpoints
-        ]
+        return [stream.position for stream in self._streams]
 
     def scan(self, chunks: Sequence[bytes]) -> List[List[Match]]:
         """Feed one chunk per stream; returns each stream's new matches.
@@ -222,18 +213,18 @@ class MultiStreamScanner:
             "scan() expects a sequence of per-stream chunks, "
             "not a single byte string",
         )
-        if len(chunks) != len(self._checkpoints):
+        if len(chunks) != len(self._streams):
             raise SimulationError(
-                f"got {len(chunks)} chunks for {len(self._checkpoints)} streams"
+                f"got {len(chunks)} chunks for {len(self._streams)} streams"
             )
         for index, chunk in enumerate(chunks):
             require_bytes(chunk, f"chunk for stream {index}")
         results = self._engine._backend.scan_many(
-            chunks, resumes=self._checkpoints
+            chunks, resumes=[stream.checkpoint for stream in self._streams]
         )
-        self._checkpoints = [result.checkpoint for result in results]
         matches: List[List[Match]] = []
-        for result in results:
+        for stream, result in zip(self._streams, results):
+            stream.checkpoint = result.checkpoint
             self._engine._accumulate(result.profile)
             matches.append(self._engine._matches(result.reports))
         return matches
@@ -289,7 +280,8 @@ class CacheAutomatonEngine:
         through to the backend's ``from_artifact``.
         ``scan_jobs`` presets the worker count for process-sharded
         ``scan_many`` on backends that support it (the lazy-DFA
-        backend; also settable via ``REPRO_SCAN_JOBS``); it is shorthand
+        backend; also settable via ``REPRO_SCAN_JOBS``; unset, a batch
+        is scanned serially); it is shorthand
         for ``backend_options={"jobs": ...}``.  ``split_jobs`` presets
         the *single-stream* split worker count on backends whose
         capabilities claim ``split`` (the lazy-DFA backend's SFA-style
@@ -558,22 +550,18 @@ class CacheAutomatonEngine:
         ``events_dropped`` counts evictions, so a long-lived serving
         process neither grows without limit nor miscounts degradations.
         """
-        scan_events = tuple(getattr(self._backend, "health_events", ()))
-        dropped = self._health_events.dropped + int(
-            getattr(self._backend, "health_events_dropped", 0)
-        )
-        placement_of = getattr(self._backend, "placement", None)
+        backend = self._backend
         return EngineHealth(
             tier=self._tier,
-            backend=self._backend.name,
+            backend=backend.name,
             degraded=self._tier in (TIER_RECOMPILED, TIER_GOLDEN),
-            events=tuple(self._health_events) + scan_events,
+            events=tuple(self._health_events) + tuple(backend.health_events),
             cache=self.cache_info(),
             requested=self._requested_backend,
-            events_dropped=dropped,
-            placement=(
-                tuple(placement_of()) if callable(placement_of) else ()
+            events_dropped=(
+                self._health_events.dropped + backend.health_events_dropped
             ),
+            placement=tuple(backend.placement()),
         )
 
     def health_event_count(self) -> int:
@@ -585,8 +573,8 @@ class CacheAutomatonEngine:
         return (
             len(self._health_events)
             + self._health_events.dropped
-            + len(getattr(backend, "health_events", ()))
-            + int(getattr(backend, "health_events_dropped", 0))
+            + len(backend.health_events)
+            + backend.health_events_dropped
         )
 
     @property
@@ -614,18 +602,14 @@ class CacheAutomatonEngine:
         patterns: Sequence[str],
         *,
         rule_ids: Optional[Iterable[str]] = None,
-        design: DesignPoint = CA_P,
         optimize: bool = False,
         cache: CacheSpec = "auto",
-        compile_jobs: Union[int, str, None] = None,
-        scan_jobs: Union[int, str, None] = None,
-        split_jobs: Union[int, str, None] = None,
-        stride: Union[int, str, None] = None,
-        backend: Optional[str] = None,
-        backend_options: Optional[Dict[str, object]] = None,
-        auto: bool = False,
+        **options,
     ) -> "CacheAutomatonEngine":
         """Compile a regex rule set; matches carry the rule id.
+
+        ``optimize`` and ``cache`` are read here too; every other
+        keyword is the constructor's.
 
         The compiled automaton is itself a cache entry, addressed by the
         pattern list, the rule ids and the front-end version
@@ -649,19 +633,7 @@ class CacheAutomatonEngine:
             )
             if key is not None:
                 cache.store_automaton(key, machine)
-        engine = cls(
-            machine,
-            design=design,
-            optimize=optimize,
-            cache=cache,
-            compile_jobs=compile_jobs,
-            scan_jobs=scan_jobs,
-            split_jobs=split_jobs,
-            stride=stride,
-            backend=backend,
-            backend_options=backend_options,
-            auto=auto,
-        )
+        engine = cls(machine, optimize=optimize, cache=cache, **options)
         if quarantined:
             engine._health_events.append(
                 "quarantined corrupt cached automaton; patterns recompiled"
@@ -669,65 +641,16 @@ class CacheAutomatonEngine:
         return engine
 
     @classmethod
-    def from_anml(
-        cls,
-        document: str,
-        *,
-        design: DesignPoint = CA_P,
-        optimize: bool = False,
-        cache: CacheSpec = "auto",
-        compile_jobs: Union[int, str, None] = None,
-        scan_jobs: Union[int, str, None] = None,
-        split_jobs: Union[int, str, None] = None,
-        stride: Union[int, str, None] = None,
-        backend: Optional[str] = None,
-        backend_options: Optional[Dict[str, object]] = None,
-        auto: bool = False,
-    ) -> "CacheAutomatonEngine":
-        return cls(
-            from_anml(document),
-            design=design,
-            optimize=optimize,
-            cache=cache,
-            compile_jobs=compile_jobs,
-            scan_jobs=scan_jobs,
-            split_jobs=split_jobs,
-            stride=stride,
-            backend=backend,
-            backend_options=backend_options,
-            auto=auto,
-        )
+    def from_anml(cls, document: str, **options) -> "CacheAutomatonEngine":
+        """Build from an ANML document; every keyword is the
+        constructor's."""
+        return cls(from_anml(document), **options)
 
     @classmethod
-    def from_anml_file(
-        cls,
-        path: str,
-        *,
-        design: DesignPoint = CA_P,
-        optimize: bool = False,
-        cache: CacheSpec = "auto",
-        compile_jobs: Union[int, str, None] = None,
-        scan_jobs: Union[int, str, None] = None,
-        split_jobs: Union[int, str, None] = None,
-        stride: Union[int, str, None] = None,
-        backend: Optional[str] = None,
-        backend_options: Optional[Dict[str, object]] = None,
-        auto: bool = False,
-    ) -> "CacheAutomatonEngine":
+    def from_anml_file(cls, path: str, **options) -> "CacheAutomatonEngine":
+        """Build from an ANML file; every keyword is the constructor's."""
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_anml(
-                handle.read(),
-                design=design,
-                optimize=optimize,
-                cache=cache,
-                compile_jobs=compile_jobs,
-                scan_jobs=scan_jobs,
-                split_jobs=split_jobs,
-                stride=stride,
-                backend=backend,
-                backend_options=backend_options,
-                auto=auto,
-            )
+            return cls.from_anml(handle.read(), **options)
 
     # -- scanning ------------------------------------------------------------
 
@@ -759,9 +682,9 @@ class CacheAutomatonEngine:
         compiled automaton, so the default backend scans them one after
         the other on one shared warm kernel — a transition any stream
         has visited is a cache hit for all of them (the lazy-DFA backend
-        additionally shards the streams across processes; backends
-        without a ``scan_many`` of their own get the protocol's
-        per-stream loop).  Returns one match list per stream, each
+        shards the streams across processes when ``scan_jobs`` asks for
+        workers; backends without a ``scan_many`` of their own get the
+        protocol's per-stream loop).  Returns one match list per stream, each
         identical to ``scan`` on that stream alone.
         """
         streams = require_byte_streams(
@@ -781,11 +704,6 @@ class CacheAutomatonEngine:
 
     def stream(self) -> StreamScanner:
         """A stateful scanner for chunked input (global offsets)."""
-        if not self._backend.capabilities().resume:
-            raise SimulationError(
-                f"backend {self._backend.name!r} does not support "
-                "checkpointed streaming (capabilities().resume is False)"
-            )
         return StreamScanner(self)
 
     def stream_many(self, count: int) -> MultiStreamScanner:
@@ -816,10 +734,16 @@ class CacheAutomatonEngine:
         return input_bytes / (self.design.frequency_ghz * 1e9) * 1e3
 
     def performance_summary(self) -> PerformanceSummary:
-        """Line rate, footprint, and (if traffic was scanned) energy."""
+        """Line rate, footprint, and energy — the last only when traffic
+        was scanned on a backend that measures activity
+        (``capabilities().activity_profile``): a symbols/reports-only
+        profile would put the energy at exactly zero, not at unknown."""
         energy_model = EnergyModel(self.design)
         energy = power = None
-        if self._profile.symbols:
+        if (
+            self._profile.symbols
+            and self._backend.capabilities().activity_profile
+        ):
             energy = energy_model.energy_per_symbol_nj(self._profile)
             power = energy_model.average_power_watts(self._profile)
         return PerformanceSummary(

@@ -23,7 +23,8 @@ from repro.compiler.mapping import Compiler, Mapping
 from repro.core.design import DesignPoint
 from repro.core.energy import ActivityProfile, EnergyModel
 from repro.errors import SimulationError
-from repro.sim.functional import MappedRunResult, MappedSimulator
+from repro.sim.functional import MappedSimulator
+from repro.sim.kernel import ScanResult
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,14 @@ class EnergyBreakdown:
 
 def profile_mapping(
     mapping: Mapping, data: bytes, *, simulator: Optional[MappedSimulator] = None
-) -> MappedRunResult:
+) -> ScanResult:
     """Run the mapped simulation with per-partition stats enabled."""
     simulator = simulator or MappedSimulator(mapping)
     return simulator.run(data, collect_reports=False, collect_partition_stats=True)
 
 
 def partition_activity(
-    mapping: Mapping, result: MappedRunResult
+    mapping: Mapping, result: ScanResult
 ) -> List[PartitionActivity]:
     """Per-partition fill + duty-cycle table from a profiled run."""
     if result.partition_activation_counts is None:
@@ -150,7 +151,7 @@ def hottest_partitions(
 
 
 def utilisation_report(
-    mapping: Mapping, result: MappedRunResult
+    mapping: Mapping, result: ScanResult
 ) -> List[tuple]:
     """A per-partition table: fill, duty cycle, way."""
     rows = [("Partition", "Way", "STEs", "Fill", "Duty cycle")]

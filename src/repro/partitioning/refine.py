@@ -51,18 +51,6 @@ def adjacency_csr(graph: PartitionGraph) -> AdjacencyCSR:
     return indptr, indices, weights
 
 
-def _gain(graph: PartitionGraph, assignment: Sequence[int], node: int) -> int:
-    """Cut reduction if ``node`` switched sides: external - internal weight."""
-    internal = external = 0
-    side = assignment[node]
-    for neighbour, weight in graph.neighbours(node).items():
-        if assignment[neighbour] == side:
-            internal += weight
-        else:
-            external += weight
-    return external - internal
-
-
 def _initial_gains(
     assignment: np.ndarray, csr: AdjacencyCSR
 ) -> np.ndarray:

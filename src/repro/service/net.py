@@ -254,10 +254,6 @@ class ScanServer:
                 task.cancel()
             connection.writer.close()
 
-    async def serve_until(self, event: asyncio.Event) -> None:
-        """Run until ``event`` is set (signal handlers set it)."""
-        await event.wait()
-
     # -- connection handling ---------------------------------------------
 
     async def _serve_connection(self, reader, writer) -> None:

@@ -300,7 +300,7 @@ def _serve_span(message):
 
 class _SpanResult(NamedTuple):
     """What the service's request loop consumes of one span: the slice
-    of BackendResult the in-loop plane reads, the bytes consumed, the
+    of ScanResult the in-loop plane reads, the bytes consumed, the
     health events the worker's backend logged meanwhile, and why a cold
     start could not use the tenant's published tables (else ``None``)."""
 

@@ -2,17 +2,17 @@
 
 from repro.sim.circuit import CircuitRunResult, CircuitSimulator, simulate_circuit
 from repro.sim.crossbar import CrossbarLevelSimulator
-from repro.sim.functional import MappedRunResult, MappedSimulator, simulate_mapping
+from repro.sim.functional import MappedSimulator, simulate_mapping
 from repro.sim.golden import (
     Checkpoint,
     GoldenSimulator,
     Report,
-    RunResult,
     RunStats,
     average_active_states,
     match_offsets,
     simulate,
 )
+from repro.sim.kernel import ScanResult
 
 __all__ = [
     "Checkpoint",
@@ -20,11 +20,10 @@ __all__ = [
     "CircuitSimulator",
     "CrossbarLevelSimulator",
     "GoldenSimulator",
-    "MappedRunResult",
     "MappedSimulator",
     "Report",
-    "RunResult",
     "RunStats",
+    "ScanResult",
     "average_active_states",
     "match_offsets",
     "simulate",

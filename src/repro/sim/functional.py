@@ -30,7 +30,7 @@ and idle fast-path tables, nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence
 
@@ -40,12 +40,13 @@ from repro.backends.validation import require_resume_count
 from repro.compiler.mapping import Mapping
 from repro.core.energy import ActivityProfile
 from repro.errors import SimulationError
-from repro.sim.golden import RunStats
 from repro.sim.kernel import (
     BitsetKernel,
     Checkpoint,
     Report,
     ReportDecoder,
+    RunStats,
+    ScanResult,
     placement_bits,
     placement_ids,
     popcount_rows,
@@ -86,25 +87,6 @@ class OutputBufferModel:
         if self.events >= self.entries:
             overflow, self.events = divmod(self.events, self.entries)
             self.interrupts += overflow
-
-
-@dataclass
-class MappedRunResult:
-    reports: List[Report]
-    stats: RunStats
-    profile: ActivityProfile
-    output_buffer: OutputBufferModel
-    #: Resume state after the run (Section 2.9 suspend/resume).
-    checkpoint: Optional[Checkpoint] = None
-    #: Per-partition activation counts (only when ``collect_partition_stats``
-    #: was requested): how many cycles each partition's array was accessed.
-    partition_activation_counts: Optional[np.ndarray] = None
-    #: CBOX output-buffer entries (only when ``collect_records`` was
-    #: requested): one per (reporting partition, cycle) event.
-    output_records: List[OutputRecord] = field(default_factory=list)
-
-    def report_offsets(self) -> List[int]:
-        return sorted({report.offset for report in self.reports})
 
 
 class _RunAccumulator:
@@ -202,12 +184,14 @@ class _RunAccumulator:
             reports=report_count,
         )
 
-    def finish(self, symbols: int, checkpoint: Checkpoint) -> MappedRunResult:
+    def finish(self, symbols: int, checkpoint: Checkpoint) -> ScanResult:
         self.stats.symbols_processed = symbols
         self.profile.add_activity(symbols=symbols)
-        return MappedRunResult(
-            self.reports, self.stats, self.profile, self.buffer_model,
-            checkpoint, self.partition_counts, self.output_records,
+        return ScanResult(
+            self.reports, self.profile, checkpoint, self.stats,
+            self.buffer_model,
+            partition_activation_counts=self.partition_counts,
+            output_records=self.output_records,
         )
 
 
@@ -369,7 +353,7 @@ class MappedSimulator:
         collect_partition_stats: bool = False,
         collect_records: bool = False,
         collect_cycle_stats: bool = False,
-    ) -> MappedRunResult:
+    ) -> ScanResult:
         """Process ``data``, returning reports, stats, and activity profile.
 
         ``resume`` continues a suspended stream from a previous run's
@@ -401,7 +385,7 @@ class MappedSimulator:
         *,
         resumes: Optional[Sequence[Optional[Checkpoint]]] = None,
         **collect,
-    ) -> List[MappedRunResult]:
+    ) -> List[ScanResult]:
         """Run several independent streams on this simulator's kernel.
 
         This is the Section 6 multi-stream scenario: every stream scans
@@ -431,6 +415,6 @@ class MappedSimulator:
 
 def simulate_mapping(
     mapping: Mapping, data: bytes, **kwargs
-) -> MappedRunResult:
+) -> ScanResult:
     """One-shot convenience wrapper around :class:`MappedSimulator`."""
     return MappedSimulator(mapping).run(data, **kwargs)

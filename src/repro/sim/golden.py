@@ -23,17 +23,18 @@ the input are skipped in whole vectorised slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.automata.anml import HomogeneousAutomaton
-from repro.sim.kernel import (  # Checkpoint, Report: re-exported
+from repro.sim.kernel import (  # Checkpoint, Report, RunStats: re-exported
     BitsetKernel,
     Checkpoint,
     Report,
     ReportDecoder,
+    RunStats,
+    ScanResult,
     popcount_rows,
 )
 
@@ -43,42 +44,6 @@ from repro.sim.kernel import (  # Checkpoint, Report: re-exported
 #: be poisonable by one — so the portable placement layout is the
 #: business of its backend adapter (:mod:`repro.backends.golden`).
 AUTOMATON_ORDER = "automaton-order"
-
-
-@dataclass
-class RunStats:
-    """Per-run activity statistics (feeds Table 1 and the energy model).
-
-    ``matched_per_cycle`` is populated only when the run requested
-    ``collect_cycle_stats=True`` — both :class:`GoldenSimulator` and
-    :class:`repro.sim.functional.MappedSimulator` honour the flag, so the
-    two simulators' stats agree field-for-field.
-    """
-
-    symbols_processed: int = 0
-    total_matched_states: int = 0
-    matched_per_cycle: List[int] = field(default_factory=list)
-
-    @property
-    def average_active_states(self) -> float:
-        """Mean number of matched (active) states per input symbol."""
-        if self.symbols_processed == 0:
-            return 0.0
-        return self.total_matched_states / self.symbols_processed
-
-
-@dataclass
-class RunResult:
-    reports: List[Report]
-    stats: RunStats
-    #: Resume state after the run (pass back via ``resume=`` to continue).
-    checkpoint: Optional["Checkpoint"] = None
-    #: Reporting-STE firings, counted whether or not ``reports`` was
-    #: materialised.
-    report_count: int = 0
-
-    def report_offsets(self) -> List[int]:
-        return sorted({report.offset for report in self.reports})
 
 
 class GoldenSimulator:
@@ -101,12 +66,12 @@ class GoldenSimulator:
         collect_reports: bool = True,
         collect_cycle_stats: bool = False,
         resume: Optional[Checkpoint] = None,
-    ) -> RunResult:
+    ) -> ScanResult:
         """Process ``data`` and return reports plus activity statistics.
 
         ``collect_reports=False`` skips report materialisation (useful for
-        very long activity-profiling runs; ``report_count`` is still
-        kept); ``collect_cycle_stats`` keeps the full per-cycle
+        very long activity-profiling runs; ``profile.reports`` still
+        counts the firings); ``collect_cycle_stats`` keeps the full per-cycle
         matched-state counts, not just the total.
 
         Passing a previous run's ``checkpoint`` as ``resume`` continues a
@@ -116,32 +81,40 @@ class GoldenSimulator:
         (:meth:`~repro.sim.kernel.BitsetKernel.drive`).
         """
         kernel = self._kernel
-        result = RunResult([], RunStats())
-        stats = result.stats
+        reports: List[Report] = []
+        stats = RunStats()
+        report_count = 0
 
         def on_chunk(sym, matched_rows, _enabled_rows, offset):
+            nonlocal report_count
             counts = popcount_rows(matched_rows)
             stats.total_matched_states += int(counts.sum())
             if collect_cycle_stats:
                 stats.matched_per_cycle.extend(counts.tolist())
             reporting_rows = matched_rows & kernel.report_row
             fired = popcount_rows(reporting_rows)
-            result.report_count += int(fired.sum())
+            report_count += int(fired.sum())
             if collect_reports:
                 for cycle in np.flatnonzero(fired).tolist():
                     self._decoder.emit(
                         reporting_rows[cycle].tobytes(),
                         offset + cycle,
-                        result.reports,
+                        reports,
                     )
 
-        stats.symbols_processed, result.checkpoint = kernel.drive(
+        stats.symbols_processed, checkpoint = kernel.drive(
             data, resume, on_chunk
         )
-        return result
+        return ScanResult.counted(
+            reports,
+            symbols=stats.symbols_processed,
+            report_count=report_count,
+            checkpoint=checkpoint,
+            stats=stats,
+        )
 
 
-def simulate(automaton: HomogeneousAutomaton, data: bytes, **kwargs) -> RunResult:
+def simulate(automaton: HomogeneousAutomaton, data: bytes, **kwargs) -> ScanResult:
     """One-shot convenience wrapper around :class:`GoldenSimulator`."""
     return GoldenSimulator(automaton).run(data, **kwargs)
 

@@ -33,11 +33,13 @@ drive (:meth:`~BitsetKernel.drive`, the one ``CHUNK_SYMBOLS`` loop), leave
 (:meth:`~BitsetKernel.leave`) and decode (:class:`ReportDecoder`).  The
 decision behind them is the bit layout of a :class:`Checkpoint`, and
 there is one: the artifact's placement layout (:func:`placement_ids`).
+What comes out is one type as well, :class:`ScanResult`, from both
+simulators and every backend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +47,7 @@ import numpy as np
 from repro.automata.anml import HomogeneousAutomaton, StartKind
 from repro.automata.symbols import byte_signatures
 from repro.backends.validation import as_symbols
+from repro.core.energy import ActivityProfile
 from repro.errors import FaultError, SimulationError
 
 #: Symbols processed per kernel chunk (gather + batched-stats granularity).
@@ -201,6 +204,90 @@ class Checkpoint:
         if vector < 0:
             raise ValueError("a state vector is not negative")
         return cls(int(symbols), vector, bool(sod), *dialect)
+
+
+@dataclass
+class RunStats:
+    """Per-run activity statistics (feeds Table 1 and the energy model).
+
+    ``matched_per_cycle`` is populated only when the run requested
+    ``collect_cycle_stats=True`` — both
+    :class:`repro.sim.golden.GoldenSimulator` and
+    :class:`repro.sim.functional.MappedSimulator` honour the flag, so
+    the two simulators' stats agree field-for-field.
+    """
+
+    symbols_processed: int = 0
+    total_matched_states: int = 0
+    matched_per_cycle: List[int] = field(default_factory=list)
+
+    @property
+    def average_active_states(self) -> float:
+        """Mean number of matched (active) states per input symbol."""
+        if self.symbols_processed == 0:
+            return 0.0
+        return self.total_matched_states / self.symbols_processed
+
+
+@dataclass
+class ScanResult:
+    """What one scan leaves behind: the one result type of every
+    simulator and every backend.
+
+    ``reports`` follow golden-simulator conventions (0-based end
+    offsets).  The counting convention lives here and nowhere else:
+    ``profile.reports`` counts reporting-STE firings whether or not
+    ``reports`` was materialised (``collect_reports=False`` leaves the
+    list empty, not the count), and ``profile.symbols`` counts the
+    symbols this scan consumed; the rest of the activity profile
+    (partition activations, G-switch crossings) is filled by the mapped
+    simulator alone — a backend says so through
+    ``capabilities().activity_profile`` — and :meth:`counted` builds the
+    two-count profile of everyone else.  ``checkpoint`` resumes the
+    stream (Section 2.9) on backends supporting it.
+
+    The remaining fields are substrate extras, empty unless their one
+    producer fills them: ``stats`` (run statistics), ``output_buffer``
+    (the mapped simulator's CBOX output-buffer model, Section 2.8),
+    ``detected`` (the fault-injected backend's parity-detection cycles),
+    and the mapped simulator's two opt-in diagnostics,
+    ``partition_activation_counts`` (``collect_partition_stats=True``:
+    cycles each partition's array was accessed) and ``output_records``
+    (``collect_records=True``: one Section 2.8 entry per reporting
+    partition and cycle).
+    """
+
+    reports: List[Report]
+    profile: ActivityProfile
+    checkpoint: Optional[Checkpoint] = None
+    stats: Optional[RunStats] = None
+    output_buffer: Optional[object] = None
+    detected: Tuple[int, ...] = ()
+    partition_activation_counts: Optional[np.ndarray] = None
+    output_records: Sequence[object] = ()
+
+    def report_offsets(self) -> List[int]:
+        return sorted({report.offset for report in self.reports})
+
+    @classmethod
+    def counted(
+        cls,
+        reports: List[Report],
+        *,
+        symbols: int,
+        report_count: Optional[int] = None,
+        checkpoint: Optional[Checkpoint] = None,
+        stats: Optional[RunStats] = None,
+    ) -> "ScanResult":
+        """Result with a symbols/reports-only activity profile;
+        ``report_count`` defaults to ``len(reports)`` (pass it whenever
+        ``reports`` may not have been materialised)."""
+        profile = ActivityProfile()
+        profile.add_activity(
+            symbols=symbols,
+            reports=len(reports) if report_count is None else report_count,
+        )
+        return cls(reports, profile, checkpoint, stats)
 
 
 def placement_ids(mapping) -> List[str]:

@@ -16,7 +16,8 @@ deterministic — the worker count never changes what a scan returns,
 only how fast it returns.
 
 Worker count comes from ``jobs=`` or the ``REPRO_SCAN_JOBS`` environment
-variable, defaulting to the CPU count.
+variable; sharding is opt-in (unset means 1 — a fork per batch costs
+more than a short batch does — and ``"auto"`` asks for every core).
 """
 
 from __future__ import annotations
@@ -32,7 +33,11 @@ from repro.sim.lazydfa import LazyDfaKernel
 
 SCAN_JOBS_ENV = "REPRO_SCAN_JOBS"
 
-#: One stream's raw scan outcome, before report materialisation:
+#: One stream's raw scan outcome, before report materialisation — not a
+#: result type beside :class:`~repro.sim.kernel.ScanResult` but its one
+#: *pickle form*, what crosses a process boundary (worker pipe, pool
+#: span), with one decoder
+#: (:meth:`~repro.backends.lazydfa.LazyDfaBackend.materialise_raw`):
 #: (events as (offset from the scan's first symbol, count,
 #:  reporting_row_bytes), report_total, checkpoint to resume from,
 #:  symbols_scanned) — so the scan began ``symbols_scanned`` before the

@@ -106,6 +106,14 @@ class TestConstructors:
         assert engine.state_count < 20  # shared 'prefix_' merged
         assert [m.end for m in engine.scan(b"a prefix_two!")] == [11]
 
+    def test_unknown_option_is_a_type_error(self, engine):
+        from repro.automata.anml import to_anml
+
+        with pytest.raises(TypeError, match="nope"):
+            CacheAutomatonEngine.from_patterns(["ab"], nope=1)
+        with pytest.raises(TypeError, match="nope"):
+            CacheAutomatonEngine.from_anml(to_anml(engine.automaton), nope=1)
+
     def test_default_rule_ids_are_patterns(self):
         engine = CacheAutomatonEngine.from_patterns(["ab+"])
         assert engine.scan(b"abb")[0].rule == "ab+"
@@ -135,6 +143,26 @@ class TestIntrospection:
         assert summary.average_power_watts > 0
         assert summary.design == "CA_P"
         assert summary.partitions == 1
+
+
+    @pytest.mark.parametrize(
+        "backend, measured",
+        [
+            ("packed-kernel", True),
+            ("lazy-dfa", False),
+            ("hybrid", False),
+            ("golden-interpreter", False),
+        ],
+    )
+    def test_energy_is_unknown_without_an_activity_profile(
+        self, backend, measured
+    ):
+        engine = CacheAutomatonEngine.from_patterns(["bat"], backend=backend)
+        engine.scan(b"some traffic with a bat")
+        summary = engine.performance_summary()
+        for figure in (summary.energy_nj_per_symbol, summary.average_power_watts):
+            assert (figure is not None) == measured
+            assert figure is None or figure > 0
 
 
 class TestMultiStream:
