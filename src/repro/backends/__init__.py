@@ -3,8 +3,7 @@
 The package splits into three layers:
 
 * :mod:`~repro.backends.artifact` — the :class:`CompiledArtifact` IR,
-  the single versioned serialisation used by the on-disk cache and the
-  bitstream export;
+  the single versioned serialisation the on-disk cache persists;
 * :mod:`~repro.backends.base` — the :class:`AutomatonBackend` protocol
   (``from_artifact`` / ``scan`` / ``scan_many`` / ``stream`` /
   ``capabilities``) and its capability type; what a scan returns is

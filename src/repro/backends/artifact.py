@@ -2,49 +2,49 @@
 
 A :class:`CompiledArtifact` is the complete, serialisable product of
 compilation — the placement (:class:`~repro.compiler.mapping.Mapping`),
-the packed simulator kernel tables, and the content fingerprints of both
-compiler inputs.  It replaces the ad-hoc ``(mapping, kernel_arrays)``
-tuples that used to be duplicated across the artifact cache, the
-simulator cache round-trip, and the engine's warm-start path, and it is
-the single argument of every backend's ``from_artifact``.
+the packed simulator kernel tables, the k-stride alphabet, the per-CC
+classification, and the content fingerprints of both compiler inputs.
+It is the single argument of every backend's ``from_artifact`` and the
+one entry kind the artifact cache stores under
+:func:`~repro.compiler.cache.cache_key`.
 
-Serialisation is versioned (:data:`ARTIFACT_FORMAT_VERSION`) and shared:
-:meth:`CompiledArtifact.to_payload` / :meth:`from_payload` define the
-array-dict layout the on-disk cache persists (``.npz``), and
-:meth:`npz_bytes` / :meth:`from_npz_bytes` wrap it for byte-oriented
-transport.  Any corrupt, mismatching, or out-of-version payload raises
-:class:`~repro.errors.ArtifactError`, which the cache converts into
-"quarantine and recompile" — in particular, version-1 payloads written
-before artifacts became stride-aware are invalidated cleanly rather
-than mis-deserialised as unstrided.
+The payload (:meth:`CompiledArtifact.to_payload` /
+:meth:`~CompiledArtifact.from_payload`, an array dict persisted as
+``.npz``) holds the placement as the three arrays the mapping itself
+holds — ``part``, ``slot`` (aligned with
+``automaton.edge_index_arrays().ids``) and ``ways`` — so storing writes
+them as they are and loading hands them straight to
+:class:`~repro.compiler.mapping.Mapping`; beside them sit the
+fingerprints, the stride, and the ``kernel_*`` / ``stride_*`` /
+``classify_*`` tables.
+
+Versions follow one rule: :data:`ARTIFACT_FORMAT_VERSION` is hashed into
+the cache key, so changing the layout changes every address and entries
+of another layout are never read.  The payload also records the version
+it was written under; like the stored fingerprints it is re-verified on
+load, and a mismatch — as any corrupt or unreadable member — raises
+:class:`~repro.errors.ArtifactError`, which the cache turns into
+"quarantine and recompile".
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.automata.anml import HomogeneousAutomaton
 from repro.compiler.cache import automaton_fingerprint, design_fingerprint
-from repro.compiler.mapping import MappedPartition, Mapping
+from repro.compiler.mapping import Mapping
 from repro.core.design import DesignPoint
 from repro.errors import ArtifactError
 
-#: Bump when the payload layout changes.  Version 1 is the original
-#: layout (``part``/``slot``/``ways``/fingerprints/``kernel_*``); the
-#: explicit ``artifact_version`` member was introduced while the layout
-#: was still version 1, so payloads without it are read as version 1.
-#: Version 2 adds the k-stride execution fields (``stride`` plus the
-#: ``stride_*`` compressed-alphabet tables); version 3 adds the per-CC
-#: classification tables (``classify_*`` — feature table, substrate
-#: costs, and partition assignment; see :mod:`repro.compiler.classify`)
-#: consumed by the hybrid execution backend.  Out-of-version payloads
-#: are rejected with :class:`ArtifactError` so the cache quarantines and
-#: recompiles instead of mis-deserialising them — version-1 payloads as
-#: unstrided, version-2 payloads as carrying a (missing) placement.
+#: The payload layout's version: bump it whenever a member is added,
+#: dropped, or changes meaning.  Hashed into
+#: :func:`~repro.compiler.cache.cache_key`, so entries of another layout
+#: are simply never looked up again.
 ARTIFACT_FORMAT_VERSION = 3
 
 #: Payload member prefix under which kernel tables are stored.
@@ -70,7 +70,6 @@ class CompiledArtifact:
     kernel_tables: Dict[str, np.ndarray] = field(default_factory=dict)
     automaton_fingerprint: str = ""
     design_fingerprint: str = ""
-    version: int = ARTIFACT_FORMAT_VERSION
     #: Effective k-stride the artifact was compiled for (1 = unstrided).
     stride: int = 1
     #: Compressed stride-alphabet tables (``stride_k`` /
@@ -120,71 +119,26 @@ class CompiledArtifact:
         self, kernel_tables: Dict[str, np.ndarray]
     ) -> "CompiledArtifact":
         """A copy of this artifact carrying ``kernel_tables``."""
-        return CompiledArtifact(
-            mapping=self.mapping,
-            kernel_tables=dict(kernel_tables),
-            automaton_fingerprint=self.automaton_fingerprint,
-            design_fingerprint=self.design_fingerprint,
-            version=self.version,
-            stride=self.stride,
-            stride_tables=dict(self.stride_tables),
-            classify_tables=dict(self.classify_tables),
-        )
-
-    def with_stride_tables(
-        self, stride: int, stride_tables: Dict[str, np.ndarray]
-    ) -> "CompiledArtifact":
-        """A copy carrying the k-stride alphabet (re-fingerprinted)."""
-        return CompiledArtifact(
-            mapping=self.mapping,
-            kernel_tables=dict(self.kernel_tables),
-            automaton_fingerprint=self.automaton_fingerprint,
-            design_fingerprint=design_fingerprint(
-                self.mapping.design, stride=stride
-            ),
-            version=self.version,
-            stride=stride,
-            stride_tables=dict(stride_tables),
-            classify_tables=dict(self.classify_tables),
-        )
+        return replace(self, kernel_tables=dict(kernel_tables))
 
     def with_classify_tables(
         self, classify_tables: Dict[str, np.ndarray]
     ) -> "CompiledArtifact":
         """A copy carrying the per-CC classification tables."""
-        return CompiledArtifact(
-            mapping=self.mapping,
-            kernel_tables=dict(self.kernel_tables),
-            automaton_fingerprint=self.automaton_fingerprint,
-            design_fingerprint=self.design_fingerprint,
-            version=self.version,
-            stride=self.stride,
-            stride_tables=dict(self.stride_tables),
-            classify_tables=dict(classify_tables),
-        )
+        return replace(self, classify_tables=dict(classify_tables))
 
     # -- serialisation -----------------------------------------------------
 
     def to_payload(self) -> Dict[str, np.ndarray]:
         """The versioned array-dict payload persisted by the cache."""
         automaton = self.mapping.automaton
-        arrays = automaton.edge_index_arrays()
-        count = len(arrays.ids)
-        part = np.empty(count, dtype=np.int32)
-        slot = np.empty(count, dtype=np.int32)
-        location = self.mapping.location
-        for position, ste_id in enumerate(arrays.ids):
-            partition_index, slot_index = location[ste_id]
-            part[position] = partition_index
-            slot[position] = slot_index
         payload: Dict[str, np.ndarray] = {
-            "artifact_version": np.asarray(self.version, dtype=np.int64),
-            "part": part,
-            "slot": slot,
-            "ways": np.asarray(
-                [partition.way for partition in self.mapping.partitions],
-                dtype=np.int32,
+            "artifact_version": np.asarray(
+                ARTIFACT_FORMAT_VERSION, dtype=np.int64
             ),
+            "part": self.mapping.part,
+            "slot": self.mapping.slot,
+            "ways": self.mapping.ways,
             "fingerprint": np.asarray(
                 self.automaton_fingerprint
                 or automaton_fingerprint(automaton)
@@ -221,18 +175,12 @@ class CompiledArtifact:
         re-verified against ``automaton``/``design``/``stride``; any
         missing member, shape mismatch, unsupported version, stride
         mismatch, or fingerprint mismatch raises :class:`ArtifactError`.
-        Per-state structures of the returned mapping materialise lazily
-        — warm engine starts never touch them.
         """
         try:
             members = set(
                 data.files if hasattr(data, "files") else data.keys()
             )
-            version = (
-                int(data["artifact_version"])
-                if "artifact_version" in members
-                else 1
-            )
+            version = int(data["artifact_version"])
             if version != ARTIFACT_FORMAT_VERSION:
                 raise ArtifactError(
                     f"unsupported artifact version {version} "
@@ -253,20 +201,15 @@ class CompiledArtifact:
                 f"artifact was compiled at stride {stored_stride}, "
                 f"loaded against stride {stride}"
             )
-        arrays = automaton.edge_index_arrays()
+        states = (len(automaton.edge_index_arrays().ids),)
         if (
             stored_fingerprint != automaton_fingerprint(automaton)
             or stored_design != design_fingerprint(design, stride=stride)
-            or part.shape[0] != len(arrays.ids)
+            or part.shape != states
+            or slot.shape != states
         ):
             raise ArtifactError("stored fingerprints do not match the key")
-        placement = _SharedPlacement(arrays.ids, part, slot, ways.shape[0])
-        partitions = [
-            _LazyPartition(index, way, placement)
-            for index, way in enumerate(ways.tolist())
-        ]
-        location = _LazyLocation(arrays.ids, part, slot)
-        mapping = Mapping(design, automaton, partitions, location)
+        mapping = Mapping(design, automaton, part, slot, ways)
         kernel_tables = {
             name[len(_KERNEL_PREFIX):]: data[name]
             for name in members
@@ -287,7 +230,6 @@ class CompiledArtifact:
             kernel_tables=kernel_tables,
             automaton_fingerprint=stored_fingerprint,
             design_fingerprint=stored_design,
-            version=version,
             stride=stored_stride,
             stride_tables=stride_tables,
             classify_tables=classify_tables,
@@ -314,124 +256,3 @@ class CompiledArtifact:
         except Exception as error:
             raise ArtifactError(f"not a valid artifact archive: {error}") from None
         return cls.from_payload(data, automaton, design, stride=stride)
-
-    def bitstream_bytes(self) -> bytes:
-        """The configuration bitstream for this artifact's mapping."""
-        from repro.compiler.bitstream import generate
-
-        return generate(self.mapping).to_bytes()
-
-
-class _SharedPlacement:
-    """Placement arrays shared by every partition of one loaded artifact;
-    the per-partition slot-ordered id lists materialise together with one
-    vectorised sort, on the first partition that needs them."""
-
-    def __init__(
-        self,
-        ids: List[str],
-        part: np.ndarray,
-        slot: np.ndarray,
-        partition_count: int,
-    ):
-        self._ids = ids
-        self._part = part
-        self._slot = slot
-        self._partition_count = partition_count
-        self._lists: Optional[List[List[str]]] = None
-
-    def ste_lists(self) -> List[List[str]]:
-        if self._lists is None:
-            order = np.lexsort((self._slot, self._part))
-            ordered_parts = self._part[order]
-            bounds = np.searchsorted(
-                ordered_parts, np.arange(self._partition_count + 1)
-            ).tolist()
-            ids = self._ids
-            order_list = order.tolist()
-            self._lists = [
-                [ids[position] for position in order_list[start:end]]
-                for start, end in zip(bounds, bounds[1:])
-            ]
-        return self._lists
-
-
-class _LazyPartition(MappedPartition):
-    """A loaded partition whose ``ste_ids`` list fills on first access."""
-
-    def __init__(self, index: int, way: int, placement: _SharedPlacement):
-        super().__init__(index, way)
-        self._placement: Optional[_SharedPlacement] = placement
-
-    def __getattribute__(self, name):
-        if name == "ste_ids":
-            placement = object.__getattribute__(self, "_placement")
-            if placement is not None:
-                object.__setattr__(self, "_placement", None)
-                lists = placement.ste_lists()
-                index = object.__getattribute__(self, "index")
-                object.__setattr__(self, "ste_ids", lists[index])
-        return object.__getattribute__(self, name)
-
-
-class _LazyLocation(dict):
-    """A mapping's ``location`` dict, materialised on first real access.
-
-    Warm engine construction never touches per-state locations (the
-    simulator tables travel in the artifact), so the 10ms+ cost of
-    building a many-thousand-entry dict of tuples is deferred until
-    something — e.g. constraint re-analysis — actually asks for it.
-    """
-
-    def __init__(self, ids: List[str], part: np.ndarray, slot: np.ndarray):
-        super().__init__()
-        self._pending: Optional[Tuple[List[str], np.ndarray, np.ndarray]] = (
-            ids,
-            part,
-            slot,
-        )
-
-    def _materialise(self):
-        if self._pending is not None:
-            ids, part, slot = self._pending
-            self._pending = None
-            self.update(zip(ids, zip(part.tolist(), slot.tolist())))
-
-    def __getitem__(self, key):
-        self._materialise()
-        return dict.__getitem__(self, key)
-
-    def __contains__(self, key):
-        self._materialise()
-        return dict.__contains__(self, key)
-
-    def __iter__(self):
-        self._materialise()
-        return dict.__iter__(self)
-
-    def __len__(self):
-        self._materialise()
-        return dict.__len__(self)
-
-    def __eq__(self, other):
-        self._materialise()
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def get(self, key, default=None):
-        self._materialise()
-        return dict.get(self, key, default)
-
-    def keys(self):
-        self._materialise()
-        return dict.keys(self)
-
-    def values(self):
-        self._materialise()
-        return dict.values(self)
-
-    def items(self):
-        self._materialise()
-        return dict.items(self)

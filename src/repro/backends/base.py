@@ -189,6 +189,18 @@ class AutomatonBackend:
         backend (hybrid overrides)."""
         return ()
 
+    def packed_tables(self) -> Dict[str, object]:
+        """The packed kernel tables this backend built, for the engine
+        to persist with the artifact; empty on a backend that runs on
+        none (the two over a mapped simulator override)."""
+        return {}
+
+    def classify_tables(self) -> Dict[str, object]:
+        """The per-CC classification this backend ran, as artifact
+        payload tables; empty on a backend that does not classify
+        (hybrid overrides)."""
+        return {}
+
     def stream(self) -> BackendStream:
         if not self.capabilities().resume:
             raise SimulationError(

@@ -53,7 +53,7 @@ from repro.backends.base import (
     BackendCapabilities,
     BoundedEventLog,
 )
-from repro.backends.mapped import PackedKernelBackend, simulator_from_artifact
+from repro.backends.mapped import simulator_from_artifact
 from repro.backends.registry import register_backend
 from repro.backends.validation import require_resume_count
 from repro.errors import DegradedModeWarning
@@ -187,7 +187,9 @@ class LazyDfaBackend(AutomatonBackend):
     def capabilities(self) -> BackendCapabilities:
         return _CAPABILITIES
 
-    packed_tables = PackedKernelBackend.packed_tables
+    def packed_tables(self) -> dict:
+        """The simulator's kernel tables, for persisting into the cache."""
+        return self.simulator.packed_tables()
 
     def share_tables(self) -> Dict[str, np.ndarray]:
         """Everything a worker process needs to rebuild this backend.

@@ -1,12 +1,7 @@
 """The Cache Automaton compiler: mapping, constraints, bitstream."""
 
 from repro.compiler.bitstream import Bitstream, generate
-from repro.compiler.cache import (
-    CacheStats,
-    CompileCache,
-    bitstream_bytes,
-    cache_key,
-)
+from repro.compiler.cache import CacheStats, CompileCache, cache_key
 from repro.compiler.constraints import ConstraintReport, analyse, check
 from repro.compiler.mapping import Compiler, MappedPartition, Mapping
 from repro.compiler.serialize import mapping_from_json, mapping_to_json
@@ -63,7 +58,6 @@ __all__ = [
     "MappedPartition",
     "Mapping",
     "analyse",
-    "bitstream_bytes",
     "cache_key",
     "check",
     "compile_automaton",

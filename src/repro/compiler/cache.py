@@ -1,10 +1,10 @@
 """Content-addressed on-disk cache for compiled artefacts.
 
 Everything between a pattern list and a ready backend is a pure function
-of its inputs, so every stage's product is an entry of this cache, under
-a versioned directory (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), and
-a warm start is "read, verify, build the backend" and nothing else.
-There are two levels of key:
+of its inputs, so every stage's product is an entry of this cache
+(``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), and a warm start is "read,
+verify, build the backend" and nothing else.  There are two kinds of
+entry, each under its own key:
 
 * the **source key** (:func:`source_key`) hashes what the regex front
   end reads — :data:`FRONT_END_VERSION`, the ordered pattern list, the
@@ -13,12 +13,14 @@ There are two levels of key:
   :meth:`~repro.automata.anml.HomogeneousAutomaton.to_arrays` plus the
   key and the automaton's fingerprint), so ``from_patterns`` rebuilds the
   automaton in bulk instead of parsing and merging again.  Reordering
-  the list, editing a rule or a rule id, or bumping the version constant
-  gives another key; stale entries are never looked up again;
-* the **artefact key** (:func:`cache_key`) hashes the two inputs of the
-  compiler proper and addresses the placement, the packed simulator
-  tables, the per-component classification (the ``auto=True`` placement
-  decision), and the configuration bitstream:
+  the list or editing a rule or a rule id gives another key;
+* the **artefact key** (:func:`cache_key`) hashes
+  :data:`~repro.backends.artifact.ARTIFACT_FORMAT_VERSION` and the two
+  inputs of the compiler proper, and addresses the
+  :class:`~repro.backends.artifact.CompiledArtifact` (``<key>.npz``):
+  the placement arrays, the packed simulator tables, the stride alphabet
+  and the per-component classification (the ``auto=True`` placement
+  decision):
 
   * the **automaton fingerprint** hashes the canonically ordered state
     list (ids sorted), each state's symbol mask / start kind / report
@@ -27,17 +29,22 @@ There are two levels of key:
     counter, so unchanged automata fingerprint once per process; a
     rebuilt automaton pays it once, as its own verification);
   * the **design fingerprint** hashes every field of the
-    :class:`~repro.core.design.DesignPoint`, so any parameter change
-    (partition size, wire budgets, geometry, clock) busts the key;
-* the cache directory embeds :data:`CACHE_FORMAT_VERSION` (which also
-  folds in the mapping serialisation format version), so artefact-layout
-  changes simply start a fresh namespace — stale artefacts are never
-  reinterpreted.
+    :class:`~repro.core.design.DesignPoint` (and the stride), so any
+    parameter change (partition size, wire budgets, geometry, clock)
+    busts the key.
+
+Versions follow one rule: the constant that versions an entry's layout
+is hashed into that entry's key.  Bumping it changes every address, so
+entries of another version are plain misses — never read, never
+quarantined — and nothing on a read path compares version numbers to
+decide what to do.
 
 The artefact payload layout is owned by
 :class:`repro.backends.artifact.CompiledArtifact` and the automaton's by
 :class:`~repro.automata.anml.HomogeneousAutomaton` — this module only
-addresses, stores, and quarantines them.  Entries store the keys and
+addresses, stores, and quarantines them, through one read path
+(:meth:`CompileCache._load_entry`) and one write path
+(:meth:`CompileCache._store_entry`).  Entries store the keys and
 fingerprints they were written under and are re-verified on load;
 mismatches and unreadable files count as misses, never errors.  Corrupt
 entries are additionally *quarantined* (deleted) so every subsequent
@@ -65,8 +72,6 @@ from typing import Callable, Dict, Optional, Sequence, TypeVar, Union
 import numpy as np
 
 from repro.automata.anml import HomogeneousAutomaton, StartKind
-from repro.compiler.mapping import Mapping
-from repro.compiler.serialize import FORMAT_VERSION as MAPPING_FORMAT_VERSION
 from repro.core.design import DesignPoint
 from repro.errors import ArtifactError, AutomatonError, DegradedModeWarning
 
@@ -74,9 +79,6 @@ _Entry = TypeVar("_Entry")
 
 #: Environment override for the cache directory root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Bump when the artefact layout changes; versions the cache namespace.
-CACHE_FORMAT_VERSION = 1
 
 #: Bump whenever the regex front end (parser, Glushkov construction,
 #: ``merge``'s state naming) would compile some pattern list to a
@@ -168,10 +170,13 @@ def cache_key(
     *,
     stride: int = 1,
 ) -> str:
-    """The content address of all artefacts for (automaton, design,
-    stride)."""
+    """The content address of the compiled artefact for (automaton,
+    design, stride), in the current payload layout."""
+    # Read at call time: the layout's owner imports this module.
+    from repro.backends.artifact import ARTIFACT_FORMAT_VERSION
+
     combined = (
-        f"repro:{CACHE_FORMAT_VERSION}:{MAPPING_FORMAT_VERSION}:"
+        f"repro:artifact:{ARTIFACT_FORMAT_VERSION}:"
         f"{design_fingerprint(design, stride=stride)}:"
         f"{automaton_fingerprint(automaton)}"
     )
@@ -193,8 +198,8 @@ def source_key(
 class CacheStats:
     """Hit/miss/bypass accounting for one cache instance.
 
-    ``hits``/``misses``/``stores`` count artefact (and bitstream)
-    lookups; compiled-automaton lookups by source key have their own
+    ``hits``/``misses``/``stores`` count artefact lookups;
+    compiled-automaton lookups by source key have their own
     ``automaton_*`` counters, so the artefact hit ratio keeps its
     meaning.  ``quarantines`` counts corrupt entries of either kind
     deleted on load; ``retries`` counts transient I/O errors that were
@@ -216,27 +221,24 @@ class CacheStats:
 
 
 class CompileCache:
-    """Content-addressed store of compiled mappings, simulator tables,
-    and bitstreams.
+    """Content-addressed store of compiled automata and compiled
+    artefacts.
 
-    One instance fronts one on-disk directory; all lookups are keyed by
-    :func:`cache_key`.  ``enabled=False`` turns every operation into an
-    accounted bypass (useful for benchmarking the cold path with the same
-    code shape).
+    One instance fronts one on-disk directory; lookups are keyed by
+    :func:`source_key` and :func:`cache_key`.
     """
 
     def __init__(
         self,
         directory: Union[str, Path, None] = None,
         *,
-        enabled: bool = True,
         retry_attempts: int = RETRY_ATTEMPTS,
         retry_backoff: float = RETRY_BACKOFF_SECONDS,
         retry_rng: Optional[random.Random] = None,
     ):
-        root = Path(directory) if directory is not None else default_cache_root()
-        self.directory = root / f"v{CACHE_FORMAT_VERSION}"
-        self.enabled = enabled
+        self.directory = (
+            Path(directory) if directory is not None else default_cache_root()
+        )
         self.retry_attempts = max(1, retry_attempts)
         self.retry_backoff = retry_backoff
         self._retry_rng = retry_rng if retry_rng is not None else random.Random()
@@ -313,11 +315,6 @@ class CompileCache:
         return self._artifact_path(
             cache_key(automaton, design, stride=stride), ".npz"
         )
-
-    def bitstream_path(
-        self, automaton: HomogeneousAutomaton, design: DesignPoint
-    ) -> Path:
-        return self._artifact_path(cache_key(automaton, design), ".bitstream")
 
     @staticmethod
     def _write_atomic(path: Path, payload: bytes):
@@ -400,9 +397,7 @@ class CompileCache:
     ) -> Optional[Path]:
         """Persist the automaton the front end compiled for source key
         ``key`` (see :func:`source_key`); returns the entry's path, or
-        ``None`` when the cache is disabled or unwritable."""
-        if not self.enabled:
-            return None
+        ``None`` when the directory is unwritable."""
         path = self.automaton_path(key)
         buffer = io.BytesIO()
         np.savez(
@@ -426,8 +421,6 @@ class CompileCache:
         — is the one the artefact lookup that follows needs anyway.
         Failures are handled as :meth:`load_artifact` handles them.
         """
-        if not self.enabled:
-            return None
 
         def decode(data) -> HomogeneousAutomaton:
             try:
@@ -454,10 +447,7 @@ class CompileCache:
     def store_artifact(self, artifact) -> Optional[Path]:
         """Persist a :class:`~repro.backends.artifact.CompiledArtifact`
         under its content address; returns the artefact path (``None``
-        when the cache is disabled or the directory is unwritable)."""
-        if not self.enabled:
-            self.stats.bypasses += 1
-            return None
+        when the directory is unwritable)."""
         path = self.mapping_path(
             artifact.automaton, artifact.design, stride=artifact.stride
         )
@@ -476,8 +466,7 @@ class CompileCache:
         """The cached :class:`~repro.backends.artifact.CompiledArtifact`
         for (automaton, design, stride), or ``None`` on a miss.
 
-        The artifact's per-state structures materialise lazily; the hit
-        is trusted without re-running constraint checks, because
+        The hit is trusted without re-running constraint checks, because
         artefacts are only ever written after a validated compile and
         the content address pins both compiler inputs.  Failures —
         missing, unreadable after retries, corrupt or mismatching — are
@@ -485,9 +474,6 @@ class CompileCache:
         """
         from repro.backends.artifact import CompiledArtifact
 
-        if not self.enabled:
-            self.stats.bypasses += 1
-            return None
         artifact = self._load_entry(
             self.mapping_path(automaton, design, stride=stride),
             lambda data: CompiledArtifact.from_payload(
@@ -499,53 +485,3 @@ class CompileCache:
         else:
             self.stats.hits += 1
         return artifact
-
-    # -- bitstreams --------------------------------------------------------
-
-    def store_bitstream(self, mapping: Mapping, payload: bytes) -> Optional[Path]:
-        """Persist packed bitstream bytes under the mapping's address."""
-        if not self.enabled:
-            self.stats.bypasses += 1
-            return None
-        path = self.bitstream_path(mapping.automaton, mapping.design)
-        if not self._store_entry(path, payload):
-            return None
-        self.stats.stores += 1
-        return path
-
-    def load_bitstream(
-        self, automaton: HomogeneousAutomaton, design: DesignPoint
-    ) -> Optional[bytes]:
-        """Cached packed bitstream bytes, or ``None`` on a miss."""
-        if not self.enabled:
-            self.stats.bypasses += 1
-            return None
-        path = self.bitstream_path(automaton, design)
-        try:
-            payload = self._with_retries(path.read_bytes)
-        except OSError:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return payload
-
-
-def bitstream_bytes(
-    mapping: Mapping, cache: Optional[CompileCache] = None
-) -> bytes:
-    """Packed bitstream for ``mapping``, via the cache when provided.
-
-    A hit returns the stored bytes verbatim (bit-identical to what
-    :func:`repro.compiler.bitstream.generate` produces for this mapping);
-    a miss generates, stores, and returns them.
-    """
-    from repro.compiler.bitstream import generate
-
-    if cache is not None:
-        cached = cache.load_bitstream(mapping.automaton, mapping.design)
-        if cached is not None:
-            return cached
-    payload = generate(mapping).to_bytes()
-    if cache is not None:
-        cache.store_bitstream(mapping, payload)
-    return payload

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Set
 
-import numpy as np
-
 from repro.compiler.mapping import Mapping
 from repro.errors import ConnectivityError
 
@@ -87,38 +85,24 @@ class ConstraintReport:
 def analyse(mapping: Mapping) -> ConstraintReport:
     """Measure every partition's boundary wire usage.
 
-    Partition-crossing edges are found with one vectorised comparison
-    over the automaton's integer edge arrays; only those few edges (their
-    count is bounded by the wire budgets when the mapping is any good)
-    fall back to per-edge Python to collect distinct source signals.
+    Partition-crossing edges come from one vectorised comparison
+    (:meth:`Mapping.crossing_edges`); only those few edges (their count
+    is bounded by the wire budgets when the mapping is any good) fall
+    back to per-edge Python to collect distinct source signals.
     """
-    usage = [PartitionWireUsage() for _ in mapping.partitions]
+    usage = [PartitionWireUsage() for _ in range(mapping.partition_count)]
     arrays = mapping.automaton.edge_index_arrays()
-    location = mapping.location
-    node_partitions = np.fromiter(
-        (location[ste_id][0] for ste_id in arrays.ids),
-        dtype=np.int32,
-        count=len(arrays.ids),
-    )
-    ways = np.asarray(
-        [partition.way for partition in mapping.partitions], dtype=np.int32
-    )
-    source_partitions = node_partitions[arrays.sources]
-    target_partitions = node_partitions[arrays.targets]
-    crossing = np.flatnonzero(source_partitions != target_partitions)
+    crossing, same_way = mapping.crossing_edges()
+    sources = arrays.sources[crossing]
     ids = arrays.ids
-    edge_sources = arrays.sources
-    for edge, source_partition, target_partition, same_way in zip(
-        crossing.tolist(),
-        source_partitions[crossing].tolist(),
-        target_partitions[crossing].tolist(),
-        (
-            ways[source_partitions[crossing]]
-            == ways[target_partitions[crossing]]
-        ).tolist(),
+    for position, source_partition, target_partition, within_way in zip(
+        sources.tolist(),
+        mapping.part[sources].tolist(),
+        mapping.part[arrays.targets[crossing]].tolist(),
+        same_way.tolist(),
     ):
-        source = ids[edge_sources[edge]]
-        if same_way:
+        source = ids[position]
+        if within_way:
             usage[source_partition].out_g1.add(source)
             usage[target_partition].in_g1.add(source)
         else:

@@ -22,7 +22,11 @@ import random
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from functools import cached_property
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.automata.anml import HomogeneousAutomaton
 from repro.automata.components import connected_components
@@ -109,15 +113,81 @@ class MappedPartition:
         return self.way % ways_per_slice
 
 
-@dataclass
+def placement_arrays(
+    automaton: HomogeneousAutomaton, ste_lists: Sequence[Sequence[str]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(part, slot)`` of the placement that puts ``ste_lists[p][s]`` at
+    slot ``s`` of partition ``p``, aligned with
+    ``automaton.edge_index_arrays().ids``.  The lists must hold every
+    state of the automaton exactly once."""
+    index = automaton.edge_index_arrays().index
+    sizes = np.fromiter(map(len, ste_lists), np.int32, len(ste_lists))
+    positions = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(ste_lists)),
+        np.int32,
+        len(index),
+    )
+    part = np.empty(len(index), dtype=np.int32)
+    slot = np.empty(len(index), dtype=np.int32)
+    part[positions] = np.repeat(
+        np.arange(len(ste_lists), dtype=np.int32), sizes
+    )
+    starts = np.cumsum(sizes, dtype=np.int32) - sizes
+    slot[positions] = np.arange(len(index), dtype=np.int32) - np.repeat(
+        starts, sizes
+    )
+    return part, slot
+
+
+@dataclass(eq=False)
 class Mapping:
-    """A compiled placement of an automaton onto a Cache Automaton design."""
+    """A compiled placement of an automaton onto a Cache Automaton design.
+
+    The placement *is* three arrays — for every STE a (partition, slot),
+    for every partition a way — and that is what the compiler writes,
+    the artifact cache stores and the simulator kernel reads.  The
+    per-state Python views (:attr:`partitions`, :attr:`location`) are
+    derived from them on first access, so a warm start that only scans
+    builds neither.
+    """
 
     design: DesignPoint
     automaton: HomogeneousAutomaton
-    partitions: List[MappedPartition]
-    #: ste id -> (partition index, slot within partition).
-    location: Dict[str, Tuple[int, int]]
+    #: Partition index per state, aligned with
+    #: ``automaton.edge_index_arrays().ids``.
+    part: np.ndarray
+    #: Slot within its partition per state, same alignment.
+    slot: np.ndarray
+    #: Global way index per partition.
+    ways: np.ndarray
+
+    @cached_property
+    def partitions(self) -> List[MappedPartition]:
+        """The partitions with their slot-ordered STE id lists."""
+        order = np.lexsort((self.slot, self.part))
+        bounds = np.searchsorted(
+            self.part[order], np.arange(self.partition_count + 1)
+        ).tolist()
+        ids = self.automaton.edge_index_arrays().ids
+        order = order.tolist()
+        return [
+            MappedPartition(
+                index, way, [ids[position] for position in order[start:end]]
+            )
+            for index, (way, start, end) in enumerate(
+                zip(self.ways.tolist(), bounds, bounds[1:])
+            )
+        ]
+
+    @cached_property
+    def location(self) -> Dict[str, Tuple[int, int]]:
+        """ste id -> (partition index, slot within partition)."""
+        return dict(
+            zip(
+                self.automaton.edge_index_arrays().ids,
+                zip(self.part.tolist(), self.slot.tolist()),
+            )
+        )
 
     # -- edge classification -------------------------------------------------
 
@@ -130,36 +200,48 @@ class Mapping:
         target_partition = self.partition_of(target)
         if source_partition == target_partition:
             return "local"
-        if (
-            self.partitions[source_partition].way
-            == self.partitions[target_partition].way
-        ):
+        if self.ways[source_partition] == self.ways[target_partition]:
             return "g1"
         return "g4"
 
+    def crossing_edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The partition-crossing edges, as indices into the automaton's
+        ``edge_index_arrays()``, and per such edge whether it stays
+        within one way (G1) or crosses ways (G4)."""
+        arrays = self.automaton.edge_index_arrays()
+        source_partitions = self.part[arrays.sources]
+        target_partitions = self.part[arrays.targets]
+        crossing = np.flatnonzero(source_partitions != target_partitions)
+        same_way = (
+            self.ways[source_partitions[crossing]]
+            == self.ways[target_partitions[crossing]]
+        )
+        return crossing, same_way
+
     def classify_edges(self) -> Dict[str, int]:
-        counts = {"local": 0, "g1": 0, "g4": 0}
-        for source, target in self.automaton.edges():
-            counts[self.edge_kind(source, target)] += 1
-        return counts
+        crossing, same_way = self.crossing_edges()
+        g1 = int(np.count_nonzero(same_way))
+        return {
+            "local": self.automaton.edge_index_arrays().sources.size
+            - len(crossing),
+            "g1": g1,
+            "g4": len(crossing) - g1,
+        }
 
     # -- capacity metrics ------------------------------------------------------
 
     @property
     def partition_count(self) -> int:
-        return len(self.partitions)
+        return len(self.ways)
 
     @property
     def ways_used(self) -> int:
-        return len({partition.way for partition in self.partitions})
+        return len(np.unique(self.ways))
 
     @property
     def slices_used(self) -> int:
         """LLC slices the mapping spans (NFA ways per slice from the design)."""
-        per_slice = self.design.ways_used
-        return len(
-            {partition.slice_index(per_slice) for partition in self.partitions}
-        )
+        return len(np.unique(self.ways // self.design.ways_used))
 
     def cache_bytes(self) -> int:
         """Figure 8's utilisation metric: bytes of SRAM holding STE columns."""
@@ -317,16 +399,11 @@ class Compiler:
                 f"provide only {max_partitions}"
             )
 
-        partitions: List[MappedPartition] = []
-        location: Dict[str, Tuple[int, int]] = {}
+        #: STE list per position of the dense way-major layout; a
+        #: position's way is ``position // per_way`` and ``None`` is padding.
+        layout: List[Optional[List[str]]] = []
 
         domain_ways = 4  # ways spanned by one G4 switch
-
-        def pad_to(index: int):
-            while len(partitions) < index:
-                partitions.append(
-                    MappedPartition(len(partitions), len(partitions) // per_way)
-                )
 
         def allocate(ste_lists: List[List[str]], *, keep_together: bool):
             """Assign each STE list a partition; co-locate ways if asked.
@@ -336,7 +413,7 @@ class Compiler:
             spanning several ways are additionally aligned to a 4-way
             G4-switch domain, since cross-way wires exist only inside one.
             """
-            start_index = len(partitions)
+            start_index = len(layout)
             needed = len(ste_lists)
             if keep_together and needed > 1:
                 span_ways = -(-needed // per_way)
@@ -360,14 +437,8 @@ class Compiler:
                 if span_ways > 1 and start_way % domain_ways + span_ways > domain_ways:
                     start_way += domain_ways - (start_way % domain_ways)
                     start_index = start_way * per_way
-                pad_to(start_index)
-            for ste_list in ste_lists:
-                index = len(partitions)
-                partition = MappedPartition(index, index // per_way)
-                for slot, ste_id in enumerate(ste_list):
-                    location[ste_id] = (index, slot)
-                partition.ste_ids = list(ste_list)
-                partitions.append(partition)
+                layout.extend([None] * (start_index - len(layout)))
+            layout.extend(ste_lists)
 
         # Place split CCs first (they need way alignment), then the packed
         # small-CC partitions, which have no inter-partition edges at all.
@@ -375,18 +446,13 @@ class Compiler:
             allocate(group, keep_together=True)
         allocate(packed_partitions, keep_together=False)
 
-        # Drop padding partitions that stayed empty, re-indexing.
-        occupied = [p for p in partitions if p.ste_ids]
-        if len(occupied) != len(partitions):
-            reindex = {p.index: i for i, p in enumerate(occupied)}
-            for partition in occupied:
-                partition.index = reindex[partition.index]
-            # NOTE: re-indexing must not change ways — recompute way from the
-            # original dense layout is wrong after dropping pads, so ways were
-            # fixed at allocation time and are kept as allocated.
-            location = {
-                ste_id: (reindex[pi], slot)
-                for ste_id, (pi, slot) in location.items()
-            }
-        mapping = Mapping(self.design, automaton, occupied, location)
-        return mapping
+        # Padding positions hold no partition: the occupied ones are
+        # numbered densely and keep the way they were allocated on.
+        occupied = [
+            position for position, ste_list in enumerate(layout) if ste_list
+        ]
+        part, slot = placement_arrays(
+            automaton, [layout[position] for position in occupied]
+        )
+        ways = np.asarray(occupied, dtype=np.int32) // per_way
+        return Mapping(self.design, automaton, part, slot, ways)

@@ -13,9 +13,11 @@ from __future__ import annotations
 import json
 from typing import Dict
 
+import numpy as np
+
 from repro.automata.anml import from_anml, to_anml
 from repro.compiler.constraints import check
-from repro.compiler.mapping import MappedPartition, Mapping
+from repro.compiler.mapping import Mapping, placement_arrays
 from repro.core.design import CA_64, CA_P, CA_S, DesignPoint
 from repro.errors import CompileError
 
@@ -71,38 +73,37 @@ def mapping_from_json(
     design = catalogue[design_name]
     automaton = from_anml(payload["automaton_anml"])
 
-    partitions = []
-    location = {}
+    ste_lists = []
+    ways = []
     seen = set()
     for entry in payload.get("partitions", []):
-        partition = MappedPartition(
-            index=int(entry["index"]), way=int(entry["way"]),
-            ste_ids=list(entry["stes"]),
-        )
-        if partition.index != len(partitions):
+        index, ste_ids = int(entry["index"]), list(entry["stes"])
+        if index != len(ste_lists):
             raise CompileError(
-                f"partition indices must be dense; got {partition.index} "
-                f"at position {len(partitions)}"
+                f"partition indices must be dense; got {index} "
+                f"at position {len(ste_lists)}"
             )
-        if partition.occupancy > design.partition_size:
+        if len(ste_ids) > design.partition_size:
             raise CompileError(
-                f"partition {partition.index} holds {partition.occupancy} "
+                f"partition {index} holds {len(ste_ids)} "
                 f"STEs > partition size {design.partition_size}"
             )
-        for slot, ste_id in enumerate(partition.ste_ids):
+        for ste_id in ste_ids:
             if ste_id in seen:
                 raise CompileError(f"STE {ste_id!r} mapped twice")
             if ste_id not in automaton:
                 raise CompileError(f"placed STE {ste_id!r} not in automaton")
             seen.add(ste_id)
-            location[ste_id] = (partition.index, slot)
-        partitions.append(partition)
+        ste_lists.append(ste_ids)
+        ways.append(int(entry["way"]))
     missing = set(automaton.ste_ids()) - seen
     if missing:
         raise CompileError(
             f"{len(missing)} automaton state(s) have no placement, e.g. "
             f"{sorted(missing)[0]!r}"
         )
-    mapping = Mapping(design, automaton, partitions, location)
+    part, slot = placement_arrays(automaton, ste_lists)
+    ways = np.asarray(ways, dtype=np.int32)
+    mapping = Mapping(design, automaton, part, slot, ways)
     check(mapping)
     return mapping

@@ -449,26 +449,24 @@ class CacheAutomatonEngine:
             and not optimize
             and self._tier is not TIER_GOLDEN
         ):
+            # Persist what this build computed and the artifact lacks: the
+            # backend's packed tables, and the per-CC classification —
+            # whichever of the two ran the classifier — so warm starts
+            # skip the subset-closure probes; the engine's own supersedes
+            # tables it did not trust.
             stored = artifact
-            if not artifact.kernel_tables and hasattr(
-                engine_backend, "packed_tables"
-            ):
-                stored = stored.with_kernel_tables(
-                    engine_backend.packed_tables()
-                )
-            # Persist the per-CC classification, whichever of the two
-            # ran the classifier, so warm starts skip the subset-closure
-            # probes; the engine's own supersedes tables it did not trust.
+            if not artifact.kernel_tables:
+                tables = engine_backend.packed_tables()
+                if tables:
+                    stored = stored.with_kernel_tables(tables)
             if classification is not None:
                 stored = stored.with_classify_tables(
                     classification.to_tables()
                 )
-            elif not artifact.classify_tables and hasattr(
-                engine_backend, "classify_tables"
-            ):
-                stored = stored.with_classify_tables(
-                    engine_backend.classify_tables()
-                )
+            elif not artifact.classify_tables:
+                tables = engine_backend.classify_tables()
+                if tables:
+                    stored = stored.with_classify_tables(tables)
             if self._tier is not TIER_WARM_CACHE or stored is not artifact:
                 self._cache.store_artifact(stored)
 

@@ -56,6 +56,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from dataclasses import fields
 from typing import Dict, Optional, Tuple
 
 from repro.service.client import RetryingClient
@@ -81,6 +82,8 @@ MAX_BLOB_BYTES = 1 << 28
 DEFAULT_MAX_INFLIGHT = 32
 
 _PREFIX = struct.Struct(">II")
+
+_LIMIT_FIELDS = frozenset(field.name for field in fields(TenantLimits))
 
 
 # -- frame codec -------------------------------------------------------------
@@ -122,6 +125,25 @@ def decode_checkpoint(row) -> Optional[Checkpoint]:
         return Checkpoint.from_wire_row(row)
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"malformed checkpoint {row!r}: {error}") from None
+
+
+def decode_limits(raw) -> Optional[TenantLimits]:
+    """The ``limits`` object of a register frame: known fields only, each
+    an integer >= 1 (``dfa_max_states`` may also be null)."""
+    if raw is None:
+        return None
+    if not isinstance(raw, dict) or not set(raw) <= _LIMIT_FIELDS:
+        raise ProtocolError(
+            f"limits must be an object over {sorted(_LIMIT_FIELDS)}"
+        )
+    for name, value in raw.items():
+        if value is None and name == "dfa_max_states":
+            continue
+        if type(value) is not int or value < 1:  # bool is not a count
+            raise ProtocolError(
+                f"limit {name} must be an integer >= 1, got {value!r}"
+            )
+    return TenantLimits(**raw)
 
 
 def encode_reports(reports):
@@ -337,18 +359,25 @@ class ScanServer:
     def _op_register(self, header):
         tenant = header.get("tenant")
         patterns = header.get("patterns")
-        if not tenant or not isinstance(patterns, list):
-            raise ProtocolError("register needs tenant and patterns[]")
-        limits = None
-        if header.get("limits") is not None:
-            limits = TenantLimits(**header["limits"])
+        options = header.get("backend_options")
+        if (
+            not tenant
+            or not isinstance(tenant, str)
+            or not isinstance(patterns, list)
+            or not all(isinstance(pattern, str) for pattern in patterns)
+        ):
+            raise ProtocolError(
+                "register needs a tenant and patterns[] of strings"
+            )
+        if options is not None and not isinstance(options, dict):
+            raise ProtocolError("backend_options must be an object")
         reloaded = self.service.register(
             tenant,
             patterns,
-            limits=limits,
+            limits=decode_limits(header.get("limits")),
             backend=header.get("backend"),
             stride=header.get("stride"),
-            backend_options=header.get("backend_options"),
+            backend_options=options,
         )
         return {"reloaded": reloaded}
 

@@ -101,14 +101,13 @@ def worker_cache_spec(cache):
     """A picklable artifact-cache spec for worker processes.
 
     A live :class:`~repro.compiler.cache.CompileCache` cannot ship
-    across the process boundary, so it collapses to its root directory
-    (the parent of the versioned subdirectory it manages); every other
-    spec form (``"auto"``, a path string, ``True``/``False``/``None``)
+    across the process boundary, so it collapses to its directory; every
+    other spec form (``"auto"``, a path string, ``True``/``False``/``None``)
     is already picklable and means the same thing in the worker.
     """
     directory = getattr(cache, "directory", None)
     if directory is not None:
-        return str(directory.parent)
+        return str(directory)
     return cache
 
 

@@ -370,10 +370,11 @@ class ScanService:
         (returns ``False``); a changed fingerprint swaps in a freshly
         built engine atomically between requests (returns ``True``) —
         note that checkpoints issued by the old engine do not carry
-        over.  ``limits.dfa_max_states`` becomes the lazy-DFA backend's
-        ``max_states`` cache budget when that backend is selected; under
-        the hybrid backend the budget applies to every lazy-DFA group
-        (other substrates ignore the option).
+        over.  ``limits.dfa_max_states`` caps the lazy-DFA backend's
+        ``max_states`` cache budget when that backend is selected (a
+        smaller ``backend_options["max_states"]`` stands, a larger one
+        is cut down to it); under the hybrid backend the budget applies
+        to every lazy-DFA group (other substrates ignore the option).
         """
         patterns = list(patterns)
         if not patterns:
@@ -385,7 +386,10 @@ class ScanService:
             and backend is not None
             and resolve_backend_name(backend) in ("lazy-dfa", "hybrid")
         ):
-            options.setdefault("max_states", limits.dfa_max_states)
+            # A cap, not a default: a budget the caller (or a client
+            # frame) asks for is honoured only below the tenant's limit.
+            cap, asked = limits.dfa_max_states, options.get("max_states")
+            options["max_states"] = cap if asked is None else min(asked, cap)
         fingerprint = tenant_fingerprint(
             patterns,
             design=design,

@@ -208,14 +208,20 @@ class MappedSimulator:
         self._kernel = BitsetKernel.from_automaton(
             mapping.automaton, bit_of, partition_count * partition_size
         )
+        # Sources of partition-crossing edges drive a G1 (within-way) or
+        # G4 (cross-way) wire; a good mapping has few of them.
+        arrays = mapping.automaton.edge_index_arrays()
+        crossing, same_way = mapping.crossing_edges()
         g1_sources = 0
         g4_sources = 0
-        for source, target in mapping.automaton.edges_unordered():
-            kind = mapping.edge_kind(source, target)
-            if kind == "g1":
-                g1_sources |= 1 << bit_of[source]
-            elif kind == "g4":
-                g4_sources |= 1 << bit_of[source]
+        for position, within_way in zip(
+            arrays.sources[crossing].tolist(), same_way.tolist()
+        ):
+            bit = 1 << bit_of[arrays.ids[position]]
+            if within_way:
+                g1_sources |= bit
+            else:
+                g4_sources |= bit
         self._g1_row = self._kernel.pack(g1_sources)
         self._g1_row.setflags(write=False)
         self._g4_row = self._kernel.pack(g4_sources)
@@ -242,10 +248,7 @@ class MappedSimulator:
         # Way id per partition, for per-way G-switch activation counting;
         # group boundaries for the batched "distinct ways hit per cycle"
         # reduction: partitions sorted (stably) by way / by G4 domain.
-        self._partition_ways = np.array(
-            [partition.way for partition in self.mapping.partitions],
-            dtype=np.int64,
-        )
+        self._partition_ways = self.mapping.ways.astype(np.int64)
         if self.mapping.partition_count:
             order = np.argsort(self._partition_ways, kind="stable")
             self._way_order = order

@@ -290,24 +290,22 @@ class ScanResult:
         return cls(reports, profile, checkpoint, stats)
 
 
-def placement_ids(mapping) -> List[str]:
-    """State-vector bit -> STE id in the placement layout of ``mapping``
+def placement_bits(mapping) -> Dict[str, int]:
+    """STE id -> state-vector bit in the placement layout of ``mapping``
     (a :class:`~repro.compiler.mapping.Mapping`), the layout of every
     portable :class:`Checkpoint`: partition-major, slot-minor, each
-    partition padded (``""``) to a full ``partition_size`` span so numpy
-    can reduce spans."""
-    size = mapping.design.partition_size
-    ids = [""] * (mapping.partition_count * size)
-    for partition in mapping.partitions:
-        base = partition.index * size
-        ids[base : base + len(partition.ste_ids)] = partition.ste_ids
+    partition a full ``partition_size`` span so numpy can reduce spans."""
+    bits = mapping.part * mapping.design.partition_size + mapping.slot
+    return dict(zip(mapping.automaton.edge_index_arrays().ids, bits.tolist()))
+
+
+def placement_ids(mapping) -> List[str]:
+    """State-vector bit -> STE id, the inverse of :func:`placement_bits`
+    (``""`` on the bits that pad a partition's span)."""
+    ids = [""] * (mapping.partition_count * mapping.design.partition_size)
+    for ste_id, bit in placement_bits(mapping).items():
+        ids[bit] = ste_id
     return ids
-
-
-def placement_bits(mapping) -> Dict[str, int]:
-    """STE id -> state-vector bit: the inverse of :func:`placement_ids`."""
-    ids = placement_ids(mapping)
-    return {ste_id: bit for bit, ste_id in enumerate(ids) if ste_id}
 
 
 class ReportDecoder:

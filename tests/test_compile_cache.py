@@ -1,8 +1,8 @@
 """Content-addressed artifact cache: round trips, keys, invalidation.
 
-The artifact key is ``(format version, mapping format, design
-fingerprint, automaton fingerprint)``; a hit must reproduce the cold
-artifacts bit-for-bit, and any change to the automaton or the design
+The artifact key is ``(artifact layout version, design fingerprint,
+automaton fingerprint)``; a hit must reproduce the cold artifacts
+bit-for-bit, and any change to the automaton or the design
 parameters must miss.  One level up, the source key ``(front-end
 version, patterns, report codes, automaton id)`` addresses the compiled
 automaton itself, rebuilt from arrays and re-verified by fingerprint.
@@ -10,25 +10,28 @@ automaton itself, rebuilt from arrays and re-verified by fingerprint.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import multiprocessing
 import random
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.automata.anml import HomogeneousAutomaton, StartKind
 from repro.automata.symbols import SymbolSet
+from repro.backends import artifact as artifact_module
 from repro.backends.artifact import CompiledArtifact
-from repro.compiler import compile_automaton
-from repro.compiler.bitstream import generate
+from repro.compiler import compile_automaton, mapping_to_json
 from repro.compiler.cache import (
     CacheStats,
     CompileCache,
     automaton_fingerprint,
-    bitstream_bytes,
     cache_key,
     design_fingerprint,
     source_key,
@@ -39,6 +42,7 @@ from repro.errors import AutomatonError, DegradedModeWarning
 from repro.parallel import default_mp_method
 from repro.regex.compile import compile_patterns
 from repro.sim.functional import MappedSimulator
+from repro.sim.kernel import placement_ids
 from repro.workloads import synth
 from tests.conftest import chain_automaton
 
@@ -140,6 +144,107 @@ class TestMappingRoundTrip:
         path = cache.store_artifact(CompiledArtifact.from_mapping(mapping))
         path.write_bytes(b"not an npz archive")
         assert cache.load_artifact(automaton, CA_P) is None
+
+
+#: Regex fragments the round-trip property strings together.
+PIECES = ["a", "b", "[ab]", "c+", "d?", ".", "[^e]", "(f|gh)", "x.{3}y"]
+
+
+class TestPlacementRoundTrip:
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(PIECES), max_size=6).map(
+                lambda pieces: "k" + "".join(pieces)
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from([CA_P, CA_64]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_view_survives_the_payload(self, patterns, design):
+        """compile -> to_payload -> npz -> from_payload: the three arrays
+        carry the whole placement, so every view derived from them on the
+        far side equals the one derived on the near side."""
+        machine = compile_patterns(patterns)
+        mapping = compile_automaton(machine, design)
+        buffer = io.BytesIO()
+        np.savez(buffer, **CompiledArtifact.from_mapping(mapping).to_payload())
+        buffer.seek(0)
+        with np.load(buffer) as data:
+            loaded = CompiledArtifact.from_payload(data, machine, design).mapping
+        assert loaded.location == mapping.location
+        assert [(p.index, p.way, p.ste_ids) for p in loaded.partitions] == [
+            (p.index, p.way, p.ste_ids) for p in mapping.partitions
+        ]
+        for partition in loaded.partitions:
+            for slot, ste_id in enumerate(partition.ste_ids):
+                assert loaded.location[ste_id] == (partition.index, slot)
+        assert placement_ids(loaded) == placement_ids(mapping)
+        assert loaded.classify_edges() == mapping.classify_edges()
+        assert mapping_to_json(loaded) == mapping_to_json(mapping)
+
+    @pytest.mark.parametrize("backend", [None, "lazy-dfa", "hybrid"])
+    def test_warm_start_and_quiet_scan_derive_no_view(self, tmp_path, backend):
+        """What keeps a warm start cheap: neither per-state view of the
+        placement is built until a report (or a caller) asks for one."""
+        CacheAutomatonEngine.from_patterns(
+            PATTERNS, cache=tmp_path, backend=backend
+        )
+        warm = CacheAutomatonEngine.from_patterns(
+            PATTERNS, cache=tmp_path, backend=backend
+        )
+        assert warm.health().tier == "warm-cache"
+        assert warm.scan(b"nothing to see here") == []
+        assert not {"partitions", "location"} & set(vars(warm.mapping))
+        assert len(warm.mapping.location) == warm.state_count
+        assert "location" in vars(warm.mapping)
+
+
+def _write_parent_commit_entry(root, artifact):
+    """``artifact`` where, and under the key, the commit before the
+    layout constant entered the key would have stored it."""
+    key = hashlib.sha256(
+        f"repro:1:1:{artifact.design_fingerprint}:"
+        f"{artifact.automaton_fingerprint}".encode("ascii")
+    ).hexdigest()
+    path = root / "v1" / key[:2] / f"{key}.npz"
+    path.parent.mkdir(parents=True)
+    path.write_bytes(artifact.npz_bytes())
+
+
+def _bump_layout_after_store(root, artifact, monkeypatch):
+    CompileCache(root).store_artifact(artifact)
+    monkeypatch.setattr(
+        "repro.backends.artifact.ARTIFACT_FORMAT_VERSION",
+        artifact_module.ARTIFACT_FORMAT_VERSION + 1,
+    )
+
+
+class TestOtherLayoutsArePlainMisses:
+    @pytest.mark.parametrize("origin", ["parent-commit", "layout-bump"])
+    def test_never_read_never_quarantined(
+        self, tmp_path, automaton, monkeypatch, origin
+    ):
+        artifact = CompiledArtifact.from_mapping(
+            compile_automaton(automaton, CA_P)
+        )
+        if origin == "parent-commit":
+            _write_parent_commit_entry(tmp_path, artifact)
+        else:
+            _bump_layout_after_store(tmp_path, artifact, monkeypatch)
+        [stale] = list(tmp_path.rglob("*.npz"))
+        before = stale.read_bytes()
+        cache = CompileCache(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedModeWarning)
+            engine = CacheAutomatonEngine(automaton, cache=cache)
+        assert engine.health().tier == "cold-compile"
+        assert cache.stats.misses == 1
+        assert cache.stats.quarantines == 0
+        assert cache.stats.stores == 1
+        assert stale.read_bytes() == before
+        assert len(list(tmp_path.rglob("*.npz"))) == 2
 
 
 def _same_automaton(rebuilt, compiled):
@@ -424,32 +529,14 @@ class TestAutomatonEntryFailures:
     def test_disabled_cache_and_optimize_bypass_the_front_end_entry(
         self, tmp_path
     ):
-        off = CompileCache(tmp_path / "off", enabled=False)
-        CacheAutomatonEngine.from_patterns(PATTERNS, cache=off)
         optimized = CompileCache(tmp_path / "optimized")
         CacheAutomatonEngine.from_patterns(
             PATTERNS, cache=optimized, optimize=True
         )
-        for cache in (off, optimized):
-            assert not list(cache.directory.rglob("*.npz"))
-            assert cache.stats.automaton_misses == 0
-            assert cache.stats.automaton_stores == 0
+        assert not list(optimized.directory.rglob("*.npz"))
+        assert optimized.stats.automaton_misses == 0
+        assert optimized.stats.automaton_stores == 0
         assert optimized.stats.bypasses == 1
-
-
-class TestBitstreamRoundTrip:
-    def test_hit_returns_bit_identical_payload(self, cache, automaton):
-        mapping = compile_automaton(automaton, CA_P)
-        cold = bitstream_bytes(mapping, cache)
-        assert cold == generate(mapping).to_bytes()
-        warm = bitstream_bytes(mapping, cache)
-        assert warm == cold
-        assert cache.stats.hits >= 1
-
-    def test_params_change_busts_key(self, cache, automaton):
-        mapping = compile_automaton(automaton, CA_P)
-        bitstream_bytes(mapping, cache)
-        assert cache.load_bitstream(automaton, CA_64) is None
 
 
 class TestEngineCachePath:
@@ -478,12 +565,6 @@ class TestEngineCachePath:
         engine = CacheAutomatonEngine(automaton, cache=cache, optimize=True)
         assert engine.cache_info()["bypasses"] == 1
         assert engine.cache_info()["hits"] == 0
-
-    def test_disabled_directory_behaves_uncached(self, automaton, tmp_path):
-        cache = CompileCache(tmp_path / "off", enabled=False)
-        first = CacheAutomatonEngine(automaton, cache=cache)
-        second = CacheAutomatonEngine(automaton, cache=cache)
-        assert second.cache_info()["hits"] == 0
 
     def test_artifact_counters_count_artifact_lookups_only(self, tmp_path):
         """``hits``/``misses``/``stores`` (and the hit ratio read off

@@ -291,6 +291,29 @@ class TestServerVerbs:
                 async with await NetScanClient.connect(*server.address) as c:
                     with pytest.raises(ProtocolError):
                         await c._request("transmogrify", {})
+                    good = {"tenant": "wire", "patterns": ["emu"]}
+                    for bad in (
+                        {"patterns": "emu"},
+                        {"patterns": ["emu", 7]},
+                        {"tenant": 7},
+                        {"backend_options": ["max_states"]},
+                        {"limits": ["max_in_flight"]},
+                        {"limits": {"max_in_flight": 2, "burst": 9}},
+                        {"limits": {"max_in_flight": "x"}},
+                        {"limits": {"max_in_flight": True}},
+                        {"limits": {"max_stream_bytes": 0}},
+                        {"limits": {"max_in_flight": None}},
+                        {"limits": {"dfa_max_states": 1.5}},
+                    ):
+                        with pytest.raises(ProtocolError):
+                            await c._request("register", {**good, **bad})
+                    # Nothing above registered, let alone poisoned, the
+                    # tenant: a well-formed frame does, and it scans.
+                    assert "wire" not in service.tenant_names()
+                    limits = {"max_in_flight": 2, "dfa_max_states": None}
+                    await c._request("register", {**good, "limits": limits})
+                    outcome = await c.scan("wire", b"an emu!")
+                    assert [r.report_code for r in outcome.reports] == ["emu"]
             finally:
                 await server.stop()
                 await service.stop()

@@ -523,9 +523,8 @@ class TestExecutorUnit:
     def test_worker_cache_spec_forms(self, tmp_path):
         cache = CompileCache(tmp_path / "artifacts")
         spec = worker_cache_spec(cache)
-        # A live cache collapses to its *root* directory: a worker
-        # building CompileCache(spec) lands on the same versioned
-        # subdirectory.
+        # A live cache collapses to its directory: a worker building
+        # CompileCache(spec) lands on the same one.
         assert spec == str(tmp_path / "artifacts")
         assert CompileCache(spec).directory == cache.directory
         for passthrough in ("auto", True, False, None):

@@ -256,6 +256,34 @@ class TestAdmission:
         assert order.index("meek") <= 1
 
 
+    @pytest.mark.parametrize("backend", ["lazy-dfa", "hybrid"])
+    def test_dfa_budget_is_a_cap_not_a_default(self, backend):
+        """``backend_options`` reach ``register`` verbatim from a client
+        frame: asking for more states than the tenant's limit must not
+        get them, asking for fewer must."""
+
+        def budgets(requested):
+            service = ScanService(cache=False)
+            service.register(
+                "acme",
+                PATTERNS,
+                backend=backend,
+                limits=TenantLimits(dfa_max_states=256),
+                backend_options={"max_states": requested},
+            )
+            served = service.tenant_engine("acme").backend
+            lazy = [group.backend for group in getattr(served, "groups", ())]
+            return {
+                group.cache_info()["max_states"]
+                for group in lazy or [served]
+                if group.name == "lazy-dfa"
+            }
+
+        assert budgets(10**9) == {256}
+        assert budgets(None) == {256}
+        assert budgets(100) == {100}
+
+
 class TestCircuitBreaker:
     def test_unit_transitions(self):
         clock = Ticker(step=0.0)
