@@ -195,6 +195,15 @@ class AutomatonBackend:
         none (the two over a mapped simulator override)."""
         return {}
 
+    def share_tables(self) -> Dict[str, object]:
+        """Everything a worker process needs to rebuild this backend
+        from one shared-memory block and scan with it
+        (:func:`~repro.sim.lazydfa.attach_kernel_dfa`); empty on a
+        backend workers rebuild from the registration instead (lazy-dfa
+        overrides, and turns what they return into reports with its
+        ``materialise_raw``)."""
+        return {}
+
     def classify_tables(self) -> Dict[str, object]:
         """The per-CC classification this backend ran, as artifact
         payload tables; empty on a backend that does not classify

@@ -12,7 +12,7 @@ kernel, *and* in the mapped kernel to slip through).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.automata.anml import HomogeneousAutomaton
 from repro.automata.elements import CircuitAutomaton
@@ -22,7 +22,7 @@ from repro.backends.registry import register_backend
 from repro.backends.validation import require_bytes
 from repro.errors import SimulationError
 from repro.sim.circuit import CircuitSimulator
-from repro.sim.kernel import Checkpoint, ScanResult
+from repro.sim.kernel import Checkpoint, ScanResult, report_rank
 
 _CAPABILITIES = BackendCapabilities(
     resume=False,
@@ -57,14 +57,20 @@ def _lift_to_circuit(automaton: HomogeneousAutomaton) -> CircuitAutomaton:
 class CircuitInterpreterBackend(AutomatonBackend):
     """Execution on the element-level circuit interpreter."""
 
-    def __init__(self, simulator: CircuitSimulator):
+    def __init__(self, simulator: CircuitSimulator, rank: Dict[str, int]):
         self.simulator = simulator
+        #: The interpreter fires in sorted-id order; every backend
+        #: reports in :func:`~repro.sim.kernel.report_rank`'s.
+        self._rank = rank
 
     @classmethod
     def from_artifact(
         cls, artifact: CompiledArtifact, **_options
     ) -> "CircuitInterpreterBackend":
-        return cls(CircuitSimulator(_lift_to_circuit(artifact.automaton)))
+        automaton = artifact.automaton
+        return cls(
+            CircuitSimulator(_lift_to_circuit(automaton)), report_rank(automaton)
+        )
 
     def capabilities(self) -> BackendCapabilities:
         return _CAPABILITIES
@@ -82,8 +88,11 @@ class CircuitInterpreterBackend(AutomatonBackend):
             )
         require_bytes(data, "input")
         run = self.simulator.run(data)
+        rank = self._rank
         return ScanResult.counted(
-            run.reports if collect_reports else [],
+            sorted(run.reports, key=lambda r: (r.offset, rank[r.ste_id]))
+            if collect_reports
+            else [],
             symbols=len(data),
             report_count=len(run.reports),
         )

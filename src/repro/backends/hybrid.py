@@ -36,6 +36,7 @@ backend (each ignores what it does not understand), so e.g. a tenant's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.automata.components import extract_component
@@ -59,6 +60,7 @@ from repro.sim.kernel import (
     RunStats,
     ScanResult,
     placement_bits,
+    report_rank,
 )
 
 #: Per-group fallback substrate when the assigned backend fails.
@@ -107,13 +109,6 @@ class HybridBackend(AutomatonBackend):
         self.classification = classification
         self.groups = groups
         self._health_events = health_events or BoundedEventLog()
-        arrays = artifact.automaton.edge_index_arrays()
-        #: Global report-merge order: position in the automaton's sorted
-        #: state order, so merged streams are deterministic and offset-
-        #: ordered regardless of which group produced each report.
-        self._order: Dict[str, int] = {
-            ste_id: position for position, ste_id in enumerate(arrays.ids)
-        }
         whole = placement_bits(artifact.mapping)
         owns = [placement_bits(group.artifact.mapping) for group in groups]
         #: Per group: whole-placement bit -> the group's own placement
@@ -304,6 +299,10 @@ class HybridBackend(AutomatonBackend):
             self._degrade_group(group, error)
             return getattr(group.backend, method)(*args, **kwargs)
 
+    @cached_property
+    def _rank(self) -> Dict[str, int]:
+        return report_rank(self.artifact.automaton)
+
     def _merge(
         self,
         group_results: Sequence[ScanResult],
@@ -314,13 +313,11 @@ class HybridBackend(AutomatonBackend):
         for result in group_results:
             report_count += result.profile.reports
             reports.extend(result.reports)  # none, unless collected
-        order = self._order
-        reports.sort(
-            key=lambda report: (
-                report.offset,
-                order.get(report.ste_id, len(order)),
-            )
-        )
+        if reports:
+            # Offset order, and within an offset the one order every
+            # backend reports in, whichever group fired.
+            rank = self._rank
+            reports.sort(key=lambda report: (report.offset, rank[report.ste_id]))
         parts = [
             result.checkpoint.relaid(whole)
             for whole, result in zip(self._gathers, group_results)

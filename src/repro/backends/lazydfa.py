@@ -66,13 +66,13 @@ from repro.sim.kernel import (
     ScanResult,
     as_symbols,
 )
-from repro.sim.lazydfa import LazyDfaKernel, merge_cache_infos
-from repro.sim.shard import (
-    SCAN_JOBS_ENV,
+from repro.sim.lazydfa import (
+    LazyDfaKernel,
     RawScanResult,
+    merge_cache_infos,
     scan_one,
-    scan_streams_sharded,
 )
+from repro.sim.shard import SCAN_JOBS_ENV, scan_streams_sharded
 from repro.sim.split import (
     SPLIT_JOBS_ENV,
     SPLIT_MIN_CHUNK,
@@ -246,7 +246,7 @@ class LazyDfaBackend(AutomatonBackend):
     def materialise_raw(
         self, raw: RawScanResult, collect_reports: bool
     ) -> ScanResult:
-        """Turn a :data:`~repro.sim.shard.RawScanResult` — this
+        """Turn a :data:`~repro.sim.lazydfa.RawScanResult` — this
         process's or a worker's — into a full
         :class:`~repro.sim.kernel.ScanResult` with parent-side STE
         identity (raw reporting-row bytes -> ``(ste_id, report_code)``

@@ -409,7 +409,13 @@ def _tenant_service(arguments, rules):
 def _cmd_serve(arguments) -> int:
     import asyncio
 
-    from repro.service import DeadlineExceeded, RetryingClient, ServiceError
+    from repro.service import (
+        POOL_COUNTERS,
+        SERVICE_COUNTERS,
+        DeadlineExceeded,
+        RetryingClient,
+        ServiceError,
+    )
 
     rules = _load_rules(arguments.rules)
     if arguments.port is not None:
@@ -461,12 +467,9 @@ def _cmd_serve(arguments) -> int:
         print(f"\n{completed} completed, {failed} failed "
               f"({snapshot['shed']} shed, {snapshot['timeouts']} deadlined, "
               f"{client.retries} retried)")
-        keys = ("submitted", "admitted", "completed", "failed",
-                "shed", "oversized", "timeouts", "fallback_scans",
-                "breaker_trips", "breaker_recoveries", "worker_restarts")
+        keys = SERVICE_COUNTERS
         if arguments.scan_workers:
-            keys += ("pool_dispatches", "pool_chunks", "pool_respawns",
-                     "pool_cold_tables", "pool_cold_rebuilds")
+            keys += tuple(POOL_COUNTERS)
         rows = [("Counter", "Value")] + [(key, snapshot[key]) for key in keys]
         print(format_table(rows))
         return 0 if failed == 0 else 1

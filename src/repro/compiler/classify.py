@@ -96,11 +96,10 @@ class CostModel:
     The defaults are fixed constants, not a live calibration: they were
     derived once from the PowerEN rates of the ``pr7-split-scan``
     measurement on a one-core host (3.84M warm lazy-DFA and 460k mapped
-    symbols/s over 21 packed words — see :data:`CALIBRATION_WORDS`) and
-    have not moved since, because stored ``classify_model`` rows are
-    compared with them (:func:`cached_substrates`): a changed constant
-    invalidates every cached placement.  :meth:`from_history` derives a
-    model from any list of such rate pairs.
+    symbols/s over PowerEN's 21 packed words) and have not moved since,
+    because stored ``classify_model`` rows are compared with them
+    (:func:`cached_substrates`): a changed constant invalidates every
+    cached placement.
 
     * ``lazy_warm_us`` — one warm lazy-DFA transition (size-independent);
     * ``lazy_miss_us`` — one lazy-DFA cache miss (a packed kernel step
@@ -117,36 +116,6 @@ class CostModel:
     kernel_base_us: float = 0.2
     kernel_word_us: float = 0.094
     dfa_budget: int = 4096
-
-    @classmethod
-    def from_history(cls, history: Sequence[dict]) -> "CostModel":
-        """Calibrate from a list of measured PowerEN rates, oldest first.
-
-        Uses the newest entry recording both ``mapped_symbols_per_sec``
-        and ``lazy_dfa_warm_symbols_per_sec``; entries missing either
-        leave the corresponding defaults in place.  Deterministic: the
-        same history always yields the same model.
-        """
-        lazy_warm_us = cls.lazy_warm_us
-        kernel_base_us = cls.kernel_base_us
-        kernel_word_us = cls.kernel_word_us
-        for entry in reversed(list(history)):
-            mapped = entry.get("mapped_symbols_per_sec")
-            lazy = entry.get("lazy_dfa_warm_symbols_per_sec")
-            if not mapped or not lazy:
-                continue
-            lazy_warm_us = 1e6 / float(lazy)
-            kernel_symbol_us = 1e6 / float(mapped)
-            kernel_word_us = max(
-                1e-3,
-                (kernel_symbol_us - kernel_base_us) / CALIBRATION_WORDS,
-            )
-            break
-        return cls(
-            lazy_warm_us=lazy_warm_us,
-            kernel_base_us=kernel_base_us,
-            kernel_word_us=kernel_word_us,
-        )
 
     def lazy_cost_us(self, probe_states: float, aborted: bool) -> float:
         """Predicted per-symbol cost of the CC on the lazy-DFA backend."""
@@ -177,10 +146,6 @@ class CostModel:
     def as_row(self) -> List[float]:
         """The coefficients as the ``classify_model`` table row."""
         return [float(value) for value in self.as_dict().values()]
-
-
-#: Packed word count of the calibration workload (PowerEN: 1315 states).
-CALIBRATION_WORDS = 21
 
 
 def _component_byte_signatures(

@@ -59,6 +59,7 @@ from repro.service import (
     ScanService,
     ServiceError,
     StreamTooLarge,
+    TENANT_COUNTERS,
     TenantLimits,
     WorkerCrashed,
 )
@@ -219,33 +220,6 @@ def _tenant_stream(profile: TenantProfile, seed: int) -> bytes:
         literal = literals[rng.randrange(len(literals))]
         data[position : position + len(literal)] = literal
     return bytes(data)
-
-
-#: Global run-table counters taken as before/after snapshot deltas, so
-#: driving an external long-lived server attributes only *this run's*
-#: activity to the row.
-_DELTA_KEYS = (
-    "shed",
-    "fallback_scans",
-    "breaker_trips",
-    "breaker_recoveries",
-    "worker_restarts",
-    "pool_respawns",
-)
-
-#: Per-tenant counters delta'd the same way (gauges — ``in_flight``,
-#: ``breaker`` — are taken from the final snapshot).
-_TENANT_DELTA_KEYS = (
-    "submitted",
-    "completed",
-    "failed",
-    "shed",
-    "oversized",
-    "timeouts",
-    "fallback_scans",
-    "breaker_trips",
-    "breaker_recoveries",
-)
 
 
 def _validate_transport(config: LoadgenConfig) -> None:
@@ -463,7 +437,7 @@ async def _drive(config: LoadgenConfig) -> RunRecord:
         row_before = tenants_before.get(name, {})
         merged: Dict[str, object] = {
             key: int(row.get(key, 0)) - int(row_before.get(key, 0))
-            for key in _TENANT_DELTA_KEYS
+            for key in TENANT_COUNTERS
         }
         merged["in_flight"] = row.get("in_flight", 0)
         merged["breaker"] = row.get("breaker", "closed")

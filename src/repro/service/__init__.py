@@ -28,15 +28,21 @@ from repro.service.errors import (
     WorkerCrashed,
 )
 from repro.service.net import NetScanClient, ScanServer, connect_retrying
-from repro.service.procpool import ProcPoolScanExecutor, TenantWorkerSpec
+from repro.service.procpool import (
+    POOL_COUNTERS,
+    ProcPoolScanExecutor,
+    TenantWorkerSpec,
+)
 from repro.service.service import (
     DEFAULT_CHUNK_BYTES,
     DEFAULT_MAX_QUEUE,
+    SERVICE_COUNTERS,
+    TENANT_COUNTERS,
     ScanOutcome,
     ScanService,
     ServiceMetrics,
     TenantLimits,
-    tenant_fingerprint,
+    TenantRegistration,
 )
 
 __all__ = [
@@ -57,13 +63,16 @@ __all__ = [
     "NetScanClient",
     "ScanServer",
     "connect_retrying",
+    "POOL_COUNTERS",
     "ProcPoolScanExecutor",
     "TenantWorkerSpec",
     "DEFAULT_CHUNK_BYTES",
     "DEFAULT_MAX_QUEUE",
+    "SERVICE_COUNTERS",
+    "TENANT_COUNTERS",
     "ScanOutcome",
     "ScanService",
     "ServiceMetrics",
     "TenantLimits",
-    "tenant_fingerprint",
+    "TenantRegistration",
 ]

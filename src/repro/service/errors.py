@@ -32,13 +32,20 @@ class ServiceError(ReproError):
 
     ``retryable`` tells clients whether backing off and resubmitting
     the same request can succeed (the condition is transient).
+    ``wire_fields`` names the constructor arguments — each also an
+    attribute — that an error frame carries and the client rebuilds the
+    error from (:func:`repro.service.net.encode_error`); a class built
+    from its message alone declares none.
     """
 
     retryable = False
+    wire_fields: Tuple[str, ...] = ()
 
 
 class UnknownTenant(ServiceError):
     """The request names a tenant that was never registered."""
+
+    wire_fields = ("tenant",)
 
     def __init__(self, tenant: str):
         self.tenant = tenant
@@ -47,6 +54,8 @@ class UnknownTenant(ServiceError):
 
 class StreamTooLarge(ServiceError):
     """The stream exceeds the tenant's ``max_stream_bytes`` limit."""
+
+    wire_fields = ("tenant", "size", "limit")
 
     def __init__(self, tenant: str, size: int, limit: int):
         self.tenant = tenant
@@ -63,6 +72,7 @@ class Overloaded(ServiceError):
     allowance) is full.  Retryable — back off and resubmit."""
 
     retryable = True
+    wire_fields = ("tenant", "reason")
 
     def __init__(self, tenant: str, reason: str):
         self.tenant = tenant
@@ -77,6 +87,7 @@ class WorkerCrashed(ServiceError):
     with this retryable error so the client can resubmit."""
 
     retryable = True
+    wire_fields = ("tenant",)
 
     def __init__(self, tenant: str):
         self.tenant = tenant
@@ -118,6 +129,8 @@ class DeadlineExceeded(ServiceError):
     ``resume=checkpoint`` and the combined report stream is
     bit-identical to one uninterrupted scan.
     """
+
+    wire_fields = ("tenant", "offset", "reports", "checkpoint")
 
     def __init__(
         self,

@@ -21,9 +21,9 @@ order; the client correlates by id) and ``op``:
 
 ``submit``
     One scan: ``tenant``, optional ``deadline`` (seconds of budget) and
-    ``checkpoint``; blob = data.  Response: ``offset``, ``reports`` as
-    ``[offset, ste_id, report_code]`` rows, ``checkpoint``,
-    ``served_by``, ``fallback``, ``latency_s``.
+    ``checkpoint``; blob = data.  Response: the fields of
+    :class:`~repro.service.service.ScanOutcome`, ``reports`` as
+    ``[offset, ste_id, report_code]`` rows.
 ``resume``
     ``submit`` with a *required* checkpoint — the explicit
     continue-after-``DeadlineExceeded`` verb.
@@ -34,8 +34,16 @@ order; the client correlates by id) and ``op``:
     every response, so a client can fail over a stream to a new
     connection via ``resume``.
 ``register`` / ``health`` / ``drain`` / ``ping``
-    Tenant registration, a metrics snapshot, graceful shutdown of the
-    service *and* server, liveness.
+    Tenant registration (``tenant``, the fields of
+    ``TenantRegistration.to_wire()`` and optionally ``limits``, the
+    fields of ``TenantLimits``), a metrics snapshot, graceful shutdown
+    of the service *and* server (optional ``drain_timeout``), liveness.
+
+A failed request answers ``{"error": {...}}``: ``type``, ``message``,
+``retryable`` and the ``wire_fields`` the error's class declares
+(:mod:`repro.service.errors`).  Each type that crosses the wire owns its
+field list; values that are not JSON scalars travel by field name
+(:data:`_WIRE_CODECS`).
 
 Checkpoints serialise as ``[symbols, hex(state_vector), sod]`` — the
 active-state vector is an arbitrary-precision integer, which JSON
@@ -55,23 +63,19 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
-from dataclasses import fields
-from typing import Dict, Optional, Tuple
+from dataclasses import asdict, fields
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.service.client import RetryingClient
-from repro.service.errors import (
-    ConnectionLost,
-    DeadlineExceeded,
-    Overloaded,
-    ProtocolError,
-    ServiceClosed,
-    ServiceError,
-    StreamTooLarge,
-    UnknownTenant,
-    WorkerCrashed,
+from repro.service.errors import ConnectionLost, ProtocolError, ServiceError
+from repro.service.service import (
+    ScanOutcome,
+    ScanService,
+    TenantLimits,
+    TenantRegistration,
 )
-from repro.service.service import ScanOutcome, ScanService, TenantLimits
 from repro.sim.golden import Checkpoint, Report
 
 #: Sanity bounds on inbound frames (header is JSON metadata only).
@@ -160,58 +164,71 @@ def decode_reports(rows) -> Tuple[Report, ...]:
         raise ProtocolError(f"malformed report rows: {error}") from None
 
 
+#: Field name -> (encode, decode) for the values that are not JSON
+#: scalars, whichever type declares the field.
+_WIRE_CODECS = {
+    "reports": (encode_reports, decode_reports),
+    "checkpoint": (encode_checkpoint, decode_checkpoint),
+}
+_AS_IS = (lambda value: value,) * 2
+_OUTCOME_FIELDS = tuple(field.name for field in fields(ScanOutcome))
+_ERROR_TYPES = {
+    cls.__name__: cls for cls in (ServiceError, *ServiceError.__subclasses__())
+}
+
+
+def _encode_fields(value, names: Sequence[str]) -> Dict[str, object]:
+    return {
+        name: _WIRE_CODECS.get(name, _AS_IS)[0](getattr(value, name))
+        for name in names
+    }
+
+
+def _decode_fields(payload, names: Sequence[str]) -> Dict[str, object]:
+    try:
+        return {
+            name: _WIRE_CODECS.get(name, _AS_IS)[1](payload[name])
+            for name in names
+        }
+    except KeyError as missing:
+        raise ProtocolError(f"frame lacks the field {missing}") from None
+
+
 def encode_error(error: Exception) -> Dict[str, object]:
-    payload: Dict[str, object] = {
+    return {
         "type": type(error).__name__,
         "message": str(error),
         "retryable": bool(getattr(error, "retryable", False)),
+        **_encode_fields(error, getattr(error, "wire_fields", ())),
     }
-    tenant = getattr(error, "tenant", None)
-    if tenant is not None:
-        payload["tenant"] = tenant
-    if isinstance(error, Overloaded):
-        payload["reason"] = error.reason
-    if isinstance(error, StreamTooLarge):
-        payload["size"] = error.size
-        payload["limit"] = error.limit
-    if isinstance(error, DeadlineExceeded):
-        payload["offset"] = error.offset
-        payload["reports"] = encode_reports(error.reports)
-        payload["checkpoint"] = encode_checkpoint(error.checkpoint)
-    return payload
 
 
 def decode_error(payload: Dict[str, object]) -> ServiceError:
     """Rebuild the typed exception a server error frame describes."""
-    kind = payload.get("type")
+    kind = _ERROR_TYPES.get(payload.get("type"))
     message = str(payload.get("message", "remote service error"))
-    tenant = str(payload.get("tenant", "?"))
-    if kind == "DeadlineExceeded":
-        return DeadlineExceeded(
-            tenant,
-            offset=int(payload.get("offset", 0)),
-            reports=list(decode_reports(payload.get("reports"))),
-            checkpoint=decode_checkpoint(payload.get("checkpoint")),
+    if kind is None:
+        error = ServiceError(message)
+        error.retryable = bool(payload.get("retryable", False))
+        return error
+    if not kind.wire_fields:
+        return kind(message)
+    try:
+        return kind(**_decode_fields(payload, kind.wire_fields))
+    except ProtocolError as malformed:
+        return malformed
+
+
+def _seconds(header: Dict[str, object], name: str) -> Optional[float]:
+    """A time budget off a request frame: a finite number >= 0, or null."""
+    value = header.get(name)
+    if value is not None and not (
+        type(value) in (int, float) and 0 <= value < math.inf  # nan fails both
+    ):
+        raise ProtocolError(
+            f"{name} must be a finite number >= 0 or null, got {value!r}"
         )
-    if kind == "Overloaded":
-        return Overloaded(tenant, str(payload.get("reason", message)))
-    if kind == "StreamTooLarge":
-        return StreamTooLarge(
-            tenant, int(payload.get("size", 0)), int(payload.get("limit", 0))
-        )
-    if kind == "UnknownTenant":
-        return UnknownTenant(tenant)
-    if kind == "WorkerCrashed":
-        return WorkerCrashed(tenant)
-    if kind == "ServiceClosed":
-        return ServiceClosed(message)
-    if kind == "ProtocolError":
-        return ProtocolError(message)
-    if kind == "ConnectionLost":
-        return ConnectionLost(message)
-    error = ServiceError(message)
-    error.retryable = bool(payload.get("retryable", False))
-    return error
+    return value
 
 
 # -- server ------------------------------------------------------------------
@@ -254,7 +271,7 @@ class ScanServer:
         self.max_inflight = max(1, max_inflight)
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
-        self._draining = False
+        self._drain_task: Optional[asyncio.Task] = None
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -358,26 +375,12 @@ class ScanServer:
 
     def _op_register(self, header):
         tenant = header.get("tenant")
-        patterns = header.get("patterns")
-        options = header.get("backend_options")
-        if (
-            not tenant
-            or not isinstance(tenant, str)
-            or not isinstance(patterns, list)
-            or not all(isinstance(pattern, str) for pattern in patterns)
-        ):
-            raise ProtocolError(
-                "register needs a tenant and patterns[] of strings"
-            )
-        if options is not None and not isinstance(options, dict):
-            raise ProtocolError("backend_options must be an object")
-        reloaded = self.service.register(
+        if not tenant or not isinstance(tenant, str):
+            raise ProtocolError("register needs a tenant")
+        reloaded = self.service.install(
             tenant,
-            patterns,
+            TenantRegistration.from_wire(header),
             limits=decode_limits(header.get("limits")),
-            backend=header.get("backend"),
-            stride=header.get("stride"),
-            backend_options=options,
         )
         return {"reloaded": reloaded}
 
@@ -389,9 +392,9 @@ class ScanServer:
         if require_resume and resume is None:
             raise ProtocolError("resume needs a checkpoint")
         outcome = await self.service.scan(
-            tenant, blob, deadline=header.get("deadline"), resume=resume
+            tenant, blob, deadline=_seconds(header, "deadline"), resume=resume
         )
-        return self._outcome_response(outcome), b""
+        return _encode_fields(outcome, _OUTCOME_FIELDS), b""
 
     async def _op_stream(self, connection, header, blob):
         tenant = header.get("tenant")
@@ -400,37 +403,25 @@ class ScanServer:
             raise ProtocolError("stream needs tenant and a stream id")
         cursor = connection.cursors.get(stream_id)
         outcome = await self.service.scan(
-            tenant, blob, deadline=header.get("deadline"), resume=cursor
+            tenant, blob, deadline=_seconds(header, "deadline"), resume=cursor
         )
         if header.get("final"):
             connection.cursors.pop(stream_id, None)
         else:
             connection.cursors[stream_id] = outcome.checkpoint
-        return self._outcome_response(outcome), b""
+        return _encode_fields(outcome, _OUTCOME_FIELDS), b""
 
     def _op_drain(self, header):
-        if not self._draining:
-            self._draining = True
-            asyncio.get_running_loop().create_task(
-                self._drain(header.get("drain_timeout"))
+        drain_timeout = _seconds(header, "drain_timeout")
+        if self._drain_task is None:
+            self._drain_task = asyncio.get_running_loop().create_task(
+                self._drain(drain_timeout)
             )
         return {"draining": True}
 
     async def _drain(self, drain_timeout) -> None:
         await self.service.stop(drain_timeout=drain_timeout)
         await self.stop()
-
-    @staticmethod
-    def _outcome_response(outcome: ScanOutcome):
-        return {
-            "tenant": outcome.tenant,
-            "offset": outcome.offset,
-            "reports": encode_reports(outcome.reports),
-            "checkpoint": encode_checkpoint(outcome.checkpoint),
-            "served_by": outcome.served_by,
-            "fallback": outcome.fallback,
-            "latency_s": outcome.latency_s,
-        }
 
 
 # -- client ------------------------------------------------------------------
@@ -548,19 +539,15 @@ class NetScanClient:
         stride=None,
         backend_options: Optional[Dict[str, object]] = None,
     ) -> bool:
-        header: Dict[str, object] = {
-            "tenant": tenant,
-            "patterns": list(patterns),
-            "backend": backend,
-            "stride": stride,
-            "backend_options": backend_options,
-        }
+        registration = TenantRegistration(
+            tuple(patterns),
+            backend=backend,
+            stride=stride,
+            backend_options=dict(backend_options or {}),
+        )
+        header = {"tenant": tenant, **registration.to_wire()}
         if limits is not None:
-            header["limits"] = {
-                "max_stream_bytes": limits.max_stream_bytes,
-                "max_in_flight": limits.max_in_flight,
-                "dfa_max_states": limits.dfa_max_states,
-            }
+            header["limits"] = asdict(limits)
         return bool((await self._request("register", header)).get("reloaded"))
 
     async def scan(
@@ -576,7 +563,7 @@ class NetScanClient:
         if resume is not None:
             header["checkpoint"] = encode_checkpoint(resume)
         response = await self._request(op, header, bytes(data))
-        return self._decode_outcome(response)
+        return ScanOutcome(**_decode_fields(response, _OUTCOME_FIELDS))
 
     async def stream_scan(
         self,
@@ -595,7 +582,7 @@ class NetScanClient:
             "final": bool(final),
         }
         response = await self._request("stream", header, bytes(chunk))
-        return self._decode_outcome(response)
+        return ScanOutcome(**_decode_fields(response, _OUTCOME_FIELDS))
 
     async def health(self) -> Dict[str, object]:
         return (await self._request("health", {})).get("metrics", {})
@@ -605,18 +592,6 @@ class NetScanClient:
             "drain", {"drain_timeout": drain_timeout}
         )
         return bool(response.get("draining"))
-
-    @staticmethod
-    def _decode_outcome(response: Dict[str, object]) -> ScanOutcome:
-        return ScanOutcome(
-            tenant=str(response.get("tenant", "?")),
-            reports=decode_reports(response.get("reports")),
-            offset=int(response.get("offset", 0)),
-            checkpoint=decode_checkpoint(response.get("checkpoint")),
-            served_by=str(response.get("served_by", "?")),
-            fallback=bool(response.get("fallback")),
-            latency_s=float(response.get("latency_s", 0.0)),
-        )
 
 
 async def connect_retrying(

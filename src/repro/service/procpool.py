@@ -1,90 +1,63 @@
-"""Process-pool scan execution plane for the serving layer.
+"""Process-pool scan execution plane for the serving layer, and the
+one definition of a **span** — the unit every plane scans in
+(DESIGN.md, "Process-pool execution plane").
 
-PR 8's :class:`~repro.service.service.ScanService` runs every CPU-bound
-scan as a coroutine on one event loop, so one core is the throughput
-ceiling.  This module moves the chunk scans into long-lived worker
-*processes* while keeping every PR 8 semantic — deadlines at chunk
-boundaries, checkpoint-resume bit-identity, breaker/fallback, graceful
-drain.
+A span is a run of a request's bytes, the checkpoint to resume from, the
+service's ``chunk_bytes`` and a time to stop at.  :func:`scan_span` is
+the one chunk loop: one ``scan(piece, resume=checkpoint)`` per chunk —
+so chunk boundaries and checkpoints are the same on every plane — always
+at least one chunk, returning at the first chunk boundary where
+``time.monotonic()`` has passed the stop time.  It hands back a
+:class:`SpanReply`.  The service's request loop asks a *plane* for the
+next span and resumes from the reply, whichever plane it is:
 
-The processes, their pipes, the one-job-in-flight rule, the resource
-tracker rule and per-worker supervision are :mod:`repro.parallel`'s
-:class:`~repro.parallel.WorkerPool`, driven by the service's event loop;
-this module is what is about *scanning* on top of it.
+* :func:`scan_span_inloop` — the degenerate case: the span is one chunk,
+  scanned on the event loop that asked, on the tenant's own backend.
+* :class:`ProcPoolScanExecutor` — long-lived worker *processes*
+  (:mod:`repro.parallel`'s :class:`~repro.parallel.WorkerPool`: the
+  processes, their pipes, the one-job-in-flight rule, the resource
+  tracker rule and per-worker supervision are its), driven by the
+  service's event loop.  The span is the rest of the request's bytes and
+  the stop time the request's absolute deadline or :data:`SPAN_HOLD_S`
+  after the worker starts scanning, whichever is first.  A worker is
+  never held longer than the hold quantum plus one chunk: that bound, in
+  time and independent of how fast the tenant's ruleset scans, is what
+  drain, the parent's own deadline check between spans, and fairness
+  between tenants rely on.  Checkpoints are plain picklable values, so
+  successive spans of one request may land on different processes.  When
+  something parent-side has to observe every chunk boundary — an
+  injected ``clock=``, a ``set_scan_delay`` chaos hook — the service
+  ships exactly one chunk a span, as the in-loop plane always does.
 
 **A span job** is :func:`_serve_span` on ``(fingerprint, bytes, resume
-checkpoint, chunk_bytes, deadline_at, collect_reports)``, submitted with the
-tenant's :class:`TenantWorkerSpec` as its context.  A worker that holds
-no engine for the fingerprint (first span of the tenant on this process,
-engine evicted from the per-process LRU, process respawned) fetches the
-spec with :func:`~repro.parallel.ask_parent` and goes on with the span
-it already has.  The spec — pattern list included, 2–7 KB for the suite
-rulesets — therefore crosses a pipe once per (worker, fingerprint)
-instead of once per span, and the worker's engine cache is the only
-record of who knows what.  Besides the result, the reply carries what
-only the worker knows: the health events its backend logged while
-scanning (the parent feeds them to the tenant's breaker: its own engine
-did not scan) and, on a cold start, how the engine was built and why a
-published shared-tables block could not be used.
-
-The unit of dispatch is a **span**: the rest of the request's bytes,
-the service's ``chunk_bytes`` and the request's absolute deadline.  The
-worker runs the chunk loop the event loop would have run — one
-``scan(piece, resume=checkpoint)`` per chunk, so chunk boundaries and
-checkpoints are those of the in-loop plane — always scans at least one
-chunk, and returns at the first chunk boundary where
-``time.monotonic()`` has passed the deadline or :data:`SPAN_HOLD_S`
-since the span started.  A worker is never held longer than the hold
-quantum plus one chunk: that bound, in time and independent of how fast
-the tenant's ruleset scans, is what drain, the parent's own deadline
-check between spans, and fairness between tenants rely on.  The parent
-resumes from the offset and checkpoint a span returns, and checkpoints
-are plain picklable values, so successive spans of one request may land
-on different processes.  When something parent-side has to observe
-every chunk boundary — an injected ``clock=``, a ``set_scan_delay``
-chaos hook — the service ships exactly one chunk and the span
-degenerates to per-chunk dispatch.
-
-Each worker process keeps a small per-tenant engine cache keyed by the
-registration fingerprint.  Cold-starting a tenant in a worker takes one
-of two paths:
-
-* **Shared-tables fast path** (lazy-DFA tenants): the parent publishes
-  the kernel's packed tables plus the warm DFA's ``dfa_rows`` (state
-  keys) and ``dfa_next`` (silent successors, ``-1`` where a transition
-  is missing or reports) and, when striding, the ``stride_*`` alphabet
-  tables, once per tenant through a :class:`~repro.parallel.SharedTables`
-  shared-memory block; the worker attaches, copies the arrays out (the
-  block may be unlinked on hot-reload while the worker lives on),
-  rebuilds ``BitsetKernel.from_packed`` + a seeded
-  :class:`~repro.sim.lazydfa.LazyDfaKernel`
-  (:func:`~repro.sim.shard.attach_kernel_dfa`), and returns one *raw*
-  result per span (events rebased to the span start) that the parent
-  materialises through the registered backend — so ``(offset, ste_id,
-  report_code)`` identity is resolved exactly once, parent-side, and is
-  bit-identical to the in-loop path.
-* **Engine rebuild path** (every other backend, and a block that is
-  gone or does not attach): the worker rebuilds a full
-  :class:`~repro.engine.CacheAutomatonEngine` from the registration in
-  the spec, warm-starting from the same content-addressed artifact
-  cache directory the parent used, and returns finished
-  ``Report``/``Checkpoint`` objects.
+checkpoint, chunk_bytes, deadline_at)``, submitted with the tenant's
+:class:`TenantWorkerSpec` as its context; its reply crosses the pipe as
+the plain tuple a :class:`SpanReply` is.  A worker that holds no engine
+for the fingerprint (first span of the tenant on this process, engine
+evicted from the per-process LRU, process respawned) fetches the spec
+with :func:`~repro.parallel.ask_parent`, cold-starts the engine
+(:func:`_build_engine`: from the tenant's shared-memory tables, else
+from its registration) and goes on with the span it already has.  The
+spec — pattern list included, 2–7 KB for the suite rulesets — therefore
+crosses a pipe once per (worker, fingerprint) instead of once per span,
+and the worker's engine cache is the only record of who knows what.
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from repro.core.design import DesignPoint
 from repro.parallel import WorkerPool, ask_parent
 from repro.service.errors import WorkerCrashed
-from repro.sim.golden import Checkpoint, Report
-from repro.sim.kernel import BitsetKernel
-from repro.sim.lazydfa import LazyDfaKernel
-from repro.sim.shard import attach_kernel_dfa, scan_one
+from repro.sim.kernel import Checkpoint
+from repro.sim.lazydfa import attach_kernel_dfa, scan_one
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.service.service import TenantRegistration
 
 #: Per-worker-process engine cache bound (fingerprint-keyed, LRU).
 WORKER_ENGINE_CACHE_LIMIT = 8
@@ -95,6 +68,17 @@ WORKER_ENGINE_CACHE_LIMIT = 8
 #: overshoot and head-of-line blocking behind one tenant stay at the
 #: scale of a few in-loop chunks.
 SPAN_HOLD_S = 0.005
+
+#: ``metrics_snapshot()`` key -> the executor attribute it reads: spans
+#: that came back, the chunks they covered, worker engine cold starts by
+#: path, and the pool's replaced processes.
+POOL_COUNTERS = {
+    "pool_dispatches": "dispatched",
+    "pool_chunks": "chunks",
+    "pool_respawns": "respawns",
+    "pool_cold_tables": "cold_tables",
+    "pool_cold_rebuilds": "cold_rebuilds",
+}
 
 
 def worker_cache_spec(cache):
@@ -113,25 +97,42 @@ def worker_cache_spec(cache):
 
 @dataclass(frozen=True)
 class TenantWorkerSpec:
-    """One tenant's registration, picklable for shipment to workers.
+    """What a worker needs to serve one tenant, picklable.
 
     ``shm_meta`` (when set) is the :class:`~repro.parallel.SharedTables`
-    handle for the fast path; the full registration rides along so a
-    worker can always fall back to an engine rebuild — e.g. when the
-    block was unlinked by a hot-reload between dispatch and attach.
+    handle for the fast path; the registration rides along so a worker
+    can always fall back to an engine rebuild — e.g. when the block was
+    unlinked by a hot-reload between dispatch and attach — from the
+    artifact cache ``cache`` names.
     """
 
     tenant: str
-    fingerprint: str
-    patterns: Tuple[str, ...]
-    design: DesignPoint
-    backend: Optional[str]
-    stride: object
-    backend_options: Tuple[Tuple[str, object], ...]
-    compile_jobs: object
+    registration: "TenantRegistration"
     cache: object
-    dfa_max_states: Optional[int]
     shm_meta: object = None
+
+
+class SpanReply(NamedTuple):
+    """What one span hands back, whichever plane scanned it.
+
+    ``reports`` are finished :class:`~repro.sim.kernel.Report` objects
+    unless ``raw``: then they are a shared-tables worker's events —
+    ``(offset from the span start, count, reporting-row bytes)`` — which
+    :meth:`ProcPoolScanExecutor.scan_span` decodes before anyone else
+    sees the reply.  ``consumed`` is a whole number of chunks unless the
+    data ran out; ``degrades`` counts the health events the scanning
+    backend logged meanwhile; ``built`` (``"tables"``/``"rebuild"``) and
+    ``tables_error`` are set on the span that cold-started a worker's
+    engine.
+    """
+
+    reports: Sequence
+    checkpoint: Checkpoint
+    consumed: int
+    degrades: int
+    raw: bool
+    built: Optional[str] = None
+    tables_error: Optional[str] = None
 
 
 def _span_pieces(data: bytes, chunk_bytes: int, stop_at: float):
@@ -149,56 +150,75 @@ def _span_pieces(data: bytes, chunk_bytes: int, stop_at: float):
             return
 
 
-class _TablesWorkerEngine:
-    """Worker-side engine rebuilt from the shared-tables fast path."""
+class BackendSpans:
+    """Spans scanned on a registered backend: a worker's rebuilt engine
+    or, in-loop, the tenant's own.  ``health_event_count`` is the owning
+    engine's (a bare backend has no degraded mode to log)."""
 
-    def __init__(self, kernel: BitsetKernel, dfa: LazyDfaKernel):
+    raw = False
+
+    def __init__(self, backend, health_event_count=lambda: 0):
+        self.backend = backend
+        self.health_event_count = health_event_count
+
+    def scan_piece(self, piece, checkpoint, position, found):
+        result = self.backend.scan(piece, resume=checkpoint)
+        found.extend(result.reports)  # global offsets: it scanned from the resume
+        return result.checkpoint
+
+
+class TablesSpans:
+    """Spans scanned on the kernel + warm DFA rebuilt from a tenant's
+    shared-tables block; the reply is ``raw``."""
+
+    raw = True
+
+    def __init__(self, kernel, dfa):
         self.kernel = kernel
         self.dfa = dfa
 
     def health_event_count(self) -> int:
         return 0  # the bare kernel pair has no degraded mode to log
 
-    def scan_span(self, data, checkpoint, chunk_bytes, stop_at, collect_reports):
-        events = []
-        total = consumed = 0
-        for position, piece in _span_pieces(data, chunk_bytes, stop_at):
-            piece_events, count, checkpoint, symbols = scan_one(
-                self.kernel, self.dfa, piece, checkpoint, collect_reports
-            )
-            events.extend(
-                (position + offset, fired, rep_bytes)
-                for offset, fired, rep_bytes in piece_events
-            )
-            total += count
-            consumed += symbols
-        return "raw", (events, total, checkpoint, consumed)
+    def scan_piece(self, piece, checkpoint, position, found):
+        events, _, checkpoint, _ = scan_one(
+            self.kernel, self.dfa, piece, checkpoint, True
+        )
+        found.extend(
+            (position + offset, count, row) for offset, count, row in events
+        )
+        return checkpoint
 
 
-class _BackendWorkerEngine:
-    """Worker-side engine rebuilt from the full registration."""
-
-    def __init__(self, engine):
-        self.engine = engine
-        self.backend = engine.backend
-
-    def health_event_count(self) -> int:
-        return self.engine.health_event_count()
-
-    def scan_span(self, data, checkpoint, chunk_bytes, stop_at, collect_reports):
-        reports = []
-        consumed = 0
-        for _, piece in _span_pieces(data, chunk_bytes, stop_at):
-            result = self.backend.scan(
-                piece, collect_reports=collect_reports, resume=checkpoint
-            )
-            reports.extend(result.reports)
-            checkpoint = result.checkpoint
-            consumed += len(piece)
-        return "scan", (tuple(reports), checkpoint, consumed)
+def scan_span(
+    scanner, data, checkpoint, chunk_bytes, stop_at, built=None, tables_error=None
+) -> SpanReply:
+    """The one chunk loop: ``data`` in ``chunk_bytes`` pieces scanned one
+    after the other from ``checkpoint`` (or the stream's start when
+    ``None``) on ``scanner``, until :func:`_span_pieces` stops."""
+    events_before = scanner.health_event_count()
+    found: list = []
+    consumed = 0
+    for position, piece in _span_pieces(data, chunk_bytes, stop_at):
+        checkpoint = scanner.scan_piece(piece, checkpoint, position, found)
+        consumed += len(piece)
+    degrades = scanner.health_event_count() - events_before
+    return SpanReply(
+        found, checkpoint, consumed, degrades, scanner.raw, built, tables_error
+    )
 
 
-#: fingerprint -> worker engine, per worker process (module global).
+async def scan_span_inloop(
+    scanner, spec, data, checkpoint, chunk_bytes, deadline_at
+) -> SpanReply:
+    """The degenerate plane, called as :meth:`ProcPoolScanExecutor.
+    scan_span` is: the caller ships one chunk a span and it is scanned
+    here and now, on the event loop, so the request loop's yield between
+    spans is a yield between chunks."""
+    return scan_span(scanner, data, checkpoint, chunk_bytes, 0.0)
+
+
+#: fingerprint -> span scanner, per worker process (module global).
 _WORKER_ENGINES: "OrderedDict[str, object]" = OrderedDict()
 
 
@@ -212,102 +232,67 @@ def _cached_engine(fingerprint: str):
 def _build_engine(spec: TenantWorkerSpec):
     """Cold-start the spec's engine in this process and cache it.
 
-    Returns ``(engine, built, tables_error)``: ``built`` is ``"tables"``
+    **Shared-tables fast path** (``spec.shm_meta`` set): attach the
+    block the parent published — the kernel's packed tables, the warm
+    DFA's ``dfa_rows``/``dfa_next`` and, when striding, the ``stride_*``
+    alphabet tables — copy the arrays out and rebuild the kernel + a
+    seeded lazy DFA (:func:`~repro.sim.lazydfa.attach_kernel_dfa`).  Its
+    spans reply ``raw``, so report identity is resolved exactly once,
+    parent-side.  **Engine rebuild path** (no block, or one that is
+    gone or does not attach): the registration's
+    :meth:`~repro.service.service.TenantRegistration.build_engine` — the
+    call that built the parent's engine — warm-starting from the same
+    artifact cache directory.
+
+    Returns ``(scanner, built, tables_error)``: ``built`` is ``"tables"``
     or ``"rebuild"``; ``tables_error`` says why a published block was
-    not used (hot-reload unlinked it, the attach failed) — the
-    registration in the spec always suffices to rebuild the slow way,
-    but the parent gets to count and log that it happened.
+    not used, so the parent can count and log that it happened.
     """
-    engine, built, tables_error = None, "rebuild", None
+    registration = spec.registration
+    scanner, built, tables_error = None, "rebuild", None
     if spec.shm_meta is not None:
         try:
             # copy=True: the parent may unlink the block (hot reload,
             # drain) while this engine keeps serving from the cache.
             kernel, dfa, _ = attach_kernel_dfa(
-                spec.shm_meta, spec.dfa_max_states, copy=True
+                spec.shm_meta,
+                registration.backend_options.get("max_states"),
+                copy=True,
             )
-            engine, built = _TablesWorkerEngine(kernel, dfa), "tables"
+            scanner, built = TablesSpans(kernel, dfa), "tables"
         except Exception as error:
             tables_error = f"{type(error).__name__}: {error}"
-    if engine is None:
-        from repro.engine import CacheAutomatonEngine
-
-        engine = _BackendWorkerEngine(
-            CacheAutomatonEngine.from_patterns(
-                list(spec.patterns),
-                design=spec.design,
-                cache=spec.cache,
-                backend=spec.backend,
-                stride=spec.stride,
-                backend_options=dict(spec.backend_options) or None,
-                compile_jobs=spec.compile_jobs,
-            )
-        )
-    _WORKER_ENGINES[spec.fingerprint] = engine
+    if scanner is None:
+        engine = registration.build_engine(spec.cache)
+        scanner = BackendSpans(engine.backend, engine.health_event_count)
+    _WORKER_ENGINES[registration.fingerprint] = scanner
     while len(_WORKER_ENGINES) > WORKER_ENGINE_CACHE_LIMIT:
         _WORKER_ENGINES.popitem(last=False)
-    return engine, built, tables_error
+    return scanner, built, tables_error
 
 
-def _scan_span(engine, data, resume, chunk_bytes, deadline_at, collect_reports):
-    """One span on a worker engine.
+def _serve_span(message) -> tuple:
+    """One span job, start to reply, asking the parent for the tenant's
+    spec when this process has no engine for it.
 
-    ``resume`` is the resume checkpoint, as it came down the pipe, or
-    ``None``; ``deadline_at`` is the request's deadline on
-    ``time.monotonic()`` — one clock for every process on the host — or
-    ``None``.  The span is cut into ``chunk_bytes`` pieces scanned one
-    after the other from ``resume``; it always scans the first, and
-    stops at the first boundary past the deadline or past
-    :data:`SPAN_HOLD_S` (counted from here, after any engine cold
-    start, so a queued or cold span still gets its quantum).  Returns
-    ``("raw", RawScanResult)`` (fast path — event offsets relative to
-    the span start, the parent materialises reports) or ``("scan",
-    (reports, checkpoint, consumed))`` (engine path — already global
-    offsets because the backend scanned with the resume checkpoint);
-    either way the bytes consumed are a whole number of chunks unless
-    the data ran out.
+    ``deadline_at`` is the request's deadline on ``time.monotonic()`` —
+    one clock for every process on the host — or ``None``; the hold
+    quantum counts from here, after any engine cold start, so a queued
+    or cold span still gets it.
     """
+    fingerprint, data, resume, chunk_bytes, deadline_at = message
+    scanner = _cached_engine(fingerprint)
+    built = tables_error = None
+    if scanner is None:
+        scanner, built, tables_error = _build_engine(ask_parent())
     stop_at = time.monotonic() + SPAN_HOLD_S
     if deadline_at is not None:
         stop_at = min(stop_at, deadline_at)
-    return engine.scan_span(data, resume, chunk_bytes, stop_at, collect_reports)
-
-
-def _worker_scan_span(
-    spec, data, resume, chunk_bytes, deadline_at, collect_reports
-):
-    """:func:`_scan_span` for a caller that has the spec at hand."""
-    engine = _cached_engine(spec.fingerprint) or _build_engine(spec)[0]
-    return _scan_span(
-        engine, data, resume, chunk_bytes, deadline_at, collect_reports
+    return tuple(
+        scan_span(
+            scanner, data, resume, chunk_bytes, stop_at, built, tables_error
+        )
     )
-
-
-def _serve_span(message):
-    """One span job, start to reply, asking the parent for the tenant's
-    spec when this process has no engine for it."""
-    fingerprint, *span = message
-    engine = _cached_engine(fingerprint)
-    built = tables_error = None
-    if engine is None:
-        engine, built, tables_error = _build_engine(ask_parent())
-    events_before = engine.health_event_count()
-    kind, body = _scan_span(engine, *span)
-    degrades = engine.health_event_count() - events_before
-    return kind, body, degrades, built, tables_error
-
-
-class _SpanResult(NamedTuple):
-    """What the service's request loop consumes of one span: the slice
-    of ScanResult the in-loop plane reads, the bytes consumed, the
-    health events the worker's backend logged meanwhile, and why a cold
-    start could not use the tenant's published tables (else ``None``)."""
-
-    reports: Sequence[Report]
-    checkpoint: Checkpoint
-    consumed: int
-    degrades: int
-    tables_error: Optional[str]
 
 
 class ProcPoolScanExecutor(WorkerPool):
@@ -315,14 +300,12 @@ class ProcPoolScanExecutor(WorkerPool):
     are spans, driven by the service's event loop.
 
     ``scan_span`` is the only hot entry point: it submits the span,
-    awaits the reply the loop's reader callback picks up, and hands back
-    ``.reports``/``.checkpoint``/``.consumed``, materialising fast-path
-    raw payloads through the parent's registered backend.  A span whose
-    worker died surfaces as a retryable :class:`WorkerCrashed`,
-    mirroring the coroutine-worker supervision contract.  ``dispatched``
-    counts spans that came back and ``chunks`` the chunks they covered;
-    ``cold_tables``/``cold_rebuilds`` count worker engine cold starts by
-    path.  The service publishes all of them.
+    awaits the reply the loop's reader callback picks up, and hands it
+    back with a ``raw`` payload materialised through the parent's
+    registered backend.  A span whose worker died surfaces as a
+    retryable :class:`WorkerCrashed`, mirroring the coroutine-worker
+    supervision contract.  The service's snapshot reads the counters
+    :data:`POOL_COUNTERS` names off this object.
     """
 
     process_name = "scan-process"
@@ -333,36 +316,38 @@ class ProcPoolScanExecutor(WorkerPool):
 
     async def scan_span(
         self,
-        loop,
+        scanner: BackendSpans,
         spec: TenantWorkerSpec,
-        backend,
         data: bytes,
         checkpoint: Optional[Checkpoint],
         chunk_bytes: int,
         deadline_at: Optional[float],
-        collect_reports: bool = True,
-    ) -> _SpanResult:
+    ) -> SpanReply:
         # The checkpoint crosses the pipe as it is (one layout, or a
         # marked dialect): nothing to flatten, nothing to lose.
         message = (
-            spec.fingerprint, data, checkpoint,
-            chunk_bytes, deadline_at, collect_reports,
+            spec.registration.fingerprint, data, checkpoint,
+            chunk_bytes, deadline_at,
         )
         # The future carries WorkerCrashed when the worker died (it has
         # been replaced already) and the scan's own exception when a live
         # worker raised it; that one propagates as itself.
-        kind, body, degrades, built, tables_error = await self.submit(
-            _serve_span, message, context=spec, loop=loop
+        reply = SpanReply._make(
+            await self.submit(
+                _serve_span, message, context=spec,
+                loop=asyncio.get_running_loop(),
+            )
         )
-        if kind == "raw":
-            result = backend.materialise_raw(body, collect_reports)
-            reports, after, consumed = result.reports, result.checkpoint, body[3]
-        else:
-            reports, after, consumed = body
+        if reply.raw:
+            total = sum(count for _, count, _ in reply.reports)
+            result = scanner.backend.materialise_raw(
+                (reply.reports, total, reply.checkpoint, reply.consumed), True
+            )
+            reply = reply._replace(reports=result.reports, raw=False)
         self.dispatched += 1
-        self.chunks += -(-consumed // chunk_bytes)
-        if built == "tables":
+        self.chunks += -(-reply.consumed // chunk_bytes)
+        if reply.built == "tables":
             self.cold_tables += 1
-        elif built == "rebuild":
+        elif reply.built == "rebuild":
             self.cold_rebuilds += 1
-        return _SpanResult(reports, after, consumed, degrades, tables_error)
+        return reply

@@ -39,44 +39,40 @@ fairness, and drain responsive without threads.  The clock is
 injectable for deterministic tests.
 
 * **Process-pool execution** — ``scan_workers=N`` (default 0 = in-loop)
-  dispatches every primary-tier scan to long-lived worker *processes*
-  (:mod:`repro.service.procpool`, on the :mod:`repro.parallel` plane),
-  each on its own pipe watched by this loop, lifting the one-core
-  ceiling while keeping all of the above.  The dispatch unit is a
-  *span*: the rest of the request's bytes plus its checkpoint and
-  absolute deadline.  The worker runs the same chunk
-  loop, at the same chunk boundaries, and hands back at the first
-  boundary past the deadline or a 5 ms hold quantum
-  (:data:`~repro.service.procpool.SPAN_HOLD_S`); the request loop here
-  re-reads the deadline between spans and resumes from the returned
-  offset.  Deadlines therefore still interrupt at chunk boundaries,
-  drain and fairness wait at most one quantum for a worker, spans of
-  one request may land on different processes, results are
-  bit-identical to ``scan_workers=0``, and a dead process surfaces as a
-  retryable :class:`~repro.service.errors.WorkerCrashed` for the span
-  it held, with that one process replaced.  An injected ``clock=`` or a
-  ``set_scan_delay`` hook has to see every chunk boundary from this
-  side, so then a span is exactly one chunk.
-  Lazy-DFA tenants publish their packed kernel + warm DFA tables once
-  through a :class:`~repro.parallel.SharedTables` block so workers
-  rebuild zero-copy; other backends rebuild from the registration
-  through the shared artifact cache.  The golden-fallback tier (breaker
+  dispatches every primary-tier scan to long-lived worker *processes*,
+  lifting the one-core ceiling while keeping all of the above.  The
+  request loop asks its plane for one *span* at a time and resumes from
+  the reply; :mod:`repro.service.procpool` defines the span, the one
+  chunk loop both planes run, and what bounds the time a worker holds
+  one.  Results are bit-identical to ``scan_workers=0``, and a dead
+  process surfaces as a retryable
+  :class:`~repro.service.errors.WorkerCrashed` for the span it held,
+  with that one process replaced.  The golden-fallback tier (breaker
   open) always runs in-loop — the reference interpreter must not depend
   on the machinery it is the fallback for.
+
+Three values cross the boundaries (caller or wire → service → worker and
+back), each defined once: a tenant's :class:`TenantRegistration` (here),
+a span's :class:`~repro.service.procpool.SpanReply`, and a response — a
+:class:`ScanOutcome` (here) or a :mod:`~repro.service.errors` class —
+whose wire form :mod:`repro.service.net` derives from the type.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
+import json
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.backends.base import BoundedEventLog
 from repro.backends.registry import create_backend, resolve_backend_name
 from repro.backends.validation import require_bytes
+from repro.compiler.cache import design_fingerprint
 from repro.core.design import CA_P, DesignPoint
 from repro.engine import CacheAutomatonEngine
 from repro.errors import ReproError
@@ -85,14 +81,18 @@ from repro.service.breaker import CircuitBreaker
 from repro.service.errors import (
     DeadlineExceeded,
     Overloaded,
+    ProtocolError,
     ServiceClosed,
     StreamTooLarge,
     UnknownTenant,
     WorkerCrashed,
 )
 from repro.service.procpool import (
+    POOL_COUNTERS,
+    BackendSpans,
     ProcPoolScanExecutor,
     TenantWorkerSpec,
+    scan_span_inloop,
     worker_cache_spec,
 )
 from repro.sim.golden import Checkpoint, Report
@@ -126,8 +126,74 @@ class TenantLimits:
 
 
 @dataclass(frozen=True)
+class TenantRegistration:
+    """What a tenant registered — everything its engine is built from,
+    as one value from :meth:`ScanService.register` or a ``register``
+    frame to every scan worker that serves the tenant."""
+
+    patterns: Tuple[str, ...]
+    design: DesignPoint = CA_P
+    backend: Optional[str] = None
+    stride: object = None
+    backend_options: Mapping[str, object] = field(default_factory=dict)
+    compile_jobs: object = None
+
+    _WIRE_FIELDS = ("patterns", "backend", "stride", "backend_options")
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content hash of what decides the engine's behaviour (not
+        ``compile_jobs``): a changed fingerprint on re-registration
+        triggers a hot-reload, and workers key their engines by it."""
+        payload = json.dumps(
+            [
+                list(self.patterns), design_fingerprint(self.design),
+                self.backend, self.stride, self.backend_options,
+            ],
+            sort_keys=True,
+            default=repr,
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def build_engine(self, cache) -> CacheAutomatonEngine:
+        """The engine this registration describes, through the artifact
+        cache — the service's and every worker's, so they cannot differ."""
+        return CacheAutomatonEngine.from_patterns(
+            list(self.patterns),
+            design=self.design,
+            cache=cache,
+            backend=self.backend,
+            stride=self.stride,
+            backend_options=dict(self.backend_options) or None,
+            compile_jobs=self.compile_jobs,
+        )
+
+    def to_wire(self) -> Dict[str, object]:
+        """The ``register`` frame's fields; ``design`` and
+        ``compile_jobs`` are the server's to choose and do not travel."""
+        return {name: getattr(self, name) for name in self._WIRE_FIELDS}
+
+    @classmethod
+    def from_wire(cls, header: Mapping[str, object]) -> "TenantRegistration":
+        sent = {
+            name: header[name]
+            for name in cls._WIRE_FIELDS
+            if header.get(name) is not None
+        }
+        patterns = sent.get("patterns")
+        if not isinstance(patterns, list) or not all(
+            isinstance(pattern, str) for pattern in patterns
+        ):
+            raise ProtocolError("register needs patterns[] of strings")
+        if not isinstance(sent.get("backend_options", {}), dict):
+            raise ProtocolError("backend_options must be an object")
+        return cls(**{**sent, "patterns": tuple(patterns)})
+
+
+@dataclass(frozen=True)
 class ScanOutcome:
-    """One successfully served scan."""
+    """One successfully served scan; its fields are the response
+    header's (:mod:`repro.service.net`)."""
 
     tenant: str
     reports: Tuple[Report, ...]
@@ -142,34 +208,11 @@ class ScanOutcome:
         return [(r.offset, r.ste_id, r.report_code) for r in self.reports]
 
 
-@dataclass
-class ServiceMetrics:
-    """Service-wide counters (per-tenant breakdowns live on the
-    tenants; see :meth:`ScanService.metrics_snapshot`)."""
-
-    submitted: int = 0
-    admitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    shed: int = 0
-    oversized: int = 0
-    timeouts: int = 0
-    breaker_trips: int = 0
-    breaker_recoveries: int = 0
-    worker_restarts: int = 0
-    fallback_scans: int = 0
-    reloads: int = 0
-    pool_respawns: int = 0
-    pool_dispatches: int = 0
-    pool_chunks: int = 0
-    pool_cold_tables: int = 0
-    pool_cold_rebuilds: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
-
-
-_TENANT_COUNTERS = (
+#: Every event the service counts, by name: per tenant and service-wide
+#: (the keys of a :meth:`ScanService.metrics_snapshot` tenant row), then
+#: service-wide only (with them, the attributes of
+#: :class:`ServiceMetrics` and the snapshot's own counter keys).
+TENANT_COUNTERS = (
     "submitted",
     "completed",
     "failed",
@@ -180,6 +223,19 @@ _TENANT_COUNTERS = (
     "breaker_trips",
     "breaker_recoveries",
 )
+SERVICE_COUNTERS = TENANT_COUNTERS + ("admitted", "worker_restarts", "reloads")
+
+
+class ServiceMetrics:
+    """Service-wide counters, one attribute per :data:`SERVICE_COUNTERS`
+    name (per-tenant breakdowns live on the tenants; see
+    :meth:`ScanService.metrics_snapshot`)."""
+
+    def __init__(self):
+        vars(self).update(dict.fromkeys(SERVICE_COUNTERS, 0))
+
+    def as_dict(self) -> Dict[str, int]:
+        return dict(vars(self))
 
 
 class _TenantState:
@@ -188,23 +244,21 @@ class _TenantState:
     def __init__(
         self,
         name: str,
-        fingerprint: str,
+        registration: TenantRegistration,
         engine: CacheAutomatonEngine,
         limits: TenantLimits,
         breaker: CircuitBreaker,
     ):
         self.name = name
-        self.fingerprint = fingerprint
+        #: Kept so worker processes can rebuild this tenant's engine.
+        self.registration = registration
         self.engine = engine
         self.limits = limits
         self.breaker = breaker
         self.queue: Deque["_Request"] = deque()
         self.in_flight = 0
-        self.counters: Dict[str, int] = {key: 0 for key in _TENANT_COUNTERS}
+        self.counters: Dict[str, int] = dict.fromkeys(TENANT_COUNTERS, 0)
         self._fallback = None
-        #: Registration kwargs kept verbatim so worker processes can
-        #: rebuild this tenant's engine (process-pool execution).
-        self.registration: Dict[str, object] = {}
         #: Lazily built picklable spec + published shared-memory block
         #: for the process pool; reset on hot-reload.
         self.worker_spec: Optional[TenantWorkerSpec] = None
@@ -216,7 +270,11 @@ class _TenantState:
         self.chaos_error: Exception = ReproError("injected fault")
         self.chaos_delay = 0.0
 
-    def fallback(self):
+    def primary(self) -> BackendSpans:
+        """The tenant's engine, as the span planes scan on it."""
+        return BackendSpans(self.engine.backend, self.engine.health_event_count)
+
+    def fallback(self) -> BackendSpans:
         """The tenant's golden-fallback backend (built on first use).
 
         The reference interpreter scans from the automaton alone, so it
@@ -224,8 +282,8 @@ class _TenantState:
         reads the artifact's placement only to translate checkpoints, so
         a stream the primary suspended resumes here."""
         if self._fallback is None:
-            self._fallback = create_backend(
-                "golden-interpreter", self.engine.artifact
+            self._fallback = BackendSpans(
+                create_backend("golden-interpreter", self.engine.artifact)
             )
         return self._fallback
 
@@ -240,48 +298,17 @@ class _TenantState:
             shared.close()
 
 
+@dataclass(slots=True, eq=False)
 class _Request:
-    """One admitted scan request moving through the queue."""
+    """One admitted scan request moving through the queue (compared by
+    identity: the executing list removes *this* request)."""
 
-    __slots__ = (
-        "tenant",
-        "data",
-        "resume",
-        "deadline_at",
-        "future",
-        "submitted_at",
-    )
-
-    def __init__(self, tenant, data, resume, deadline_at, future, submitted_at):
-        self.tenant = tenant
-        self.data = data
-        self.resume = resume
-        self.deadline_at = deadline_at
-        self.future = future
-        self.submitted_at = submitted_at
-
-
-def tenant_fingerprint(
-    patterns: Sequence[str],
-    *,
-    design: DesignPoint,
-    backend: Optional[str],
-    stride,
-    backend_options: Optional[Dict[str, object]],
-) -> str:
-    """Content hash of a tenant's registration; a changed fingerprint
-    on re-registration triggers an engine hot-reload."""
-    digest = hashlib.sha256()
-    for pattern in patterns:
-        digest.update(pattern.encode("utf-8"))
-        digest.update(b"\x00")
-    digest.update(design.name.encode("utf-8"))
-    digest.update(repr(backend).encode("utf-8"))
-    digest.update(repr(stride).encode("utf-8"))
-    digest.update(
-        repr(sorted((backend_options or {}).items())).encode("utf-8")
-    )
-    return digest.hexdigest()
+    tenant: str
+    data: bytes
+    resume: Optional[Checkpoint]
+    deadline_at: Optional[float]
+    future: "asyncio.Future"
+    submitted_at: float
 
 
 class ScanService:
@@ -376,73 +403,75 @@ class ScanService:
         is cut down to it); under the hybrid backend the budget applies
         to every lazy-DFA group (other substrates ignore the option).
         """
-        patterns = list(patterns)
-        if not patterns:
+        registration = TenantRegistration(
+            tuple(patterns), design, backend, stride,
+            dict(backend_options or {}), compile_jobs,
+        )
+        return self.install(name, registration, limits=limits)
+
+    def install(
+        self,
+        name: str,
+        registration: TenantRegistration,
+        *,
+        limits: Optional[TenantLimits] = None,
+    ) -> bool:
+        """:meth:`register`, for a caller that holds the registration as
+        one value (the network front end, off a ``register`` frame)."""
+        if not registration.patterns:
             raise ReproError(f"tenant {name!r}: empty pattern set")
         limits = limits or TenantLimits()
-        options = dict(backend_options or {})
+        cap = limits.dfa_max_states
         if (
-            limits.dfa_max_states is not None
-            and backend is not None
-            and resolve_backend_name(backend) in ("lazy-dfa", "hybrid")
+            cap is not None
+            and registration.backend is not None
+            and resolve_backend_name(registration.backend)
+            in ("lazy-dfa", "hybrid")
         ):
             # A cap, not a default: a budget the caller (or a client
             # frame) asks for is honoured only below the tenant's limit.
-            cap, asked = limits.dfa_max_states, options.get("max_states")
+            options = dict(registration.backend_options)
+            asked = options.get("max_states")
             options["max_states"] = cap if asked is None else min(asked, cap)
-        fingerprint = tenant_fingerprint(
-            patterns,
-            design=design,
-            backend=backend,
-            stride=stride,
-            backend_options=options,
-        )
+            registration = replace(registration, backend_options=options)
+        fingerprint = registration.fingerprint
         existing = self._tenants.get(name)
-        if existing is not None and existing.fingerprint == fingerprint:
+        if (
+            existing is not None
+            and existing.registration.fingerprint == fingerprint
+        ):
             existing.limits = limits
             return False
-        engine = CacheAutomatonEngine.from_patterns(
-            patterns,
-            design=design,
-            cache=self._cache,
-            backend=backend,
-            stride=stride,
-            backend_options=options or None,
-            compile_jobs=compile_jobs,
-        )
-        registration = {
-            "patterns": tuple(patterns),
-            "design": design,
-            "backend": backend,
-            "stride": stride,
-            "backend_options": options,
-            "compile_jobs": compile_jobs,
-        }
+        engine = registration.build_engine(self._cache)
         if existing is not None:
-            existing.fingerprint = fingerprint
+            existing.registration = registration
             existing.engine = engine
             existing.limits = limits
             existing.breaker = self._new_breaker()
-            existing.registration = registration
             existing.reset_backend_state()
-            self.metrics.reloads += 1
+            self._count(None, "reloads")
             self.events.append(
                 f"tenant {name!r} hot-reloaded "
                 f"(fingerprint {fingerprint[:12]}, "
                 f"tier {engine.health().tier})"
             )
             return True
-        state = _TenantState(
-            name, fingerprint, engine, limits, self._new_breaker()
+        self._tenants[name] = _TenantState(
+            name, registration, engine, limits, self._new_breaker()
         )
-        state.registration = registration
-        self._tenants[name] = state
         self._rr.append(name)
         self.events.append(
-            f"tenant {name!r} registered ({len(patterns)} pattern(s), "
+            f"tenant {name!r} registered "
+            f"({len(registration.patterns)} pattern(s), "
             f"tier {engine.health().tier})"
         )
         return True
+
+    def _count(self, state: Optional[_TenantState], name: str) -> None:
+        """One more ``name`` event, service-wide and on ``state``."""
+        vars(self.metrics)[name] += 1
+        if state is not None:
+            state.counters[name] += 1
 
     def _new_breaker(self) -> CircuitBreaker:
         return CircuitBreaker(
@@ -544,7 +573,7 @@ class ScanService:
             return
         # Any exit before shutdown is a crash (cancellation included):
         # count it, log it, restart the slot.
-        self.metrics.worker_restarts += 1
+        self._count(None, "worker_restarts")
         self.events.append(f"worker {index} crashed; restarted")
         self._spawn_worker(index)
         asyncio.get_running_loop().create_task(self._poke())
@@ -672,29 +701,28 @@ class ScanService:
         return self._cond
 
     def _admit(self, tenant, data, deadline, resume) -> "asyncio.Future":
-        self.metrics.submitted += 1
+        # A closed service counts the request without looking at it.
+        state = self._tenants.get(tenant) if self._accepting else None
+        self._count(state, "submitted")
         if not self._accepting:
             raise ServiceClosed()
-        state = self._tenant(tenant)
-        state.counters["submitted"] += 1
+        if state is None:
+            raise UnknownTenant(tenant)
         require_bytes(data, f"scan stream for tenant {tenant!r}")
         if len(data) > state.limits.max_stream_bytes:
-            self.metrics.oversized += 1
-            state.counters["oversized"] += 1
+            self._count(state, "oversized")
             raise StreamTooLarge(
                 tenant, len(data), state.limits.max_stream_bytes
             )
         if state.in_flight >= state.limits.max_in_flight:
-            self.metrics.shed += 1
-            state.counters["shed"] += 1
+            self._count(state, "shed")
             raise Overloaded(
                 tenant,
                 f"tenant in-flight limit reached "
                 f"({state.limits.max_in_flight})",
             )
         if self._queued >= self.max_queue:
-            self.metrics.shed += 1
-            state.counters["shed"] += 1
+            self._count(state, "shed")
             raise Overloaded(
                 tenant, f"admission queue full ({self.max_queue})"
             )
@@ -707,7 +735,7 @@ class ScanService:
         state.queue.append(request)
         state.in_flight += 1
         self._queued += 1
-        self.metrics.admitted += 1
+        self._count(None, "admitted")
         return future
 
     # -- execution ----------------------------------------------------------
@@ -750,24 +778,17 @@ class ScanService:
         try:
             outcome = await self._scan_request(state, request)
         except asyncio.CancelledError:
-            self.metrics.failed += 1
-            state.counters["failed"] += 1
+            self._count(state, "failed")
             if not request.future.done():
                 request.future.set_exception(WorkerCrashed(state.name))
             raise
-        except DeadlineExceeded as error:
-            self.metrics.timeouts += 1
-            state.counters["timeouts"] += 1
-            if not request.future.done():
-                request.future.set_exception(error)
         except Exception as error:
-            self.metrics.failed += 1
-            state.counters["failed"] += 1
+            timed_out = isinstance(error, DeadlineExceeded)
+            self._count(state, "timeouts" if timed_out else "failed")
             if not request.future.done():
                 request.future.set_exception(error)
         else:
-            self.metrics.completed += 1
-            state.counters["completed"] += 1
+            self._count(state, "completed")
             self._latencies.append(outcome.latency_s)
             if not request.future.done():
                 request.future.set_result(outcome)
@@ -779,29 +800,32 @@ class ScanService:
     async def _scan_request(
         self, state: _TenantState, request: _Request
     ) -> ScanOutcome:
-        """Chunked scan with deadline checks at every chunk boundary
-        (in-loop) or between spans and, worker-side, at every chunk
-        boundary within one (process pool)."""
+        """One request, a span at a time: deadline checks between spans
+        here and, within a span a worker holds, at every chunk boundary
+        there."""
         breaker = state.breaker
         on_primary = breaker.allow_primary()
         if on_primary:
-            backend = state.engine.backend
-            health_before = state.engine.health_event_count()
+            scanner = state.primary()
         else:
-            backend = state.fallback()
-            self.metrics.fallback_scans += 1
-            state.counters["fallback_scans"] += 1
-        # Primary-tier scans go to the process pool when one is
+            scanner = state.fallback()
+            self._count(state, "fallback_scans")
+        # Primary-tier spans go to the process pool when one is
         # configured; the golden-fallback tier always scans in-loop.
-        pool = self._procpool if on_primary else None
-        spec = self._tenant_worker_spec(state) if pool is not None else None
-        loop = asyncio.get_running_loop() if pool is not None else None
+        pooled = on_primary and self._procpool is not None
+        scan_span = self._procpool.scan_span if pooled else scan_span_inloop
+        spec = self._tenant_worker_spec(state) if pooled else None
+        # A worker holds a span for up to the hold quantum on its own
+        # monotonic clock.  An injected clock or a per-chunk delay has
+        # to see every chunk boundary from here, so then — and always
+        # in-loop — the span is one chunk.  (An armed fault never gets
+        # as far as a span: it is raised two statements before.)
+        whole_spans = pooled and self._clock is time.monotonic
         data = request.data
         checkpoint = request.resume
         base = 0 if checkpoint is None else checkpoint.symbols_processed
         reports: List[Report] = []
-        position = 0
-        worker_degrades = 0
+        position = degrades = 0
         try:
             while position < len(data):
                 if (
@@ -819,45 +843,30 @@ class ScanService:
                     raise state.chaos_error
                 if state.chaos_delay:
                     await asyncio.sleep(state.chaos_delay)
-                if pool is None:
-                    piece = data[position : position + self.chunk_bytes]
-                    result = backend.scan(piece, resume=checkpoint)
-                    position += len(piece)
+                if whole_spans and not state.chaos_delay:
+                    span, deadline_at = data[position:], request.deadline_at
                 else:
-                    # A worker holds a span for up to the hold quantum
-                    # on its own monotonic clock.  An injected clock or
-                    # a per-chunk delay has to see every chunk boundary
-                    # from here, so then the span is one chunk.  (An
-                    # armed fault never gets this far: it was raised
-                    # two statements up.)
-                    if self._clock is time.monotonic and not state.chaos_delay:
-                        span, deadline_at = data[position:], request.deadline_at
-                    else:
-                        span = data[position : position + self.chunk_bytes]
-                        deadline_at = None
-                    result = await pool.scan_span(
-                        loop, spec, backend, span, checkpoint,
-                        self.chunk_bytes, deadline_at,
+                    span = data[position : position + self.chunk_bytes]
+                    deadline_at = None
+                reply = await scan_span(
+                    scanner, spec, span, checkpoint,
+                    self.chunk_bytes, deadline_at,
+                )
+                position += reply.consumed
+                checkpoint = reply.checkpoint
+                reports.extend(reply.reports)
+                # What degraded, degraded where the span was scanned.
+                degrades += reply.degrades
+                if reply.tables_error is not None:
+                    self.events.append(
+                        f"tenant {state.name!r}: scan process could "
+                        "not use the published tables "
+                        f"({reply.tables_error}); engine rebuilt"
                     )
-                    position += result.consumed
-                    # The parent's engine did not scan: what degraded,
-                    # degraded in the worker.
-                    worker_degrades += result.degrades
-                    if result.tables_error is not None:
-                        self.events.append(
-                            f"tenant {state.name!r}: scan process could "
-                            "not use the published tables "
-                            f"({result.tables_error}); engine rebuilt"
-                        )
-                checkpoint = result.checkpoint
-                reports.extend(result.reports)
-                # Yield between chunks (spans): this is what keeps
-                # deadlines, fairness, and drain responsive on one
-                # event loop.
+                # Yield between spans: this is what keeps deadlines,
+                # fairness, and drain responsive on one event loop.
                 await asyncio.sleep(0)
         except DeadlineExceeded:
-            raise
-        except asyncio.CancelledError:
             raise
         except WorkerCrashed:
             # A dead scan process is an infrastructure fault, not a
@@ -873,10 +882,6 @@ class ScanService:
                 self._note_trip(state)
             raise
         if on_primary:
-            degrades = (
-                state.engine.health_event_count() - health_before
-                + worker_degrades
-            )
             if degrades > 0:
                 self.events.append(
                     f"tenant {state.name!r}: {degrades} engine degrade "
@@ -891,7 +896,7 @@ class ScanService:
             reports=tuple(reports),
             offset=base + position,
             checkpoint=checkpoint,
-            served_by=backend.name,
+            served_by=scanner.backend.name,
             fallback=not on_primary,
             latency_s=self._clock() - request.submitted_at,
         )
@@ -899,39 +904,25 @@ class ScanService:
     def _tenant_worker_spec(self, state: _TenantState) -> TenantWorkerSpec:
         """The tenant's picklable spec for worker processes (cached).
 
-        Built on first process-pool scan: backends exposing
-        ``share_tables``/``materialise_raw`` (lazy-DFA) additionally
-        publish their tables through one shared-memory block, held for
-        the tenant's lifetime and released on hot-reload or drain.
+        Built on first process-pool scan: a backend with tables to share
+        (lazy-DFA) additionally publishes them through one shared-memory
+        block, held for the tenant's lifetime and released on hot-reload
+        or drain.
         """
         if state.worker_spec is None:
-            registration = state.registration
-            options = dict(registration.get("backend_options") or {})
-            backend = state.engine.backend
-            shm_meta = None
-            if hasattr(backend, "share_tables") and hasattr(
-                backend, "materialise_raw"
-            ):
-                state.shared = SharedTables(backend.share_tables())
-                shm_meta = state.shared.meta
+            tables = state.engine.backend.share_tables()
+            if tables:
+                state.shared = SharedTables(tables)
             state.worker_spec = TenantWorkerSpec(
-                tenant=state.name,
-                fingerprint=state.fingerprint,
-                patterns=tuple(registration["patterns"]),
-                design=registration["design"],
-                backend=registration["backend"],
-                stride=registration["stride"],
-                backend_options=tuple(sorted(options.items())),
-                compile_jobs=registration["compile_jobs"],
-                cache=worker_cache_spec(self._cache),
-                dfa_max_states=options.get("max_states"),
-                shm_meta=shm_meta,
+                state.name,
+                state.registration,
+                worker_cache_spec(self._cache),
+                state.shared.meta if tables else None,
             )
         return state.worker_spec
 
     def _note_trip(self, state: _TenantState) -> None:
-        self.metrics.breaker_trips += 1
-        state.counters["breaker_trips"] += 1
+        self._count(state, "breaker_trips")
         self.events.append(
             f"circuit OPEN for tenant {state.name!r} after "
             f"{state.breaker.failures} failure signal(s); "
@@ -939,8 +930,7 @@ class ScanService:
         )
 
     def _note_recovery(self, state: _TenantState) -> None:
-        self.metrics.breaker_recoveries += 1
-        state.counters["breaker_recoveries"] += 1
+        self._count(state, "breaker_recoveries")
         self.events.append(
             f"circuit CLOSED for tenant {state.name!r}: "
             "recovery probe succeeded"
@@ -957,14 +947,13 @@ class ScanService:
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """Counters, queue gauges, breaker states, and recent events."""
-        if self._procpool is not None:
-            self.metrics.pool_respawns = self._procpool.respawns
-            self.metrics.pool_dispatches = self._procpool.dispatched
-            self.metrics.pool_chunks = self._procpool.chunks
-            self.metrics.pool_cold_tables = self._procpool.cold_tables
-            self.metrics.pool_cold_rebuilds = self._procpool.cold_rebuilds
         return {
             **self.metrics.as_dict(),
+            # Zeros without a pool: None has no such attribute.
+            **{
+                key: getattr(self._procpool, attribute, 0)
+                for key, attribute in POOL_COUNTERS.items()
+            },
             "scan_workers": self.scan_workers,
             "queued": self._queued,
             "executing": self._executing,

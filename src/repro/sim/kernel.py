@@ -308,14 +308,21 @@ def placement_ids(mapping) -> List[str]:
     return ids
 
 
+def report_rank(automaton: HomogeneousAutomaton) -> Dict[str, int]:
+    """STE id -> its place among the reports of one offset: position in
+    ``automaton.ste_ids()``, the order the golden interpreter fires in."""
+    return {ste_id: rank for rank, ste_id in enumerate(automaton.ste_ids())}
+
+
 class ReportDecoder:
     """Reporting-row bytes -> the ``(ste_id, report_code)`` of every
-    firing bit, ascending bit order, memoised by the row's bytes (an
-    automaton fires few distinct reporting rows).  ``bit_ids()`` builds
-    the substrate's own bit -> STE id table — so each substrate keeps
-    its intra-cycle report order — and is called on the first decode: a
-    simulator rebuilt from cached tables never touches the automaton
-    until a report fires.
+    firing bit, memoised by the row's bytes (an automaton fires few
+    distinct reporting rows).  Within one offset the order is
+    :func:`report_rank`'s whatever the substrate's bit layout, so every
+    backend emits the golden interpreter's sequence.  ``bit_ids()``
+    builds the substrate's own bit -> STE id table; it and the rank are
+    built on the first decode: a simulator rebuilt from cached tables
+    never touches the automaton until a report fires.
     """
 
     def __init__(
@@ -326,6 +333,7 @@ class ReportDecoder:
         self._automaton = automaton
         self._bit_ids = bit_ids
         self._ids: Optional[Sequence[str]] = None
+        self._rank: Dict[str, int] = {}
         self._memo: Dict[bytes, Tuple[Tuple[str, Optional[str]], ...]] = {}
 
     def emit(self, row_bytes: bytes, offset: int, reports: List[Report]) -> None:
@@ -339,8 +347,10 @@ class ReportDecoder:
     def _decode(self, row_bytes: bytes) -> Tuple[Tuple[str, Optional[str]], ...]:
         if self._ids is None:
             self._ids = self._bit_ids()
+            self._rank = report_rank(self._automaton)
         bits = BitsetKernel.bit_indices(np.frombuffer(row_bytes, np.uint64))
-        stes = [self._automaton.ste(self._ids[bit]) for bit in bits]
+        fired = sorted((self._ids[bit] for bit in bits), key=self._rank.__getitem__)
+        stes = map(self._automaton.ste, fired)
         found = tuple((ste.ste_id, ste.report_code) for ste in stes)
         if len(self._memo) >= DECODE_MEMO_ROWS:
             self._memo.clear()

@@ -47,7 +47,8 @@ import numpy as np
 
 from repro.automata.stride import StrideAlphabet, resolve_stride
 from repro.errors import StrideError
-from repro.sim.kernel import BitsetKernel, popcount_row
+from repro.parallel import attach_tables, detach_tables
+from repro.sim.kernel import BitsetKernel, Checkpoint, as_symbols, popcount_row
 from repro.sim.lazytable import Interner, LazyTable
 
 #: Budget for cached DFA states (transition rows + packed vectors).
@@ -447,3 +448,67 @@ class LazyDfaKernel:
             tail_steps=self._tail_steps,
         )
         return info
+
+
+#: One stream's raw scan outcome, before report materialisation — not a
+#: result type beside :class:`~repro.sim.kernel.ScanResult` but its one
+#: *pickle form*, what crosses a process boundary (worker pipe, pool
+#: span), with one decoder
+#: (:meth:`~repro.backends.lazydfa.LazyDfaBackend.materialise_raw`):
+#: (events as (offset from the scan's first symbol, count,
+#:  reporting_row_bytes), report_total, checkpoint to resume from,
+#:  symbols_scanned) — so the scan began ``symbols_scanned`` before the
+#: checkpoint's global symbol counter.
+RawScanResult = Tuple[List[Tuple[int, int, bytes]], int, Checkpoint, int]
+
+
+def attach_kernel_dfa(meta, max_states: Optional[int], *, copy: bool):
+    """Rebuild the kernel + warm lazy DFA a parent published
+    (:meth:`~repro.backends.lazydfa.LazyDfaBackend.share_tables`) under
+    the parent's DFA state budget; returns ``(kernel, dfa, handle)``.
+
+    ``copy=False`` is zero-copy: the kernel aliases the mapping, and the
+    caller drops the pair, then closes ``handle``.  ``copy=True`` copies
+    the arrays out and closes the mapping here (``handle`` is ``None``):
+    a long-lived worker's pair outlives a block its parent may unlink at
+    any time (hot reload, drain).
+    """
+    handle, tables = attach_tables(meta)
+    try:
+        if copy:
+            tables = {name: np.array(view) for name, view in tables.items()}
+        alphabet = None
+        if "stride_k" in tables:
+            # from_tables copies, so the alphabet outlives the mapping.
+            alphabet = StrideAlphabet.from_tables(tables)
+        kernel = BitsetKernel.from_packed(tables)
+        dfa = LazyDfaKernel(kernel, max_states=max_states, alphabet=alphabet)
+        dfa.seed(tables)
+    except BaseException:
+        del tables
+        detach_tables(handle)
+        raise
+    if copy:  # no view of the mapping is left
+        handle.close()
+        return kernel, dfa, None
+    return kernel, dfa, handle
+
+
+def scan_one(
+    kernel: BitsetKernel,
+    dfa: LazyDfaKernel,
+    data: bytes,
+    resume: Optional[Checkpoint],
+    collect_events: bool,
+) -> RawScanResult:
+    """Scan one stream on a kernel/DFA pair — the backend's serial scan,
+    every shard worker's and every pool worker's, so they cannot
+    differ."""
+    symbols = as_symbols(data)
+    prev, _, sod, base = kernel.enter(resume)
+    events, total, final_row, sod = dfa.scan(
+        symbols, prev=prev, sod=sod, collect_events=collect_events
+    )
+    raw_events = [(offset,) + dfa.event(event_id) for offset, event_id in events]
+    checkpoint = kernel.leave(final_row, sod, base + len(symbols))
+    return raw_events, total, checkpoint, len(symbols)

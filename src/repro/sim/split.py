@@ -56,8 +56,8 @@ import numpy as np
 
 from repro.parallel import attach_tables, detach_tables, fan_out
 from repro.sim.kernel import BitsetKernel, Checkpoint, as_symbols
+from repro.sim.lazydfa import RawScanResult
 from repro.sim.lazytable import Interner, LazyTable
-from repro.sim.shard import RawScanResult
 
 SPLIT_JOBS_ENV = "REPRO_SPLIT_JOBS"
 
@@ -466,7 +466,7 @@ def scan_stream_split(
     through shared memory, hands chunks 1..N-1 to worker processes,
     scans chunk 0 itself on the (warm) lazy DFA ``dfa`` while they run,
     then joins left-to-right.  Returns ``(raw result, stats)`` in the
-    sharded scanner's raw form, or ``None`` when the worker plane itself
+    serial scan's raw form, or ``None`` when the worker plane itself
     is unusable (the caller falls back to its serial path); worker
     exceptions propagate.  A chunk whose mapping was abandoned
     (frontier explosion) is rescanned serially on ``dfa`` during the

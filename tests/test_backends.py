@@ -41,10 +41,10 @@ from repro.errors import (
     SimulationError,
 )
 from repro.regex.compile import compile_patterns
-from repro.sim.golden import match_offsets
+from repro.sim.golden import match_offsets, simulate
 from repro.sim.kernel import ScanResult
 from repro.workloads.inputs import LOWERCASE, random_over_alphabet
-from repro.workloads.suite import build_suite
+from repro.workloads.suite import build_suite, suite_by_name
 from tests.test_parallel import inject_spawn_failure
 
 PATTERNS = ["bat", "c[ao]t", "dog+", "bar[t]?"]
@@ -88,6 +88,19 @@ def suite_artifacts():
             benchmark.input_stream(768, 3),
         )
     return artifacts
+
+
+@pytest.fixture(scope="module")
+def ordered_artifacts():
+    return {
+        name: (
+            CompiledArtifact.from_mapping(
+                compile_automaton(suite_by_name()[name].build(), CA_P)
+            ),
+            suite_by_name()[name],
+        )
+        for name in ("EntityResolution", "Fermi", "SPM")
+    }
 
 
 class TestDifferentialMatrix:
@@ -136,6 +149,26 @@ class TestDifferentialMatrix:
             assert result.profile.symbols == len(DATA)
             assert result.profile.reports == len(collected.reports)
         assert collected.reports and counted.reports == []
+
+    @pytest.mark.parametrize("name", backend_names())
+    @pytest.mark.parametrize(
+        "workload, length, seed",
+        [("EntityResolution", 6000, 1), ("Fermi", 768, 2), ("SPM", 768, 1)],
+    )
+    def test_one_report_order_within_an_offset(
+        self, name, workload, length, seed, ordered_artifacts
+    ):
+        """Rulesets where several states report on one symbol: every
+        backend that keeps STE identity emits the golden interpreter's
+        *sequence*, not just its multiset."""
+        if name == "eager-dfa":
+            pytest.skip("collapses STE identity; never built on SPM")
+        artifact, benchmark = ordered_artifacts[workload]
+        data = benchmark.input_stream(length, seed)
+        golden = simulate(artifact.automaton, data).reports
+        offsets = [report.offset for report in golden]
+        assert len(set(offsets)) < len(offsets)
+        assert _backend(name, artifact).scan(data).reports == golden
 
     def test_packed_kernel_scan_is_the_simulators_run(self, pattern_artifact):
         backend = create_backend("packed-kernel", pattern_artifact)

@@ -160,13 +160,8 @@ class TestClassifier:
         assert default_probe_budget(10) == 80
         assert default_probe_budget(10_000) == 512
 
-    def test_cost_model_from_history(self):
-        history = [
-            {"mapped_symbols_per_sec": 500_000,
-             "lazy_dfa_warm_symbols_per_sec": 4_000_000},
-        ]
-        model = CostModel.from_history(history)
-        assert model.lazy_warm_us == pytest.approx(0.25)
+    def test_cost_model_orders_the_substrates(self):
+        model = CostModel(lazy_warm_us=0.25, kernel_word_us=1.8 / 21)
         # Warm lazy scanning must beat the kernel on a small friendly CC
         # and lose once the probe aborts (certain thrashing).
         assert model.lazy_cost_us(4, False) < model.kernel_cost_us(4)

@@ -10,6 +10,7 @@ same rows, checkpoints, and typed errors as the in-process call, so
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import signal
 import subprocess
@@ -27,6 +28,7 @@ from repro.service import (
     ScanServer,
     ScanService,
     ServiceClosed,
+    ServiceError,
     StreamTooLarge,
     TenantLimits,
     UnknownTenant,
@@ -122,22 +124,46 @@ class TestFrameCodec:
         reports = (Report(7, "s3", "cat"), Report(40, "s9", "dog"))
         assert decode_reports(encode_reports(reports)) == reports
 
-    @pytest.mark.parametrize(
-        "error",
-        [
-            UnknownTenant("ghost"),
-            StreamTooLarge("acme", 100, 10),
-            Overloaded("acme", "queue full"),
-            WorkerCrashed("acme"),
-            ServiceClosed("draining"),
-            ProtocolError("bad frame"),
-            ConnectionLost("gone"),
-        ],
-    )
+    ERRORS = [
+        UnknownTenant("ghost"),
+        StreamTooLarge("acme", 100, 10),
+        Overloaded("acme", "queue full"),
+        WorkerCrashed("acme"),
+        ServiceClosed("draining"),
+        ProtocolError("bad frame"),
+        ConnectionLost("gone"),
+        DeadlineExceeded(
+            "acme",
+            offset=64,
+            reports=[Report(7, "s3", "cat")],
+            checkpoint=Checkpoint(64, 1 << 200, False, "marked"),
+        ),
+    ]
+
+    @pytest.mark.parametrize("error", ERRORS)
     def test_error_round_trip(self, error):
-        decoded = decode_error(encode_error(error))
+        """Through JSON and back: same class, same message, and every
+        attribute the constructor set — so a field a class forgot to
+        declare in ``wire_fields`` fails here."""
+        decoded = decode_error(json.loads(json.dumps(encode_error(error))))
         assert type(decoded) is type(error)
         assert decoded.retryable == error.retryable
+        assert str(decoded) == str(error)
+        assert vars(decoded) == vars(error)
+        assert set(vars(error)) == set(error.wire_fields)
+
+    def test_every_service_error_is_covered_above(self):
+        """A new subclass must join ``ERRORS`` (and so declare its
+        fields) before it can cross the wire as itself."""
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        assert {type(error) for error in self.ERRORS} == set(
+            subclasses(ServiceError)
+        )
 
     def test_deadline_error_round_trip_carries_progress(self):
         error = DeadlineExceeded(
@@ -307,6 +333,17 @@ class TestServerVerbs:
                     ):
                         with pytest.raises(ProtocolError):
                             await c._request("register", {**good, **bad})
+                    # A time budget is a finite number >= 0 or null
+                    # (Python's json reads NaN and Infinity).
+                    for budget in ("x", [1], True, -1, float("nan"), float("inf")):
+                        for op, field in (
+                            ("submit", "deadline"),
+                            ("stream", "deadline"),
+                            ("drain", "drain_timeout"),
+                        ):
+                            frame = {"tenant": "acme", "stream": "s", field: budget}
+                            with pytest.raises(ProtocolError, match=field):
+                                await c._request(op, frame, b"cat")
                     # Nothing above registered, let alone poisoned, the
                     # tenant: a well-formed frame does, and it scans.
                     assert "wire" not in service.tenant_names()
@@ -357,6 +394,11 @@ class TestServerVerbs:
             server = ScanServer(service)
             await server.start()
             async with await NetScanClient.connect(*server.address) as c:
+                # A malformed drain is refused whole: still accepting,
+                # and the well-formed one after it is not a no-op.
+                with pytest.raises(ProtocolError):
+                    await c._request("drain", {"drain_timeout": "x"})
+                assert (await c.scan("acme", DATA)).offset == len(DATA)
                 assert await c.drain(drain_timeout=1.0) is True
             for _ in range(100):
                 if server._server is None:

@@ -250,6 +250,16 @@ def test_parallel_is_the_only_module_that_imports_process_machinery():
         if pattern.search(path.read_text(encoding="utf-8"))
     )
     assert offenders == ["parallel.py"]
+    # The two fan-out scanners are the lazy-DFA backend's own: what the
+    # serial scan, the pool workers and each other need of them lives
+    # beside ``LazyDfaKernel``, so retiring one is deleting its file.
+    fan_outs = re.compile(r"^\s*from repro\.sim(\.| import )(shard|split)\b", re.M)
+    importers = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if fan_outs.search(path.read_text(encoding="utf-8"))
+    )
+    assert importers == ["backends/lazydfa.py"]
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from repro.backends.artifact import CompiledArtifact
 from repro.backends.mapped import PackedKernelBackend
 from repro.parallel import default_mp_method
 from repro.service import procpool
+from repro.service import service as service_module
 from repro.service.procpool import ProcPoolScanExecutor, worker_cache_spec
 from tests.conftest import chain_automaton
 
@@ -138,35 +139,43 @@ class TestDifferentialBitIdentity:
 
 
 class TestWorkerSpan:
-    """``_worker_scan_span`` called in this process: what one job does
-    with its bytes, chunk size and deadline."""
+    """``_serve_span`` called in this process: what one job does with
+    its bytes, chunk size and deadline."""
 
     @pytest.fixture(params=[None, "lazy-dfa"])
     def tenant(self, request, monkeypatch):
-        """(spec, span) for the engine-rebuild and shared-tables paths;
-        ``span(data, checkpoint, chunk_bytes, deadline_at)`` returns
-        (report rows, checkpoint, bytes consumed)."""
+        """(backend, span) for the engine-rebuild and shared-tables
+        paths; ``span(data, checkpoint, chunk_bytes, deadline_at)``
+        returns (report rows, checkpoint, bytes consumed)."""
         service = ScanService(workers=1, scan_workers=1, cache=False)
         service.register("acme", PATTERNS, backend=request.param)
         state = service._tenant("acme")
         spec = service._tenant_worker_spec(state)
         assert (spec.shm_meta is not None) == (request.param == "lazy-dfa")
         # This process plays the worker: give it an engine cache of its
-        # own for the length of the test.
+        # own for the length of the test, holding the tenant's engine
+        # (a real worker would ask its parent for the spec).
         monkeypatch.setattr(procpool, "_WORKER_ENGINES", OrderedDict())
+        procpool._build_engine(spec)
+        backend = state.engine.backend
 
         def span(data, checkpoint, chunk_bytes, deadline_at):
-            kind, body = procpool._worker_scan_span(
-                spec, data, checkpoint,
-                chunk_bytes, deadline_at, True,
+            reply = procpool.SpanReply._make(
+                procpool._serve_span(
+                    (spec.registration.fingerprint, data, checkpoint,
+                     chunk_bytes, deadline_at)
+                )
             )
-            if kind == "raw":
-                result = state.engine.backend.materialise_raw(body, True)
-                return rows(result.reports), result.checkpoint, body[3]
-            reports, after, consumed = body
-            return rows(reports), after, consumed
+            assert reply.raw == (request.param == "lazy-dfa")
+            reports = reply.reports
+            if reply.raw:
+                total = sum(count for _, count, _ in reports)
+                reports = backend.materialise_raw(
+                    (reports, total, reply.checkpoint, reply.consumed), True
+                ).reports
+            return rows(reports), reply.checkpoint, reply.consumed
 
-        yield state.engine.backend, span
+        yield backend, span
         state.close_shared()
 
     def test_expired_deadline_scans_one_chunk_and_resumes(self, tenant):
@@ -237,6 +246,49 @@ class TestSpans:
 
         for chunk_bytes in sizes:
             assert run(scan(2, chunk_bytes)) == run(scan(0, chunk_bytes))
+
+    @pytest.mark.parametrize("backend", [None, "lazy-dfa"])
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 2048])
+    def test_span_replies_match_inloop(self, backend, chunk_bytes, monkeypatch):
+        """The request loop sees one sequence of span replies whichever
+        plane serves it (a clock of its own makes the pool's spans one
+        chunk each, as the in-loop plane's always are)."""
+        data = DATA * (64 if chunk_bytes == 2048 else 4)
+        seen = []
+
+        def recording(owner, name):
+            scan_span = getattr(owner, name)
+
+            async def record(*args):
+                reply = await scan_span(*args)
+                seen.append(reply)
+                return reply
+
+            monkeypatch.setattr(owner, name, record)
+
+        recording(service_module, "scan_span_inloop")
+        recording(procpool.ProcPoolScanExecutor, "scan_span")
+
+        async def replies(scan_workers):
+            service = ScanService(
+                workers=1, scan_workers=scan_workers, chunk_bytes=chunk_bytes,
+                cache=False, clock=lambda: time.monotonic(),
+            )
+            service.register("acme", PATTERNS, backend=backend)
+            await service.start()
+            try:
+                await service.scan("acme", data)
+            finally:
+                await service.stop()
+            taken, seen[:] = list(seen), []
+            return taken
+
+        inloop, pooled = run(replies(0)), run(replies(2))
+        assert len(inloop) == -(-len(data) // chunk_bytes)
+        assert [type(reply) for reply in pooled] == [procpool.SpanReply] * len(inloop)
+        # All but how a worker's engine was cold-started.
+        assert [reply[:5] for reply in pooled] == [reply[:5] for reply in inloop]
+        assert sum(reply.built is not None for reply in pooled) in (1, 2)
 
     @pytest.mark.parametrize(
         "backend, copies, chunk_bytes",
@@ -559,7 +611,7 @@ class TestPipePlane:
         pickled = []
 
         def counting_getstate(self):
-            pickled.append(self.fingerprint)
+            pickled.append(self.registration.fingerprint)
             return self.__dict__
 
         monkeypatch.setattr(

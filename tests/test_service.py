@@ -9,11 +9,18 @@ sleeps and luck.
 from __future__ import annotations
 
 import asyncio
+import json
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends.base import BoundedEventLog
+from repro.compiler.cache import cache_key
+from repro.core.design import CA_P
 from repro.engine import CacheAutomatonEngine
 from repro.errors import ReproError, SimulationError
 from repro.service import (
@@ -25,6 +32,7 @@ from repro.service import (
     ServiceClosed,
     StreamTooLarge,
     TenantLimits,
+    TenantRegistration,
     UnknownTenant,
     WorkerCrashed,
 )
@@ -453,6 +461,84 @@ class TestHotReload:
         assert [r.report_code for r in after.reports] == ["emu"]
 
 
+    def test_distinct_registrations_never_share_a_fingerprint(self):
+        """A pattern holding the byte a hash might join patterns with,
+        and a design that differs in a field but not in its name, are
+        reloads — not a stale ruleset that keeps serving."""
+        service = ScanService(cache=False)
+        assert service.register("t", ["a", "b"]) is True
+        assert service.register("t", ["a\x00b"]) is True
+        assert len(service.tenant_engine("t").automaton) == 3
+        assert service.register("t", ["a\x00b"]) is False
+        narrow = replace(CA_P, g1_wires_per_partition=8)
+        assert narrow.name == CA_P.name
+        assert service.register("t", ["a\x00b"], design=narrow) is True
+        assert service.tenant_engine("t").design == narrow
+
+
+class TestRegistration:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        patterns=st.lists(st.text(max_size=6), min_size=1, max_size=5),
+        backend=st.sampled_from([None, "lazy-dfa", "hybrid"]),
+        stride=st.sampled_from([None, 1, 2, 4, "auto"]),
+        options=st.dictionaries(
+            st.sampled_from(["max_states", "jobs", "split_jobs"]),
+            st.one_of(st.none(), st.integers(1, 1 << 20)),
+        ),
+    )
+    def test_wire_round_trip_is_equal(self, patterns, backend, stride, options):
+        registration = TenantRegistration(
+            tuple(patterns), backend=backend, stride=stride,
+            backend_options=options,
+        )
+        wire = json.loads(json.dumps(registration.to_wire()))
+        decoded = TenantRegistration.from_wire(wire)
+        assert decoded == registration
+        assert decoded.fingerprint == registration.fingerprint
+        reordered = replace(
+            registration, backend_options=dict(reversed(options.items()))
+        )
+        assert reordered.fingerprint == registration.fingerprint
+
+    @pytest.mark.parametrize(
+        "backend, stride, limits",
+        [
+            (None, None, None),
+            ("lazy-dfa", 2, TenantLimits(dfa_max_states=128)),
+            ("hybrid", None, TenantLimits(dfa_max_states=64)),
+        ],
+    )
+    def test_a_worker_builds_the_parents_engine(
+        self, tmp_path, backend, stride, limits
+    ):
+        """The registration a pool worker receives (it crosses a pipe,
+        so: pickled) builds what ``register()`` built."""
+        service = ScanService(scan_workers=1, cache=str(tmp_path))
+        service.register(
+            "t", PATTERNS, backend=backend, stride=stride, limits=limits
+        )
+        state = service._tenant("t")
+        try:
+            spec = pickle.loads(pickle.dumps(service._tenant_worker_spec(state)))
+        finally:
+            state.close_shared()
+        ours = service.tenant_engine("t")
+        theirs = spec.registration.build_engine(spec.cache)
+
+        def identity(engine):
+            artifact = engine.artifact
+            return (
+                cache_key(artifact.automaton, artifact.design, stride=engine.stride),
+                engine.health().backend,
+                engine.stride,
+                getattr(getattr(engine.backend, "dfa", None), "_max_states", None),
+            )
+
+        assert identity(theirs) == identity(ours)
+        assert theirs.health().tier == "warm-cache"
+
+
 class TestRetryingClient:
     def test_backoff_bounds_and_sleep_count(self):
         """Each delay is equal-jittered over a capped exponential:
@@ -561,6 +647,21 @@ class TestServiceObservability:
         assert snapshot["tenants"]["acme"]["completed"] == 1
         assert snapshot["tenants"]["acme"]["breaker"] == "closed"
         assert any("registered" in event for event in snapshot["events"])
+        # Consumers index these by name (the CLI tables, the loadgen's
+        # deltas, the benchmark, the ``health`` verb's clients).
+        assert set(snapshot) == {
+            "submitted", "admitted", "completed", "failed", "shed",
+            "oversized", "timeouts", "breaker_trips", "breaker_recoveries",
+            "worker_restarts", "fallback_scans", "reloads", "pool_respawns",
+            "pool_dispatches", "pool_chunks", "pool_cold_tables",
+            "pool_cold_rebuilds", "scan_workers", "queued", "executing",
+            "tenants", "events_dropped", "events",
+        }
+        assert set(snapshot["tenants"]["acme"]) == {
+            "submitted", "completed", "failed", "shed", "oversized",
+            "timeouts", "fallback_scans", "breaker_trips",
+            "breaker_recoveries", "in_flight", "breaker",
+        }
 
     def test_register_validates(self):
         service = ScanService(cache=False)
