@@ -24,14 +24,17 @@ except ImportError:  # pragma: no cover - exercised only without scipy
     _csgraph_components = None
 
 
-def _component_labels(node_count: int, arrays) -> np.ndarray:
-    """Per-node component label (ints); scipy when available, else
+def component_labels(
+    node_count: int, sources: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Weak-component label (an int) of each of ``node_count`` nodes under
+    the edges ``sources[i] -> targets[i]``; scipy when available, else
     union-find with path halving over the edge arrays."""
     if _csgraph_components is not None:
         matrix = coo_matrix(
             (
-                np.ones(arrays.sources.shape[0], dtype=np.int8),
-                (arrays.sources, arrays.targets),
+                np.ones(sources.shape[0], dtype=np.int8),
+                (sources, targets),
             ),
             shape=(node_count, node_count),
         )
@@ -47,9 +50,7 @@ def _component_labels(node_count: int, arrays) -> np.ndarray:
             node = parent[node]
         return node
 
-    for source, target in zip(
-        arrays.sources.tolist(), arrays.targets.tolist()
-    ):
+    for source, target in zip(sources.tolist(), targets.tolist()):
         source_root = find(source)
         target_root = find(target)
         if target_root != source_root:
@@ -76,7 +77,7 @@ def connected_components(automaton: HomogeneousAutomaton) -> List[List[str]]:
     """
     arrays = automaton.edge_index_arrays()
     ids = arrays.ids  # lexically sorted, so groups come out sorted too
-    labels = _component_labels(len(ids), arrays)
+    labels = component_labels(len(ids), arrays.sources, arrays.targets)
     groups: Dict[int, List[str]] = {}
     for ste_id, label in zip(ids, labels.tolist()):
         groups.setdefault(label, []).append(ste_id)

@@ -270,9 +270,10 @@ class CacheAutomatonEngine:
         (see :mod:`repro.backends.hybrid`).  ``auto=True`` (default off)
         is the placement policy knob: when no backend is named, the
         engine picks the substrate itself from the per-CC classification
-        (:mod:`repro.compiler.classify`) — ``hybrid`` when components
-        disagree about their best substrate, the single agreed substrate
-        otherwise; the decision is recorded in :meth:`health`.  The
+        (:mod:`repro.compiler.classify`) — the substrate the components
+        agree on, the packed kernel when they disagree (it steps each
+        component on its own table, so the friendly ones ride along);
+        the decision is recorded in :meth:`health`.  The
         classification is a compile product like the placement: it is
         read from the cached artifact when that carries one, the
         classifier runs only when it does not, and whatever it found is
@@ -480,13 +481,13 @@ class CacheAutomatonEngine:
 
     def _auto_placement(self, substrates: Sequence[str]) -> str:
         """The ``auto=True`` policy over the components' substrates, one
-        entry per component: ``hybrid`` when they disagree, the single
-        agreed substrate otherwise.  Records the decision as a health
-        event."""
+        entry per component: the substrate they agree on, and the packed
+        kernel when they do not — once one component needs it the others
+        ride along for nothing (its step cache factors by component),
+        where a second substrate beside it is a second pass over the
+        bytes.  Records the decision as a health event."""
         distinct = set(substrates)
-        if len(distinct) > 1:
-            chosen = "hybrid"
-        elif distinct:
+        if len(distinct) == 1:
             chosen = resolve_backend_name(next(iter(distinct)))
         else:
             chosen = DEFAULT_BACKEND

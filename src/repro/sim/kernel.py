@@ -4,7 +4,7 @@ The interpreters in :mod:`repro.sim.golden` and :mod:`repro.sim.functional`
 originally stepped one symbol per Python-loop iteration over
 arbitrary-precision ints.  This module replaces that representation with
 ``uint64`` word arrays so the per-symbol work becomes a handful of fixed-size
-numpy operations, and layers three accelerations on top:
+numpy operations, and layers four accelerations on top:
 
 * **match matrix** — the 256-entry match table is one ``(256, words)``
   ``uint64`` matrix; a whole chunk of input gathers its per-symbol match
@@ -15,6 +15,17 @@ numpy operations, and layers three accelerations on top:
   only, with whole-vector results memoised by the packed bytes of the
   matched vector (the automaton revisits few distinct activation patterns,
   the same locality the paper's partition-disabling hardware exploits);
+* **step cache, two levels** — a non-idle cycle is first looked up whole:
+  the previous activation row and the byte name a cached
+  ``(matched, enabled, next)`` entry, and the entries chain, so a ruleset
+  whose components' *product* converges runs on list indexing alone.  One
+  whose product does not (130 independent components rarely repeat a joint
+  state) fills that level's row budget; from then on whatever it lacks is
+  stepped on **per-component tables** (:class:`_ComponentTables`): each
+  weakly connected component of the successor table is determinised
+  lazily on its own words and byte classes, all of them advance with one
+  ``take`` a byte, and the per-cycle histories are rebuilt a block at a
+  time from the component states;
 * **idle fast path** — while no state is active and the start states are
   quiescent, the enabled vector is exactly the all-input start set, so the
   kernel skips ahead over whole input slices with one vectorised
@@ -59,8 +70,19 @@ DENSE_TABLE_BYTES = 32 * 1024 * 1024
 #: Budget for memoised propagation results (bytes of cached rows).
 PROPAGATE_CACHE_BYTES = 32 * 1024 * 1024
 
-#: Budget for memoised full-cycle step results (bytes of cached rows).
+#: Distinct activation rows the whole-row step cache holds.  A ruleset
+#: whose components' product converges stays far below it; one that
+#: reaches it steps what the cache lacks on per-component tables.
+STEP_ROWS = 2048
+
+#: Budget for the step cache in bytes, half for each level: the whole-row
+#: level also stops growing when its rows and entries (up to 256 a row)
+#: fill their half, the component tables flush when their states do.
 STEP_CACHE_BYTES = 32 * 1024 * 1024
+
+#: Cycles the component tables step between two rebuilds of the per-cycle
+#: histories (and two looks at whether the machine has gone idle).
+COMPONENT_BLOCK = 256
 
 #: Distinct reporting rows a :class:`ReportDecoder` memoises before it
 #: drops them all and starts over.
@@ -358,6 +380,270 @@ class ReportDecoder:
         return found
 
 
+#: What one hash-consed component state costs beside its table cells:
+#: its key, its id and their dictionary slot.
+_COMPONENT_STATE_BYTES = 200
+
+#: Components from which stepping them all with one ``take`` a byte beats
+#: a Python loop over each.
+_VECTOR_WIDTH = 8
+
+#: Entry list of an activation row the full whole-row level has no room
+#: for: never filled, so every lookup in it misses.
+_NO_ROOM: list = [None] * 256
+
+#: What a whole-row entry (a tuple and two array headers) and a row (its
+#: 256-slot list, key and dictionary slot) cost beside their row bytes.
+_STEP_ENTRY_BYTES = 320
+_STEP_ROW_BYTES = 2240
+
+
+class _ComponentTables:
+    """The step cache's second level: one lazily determinised table per
+    weakly connected component of a kernel's successor table.
+
+    A component's state is its share of the pending-activation row — the
+    words it occupies under its own mask, since components may share a
+    word — and its columns are its own byte classes (bytes its states
+    cannot tell apart).  The states of all components are hash-consed
+    into one flat ``int32`` table: state ``s`` owns ``trans[s]``, the
+    offset of its row words in ``rows``, and ``trans[s + 1 + class]``,
+    its successor on each class, ``0`` while unknown.  State ``0`` is a
+    sink that every class maps to itself, so a stretch of cycles is
+    stepped without looking — one ``trans.take(state + classes[byte])``
+    per byte, all components at once — and a missing transition shows
+    afterwards as a zero.  At ``limit`` states (give or take one a
+    component) everything is dropped and the current states re-interned,
+    the policy of :class:`repro.sim.lazytable.LazyTable`.
+    """
+
+    def __init__(self, kernel: "BitsetKernel"):
+        from repro.automata.components import component_labels
+
+        self._kernel = kernel
+        words = kernel.words
+        source, word, mask = kernel._successor_words()
+        edge, offset = np.nonzero(
+            np.unpackbits(
+                mask.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+            )
+        )
+        tail, head = source[edge], word[edge] * 64 + offset
+        label = component_labels(words * 64, tail, head)
+        member = np.zeros(words * 64, dtype=bool)
+        member[tail] = member[head] = True
+        bits = np.flatnonzero(member)
+        found, component = np.unique(label[bits], return_inverse=True)
+        self.components = len(found)
+        # One slot per (component, word it occupies), component-major.
+        slots, slot = np.unique(component * words + (bits >> 6), return_inverse=True)
+        self._slot_comp, self._slot_word = np.divmod(slots, words)
+        self._slot_mask = np.zeros(len(slots), dtype=np.uint64)
+        np.bitwise_or.at(
+            self._slot_mask, slot, np.uint64(1) << (bits & 63).astype(np.uint64)
+        )
+        #: Bits some transition touches: what a factored row may hold.
+        self.member_row = np.zeros(words, dtype=np.uint64)
+        np.bitwise_or.at(self.member_row, self._slot_word, self._slot_mask)
+        bounds = np.searchsorted(self._slot_comp, np.arange(self.components + 1))
+        self._words = [
+            self._slot_word[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+        ]
+        self._masks = [
+            self._slot_mask[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+        ]
+        # Byte classes, per component: bytes that match the same states.
+        self._classes = np.empty((256, self.components), dtype=np.intp)
+        self._class_rows: List[np.ndarray] = []
+        self._start: List[np.ndarray] = []
+        for index, (own, masks) in enumerate(zip(self._words, self._masks)):
+            seen = np.ascontiguousarray(kernel.match_matrix[:, own] & masks)
+            _, byte, klass = np.unique(
+                seen.view(np.dtype((np.void, seen.shape[1] * 8))).ravel(),
+                return_index=True,
+                return_inverse=True,
+            )
+            self._classes[:, index] = klass + 1
+            self._class_rows.append(seen[byte])
+            self._start.append(kernel.start_all_row[own] & masks)
+        self._spans = [1 + len(rows) for rows in self._class_rows]
+        #: Per component, the kernel bit behind each bit of its row words.
+        lane = np.arange(64)
+        self._bits = [(own[:, None] * 64 + lane).ravel() for own in self._words]
+        # Rebuilding full rows: slots in word order, one group per word.
+        by_word = np.argsort(self._slot_word, kind="stable")
+        self._gather_comp = self._slot_comp[by_word]
+        self._gather_cell = (
+            np.arange(len(by_word)) - bounds[self._slot_comp]
+        )[by_word].astype(np.int32)
+        self._occupied_words, self._word_starts = np.unique(
+            self._slot_word[by_word], return_index=True
+        )
+
+        widest = max(map(len, self._words), default=1)
+        self._sink_span = max(self._spans, default=1)
+        state_bytes = _COMPONENT_STATE_BYTES + max(
+            (4 * span + 8 * len(own) for span, own in zip(self._spans, self._words)),
+            default=0,
+        )
+        #: State budget; never so small that a flush leaves no room for
+        #: the states of one cycle.
+        self.limit = max(3 * self.components, STEP_CACHE_BYTES // 2 // state_bytes)
+        self.trans = np.zeros(max(1024, 2 * self._sink_span), dtype=np.int32)
+        self.rows = np.zeros(max(1024, 2 * widest), dtype=np.uint64)
+        self._sink_rows = widest
+        self._ids: List[Dict[bytes, int]] = [{} for _ in range(self.components)]
+        self._history = np.empty((COMPONENT_BLOCK + 1, self.components), np.int32)
+        self._index = np.empty(self.components, dtype=np.intp)
+        self.lookups = 0
+        self.misses = 0
+        self.flushes = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        """Empty tables: the sink, and every component's all-zero state."""
+        self.trans[:] = 0
+        self._top = self._sink_span
+        self._row_top = self._sink_rows
+        self.states = 0
+        for ids in self._ids:
+            ids.clear()
+        self.zero = np.array(
+            [
+                self.intern(index, np.zeros(len(own), dtype=np.uint64))
+                for index, own in enumerate(self._words)
+            ],
+            dtype=np.int32,
+        )
+
+    def intern(self, component: int, row: np.ndarray) -> int:
+        """Id of the state of ``component`` whose row words are ``row``."""
+        ids = self._ids[component]
+        key = row.tobytes()
+        state = ids.get(key)
+        if state is None:
+            state, base = self._top, self._row_top
+            self._top += self._spans[component]
+            self._row_top += len(row)
+            if self._top > len(self.trans):
+                self.trans = np.concatenate([self.trans, np.zeros_like(self.trans)])
+            if self._row_top > len(self.rows):
+                self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
+            self.trans[state] = base
+            self.rows[base : self._row_top] = row
+            ids[key] = state
+            self.states += 1
+        return state
+
+    def split(self, prev: np.ndarray) -> np.ndarray:
+        """The component states whose rows OR together to ``prev``."""
+        state = self.zero.copy()
+        live = np.flatnonzero(prev[self._slot_word] & self._slot_mask)
+        for index in np.unique(self._slot_comp[live]).tolist():
+            state[index] = self.intern(
+                index, prev[self._words[index]] & self._masks[index]
+            )
+        return state
+
+    def rows_of(self, states: np.ndarray) -> np.ndarray:
+        """``(cycles, components)`` states -> the ``(cycles, words)`` rows
+        they stand for: the OR of their components' rows."""
+        cells = self.trans.take(states).take(self._gather_comp, axis=1)
+        cells += self._gather_cell
+        out = np.zeros((len(states), self._kernel.words), dtype=np.uint64)
+        out[:, self._occupied_words] = np.bitwise_or.reduceat(
+            self.rows.take(cells), self._word_starts, axis=1
+        )
+        return out
+
+    def flush(self, state: np.ndarray) -> np.ndarray:
+        """Drop every state and transition; returns ``state`` re-interned."""
+        prev = self.rows_of(state[None])[0]
+        self.flushes += 1
+        self._reset()
+        return self.split(prev)
+
+    def step(self, state: np.ndarray, sym: np.ndarray) -> np.ndarray:
+        """Advance ``state`` over ``sym`` (at most a block of symbols):
+        row ``k`` of the result is the state before cycle ``k``, the last
+        row the state after the last cycle stepped — fewer than
+        ``len(sym)``, and at least one, when the tables filled up on the
+        way (the caller reads the rows out, then comes back for the
+        rest, which starts with a flush).  The result is valid until
+        the next call.
+
+        The block is stepped blind, all components at once, then looked
+        over for zeros.  Components are independent, so a zero spoils
+        its own column only: the components that lacked a transition are
+        stepped again one by one from where they did, learning as they
+        go.  With few components that Python loop over each is cheaper
+        than one ``take`` a byte over all, and does all the stepping.
+        """
+        cycles = len(sym)
+        if self.states >= self.limit:
+            state = self.flush(state)
+        history = self._history[: cycles + 1]
+        history[0] = state
+        if self.components >= _VECTOR_WIDTH:
+            lacking = self._sweep(history, sym)
+        else:
+            lacking = [(column, 0) for column in range(self.components)]
+        reached = cycles
+        for column, cycle in lacking:
+            reached = min(reached, self._restep(column, sym, history, cycle))
+        return history[: reached + 1]
+
+    def _sweep(self, history: np.ndarray, sym: np.ndarray) -> List[Tuple[int, int]]:
+        """Step every component over ``sym`` blind from ``history[0]``;
+        returns ``(component, first cycle it lacked a transition on)``
+        for those that ran into the sink."""
+        rows = list(history)
+        index, take = self._index, self.trans.take
+        for cycle, classes in enumerate(self._classes[sym]):
+            np.add(rows[cycle], classes, out=index)
+            take(index, out=rows[cycle + 1])
+        holes = history[1:] == 0
+        columns = np.flatnonzero(holes.any(axis=0))
+        first = holes[:, columns].argmax(axis=0)
+        return list(zip(columns.tolist(), first.tolist()))
+
+    def _restep(
+        self, column: int, sym: np.ndarray, history: np.ndarray, cycle: int
+    ) -> int:
+        """Step component ``column`` alone from ``cycle`` (where it lacked
+        a transition) to the end of ``sym``, learning what it lacks;
+        returns the cycle it got to — short of the end, but past
+        ``cycle``, when the tables are full."""
+        state = int(history[cycle, column])
+        trans = memoryview(self.trans)
+        after = []
+        for klass in self._classes[sym[cycle:], column].tolist():
+            target = trans[state + klass]
+            if target == 0:
+                if after and self.states >= self.limit:
+                    break
+                target = self._learn(column, state, klass)
+                trans = memoryview(self.trans)
+            after.append(target)
+            state = target
+        history[cycle + 1 : cycle + 1 + len(after), column] = after
+        return cycle + len(after)
+
+    def _learn(self, column: int, state: int, klass: int) -> int:
+        """Fill, on the component's own words, the transition of its
+        ``state`` on byte class ``klass``; returns the successor."""
+        own = self._words[column]
+        base = int(self.trans[state])
+        matched = self.rows[base : base + len(own)] | self._start[column]
+        matched &= self._class_rows[column][klass - 1]
+        local = np.unpackbits(matched.view(np.uint8), bitorder="little")
+        bits = self._bits[column][local.nonzero()[0]]
+        target = self.intern(column, self._kernel._successors_of_bits(bits)[own])
+        self.trans[state + klass] = target
+        self.misses += 1
+        return target
+
+
 class BitsetKernel:
     """Packed-word execution engine for one fixed automaton bit layout.
 
@@ -455,17 +741,20 @@ class BitsetKernel:
         self._prop_cache_limit = max(1024, PROPAGATE_CACHE_BYTES // self.row_bytes)
         self._prop_hits = 0
         self._prop_misses = 0
-        # Step cache: full-cycle memo keyed by the packed previous
-        # activation row; each state's 256-entry list holds
-        # (matched, enabled, next_prev, nonzero, next_state_row) tuples
-        # that chain directly to the successor state's list, so the hot
+        # Step cache, whole-row level: full-cycle memo keyed by the packed
+        # previous activation row; each row's 256-entry list holds
+        # (matched, enabled, next_prev, nonzero, next_row_list) tuples
+        # that chain directly to the successor row's list, so the hot
         # loop advances with pure list indexing (see :meth:`run_chunk`).
+        # What it lacks once it holds STEP_ROWS rows is stepped on the
+        # component level, built on the first such cycle.
         self._step_rows: Dict[bytes, list] = {}
         self._step_entries = 0
-        self._step_limit = max(1024, STEP_CACHE_BYTES // (2 * self.row_bytes + 160))
+        self._step_bytes = 0
         self._step_lookups = 0
         self._step_misses = 0
-        self._step_flushes = 0
+        self._components: Optional[_ComponentTables] = None
+        self._occupied_row: Optional[np.ndarray] = None
         self._idle_next: Optional[np.ndarray] = None
         self._idle_escape: Optional[np.ndarray] = None
         self._scratch = np.zeros(self.words, dtype=np.uint64)
@@ -640,7 +929,9 @@ class BitsetKernel:
     # -- propagation -------------------------------------------------------
 
     def _successors_of(self, row: np.ndarray) -> np.ndarray:
-        bits = self.bit_indices(row)
+        return self._successors_of_bits(self.bit_indices(row))
+
+    def _successors_of_bits(self, bits: np.ndarray) -> np.ndarray:
         if bits.size == 0:
             return np.zeros(self.words, dtype=np.uint64)
         if self._dense is not None:
@@ -654,6 +945,32 @@ class BitsetKernel:
             sel = np.repeat(starts - run_starts, counts) + np.arange(total)
             np.bitwise_or.at(out, self._csr_words[sel], self._csr_masks[sel])
         return out
+
+    def _successor_words(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The successor table as ``(source bit, word, mask)`` triples, one
+        per non-zero word of a source's successor row (dense or CSR)."""
+        if self._dense is not None:
+            source, word = np.nonzero(self._dense)
+            return source, word, self._dense[source, word]
+        counts = np.diff(self._csr_indptr)
+        source = np.repeat(np.arange(self.n_bits), counts)
+        return source, self._csr_words.astype(np.intp), self._csr_masks
+
+    def _occupied(self) -> np.ndarray:
+        """Row of the bits that hold a state: those a byte matches, a
+        transition reaches, a start or a report names.  What is left is
+        padding, which no scan ever sets."""
+        if self._occupied_row is None:
+            row = np.bitwise_or.reduce(self.match_matrix, axis=0)
+            row |= self.start_all_row
+            row |= self.start_sod_row
+            row |= self.report_row
+            if self._dense is not None:
+                row |= np.bitwise_or.reduce(self._dense, axis=0)
+            else:
+                np.bitwise_or.at(row, self._csr_words, self._csr_masks)
+            self._occupied_row = row
+        return self._occupied_row
 
     def propagate(self, row: np.ndarray) -> Tuple[np.ndarray, bool]:
         """Enabled-successor row of ``row``, plus a non-zero flag.
@@ -689,43 +1006,95 @@ class BitsetKernel:
 
     # -- step cache --------------------------------------------------------
 
+    def _step_full(self) -> bool:
+        """Whether the whole-row level has stopped growing: out of rows,
+        or out of its half of the byte budget."""
+        return (
+            len(self._step_rows) >= STEP_ROWS
+            or self._step_bytes >= STEP_CACHE_BYTES // 2
+        )
+
     def _step_row(self, prev: np.ndarray) -> list:
         """The step-cache entry list of activation row ``prev``."""
         key = np.ascontiguousarray(prev).tobytes()
         row = self._step_rows.get(key)
         if row is None:
-            row = [None] * 256
-            self._step_rows[key] = row
+            if self._step_full():
+                return _NO_ROOM
+            row = self._step_rows[key] = [None] * 256
+            self._step_bytes += _STEP_ROW_BYTES + self.row_bytes
         return row
 
-    def _step_miss(self, row: list, prev: np.ndarray, symbol: int) -> tuple:
-        """Compute, cache, and return one full-cycle step entry."""
+    def _step_miss(self, row: list, prev: np.ndarray, symbol: int) -> Optional[tuple]:
+        """Compute, cache, and return one full-cycle step entry; ``None``
+        once the level is full (the component tables step what it lacks
+        from then on, see :meth:`_run_components`)."""
         self._step_misses += 1
+        if self._step_full():
+            return None
         enabled = prev | self.start_all_row
         matched = self.match_matrix[symbol] & enabled
         nxt, nonzero = self.propagate(matched)
         matched.setflags(write=False)
         enabled.setflags(write=False)
-        if self._step_entries >= self._step_limit:
-            # RE2-style flush-on-overflow: drop every entry and re-intern
-            # the current state; the next few cycles repopulate the hot
-            # transitions.
-            self._step_rows.clear()
-            self._step_entries = 0
-            self._step_flushes += 1
-            row = self._step_row(prev)
         hit = (matched, enabled, nxt, nonzero, self._step_row(nxt))
         row[symbol] = hit
         self._step_entries += 1
+        self._step_bytes += _STEP_ENTRY_BYTES + 2 * self.row_bytes
         return hit
+
+    def _run_components(
+        self,
+        sym: np.ndarray,
+        matched_rows: np.ndarray,
+        enabled_rows: Optional[np.ndarray],
+        i: int,
+        prev: np.ndarray,
+    ) -> Tuple[int, np.ndarray, bool]:
+        """Step the cycles from ``i`` on the component tables, filling
+        the histories as :meth:`run_chunk` does, until the machine is
+        idle or the chunk ends; returns the ``(i, prev, prev_nonzero)``
+        cursor."""
+        level = self._components
+        if level is None:
+            level = self._components = _ComponentTables(self)
+        start_row = self.start_all_row
+        if (prev & ~level.member_row).any():
+            # Bits no transition touches: only a checkpoint sets them, and
+            # they are gone a cycle later.
+            enabled = prev | start_row
+            matched_rows[i] &= enabled
+            if enabled_rows is not None:
+                enabled_rows[i] = enabled
+            return (i + 1, *self.propagate(matched_rows[i]))
+        state = level.split(prev)
+        cycles = len(sym)
+        while i < cycles:
+            history = level.step(state, sym[i : i + COMPONENT_BLOCK])
+            stepped = len(history) - 1
+            enabled = level.rows_of(history[:stepped])
+            enabled |= start_row
+            matched_rows[i : i + stepped] &= enabled
+            if enabled_rows is not None:
+                enabled_rows[i : i + stepped] = enabled
+            level.lookups += stepped
+            i += stepped
+            state = history[stepped].copy()
+            if (state == level.zero).all():
+                return i, np.zeros(self.words, dtype=np.uint64), False
+        return i, level.rows_of(state[None])[0], True
 
     def cache_info(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/flush counters for the kernel's memoisation layers.
 
         ``propagate`` covers the successor-propagation memo (whole-vector
-        gather+OR results); ``step`` covers the full-cycle step cache
-        that :meth:`run_chunk`'s non-idle loop runs on.  Step hits are
-        derived as lookups minus misses.
+        gather+OR results); ``step`` the whole-row level of the step
+        cache that :meth:`run_chunk`'s non-idle loop runs on (hits are
+        lookups minus misses; ``size`` and ``limit`` count entries; it
+        never flushes); ``component`` the tables it overflows into, all
+        zero until the first overflow builds them — ``lookups`` are the
+        cycles stepped there, ``misses`` those of them that had to
+        compute a transition.
         """
         return {
             "propagate": {
@@ -737,9 +1106,16 @@ class BitsetKernel:
             "step": {
                 "hits": self._step_lookups - self._step_misses,
                 "misses": self._step_misses,
-                "flushes": self._step_flushes,
+                "flushes": 0,
                 "size": self._step_entries,
-                "limit": self._step_limit,
+                "rows": len(self._step_rows),
+                "limit": 256 * STEP_ROWS,
+            },
+            "component": {
+                key: getattr(self._components, key, 0)
+                for key in (
+                    "components", "states", "limit", "lookups", "misses", "flushes"
+                )
             },
         }
 
@@ -772,8 +1148,16 @@ class BitsetKernel:
             return self.pack(0), False, self.has_sod, 0
         resume.require(self.dialect)
         vector = resume.active_state_vector
+        prev = self.pack(vector)
+        if vector:
+            stray = self.bit_indices(prev & ~self._occupied())
+            if stray.size:
+                raise SimulationError(
+                    f"checkpoint activates state bit {stray[0]}, which holds "
+                    "no state here; was it taken on a different automaton?"
+                )
         sod = self.has_sod and resume.start_of_data_pending
-        return self.pack(vector), vector != 0, sod, resume.symbols_processed
+        return prev, vector != 0, sod, resume.symbols_processed
 
     def leave(self, prev: np.ndarray, sod: bool, symbols_processed: int) -> Checkpoint:
         """The :class:`Checkpoint` of a scan suspended at cursor ``(prev,
@@ -835,8 +1219,10 @@ class BitsetKernel:
         activation row owns a 256-entry list whose tuples carry the
         cycle's matched/enabled rows plus a direct reference to the
         successor row's own list, so a warm transition costs two list
-        indexes and no numpy work.  The cache flushes wholesale when the
-        entry budget is hit (RE2-style) and repopulates on demand.
+        indexes and no numpy work.  Once it holds ``STEP_ROWS`` rows it
+        stops growing, and a cycle it has no entry for hands over to the
+        per-component tables (:meth:`_run_components`) until the machine
+        is idle again or the chunk ends.
         """
         cycles = len(sym)
         start_row = self.start_all_row
@@ -853,13 +1239,19 @@ class BitsetKernel:
                     row = self._step_row(prev)
                 s = sym_list[i]
                 hit = row[s]
+                lookups += 1
                 if hit is None:
                     hit = self._step_miss(row, prev, s)
+                    if hit is None:
+                        i, prev, prev_nonzero = self._run_components(
+                            sym, matched_rows, enabled_rows, i, prev
+                        )
+                        row = None
+                        continue
                 mrow, erow, prev, prev_nonzero, row = hit
                 matched_rows[i] = mrow
                 if enabled_rows is not None:
                     enabled_rows[i] = erow
-                lookups += 1
                 i += 1
                 continue
             if sod:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.backends import create_backend
+from repro.backends import backend_names, create_backend
 from repro.backends.artifact import CompiledArtifact
 from repro.compiler import compile_automaton
 from repro.core.design import CA_P
@@ -28,6 +28,8 @@ from repro.service import (
 from repro.service.net import decode_checkpoint, encode_checkpoint
 from repro.sim.functional import MappedSimulator
 from repro.sim.golden import Checkpoint, GoldenSimulator
+from repro.sim.kernel import BitsetKernel, placement_ids
+from tests.test_kernel import as_csr
 from tests.test_lazytable import _code_only
 from tests.test_procpool import Ticker
 
@@ -307,6 +309,38 @@ class TestCheckpointPortability:
                 backend.scan(b"tail", resume=Checkpoint(3, -1, False))
         with pytest.raises(ProtocolError, match="malformed checkpoint"):
             decode_checkpoint([0, "-1", False])
+
+
+def test_a_stray_bit_gets_one_answer_from_every_backend():
+    """A placement-layout vector with a bit no state occupies (they come
+    from the wire) is refused by every backend that resumes — the packed
+    kernel and the lazy DFA used to scan on with it enabled for a cycle
+    where the golden interpreter and hybrid raised."""
+    # No bounded gap here: eager-dfa is among the backends built.
+    machine = compile_patterns(["needle", "na[gn]a+", "^anchor"])
+    portable_artifact = CompiledArtifact.from_mapping(compile_automaton(machine, CA_P))
+    stray = placement_ids(portable_artifact.mapping).index("")
+    resumable = []
+    for name in backend_names():
+        backend = create_backend(name, portable_artifact)
+        if backend.capabilities().resume:
+            resumable.append(name)
+            with pytest.raises(SimulationError):
+                backend.scan(b"needle", resume=Checkpoint(5, 1 << stray, False))
+    assert {"packed-kernel", "lazy-dfa", "hybrid", "golden-interpreter"} <= set(
+        resumable
+    )
+    # The same check guards a kernel rebuilt from its packed tables (a
+    # warm start has nothing else) and one on the CSR successor table.
+    kernel = create_backend("packed-kernel", portable_artifact).simulator.kernel
+    for rebuilt in (
+        BitsetKernel.from_packed(kernel.packed_tables()),
+        as_csr(kernel),
+    ):
+        with pytest.raises(SimulationError, match=f"state bit {stray},"):
+            rebuilt.enter(Checkpoint(5, 1 << stray, False))
+        taken = create_backend("packed-kernel", portable_artifact).scan(b"a nee")
+        assert rebuilt.enter(taken.checkpoint)[1]
 
 
 class TestPortabilityThroughTheService:

@@ -692,7 +692,7 @@ class TestConcurrentTierChain:
         assert set(results) == {0, 1}
         for tier, backend, _, _ in results.values():
             assert tier in ("cold-compile", "warm-cache")
-            assert backend == "hybrid"
+            assert backend == "packed-kernel"
         assert results[0][1:] == results[1][1:]
         cache = CompileCache(directory)
         relieved = CacheAutomatonEngine.from_patterns(

@@ -422,11 +422,18 @@ class TestEngineHybrid:
             placements.append(engine.health().placement)
         assert placements[0] == placements[1]
 
-    def test_auto_mixed_selects_hybrid(self):
+    def test_auto_mixed_selects_the_packed_kernel(self):
+        """Once one component needs the kernel the others ride along on
+        its per-component tables; ``hybrid`` is by request only."""
         engine = CacheAutomatonEngine.from_patterns(MIXED_PATTERNS, auto=True)
         health = engine.health()
-        assert health.backend == "hybrid"
-        assert any("auto placement" in event for event in health.events)
+        assert health.backend == "packed-kernel"
+        assert health.placement == ()
+        assert any(
+            "auto placement selected packed-kernel" in event
+            and "2 substrate(s)" in event
+            for event in health.events
+        )
 
     def test_auto_friendly_selects_single_substrate(self):
         engine = CacheAutomatonEngine.from_patterns(

@@ -13,12 +13,18 @@ Three layers of evidence:
 """
 
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata.anml import HomogeneousAutomaton, StartKind
+from repro.automata.symbols import SymbolSet
+from repro.backends import create_backend
+from repro.backends.artifact import CompiledArtifact
 from repro.compiler import compile_automaton
 from repro.core.design import CA_P
 from repro.errors import SimulationError
@@ -26,8 +32,14 @@ from repro.regex.compile import compile_patterns
 from repro.sim import kernel as kernel_module
 from repro.sim.functional import MappedSimulator
 from repro.sim.golden import GoldenSimulator
-from repro.sim.kernel import BitsetKernel, as_symbols, popcount_rows
-from repro.workloads.suite import build_suite
+from repro.sim.kernel import (
+    BitsetKernel,
+    Checkpoint,
+    ReportDecoder,
+    as_symbols,
+    popcount_rows,
+)
+from repro.workloads.suite import build_suite, get_benchmark
 
 N_BITS = 100
 
@@ -142,7 +154,8 @@ class TestPopcountFallback:
 
 class TestStepCache:
     """The full-cycle step cache behind ``run_chunk``: counters move
-    with use, and an overflow flush never changes what a run returns."""
+    with use, and overflowing from the whole-row level into the
+    component tables never changes what a run returns."""
 
     PATTERNS = ["ab+c", "cat", "d[aeiou]g"]
 
@@ -164,18 +177,208 @@ class TestStepCache:
         assert again["step"]["hits"] > warm_hits
         assert again["step"]["misses"] == info["step"]["misses"]
         assert again["propagate"]["misses"] >= 1
+        # A ruleset that converges never builds the component level.
+        assert set(again["component"].values()) == {0}
 
-    def test_overflow_flush_preserves_results(self):
+    @pytest.mark.parametrize(
+        "state_bytes",
+        [kernel_module._COMPONENT_STATE_BYTES, 1 << 40],
+        ids=["roomy", "flushing"],
+    )
+    def test_overflow_to_component_tables_preserves_results(
+        self, monkeypatch, state_bytes
+    ):
         mapping = self._mapping()
         data = b"abbc cat dig abc dog cat " * 40
         expected = reports_of(MappedSimulator(mapping).run(data))
+        monkeypatch.setattr(kernel_module, "STEP_ROWS", 2)
+        # A state that costs the whole budget: the tables hold the
+        # fewest states they can and drop them over and over.
+        monkeypatch.setattr(kernel_module, "_COMPONENT_STATE_BYTES", state_bytes)
         tiny = MappedSimulator(mapping)
-        tiny.kernel._step_limit = 2
         result = tiny.run(data)
         assert reports_of(result) == expected
         info = tiny.cache_info()
-        assert info["step"]["flushes"] > 0
-        assert info["step"]["size"] <= 2
+        assert info["step"]["rows"] <= 2
+        assert info["step"]["flushes"] == 0
+        assert info["component"]["components"] == len(self.PATTERNS)
+        assert info["component"]["lookups"] > 0
+        assert 0 < info["component"]["misses"]
+        assert (
+            info["component"]["states"]
+            <= info["component"]["limit"] + info["component"]["components"]
+        )
+        assert (info["component"]["flushes"] > 0) == (state_bytes == 1 << 40)
+
+    def test_budgets_bound_what_the_caches_hold(self):
+        """64 KiB of Fermi never revisits a whole activation row: the
+        entry-count budget let the per-row slot lists pile up to 206 MiB
+        here.  Both levels of the step cache now share
+        ``STEP_CACHE_BYTES`` and the propagation memo has its own."""
+        benchmark = get_benchmark("Fermi")
+        artifact = CompiledArtifact.from_mapping(
+            compile_automaton(benchmark.build(), CA_P)
+        )
+        backend = create_backend("packed-kernel", artifact)
+        data = benchmark.input_stream(64 * 1024, seed=1)
+        only_kernel = [tracemalloc.Filter(True, kernel_module.__file__)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(only_kernel)
+            for start in range(0, len(data), 4096):
+                backend.scan(data[start : start + 4096], collect_reports=False)
+            after = tracemalloc.take_snapshot().filter_traces(only_kernel)
+        finally:
+            tracemalloc.stop()
+        held = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        budget = kernel_module.STEP_CACHE_BYTES + kernel_module.PROPAGATE_CACHE_BYTES
+        assert held < budget, f"{held / 2**20:.0f} MiB held"
+        info = backend.simulator.cache_info()
+        assert info["step"]["rows"] == kernel_module.STEP_ROWS
+        assert info["component"]["lookups"] > 32 * 1024
+
+
+def as_csr(kernel: BitsetKernel) -> BitsetKernel:
+    """The same kernel on the CSR successor table."""
+    tables = kernel.packed_tables()
+    dense = tables.pop("succ_dense")
+    source, word = np.nonzero(dense)
+    tables["succ_indptr"] = np.searchsorted(source, np.arange(kernel.n_bits + 1))
+    tables["succ_words"] = word
+    tables["succ_masks"] = dense[source, word]
+    return BitsetKernel.from_packed(tables)
+
+
+ALPHABET = b"abcd"
+N_WORDS = 6
+
+
+@st.composite
+def factored_machines(draw):
+    """A multi-component automaton and a bit layout for it: component 0
+    is anchored (``^``), component 1 has a self-looping ``.*`` state and
+    straddles two words that are not neighbours, the first three share
+    word 0, the rest spread over the other words."""
+    automaton = HomogeneousAutomaton("factored")
+    bit_of = {}
+    cursor = {word: word * 64 for word in (0, 2, 3, 5)}
+    for component in range(draw(st.integers(2, 12))):
+        size = draw(st.integers(2, 5))
+        ids = [f"c{component}s{state}" for state in range(size)]
+        for state, ste_id in enumerate(ids):
+            label = draw(st.sets(st.sampled_from(ALPHABET), min_size=1))
+            start = StartKind.NONE
+            if state == 0:
+                start = StartKind.START_OF_DATA if component == 0 else StartKind.ALL_INPUT
+            elif component == 1 and state == 1:
+                label = range(256)
+            elif draw(st.integers(0, 5)) == 0:
+                start = StartKind.ALL_INPUT
+            automaton.add_ste(
+                ste_id, SymbolSet(label), start=start,
+                reporting=state == size - 1 or draw(st.booleans()),
+            )
+            if component == 1:
+                bit_of[ste_id] = (64 if state % 2 else 256) + state
+            else:
+                word = 0 if component < 3 else (2, 3, 5)[component % 3]
+                bit_of[ste_id] = cursor[word]
+                cursor[word] += 1
+        for source, target in zip(ids, ids[1:]):
+            automaton.add_edge(source, target)
+        if component == 1:
+            automaton.add_edge(ids[1], ids[1])
+        for _ in range(draw(st.integers(0, 3))):
+            automaton.add_edge(
+                draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+            )
+    return automaton, bit_of
+
+
+def scan_in_pieces(kernel, automaton, bit_of, pieces):
+    """Everything a scan leaves behind, resumed from piece to piece."""
+    ids = [""] * kernel.n_bits
+    for ste_id, bit in bit_of.items():
+        ids[bit] = ste_id
+    decoder = ReportDecoder(automaton, lambda: ids)
+    matched, enabled, reports = [], [], []
+
+    def on_chunk(sym, matched_rows, enabled_rows, offset):
+        matched.append(matched_rows.tobytes())
+        enabled.append(enabled_rows.tobytes())
+        firing = matched_rows & kernel.report_row
+        for cycle in np.flatnonzero(firing.any(axis=1)).tolist():
+            decoder.emit(firing[cycle].tobytes(), offset + cycle, reports)
+
+    checkpoint = None
+    for piece in pieces:
+        _, checkpoint = kernel.drive(
+            piece, checkpoint, on_chunk, enabled_history=True
+        )
+    return b"".join(matched), b"".join(enabled), checkpoint, reports
+
+
+class TestWhereTheTwoLevelsMeet:
+    """Whole-row level, component tables, their overflow path, dense or
+    CSR underneath: one answer."""
+
+    @given(
+        factored_machines(),
+        st.lists(st.sampled_from(ALPHABET + b"x"), max_size=160).map(bytes),
+        st.lists(st.integers(0, 160), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_budget_gives_the_same_scan(self, machine, data, cuts):
+        automaton, bit_of = machine
+        cuts = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
+        pieces = [data[low:high] for low, high in zip(cuts, cuts[1:])] or [b""]
+
+        def scan(step_rows, state_bytes, csr):
+            with mock.patch.multiple(
+                kernel_module,
+                STEP_ROWS=step_rows,
+                _COMPONENT_STATE_BYTES=state_bytes,
+                COMPONENT_BLOCK=16,
+            ):
+                kernel = BitsetKernel.from_automaton(automaton, bit_of, N_WORDS * 64)
+                if csr:
+                    kernel = as_csr(kernel)
+                return scan_in_pieces(kernel, automaton, bit_of, pieces)
+
+        default = kernel_module._COMPONENT_STATE_BYTES
+        expected = scan(kernel_module.STEP_ROWS, default, False)
+        assert len(expected[0]) == len(data) * N_WORDS * 8
+        for step_rows in (0, 1, 3, kernel_module.STEP_ROWS):
+            for state_bytes in (1 << 40, default):
+                for csr in (False, True):
+                    assert scan(step_rows, state_bytes, csr) == expected, (
+                        step_rows, state_bytes, csr,
+                    )
+
+    def test_a_checkpoint_bit_no_transition_touches_lives_one_cycle(self):
+        """A lone state is in no component; set by a checkpoint it is
+        enabled for one cycle on either level."""
+        automaton = HomogeneousAutomaton("lone")
+        automaton.add_ste("lone", SymbolSet(b"a"), reporting=True)
+        automaton.add_ste("p", SymbolSet(b"a"), start=StartKind.ALL_INPUT)
+        automaton.add_ste("q", SymbolSet(b"b"), reporting=True)
+        automaton.add_edge("p", "q")
+        bit_of = {"lone": 70, "p": 3, "q": 4}
+        outcomes = []
+        for step_rows in (0, kernel_module.STEP_ROWS):
+            with mock.patch.object(kernel_module, "STEP_ROWS", step_rows):
+                kernel = BitsetKernel.from_automaton(automaton, bit_of, 128)
+                reports = []
+                kernel.drive(
+                    b"aab",
+                    Checkpoint(7, 1 << 70, False),
+                    lambda sym, matched, enabled, offset: reports.extend(
+                        (offset + cycle, kernel.unpack(row & kernel.report_row))
+                        for cycle, row in enumerate(matched)
+                    ),
+                )
+                outcomes.append(reports)
+        assert outcomes[0] == outcomes[1] == [(7, 1 << 70), (8, 0), (9, 1 << 4)]
 
 
 class TestPropagation:
