@@ -125,35 +125,3 @@ def component_index(automaton: HomogeneousAutomaton) -> Dict[str, int]:
             index[ste_id] = component_number
     return index
 
-
-def extract_component(
-    automaton: HomogeneousAutomaton,
-    members: List[str],
-    *,
-    automaton_id: str = None,
-) -> HomogeneousAutomaton:
-    """The sub-automaton induced by ``members`` (assumed edge-closed).
-
-    ``members`` may span several components — any edge-closed union
-    works (the hybrid backend extracts one sub-automaton per substrate
-    group this way).  ``automaton_id`` names the extract (default
-    ``<id>.cc``).
-    """
-    member_set = set(members)
-    extracted = HomogeneousAutomaton(
-        automaton_id or f"{automaton.automaton_id}.cc"
-    )
-    for ste_id in members:
-        ste = automaton.ste(ste_id)
-        extracted.add_ste(
-            ste.ste_id,
-            ste.symbols,
-            start=ste.start,
-            reporting=ste.reporting,
-            report_code=ste.report_code,
-        )
-    for ste_id in members:
-        for target in automaton.successors(ste_id):
-            if target in member_set:
-                extracted.add_edge(ste_id, target)
-    return extracted

@@ -75,10 +75,10 @@ class CompiledArtifact:
     #: Compressed stride-alphabet tables (``stride_k`` /
     #: ``stride_class_of`` / ``stride_reps``); empty when unstrided.
     stride_tables: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: Per-CC classification tables (``classify_*`` — features, costs,
-    #: partition assignment; see :mod:`repro.compiler.classify`).  Empty
-    #: until a hybrid-aware path attaches them; backends that do not
-    #: partition ignore them.
+    #: Per-CC classification tables (``classify_version`` and
+    #: ``classify_assignment``, see :mod:`repro.compiler.classify`): the
+    #: ``auto=True`` placement decision.  Empty until an ``auto=True``
+    #: engine attaches them; no backend reads them.
     classify_tables: Dict[str, np.ndarray] = field(default_factory=dict)
 
     @property

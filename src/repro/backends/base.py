@@ -147,7 +147,7 @@ class AutomatonBackend:
 
     #: Scan-time degradation notices and how many a bounded log evicted
     #: (:class:`BoundedEventLog`); a backend that records none — every
-    #: one but lazy-dfa and hybrid — keeps these empty defaults, so the
+    #: one but lazy-dfa — keeps these empty defaults, so the
     #: engine reads them as plain attributes.
     health_events: Tuple[str, ...] = ()
     health_events_dropped: int = 0
@@ -184,11 +184,6 @@ class AutomatonBackend:
             for data, resume in zip(streams, resumes)
         ]
 
-    def placement(self) -> Sequence[Dict[str, object]]:
-        """One row per substrate group; empty on a single-substrate
-        backend (hybrid overrides)."""
-        return ()
-
     def packed_tables(self) -> Dict[str, object]:
         """The packed kernel tables this backend built, for the engine
         to persist with the artifact; empty on a backend that runs on
@@ -202,12 +197,6 @@ class AutomatonBackend:
         backend workers rebuild from the registration instead (lazy-dfa
         overrides, and turns what they return into reports with its
         ``materialise_raw``)."""
-        return {}
-
-    def classify_tables(self) -> Dict[str, object]:
-        """The per-CC classification this backend ran, as artifact
-        payload tables; empty on a backend that does not classify
-        (hybrid overrides)."""
         return {}
 
     def stream(self) -> BackendStream:

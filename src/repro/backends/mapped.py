@@ -7,6 +7,10 @@ only backend with the full capability set: checkpointed resume,
 multi-stream scanning on one warm kernel, and the complete energy-model
 activity profile (partition activations, G1/G4 switch crossings, CBOX
 output buffer).
+
+``hybrid`` is an alias: ``auto=True`` runs a ruleset with any
+determinisation-hostile component on this backend, whole, because its
+step cache steps each component on its own table.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ def simulator_from_artifact(
     return simulator_cls(artifact.mapping)
 
 
-@register_backend("packed-kernel", aliases=("kernel", "mapped"))
+@register_backend("packed-kernel", aliases=("kernel", "mapped", "hybrid"))
 class PackedKernelBackend(AutomatonBackend):
     """Execution on the packed uint64 kernel of the mapped simulator."""
 

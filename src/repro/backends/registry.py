@@ -32,7 +32,6 @@ _BUILTIN_MODULES = (
     "repro.backends.circuit",
     "repro.backends.cpu",
     "repro.backends.lazydfa",
-    "repro.backends.hybrid",
     "repro.backends.faulty",
 )
 

@@ -35,12 +35,11 @@ Subcommands::
         parse an ANML document and print its structural characteristics.
 
     python -m repro.cli classify RULES.txt [--probe-budget N]
-        run the per-component structural classifier and cost model
-        (see :mod:`repro.compiler.classify`) and print one row per
-        connected component: states, estimated determinisation growth
-        (bounded subset-closure probe), symbol entropy, modelled
-        per-symbol cost on each substrate, and the substrate the hybrid
-        backend would place the component on.
+        run the per-component classifier (see
+        :mod:`repro.compiler.classify`) and print one row per connected
+        component: states, byte classes, symbol entropy, the bounded
+        subset-closure probe's rows and whether it aborted, and the
+        substrate that decides (``lazy-dfa`` iff the probe closed).
 
     python -m repro.cli designs
         list the built-in design points with their derived parameters.
@@ -279,7 +278,7 @@ def _cmd_classify(arguments) -> int:
     )
     rows = [(
         "CC", "Repr", "States", "Classes", "Entropy", "Probe",
-        "Aborted", "Growth", "Lazy us", "Kernel us", "Backend",
+        "Aborted", "Growth", "Backend",
     )]
     for row in classification.rows():
         rows.append((
@@ -291,8 +290,6 @@ def _cmd_classify(arguments) -> int:
             int(row["probe_states"]),
             "yes" if row["probe_aborted"] else "no",
             f"{row['det_growth']:.2f}",
-            f"{row['cost_lazy-dfa_us']:.3f}",
-            f"{row['cost_packed-kernel_us']:.3f}",
             row["backend"],
         ))
     print(format_table(rows))
@@ -303,7 +300,6 @@ def _cmd_classify(arguments) -> int:
         f"{count} CC(s) -> {backend}" for backend, count in sorted(placed.items())
     )
     print(f"\nplacement: {summary}")
-    print(f"cost model: {classification.cost_model.as_dict()}")
     return 0
 
 

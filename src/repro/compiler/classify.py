@@ -1,32 +1,24 @@
-"""Per-component structural classification and substrate cost model.
+"""Per-component placement: which substrate a connected component fits.
 
 The cache-automaton design wins by routing each part of the workload to
 the substrate it fits; the unit of routing is the weakly connected
 component (CC), exactly the compiler's atomic mapping unit
-(:mod:`repro.automata.components`).  This module computes, for every CC
-of a homogeneous automaton:
+(:mod:`repro.automata.components`).  This module decides, for every CC
+of a homogeneous automaton, one thing: whether its **bounded
+subset-closure probe** closes — a byte-class-compressed subset
+construction over the scanning semantics of just that CC, abandoned once
+a budget of distinct activation rows is exceeded.  The probe counts
+exactly the rows a lazy DFA would hash-cons, so a closed probe means the
+CC determinises cheaply (``lazy-dfa``) and an aborted one means it would
+blow up an eager DFA and thrash a lazy one (``packed-kernel``, whose
+step cache steps each component on its own table).
 
-* **structural features** — state count, edge count, fan-out density,
-  byte-class count, symbol-set entropy, start-anchoredness — plus an
-  **estimated determinisation growth** obtained by *bounded
-  subset-closure probing*: a byte-class-compressed subset construction
-  over the scanning semantics of just that CC, abandoned once a budget
-  of distinct activation rows is exceeded.  The probe counts exactly the
-  rows the lazy-DFA backend would hash-cons, so it predicts both the
-  eager backend's blow-up and the lazy backend's cache pressure;
-* a **cost model** — per-symbol microsecond estimates for running the CC
-  on each candidate substrate, from the fixed coefficients of
-  :class:`CostModel`;
-* the resulting **partition assignment** — each CC is placed on the
-  substrate with the lowest predicted cost.  DFA-friendly CCs (small
-  subset closure) go to ``lazy-dfa``; subset-hostile CCs (the ones that
-  abort eager determinisation and thrash the lazy cache) stay on the
-  ``packed-kernel``, whose cost grows only with the packed word count.
-
-The result serialises to flat numpy tables (``classify_*`` payload
-members) carried by version-3 :class:`~repro.backends.artifact.
-CompiledArtifact` payloads, and is consumed by the ``hybrid`` execution
-backend (:mod:`repro.backends.hybrid`) and the ``repro classify`` CLI.
+Beside the decision the classifier keeps a few structural features —
+state count, byte classes, symbol-set entropy, the probe's row count and
+the growth it implies — for ``repro classify`` to print.  What travels
+with the artifact is the decision alone: ``classify_version`` and
+``classify_assignment`` (:meth:`ComponentClassification.to_tables`,
+read back by :func:`cached_substrates`).
 
 Everything here is deterministic: component order is the deterministic
 :func:`~repro.automata.components.connected_components` order, the probe
@@ -47,22 +39,16 @@ import numpy as np
 from repro.automata.anml import HomogeneousAutomaton, StartKind
 from repro.automata.components import connected_components
 from repro.automata.symbols import byte_signatures
-from repro.errors import AutomatonError
 
-#: Candidate substrates, in preference order (ties go to the earlier
-#: entry).  Order is part of the serialised format: ``classify_assignment``
-#: stores indexes into this tuple.
+#: A component's substrate, indexed by whether its probe aborted;
+#: ``classify_assignment`` stores those indexes.
 SUBSTRATES: Tuple[str, ...] = ("lazy-dfa", "packed-kernel")
 
-#: Feature-table columns, in ``classify_features`` column order.
+#: Feature-table columns, in ``features`` column order.
 FEATURE_COLUMNS: Tuple[str, ...] = (
     "states",
-    "edges",
-    "fan_out",
     "byte_classes",
     "symbol_entropy",
-    "start_all_input",
-    "start_anchored_fraction",
     "probe_states",
     "probe_aborted",
     "det_growth",
@@ -72,8 +58,10 @@ FEATURE_COLUMNS: Tuple[str, ...] = (
 PROBE_BUDGET_CAP = 512
 
 #: Serialised classification-table schema version (independent of the
-#: artifact format version; bump when columns change meaning).
-CLASSIFY_TABLE_VERSION = 1
+#: artifact format version; bump when the tables change meaning).
+#: Tables of another version are no decision: the ruleset is classified
+#: again and the tables rewritten.
+CLASSIFY_TABLE_VERSION = 2
 
 #: Payload-member prefix for classification tables inside an artifact.
 CLASSIFY_PREFIX = "classify_"
@@ -87,65 +75,6 @@ def default_probe_budget(state_count: int) -> int:
     aborts quickly instead of enumerating an exponential closure.
     """
     return min(PROBE_BUDGET_CAP, max(48, 8 * state_count))
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Per-symbol substrate cost coefficients, in microseconds.
-
-    The defaults are fixed constants, not a live calibration: they were
-    derived once from the PowerEN rates of the ``pr7-split-scan``
-    measurement on a one-core host (3.84M warm lazy-DFA and 460k mapped
-    symbols/s over PowerEN's 21 packed words) and have not moved since,
-    because stored ``classify_model`` rows are compared with them
-    (:func:`cached_substrates`): a changed constant invalidates every
-    cached placement.
-
-    * ``lazy_warm_us`` — one warm lazy-DFA transition (size-independent);
-    * ``lazy_miss_us`` — one lazy-DFA cache miss (a packed kernel step
-      plus hash-consing the new row); charged per symbol scaled by the
-      predicted steady-state miss fraction;
-    * ``kernel_base_us`` / ``kernel_word_us`` — the packed kernel's
-      fixed per-symbol overhead and its per-64-state-word gather+OR cost;
-    * ``dfa_budget`` — the transition-cache state budget assumed when
-      predicting whether a CC's closure thrashes the lazy cache.
-    """
-
-    lazy_warm_us: float = 0.26
-    lazy_miss_us: float = 25.0
-    kernel_base_us: float = 0.2
-    kernel_word_us: float = 0.094
-    dfa_budget: int = 4096
-
-    def lazy_cost_us(self, probe_states: float, aborted: bool) -> float:
-        """Predicted per-symbol cost of the CC on the lazy-DFA backend."""
-        if aborted:
-            miss_fraction = 1.0
-        else:
-            half = self.dfa_budget / 2.0
-            if probe_states <= half:
-                miss_fraction = 0.0
-            else:
-                miss_fraction = min(1.0, (probe_states - half) / half)
-        return self.lazy_warm_us + miss_fraction * self.lazy_miss_us
-
-    def kernel_cost_us(self, state_count: int) -> float:
-        """Predicted per-symbol cost of the CC on the packed kernel."""
-        words = (state_count + 63) // 64
-        return self.kernel_base_us + self.kernel_word_us * max(1, words)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "lazy_warm_us": self.lazy_warm_us,
-            "lazy_miss_us": self.lazy_miss_us,
-            "kernel_base_us": self.kernel_base_us,
-            "kernel_word_us": self.kernel_word_us,
-            "dfa_budget": self.dfa_budget,
-        }
-
-    def as_row(self) -> List[float]:
-        """The coefficients as the ``classify_model`` table row."""
-        return [float(value) for value in self.as_dict().values()]
 
 
 def _component_byte_signatures(
@@ -257,51 +186,27 @@ def _symbol_entropy(signatures: Sequence[int]) -> float:
 
 @dataclass(frozen=True)
 class ComponentClassification:
-    """Per-CC feature table, substrate costs, and partition assignment.
+    """Per-CC features and substrate assignment.
 
     ``components`` is the deterministic CC order of
     :func:`~repro.automata.components.connected_components`; row ``i``
-    of ``features``/``costs``/``assignment`` describes ``components[i]``.
-    ``substrates`` names the columns of ``costs`` and the codomain of
-    ``assignment`` (indexes into it).
+    of ``features`` (:data:`FEATURE_COLUMNS`) and ``assignment`` (an
+    index into :data:`SUBSTRATES`) describes ``components[i]``.
     """
 
     components: Tuple[Tuple[str, ...], ...]
     features: np.ndarray
-    costs: np.ndarray
     assignment: np.ndarray
-    substrates: Tuple[str, ...] = SUBSTRATES
-    cost_model: CostModel = CostModel()
 
     @property
     def component_count(self) -> int:
         return len(self.components)
 
     def backend_of(self, component: int) -> str:
-        return self.substrates[int(self.assignment[component])]
-
-    def groups(self) -> List[Tuple[str, List[int]]]:
-        """CC indexes grouped by assigned substrate, substrate order.
-
-        Only substrates with at least one CC appear; the hybrid backend
-        builds one sub-artifact per returned group.
-        """
-        grouped: List[Tuple[str, List[int]]] = []
-        for index, substrate in enumerate(self.substrates):
-            members = [
-                component
-                for component in range(self.component_count)
-                if int(self.assignment[component]) == index
-            ]
-            if members:
-                grouped.append((substrate, members))
-        return grouped
-
-    def feature(self, component: int, column: str) -> float:
-        return float(self.features[component, FEATURE_COLUMNS.index(column)])
+        return SUBSTRATES[int(self.assignment[component])]
 
     def rows(self) -> List[Dict[str, object]]:
-        """One plain-python dict per CC (CLI/report table rows)."""
+        """One plain-python dict per CC (CLI table rows)."""
         table: List[Dict[str, object]] = []
         for index, members in enumerate(self.components):
             row: Dict[str, object] = {
@@ -310,102 +215,20 @@ class ComponentClassification:
             }
             for column_index, column in enumerate(FEATURE_COLUMNS):
                 row[column] = float(self.features[index, column_index])
-            for substrate_index, substrate in enumerate(self.substrates):
-                row[f"cost_{substrate}_us"] = float(
-                    self.costs[index, substrate_index]
-                )
             row["backend"] = self.backend_of(index)
             table.append(row)
         return table
 
-    # -- serialisation -----------------------------------------------------
-
     def to_tables(self) -> Dict[str, np.ndarray]:
-        """Flat array tables (``classify_*`` artifact payload members)."""
+        """The decision as flat ``classify_*`` artifact payload members."""
         return {
             f"{CLASSIFY_PREFIX}version": np.asarray(
                 CLASSIFY_TABLE_VERSION, dtype=np.int64
             ),
-            f"{CLASSIFY_PREFIX}features": np.asarray(
-                self.features, dtype=np.float64
-            ),
-            f"{CLASSIFY_PREFIX}costs": np.asarray(
-                self.costs, dtype=np.float64
-            ),
             f"{CLASSIFY_PREFIX}assignment": np.asarray(
                 self.assignment, dtype=np.int32
             ),
-            f"{CLASSIFY_PREFIX}substrates": np.asarray(self.substrates),
-            f"{CLASSIFY_PREFIX}model": np.asarray(
-                self.cost_model.as_row(), dtype=np.float64
-            ),
         }
-
-    @classmethod
-    def from_tables(
-        cls, tables: Dict[str, np.ndarray], automaton: HomogeneousAutomaton
-    ) -> "ComponentClassification":
-        """Rebuild from payload tables against the in-memory automaton.
-
-        Component membership is reconstructed from the automaton (the CC
-        order is deterministic), so only the per-CC rows travel in the
-        payload; a row-count mismatch means the tables do not belong to
-        this automaton and raises :class:`AutomatonError`.
-        """
-        try:
-            version = int(tables[f"{CLASSIFY_PREFIX}version"])
-            features = np.asarray(
-                tables[f"{CLASSIFY_PREFIX}features"], dtype=np.float64
-            )
-            costs = np.asarray(
-                tables[f"{CLASSIFY_PREFIX}costs"], dtype=np.float64
-            )
-            assignment = np.asarray(
-                tables[f"{CLASSIFY_PREFIX}assignment"], dtype=np.int32
-            )
-            substrates = tuple(
-                str(name)
-                for name in np.asarray(
-                    tables[f"{CLASSIFY_PREFIX}substrates"]
-                ).reshape(-1)
-            )
-            model_row = np.asarray(
-                tables[f"{CLASSIFY_PREFIX}model"], dtype=np.float64
-            ).reshape(-1)
-        except KeyError as error:
-            raise AutomatonError(
-                f"classification tables missing member {error}"
-            ) from None
-        if version != CLASSIFY_TABLE_VERSION:
-            raise AutomatonError(
-                f"unsupported classification-table version {version} "
-                f"(expected {CLASSIFY_TABLE_VERSION})"
-            )
-        components = tuple(
-            tuple(members) for members in connected_components(automaton)
-        )
-        if features.shape[0] != len(components) or assignment.shape[0] != len(
-            components
-        ):
-            raise AutomatonError(
-                "classification tables do not match the automaton "
-                f"({features.shape[0]} rows for {len(components)} components)"
-            )
-        model = CostModel(
-            lazy_warm_us=float(model_row[0]),
-            lazy_miss_us=float(model_row[1]),
-            kernel_base_us=float(model_row[2]),
-            kernel_word_us=float(model_row[3]),
-            dfa_budget=int(model_row[4]),
-        )
-        return cls(
-            components=components,
-            features=features,
-            costs=costs,
-            assignment=assignment,
-            substrates=substrates,
-            cost_model=model,
-        )
 
 
 def cached_substrates(
@@ -414,17 +237,10 @@ def cached_substrates(
     """Each component's substrate as ``classify_*`` tables recorded it —
     what :func:`classify_automaton` with default arguments would assign —
     or ``None`` when the tables cannot stand in for that call: absent,
-    written under another :data:`CLASSIFY_TABLE_VERSION`, substrate list
-    or :class:`CostModel`, or malformed.
+    written under another :data:`CLASSIFY_TABLE_VERSION`, or malformed.
     """
     try:
-        if (
-            int(tables[f"{CLASSIFY_PREFIX}version"]) != CLASSIFY_TABLE_VERSION
-            or tuple(tables[f"{CLASSIFY_PREFIX}substrates"].tolist())
-            != SUBSTRATES
-            or tables[f"{CLASSIFY_PREFIX}model"].tolist()
-            != CostModel().as_row()
-        ):
+        if int(tables[f"{CLASSIFY_PREFIX}version"]) != CLASSIFY_TABLE_VERSION:
             return None
         assignment = tables[f"{CLASSIFY_PREFIX}assignment"].tolist()
         if min(assignment, default=0) < 0:
@@ -437,65 +253,30 @@ def cached_substrates(
 def classify_automaton(
     automaton: HomogeneousAutomaton,
     *,
-    cost_model: Optional[CostModel] = None,
     probe_budget: Optional[int] = None,
 ) -> ComponentClassification:
-    """Classify every CC of ``automaton`` and assign it a substrate.
-
-    ``probe_budget`` overrides the per-CC subset-closure row budget
-    (default :func:`default_probe_budget`); ``cost_model`` overrides the
-    calibrated coefficients.  Deterministic for a given automaton and
-    arguments.
+    """Classify every CC of ``automaton``: ``lazy-dfa`` when its
+    subset-closure probe closes within ``probe_budget`` rows (default
+    :func:`default_probe_budget`), ``packed-kernel`` when it aborts.
+    Deterministic for a given automaton and budget.
     """
-    model = cost_model or CostModel()
     components = tuple(
         tuple(members) for members in connected_components(automaton)
     )
     features = np.zeros((len(components), len(FEATURE_COLUMNS)), dtype=np.float64)
-    costs = np.zeros((len(components), len(SUBSTRATES)), dtype=np.float64)
     assignment = np.zeros(len(components), dtype=np.int32)
     for index, members in enumerate(components):
-        state_count = len(members)
-        member_set = set(members)
-        edge_count = sum(
-            len(automaton.successors(ste_id) & member_set)
-            for ste_id in members
-        )
         signatures = _component_byte_signatures(automaton, members)
         probe_states, aborted, byte_classes = probe_subset_closure(
             automaton, members, budget=probe_budget, signatures=signatures
         )
-        starts = [
-            automaton.ste(ste_id).start
-            for ste_id in members
-            if automaton.ste(ste_id).start is not StartKind.NONE
-        ]
-        all_input = sum(1 for start in starts if start is StartKind.ALL_INPUT)
-        anchored_fraction = (
-            (len(starts) - all_input) / len(starts) if starts else 0.0
-        )
-        growth = probe_states / max(1, state_count)
         features[index] = (
-            state_count,
-            edge_count,
-            edge_count / max(1, state_count),
+            len(members),
             byte_classes,
             _symbol_entropy(signatures),
-            all_input,
-            anchored_fraction,
             probe_states,
             1.0 if aborted else 0.0,
-            growth,
+            probe_states / max(1, len(members)),
         )
-        lazy_cost = model.lazy_cost_us(probe_states, aborted)
-        kernel_cost = model.kernel_cost_us(state_count)
-        costs[index] = (lazy_cost, kernel_cost)
-        assignment[index] = int(np.argmin(costs[index]))
-    return ComponentClassification(
-        components=components,
-        features=features,
-        costs=costs,
-        assignment=assignment,
-        substrates=SUBSTRATES,
-        cost_model=model,
-    )
+        assignment[index] = aborted
+    return ComponentClassification(components, features, assignment)

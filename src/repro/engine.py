@@ -57,11 +57,7 @@ from repro.backends.validation import (
 from repro.baselines.ap import ApModel
 from repro.compiler import Mapping, compile_automaton, compile_space_optimized
 from repro.compiler.cache import CacheStats, CompileCache, source_key
-from repro.compiler.classify import (
-    ComponentClassification,
-    cached_substrates,
-    classify_automaton,
-)
+from repro.compiler.classify import cached_substrates, classify_automaton
 from repro.core.design import CA_P, DesignPoint
 from repro.core.energy import ActivityProfile, EnergyModel
 from repro.errors import DegradedModeWarning, ReproError, SimulationError
@@ -129,10 +125,6 @@ class EngineHealth:
     #: long-lived process's memory flat; ``len(events) + events_dropped``
     #: is a monotonic "events ever seen" counter.
     events_dropped: int = 0
-    #: Per-group substrate placement when the hybrid backend is serving
-    #: (one row per group: group index, backend, requested substrate,
-    #: component and state counts); empty for single-substrate backends.
-    placement: Tuple[Dict[str, object], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -265,15 +257,14 @@ class CacheAutomatonEngine:
 
         ``backend`` selects the execution substrate by registry name
         (see :func:`repro.backends.backend_names`; aliases accepted) —
-        the packed mapped kernel by default.  ``backend="hybrid"``
-        partitions the ruleset per connected component across substrates
-        (see :mod:`repro.backends.hybrid`).  ``auto=True`` (default off)
-        is the placement policy knob: when no backend is named, the
+        the packed mapped kernel by default.  ``auto=True`` (default
+        off) is the placement policy knob: when no backend is named, the
         engine picks the substrate itself from the per-CC classification
-        (:mod:`repro.compiler.classify`) — the substrate the components
-        agree on, the packed kernel when they disagree (it steps each
-        component on its own table, so the friendly ones ride along);
-        the decision is recorded in :meth:`health`.  The
+        (:mod:`repro.compiler.classify`) — the lazy DFA when every
+        component's subset-closure probe closes, else the packed kernel
+        (it steps each component on its own table, so the friendly ones
+        ride along); the decision and its reason are recorded in
+        :meth:`health`.  The
         classification is a compile product like the placement: it is
         read from the cached artifact when that carries one, the
         classifier runs only when it does not, and whatever it found is
@@ -351,7 +342,7 @@ class CacheAutomatonEngine:
         engine_backend: Optional[AutomatonBackend] = None
         artifact: Optional[CompiledArtifact] = None
         loaded: Optional[CompiledArtifact] = None
-        classification: Optional[ComponentClassification] = None
+        classify_tables: Optional[Dict[str, object]] = None
         recompiling = False
 
         if self._cache is not None and not optimize:
@@ -374,17 +365,11 @@ class CacheAutomatonEngine:
             )
             if substrates is None:
                 classification = classify_automaton(automaton)
+                classify_tables = classification.to_tables()
                 substrates = [
                     classification.backend_of(index)
                     for index in range(classification.component_count)
                 ]
-                if not optimize:
-                    # The mapped automaton is the input automaton here,
-                    # so a hybrid backend can build its groups from this
-                    # classification as it stands.
-                    backend_options.setdefault(
-                        "classification", classification
-                    )
             backend_name = self._auto_placement(substrates)
 
         if optimize:
@@ -451,23 +436,16 @@ class CacheAutomatonEngine:
             and self._tier is not TIER_GOLDEN
         ):
             # Persist what this build computed and the artifact lacks: the
-            # backend's packed tables, and the per-CC classification —
-            # whichever of the two ran the classifier — so warm starts
-            # skip the subset-closure probes; the engine's own supersedes
-            # tables it did not trust.
+            # backend's packed tables, and the per-CC classification, so
+            # warm starts skip the subset-closure probes; a fresh one
+            # supersedes tables that were not trusted.
             stored = artifact
             if not artifact.kernel_tables:
                 tables = engine_backend.packed_tables()
                 if tables:
                     stored = stored.with_kernel_tables(tables)
-            if classification is not None:
-                stored = stored.with_classify_tables(
-                    classification.to_tables()
-                )
-            elif not artifact.classify_tables:
-                tables = engine_backend.classify_tables()
-                if tables:
-                    stored = stored.with_classify_tables(tables)
+            if classify_tables is not None:
+                stored = stored.with_classify_tables(classify_tables)
             if self._tier is not TIER_WARM_CACHE or stored is not artifact:
                 self._cache.store_artifact(stored)
 
@@ -481,21 +459,22 @@ class CacheAutomatonEngine:
 
     def _auto_placement(self, substrates: Sequence[str]) -> str:
         """The ``auto=True`` policy over the components' substrates, one
-        entry per component: the substrate they agree on, and the packed
-        kernel when they do not — once one component needs it the others
-        ride along for nothing (its step cache factors by component),
-        where a second substrate beside it is a second pass over the
-        bytes.  Records the decision as a health event."""
-        distinct = set(substrates)
-        if len(distinct) == 1:
-            chosen = resolve_backend_name(next(iter(distinct)))
+        entry per component: the lazy DFA when every component's
+        subset-closure probe closed, else the packed kernel — once one
+        component needs it the others ride along for nothing (its step
+        cache factors by component).  Records the decision, and why, as
+        a health event."""
+        hostile = sum(substrate != "lazy-dfa" for substrate in substrates)
+        if substrates and not hostile:
+            chosen = "lazy-dfa"
+            why = f"all {len(substrates)} components' subset-closure probes close"
         else:
             chosen = DEFAULT_BACKEND
-        self._health_events.append(
-            f"auto placement selected {chosen} "
-            f"({len(substrates)} components over "
-            f"{max(1, len(distinct))} substrate(s))"
-        )
+            why = (
+                f"{hostile} of {len(substrates)} components' subset-closure "
+                "probes exceed their budget"
+            )
+        self._health_events.append(f"auto placement selected {chosen} ({why})")
         return chosen
 
     @staticmethod
@@ -560,7 +539,6 @@ class CacheAutomatonEngine:
             events_dropped=(
                 self._health_events.dropped + backend.health_events_dropped
             ),
-            placement=tuple(backend.placement()),
         )
 
     def health_event_count(self) -> int:

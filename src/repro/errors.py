@@ -25,7 +25,7 @@ class DeterminisationExplosion(AutomatonError):
     """Eager subset construction blew past its state budget.
 
     Carries machine-readable attribution so callers (the engine's
-    fallback chain, the hybrid backend's health log) can report *which*
+    fallback chain) can report *which*
     component caused the blow-up instead of a bare string:
     ``component_id`` is the smallest STE id of the offending connected
     component (``None`` when attribution was not possible),

@@ -116,8 +116,7 @@ class TenantLimits:
     queued + executing requests (:class:`Overloaded` beyond it);
     ``dfa_max_states`` caps the lazy-DFA backend's transition-cache
     state budget so one pathological ruleset cannot grow its DFA cache
-    without limit (ignored by backends without a DFA cache; under the
-    hybrid backend it caps each lazy-DFA group).
+    without limit (ignored by backends without a DFA cache).
     """
 
     max_stream_bytes: int = 1 << 20
@@ -400,8 +399,7 @@ class ScanService:
         over.  ``limits.dfa_max_states`` caps the lazy-DFA backend's
         ``max_states`` cache budget when that backend is selected (a
         smaller ``backend_options["max_states"]`` stands, a larger one
-        is cut down to it); under the hybrid backend the budget applies
-        to every lazy-DFA group (other substrates ignore the option).
+        is cut down to it; other substrates ignore the option).
         """
         registration = TenantRegistration(
             tuple(patterns), design, backend, stride,
@@ -425,8 +423,7 @@ class ScanService:
         if (
             cap is not None
             and registration.backend is not None
-            and resolve_backend_name(registration.backend)
-            in ("lazy-dfa", "hybrid")
+            and resolve_backend_name(registration.backend) == "lazy-dfa"
         ):
             # A cap, not a default: a budget the caller (or a client
             # frame) asks for is honoured only below the tenant's limit.

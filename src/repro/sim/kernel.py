@@ -67,7 +67,7 @@ CHUNK_SYMBOLS = 4096
 #: Dense successor-table budget; larger automata use the CSR representation.
 DENSE_TABLE_BYTES = 32 * 1024 * 1024
 
-#: Budget for memoised propagation results (bytes of cached rows).
+#: Budget for memoised propagation results, in bytes.
 PROPAGATE_CACHE_BYTES = 32 * 1024 * 1024
 
 #: Distinct activation rows the whole-row step cache holds.  A ruleset
@@ -169,44 +169,27 @@ class Checkpoint:
             )
 
     def relaid(
-        self,
-        target_of: Mapping[int, int],
-        dialect: Optional[str] = None,
-        *,
-        partial: bool = False,
+        self, target_of: Mapping[int, int], dialect: Optional[str] = None
     ) -> "Checkpoint":
         """This suspended stream with every active bit renumbered
         through ``target_of`` (source bit -> target bit) and stamped
         ``dialect``; the cost is the number of *active* states.  A bit
         ``target_of`` does not name means another automaton wrote the
-        checkpoint and raises, unless ``partial``: a scatter onto one of
-        several machines keeps only that machine's states."""
+        checkpoint, and raises."""
         vector, relaid = self.active_state_vector, 0
         while vector:
             low = vector & -vector
             target = target_of.get(low.bit_length() - 1)
-            if target is not None:
-                relaid |= 1 << target
-            elif not partial:
+            if target is None:
                 raise SimulationError(
                     f"checkpoint activates state bit {low.bit_length() - 1}, which "
                     "holds no state here; was it taken on a different automaton?"
                 )
+            relaid |= 1 << target
             vector ^= low
         return Checkpoint(
             self.symbols_processed, relaid, self.start_of_data_pending, dialect
         )
-
-    @staticmethod
-    def union(parts: Sequence["Checkpoint"]) -> "Checkpoint":
-        """One checkpoint for machines that scanned the same bytes side
-        by side (``parts`` already relaid onto disjoint bits of one
-        layout): vectors and armed start-of-data flags OR together."""
-        vector, pending = 0, False
-        for part in parts:
-            vector |= part.active_state_vector
-            pending = pending or part.start_of_data_pending
-        return Checkpoint(parts[0].symbols_processed, vector, pending)
 
     def wire_row(self) -> list:
         """``[symbols, hex(vector), sod]``, plus the dialect when there
@@ -396,6 +379,10 @@ _NO_ROOM: list = [None] * 256
 #: 256-slot list, key and dictionary slot) cost beside their row bytes.
 _STEP_ENTRY_BYTES = 320
 _STEP_ROW_BYTES = 2240
+
+#: What a propagation-memo entry (its key's header, the result's array
+#: header, a tuple and a dictionary slot) costs beside its two rows.
+_PROP_ENTRY_BYTES = 256
 
 
 class _ComponentTables:
@@ -738,7 +725,9 @@ class BitsetKernel:
     def _init_caches(self):
         """Fresh memoisation state (shared by all construction paths)."""
         self._prop_cache: Dict[bytes, Tuple[np.ndarray, bool]] = {}
-        self._prop_cache_limit = max(1024, PROPAGATE_CACHE_BYTES // self.row_bytes)
+        self._prop_cache_limit = max(
+            1024, PROPAGATE_CACHE_BYTES // (2 * self.row_bytes + _PROP_ENTRY_BYTES)
+        )
         self._prop_hits = 0
         self._prop_misses = 0
         # Step cache, whole-row level: full-cycle memo keyed by the packed

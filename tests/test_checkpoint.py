@@ -216,7 +216,8 @@ class TestCheckpointProperties:
 PORTABLE_PATTERNS = ["needle", "na[gn]a+", "^anchor", "spl", "it", "x.{14}y"]
 
 #: Registry name and options of every substrate that speaks the portable
-#: layout (eager-dfa cannot: see TestEagerDfaDialect).
+#: layout (eager-dfa cannot: see TestEagerDfaDialect), and ``hybrid``, a
+#: name for the packed kernel that callers still ask for.
 SUBSTRATES = {
     "golden-interpreter": ("golden-interpreter", {}),
     "packed-kernel": ("packed-kernel", {}),
@@ -232,7 +233,7 @@ def _portable_stream() -> bytes:
     data = bytearray(rng.choice(b"abceghilnoprst ") for _ in range(177))
     data[0:6] = b"anchor"
     # "needle" sits inside the x.{14}y gap: a cut in it is inside two
-    # matches that run on different hybrid groups.
+    # matches of different components.
     data[30:46] = b"xab needle cdefy"
     data[100:105] = b"split"
     data[120:126] = b"nanana"
@@ -261,14 +262,10 @@ class TestCheckpointPortability:
 
     @pytest.fixture(scope="class")
     def backends(self, portable_artifact):
-        built = {
+        return {
             label: create_backend(name, portable_artifact, **options)
             for label, (name, options) in SUBSTRATES.items()
         }
-        # The matrix means something only if hybrid really splits the
-        # ruleset across two substrates with their own sub-placements.
-        assert len(built["hybrid"].groups) == 2
-        return built
 
     @pytest.fixture(scope="class")
     def golden_rows(self, backends):
@@ -327,9 +324,7 @@ def test_a_stray_bit_gets_one_answer_from_every_backend():
             resumable.append(name)
             with pytest.raises(SimulationError):
                 backend.scan(b"needle", resume=Checkpoint(5, 1 << stray, False))
-    assert {"packed-kernel", "lazy-dfa", "hybrid", "golden-interpreter"} <= set(
-        resumable
-    )
+    assert {"packed-kernel", "lazy-dfa", "golden-interpreter"} <= set(resumable)
     # The same check guards a kernel rebuilt from its packed tables (a
     # warm start has nothing else) and one on the CSR successor table.
     kernel = create_backend("packed-kernel", portable_artifact).simulator.kernel

@@ -662,7 +662,7 @@ def _cold_race_build(slot, directory, barrier, queue):
         PATTERNS + ["x.{14}y"], auto=True, cache=cache
     )
     health = engine.health()
-    queue.put((slot, health.tier, health.backend, health.placement, _rows(engine)))
+    queue.put((slot, health.tier, health.backend, _rows(engine)))
 
 
 class TestConcurrentTierChain:
@@ -690,7 +690,7 @@ class TestConcurrentTierChain:
             child.join(timeout=120)
             assert child.exitcode == 0
         assert set(results) == {0, 1}
-        for tier, backend, _, _ in results.values():
+        for tier, backend, _ in results.values():
             assert tier in ("cold-compile", "warm-cache")
             assert backend == "packed-kernel"
         assert results[0][1:] == results[1][1:]
@@ -701,10 +701,7 @@ class TestConcurrentTierChain:
         assert relieved.health().tier == "warm-cache"
         assert cache.stats.automaton_hits == 1 and cache.stats.hits == 1
         assert cache.stats.quarantines == 0
-        assert [
-            relieved.health().backend, relieved.health().placement,
-            _rows(relieved),
-        ] == results[0][1:]
+        assert [relieved.health().backend, _rows(relieved)] == results[0][1:]
         assert not list((tmp_path / "shared").rglob("*.tmp"))
 
     def test_quarantine_race_lands_both_healthy(self, tmp_path, automaton):

@@ -5,11 +5,8 @@ from repro.automata.components import (
     component_index,
     component_stats,
     connected_components,
-    extract_component,
 )
 from repro.automata.symbols import SymbolSet
-from repro.regex.compile import compile_patterns
-from repro.sim.golden import match_offsets
 
 
 def build(edges, states):
@@ -67,23 +64,3 @@ class TestStats:
         assert stats.largest_component_size == 0
         assert stats.component_count == 0
 
-
-class TestExtraction:
-    def test_extracted_component_is_self_contained(self):
-        machine = compile_patterns(["cat", "dog"])
-        components = connected_components(machine)
-        for members in components:
-            sub = extract_component(machine, members)
-            assert len(sub) == len(members)
-            sub.validate()
-
-    def test_extracted_component_language(self):
-        machine = compile_patterns(["cat", "dog"])
-        components = connected_components(machine)
-        text = b"hotdog catalogue"
-        union_offsets = set()
-        for members in components:
-            union_offsets.update(
-                match_offsets(extract_component(machine, members), text)
-            )
-        assert sorted(union_offsets) == match_offsets(machine, text)

@@ -8,12 +8,8 @@ import pytest
 
 import repro.engine
 from repro.compiler.cache import CompileCache
-from repro.compiler.classify import (
-    ComponentClassification,
-    CostModel,
-    cached_substrates,
-    classify_automaton,
-)
+from repro.backends.registry import resolve_backend_name
+from repro.compiler.classify import cached_substrates, classify_automaton
 from repro.core.design import CA_S
 from repro.engine import CacheAutomatonEngine, Match
 from repro.errors import ReproError, SimulationError
@@ -150,7 +146,6 @@ class TestIntrospection:
         [
             ("packed-kernel", True),
             ("lazy-dfa", False),
-            ("hybrid", False),
             ("golden-interpreter", False),
         ],
     )
@@ -261,15 +256,14 @@ WARM_DATA = (
     b"the cat sat on the bat while x0123456789abcdy dogged bart bar dog; "
     b"a second xAAAAAAAAAAAAAAy gap match and one cot at the end cot"
 )
+#: Where ``auto=True`` puts each list is the backend its label names: a
+#: mixed one runs whole on the packed kernel, which ``hybrid`` is a name
+#: for.
 PLACEMENTS = {
     "lazy-dfa": FRIENDLY,
     "packed-kernel": HOSTILE,
     "hybrid": FRIENDLY + HOSTILE,
 }
-#: Where ``auto=True`` puts each list: one whose components disagree (it
-#: keeps the label of the backend that used to split it) runs whole on
-#: the packed kernel.
-LANDS_ON = {**dict(zip(PLACEMENTS, PLACEMENTS)), "hybrid": "packed-kernel"}
 
 
 def _observed(engine):
@@ -277,7 +271,6 @@ def _observed(engine):
     health = engine.health()
     return (
         health.backend,
-        health.placement,
         health.events,
         sorted((m.end, m.rule, m.state) for m in engine.scan(WARM_DATA)),
     )
@@ -293,14 +286,12 @@ def _refuse(name):
 @pytest.fixture()
 def no_front_end(monkeypatch):
     """Arms raising stubs in place of the regex compiler and the per-CC
-    classifier, wherever the engine or the hybrid backend would reach
-    them."""
+    classifier."""
 
     def arm():
         for target in (
             "repro.engine.compile_patterns",
             "repro.engine.classify_automaton",
-            "repro.backends.hybrid.classify_automaton",
         ):
             monkeypatch.setattr(target, _refuse(target))
 
@@ -315,7 +306,7 @@ class TestWarmStartRecomputesNothing:
             patterns, auto=True, cache=tmp_path
         )
         assert cold.health().tier == "cold-compile"
-        assert cold.health().backend == LANDS_ON[backend]
+        assert cold.health().backend == resolve_backend_name(backend)
         assert any("auto placement" in event for event in cold.health().events)
         no_front_end()
         warm = CacheAutomatonEngine.from_patterns(
@@ -331,7 +322,7 @@ class TestWarmStartRecomputesNothing:
         patterns = PLACEMENTS[backend]
         automaton = compile_patterns(patterns, report_codes=patterns)
         cold = CacheAutomatonEngine(automaton, auto=True, cache=tmp_path)
-        assert cold.health().backend == LANDS_ON[backend]
+        assert cold.health().backend == resolve_backend_name(backend)
         no_front_end()
         warm = CacheAutomatonEngine(automaton, auto=True, cache=tmp_path)
         assert warm.health().tier == "warm-cache"
@@ -400,18 +391,19 @@ class TestStaleClassification:
 
     @staticmethod
     def _other_model(tables):
-        """Every component sent to the packed kernel by a cost model in
-        which a warm DFA transition is expensive."""
-        model = CostModel(lazy_warm_us=50.0)
-        skewed = ComponentClassification(
-            components=(),
-            features=tables["classify_features"],
-            costs=tables["classify_costs"],
-            assignment=np.ones_like(tables["classify_assignment"]),
-            cost_model=model,
-        ).to_tables()
-        assert skewed["classify_model"].tolist() == model.as_row()
-        return skewed
+        """The tables a cost-model classifier wrote (table version 1):
+        features, costs, the substrate list and the model's coefficients
+        beside an assignment that sends every component to the packed
+        kernel."""
+        count = len(tables["classify_assignment"])
+        return {
+            "classify_version": np.asarray(1, dtype=np.int64),
+            "classify_features": np.zeros((count, 10)),
+            "classify_costs": np.zeros((count, 2)),
+            "classify_assignment": np.ones(count, dtype=np.int32),
+            "classify_substrates": np.asarray(["lazy-dfa", "packed-kernel"]),
+            "classify_model": np.asarray([0.26, 25.0, 0.2, 0.094, 4096.0]),
+        }
 
     @staticmethod
     def _other_version(tables):
@@ -449,6 +441,9 @@ class TestStaleClassification:
             warm.automaton, warm.design
         )
         assert cached_substrates(stored.classify_tables) is not None
+        assert set(stored.classify_tables) == {
+            "classify_version", "classify_assignment",
+        }
         CacheAutomatonEngine.from_patterns(patterns, auto=True, cache=tmp_path)
         assert calls == [1]
 
@@ -466,8 +461,7 @@ class TestStaleClassification:
             ("classify_assignment", np.asarray([0, 7], dtype=np.int32)),
             ("classify_assignment", np.asarray([0, -1], dtype=np.int32)),
             ("classify_assignment", np.asarray([0.0, 1.0])),
-            ("classify_substrates", np.asarray(["packed-kernel", "lazy-dfa"])),
-            ("classify_model", tables["classify_model"][:-1]),
+            ("classify_version", np.asarray(1, dtype=np.int64)),
         ):
             assert cached_substrates({**tables, name: value}) is None
 

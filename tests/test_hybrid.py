@@ -1,38 +1,39 @@
-"""Pattern-structure-aware hybrid execution: classifier, cost model,
-artifact v3 classify tables, the hybrid backend, and the engine/service
-policy knobs around them.
+"""The ``auto=True`` placement classifier (:mod:`repro.compiler.classify`),
+its artifact tables, and the ``hybrid`` name, an alias of the packed
+kernel (whose step cache steps each component on its own table).
 
-The headline regression here is the ISSUE 9 acceptance scenario: one
-DFA-hostile component (``x.{14}y`` — bounded-gap patterns are the
-classic subset-construction blow-up) mixed with several DFA-friendly
-literal-ish components.  The hybrid backend must keep the friendly
-groups on the lazy DFA, banish the hostile one to the packed kernel,
-and remain bit-identical to the golden interpreter — reports, STE
-identity, and chunked resume included.
+The headline scenario: one DFA-hostile component (``x.{14}y`` —
+bounded-gap patterns are the classic subset-construction blow-up) mixed
+with several DFA-friendly literal-ish components.  The classifier must
+call the friendly components ``lazy-dfa`` and the hostile one
+``packed-kernel`` — exactly the components whose subset-closure probe
+aborts — and ``auto=True`` must run the mixed ruleset whole on the
+packed kernel, bit-identical to the golden interpreter.
 """
 
 import warnings
 
 import pytest
 
+import repro.engine
 from repro.backends.artifact import CompiledArtifact
-from repro.backends.hybrid import FALLBACK_SUBSTRATE, HybridBackend
-from repro.backends.registry import create_backend
+from repro.backends.mapped import PackedKernelBackend
+from repro.backends.registry import (
+    backend_names,
+    create_backend,
+    resolve_backend_name,
+)
 from repro.compiler import compile_automaton
+from repro.compiler.cache import CompileCache
 from repro.compiler.classify import (
-    CostModel,
+    cached_substrates,
     classify_automaton,
     default_probe_budget,
     probe_subset_closure,
 )
 from repro.core.design import CA_P
 from repro.engine import CacheAutomatonEngine
-from repro.errors import (
-    ArtifactError,
-    AutomatonError,
-    DeterminisationExplosion,
-    SimulationError,
-)
+from repro.errors import DeterminisationExplosion, SimulationError
 from repro.regex.compile import compile_patterns
 from repro.sim.golden import Checkpoint
 
@@ -56,6 +57,24 @@ def _report_set(result):
     )
 
 
+def _substrates(classification):
+    return [
+        classification.backend_of(index)
+        for index in range(classification.component_count)
+    ]
+
+
+def _counting_classifier(monkeypatch):
+    """Route the engine's classifier through a call log; returns it."""
+    calls = []
+    classify = repro.engine.classify_automaton
+    monkeypatch.setattr(
+        "repro.engine.classify_automaton",
+        lambda automaton: calls.append(1) or classify(automaton),
+    )
+    return calls
+
+
 @pytest.fixture(scope="module")
 def mixed_artifact():
     return _artifact(MIXED_PATTERNS)
@@ -68,17 +87,13 @@ def golden_reports(mixed_artifact):
 
 
 # ---------------------------------------------------------------------------
-# classifier + cost model
+# classifier
 
 
 class TestClassifier:
     def test_mixed_workload_assignment(self, mixed_artifact):
         classification = classify_automaton(mixed_artifact.automaton)
-        assignment = {
-            classification.backend_of(index)
-            for index in range(classification.component_count)
-        }
-        assert assignment == {"lazy-dfa", "packed-kernel"}
+        assert set(_substrates(classification)) == {"lazy-dfa", "packed-kernel"}
         rows = classification.rows()
         hostile = [row for row in rows if row["backend"] == "packed-kernel"]
         assert len(hostile) == 1
@@ -91,10 +106,7 @@ class TestClassifier:
     def test_friendly_workload_single_substrate(self):
         artifact = _artifact(FRIENDLY_PATTERNS)
         classification = classify_automaton(artifact.automaton)
-        assert {
-            classification.backend_of(index)
-            for index in range(classification.component_count)
-        } == {"lazy-dfa"}
+        assert set(_substrates(classification)) == {"lazy-dfa"}
 
     def test_deterministic_across_runs(self, mixed_artifact):
         first = classify_automaton(mixed_artifact.automaton)
@@ -141,15 +153,9 @@ class TestClassifier:
                 assert signatures == _component_byte_signatures(
                     automaton, members
                 )
-                edges = sum(
-                    1
-                    for ste_id in members
-                    for target in automaton.successors(ste_id)
-                    if target in members
-                )
                 probed = probe_subset_closure(automaton, list(members))
                 row = dict(zip(FEATURE_COLUMNS, classification.features[index]))
-                assert row["edges"] == edges
+                assert row["states"] == len(members)
                 assert row["byte_classes"] == len(set(signatures)) == probed[2]
                 assert (row["probe_states"], bool(row["probe_aborted"])) == (
                     probed[0], probed[1],
@@ -160,36 +166,45 @@ class TestClassifier:
         assert default_probe_budget(10) == 80
         assert default_probe_budget(10_000) == 512
 
-    def test_cost_model_orders_the_substrates(self):
-        model = CostModel(lazy_warm_us=0.25, kernel_word_us=1.8 / 21)
-        # Warm lazy scanning must beat the kernel on a small friendly CC
-        # and lose once the probe aborts (certain thrashing).
-        assert model.lazy_cost_us(4, False) < model.kernel_cost_us(4)
-        assert model.lazy_cost_us(4096, True) > model.kernel_cost_us(4096)
+    @pytest.mark.parametrize(
+        "name", ["Fermi", "Hamming", "RandomForest", "Protomata", "Snort"]
+    )
+    def test_a_component_is_lazy_iff_its_probe_closes(self, name):
+        """The rule, stated once: no cost model stands between the probe
+        and the substrate."""
+        from repro.workloads.suite import get_benchmark
+
+        automaton = get_benchmark(name).build()
+        classification = classify_automaton(automaton)
+        for index, members in enumerate(classification.components):
+            _, aborted, _ = probe_subset_closure(automaton, list(members))
+            assert (classification.backend_of(index) == "lazy-dfa") == (
+                not aborted
+            ), (name, index)
 
     def test_tables_round_trip(self, mixed_artifact):
         classification = classify_automaton(mixed_artifact.automaton)
         tables = classification.to_tables()
-        from repro.compiler.classify import ComponentClassification
+        assert set(tables) == {"classify_version", "classify_assignment"}
+        assert cached_substrates(tables) == _substrates(classification)
 
-        restored = ComponentClassification.from_tables(
-            tables, mixed_artifact.automaton
+    def test_tables_reject_wrong_automaton(self, tmp_path, monkeypatch):
+        """Tables name no automaton: they live in the artifact, whose
+        cache key is the automaton's fingerprint, so another automaton
+        never reads them — it is classified itself."""
+        CacheAutomatonEngine.from_patterns(
+            MIXED_PATTERNS, auto=True, cache=tmp_path
         )
-        assert restored.components == classification.components
-        assert (restored.assignment == classification.assignment).all()
-
-    def test_tables_reject_wrong_automaton(self, mixed_artifact):
-        classification = classify_automaton(mixed_artifact.automaton)
-        tables = classification.to_tables()
-        other = _artifact(FRIENDLY_PATTERNS)
-        from repro.compiler.classify import ComponentClassification
-
-        with pytest.raises(AutomatonError):
-            ComponentClassification.from_tables(tables, other.automaton)
+        calls = _counting_classifier(monkeypatch)
+        other = CacheAutomatonEngine.from_patterns(
+            FRIENDLY_PATTERNS, auto=True, cache=tmp_path
+        )
+        assert calls == [1]
+        assert other.health().backend == "lazy-dfa"
 
 
 # ---------------------------------------------------------------------------
-# artifact v3
+# artifact tables
 
 
 class TestArtifactClassifyTables:
@@ -203,8 +218,9 @@ class TestArtifactClassifyTables:
             buffer, artifact.automaton, artifact.design
         )
         assert set(restored.classify_tables) == set(artifact.classify_tables)
-        backend = HybridBackend.from_artifact(restored)
-        assert len(backend.placement()) == 2
+        assert cached_substrates(restored.classify_tables) == _substrates(
+            classification
+        )
 
     def test_version_2_payload_is_quarantined(self, tmp_path, monkeypatch):
         """A cache artifact written at version 2 must be rejected
@@ -228,26 +244,23 @@ class TestArtifactClassifyTables:
 
 
 # ---------------------------------------------------------------------------
-# hybrid backend
+# the ``hybrid`` name
 
 
 class TestHybridBackend:
-    def test_placement_partitions_by_hostility(self, mixed_artifact):
-        backend = create_backend("hybrid", mixed_artifact)
-        placement = backend.placement()
-        by_backend = {row["backend"]: row for row in placement}
-        assert set(by_backend) == {"lazy-dfa", "packed-kernel"}
-        assert by_backend["lazy-dfa"]["components"] == 4
-        assert by_backend["packed-kernel"]["components"] == 1
-        assert by_backend["packed-kernel"]["states"] == 16
+    """``hybrid`` resolves to the packed kernel, whatever it is handed."""
 
-    def test_bit_identical_to_golden(self, mixed_artifact, golden_reports):
-        backend = create_backend("hybrid", mixed_artifact)
-        result = backend.scan(DATA)
-        assert _report_set(result) == golden_reports
-        # Merged stream is offset-ordered.
-        offsets = [r.offset for r in result.reports]
-        assert offsets == sorted(offsets)
+    def test_bit_identical_to_golden(self, mixed_artifact):
+        """The call the benchmark's probes make, verbatim."""
+        assert "hybrid" not in backend_names()
+        assert resolve_backend_name("hybrid") == "packed-kernel"
+        backend = create_backend(
+            "hybrid", mixed_artifact, stride=1,
+            classification=classify_automaton(mixed_artifact.automaton),
+        )
+        assert type(backend) is PackedKernelBackend
+        golden = create_backend("golden-interpreter", mixed_artifact)
+        assert backend.scan(DATA).reports == golden.scan(DATA).reports
 
     def test_chunked_resume_identical(self, mixed_artifact, golden_reports):
         backend = create_backend("hybrid", mixed_artifact)
@@ -263,8 +276,6 @@ class TestHybridBackend:
                     for r in result.reports
                 )
                 checkpoint = result.checkpoint
-                # A plain checkpoint in the whole artifact's placement
-                # layout: nothing hybrid-specific rides on it.
                 assert type(checkpoint) is Checkpoint
                 assert checkpoint.dialect is None
             assert sorted(reports) == golden_reports
@@ -288,9 +299,9 @@ class TestHybridBackend:
         assert result.profile.reports == len(golden_reports)
 
     def test_foreign_checkpoint_rejected(self, mixed_artifact):
-        """Foreign now means what it means everywhere: a checkpoint in
-        a marked dialect (eager-dfa's state id), or a vector naming
-        state bits this artifact's placement does not have."""
+        """Foreign means what it means everywhere: a checkpoint in a
+        marked dialect (eager-dfa's state id), or a vector naming state
+        bits this artifact's placement does not have."""
         backend = create_backend("hybrid", mixed_artifact)
         eager = create_backend("eager-dfa", _artifact(FRIENDLY_PATTERNS))
         with pytest.raises(SimulationError, match="eager-dfa"):
@@ -310,41 +321,27 @@ class TestHybridBackend:
         plain = Checkpoint(3, 0, False)
         assert backend.scan(b"cat", resume=plain).report_offsets() == [5]
 
-    def test_group_degrades_to_golden(self, mixed_artifact, golden_reports):
-        backend = create_backend("hybrid", mixed_artifact)
-
-        class Boom:
-            def scan(self, *args, **kwargs):
-                raise SimulationError("injected group failure")
-
-            def scan_many(self, *args, **kwargs):
-                raise SimulationError("injected group failure")
-
-        backend.groups[0].backend = Boom()
-        result = backend.scan(DATA)
-        assert _report_set(result) == golden_reports
-        assert backend.groups[0].backend_name == FALLBACK_SUBSTRATE
-        assert any(
-            "fall" in event or "degrad" in event
-            for event in backend.health_events
+    def test_respects_stored_classification(self, tmp_path, monkeypatch):
+        """A stored decision is the decision: an ``auto=True`` warm start
+        follows the artifact's tables without classifying again."""
+        cold = CacheAutomatonEngine.from_patterns(
+            MIXED_PATTERNS, auto=True, cache=tmp_path
         )
-
-    def test_respects_stored_classification(self, mixed_artifact):
-        classification = classify_automaton(mixed_artifact.automaton)
-        artifact = mixed_artifact.with_classify_tables(
-            classification.to_tables()
+        assert cold.health().backend == "packed-kernel"
+        artifact = CompileCache(tmp_path).load_artifact(
+            cold.automaton, cold.design
         )
-        backend = HybridBackend.from_artifact(artifact)
-        assert [row["backend"] for row in backend.placement()] == [
-            "lazy-dfa", "packed-kernel",
-        ]
-
-    def test_single_substrate_workload_single_group(self):
-        artifact = _artifact(FRIENDLY_PATTERNS)
-        backend = create_backend("hybrid", artifact)
-        placement = backend.placement()
-        assert len(placement) == 1
-        assert placement[0]["backend"] == "lazy-dfa"
+        tables = dict(artifact.classify_tables)
+        tables["classify_assignment"] = 0 * tables["classify_assignment"]
+        CompileCache(tmp_path).store_artifact(
+            artifact.with_classify_tables(tables)
+        )
+        calls = _counting_classifier(monkeypatch)
+        warm = CacheAutomatonEngine.from_patterns(
+            MIXED_PATTERNS, auto=True, cache=tmp_path
+        )
+        assert calls == []
+        assert warm.health().backend == "lazy-dfa"
 
 
 # ---------------------------------------------------------------------------
@@ -384,54 +381,68 @@ class TestEngineHybrid:
         engine = CacheAutomatonEngine.from_patterns(
             MIXED_PATTERNS, backend="hybrid"
         )
+        assert engine.health().backend == "packed-kernel"
         ends = sorted(match.end for match in engine.scan(DATA))
         assert ends == sorted(offset for offset, _, _ in golden_reports)
 
     def test_health_reports_placement(self):
-        engine = CacheAutomatonEngine.from_patterns(
-            MIXED_PATTERNS, backend="hybrid"
-        )
-        health = engine.health()
-        assert health.backend == "hybrid"
-        assert {row["backend"] for row in health.placement} == {
-            "lazy-dfa", "packed-kernel",
-        }
+        """Why a ruleset landed where it did is in ``health().events``:
+        how many components' probes exceeded their budget."""
+        for patterns, reason in (
+            (
+                MIXED_PATTERNS,
+                "auto placement selected packed-kernel (1 of 5 components' "
+                "subset-closure probes exceed their budget)",
+            ),
+            (
+                FRIENDLY_PATTERNS,
+                "auto placement selected lazy-dfa (all 3 components' "
+                "subset-closure probes close)",
+            ),
+        ):
+            engine = CacheAutomatonEngine.from_patterns(
+                patterns, auto=True, cache=False
+            )
+            assert reason in engine.health().events
 
-    def test_warm_cache_persists_classification(self, tmp_path):
+    def test_warm_cache_persists_classification(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path / "cache")
         cold = CacheAutomatonEngine.from_patterns(
-            MIXED_PATTERNS, backend="hybrid", cache=cache_dir
+            MIXED_PATTERNS, auto=True, cache=cache_dir
         )
         assert cold.health().tier == "cold-compile"
+        calls = _counting_classifier(monkeypatch)
         warm = CacheAutomatonEngine.from_patterns(
-            MIXED_PATTERNS, backend="hybrid", cache=cache_dir
+            MIXED_PATTERNS, auto=True, cache=cache_dir
         )
         assert warm.health().tier == "warm-cache"
-        assert warm.artifact.classify_tables
-        assert warm.health().placement == cold.health().placement
+        assert calls == []
+        assert set(warm.artifact.classify_tables) == {
+            "classify_version", "classify_assignment",
+        }
+        assert warm.health().events == cold.health().events
 
     def test_classification_stable_across_compile_jobs(self, tmp_path):
-        placements = []
+        decisions = []
         for jobs in (1, 2):
             engine = CacheAutomatonEngine.from_patterns(
                 MIXED_PATTERNS,
-                backend="hybrid",
+                auto=True,
                 cache=str(tmp_path / f"cache{jobs}"),
                 compile_jobs=jobs,
             )
-            placements.append(engine.health().placement)
-        assert placements[0] == placements[1]
+            health = engine.health()
+            decisions.append((health.backend, health.events))
+        assert decisions[0] == decisions[1]
 
     def test_auto_mixed_selects_the_packed_kernel(self):
         """Once one component needs the kernel the others ride along on
-        its per-component tables; ``hybrid`` is by request only."""
+        its per-component tables."""
         engine = CacheAutomatonEngine.from_patterns(MIXED_PATTERNS, auto=True)
         health = engine.health()
         assert health.backend == "packed-kernel"
-        assert health.placement == ()
         assert any(
-            "auto placement selected packed-kernel" in event
-            and "2 substrate(s)" in event
+            event.startswith("auto placement selected packed-kernel")
             for event in health.events
         )
 
@@ -440,7 +451,6 @@ class TestEngineHybrid:
             FRIENDLY_PATTERNS, auto=True
         )
         assert engine.health().backend == "lazy-dfa"
-        assert engine.health().placement == ()
 
     def test_explicit_backend_wins_over_auto(self):
         engine = CacheAutomatonEngine.from_patterns(
@@ -461,41 +471,3 @@ class TestEngineHybrid:
         assert sorted(ends) == sorted(
             offset for offset, _, _ in golden_reports
         )
-
-
-# ---------------------------------------------------------------------------
-# service integration
-
-
-class TestServiceHybrid:
-    def test_tenant_budget_reaches_lazy_group(self):
-        import asyncio
-
-        from repro.service.service import ScanService, TenantLimits
-
-        async def run():
-            service = ScanService()
-            await service.start()
-            try:
-                service.register(
-                    "tenant",
-                    MIXED_PATTERNS,
-                    backend="hybrid",
-                    limits=TenantLimits(dfa_max_states=512),
-                )
-                outcome = await service.scan("tenant", DATA)
-                engine = service.tenant_engine("tenant")
-                lazy = [
-                    group
-                    for group in engine._backend.groups
-                    if group.backend_name == "lazy-dfa"
-                ]
-                assert lazy
-                assert lazy[0].backend.dfa._max_states == 512
-                return outcome
-            finally:
-                await service.stop()
-
-        outcome = asyncio.run(run())
-        assert outcome.served_by == "hybrid"
-        assert outcome.reports

@@ -237,6 +237,34 @@ class TestStepCache:
         assert info["step"]["rows"] == kernel_module.STEP_ROWS
         assert info["component"]["lookups"] > 32 * 1024
 
+    def test_the_propagation_memo_holds_its_budget(self, monkeypatch):
+        """An entry costs its key's and its result's row bytes, two object
+        headers, a tuple and a dictionary slot; charged its row bytes
+        alone, the memo held three times its budget."""
+        monkeypatch.setattr(kernel_module, "PROPAGATE_CACHE_BYTES", 2 << 20)
+        artifact = CompiledArtifact.from_mapping(
+            compile_automaton(get_benchmark("Fermi").build(), CA_P)
+        )
+        kernel = create_backend("packed-kernel", artifact).simulator.kernel
+        kernel._init_caches()
+        rows = np.random.default_rng(7).integers(
+            0, np.iinfo(np.uint64).max, size=(20_000, kernel.words),
+            dtype=np.uint64, endpoint=True,
+        )
+        rows &= kernel._occupied()
+        only_kernel = [tracemalloc.Filter(True, kernel_module.__file__)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(only_kernel)
+            for row in rows:
+                kernel.propagate(row)
+            after = tracemalloc.take_snapshot().filter_traces(only_kernel)
+        finally:
+            tracemalloc.stop()
+        held = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert kernel.cache_info()["propagate"]["size"] == kernel._prop_cache_limit
+        assert held <= 2 << 20, f"{held / 2**20:.2f} MiB held"
+
 
 def as_csr(kernel: BitsetKernel) -> BitsetKernel:
     """The same kernel on the CSR successor table."""

