@@ -306,17 +306,25 @@ class MappedSimulator:
     # -- packed-history helpers -------------------------------------------
 
     def _partition_any(self, rows: np.ndarray) -> np.ndarray:
-        """Boolean (cycles, partitions) 'any set bit in the span' matrix."""
+        """Boolean (cycles, partitions) 'any set bit in the span' matrix.
+
+        The span's words (or bytes) are ORed one at a time: ``.any()``
+        over a short innermost axis is several times slower (8x on
+        Hamming's 20 spans of four words)."""
         cycles = rows.shape[0]
         partitions = self.mapping.partition_count
         if self._span_words:
-            return rows.reshape(cycles, partitions, self._span_words).any(axis=2)
-        packed_bytes = np.ascontiguousarray(rows).view(np.uint8)
-        return (
-            packed_bytes[:, : self._mask_bytes]
-            .reshape(cycles, partitions, self._span_bytes)
-            .any(axis=2)
-        )
+            spans = rows.reshape(cycles, partitions, self._span_words)
+        else:
+            spans = (
+                np.ascontiguousarray(rows)
+                .view(np.uint8)[:, : self._mask_bytes]
+                .reshape(cycles, partitions, self._span_bytes)
+            )
+        seen = spans[:, :, 0].copy()
+        for index in range(1, spans.shape[2]):
+            seen |= spans[:, :, index]
+        return seen != 0
 
     def _switches_hit(self, rows: np.ndarray, group_starts: np.ndarray) -> int:
         """Sum over cycles of switch groups with >= 1 active partition."""

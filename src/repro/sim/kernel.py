@@ -23,9 +23,10 @@ numpy operations, and layers four accelerations on top:
   state) fills that level's row budget; from then on whatever it lacks is
   stepped on **per-component tables** (:class:`_ComponentTables`): each
   weakly connected component of the successor table is determinised
-  lazily on its own words and byte classes, all of them advance with one
-  ``take`` a byte, and the per-cycle histories are rebuilt a block at a
-  time from the component states;
+  lazily on its own words and byte classes, the tables are indexed by
+  *byte column* (bytes no component tells apart) so that all of them
+  advance with one ``take`` of one table row a byte, and the per-cycle
+  histories are rebuilt a block at a time from the component states;
 * **idle fast path** — while no state is active and the start states are
   quiescent, the enabled vector is exactly the all-input start set, so the
   kernel skips ahead over whole input slices with one vectorised
@@ -363,12 +364,17 @@ class ReportDecoder:
         return found
 
 
-#: What one hash-consed component state costs beside its table cells:
-#: its key, its id and their dictionary slot.
+#: What one hash-consed component state costs beside its table cells,
+#: its base and its row words: its int key, its id and their dictionary
+#: slot.
 _COMPONENT_STATE_BYTES = 200
 
 #: Components from which stepping them all with one ``take`` a byte beats
-#: a Python loop over each.
+#: a Python loop over each.  With every transition known the sweep costs
+#: ~550 ns a byte whatever the count and the loop ~100 ns a component, so
+#: they cross at six to seven; on a cold 2 KiB the loop is still ahead at
+#: twelve (the sweep's misses are stepped twice).  Measured on 1–24
+#: independent ``x[yz]+.{2}z``-shaped components, 2-CPU x86-64 host.
 _VECTOR_WIDTH = 8
 
 #: Entry list of an activation row the full whole-row level has no room
@@ -391,17 +397,24 @@ class _ComponentTables:
 
     A component's state is its share of the pending-activation row — the
     words it occupies under its own mask, since components may share a
-    word — and its columns are its own byte classes (bytes its states
-    cannot tell apart).  The states of all components are hash-consed
-    into one flat ``int32`` table: state ``s`` owns ``trans[s]``, the
-    offset of its row words in ``rows``, and ``trans[s + 1 + class]``,
-    its successor on each class, ``0`` while unknown.  State ``0`` is a
-    sink that every class maps to itself, so a stretch of cycles is
-    stepped without looking — one ``trans.take(state + classes[byte])``
+    word — read as one Python int, by which it is hash-consed and on
+    which it is learned: its successor on one of its own byte classes
+    (bytes its states cannot tell apart) is the OR of per-bit successor
+    ints.  A *byte column* is a set of bytes that no component tells
+    apart.  The states of all components share dense ids, and the
+    ``(columns, capacity)`` ``int32`` table ``trans`` holds the successor
+    of state ``s`` on the bytes of column ``g`` at ``trans[g, s]``, ``0``
+    while unknown; ``rows[base[s]:]`` holds its row words.  Id ``0`` is a
+    sink that every column maps to itself, so a stretch of cycles is
+    stepped without looking — one ``trans[column_of[byte]].take(state)``
     per byte, all components at once — and a missing transition shows
-    afterwards as a zero.  At ``limit`` states (give or take one a
-    component) everything is dropped and the current states re-interned,
-    the policy of :class:`repro.sim.lazytable.LazyTable`.
+    afterwards as a zero.  A transition learned on a class is written
+    into every column where the component has that class, so what is
+    missed is still one (state, class) pair.  At ``limit`` states (give
+    or take one a component) everything is dropped and the current
+    states re-interned, the policy of
+    :class:`repro.sim.lazytable.LazyTable`; the table grows by half,
+    never past the ids that limit allows.
     """
 
     def __init__(self, kernel: "BitsetKernel"):
@@ -439,10 +452,24 @@ class _ComponentTables:
         self._masks = [
             self._slot_mask[lo:hi] for lo, hi in zip(bounds, bounds[1:])
         ]
+        # A component's int: bit 64 k + b is bit b of its k-th word.  Its
+        # successor int of each such bit, from the (source, word, mask)
+        # triples (a successor is in its source's component).
+        local = np.zeros(words * 64, dtype=np.intp)
+        local[bits] = (slot - bounds[component]) * 64 + (bits & 63)
+        owner = np.zeros(words * 64, dtype=np.intp)
+        owner[bits] = component
+        of = owner[source]
+        shift = 64 * (np.searchsorted(slots, of * words + word) - bounds[of])
+        self._successors = [[0] * (64 * len(own)) for own in self._words]
+        for index, bit, at, value in zip(
+            of.tolist(), local[source].tolist(), shift.tolist(), mask.tolist()
+        ):
+            self._successors[index][bit] |= value << at
         # Byte classes, per component: bytes that match the same states.
         self._classes = np.empty((256, self.components), dtype=np.intp)
-        self._class_rows: List[np.ndarray] = []
-        self._start: List[np.ndarray] = []
+        self._class_values: List[List[int]] = []
+        self._start: List[int] = []
         for index, (own, masks) in enumerate(zip(self._words, self._masks)):
             seen = np.ascontiguousarray(kernel.match_matrix[:, own] & masks)
             _, byte, klass = np.unique(
@@ -450,13 +477,23 @@ class _ComponentTables:
                 return_index=True,
                 return_inverse=True,
             )
-            self._classes[:, index] = klass + 1
-            self._class_rows.append(seen[byte])
-            self._start.append(kernel.start_all_row[own] & masks)
-        self._spans = [1 + len(rows) for rows in self._class_rows]
-        #: Per component, the kernel bit behind each bit of its row words.
-        lane = np.arange(64)
-        self._bits = [(own[:, None] * 64 + lane).ravel() for own in self._words]
+            self._classes[:, index] = klass
+            self._class_values.append(list(map(kernel.unpack, seen[byte])))
+            self._start.append(kernel.unpack(kernel.start_all_row[own] & masks))
+        # Byte columns: the distinct rows of ``_classes``.  ``_fills`` has,
+        # per component and class, the columns a transition learned on
+        # that class is written into.
+        self._column_classes, column_of = np.unique(
+            self._classes, axis=0, return_inverse=True
+        )
+        self._column_of = column_of.reshape(-1)
+        self._fills = [
+            [
+                np.flatnonzero(self._column_classes[:, index] == klass)
+                for klass in range(len(values))
+            ]
+            for index, values in enumerate(self._class_values)
+        ]
         # Rebuilding full rows: slots in word order, one group per word.
         by_word = np.argsort(self._slot_word, kind="stable")
         self._gather_comp = self._slot_comp[by_word]
@@ -468,20 +505,23 @@ class _ComponentTables:
         )
 
         widest = max(map(len, self._words), default=1)
-        self._sink_span = max(self._spans, default=1)
-        state_bytes = _COMPONENT_STATE_BYTES + max(
-            (4 * span + 8 * len(own) for span, own in zip(self._spans, self._words)),
-            default=0,
-        )
+        columns = len(self._column_classes)
+        # A state's cells, its base and its row words, at the widest.
+        state_bytes = 4 * columns + 8 + 8 * widest + _COMPONENT_STATE_BYTES
         #: State budget; never so small that a flush leaves no room for
         #: the states of one cycle.
         self.limit = max(3 * self.components, STEP_CACHE_BYTES // 2 // state_bytes)
-        self.trans = np.zeros(max(1024, 2 * self._sink_span), dtype=np.int32)
-        self.rows = np.zeros(max(1024, 2 * widest), dtype=np.uint64)
-        self._sink_rows = widest
-        self._ids: List[Dict[bytes, int]] = [{} for _ in range(self.components)]
+        #: Ids the tables can need: the sink, ``limit`` states and one more
+        #: a component (see :meth:`split` and :meth:`_restep`).
+        self._most = self.limit + self.components + 1
+        capacity = min(1024, self._most)
+        self.trans = np.zeros((columns, capacity), dtype=np.int32)
+        self._by_column = list(self.trans)
+        self.base = np.zeros(capacity, dtype=np.intp)
+        self.rows = np.zeros(capacity * widest, dtype=np.uint64)
+        self._widest = widest
+        self._ids: List[Dict[int, int]] = [{} for _ in range(self.components)]
         self._history = np.empty((COMPONENT_BLOCK + 1, self.components), np.int32)
-        self._index = np.empty(self.components, dtype=np.intp)
         self.lookups = 0
         self.misses = 0
         self.flushes = 0
@@ -490,65 +530,68 @@ class _ComponentTables:
     def _reset(self) -> None:
         """Empty tables: the sink, and every component's all-zero state."""
         self.trans[:] = 0
-        self._top = self._sink_span
-        self._row_top = self._sink_rows
+        self._row_top = self._widest
         self.states = 0
+        self._values = [0]
         for ids in self._ids:
             ids.clear()
         self.zero = np.array(
-            [
-                self.intern(index, np.zeros(len(own), dtype=np.uint64))
-                for index, own in enumerate(self._words)
-            ],
+            [self.intern(index, 0) for index in range(self.components)],
             dtype=np.int32,
         )
 
-    def intern(self, component: int, row: np.ndarray) -> int:
-        """Id of the state of ``component`` whose row words are ``row``."""
+    def _grow(self) -> None:
+        """Room for half as many ids again, never more than ``_most``."""
+        old = len(self.base)
+        capacity = min(self._most, old + old // 2)
+        trans = np.zeros((len(self.trans), capacity), dtype=np.int32)
+        trans[:, :old] = self.trans
+        self.trans, self._by_column = trans, list(trans)
+        self.base = np.concatenate([self.base, np.zeros(capacity - old, np.intp)])
+        more = np.zeros((capacity - old) * self._widest, np.uint64)
+        self.rows = np.concatenate([self.rows, more])
+
+    def intern(self, component: int, value: int) -> int:
+        """Id of the state of ``component`` whose row words read ``value``."""
         ids = self._ids[component]
-        key = row.tobytes()
-        state = ids.get(key)
+        state = ids.get(value)
         if state is None:
-            state, base = self._top, self._row_top
-            self._top += self._spans[component]
-            self._row_top += len(row)
-            if self._top > len(self.trans):
-                self.trans = np.concatenate([self.trans, np.zeros_like(self.trans)])
-            if self._row_top > len(self.rows):
-                self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
-            self.trans[state] = base
+            self.states = state = self.states + 1
+            if state == len(self.base):
+                self._grow()
+            width, base = len(self._words[component]), self._row_top
+            self._row_top += width
+            row = np.frombuffer(value.to_bytes(8 * width, "little"), np.uint64)
             self.rows[base : self._row_top] = row
-            ids[key] = state
-            self.states += 1
+            self.base[state] = base
+            self._values.append(value)
+            ids[value] = state
         return state
 
     def split(self, prev: np.ndarray) -> np.ndarray:
-        """The component states whose rows OR together to ``prev``."""
+        """The component states whose rows OR together to ``prev``,
+        interned after a flush when the tables are full."""
+        if self.states >= self.limit:
+            self.flushes += 1
+            self._reset()
         state = self.zero.copy()
         live = np.flatnonzero(prev[self._slot_word] & self._slot_mask)
+        unpack = self._kernel.unpack
         for index in np.unique(self._slot_comp[live]).tolist():
-            state[index] = self.intern(
-                index, prev[self._words[index]] & self._masks[index]
-            )
+            own = prev[self._words[index]] & self._masks[index]
+            state[index] = self.intern(index, unpack(own))
         return state
 
     def rows_of(self, states: np.ndarray) -> np.ndarray:
         """``(cycles, components)`` states -> the ``(cycles, words)`` rows
         they stand for: the OR of their components' rows."""
-        cells = self.trans.take(states).take(self._gather_comp, axis=1)
+        cells = self.base.take(states).take(self._gather_comp, axis=1)
         cells += self._gather_cell
         out = np.zeros((len(states), self._kernel.words), dtype=np.uint64)
         out[:, self._occupied_words] = np.bitwise_or.reduceat(
             self.rows.take(cells), self._word_starts, axis=1
         )
         return out
-
-    def flush(self, state: np.ndarray) -> np.ndarray:
-        """Drop every state and transition; returns ``state`` re-interned."""
-        prev = self.rows_of(state[None])[0]
-        self.flushes += 1
-        self._reset()
-        return self.split(prev)
 
     def step(self, state: np.ndarray, sym: np.ndarray) -> np.ndarray:
         """Advance ``state`` over ``sym`` (at most a block of symbols):
@@ -568,65 +611,68 @@ class _ComponentTables:
         """
         cycles = len(sym)
         if self.states >= self.limit:
-            state = self.flush(state)
+            state = self.split(self.rows_of(state[None])[0])  # flushes first
         history = self._history[: cycles + 1]
         history[0] = state
         if self.components >= _VECTOR_WIDTH:
             lacking = self._sweep(history, sym)
         else:
-            lacking = [(column, 0) for column in range(self.components)]
+            lacking = [(component, 0) for component in range(self.components)]
         reached = cycles
-        for column, cycle in lacking:
-            reached = min(reached, self._restep(column, sym, history, cycle))
+        for component, cycle in lacking:
+            reached = min(reached, self._restep(component, sym, history, cycle))
         return history[: reached + 1]
 
     def _sweep(self, history: np.ndarray, sym: np.ndarray) -> List[Tuple[int, int]]:
         """Step every component over ``sym`` blind from ``history[0]``;
         returns ``(component, first cycle it lacked a transition on)``
         for those that ran into the sink."""
-        rows = list(history)
-        index, take = self._index, self.trans.take
-        for cycle, classes in enumerate(self._classes[sym]):
-            np.add(rows[cycle], classes, out=index)
-            take(index, out=rows[cycle + 1])
+        rows, tables = list(history), self._by_column
+        # Every cell is an id in range: ``clip`` spares the bounds check
+        # that makes ``take`` buffer its output.
+        for cycle, column in enumerate(self._column_of[sym].tolist()):
+            tables[column].take(rows[cycle], out=rows[cycle + 1], mode="clip")
         holes = history[1:] == 0
-        columns = np.flatnonzero(holes.any(axis=0))
-        first = holes[:, columns].argmax(axis=0)
-        return list(zip(columns.tolist(), first.tolist()))
+        components = np.flatnonzero(holes.any(axis=0))
+        first = holes[:, components].argmax(axis=0)
+        return list(zip(components.tolist(), first.tolist()))
 
     def _restep(
-        self, column: int, sym: np.ndarray, history: np.ndarray, cycle: int
+        self, component: int, sym: np.ndarray, history: np.ndarray, cycle: int
     ) -> int:
-        """Step component ``column`` alone from ``cycle`` (where it lacked
-        a transition) to the end of ``sym``, learning what it lacks;
+        """Step ``component`` alone from ``cycle`` (where it lacked a
+        transition) to the end of ``sym``, learning what it lacks;
         returns the cycle it got to — short of the end, but past
         ``cycle``, when the tables are full."""
-        state = int(history[cycle, column])
+        state = int(history[cycle, component])
         trans = memoryview(self.trans)
         after = []
-        for klass in self._classes[sym[cycle:], column].tolist():
-            target = trans[state + klass]
+        for column in self._column_of[sym[cycle:]].tolist():
+            target = trans[column, state]
             if target == 0:
                 if after and self.states >= self.limit:
                     break
-                target = self._learn(column, state, klass)
+                klass = int(self._column_classes[column, component])
+                target = self._learn(component, state, klass)
                 trans = memoryview(self.trans)
             after.append(target)
             state = target
-        history[cycle + 1 : cycle + 1 + len(after), column] = after
+        history[cycle + 1 : cycle + 1 + len(after), component] = after
         return cycle + len(after)
 
-    def _learn(self, column: int, state: int, klass: int) -> int:
-        """Fill, on the component's own words, the transition of its
-        ``state`` on byte class ``klass``; returns the successor."""
-        own = self._words[column]
-        base = int(self.trans[state])
-        matched = self.rows[base : base + len(own)] | self._start[column]
-        matched &= self._class_rows[column][klass - 1]
-        local = np.unpackbits(matched.view(np.uint8), bitorder="little")
-        bits = self._bits[column][local.nonzero()[0]]
-        target = self.intern(column, self._kernel._successors_of_bits(bits)[own])
-        self.trans[state + klass] = target
+    def _learn(self, component: int, state: int, klass: int) -> int:
+        """Fill the transition of ``component``'s ``state`` on its byte
+        class ``klass``, in every column of that class; returns the
+        successor."""
+        matched = self._values[state] | self._start[component]
+        matched &= self._class_values[component][klass]
+        successors, value = self._successors[component], 0
+        while matched:
+            low = matched & -matched
+            value |= successors[low.bit_length() - 1]
+            matched ^= low
+        target = self.intern(component, value)
+        self.trans[self._fills[component][klass], state] = target
         self.misses += 1
         return target
 

@@ -209,6 +209,49 @@ class TestStepCache:
             <= info["component"]["limit"] + info["component"]["components"]
         )
         assert (info["component"]["flushes"] > 0) == (state_bytes == 1 << 40)
+        # The table never grows past the ids that state bound allows.
+        assert (
+            tiny.kernel._components.trans.shape[1]
+            <= info["component"]["limit"] + info["component"]["components"] + 1
+        )
+
+    @pytest.mark.parametrize("width", [1, 10**9], ids=["sweep", "loop"])
+    def test_a_learn_fills_every_byte_column_of_its_class(self, monkeypatch, width):
+        """``p`` tells ``a`` from ``b``, ``u`` does not: the two bytes are
+        two byte columns, and what ``u`` learns on one it knows on the
+        other."""
+        monkeypatch.setattr(kernel_module, "_VECTOR_WIDTH", width)
+        automaton = HomogeneousAutomaton("columns")
+        automaton.add_ste("p", SymbolSet(b"a"), start=StartKind.ALL_INPUT)
+        automaton.add_ste("q", SymbolSet(b"b"), reporting=True)
+        automaton.add_edge("p", "q")
+        automaton.add_ste("u", SymbolSet(b"ab"), start=StartKind.ALL_INPUT)
+        automaton.add_ste("v", SymbolSet(b"ab"), reporting=True)
+        automaton.add_edge("u", "v")
+        kernel = BitsetKernel.from_automaton(
+            automaton, {"p": 0, "q": 1, "u": 64, "v": 65}, 128
+        )
+        level = kernel_module._ComponentTables(kernel)
+        columns = len(np.unique(level._classes, axis=0))
+        assert level.trans.shape[0] == columns == 3  # a, b, and the rest
+        blind = [
+            index
+            for index in range(level.components)
+            if level._classes[ord("a"), index] == level._classes[ord("b"), index]
+        ]
+        assert len(blind) == 1
+
+        def step(byte):
+            sym = np.frombuffer(byte, dtype=np.uint8)
+            return level.step(level.zero.copy(), sym)[1].tolist()
+
+        after_a = step(b"a")
+        assert level.misses == 2
+        after_b = step(b"b")
+        assert level.misses == 3, "u relearned what it knew"
+        assert after_a[blind[0]] == after_b[blind[0]]
+        filled = level.trans[:, level.zero[blind[0]]]
+        assert filled[level._column_of[ord("a")]] == filled[level._column_of[ord("b")]]
 
     def test_budgets_bound_what_the_caches_hold(self):
         """64 KiB of Fermi never revisits a whole activation row: the
@@ -361,12 +404,13 @@ class TestWhereTheTwoLevelsMeet:
         cuts = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
         pieces = [data[low:high] for low, high in zip(cuts, cuts[1:])] or [b""]
 
-        def scan(step_rows, state_bytes, csr):
+        def scan(step_rows, state_bytes, csr, width):
             with mock.patch.multiple(
                 kernel_module,
                 STEP_ROWS=step_rows,
                 _COMPONENT_STATE_BYTES=state_bytes,
                 COMPONENT_BLOCK=16,
+                _VECTOR_WIDTH=width,
             ):
                 kernel = BitsetKernel.from_automaton(automaton, bit_of, N_WORDS * 64)
                 if csr:
@@ -374,14 +418,16 @@ class TestWhereTheTwoLevelsMeet:
                 return scan_in_pieces(kernel, automaton, bit_of, pieces)
 
         default = kernel_module._COMPONENT_STATE_BYTES
-        expected = scan(kernel_module.STEP_ROWS, default, False)
+        expected = scan(kernel_module.STEP_ROWS, default, False, 1)
         assert len(expected[0]) == len(data) * N_WORDS * 8
         for step_rows in (0, 1, 3, kernel_module.STEP_ROWS):
             for state_bytes in (1 << 40, default):
                 for csr in (False, True):
-                    assert scan(step_rows, state_bytes, csr) == expected, (
-                        step_rows, state_bytes, csr,
-                    )
+                    # Every component swept at once, or each in its own loop.
+                    for width in (1, 10**9):
+                        assert scan(step_rows, state_bytes, csr, width) == expected, (
+                            step_rows, state_bytes, csr, width,
+                        )
 
     def test_a_checkpoint_bit_no_transition_touches_lives_one_cycle(self):
         """A lone state is in no component; set by a checkpoint it is
