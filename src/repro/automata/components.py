@@ -16,52 +16,34 @@ import numpy as np
 
 from repro.automata.anml import HomogeneousAutomaton
 
-try:  # C-speed weak-CC labelling when scipy is present
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components as _csgraph_components
-except ImportError:  # pragma: no cover - exercised only without scipy
-    coo_matrix = None
-    _csgraph_components = None
-
 
 def component_labels(
     node_count: int, sources: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
-    """Weak-component label (an int) of each of ``node_count`` nodes under
-    the edges ``sources[i] -> targets[i]``; scipy when available, else
-    union-find with path halving over the edge arrays."""
-    if _csgraph_components is not None:
-        matrix = coo_matrix(
-            (
-                np.ones(sources.shape[0], dtype=np.int8),
-                (sources, targets),
-            ),
-            shape=(node_count, node_count),
-        )
-        _, labels = _csgraph_components(
-            matrix, directed=True, connection="weak"
-        )
-        return labels
-    parent = list(range(node_count))
+    """Weak-component label of each of ``node_count`` nodes under the
+    edges ``sources[i] -> targets[i]``: the smallest node id in its
+    component.
 
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for source, target in zip(sources.tolist(), targets.tolist()):
-        source_root = find(source)
-        target_root = find(target)
-        if target_root != source_root:
-            parent[max(source_root, target_root)] = min(
-                source_root, target_root
-            )
-    return np.fromiter(
-        (find(node) for node in range(node_count)),
-        dtype=np.int64,
-        count=node_count,
-    )
+    Min-label propagation with pointer jumping.  A label is a *root*, a
+    node labelled with itself.  Every round hooks the larger root of each
+    edge whose ends disagree onto the smallest root it meets, then jumps
+    every label to its root.  A root that is not smaller than all its
+    neighbours is hooked, so each round at least halves the roots of a
+    component: ``O(log n)`` rounds.
+    """
+    labels = np.arange(node_count, dtype=np.int64)
+    while True:
+        tail, head = labels[sources], labels[targets]
+        low, high = np.minimum(tail, head), np.maximum(tail, head)
+        apart = low != high
+        if not apart.any():
+            return labels
+        np.minimum.at(labels, high[apart], low[apart])
+        while True:  # pointer jumping
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def connected_components(automaton: HomogeneousAutomaton) -> List[List[str]]:
@@ -72,8 +54,8 @@ def connected_components(automaton: HomogeneousAutomaton) -> List[List[str]]:
     result is deterministic.
 
     Works on the automaton's cached integer edge arrays, so the labelling
-    itself is one sparse-graph call (or one union-find sweep) instead of a
-    per-node BFS with set unions.
+    itself is a few vectorised rounds (:func:`component_labels`) instead
+    of a per-node BFS with set unions.
     """
     arrays = automaton.edge_index_arrays()
     ids = arrays.ids  # lexically sorted, so groups come out sorted too

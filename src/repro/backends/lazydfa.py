@@ -5,7 +5,7 @@ aliases): instead of eagerly determinising the automaton — which blows
 up on real rule sets like PowerEN — it hash-conses the packed kernel's
 activation rows into DFA states *as the input visits them*
 (:class:`~repro.sim.lazydfa.LazyDfaKernel`), so a warm transition costs
-two list indexes and match/report semantics stay bit-identical to the
+one list index and match/report semantics stay bit-identical to the
 golden interpreter, full STE identity included.  The eager subset-
 construction baseline remains available as ``eager-dfa``.
 

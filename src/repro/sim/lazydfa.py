@@ -11,12 +11,13 @@ A DFA state is one distinct pending successor-activation row of the
 underlying :class:`~repro.sim.kernel.BitsetKernel` — the packed vector
 ``run_chunk`` threads between cycles.  The states and their transitions
 live in a :class:`~repro.sim.lazytable.LazyTable` keyed by the row's
-bytes (hash-consing, the encoded rows the scan loop indexes, the
+bytes (hash-consing, the chained rows and the walk over them, the
 bounded budget with flush on overflow, the flush-immune record table
 and shared-memory publication are all its; see that module), so a warm
-transition costs two Python list indexes and zero numpy work.  What is
+transition costs one Python list index and zero numpy work.  What is
 this module's own is the step function — one kernel cycle, or k of them
-— and what a reporting transition records.
+— what a reporting transition records, and how a walk's records turn
+into report events.
 
 **k-stride execution** (CAMA's alphabet transformation): with a
 :class:`~repro.automata.stride.StrideAlphabet` the DFA consumes k input
@@ -201,8 +202,8 @@ class LazyDfaKernel:
         rep_row = matched & kernel.report_row
         return nxt, popcount_row(rep_row), rep_row
 
-    def _miss(self, sid: int, column: int) -> Tuple[int, int]:
-        """Fill the ``(sid, column)`` transition; returns ``(sid, enc)``
+    def _miss(self, sid: int, column: int) -> Tuple[int, object]:
+        """Fill the ``(sid, column)`` transition; returns ``(sid, cell)``
         as :meth:`LazyTable.fill` does (``sid`` may have been remapped
         by a flush).
 
@@ -266,16 +267,17 @@ class LazyDfaKernel:
             )
         events: List[Tuple[int, int]] = []
         report_total = 0
-        length = len(symbols)
-        if length == 0:
+        if len(symbols) == 0:
             return events, report_total, prev, sod
-        sym_list = symbols.tolist()
-        i = 0
+        # Iterating bytes yields the same ints as a list and skips the
+        # ~4 ns/B ``tolist`` costs.
+        columns = symbols.tobytes()
+        start = 0
         if sod:
             # Start-of-data states are enabled for exactly one cycle, so
             # that cycle runs outside the cache and the DFA proper only
             # ever sees transitions keyed by the activation row alone.
-            prev, count, rep_row = self._sod_step(prev, sym_list[0])
+            prev, count, rep_row = self._sod_step(prev, columns[0])
             if count:
                 report_total += count
                 if collect_events:
@@ -283,27 +285,18 @@ class LazyDfaKernel:
                         (0, self._event_id((count, rep_row.tobytes())))
                     )
             sod = False
-            i = 1
+            start = 1
         table = self._table
-        table.lookups += length - i
-        sid = table.intern(prev.tobytes())
-        enc_rows = table.enc_rows
-        records = table.records.values
-        row = enc_rows[sid]
-        while i < length:
-            value = row[sym_list[i]]
-            if value < 0:
-                sid, value = self._miss(sid, sym_list[i])
-            if value < 4294967296:
-                sid = value
-            else:
-                sid = value & 4294967295
-                event_id = (value >> 32) - 1
-                report_total += records[event_id][0]
-                if collect_events:
-                    events.append((i, event_id))
-            row = enc_rows[sid]
-            i += 1
+        trail: List[int] = []
+        sid = table.walk(
+            table.intern(prev.tobytes()), columns, self._miss, trail, start
+        )
+        if trail:
+            records = table.records.values
+            for event_id, times in table.tally(trail).items():
+                report_total += records[event_id][0] * times
+            if collect_events:
+                events += table.recorded(trail)
         return events, report_total, table.states[sid], sod
 
     def _scan_strided(
@@ -344,26 +337,18 @@ class LazyDfaKernel:
                 symbols[pos:tail_start]
             ).tolist()
             table = self._table
-            table.lookups += groups
-            sid = table.intern(prev.tobytes())
-            enc_rows = table.enc_rows
+            trail: List[int] = []
+            sid = table.walk(
+                table.intern(prev.tobytes()), classes, self._miss, trail
+            )
             records = table.records.values
-            row = enc_rows[sid]
-            for j in range(groups):
-                value = row[classes[j]]
-                if value < 0:
-                    sid, value = self._miss(sid, classes[j])
-                if value < 4294967296:
-                    sid = value
-                else:
-                    sid = value & 4294967295
-                    total, combo = records[(value >> 32) - 1]
-                    report_total += total
-                    if collect_events:
-                        group_base = pos + j * k
-                        for delta, event_id in combo:
-                            events.append((group_base + delta, event_id))
-                row = enc_rows[sid]
+            for j, combo_id in table.recorded(trail):
+                total, combo = records[combo_id]
+                report_total += total
+                if collect_events:
+                    group_base = pos + j * k
+                    for delta, event_id in combo:
+                        events.append((group_base + delta, event_id))
             prev = table.states[sid]
         # Odd-length tail: fall back to uncached unstrided cycles so the
         # final activation row (the resume cursor) is bit-identical to

@@ -4,20 +4,32 @@
 column = byte, or compressed stride class when striding) and
 :class:`~repro.sim.split.SfaKernel` (state = entry -> exit mapping;
 column = byte) determinise different automata with the same RE2-style
-mechanism.  :class:`LazyTable` holds that mechanism once; a kernel keeps
-only its step function — what the successor of ``(state, column)`` is
-and what the transition must remember — and its scan loop.
+mechanism.  :class:`LazyTable` holds that mechanism once, scan loop
+included; a kernel keeps only its step function — what the successor of
+``(state, column)`` is and what the transition must remember — and what
+it does with the records a scan met.
 
 * **Hash-consing.**  A state is any hashable *key*; :meth:`LazyTable.
   intern` maps it to a dense id, and ``keys[sid]`` maps back.
   ``states[sid]`` is the key *decoded* once, at interning, into the form
   the step function works on (row arrays over the key's bytes), so a
   miss does not pay for the conversion again.
-* **Encoded rows.**  ``enc_rows[sid]`` is a ``width``-entry Python list
-  the scan loops index directly: ``-1`` missing, the bare successor id
-  for a *silent* transition, ``(record_id + 1) << 32 | next_id`` for one
-  that carries a record — so a warm step is one list index and one
-  comparison.
+* **Chained rows, one walk.**  ``enc_rows[sid]`` is a Python list of
+  ``width + 1`` cells.  A *silent* transition's cell is the successor's
+  row itself, a missing one is ``~sid`` and one that carries a record is
+  the int ``(record_id + 1) << 32 | next_id``; slot ``width`` holds the
+  row's own id.  :meth:`LazyTable.walk` — the one scan loop of all three
+  users — is therefore ``for column in columns: row = row[column]``, one
+  list index a byte.  An int cell makes the next index raise
+  ``TypeError``; the handler settles the cell (a miss, or a record put
+  on the walk's *trail*) and steps the next :data:`CHECKED_STRETCH`
+  columns with a per-step check — and the next, for as long as a
+  stretch meets a record — because records and misses come in bursts:
+  a report-dense stream pays no raise per record.  Trails are decoded
+  after the walk (:meth:`LazyTable.recorded`,
+  :meth:`LazyTable.tally`).  Rows refer to rows, so a flush and a
+  dropped table clear every row in place instead of leaving the cycles
+  to the collector.
 * **Records are flush-immune.**  What a non-silent transition must
   remember (a report event, a stride window's report combo, an SFA slot
   effect) is interned in ``records``, an :class:`Interner` that is never
@@ -42,9 +54,25 @@ and what the transition must remember — and its scan loop.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+#: The low 32 bits of a cell that carries a record: the successor's id.
+_ID_MASK = 4294967295
+
+#: Columns :meth:`LazyTable.walk` steps with a per-step check after a
+#: cell that is not a row, before it goes back to raising on the next
+#: one.  One raise costs ~400 ns, one checked step ~33 ns against ~11
+#: unchecked (CPython 3.11, 2-CPU x86-64 host); 16 and 32 read slower
+#: than 64 on a stream with a report every ~16 bytes, and no faster on
+#: one with two reports a KiB.
+CHECKED_STRETCH = 64
+
+#: Trails with at least this many records are tallied in numpy, whose
+#: ~10 µs set-up a Python loop over fewer records undercuts.
+_BULK_TALLY = 128
 
 
 class Interner:
@@ -68,10 +96,11 @@ class LazyTable:
     ``decode(key)`` gives the working form of a state, kept in
     ``states``.  Single-threaded mutable state.  ``keys``, ``states``
     and ``enc_rows`` are cleared *in place* on a flush, so a scan loop
-    may hold them in locals across :meth:`fill`.  ``max_states`` may be
-    reassigned at any time; :meth:`intern` itself never checks it (a
-    scan interns its entry state unconditionally), so the table holds
-    at most ``max_states + 1`` states.
+    may hold them in locals across :meth:`fill`; so is every row, so a
+    row held across a flush is empty.  ``max_states`` may be reassigned
+    at any time; :meth:`intern` itself never checks it (a scan interns
+    its entry state unconditionally), so the table holds at most
+    ``max_states + 1`` states.
     """
 
     def __init__(
@@ -89,9 +118,17 @@ class LazyTable:
         self.records = Interner()
         self.keys: List[Hashable] = []
         self.states: list = []
-        self.enc_rows: List[List[int]] = []
+        self.enc_rows: List[list] = []
         self._ids: Dict[Hashable, int] = {}
         self._next = np.full((256, self.width), -1, dtype=np.int32)
+
+    def __del__(self):
+        self._clear_rows()
+
+    def _clear_rows(self) -> None:
+        for row in self.enc_rows:
+            row.clear()
+        del self.enc_rows[:]
 
     def intern(self, key: Hashable) -> int:
         """Dense id of the state ``key``."""
@@ -101,7 +138,9 @@ class LazyTable:
             self._ids[key] = sid
             self.keys.append(key)
             self.states.append(self._decode(key))
-            self.enc_rows.append([-1] * self.width)
+            row = [~sid] * self.width
+            row.append(sid)
+            self.enc_rows.append(row)
             capacity = self._next.shape[0]
             if sid >= capacity:
                 grown = np.full(
@@ -117,9 +156,10 @@ class LazyTable:
         column: int,
         next_key: Hashable,
         record: Optional[Hashable] = None,
-    ) -> Tuple[int, int]:
+    ) -> Tuple[int, object]:
         """Record the missing ``(sid, column)`` transition; returns
-        ``(sid, encoded transition)``.
+        ``(sid, cell)``: the successor's row when the transition is
+        silent, else the record-carrying int.
 
         May flush the whole table (state budget reached); the returned
         ``sid`` is the — possibly re-interned — id of the *current*
@@ -133,17 +173,115 @@ class LazyTable:
             self._ids.clear()
             del self.keys[:]
             del self.states[:]
-            del self.enc_rows[:]
+            self._clear_rows()
             sid = self.intern(current)
-        enc = self._ids.get(next_key)  # the usual miss: a known successor
-        if enc is None:
-            enc = self.intern(next_key)
+        nid = self._ids.get(next_key)  # the usual miss: a known successor
+        if nid is None:
+            nid = self.intern(next_key)
         if record is None:
-            self._next[sid, column] = enc
+            self._next[sid, column] = nid
+            cell = self.enc_rows[nid]
         else:
-            enc |= (self.records.id(record) + 1) << 32
-        self.enc_rows[sid][column] = enc
-        return sid, enc
+            cell = (self.records.id(record) + 1) << 32 | nid
+        self.enc_rows[sid][column] = cell
+        return sid, cell
+
+    def walk(
+        self,
+        sid: int,
+        columns: Sequence[int],
+        miss: Callable[[int, int], Tuple[int, object]],
+        trail: List[int],
+        start: int = 0,
+    ) -> int:
+        """Step from state ``sid`` over ``columns[start:]``; returns the id
+        of the state after the last one.
+
+        ``columns`` is a list of ints or, cheaper to build, ``bytes``.
+        ``miss(sid, column)`` computes a missing transition and returns
+        what :meth:`fill` does.  Each transition that carries a record
+        appends two ints to ``trail``: its index in ``columns`` and its
+        cell, which :meth:`recorded` and :meth:`tally` decode.
+        """
+        end = len(columns)
+        self.lookups += end - start
+        enc_rows = self.enc_rows
+        push = trail.append
+        row = enc_rows[sid]
+        it = iter(columns)
+        next(islice(it, start, start), None)
+        while True:
+            try:
+                for column in it:
+                    row = row[column]
+            except TypeError:
+                # ``row`` is the int read one column before ``column``,
+                # which ``it`` has yielded and the walk has not stepped.
+                at = end - it.__length_hint__() - 2
+                row = self._settle(row, at, columns, miss, trail)
+                stretch = chain((column,), islice(it, CHECKED_STRETCH - 1))
+            else:
+                if row.__class__ is not list:  # read at the last column
+                    row = self._settle(row, end - 1, columns, miss, trail)
+                return row[self.width]
+            # Checked stretches, for as long as each one meets a record.
+            while True:
+                met = len(trail)
+                for at, column in enumerate(stretch, at + 1):
+                    cell = row[column]
+                    if cell.__class__ is list:
+                        row = cell
+                    elif cell > 0:
+                        push(at)
+                        push(cell)
+                        row = enc_rows[cell & _ID_MASK]
+                    else:
+                        row = self._settle(cell, at, columns, miss, trail)
+                if len(trail) == met:
+                    break
+                stretch = islice(it, CHECKED_STRETCH)
+
+    def _settle(
+        self,
+        cell: int,
+        at: int,
+        columns: Sequence[int],
+        miss: Callable[[int, int], Tuple[int, object]],
+        trail: List[int],
+    ) -> list:
+        """The row :meth:`walk` goes on from after the int ``cell`` it
+        read at index ``at``: a miss is filled, a record is trailed."""
+        if cell < 0:
+            cell = miss(~cell, columns[at])[1]
+            if cell.__class__ is list:
+                return cell
+        trail.append(at)
+        trail.append(cell)
+        return self.enc_rows[cell & _ID_MASK]
+
+    @staticmethod
+    def recorded(trail: List[int]) -> List[Tuple[int, int]]:
+        """A :meth:`walk` trail as ``(index, record id)`` pairs, in walk
+        order."""
+        return [
+            (index, (cell >> 32) - 1)
+            for index, cell in zip(trail[::2], trail[1::2])
+        ]
+
+    @staticmethod
+    def tally(trail: List[int]) -> Dict[int, int]:
+        """``record id -> times met`` over a :meth:`walk` trail."""
+        cells = trail[1::2]
+        if len(cells) >= _BULK_TALLY:
+            ids, times = np.unique(
+                np.array(cells, dtype=np.int64) >> 32, return_counts=True
+            )
+            return dict(zip((ids - 1).tolist(), times.tolist()))
+        tally: Dict[int, int] = {}
+        for cell in cells:
+            record_id = (cell >> 32) - 1
+            tally[record_id] = tally.get(record_id, 0) + 1
+        return tally
 
     def publish(self) -> Tuple[List[Hashable], np.ndarray]:
         """``(keys in id order, (states, width) int32 silent successors)``,
@@ -189,7 +327,7 @@ class LazyTable:
         for sid, column, value in zip(
             local[rows].tolist(), columns.tolist(), gained.tolist()
         ):
-            enc_rows[sid][column] = value
+            enc_rows[sid][column] = enc_rows[value]
 
     def counters(self) -> Dict[str, int]:
         """The ``cache_info()`` keys every table user reports; ``hits``

@@ -92,14 +92,14 @@ class SfaKernel:
     A state is the whole chunk-scan mapping at one input position,
     canonically represented as ``(const row, ordered distinct linear
     rows)`` — a tuple of row bytes, the key of one
-    :class:`~repro.sim.lazytable.LazyTable` state, with transitions
-    cached per state in 256-entry lists exactly like
-    :class:`~repro.sim.lazydfa.LazyDfaKernel`.  Most transitions are
-    *silent* (every linear slot survives 1:1, nobody reports): those
-    encode as the bare successor id and cost one list index.  The rest
-    carry a flush-immune *effect* record: which source slots died or
-    merged (and into which surviving slot), plus the cycle's reporting
-    rows for the const part and each firing slot.
+    :class:`~repro.sim.lazytable.LazyTable` state, walked by the table
+    exactly like :class:`~repro.sim.lazydfa.LazyDfaKernel`'s.  Most
+    transitions are *silent* (every linear slot survives 1:1, nobody
+    reports): their cell is the successor's row, one list index a byte.
+    The rest carry a flush-immune *effect* record: which source slots
+    died or merged (and into which surviving slot), plus the cycle's
+    reporting rows for the const part and each firing slot, applied to
+    the chunk's slot groups after the walk, in walk order.
 
     The cached automaton is shared state; the per-chunk group
     bookkeeping lives in :meth:`scan_mapping`'s locals, so one kernel
@@ -177,8 +177,8 @@ class SfaKernel:
 
     # -- transitions -------------------------------------------------------
 
-    def _miss(self, sid: int, symbol: int) -> Tuple[int, int]:
-        """Fill the ``(sid, symbol)`` transition; returns ``(sid, enc)``
+    def _miss(self, sid: int, symbol: int) -> Tuple[int, object]:
+        """Fill the ``(sid, symbol)`` transition; returns ``(sid, cell)``
         as :meth:`LazyTable.fill` does (``sid`` may have been remapped
         by a flush)."""
         kernel = self._kernel
@@ -231,16 +231,14 @@ class SfaKernel:
         and the event lists carry the per-group contributions the join
         unions with the const part.  All offsets are chunk-local.
         """
-        length = len(symbols)
-        if length == 0:
+        if len(symbols) == 0:
             raise ValueError("split mapping chunks must be non-empty")
-        sym_list = symbols.tolist()
-        entry_key, group_of_bit, const0 = self._entry(sym_list[0])
+        columns = symbols.tobytes()
+        entry_key, group_of_bit, const0 = self._entry(columns[0])
         n_groups = len(entry_key) - 1
         if n_groups > self._slot_limit:
             return None
         table = self._table
-        sid = table.intern(entry_key)
         # Per-chunk bookkeeping: which original groups ride each slot.
         slot_groups: List[List[int]] = [[group] for group in range(n_groups)]
         const_events: List[Tuple[int, bytes]] = []
@@ -248,37 +246,30 @@ class SfaKernel:
             const_events.append((0, const0))
         linear_events: List[Tuple[int, bytes, Tuple[int, ...]]] = []
 
-        table.lookups += length - 1
-        enc_rows = table.enc_rows
+        trail: List[int] = []
+        sid = table.walk(
+            table.intern(entry_key), columns, self._miss, trail, 1
+        )
         effects = table.records.values
-        row = enc_rows[sid]
-        for i in range(1, length):
-            value = row[sym_list[i]]
-            if value < 0:
-                sid, value = self._miss(sid, sym_list[i])
-            if value < 4294967296:
-                sid = value
-            else:
-                sid = value & 4294967295
-                survivors, const_rep, slot_reps = effects[(value >> 32) - 1]
-                if const_rep is not None:
-                    const_events.append((i, const_rep))
-                for slot_index, rep in slot_reps:
-                    groups = slot_groups[slot_index]
-                    if groups:
-                        linear_events.append((i, rep, tuple(groups)))
-                if survivors is not None:
-                    merged: Dict[int, List[int]] = {}
-                    for slot_index, dest in enumerate(survivors):
-                        if dest < 0:
-                            continue
-                        merged.setdefault(dest, []).extend(
-                            slot_groups[slot_index]
-                        )
-                    slot_groups = [
-                        merged.get(dest, []) for dest in range(len(merged))
-                    ]
-            row = enc_rows[sid]
+        for i, effect_id in table.recorded(trail):
+            survivors, const_rep, slot_reps = effects[effect_id]
+            if const_rep is not None:
+                const_events.append((i, const_rep))
+            for slot_index, rep in slot_reps:
+                groups = slot_groups[slot_index]
+                if groups:
+                    linear_events.append((i, rep, tuple(groups)))
+            if survivors is not None:
+                merged: Dict[int, List[int]] = {}
+                for slot_index, dest in enumerate(survivors):
+                    if dest < 0:
+                        continue
+                    merged.setdefault(dest, []).extend(
+                        slot_groups[slot_index]
+                    )
+                slot_groups = [
+                    merged.get(dest, []) for dest in range(len(merged))
+                ]
 
         const_exit, *exit_slots = table.keys[sid]
         exit_of_group: List[Optional[bytes]] = [None] * n_groups

@@ -1,8 +1,17 @@
 """Tests for connected-component analysis."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.automata.anml import HomogeneousAutomaton, StartKind
 from repro.automata.components import (
     component_index,
+    component_labels,
     component_stats,
     connected_components,
 )
@@ -48,6 +57,71 @@ class TestConnectedComponents:
     def test_self_loop_single_component(self):
         automaton = build([("a", "a")], ["a"])
         assert connected_components(automaton) == [["a"]]
+
+
+def _reference_labels(node_count, edges):
+    """Smallest node id of each node's weak component, by union-find."""
+    parent = list(range(node_count))
+
+    def find(node):
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for source, target in edges:
+        low, high = sorted((find(source), find(target)))
+        parent[high] = low
+    return [find(node) for node in range(node_count)]
+
+
+@st.composite
+def edge_lists(draw):
+    node_count = draw(st.integers(0, 40))
+    if node_count == 0:
+        return 0, []
+    node = st.integers(0, node_count - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=60))
+    if draw(st.booleans()):  # a long chain through shuffled ids
+        order = draw(st.permutations(range(node_count)))
+        edges += list(zip(order, order[1:]))
+    return node_count, edges
+
+
+class TestComponentLabels:
+    @given(edge_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_union_find(self, graph):
+        node_count, edges = graph
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        labels = component_labels(node_count, pairs[:, 0], pairs[:, 1])
+        assert labels.tolist() == _reference_labels(node_count, edges)
+
+    def test_self_loops_and_no_edges(self):
+        none = np.array([], dtype=np.int64)
+        assert component_labels(3, none, none).tolist() == [0, 1, 2]
+        loops = np.array([1, 2])
+        assert component_labels(3, loops, loops).tolist() == [0, 1, 2]
+
+    def test_long_shuffled_chain(self):
+        order = np.random.default_rng(7).permutation(20_000)
+        labels = component_labels(20_000, order[:-1], order[1:])
+        assert not labels.any()
+
+    def test_runtime_imports_leave_scipy_out(self):
+        """The runtime is numpy-only: importing the engine and the
+        service must not pull in scipy."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        probe = (
+            "import sys, repro.engine, repro.service; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'networkx')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, cwd=root, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestStats:

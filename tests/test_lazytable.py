@@ -9,6 +9,7 @@ respects the budget, and ``cache_info()`` keeps its keys.  Then the
 table itself, and a source scan that keeps the mechanism in one place.
 """
 
+import gc
 import io
 import random
 import re
@@ -25,7 +26,7 @@ from repro.compiler import compile_automaton
 from repro.core.design import CA_P
 from repro.regex.compile import compile_patterns
 from repro.sim.lazydfa import LazyDfaKernel
-from repro.sim.lazytable import LazyTable
+from repro.sim.lazytable import CHECKED_STRETCH, LazyTable
 from repro.sim.split import SfaKernel
 
 #: Overlapping wildcard patterns over {a,b,c,d}: ~190 DFA states, ~190
@@ -227,15 +228,20 @@ class TestLazyTable:
         table = LazyTable(4, 3, str.upper)
         enc_rows = table.enc_rows
         a = table.intern("a")
-        assert table.fill(a, 0, "b") == (0, 1)
-        assert table.fill(1, 1, "c") == (1, 2)
+        sid, cell = table.fill(a, 0, "b")
+        assert sid == 0 and cell is enc_rows[1]
+        sid, cell = table.fill(1, 1, "c")
+        assert sid == 1 and cell is enc_rows[2]
         # Budget reached: everything goes, "c" comes back as state 0.
-        assert table.fill(2, 3, "d") == (0, 1)
+        sid, cell = table.fill(2, 3, "d")
+        assert sid == 0 and cell is enc_rows[1]
         assert table.keys == ["c", "d"]
         assert table.states == ["C", "D"]  # decoded once, at interning
         assert table.enc_rows is enc_rows, "flush must clear in place"
-        assert enc_rows == [[-1, -1, -1, 1], [-1] * 4]
-        table.lookups += 3  # what a scan loop adds before it indexes
+        assert enc_rows[0][3] is enc_rows[1]
+        assert enc_rows[0][:3] + enc_rows[0][4:] == [~0, ~0, ~0, 0]
+        assert enc_rows[1] == [~1] * 4 + [1]
+        table.lookups += 3  # what a walk adds before it indexes
         assert table.counters() == {
             "states": 2, "max_states": 3, "hits": 0, "misses": 3,
             "flushes": 1,
@@ -244,13 +250,18 @@ class TestLazyTable:
     def test_silent_and_recorded_encodings(self):
         table = LazyTable(2, 8, str.upper)
         a = table.intern("a")
-        assert table.fill(a, 0, "b") == (a, 1)
+        sid, cell = table.fill(a, 0, "b")
+        assert sid == a and cell is table.enc_rows[1]  # the row itself
         _, enc = table.fill(a, 1, "c", record=("payload", 7))
         assert enc == (1 << 32) | 2
+        assert table.enc_rows[a][1] == enc
         assert table.records.values == [("payload", 7)]
         # The same record again reuses its id; a new one gets the next.
         assert table.fill(1, 0, "a", record=("payload", 7))[1] == (1 << 32) | 0
         assert table.fill(1, 1, "a", record="other")[1] == (2 << 32) | 0
+        # A missing cell is ~sid, and slot ``width`` is the row's own id.
+        assert table.enc_rows[2] == [~2, ~2, 2]
+        assert [row[table.width] for row in table.enc_rows] == [0, 1, 2]
 
     def test_published_table_omits_recorded_transitions(self):
         table = LazyTable(2, 8, str.upper)
@@ -272,13 +283,116 @@ class TestLazyTable:
         target.adopt(*source.publish())
         x = target.intern("x")
         assert (y, x) == (0, 2)
-        assert target.enc_rows[x] == [y, -1]
-        assert target.enc_rows[y] == [(1 << 32) | 1, x]
+        rows = target.enc_rows
+        assert rows[x][0] is rows[y]
+        assert rows[x][1:] == [~x, x]
+        assert rows[y][0] == (1 << 32) | 1
+        assert rows[y][1] is rows[x]
         assert target.publish()[1].tolist() == [[-1, x], [-1, -1], [y, -1]]
 
     def test_adopt_rejects_a_table_of_another_shape(self):
         with pytest.raises(ValueError, match="adopt"):
             LazyTable(4, 8, str.upper).adopt(["a"], np.full((1, 2), -1, dtype=np.int32))
+
+    # -- the walk's edges ------------------------------------------------------
+
+    def test_record_on_the_last_column(self):
+        toy = _Toy()
+        columns = [1, 3]  # 1 -> 2 -> 0: the last step wraps
+        assert toy.walk(columns) == _reference(columns)  # cold: a miss
+        assert toy.walk(columns) == _reference(columns)  # warm: a cell
+
+    @pytest.mark.parametrize("last", [1, 2], ids=["silent", "recorded"])
+    def test_miss_on_the_last_column(self, last):
+        toy = _Toy()
+        toy.walk([1, 1])
+        misses = toy.table.misses
+        columns = [1, 1, last]
+        assert toy.walk(columns) == _reference(columns)
+        assert toy.table.misses == misses + 1
+        assert toy.walk(columns) == _reference(columns)
+        assert toy.table.misses == misses + 1
+
+    def test_back_to_back_records_inside_and_past_the_checked_stretch(self):
+        # From state 0, columns 0 and 5 wrap in place: a record a step.
+        columns = (
+            [4] + [0] * (CHECKED_STRETCH + 40) + [1] + [0] * 100 + [4]
+            + [5, 0] * CHECKED_STRETCH + [2]
+        )
+        toy = _Toy()
+        expected = _reference(columns)
+        assert len(expected[1]) > 2 * CHECKED_STRETCH
+        assert toy.walk(columns) == expected
+        assert toy.walk(columns) == expected
+        assert toy.walk(bytes(columns)) == expected  # what the kernels pass
+        assert toy.walk(columns, start=3) == _reference(columns, start=3)
+
+    def test_flush_from_inside_the_checked_stretch(self):
+        rng = random.Random(11)
+        columns = [rng.randrange(3) for _ in range(3000)]
+        toy = _Toy(width=3, modulus=13)
+        toy.table.max_states = 3  # past the kernels' floor, like theirs
+        assert toy.walk(columns) == _reference(columns, modulus=13)
+        assert toy.table.flushes > 100
+        assert len(toy.table.keys) <= 4
+        assert toy.walk(columns) == _reference(columns, modulus=13)
+
+    def test_empty_columns(self):
+        toy = _Toy()
+        assert toy.walk([]) == (1, [])
+        assert toy.walk([4, 0], start=2) == (1, [])
+        assert toy.table.lookups == 0 and toy.table.misses == 0
+
+    def test_flush_and_drop_empty_the_rows_without_the_collector(self):
+        gc.disable()
+        try:
+            toy = _Toy(modulus=13)
+            toy.walk([1] * 20)
+            old_row = toy.table.enc_rows[5]
+            assert old_row
+            toy.table.max_states = 3
+            toy.walk([2] * 20)
+            assert toy.table.flushes and old_row == []
+            live_row = toy.table.enc_rows[0]
+            assert live_row
+            del toy
+            assert live_row == []
+        finally:
+            gc.enable()
+
+
+class _Toy:
+    """A step function over the states ``0 .. modulus - 1``: column ``c``
+    adds ``c``, and a step that lands on 0 carries the record
+    ``("wrap", c)``."""
+
+    def __init__(self, width=6, modulus=5):
+        self.modulus = modulus
+        self.table = LazyTable(width, 64, lambda key: key)
+
+    def miss(self, sid, column):
+        state = (self.table.states[sid] + column) % self.modulus
+        record = ("wrap", column) if state == 0 else None
+        return self.table.fill(sid, column, state, record)
+
+    def walk(self, columns, start=0):
+        table = self.table
+        trail = []
+        sid = table.walk(table.intern(1), columns, self.miss, trail, start)
+        records = table.records.values
+        return table.keys[sid], [
+            (index, records[record_id])
+            for index, record_id in table.recorded(trail)
+        ]
+
+
+def _reference(columns, modulus=5, start=0):
+    state, met = 1, []
+    for index in range(start, len(columns)):
+        state = (state + columns[index]) % modulus
+        if state == 0:
+            met.append((index, ("wrap", columns[index])))
+    return state, met
 
 
 # -- guard --------------------------------------------------------------------
@@ -296,16 +410,22 @@ def _code_only(path: Path) -> str:
     )
 
 
+def _offenders(pattern: str):
+    root = Path(repro.sim.__file__).parent
+    return sorted(
+        path.name
+        for path in root.rglob("*.py")
+        if re.search(pattern, _code_only(path))
+    )
+
+
 def test_flush_and_transition_encode_live_in_the_table_alone():
     """A fourth private transition cache fails here instead of in review:
     under ``sim/``, only the table (and the packed kernel's step cache,
     which chains list -> list with no ids to encode) may count a flush or
-    pack a record id above bit 32."""
-    pattern = re.compile(r"flush\w*\s*\+=|<<\s*32\b")
-    root = Path(repro.sim.__file__).parent
-    offenders = sorted(
-        path.name
-        for path in root.rglob("*.py")
-        if pattern.search(_code_only(path))
-    )
-    assert offenders == ["kernel.py", "lazytable.py"]
+    pack a record id above bit 32, and only the table decodes one — a
+    fourth inline copy of the walk would have to."""
+    assert _offenders(r"flush\w*\s*\+=|<<\s*32\b") == [
+        "kernel.py", "lazytable.py",
+    ]
+    assert _offenders(r">>\s*32\b|\b4294967295\b") == ["lazytable.py"]
