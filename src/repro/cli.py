@@ -803,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--chunk-bytes", type=int, default=4096, dest="chunk_bytes",
-        help="scan chunk size — the deadline/fairness quantum "
+        help="scan chunk size — where a deadline can cut a scan "
              "(default 4096)",
     )
     serve_parser.add_argument(

@@ -4,30 +4,46 @@ one definition of a **span** — the unit every plane scans in
 
 A span is a run of a request's bytes, the checkpoint to resume from, the
 service's ``chunk_bytes`` and a time to stop at.  :func:`scan_span` is
-the one chunk loop: one ``scan(piece, resume=checkpoint)`` per chunk —
-so chunk boundaries and checkpoints are the same on every plane — always
-at least one chunk, returning at the first chunk boundary where
-``time.monotonic()`` has passed the stop time.  It hands back a
-:class:`SpanReply`.  The service's request loop asks a *plane* for the
-next span and resumes from the reply, whichever plane it is:
+the one chunk loop: one cursor of a span scanner, stepped once per
+chunk — so chunk boundaries and checkpoints are the same on every
+plane — always at least one chunk, stopping at the first chunk boundary
+where ``time.monotonic()`` has passed the stop time: the request's
+absolute deadline or :data:`SPAN_HOLD_S` after the span starts
+scanning, whichever is first.  It hands back a :class:`SpanReply`.  The
+service's request loop ships the rest of the request to a *plane* and
+resumes from the reply, whichever plane it is:
 
-* :func:`scan_span_inloop` — the degenerate case: the span is one chunk,
-  scanned on the event loop that asked, on the tenant's own backend.
+* :func:`scan_span_inloop` — scanned on the event loop that asked, on
+  the tenant's own backend.  The loop is held for the span: up to the
+  hold quantum plus one chunk.
 * :class:`ProcPoolScanExecutor` — long-lived worker *processes*
   (:mod:`repro.parallel`'s :class:`~repro.parallel.WorkerPool`: the
   processes, their pipes, the one-job-in-flight rule, the resource
   tracker rule and per-worker supervision are its), driven by the
-  service's event loop.  The span is the rest of the request's bytes and
-  the stop time the request's absolute deadline or :data:`SPAN_HOLD_S`
-  after the worker starts scanning, whichever is first.  A worker is
-  never held longer than the hold quantum plus one chunk: that bound, in
-  time and independent of how fast the tenant's ruleset scans, is what
-  drain, the parent's own deadline check between spans, and fairness
-  between tenants rely on.  Checkpoints are plain picklable values, so
-  successive spans of one request may land on different processes.  When
-  something parent-side has to observe every chunk boundary — an
-  injected ``clock=``, a ``set_scan_delay`` chaos hook — the service
-  ships exactly one chunk a span, as the in-loop plane always does.
+  service's event loop.  Checkpoints are plain picklable values, so
+  successive spans of one request may land on different processes.
+
+On either plane a scanner is never held longer than the hold quantum
+plus one chunk: that bound, in time and independent of how fast the
+tenant's ruleset scans, is what drain, the deadline check between
+spans, and fairness between tenants rely on.  When something
+parent-side has to observe every chunk boundary — an injected
+``clock=``, a ``set_scan_delay`` chaos hook — the service ships exactly
+one chunk a span on both planes.
+
+**Span scanners.**  Inside a span a chunk boundary carries the
+scanner's cursor, not a checkpoint.  :class:`DfaSpans` scans every
+lazy-DFA tenant, on both planes, on one
+:class:`~repro.sim.lazydfa.DfaCursor` a span: the stream is entered,
+left and its report events materialised once a span, and a chunk costs
+its walk.  Its events are decoded into reports by :func:`_materialised`,
+the one place either plane does it, once a span: parent-side for the
+in-loop plane and for a worker's shared-tables pair (a bare kernel pair
+cannot name STE ids, so its reply crosses the pipe ``raw``), in the
+worker for an engine it rebuilt (the parent's engine may have landed on
+another backend, a fallback tier, that cannot).  :class:`BackendSpans`
+scans anything else (the packed kernel, the golden-fallback tier) with
+one resumed ``backend.scan`` a chunk.
 
 **A span job** is :func:`_serve_span` on ``(fingerprint, bytes, resume
 checkpoint, chunk_bytes, deadline_at)``, submitted with the tenant's
@@ -51,10 +67,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
+from repro.backends.lazydfa import LazyDfaBackend
 from repro.parallel import WorkerPool, ask_parent
 from repro.service.errors import WorkerCrashed
 from repro.sim.kernel import Checkpoint
-from repro.sim.lazydfa import attach_kernel_dfa, scan_one
+from repro.sim.lazydfa import DfaCursor, attach_kernel_dfa
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.service.service import TenantRegistration
@@ -63,10 +80,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 WORKER_ENGINE_CACHE_LIMIT = 8
 
 #: Hold quantum: a span returns at the first chunk boundary this many
-#: seconds after it started scanning.  Long enough that the pipe
-#: round trip is a small share of it, short enough that drain-timeout
-#: overshoot and head-of-line blocking behind one tenant stay at the
-#: scale of a few in-loop chunks.
+#: seconds after it started scanning, on either plane.  Long enough that
+#: the pipe round trip and the span's own entry and exit are a small
+#: share of it, short enough that drain-timeout overshoot and
+#: head-of-line blocking behind one tenant stay at the scale of a few
+#: chunks.
 SPAN_HOLD_S = 0.005
 
 #: ``metrics_snapshot()`` key -> the executor attribute it reads: spans
@@ -116,10 +134,10 @@ class SpanReply(NamedTuple):
     """What one span hands back, whichever plane scanned it.
 
     ``reports`` are finished :class:`~repro.sim.kernel.Report` objects
-    unless ``raw``: then they are a shared-tables worker's events —
+    unless ``raw``: then they are a :class:`DfaSpans` cursor's events —
     ``(offset from the span start, count, reporting-row bytes)`` — which
-    :meth:`ProcPoolScanExecutor.scan_span` decodes before anyone else
-    sees the reply.  ``consumed`` is a whole number of chunks unless the
+    :func:`_materialised` decodes before the request loop sees the
+    reply.  ``consumed`` is a whole number of chunks unless the
     data ran out; ``degrades`` counts the health events the scanning
     backend logged meanwhile; ``built`` (``"tables"``/``"rebuild"``) and
     ``tables_error`` are set on the span that cold-started a worker's
@@ -136,7 +154,7 @@ class SpanReply(NamedTuple):
 
 
 def _span_pieces(data: bytes, chunk_bytes: int, stop_at: float):
-    """``(offset, chunk)`` pairs of one span.
+    """The chunks of one span.
 
     Always the first chunk; then one more per resumption — the consumer
     scans a chunk before asking for the next — until the data ends or
@@ -144,16 +162,40 @@ def _span_pieces(data: bytes, chunk_bytes: int, stop_at: float):
     """
     position = 0
     while True:
-        yield position, data[position : position + chunk_bytes]
+        yield data[position : position + chunk_bytes]
         position += chunk_bytes
         if position >= len(data) or time.monotonic() >= stop_at:
             return
 
 
+def _stop_at(deadline_at: Optional[float]) -> float:
+    """When a span starting now stops: :data:`SPAN_HOLD_S` from now, or
+    the request's deadline (``time.monotonic()``) if that is sooner."""
+    stop_at = time.monotonic() + SPAN_HOLD_S
+    return stop_at if deadline_at is None else min(stop_at, deadline_at)
+
+
+class _Resumes:
+    """A span on a registered backend, a resumed ``scan`` per piece;
+    reports come back with global offsets (each scan starts from the
+    last one's checkpoint)."""
+
+    def __init__(self, backend, checkpoint):
+        self.backend = backend
+        self.checkpoint = checkpoint
+        self.reports: list = []
+
+    def step(self, piece) -> None:
+        result = self.backend.scan(piece, resume=self.checkpoint)
+        self.reports.extend(result.reports)
+        self.checkpoint = result.checkpoint
+
+
 class BackendSpans:
-    """Spans scanned on a registered backend: a worker's rebuilt engine
-    or, in-loop, the tenant's own.  ``health_event_count`` is the owning
-    engine's (a bare backend has no degraded mode to log)."""
+    """Spans scanned on a registered backend through its ``scan(piece,
+    resume=)``: the packed kernel, the golden-fallback tier, whatever a
+    tenant registered that is not a lazy DFA.  ``health_event_count`` is
+    the owning engine's (a bare backend has no degraded mode to log)."""
 
     raw = False
 
@@ -161,33 +203,48 @@ class BackendSpans:
         self.backend = backend
         self.health_event_count = health_event_count
 
-    def scan_piece(self, piece, checkpoint, position, found):
-        result = self.backend.scan(piece, resume=checkpoint)
-        found.extend(result.reports)  # global offsets: it scanned from the resume
-        return result.checkpoint
+    def open(self, checkpoint) -> _Resumes:
+        return _Resumes(self.backend, checkpoint)
+
+    @staticmethod
+    def close(cursor: _Resumes):
+        return cursor.reports, cursor.checkpoint
 
 
-class TablesSpans:
-    """Spans scanned on the kernel + warm DFA rebuilt from a tenant's
-    shared-tables block; the reply is ``raw``."""
+class DfaSpans:
+    """Spans scanned on a kernel + lazy DFA, one :class:`~repro.sim.
+    lazydfa.DfaCursor` a span: the tenant's own lazy-DFA backend
+    in-loop, or the pair a worker rebuilt (from the tenant's
+    shared-tables block, or its registration).  A piece is never split
+    across processes.  The reply is ``raw``; ``backend`` decodes it
+    (:func:`_materialised`), and is ``None`` for a shared-tables pair,
+    whose reply the parent decodes."""
 
     raw = True
 
-    def __init__(self, kernel, dfa):
+    def __init__(self, kernel, dfa, backend=None, health_event_count=lambda: 0):
         self.kernel = kernel
         self.dfa = dfa
+        self.backend = backend
+        self.health_event_count = health_event_count
 
-    def health_event_count(self) -> int:
-        return 0  # the bare kernel pair has no degraded mode to log
+    def open(self, checkpoint) -> DfaCursor:
+        return DfaCursor(self.kernel, self.dfa, checkpoint)
 
-    def scan_piece(self, piece, checkpoint, position, found):
-        events, _, checkpoint, _ = scan_one(
-            self.kernel, self.dfa, piece, checkpoint, True
+    @staticmethod
+    def close(cursor: DfaCursor):
+        events, _, checkpoint, _ = cursor.close()
+        return events, checkpoint
+
+
+def span_scanner(backend, health_event_count=lambda: 0):
+    """How spans scan on ``backend``: :class:`DfaSpans` on a lazy DFA,
+    :class:`BackendSpans` on anything else."""
+    if isinstance(backend, LazyDfaBackend):
+        return DfaSpans(
+            backend.simulator.kernel, backend.dfa, backend, health_event_count
         )
-        found.extend(
-            (position + offset, count, row) for offset, count, row in events
-        )
-        return checkpoint
+    return BackendSpans(backend, health_event_count)
 
 
 def scan_span(
@@ -195,27 +252,43 @@ def scan_span(
 ) -> SpanReply:
     """The one chunk loop: ``data`` in ``chunk_bytes`` pieces scanned one
     after the other from ``checkpoint`` (or the stream's start when
-    ``None``) on ``scanner``, until :func:`_span_pieces` stops."""
+    ``None``) on one cursor of ``scanner``, until :func:`_span_pieces`
+    stops."""
     events_before = scanner.health_event_count()
-    found: list = []
+    cursor = scanner.open(checkpoint)
     consumed = 0
-    for position, piece in _span_pieces(data, chunk_bytes, stop_at):
-        checkpoint = scanner.scan_piece(piece, checkpoint, position, found)
+    for piece in _span_pieces(data, chunk_bytes, stop_at):
+        cursor.step(piece)
         consumed += len(piece)
+    found, checkpoint = scanner.close(cursor)
     degrades = scanner.health_event_count() - events_before
     return SpanReply(
         found, checkpoint, consumed, degrades, scanner.raw, built, tables_error
     )
 
 
+def _materialised(reply: SpanReply, scanner) -> SpanReply:
+    """``reply`` with its ``raw`` events decoded by ``scanner``'s
+    backend — the one place either plane does it."""
+    if not reply.raw:
+        return reply
+    total = sum(count for _, count, _ in reply.reports)
+    result = scanner.backend.materialise_raw(
+        (reply.reports, total, reply.checkpoint, reply.consumed), True
+    )
+    return reply._replace(reports=result.reports, raw=False)
+
+
 async def scan_span_inloop(
     scanner, spec, data, checkpoint, chunk_bytes, deadline_at
 ) -> SpanReply:
-    """The degenerate plane, called as :meth:`ProcPoolScanExecutor.
-    scan_span` is: the caller ships one chunk a span and it is scanned
-    here and now, on the event loop, so the request loop's yield between
-    spans is a yield between chunks."""
-    return scan_span(scanner, data, checkpoint, chunk_bytes, 0.0)
+    """The in-loop plane, called as :meth:`ProcPoolScanExecutor.
+    scan_span` is and stopping where a worker's span does, but scanned
+    here and now on the event loop, which it holds for the span."""
+    reply = scan_span(
+        scanner, data, checkpoint, chunk_bytes, _stop_at(deadline_at)
+    )
+    return _materialised(reply, scanner)
 
 
 #: fingerprint -> span scanner, per worker process (module global).
@@ -242,7 +315,8 @@ def _build_engine(spec: TenantWorkerSpec):
     gone or does not attach): the registration's
     :meth:`~repro.service.service.TenantRegistration.build_engine` — the
     call that built the parent's engine — warm-starting from the same
-    artifact cache directory.
+    artifact cache directory; a lazy-DFA engine's spans are ``raw``
+    too (:func:`span_scanner`).
 
     Returns ``(scanner, built, tables_error)``: ``built`` is ``"tables"``
     or ``"rebuild"``; ``tables_error`` says why a published block was
@@ -259,12 +333,12 @@ def _build_engine(spec: TenantWorkerSpec):
                 registration.backend_options.get("max_states"),
                 copy=True,
             )
-            scanner, built = TablesSpans(kernel, dfa), "tables"
+            scanner, built = DfaSpans(kernel, dfa), "tables"
         except Exception as error:
             tables_error = f"{type(error).__name__}: {error}"
     if scanner is None:
         engine = registration.build_engine(spec.cache)
-        scanner = BackendSpans(engine.backend, engine.health_event_count)
+        scanner = span_scanner(engine.backend, engine.health_event_count)
     _WORKER_ENGINES[registration.fingerprint] = scanner
     while len(_WORKER_ENGINES) > WORKER_ENGINE_CACHE_LIMIT:
         _WORKER_ENGINES.popitem(last=False)
@@ -285,14 +359,15 @@ def _serve_span(message) -> tuple:
     built = tables_error = None
     if scanner is None:
         scanner, built, tables_error = _build_engine(ask_parent())
-    stop_at = time.monotonic() + SPAN_HOLD_S
-    if deadline_at is not None:
-        stop_at = min(stop_at, deadline_at)
-    return tuple(
-        scan_span(
-            scanner, data, resume, chunk_bytes, stop_at, built, tables_error
-        )
+    reply = scan_span(
+        scanner, data, resume, chunk_bytes, _stop_at(deadline_at),
+        built, tables_error,
     )
+    if scanner.backend is not None:
+        # A rebuilt engine decodes its own events: the parent's engine
+        # may have landed on another backend (a fallback tier).
+        reply = _materialised(reply, scanner)
+    return tuple(reply)
 
 
 class ProcPoolScanExecutor(WorkerPool):
@@ -302,7 +377,7 @@ class ProcPoolScanExecutor(WorkerPool):
     ``scan_span`` is the only hot entry point: it submits the span,
     awaits the reply the loop's reader callback picks up, and hands it
     back with a ``raw`` payload materialised through the parent's
-    registered backend.  A span whose worker died surfaces as a
+    span scanner.  A span whose worker died surfaces as a
     retryable :class:`WorkerCrashed`, mirroring the coroutine-worker
     supervision contract.  The service's snapshot reads the counters
     :data:`POOL_COUNTERS` names off this object.
@@ -316,7 +391,7 @@ class ProcPoolScanExecutor(WorkerPool):
 
     async def scan_span(
         self,
-        scanner: BackendSpans,
+        scanner,
         spec: TenantWorkerSpec,
         data: bytes,
         checkpoint: Optional[Checkpoint],
@@ -338,12 +413,7 @@ class ProcPoolScanExecutor(WorkerPool):
                 loop=asyncio.get_running_loop(),
             )
         )
-        if reply.raw:
-            total = sum(count for _, count, _ in reply.reports)
-            result = scanner.backend.materialise_raw(
-                (reply.reports, total, reply.checkpoint, reply.consumed), True
-            )
-            reply = reply._replace(reports=result.reports, raw=False)
+        reply = _materialised(reply, scanner)
         self.dispatched += 1
         self.chunks += -(-reply.consumed // chunk_bytes)
         if reply.built == "tables":

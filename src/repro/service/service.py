@@ -34,18 +34,20 @@ engine) and is robust by construction:
   ``stop`` ends both, so a drained service holds no OS resources.
 
 Scanning is CPU-bound Python, so workers are cooperating coroutines on
-one loop: each yields between chunks, which is what makes deadlines,
-fairness, and drain responsive without threads.  The clock is
-injectable for deterministic tests.
+one loop: each yields between *spans* — whole chunks scanned until the
+request's deadline or the hold quantum (``procpool.SPAN_HOLD_S``) has
+passed — which is what makes deadlines, fairness, and drain responsive
+without threads.  The clock is injectable for deterministic tests (an
+injected clock makes every span one chunk).
 
 * **Process-pool execution** — ``scan_workers=N`` (default 0 = in-loop)
   dispatches every primary-tier scan to long-lived worker *processes*,
   lifting the one-core ceiling while keeping all of the above.  The
   request loop asks its plane for one *span* at a time and resumes from
   the reply; :mod:`repro.service.procpool` defines the span, the one
-  chunk loop both planes run, and what bounds the time a worker holds
-  one.  Results are bit-identical to ``scan_workers=0``, and a dead
-  process surfaces as a retryable
+  chunk loop both planes run, and what bounds the time a span holds a
+  worker or the loop.  Results are bit-identical to ``scan_workers=0``,
+  and a dead process surfaces as a retryable
   :class:`~repro.service.errors.WorkerCrashed` for the span it held,
   with that one process replaced.  The golden-fallback tier (breaker
   open) always runs in-loop — the reference interpreter must not depend
@@ -93,11 +95,15 @@ from repro.service.procpool import (
     ProcPoolScanExecutor,
     TenantWorkerSpec,
     scan_span_inloop,
+    span_scanner,
     worker_cache_spec,
 )
 from repro.sim.golden import Checkpoint, Report
 
-#: Default per-chunk scan granularity — the deadline/fairness quantum.
+#: Default per-chunk scan granularity: chunks are where a deadline can
+#: cut a scan and where a checkpoint falls.  Fairness between requests is
+#: the hold quantum's, ``procpool.SPAN_HOLD_S``: a span scans whole
+#: chunks until that much time has passed.
 DEFAULT_CHUNK_BYTES = 4096
 
 #: Default bound on the shared admission queue.
@@ -269,9 +275,9 @@ class _TenantState:
         self.chaos_error: Exception = ReproError("injected fault")
         self.chaos_delay = 0.0
 
-    def primary(self) -> BackendSpans:
+    def primary(self):
         """The tenant's engine, as the span planes scan on it."""
-        return BackendSpans(self.engine.backend, self.engine.health_event_count)
+        return span_scanner(self.engine.backend, self.engine.health_event_count)
 
     def fallback(self) -> BackendSpans:
         """The tenant's golden-fallback backend (built on first use).
@@ -812,12 +818,13 @@ class ScanService:
         pooled = on_primary and self._procpool is not None
         scan_span = self._procpool.scan_span if pooled else scan_span_inloop
         spec = self._tenant_worker_spec(state) if pooled else None
-        # A worker holds a span for up to the hold quantum on its own
-        # monotonic clock.  An injected clock or a per-chunk delay has
-        # to see every chunk boundary from here, so then — and always
-        # in-loop — the span is one chunk.  (An armed fault never gets
-        # as far as a span: it is raised two statements before.)
-        whole_spans = pooled and self._clock is time.monotonic
+        # A span holds its scanner — a worker, or this loop — for up to
+        # the hold quantum on the monotonic clock, on either plane.  An
+        # injected clock or a per-chunk delay has to see every chunk
+        # boundary from here, so then the span is one chunk.  (An armed
+        # fault never gets as far as a span: it is raised two statements
+        # before.)
+        whole_spans = self._clock is time.monotonic
         data = request.data
         checkpoint = request.resume
         base = 0 if checkpoint is None else checkpoint.symbols_processed

@@ -1185,11 +1185,12 @@ class BitsetKernel:
         vector = resume.active_state_vector
         prev = self.pack(vector)
         if vector:
-            stray = self.bit_indices(prev & ~self._occupied())
-            if stray.size:
+            stray = prev & ~self._occupied()
+            if stray.any():  # the bit scan only on the error path
                 raise SimulationError(
-                    f"checkpoint activates state bit {stray[0]}, which holds "
-                    "no state here; was it taken on a different automaton?"
+                    f"checkpoint activates state bit {self.bit_indices(stray)[0]}, "
+                    "which holds no state here; was it taken on a different "
+                    "automaton?"
                 )
         sod = self.has_sod and resume.start_of_data_pending
         return prev, vector != 0, sod, resume.symbols_processed

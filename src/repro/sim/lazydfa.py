@@ -242,6 +242,10 @@ class LazyDfaKernel:
 
     # -- scanning ----------------------------------------------------------
 
+    def row(self, state: Union[int, np.ndarray]) -> np.ndarray:
+        """The activation row of an :meth:`advance` state."""
+        return self._table.states[state] if state.__class__ is int else state
+
     def scan(
         self,
         symbols: np.ndarray,
@@ -261,71 +265,91 @@ class LazyDfaKernel:
         checkpoints interoperate with every other execution path,
         strided or not.
         """
-        if self._alphabet is not None:
-            return self._scan_strided(
-                symbols, prev=prev, sod=sod, collect_events=collect_events
-            )
         events: List[Tuple[int, int]] = []
+        state, sod, report_total = self.advance(
+            prev, sod, symbols.tobytes(), 0, events if collect_events else None
+        )
+        return events, report_total, self.row(state), sod
+
+    def advance(
+        self,
+        state: Union[int, np.ndarray],
+        sod: bool,
+        columns: bytes,
+        offset: int,
+        events: Optional[List[Tuple[int, int]]],
+    ) -> Tuple[Union[int, np.ndarray], bool, int]:
+        """Step the DFA over the bytes ``columns``, whose first byte is
+        the ``offset``-th of the scan; returns ``(state, sod,
+        report_total)``.
+
+        A state is a table state id or an activation row not interned
+        yet (what a scan enters with; :meth:`row` reads either).  An
+        unstrided scan leaves an id behind, so the next call on it walks
+        on without re-interning.  Report events are appended to
+        ``events`` as ``(offset, event_id)`` unless it is ``None``.
+        """
+        if self._alphabet is not None:
+            return self._advance_strided(state, sod, columns, offset, events)
         report_total = 0
-        if len(symbols) == 0:
-            return events, report_total, prev, sod
-        # Iterating bytes yields the same ints as a list and skips the
-        # ~4 ns/B ``tolist`` costs.
-        columns = symbols.tobytes()
+        if not columns:
+            return state, sod, report_total
         start = 0
         if sod:
             # Start-of-data states are enabled for exactly one cycle, so
             # that cycle runs outside the cache and the DFA proper only
             # ever sees transitions keyed by the activation row alone.
-            prev, count, rep_row = self._sod_step(prev, columns[0])
+            state, count, rep_row = self._sod_step(self.row(state), columns[0])
             if count:
                 report_total += count
-                if collect_events:
+                if events is not None:
                     events.append(
-                        (0, self._event_id((count, rep_row.tobytes())))
+                        (offset, self._event_id((count, rep_row.tobytes())))
                     )
             sod = False
             start = 1
         table = self._table
+        if state.__class__ is not int:
+            state = table.intern(state.tobytes())
         trail: List[int] = []
-        sid = table.walk(
-            table.intern(prev.tobytes()), columns, self._miss, trail, start
-        )
+        state = table.walk(state, columns, self._miss, trail, start)
         if trail:
             records = table.records.values
             for event_id, times in table.tally(trail).items():
                 report_total += records[event_id][0] * times
-            if collect_events:
-                events += table.recorded(trail)
-        return events, report_total, table.states[sid], sod
+            if events is not None:
+                events += table.recorded(trail, offset)
+        return state, sod, report_total
 
-    def _scan_strided(
+    def _advance_strided(
         self,
-        symbols: np.ndarray,
-        *,
-        prev: np.ndarray,
+        state: Union[int, np.ndarray],
         sod: bool,
-        collect_events: bool,
-    ) -> Tuple[List[Tuple[int, int]], int, np.ndarray, bool]:
-        """k-stride scan: cached k-byte groups plus an unstrided tail.
+        columns: bytes,
+        offset: int,
+        events: Optional[List[Tuple[int, int]]],
+    ) -> Tuple[np.ndarray, bool, int]:
+        """k-stride :meth:`advance`: cached k-byte groups plus an
+        unstrided tail, leaving an activation row behind.
 
         Report combos expand to absolute ``(offset, event id)`` pairs,
         so callers see exactly the event stream the unstrided scan
         emits — same offsets, same flush-immune event ids.
         """
-        events: List[Tuple[int, int]] = []
+        symbols = np.frombuffer(columns, dtype=np.uint8)
+        prev = self.row(state)
         report_total = 0
         length = len(symbols)
         if length == 0:
-            return events, report_total, prev, sod
+            return prev, sod, report_total
         pos = 0
         if sod:
             prev, count, rep_row = self._sod_step(prev, int(symbols[0]))
             if count:
                 report_total += count
-                if collect_events:
+                if events is not None:
                     events.append(
-                        (0, self._event_id((count, rep_row.tobytes())))
+                        (offset, self._event_id((count, rep_row.tobytes())))
                     )
             sod = False
             pos = 1
@@ -345,8 +369,8 @@ class LazyDfaKernel:
             for j, combo_id in table.recorded(trail):
                 total, combo = records[combo_id]
                 report_total += total
-                if collect_events:
-                    group_base = pos + j * k
+                if events is not None:
+                    group_base = offset + pos + j * k
                     for delta, event_id in combo:
                         events.append((group_base + delta, event_id))
             prev = table.states[sid]
@@ -358,11 +382,11 @@ class LazyDfaKernel:
             prev, count, rep_row = self._plain_step(prev, int(symbols[i]))
             if count:
                 report_total += count
-                if collect_events:
+                if events is not None:
                     events.append(
-                        (i, self._event_id((count, rep_row.tobytes())))
+                        (offset + i, self._event_id((count, rep_row.tobytes())))
                     )
-        return events, report_total, prev, sod
+        return prev, sod, report_total
 
     # -- sharding support --------------------------------------------------
 
@@ -479,6 +503,62 @@ def attach_kernel_dfa(meta, max_states: Optional[int], *, copy: bool):
     return kernel, dfa, handle
 
 
+class DfaCursor:
+    """One stream scanned on a kernel/DFA pair a piece at a time: the
+    stream is entered once, each :meth:`step` costs its walk and its
+    trail, and :meth:`close` leaves once.
+
+    Between pieces the stream's place is ``(state, sod, offset)`` — the
+    DFA state the last walk ended in, whether the start-of-data cycle is
+    still pending, and the bytes stepped so far — not a
+    :class:`Checkpoint`, so a piece boundary costs no unpack, re-intern
+    or pack.  Nothing else may scan on the DFA while a cursor is open
+    (a state id is only good until the table flushes, and only this
+    cursor's own walks may flush it).
+    """
+
+    __slots__ = (
+        "kernel", "dfa", "state", "sod", "base", "offset", "total", "events",
+    )
+
+    def __init__(
+        self,
+        kernel: BitsetKernel,
+        dfa: LazyDfaKernel,
+        resume: Optional[Checkpoint],
+        collect_events: bool = True,
+    ):
+        self.kernel = kernel
+        self.dfa = dfa
+        self.state, _, self.sod, self.base = kernel.enter(resume)
+        self.offset = self.total = 0
+        self.events: Optional[List[Tuple[int, int]]] = (
+            [] if collect_events else None
+        )
+
+    def step(self, piece: bytes) -> None:
+        """Scan the stream's next ``piece`` of bytes."""
+        if piece.__class__ is not bytes:
+            piece = as_symbols(piece).tobytes()
+        self.state, self.sod, total = self.dfa.advance(
+            self.state, self.sod, piece, self.offset, self.events
+        )
+        self.total += total
+        self.offset += len(piece)
+
+    def close(self) -> RawScanResult:
+        """What the pieces stepped so far scanned, as one raw result."""
+        dfa = self.dfa
+        raw_events = [
+            (offset,) + dfa.event(event_id)
+            for offset, event_id in self.events or ()
+        ]
+        checkpoint = self.kernel.leave(
+            dfa.row(self.state), self.sod, self.base + self.offset
+        )
+        return raw_events, self.total, checkpoint, self.offset
+
+
 def scan_one(
     kernel: BitsetKernel,
     dfa: LazyDfaKernel,
@@ -486,14 +566,10 @@ def scan_one(
     resume: Optional[Checkpoint],
     collect_events: bool,
 ) -> RawScanResult:
-    """Scan one stream on a kernel/DFA pair — the backend's serial scan,
-    every shard worker's and every pool worker's, so they cannot
+    """Scan one stream on a kernel/DFA pair — the backend's serial scan
+    and every shard worker's: a :class:`DfaCursor` opened, stepped once
+    and closed, where a service span steps one a chunk, so they cannot
     differ."""
-    symbols = as_symbols(data)
-    prev, _, sod, base = kernel.enter(resume)
-    events, total, final_row, sod = dfa.scan(
-        symbols, prev=prev, sod=sod, collect_events=collect_events
-    )
-    raw_events = [(offset,) + dfa.event(event_id) for offset, event_id in events]
-    checkpoint = kernel.leave(final_row, sod, base + len(symbols))
-    return raw_events, total, checkpoint, len(symbols)
+    cursor = DfaCursor(kernel, dfa, resume, collect_events)
+    cursor.step(data)
+    return cursor.close()

@@ -260,11 +260,11 @@ class LazyTable:
         return self.enc_rows[cell & _ID_MASK]
 
     @staticmethod
-    def recorded(trail: List[int]) -> List[Tuple[int, int]]:
-        """A :meth:`walk` trail as ``(index, record id)`` pairs, in walk
-        order."""
+    def recorded(trail: List[int], base: int = 0) -> List[Tuple[int, int]]:
+        """A :meth:`walk` trail as ``(base + index, record id)`` pairs, in
+        walk order."""
         return [
-            (index, (cell >> 32) - 1)
+            (base + index, (cell >> 32) - 1)
             for index, cell in zip(trail[::2], trail[1::2])
         ]
 

@@ -1,8 +1,8 @@
 """Multi-process scan execution plane (``repro.service.procpool``).
 
 The load-bearing property is bit-identity: whatever the execution plane
-— chunks scanned in the event loop (``scan_workers=0``) or spans of
-chunks dispatched to a pool of worker processes (``scan_workers=N``),
+— spans of chunks scanned in the event loop (``scan_workers=0``) or
+dispatched to a pool of worker processes (``scan_workers=N``),
 including deadline interruption and mid-request resume — the report
 stream must be byte-for-byte the same.  Supervision (SIGKILLed worker process →
 retryable ``WorkerCrashed`` → pool respawn) mirrors the coroutine
@@ -12,14 +12,19 @@ contract, now across real process boundaries.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import multiprocessing
 import os
 import random
 import time
 from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.backends import create_backend
 from repro.compiler import compile_automaton
 from repro.compiler.cache import CompileCache
 from repro.core.design import CA_P
@@ -37,6 +42,7 @@ from repro.backends.mapped import PackedKernelBackend
 from repro.parallel import default_mp_method
 from repro.service import procpool
 from repro.service import service as service_module
+from repro.regex.compile import compile_patterns
 from repro.service.procpool import ProcPoolScanExecutor, worker_cache_spec
 from tests.conftest import chain_automaton
 
@@ -214,6 +220,31 @@ class TestWorkerSpan:
         assert consumed == 48
         assert checkpoint.symbols_processed == 48
 
+    def test_rebuilt_lazy_dfa_engine_decodes_its_own_span(self, monkeypatch):
+        """Without a shared block a worker rebuilds the lazy-DFA engine
+        and scans its span on one cursor too, but hands back decoded
+        reports: the parent's engine may have landed on another backend
+        (the golden-fallback tier) that cannot read raw events."""
+        monkeypatch.setattr(procpool, "SPAN_HOLD_S", 60.0)
+        monkeypatch.setattr(procpool, "_WORKER_ENGINES", OrderedDict())
+        service = ScanService(workers=1, scan_workers=1, cache=False)
+        service.register("acme", PATTERNS, backend="lazy-dfa")
+        state = service._tenant("acme")
+        spec = replace(service._tenant_worker_spec(state), shm_meta=None)
+        state.close_shared()
+        scanner, built, _ = procpool._build_engine(spec)
+        assert isinstance(scanner, procpool.DfaSpans) and built == "rebuild"
+        reply = procpool.SpanReply._make(
+            procpool._serve_span(
+                (spec.registration.fingerprint, DATA, None, 16, None)
+            )
+        )
+        whole = state.engine.backend.scan(DATA)
+        assert not reply.raw
+        assert rows(reply.reports) == rows(whole.reports)
+        assert reply.checkpoint == whole.checkpoint
+        assert reply.consumed == len(DATA)
+
 
 class TestSpans:
     """Requests that take several spans, on the real clock."""
@@ -251,8 +282,8 @@ class TestSpans:
     @pytest.mark.parametrize("chunk_bytes", [1, 7, 2048])
     def test_span_replies_match_inloop(self, backend, chunk_bytes, monkeypatch):
         """The request loop sees one sequence of span replies whichever
-        plane serves it (a clock of its own makes the pool's spans one
-        chunk each, as the in-loop plane's always are)."""
+        plane serves it (a clock of its own makes every span one chunk,
+        on either plane)."""
         data = DATA * (64 if chunk_bytes == 2048 else 4)
         seen = []
 
@@ -290,28 +321,97 @@ class TestSpans:
         assert [reply[:5] for reply in pooled] == [reply[:5] for reply in inloop]
         assert sum(reply.built is not None for reply in pooled) in (1, 2)
 
+    @pytest.mark.parametrize("backend", [None, "lazy-dfa"])
+    @pytest.mark.parametrize("hold_s", [60.0, 0.0])
+    def test_inloop_spans_hold_the_quantum(self, backend, hold_s, monkeypatch):
+        """On the real clock an in-loop span stops where a worker's
+        does: a quantum longer than the scan takes the request in one
+        span, a zero quantum makes every span one chunk."""
+        monkeypatch.setattr(procpool, "SPAN_HOLD_S", hold_s)
+        data, chunk_bytes = DATA * 8, 64
+        consumed = []
+        scan_span_inloop = service_module.scan_span_inloop
+
+        async def record(*args):
+            reply = await scan_span_inloop(*args)
+            consumed.append(reply.consumed)
+            return reply
+
+        monkeypatch.setattr(service_module, "scan_span_inloop", record)
+        got, _ = run(
+            scan_rows(data, backend=backend, chunk_bytes=chunk_bytes)
+        )
+        chunks = -(-len(data) // chunk_bytes)
+        if hold_s:
+            assert consumed == [len(data)]
+        else:
+            assert consumed == [chunk_bytes] * (chunks - 1) + [
+                len(data) - (chunks - 1) * chunk_bytes
+            ]
+        engine = CacheAutomatonEngine.from_patterns(
+            PATTERNS, backend=backend, cache=False
+        )
+        assert got == rows(engine.backend.scan(data))
+
+    def test_inloop_lazy_dfa_span_never_splits_a_chunk(self, monkeypatch):
+        """Chunks long enough for a split-stream scan (>= 2 x
+        ``SPLIT_MIN_CHUNK``) with ``REPRO_SPLIT_JOBS`` set: the in-loop
+        plane scans them on the event loop and starts no process."""
+        monkeypatch.setenv("REPRO_SPLIT_JOBS", "2")
+        data = DATA * 200  # 40,000 bytes: two 16 KiB chunks and a tail
+
+        async def scenario():
+            service = ScanService(
+                workers=1, scan_workers=0, chunk_bytes=16384, cache=False
+            )
+            service.register("acme", PATTERNS, backend="lazy-dfa")
+            await service.start()
+            try:
+                outcome = await service.scan("acme", data)
+                return outcome, service.tenant_engine("acme").backend
+            finally:
+                await service.stop()
+
+        outcome, backend = run(scenario())
+        assert backend.worker_cache_info() == {"workers": 0}
+        assert multiprocessing.active_children() == []
+        serial = CacheAutomatonEngine.from_patterns(
+            PATTERNS, backend="lazy-dfa", cache=False,
+            backend_options={"split_jobs": 1},
+        ).backend.scan(data)
+        assert rows(outcome) == rows(serial)
+        assert outcome.checkpoint == serial.checkpoint
+
     @pytest.mark.parametrize(
-        "backend, copies, chunk_bytes",
-        [(None, 320, 256), ("lazy-dfa", 5242, 2048)],
+        "backend, copies, chunk_bytes, scan_workers",
+        [
+            pytest.param(None, 320, 256, 2, id="None-320-256"),
+            pytest.param("lazy-dfa", 5242, 2048, 2, id="lazy-dfa-5242-2048"),
+            pytest.param(None, 320, 256, 0, id="inloop-None-320-256"),
+            pytest.param(
+                "lazy-dfa", 5242, 2048, 0, id="inloop-lazy-dfa-5242-2048"
+            ),
+        ],
     )
     def test_real_clock_deadline_interrupts_and_resumes(
-        self, backend, copies, chunk_bytes
+        self, backend, copies, chunk_bytes, scan_workers
     ):
-        """The worker reads the request's deadline on its own monotonic
-        clock: a budget several times shorter than the scan (>= 100 ms
-        on either substrate, ~0.5 ms a chunk) interrupts it part-way at
-        a chunk boundary, and resuming reproduces the uninterrupted
-        rows."""
+        """A span reads the request's deadline on the monotonic clock,
+        in a worker or in-loop: a budget several times shorter than the
+        scan (>= 100 ms on either substrate, ~0.5 ms a chunk) interrupts
+        it part-way at a chunk boundary, and resuming reproduces the
+        uninterrupted rows."""
         data = DATA * copies
         reference, _ = run(
             scan_rows(
-                data, backend=backend, scan_workers=0, chunk_bytes=chunk_bytes
+                data, backend=backend, scan_workers=0, chunk_bytes=chunk_bytes,
+                clock=lambda: time.monotonic(),  # one chunk a span
             )
         )
 
         async def scenario():
             service = ScanService(
-                workers=1, scan_workers=2, chunk_bytes=chunk_bytes,
+                workers=1, scan_workers=scan_workers, chunk_bytes=chunk_bytes,
                 cache=False,
             )
             service.register("acme", PATTERNS, backend=backend)
@@ -332,9 +432,13 @@ class TestSpans:
         assert 0 < error.offset < len(data)
         assert error.offset % chunk_bytes == 0
         assert rows(error.reports) + rows(rest) == reference
+        assert rest.checkpoint.symbols_processed == len(data)
         assert snapshot["timeouts"] == 1
-        # Several chunks rode each executor round trip.
-        assert 0 < snapshot["pool_dispatches"] < snapshot["pool_chunks"]
+        if scan_workers:
+            # Several chunks rode each executor round trip.
+            assert 0 < snapshot["pool_dispatches"] < snapshot["pool_chunks"]
+        else:
+            assert snapshot["pool_dispatches"] == 0
 
     def test_drain_timeout_interrupts_a_large_request(self):
         """A worker hands back within the hold quantum, so forcing the
@@ -368,6 +472,74 @@ class TestSpans:
         assert snapshot["pool_chunks"] == 13
         _, snapshot = run(scan_rows(DATA, scan_workers=0))
         assert snapshot["pool_dispatches"] == snapshot["pool_chunks"] == 0
+
+
+#: ^-anchored patterns keep the start-of-data cycle pending at a fresh
+#: stream; the rest report often enough that pieces end on reports.
+CURSOR_PATTERNS = ["^ab", "^c", "b[ac]+", "ca", "a.b"]
+
+
+@pytest.fixture(scope="module")
+def cursor_artifact():
+    machine = compile_patterns(CURSOR_PATTERNS, report_codes=CURSOR_PATTERNS)
+    return CompiledArtifact.from_mapping(compile_automaton(machine, CA_P))
+
+
+class TestDfaSpanScanner:
+    """One cursor a span against a resumed ``scan`` a piece: the same
+    reports as lists (offset, STE id, code and their order), the same
+    checkpoint, every byte consumed."""
+
+    @given(
+        data=st.binary(max_size=160).map(
+            lambda raw: bytes(b"abc"[byte % 3] for byte in raw)
+        ),
+        cut=st.integers(min_value=0, max_value=160),
+        sizes=st.lists(st.integers(min_value=0, max_value=40), max_size=8),
+        stride=st.sampled_from([1, 2]),
+        flushing=st.booleans(),
+    )
+    @example(data=b"", cut=0, sizes=[], stride=1, flushing=False)
+    @example(data=b"abcab", cut=0, sizes=[2, 3], stride=1, flushing=False)
+    @example(data=b"cabcabca", cut=3, sizes=[1], stride=2, flushing=True)
+    @settings(max_examples=80, deadline=None)
+    def test_cursor_span_equals_chained_resumed_scans(
+        self, cursor_artifact, data, cut, sizes, stride, flushing
+    ):
+        reference = create_backend("lazy-dfa", cursor_artifact)
+        spans = create_backend("lazy-dfa", cursor_artifact, stride=stride)
+        if flushing:
+            spans.dfa._max_states = 3  # flushes inside the span's walks
+        cut = min(cut, len(data))
+        # A fresh stream (start of data pending), or one suspended mid-way.
+        resume = reference.scan(data[:cut]).checkpoint if cut else None
+        rest = data[cut:]
+        pieces = []
+        position = 0
+        for size in itertools.cycle(sizes + [7]):
+            pieces.append(rest[position : position + size])
+            position += size
+            if position >= len(rest):
+                break
+        expected, checkpoint = [], resume
+        for piece in pieces:
+            result = reference.scan(piece, resume=checkpoint)
+            expected += rows(result)
+            checkpoint = result.checkpoint
+
+        scanner = procpool.span_scanner(spans)
+        assert isinstance(scanner, procpool.DfaSpans)
+        cursor = scanner.open(resume)
+        for piece in pieces:
+            cursor.step(piece)
+        found, got = scanner.close(cursor)
+        reply = procpool._materialised(
+            procpool.SpanReply(found, got, len(rest), 0, scanner.raw), scanner
+        )
+        assert rows(reply.reports) == expected
+        assert reply.checkpoint == checkpoint
+        assert reply.checkpoint.symbols_processed == len(data)
+        assert (spans.dfa.cache_info()["flushes"] > 0) <= flushing
 
 
 class TestSupervision:
