@@ -15,6 +15,8 @@ numpy operations, and layers four accelerations on top:
   only, with whole-vector results memoised by the packed bytes of the
   matched vector (the automaton revisits few distinct activation patterns,
   the same locality the paper's partition-disabling hardware exploits);
+  :meth:`~BitsetKernel.propagate_int` is the same OR on rows held as
+  Python ints, one successor int per set bit, for the lazy DFA's misses;
 * **step cache, two levels** — a non-idle cycle is first looked up whole:
   the previous activation row and the byte name a cached
   ``(matched, enabled, next)`` entry, and the entries chain, so a ruleset
@@ -112,11 +114,6 @@ else:  # pragma: no cover - exercised via the fallback unit test
 def popcount_rows(rows: np.ndarray) -> np.ndarray:
     """Per-row set-bit counts of a ``(cycles, words)`` uint64 matrix."""
     return _popcount_rows_impl(rows)
-
-
-def popcount_row(row: np.ndarray) -> int:
-    """Total set bits of one packed ``(words,)`` uint64 row."""
-    return int(_popcount_rows_impl(np.ascontiguousarray(row)[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -776,6 +773,11 @@ class BitsetKernel:
         )
         self._prop_hits = 0
         self._prop_misses = 0
+        # The same memo for rows held as ints (:meth:`propagate_int`),
+        # sharing the budget, and each bit's successor int, derived the
+        # first time a row sets the bit.
+        self._prop_ints: Dict[int, int] = {}
+        self._successor_ints: Optional[List[Optional[int]]] = None
         # Step cache, whole-row level: full-cycle memo keyed by the packed
         # previous activation row; each row's 256-entry list holds
         # (matched, enabled, next_prev, nonzero, next_row_list) tuples
@@ -1020,11 +1022,50 @@ class BitsetKernel:
             out = self._successors_of(row)
             out.setflags(write=False)
             hit = (out, bool(out.any()))
-            if len(self._prop_cache) < self._prop_cache_limit:
+            if len(self._prop_cache) + len(self._prop_ints) < self._prop_cache_limit:
                 self._prop_cache[key] = hit
         else:
             self._prop_hits += 1
         return hit
+
+    def propagate_int(self, matched: int) -> int:
+        """:meth:`propagate` on a row held as one int: the OR of the
+        successor ints of its set bits.
+
+        A bit's successor int is read off its dense row or CSR slice the
+        first time a row sets it, so memory grows only with the bits
+        scans reach.  Results are memoised by ``matched`` under the
+        :meth:`propagate` memo's entry budget, which the two share.
+        """
+        found = self._prop_ints.get(matched)
+        if found is not None:
+            return found
+        successors = self._successor_ints
+        if successors is None:
+            successors = self._successor_ints = [None] * self.n_bits
+        found, rest = 0, matched
+        while rest:
+            bit = rest.bit_length() - 1
+            value = successors[bit]
+            if value is None:
+                value = successors[bit] = self._successor_int(bit)
+            found |= value
+            rest ^= 1 << bit
+        if len(self._prop_ints) + len(self._prop_cache) < self._prop_cache_limit:
+            self._prop_ints[matched] = found
+        return found
+
+    def _successor_int(self, bit: int) -> int:
+        """The successor row of state ``bit`` as one int."""
+        if self._dense is not None:
+            return int.from_bytes(self._dense[bit].tobytes(), "little")
+        lo, hi = self._csr_indptr[bit : bit + 2].tolist()
+        value = 0
+        for word, mask in zip(
+            self._csr_words[lo:hi].tolist(), self._csr_masks[lo:hi].tolist()
+        ):
+            value |= mask << (64 * word)
+        return value
 
     def propagate_matrix(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Batched propagate: (streams, words) matched rows -> ``out`` rows.
@@ -1123,7 +1164,9 @@ class BitsetKernel:
         """Hit/miss/flush counters for the kernel's memoisation layers.
 
         ``propagate`` covers the successor-propagation memo (whole-vector
-        gather+OR results); ``step`` the whole-row level of the step
+        gather+OR results; its hits and misses count :meth:`propagate`
+        calls, its ``size`` the :meth:`propagate_int` entries that share
+        its ``limit`` too); ``step`` the whole-row level of the step
         cache that :meth:`run_chunk`'s non-idle loop runs on (hits are
         lookups minus misses; ``size`` and ``limit`` count entries; it
         never flushes); ``component`` the tables it overflows into, all
@@ -1135,7 +1178,7 @@ class BitsetKernel:
             "propagate": {
                 "hits": self._prop_hits,
                 "misses": self._prop_misses,
-                "size": len(self._prop_cache),
+                "size": len(self._prop_cache) + len(self._prop_ints),
                 "limit": self._prop_cache_limit,
             },
             "step": {

@@ -10,14 +10,27 @@ caching only the DFA states an input actually visits.
 A DFA state is one distinct pending successor-activation row of the
 underlying :class:`~repro.sim.kernel.BitsetKernel` — the packed vector
 ``run_chunk`` threads between cycles.  The states and their transitions
-live in a :class:`~repro.sim.lazytable.LazyTable` keyed by the row's
-bytes (hash-consing, the chained rows and the walk over them, the
-bounded budget with flush on overflow, the flush-immune record table
-and shared-memory publication are all its; see that module), so a warm
-transition costs one Python list index and zero numpy work.  What is
-this module's own is the step function — one kernel cycle, or k of them
-— what a reporting transition records, and how a walk's records turn
-into report events.
+live in a :class:`~repro.sim.lazytable.LazyTable` keyed by the row held
+as one Python int (hash-consing, the chained rows and the walk over
+them, the bounded budget with flush on overflow, the flush-immune record
+table and shared-memory publication are all its; see that module), so
+a warm transition costs one Python list index and zero numpy work.
+What is this module's own is the step function — one kernel cycle, or
+k of them — what a reporting transition records, and how a walk's
+records turn into report events.
+
+**A miss is integer arithmetic.**  The step function works on rows held
+as ints, the paper's wired-OR written in Python: ``matched = match[byte]
+& (prev | start)``, the successor row is the OR of the successor ints of
+``matched``'s set bits (:meth:`~repro.sim.kernel.BitsetKernel.
+propagate_int`, memoised), and the reports fired are ``(matched &
+report).bit_count()``.  A byte's match int and a bit's successor int are
+read off the kernel's packed tables the first time a step needs them,
+so a warm start pays nothing for them up front.  Numpy is left at the
+boundaries: entering and leaving the kernel (checkpoint rows),
+publication (:meth:`LazyDfaKernel.export_tables` /
+:meth:`LazyDfaKernel.seed`, whose ``dfa_rows`` stay packed ``uint64``
+rows) and the reporting-row bytes an event carries.
 
 **k-stride execution** (CAMA's alphabet transformation): with a
 :class:`~repro.automata.stride.StrideAlphabet` the DFA consumes k input
@@ -49,15 +62,15 @@ import numpy as np
 from repro.automata.stride import StrideAlphabet, resolve_stride
 from repro.errors import StrideError
 from repro.parallel import attach_tables, detach_tables
-from repro.sim.kernel import BitsetKernel, Checkpoint, as_symbols, popcount_row
+from repro.sim.kernel import BitsetKernel, Checkpoint, as_symbols
 from repro.sim.lazytable import Interner, LazyTable
 
-#: Budget for cached DFA states (transition rows + packed vectors).
+#: Budget for cached DFA states (transition rows + row keys).
 DFA_CACHE_BYTES = 16 * 1024 * 1024
 
 #: Per-state cache cost estimate at width 256: the int32 silent-successor
 #: row, the Python transition list (~8 bytes/slot + header) and the
-#: interned packed row, plus 4 bytes/slot of slack that keeps the default
+#: interned row key, plus 4 bytes/slot of slack that keeps the default
 #: state budget where every recorded run had it.  Strided kernels scale
 #: the row terms by their width.
 _STATE_COST_BYTES = 256 * (4 + 4 + 8) + 512
@@ -94,10 +107,6 @@ def merge_cache_infos(infos) -> Dict[str, int]:
                 merged[key] = max(merged.get(key, 0), int(value))
     merged["workers"] = workers
     return merged
-
-
-def _row_of(key: bytes) -> np.ndarray:
-    return np.frombuffer(key, np.uint64)
 
 
 class LazyDfaKernel:
@@ -147,15 +156,21 @@ class LazyDfaKernel:
             max_states = DFA_CACHE_BYTES // (
                 _STATE_COST_BYTES + kernel.row_bytes
             )
-        #: State keys are activation-row bytes, decoded to (read-only)
-        #: rows; columns are bytes, or stride classes when striding.  A
-        #: reporting transition's record is the event itself unstrided,
-        #: ``(report total, combo)`` strided.
+        #: State keys are activation rows held as ints; columns are
+        #: bytes, or stride classes when striding.  A reporting
+        #: transition's record is the event itself unstrided, ``(report
+        #: total, combo)`` strided.
         self._table = LazyTable(
             alphabet.n_stride_classes if alphabet is not None else 256,
             max(64, int(max_states)),
-            _row_of,
+            int,
         )
+        # The step function's rows as ints: a byte's match row the first
+        # time a step reads it, the rest now.
+        self._match: List[Optional[int]] = [None] * 256
+        self._start_all = kernel.unpack(kernel.start_all_row)
+        self._start_sod = self._start_all | kernel.unpack(kernel.start_sod_row)
+        self._report = kernel.unpack(kernel.report_row)
         self._tail_steps = 0
         # Report events — ``(count, reporting-row bytes)`` — are
         # flush-immune: event ids stay valid for the lifetime of the
@@ -193,14 +208,22 @@ class LazyDfaKernel:
 
     # -- transition construction -------------------------------------------
 
-    def _plain_step(self, prev: np.ndarray, symbol: int):
-        """One uncached cycle (no start-of-data states)."""
-        kernel = self._kernel
-        enabled = prev | kernel.start_all_row
-        matched = kernel.match_matrix[symbol] & enabled
-        nxt, _ = kernel.propagate(matched)
-        rep_row = matched & kernel.report_row
-        return nxt, popcount_row(rep_row), rep_row
+    def _step(self, prev: int, byte: int, enable: int) -> Tuple[int, int]:
+        """One uncached kernel cycle on rows held as ints: ``(next row,
+        reporting row)``.  ``enable`` is ``_start_all``, or
+        ``_start_sod`` on the start-of-data cycle."""
+        match = self._match[byte]
+        if match is None:
+            match = self._match[byte] = self._kernel.unpack(
+                self._kernel.match_matrix[byte]
+            )
+        matched = match & (prev | enable)
+        return self._kernel.propagate_int(matched), matched & self._report
+
+    def _event(self, rep: int) -> Tuple[int, bytes]:
+        """The ``(count, reporting-row bytes)`` event of a non-zero
+        reporting row."""
+        return rep.bit_count(), rep.to_bytes(self._kernel.row_bytes, "little")
 
     def _miss(self, sid: int, column: int) -> Tuple[int, object]:
         """Fill the ``(sid, column)`` transition; returns ``(sid, cell)``
@@ -215,36 +238,60 @@ class LazyDfaKernel:
         """
         row = self._table.states[sid]
         if self._alphabet is None:
-            row, count, rep_row = self._plain_step(row, column)
-            record = (count, rep_row.tobytes()) if count else None
+            row, rep = self._step(row, column, self._start_all)
+            record = self._event(rep) if rep else None
         else:
             combo: List[Tuple[int, int]] = []
             total = 0
             for delta, byte in enumerate(
                 self._alphabet.representative_bytes(column)
             ):
-                row, count, rep_row = self._plain_step(row, byte)
-                if count:
-                    total += count
-                    event_id = self._event_id((count, rep_row.tobytes()))
-                    combo.append((delta, event_id))
+                row, rep = self._step(row, byte, self._start_all)
+                if rep:
+                    event = self._event(rep)
+                    total += event[0]
+                    combo.append((delta, self._event_id(event)))
             record = (total, tuple(combo)) if combo else None
-        return self._table.fill(sid, column, row.tobytes(), record)
+        return self._table.fill(sid, column, row, record)
 
-    def _sod_step(self, prev: np.ndarray, symbol: int):
-        """One uncached cycle with the start-of-data states enabled."""
-        kernel = self._kernel
-        enabled = prev | kernel.start_all_row | kernel.start_sod_row
-        matched = kernel.match_matrix[symbol] & enabled
-        nxt, _ = kernel.propagate(matched)
-        rep_row = matched & kernel.report_row
-        return nxt, popcount_row(rep_row), rep_row
+    def _uncached(
+        self,
+        prev: int,
+        byte: int,
+        enable: int,
+        at: int,
+        events: Optional[List[Tuple[int, int]]],
+    ) -> Tuple[int, int]:
+        """A :meth:`_step` outside the table — the start-of-data cycle,
+        an odd tail's — whose report event, if any, is appended to
+        ``events`` at offset ``at``; returns ``(next row, reports
+        fired)``."""
+        prev, rep = self._step(prev, byte, enable)
+        if not rep:
+            return prev, 0
+        event = self._event(rep)
+        if events is not None:
+            events.append((at, self._event_id(event)))
+        return prev, event[0]
 
     # -- scanning ----------------------------------------------------------
 
+    def _value(self, state: Union[int, np.ndarray]) -> int:
+        """The activation row of an :meth:`advance` state, as an int."""
+        if state.__class__ is int:
+            return self._table.states[state]
+        return self._kernel.unpack(state)
+
+    def _array(self, value: int) -> np.ndarray:
+        """An activation row held as an int, as a read-only array."""
+        raw = value.to_bytes(self._kernel.row_bytes, "little")
+        return np.frombuffer(raw, np.uint64)
+
     def row(self, state: Union[int, np.ndarray]) -> np.ndarray:
         """The activation row of an :meth:`advance` state."""
-        return self._table.states[state] if state.__class__ is int else state
+        if state.__class__ is int:
+            return self._array(self._table.states[state])
+        return state
 
     def scan(
         self,
@@ -283,34 +330,32 @@ class LazyDfaKernel:
         the ``offset``-th of the scan; returns ``(state, sod,
         report_total)``.
 
-        A state is a table state id or an activation row not interned
-        yet (what a scan enters with; :meth:`row` reads either).  An
-        unstrided scan leaves an id behind, so the next call on it walks
-        on without re-interning.  Report events are appended to
-        ``events`` as ``(offset, event_id)`` unless it is ``None``.
+        A state is a table state id (an ``int``) or an activation row
+        not interned yet (an array: what a scan enters with; :meth:`row`
+        reads either).  An unstrided scan leaves an id behind, so the
+        next call on it walks on without re-interning.  Report events
+        are appended to ``events`` as ``(offset, event_id)`` unless it
+        is ``None``.
         """
         if self._alphabet is not None:
             return self._advance_strided(state, sod, columns, offset, events)
         report_total = 0
         if not columns:
             return state, sod, report_total
+        table = self._table
         start = 0
         if sod:
             # Start-of-data states are enabled for exactly one cycle, so
             # that cycle runs outside the cache and the DFA proper only
             # ever sees transitions keyed by the activation row alone.
-            state, count, rep_row = self._sod_step(self.row(state), columns[0])
-            if count:
-                report_total += count
-                if events is not None:
-                    events.append(
-                        (offset, self._event_id((count, rep_row.tobytes())))
-                    )
+            row, report_total = self._uncached(
+                self._value(state), columns[0], self._start_sod, offset, events
+            )
+            state = table.intern(row)
             sod = False
             start = 1
-        table = self._table
-        if state.__class__ is not int:
-            state = table.intern(state.tobytes())
+        elif state.__class__ is not int:
+            state = table.intern(self._kernel.unpack(state))
         trail: List[int] = []
         state = table.walk(state, columns, self._miss, trail, start)
         if trail:
@@ -328,7 +373,7 @@ class LazyDfaKernel:
         columns: bytes,
         offset: int,
         events: Optional[List[Tuple[int, int]]],
-    ) -> Tuple[np.ndarray, bool, int]:
+    ) -> Tuple[Union[int, np.ndarray], bool, int]:
         """k-stride :meth:`advance`: cached k-byte groups plus an
         unstrided tail, leaving an activation row behind.
 
@@ -336,21 +381,16 @@ class LazyDfaKernel:
         so callers see exactly the event stream the unstrided scan
         emits — same offsets, same flush-immune event ids.
         """
-        symbols = np.frombuffer(columns, dtype=np.uint8)
-        prev = self.row(state)
-        report_total = 0
-        length = len(symbols)
+        length = len(columns)
         if length == 0:
-            return prev, sod, report_total
+            return state, sod, 0
+        prev = self._value(state)
+        report_total = 0
         pos = 0
         if sod:
-            prev, count, rep_row = self._sod_step(prev, int(symbols[0]))
-            if count:
-                report_total += count
-                if events is not None:
-                    events.append(
-                        (offset, self._event_id((count, rep_row.tobytes())))
-                    )
+            prev, report_total = self._uncached(
+                prev, columns[0], self._start_sod, offset, events
+            )
             sod = False
             pos = 1
         k = self._stride
@@ -358,13 +398,11 @@ class LazyDfaKernel:
         tail_start = pos + groups * k
         if groups:
             classes = self._alphabet.stride_classes(
-                symbols[pos:tail_start]
+                np.frombuffer(columns, dtype=np.uint8)[pos:tail_start]
             ).tolist()
             table = self._table
             trail: List[int] = []
-            sid = table.walk(
-                table.intern(prev.tobytes()), classes, self._miss, trail
-            )
+            sid = table.walk(table.intern(prev), classes, self._miss, trail)
             records = table.records.values
             for j, combo_id in table.recorded(trail):
                 total, combo = records[combo_id]
@@ -379,14 +417,11 @@ class LazyDfaKernel:
         # the unstrided run's.
         for i in range(tail_start, length):
             self._tail_steps += 1
-            prev, count, rep_row = self._plain_step(prev, int(symbols[i]))
-            if count:
-                report_total += count
-                if events is not None:
-                    events.append(
-                        (offset + i, self._event_id((count, rep_row.tobytes())))
-                    )
-        return prev, sod, report_total
+            prev, count = self._uncached(
+                prev, columns[i], self._start_all, offset + i, events
+            )
+            report_total += count
+        return self._array(prev), sod, report_total
 
     # -- sharding support --------------------------------------------------
 
@@ -404,10 +439,12 @@ class LazyDfaKernel:
         first use (see :meth:`seed`).
         """
         keys, nxt = self._table.publish()
+        row_bytes = self._kernel.row_bytes
+        raw = b"".join(key.to_bytes(row_bytes, "little") for key in keys)
         tables = {
-            "dfa_rows": np.frombuffer(
-                b"".join(keys), dtype=np.uint64
-            ).reshape(len(keys), self._kernel.words),
+            "dfa_rows": np.frombuffer(raw, dtype=np.uint64).reshape(
+                len(keys), self._kernel.words
+            ),
             "dfa_next": nxt,
         }
         if self._alphabet is not None:
@@ -422,7 +459,11 @@ class LazyDfaKernel:
         Non-reporting transitions seed directly into the hot-loop lists;
         reporting ones stay missing (their reporting-row bytes were not
         shipped) and recompute through the miss path on first use — a
-        one-time propagate per distinct reporting transition.
+        one-time propagate per distinct reporting transition.  Tables
+        this kernel could not have exported raise: ``StrideError`` on
+        another width, ``ValueError`` on ``dfa_rows`` that are not
+        ``(len(dfa_next), words)`` ``uint64`` or on successor ids that
+        name no row.
         """
         nxt = np.asarray(tables["dfa_next"])
         if nxt.ndim == 2 and nxt.shape[1] != self._table.width:
@@ -430,10 +471,20 @@ class LazyDfaKernel:
                 f"seed tables have width {nxt.shape[1]} but this kernel's "
                 f"stride-{self._stride} alphabet has width {self._table.width}"
             )
-        # tobytes copies: the rows may view a shared-memory block that
-        # is unmapped right after seeding.
-        rows = np.asarray(tables["dfa_rows"], dtype=np.uint64)
-        self._table.adopt([row.tobytes() for row in rows], nxt)
+        rows = np.asarray(tables["dfa_rows"])
+        shape = (len(nxt), self._kernel.words)
+        if rows.dtype != np.uint64 or rows.shape != shape:
+            # A row of another width would be a state of its own here.
+            raise ValueError(
+                f"seed: dfa_rows are {rows.dtype} {rows.shape}, not the "
+                f"uint64 {shape} this kernel's states need"
+            )
+        raw, row_bytes = rows.tobytes(), self._kernel.row_bytes
+        keys = [
+            int.from_bytes(raw[at : at + row_bytes], "little")
+            for at in range(0, len(raw), row_bytes)
+        ]
+        self._table.adopt(keys, nxt)
 
     # -- introspection -----------------------------------------------------
 

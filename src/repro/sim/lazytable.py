@@ -12,8 +12,9 @@ it does with the records a scan met.
 * **Hash-consing.**  A state is any hashable *key*; :meth:`LazyTable.
   intern` maps it to a dense id, and ``keys[sid]`` maps back.
   ``states[sid]`` is the key *decoded* once, at interning, into the form
-  the step function works on (row arrays over the key's bytes), so a
-  miss does not pay for the conversion again.
+  the step function works on (the SFA's row arrays over the key's
+  bytes; the lazy DFA's key, an activation row held as an int, already
+  is that form), so a miss does not pay for the conversion again.
 * **Chained rows, one walk.**  ``enc_rows[sid]`` is a Python list of
   ``width + 1`` cells.  A *silent* transition's cell is the successor's
   row itself, a missing one is ``~sid`` and one that carries a record is
@@ -296,13 +297,20 @@ class LazyTable:
         that do not fit under ``max_states`` are left out, and with them
         the transitions that lead there — they re-miss here, as
         transitions with records always do.  Nothing of ``nxt`` is kept
-        (it may view memory that is unmapped right after).
+        (it may view memory that is unmapped right after).  A table of
+        the wrong shape, or one whose successor ids are not ``-1`` or a
+        key's index, raises ``ValueError``.
         """
         nxt = np.asarray(nxt)
         if nxt.shape != (len(keys), self.width):
             raise ValueError(
                 f"adopt: table of shape {nxt.shape} does not match "
                 f"{len(keys)} keys of width {self.width}"
+            )
+        if nxt.size and not -1 <= int(nxt.min()) <= int(nxt.max()) < len(keys):
+            raise ValueError(
+                f"adopt: successor ids run from {nxt.min()} to {nxt.max()}, "
+                f"outside -1 .. {len(keys) - 1}"
             )
         # Source id -> local id.  The spare last slot is what a missing
         # (-1) source transition indexes, so missing stays missing.

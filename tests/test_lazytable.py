@@ -223,6 +223,30 @@ def test_split_master_stays_under_budget_and_bit_identical(
         assert backend._sfa.cache_info()["states"] <= FLOOR
 
 
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda rows: rows[:, :-1],
+        lambda rows: np.hstack([rows, rows[:, :1]]),
+        lambda rows: rows[:-1],
+        lambda rows: rows.view(np.int64),
+    ],
+    ids=["narrow", "wide", "short", "signed"],
+)
+def test_seed_rejects_rows_that_are_not_this_kernels_states(
+    kernel, symbols, spoil
+):
+    """With int keys a row of another width would intern as a state of
+    its own; ``seed`` says so instead."""
+    warm = LazyDfaKernel(kernel)
+    warm.scan(symbols[:500], prev=kernel.pack(0), sod=kernel.has_sod)
+    tables = warm.export_tables()
+    cold = LazyDfaKernel(kernel)
+    with pytest.raises(ValueError, match="seed"):
+        cold.seed(dict(tables, dfa_rows=spoil(tables["dfa_rows"])))
+    assert cold.cache_info()["states"] == 0
+
+
 class TestLazyTable:
     def test_fill_returns_the_reinterned_sid(self):
         table = LazyTable(4, 3, str.upper)
@@ -293,6 +317,19 @@ class TestLazyTable:
     def test_adopt_rejects_a_table_of_another_shape(self):
         with pytest.raises(ValueError, match="adopt"):
             LazyTable(4, 8, str.upper).adopt(["a"], np.full((1, 2), -1, dtype=np.int32))
+
+    def test_adopt_rejects_a_successor_id_below_missing(self):
+        """-2 would index the id map from its end and wire ``a -> b``."""
+        table = LazyTable(2, 8, str.upper)
+        with pytest.raises(ValueError, match="adopt"):
+            table.adopt(["a", "b"], np.array([[-2, -1], [-1, -1]], np.int32))
+        assert table.keys == []
+
+    def test_adopt_rejects_a_successor_id_past_the_keys(self):
+        table = LazyTable(2, 8, str.upper)
+        with pytest.raises(ValueError, match="adopt"):
+            table.adopt(["a", "b"], np.array([[1, 2], [-1, -1]], np.int32))
+        assert table.keys == []
 
     # -- the walk's edges ------------------------------------------------------
 
