@@ -10,7 +10,10 @@ output buffer).
 
 ``hybrid`` is an alias: ``auto=True`` runs a ruleset with any
 determinisation-hostile component on this backend, whole, because its
-step cache steps each component on its own table.
+kernel needs no determinisation: a placement whose edges fall in a few
+bit offsets (a chain, a bounded gap like ``x.{14}y``) steps by shifts,
+and any other steps each component on its own table once the whole-row
+step cache is full.
 """
 
 from __future__ import annotations

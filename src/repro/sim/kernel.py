@@ -4,7 +4,7 @@ The interpreters in :mod:`repro.sim.golden` and :mod:`repro.sim.functional`
 originally stepped one symbol per Python-loop iteration over
 arbitrary-precision ints.  This module replaces that representation with
 ``uint64`` word arrays so the per-symbol work becomes a handful of fixed-size
-numpy operations, and layers four accelerations on top:
+numpy operations, and layers five accelerations on top:
 
 * **match matrix** — the 256-entry match table is one ``(256, words)``
   ``uint64`` matrix; a whole chunk of input gathers its per-symbol match
@@ -29,6 +29,12 @@ numpy operations, and layers four accelerations on top:
   *byte column* (bytes no component tells apart) so that all of them
   advance with one ``take`` of one table row a byte, and the per-cycle
   histories are rebuilt a block at a time from the component states;
+* **shift step** — a kernel whose edges fall in at most
+  :data:`SHIFT_OFFSETS` distinct bit offsets (``target − source``) skips
+  the step cache: a non-idle cycle is Shift-And on Python ints,
+  ``next = OR over d of shift(matched & M_d, d)`` with ``M_d`` the
+  sources of the edges at offset ``d``, exact with no learning and no
+  table memory;
 * **idle fast path** — while no state is active and the start states are
   quiescent, the enabled vector is exactly the all-input start set, so the
   kernel skips ahead over whole input slices with one vectorised
@@ -53,6 +59,7 @@ simulators and every backend.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -82,6 +89,14 @@ STEP_ROWS = 2048
 #: level also stops growing when its rows and entries (up to 256 a row)
 #: fill their half, the component tables flush when their states do.
 STEP_CACHE_BYTES = 32 * 1024 * 1024
+
+#: Distinct bit offsets (``target − source``) up to which a kernel steps
+#: its non-idle cycles by shifts instead of on the step cache.  Warm, per
+#: byte, shifts against the step cache: 1 offset (Fermi) 0.8 vs 4.8 µs,
+#: 3 (``x.{14}y``) 0.62 vs 0.48 (but no cold misses), 20 (Hamming) 8–11
+#: vs 3–5, ~80 (Levenshtein) 11–16 vs 2–2.5 (2-CPU x86-64 host); any
+#: value from 3 to 19 splits them alike.
+SHIFT_OFFSETS = 8
 
 #: Cycles the component tables step between two rebuilds of the per-cycle
 #: histories (and two looks at whether the machine has gone idle).
@@ -419,13 +434,7 @@ class _ComponentTables:
 
         self._kernel = kernel
         words = kernel.words
-        source, word, mask = kernel._successor_words()
-        edge, offset = np.nonzero(
-            np.unpackbits(
-                mask.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-            )
-        )
-        tail, head = source[edge], word[edge] * 64 + offset
+        tail, head = kernel.edges()
         label = component_labels(words * 64, tail, head)
         member = np.zeros(words * 64, dtype=bool)
         member[tail] = member[head] = True
@@ -450,19 +459,17 @@ class _ComponentTables:
             self._slot_mask[lo:hi] for lo, hi in zip(bounds, bounds[1:])
         ]
         # A component's int: bit 64 k + b is bit b of its k-th word.  Its
-        # successor int of each such bit, from the (source, word, mask)
-        # triples (a successor is in its source's component).
+        # successor int of each such bit, an edge at a time (an edge's
+        # head is in its tail's component).
         local = np.zeros(words * 64, dtype=np.intp)
         local[bits] = (slot - bounds[component]) * 64 + (bits & 63)
         owner = np.zeros(words * 64, dtype=np.intp)
         owner[bits] = component
-        of = owner[source]
-        shift = 64 * (np.searchsorted(slots, of * words + word) - bounds[of])
         self._successors = [[0] * (64 * len(own)) for own in self._words]
-        for index, bit, at, value in zip(
-            of.tolist(), local[source].tolist(), shift.tolist(), mask.tolist()
+        for index, bit, target in zip(
+            owner[tail].tolist(), local[tail].tolist(), local[head].tolist()
         ):
-            self._successors[index][bit] |= value << at
+            self._successors[index][bit] |= 1 << target
         # Byte classes, per component: bytes that match the same states.
         self._classes = np.empty((256, self.components), dtype=np.intp)
         self._class_values: List[List[int]] = []
@@ -778,6 +785,12 @@ class BitsetKernel:
         # first time a row sets the bit.
         self._prop_ints: Dict[int, int] = {}
         self._successor_ints: Optional[List[Optional[int]]] = None
+        self._match_ints: List[Optional[int]] = [None] * 256
+        # Shift step: ``None`` until the first non-idle cycle counts the
+        # edges' offsets, then :meth:`_shift_plan`'s ``(left, right,
+        # start_all)``, or ``()`` on the step cache.
+        self._shifts: Optional[tuple] = None
+        self._shift_cycles = 0
         # Step cache, whole-row level: full-cycle memo keyed by the packed
         # previous activation row; each row's 256-entry list holds
         # (matched, enabled, next_prev, nonzero, next_row_list) tuples
@@ -948,12 +961,10 @@ class BitsetKernel:
         return int.from_bytes(np.ascontiguousarray(row).tobytes(), "little")
 
     def _pack_rows(self, masks: List[int]) -> np.ndarray:
-        raw = b"".join(mask.to_bytes(self.row_bytes, "little") for mask in masks)
-        return (
-            np.frombuffer(raw, dtype=np.uint64)
-            .reshape(len(masks), self.words)
-            .copy()
-        )
+        """Ints -> their read-only ``(len(masks), words)`` uint64 rows."""
+        width = self.row_bytes
+        raw = b"".join([mask.to_bytes(width, "little") for mask in masks])
+        return np.frombuffer(raw, dtype=np.uint64).reshape(len(masks), self.words)
 
     @staticmethod
     def bit_indices(row: np.ndarray) -> np.ndarray:
@@ -983,15 +994,32 @@ class BitsetKernel:
             np.bitwise_or.at(out, self._csr_words[sel], self._csr_masks[sel])
         return out
 
-    def _successor_words(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The successor table as ``(source bit, word, mask)`` triples, one
-        per non-zero word of a source's successor row (dense or CSR)."""
+    def edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The successor table (dense or CSR) as ``(tail, head)`` bit
+        arrays, one pair an edge."""
         if self._dense is not None:
             source, word = np.nonzero(self._dense)
-            return source, word, self._dense[source, word]
-        counts = np.diff(self._csr_indptr)
-        source = np.repeat(np.arange(self.n_bits), counts)
-        return source, self._csr_words.astype(np.intp), self._csr_masks
+            mask = self._dense[source, word]
+        else:
+            source = np.repeat(np.arange(self.n_bits), np.diff(self._csr_indptr))
+            word, mask = self._csr_words.astype(np.intp), self._csr_masks
+        edge, offset = np.nonzero(
+            np.unpackbits(
+                np.ascontiguousarray(mask).view(np.uint8).reshape(-1, 8),
+                axis=1,
+                bitorder="little",
+            )
+        )
+        return source[edge], word[edge] * 64 + offset
+
+    def match_int(self, byte: int) -> int:
+        """The match row of ``byte`` as one int, unpacked the first time
+        it is asked for into the list both int steppers index
+        (:meth:`_run_shifts` and the lazy DFA's miss)."""
+        value = self._match_ints[byte]
+        if value is None:
+            value = self._match_ints[byte] = self.unpack(self.match_matrix[byte])
+        return value
 
     def _occupied(self) -> np.ndarray:
         """Row of the bits that hold a state: those a byte matches, a
@@ -1119,6 +1147,68 @@ class BitsetKernel:
         self._step_bytes += _STEP_ENTRY_BYTES + 2 * self.row_bytes
         return hit
 
+    def _shift_plan(self) -> tuple:
+        """``(left, right, start_all)``: per offset ``d`` of the edges,
+        the int ``M_d`` of their tails and ``|d|``, split by the
+        direction of the shift, and the all-input start row as an int —
+        or ``()`` when there are no offsets or more than
+        :data:`SHIFT_OFFSETS`.  Decided once, on the first non-idle
+        cycle; a shift kernel unpacks every match row now."""
+        tail, head = self.edges()
+        offsets, which = np.unique(head - tail, return_inverse=True)
+        if not 0 < len(offsets) <= SHIFT_OFFSETS:
+            return ()
+        masks = [0] * len(offsets)
+        for index, bit in zip(which.tolist(), tail.tolist()):
+            masks[index] |= 1 << bit
+        for byte in range(256):
+            self.match_int(byte)
+        pairs = list(zip(masks, offsets.tolist()))
+        return (
+            [(mask, d) for mask, d in pairs if d >= 0],
+            [(mask, -d) for mask, d in pairs if d < 0],
+            self.unpack(self.start_all_row),
+        )
+
+    def _run_shifts(
+        self,
+        sym_list: list,
+        matched_rows: np.ndarray,
+        enabled_rows: Optional[np.ndarray],
+        i: int,
+        prev: np.ndarray,
+    ) -> Tuple[int, np.ndarray, bool]:
+        """Step the cycles from ``i`` by shifts, filling the histories as
+        :meth:`run_chunk` does, until the machine is idle or the chunk
+        ends; returns the ``(i, prev, prev_nonzero)`` cursor.
+
+        Exact: each ``(M_d, d)`` pair moves the matched tails of the
+        edges at offset ``d`` onto their heads, and together the pairs
+        are every edge.  A bit no edge touches (a checkpoint may set one)
+        is in no ``M_d``: enabled one cycle, then gone."""
+        left, right, start = self._shifts
+        match, state = self._match_ints, self.unpack(prev)
+        states = []
+        for byte in itertools.islice(sym_list, i, None):
+            states.append(state)
+            row = match[byte] & (state | start)
+            state = 0
+            for mask, d in left:
+                state |= (row & mask) << d
+            for mask, d in right:
+                state |= (row & mask) >> d
+            if not state:
+                break
+        j = i + len(states)
+        self._shift_cycles += j - i
+        # One row a cycle leaves the ints; the rest is numpy.
+        enabled = None if enabled_rows is None else enabled_rows[i:j]
+        enabled = np.bitwise_or(
+            self._pack_rows(states), self.start_all_row, out=enabled
+        )
+        matched_rows[i:j] &= enabled
+        return j, self.pack(state), bool(state)
+
     def _run_components(
         self,
         sym: np.ndarray,
@@ -1172,8 +1262,12 @@ class BitsetKernel:
         never flushes); ``component`` the tables it overflows into, all
         zero until the first overflow builds them — ``lookups`` are the
         cycles stepped there, ``misses`` those of them that had to
-        compute a transition.
+        compute a transition; ``shift`` how a kernel whose edges fall in
+        few bit offsets steps instead — ``offsets`` their number (0 on
+        the step cache, and until the first non-idle cycle decides),
+        ``cycles`` the cycles stepped by shifts.
         """
+        left, right, _ = self._shifts or ((), (), 0)
         return {
             "propagate": {
                 "hits": self._prop_hits,
@@ -1194,6 +1288,10 @@ class BitsetKernel:
                 for key in (
                     "components", "states", "limit", "lookups", "misses", "flushes"
                 )
+            },
+            "shift": {
+                "offsets": len(left) + len(right),
+                "cycles": self._shift_cycles,
             },
         }
 
@@ -1301,7 +1399,10 @@ class BitsetKernel:
         indexes and no numpy work.  Once it holds ``STEP_ROWS`` rows it
         stops growing, and a cycle it has no entry for hands over to the
         per-component tables (:meth:`_run_components`) until the machine
-        is idle again or the chunk ends.
+        is idle again or the chunk ends.  A kernel whose edges fall in at
+        most ``SHIFT_OFFSETS`` offsets steps its non-idle cycles by
+        shifts instead (:meth:`_run_shifts`), and never builds either
+        level.
         """
         cycles = len(sym)
         start_row = self.start_all_row
@@ -1315,6 +1416,13 @@ class BitsetKernel:
                 if sym_list is None:
                     sym_list = sym.tolist()
                 if row is None:
+                    if self._shifts is None:
+                        self._shifts = self._shift_plan()
+                    if self._shifts:
+                        i, prev, prev_nonzero = self._run_shifts(
+                            sym_list, matched_rows, enabled_rows, i, prev
+                        )
+                        continue
                     row = self._step_row(prev)
                 s = sym_list[i]
                 hit = row[s]

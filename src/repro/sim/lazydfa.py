@@ -166,8 +166,9 @@ class LazyDfaKernel:
             int,
         )
         # The step function's rows as ints: a byte's match row the first
-        # time a step reads it, the rest now.
-        self._match: List[Optional[int]] = [None] * 256
+        # time a step reads it (the kernel's list, which its shift step
+        # indexes too), the rest now.
+        self._match = kernel._match_ints
         self._start_all = kernel.unpack(kernel.start_all_row)
         self._start_sod = self._start_all | kernel.unpack(kernel.start_sod_row)
         self._report = kernel.unpack(kernel.report_row)
@@ -214,9 +215,7 @@ class LazyDfaKernel:
         ``_start_sod`` on the start-of-data cycle."""
         match = self._match[byte]
         if match is None:
-            match = self._match[byte] = self._kernel.unpack(
-                self._kernel.match_matrix[byte]
-            )
+            match = self._kernel.match_int(byte)
         matched = match & (prev | enable)
         return self._kernel.propagate_int(matched), matched & self._report
 

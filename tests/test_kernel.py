@@ -35,6 +35,7 @@ from repro.sim.golden import GoldenSimulator
 from repro.sim.kernel import (
     BitsetKernel,
     Checkpoint,
+    Report,
     ReportDecoder,
     as_symbols,
     popcount_rows,
@@ -161,7 +162,9 @@ class TestStepCache:
     def _mapping(self):
         return compile_automaton(compile_patterns(self.PATTERNS), CA_P)
 
-    def test_counters_track_hits_and_misses(self):
+    def test_counters_track_hits_and_misses(self, monkeypatch):
+        # Chains of +1 edges: a shift kernel unless pinned to the cache.
+        monkeypatch.setattr(kernel_module, "SHIFT_OFFSETS", 0)
         simulator = MappedSimulator(self._mapping())
         data = b"abbc cat dig abc dog cat " * 40
         simulator.run(data)
@@ -190,6 +193,7 @@ class TestStepCache:
         mapping = self._mapping()
         data = b"abbc cat dig abc dog cat " * 40
         expected = reports_of(MappedSimulator(mapping).run(data))
+        monkeypatch.setattr(kernel_module, "SHIFT_OFFSETS", 0)
         monkeypatch.setattr(kernel_module, "STEP_ROWS", 2)
         # A state that costs the whole budget: the tables hold the
         # fewest states they can and drop them over and over.
@@ -253,31 +257,30 @@ class TestStepCache:
         assert filled[level._column_of[ord("a")]] == filled[level._column_of[ord("b")]]
 
     def test_budgets_bound_what_the_caches_hold(self):
-        """64 KiB of Fermi never revisits a whole activation row: the
-        entry-count budget let the per-row slot lists pile up to 206 MiB
-        here.  Both levels of the step cache now share
+        """64 KiB of Hamming never revisits a whole activation row (nor
+        did Fermi's, where the entry-count budget let the per-row slot
+        lists pile up to 206 MiB).  Both levels of the step cache share
         ``STEP_CACHE_BYTES`` and the propagation memo has its own."""
-        benchmark = get_benchmark("Fermi")
-        artifact = CompiledArtifact.from_mapping(
-            compile_automaton(benchmark.build(), CA_P)
-        )
-        backend = create_backend("packed-kernel", artifact)
-        data = benchmark.input_stream(64 * 1024, seed=1)
-        only_kernel = [tracemalloc.Filter(True, kernel_module.__file__)]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.take_snapshot().filter_traces(only_kernel)
-            for start in range(0, len(data), 4096):
-                backend.scan(data[start : start + 4096], collect_reports=False)
-            after = tracemalloc.take_snapshot().filter_traces(only_kernel)
-        finally:
-            tracemalloc.stop()
-        held = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        backend, held = scan_64k_holding("Hamming")
         budget = kernel_module.STEP_CACHE_BYTES + kernel_module.PROPAGATE_CACHE_BYTES
         assert held < budget, f"{held / 2**20:.0f} MiB held"
         info = backend.simulator.cache_info()
+        assert info["shift"]["offsets"] == 0
         assert info["step"]["rows"] == kernel_module.STEP_ROWS
         assert info["component"]["lookups"] > 32 * 1024
+
+    def test_a_shift_kernel_learns_nothing(self):
+        """Fermi's edges all have offset +1: 64 KiB of it are stepped by
+        shifts, with no step row, no component table, and next to no
+        memory held in the kernel module."""
+        backend, held = scan_64k_holding("Fermi")
+        info = backend.simulator.cache_info()
+        assert info["shift"]["offsets"] == 1
+        assert info["shift"]["cycles"] > 32 * 1024
+        assert info["step"]["rows"] == info["step"]["size"] == 0
+        assert set(info["component"].values()) == {0}
+        assert backend.simulator.kernel._components is None
+        assert held < 1 << 20, f"{held / 2**20:.2f} MiB held"
 
     def test_the_propagation_memo_holds_its_budget(self, monkeypatch):
         """An entry costs its key's and its result's row bytes, two object
@@ -306,6 +309,29 @@ class TestStepCache:
         held = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
         assert kernel.cache_info()["propagate"]["size"] == kernel._prop_cache_limit
         assert held <= 2 << 20, f"{held / 2**20:.2f} MiB held"
+
+
+def scan_64k_holding(name: str):
+    """A packed-kernel backend of suite benchmark ``name`` after 64 KiB
+    of its own input in 4 KiB scans, and the bytes ``kernel.py`` holds
+    afterwards that it did not before."""
+    benchmark = get_benchmark(name)
+    artifact = CompiledArtifact.from_mapping(
+        compile_automaton(benchmark.build(), CA_P)
+    )
+    backend = create_backend("packed-kernel", artifact)
+    data = benchmark.input_stream(64 * 1024, seed=1)
+    only_kernel = [tracemalloc.Filter(True, kernel_module.__file__)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only_kernel)
+        for start in range(0, len(data), 4096):
+            backend.scan(data[start : start + 4096], collect_reports=False)
+        after = tracemalloc.take_snapshot().filter_traces(only_kernel)
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    return backend, held
 
 
 def as_csr(kernel: BitsetKernel) -> BitsetKernel:
@@ -365,8 +391,10 @@ def factored_machines(draw):
     return automaton, bit_of
 
 
-def scan_in_pieces(kernel, automaton, bit_of, pieces):
-    """Everything a scan leaves behind, resumed from piece to piece."""
+def scan_in_pieces(kernel, automaton, bit_of, pieces, resume=None):
+    """Everything a scan leaves behind, resumed from piece to piece: the
+    matched and enabled histories, the checkpoint after every piece and
+    the reports."""
     ids = [""] * kernel.n_bits
     for ste_id, bit in bit_of.items():
         ids[bit] = ste_id
@@ -380,17 +408,19 @@ def scan_in_pieces(kernel, automaton, bit_of, pieces):
         for cycle in np.flatnonzero(firing.any(axis=1)).tolist():
             decoder.emit(firing[cycle].tobytes(), offset + cycle, reports)
 
-    checkpoint = None
+    checkpoint, checkpoints = resume, []
     for piece in pieces:
         _, checkpoint = kernel.drive(
             piece, checkpoint, on_chunk, enabled_history=True
         )
-    return b"".join(matched), b"".join(enabled), checkpoint, reports
+        checkpoints.append(checkpoint)
+    return b"".join(matched), b"".join(enabled), checkpoints, reports
 
 
 class TestWhereTheTwoLevelsMeet:
     """Whole-row level, component tables, their overflow path, dense or
-    CSR underneath: one answer."""
+    CSR underneath: one answer (pinned to the step cache: a machine
+    whose edges fall in few offsets would step by shifts)."""
 
     @given(
         factored_machines(),
@@ -406,6 +436,7 @@ class TestWhereTheTwoLevelsMeet:
         def scan(step_rows, state_bytes, csr, width):
             with mock.patch.multiple(
                 kernel_module,
+                SHIFT_OFFSETS=0,
                 STEP_ROWS=step_rows,
                 _COMPONENT_STATE_BYTES=state_bytes,
                 COMPONENT_BLOCK=16,
@@ -438,8 +469,12 @@ class TestWhereTheTwoLevelsMeet:
         automaton.add_edge("p", "q")
         bit_of = {"lone": 70, "p": 3, "q": 4}
         outcomes = []
-        for step_rows in (0, kernel_module.STEP_ROWS):
-            with mock.patch.object(kernel_module, "STEP_ROWS", step_rows):
+        for step_rows, offsets in (
+            (0, 0), (kernel_module.STEP_ROWS, 0), (kernel_module.STEP_ROWS, 10**9)
+        ):
+            with mock.patch.multiple(
+                kernel_module, STEP_ROWS=step_rows, SHIFT_OFFSETS=offsets
+            ):
                 kernel = BitsetKernel.from_automaton(automaton, bit_of, 128)
                 reports = []
                 kernel.drive(
@@ -451,7 +486,141 @@ class TestWhereTheTwoLevelsMeet:
                     ),
                 )
                 outcomes.append(reports)
-        assert outcomes[0] == outcomes[1] == [(7, 1 << 70), (8, 0), (9, 1 << 4)]
+                assert kernel.cache_info()["shift"]["cycles"] == (3 if offsets else 0)
+        assert outcomes == [[(7, 1 << 70), (8, 0), (9, 1 << 4)]] * 3
+
+
+SHIFT_ALPHABET = ALPHABET + b"xy"
+
+
+@st.composite
+def chain_machines(draw):
+    """Chains laid out one bit after the next, so most edges are +1, with
+    gaps that may cross a word, a self-loop (0) here and a skip or back
+    edge there."""
+    automaton = HomogeneousAutomaton("chains")
+    bit_of = {}
+    bit = draw(st.integers(0, 70))
+    for chain in range(draw(st.integers(1, 4))):
+        ids = [f"c{chain}s{state}" for state in range(draw(st.integers(1, 8)))]
+        for state, ste_id in enumerate(ids):
+            start = StartKind.NONE
+            if state == 0:
+                start = draw(
+                    st.sampled_from([StartKind.ALL_INPUT, StartKind.START_OF_DATA])
+                )
+            automaton.add_ste(
+                ste_id,
+                SymbolSet(draw(st.sets(st.sampled_from(SHIFT_ALPHABET), min_size=1))),
+                start=start,
+                reporting=state == len(ids) - 1 or draw(st.booleans()),
+            )
+            bit_of[ste_id] = bit
+            bit += 1
+        for source, target in zip(ids, ids[1:]):
+            automaton.add_edge(source, target)
+        for _ in range(draw(st.integers(0, 2))):
+            automaton.add_edge(draw(st.sampled_from(ids)), draw(st.sampled_from(ids)))
+        bit += draw(st.integers(0, 40))
+    return automaton, bit_of
+
+
+@st.composite
+def bounded_machines(draw):
+    """``x.{k}y``, ``^``-anchored or not, beside ``a[bc]+d``: laid out in
+    state order (a few offsets) or shuffled across words (many)."""
+    k = draw(st.integers(1, 16))
+    anchor = "^" if draw(st.booleans()) else ""
+    automaton = compile_patterns([f"{anchor}x.{{{k}}}y", "a[bc]+d"])
+    ids = automaton.ste_ids()
+    if draw(st.booleans()):
+        ids = draw(st.permutations(ids))
+    first = draw(st.integers(0, 100))
+    return automaton, {ste_id: first + at for at, ste_id in enumerate(ids)}
+
+
+def interpret(automaton, bit_of, pieces, resume):
+    """:func:`scan_in_pieces`, one cycle at a time over the automaton's
+    own STEs and ``edges_unordered()``: sets of STE ids, no kernel."""
+    successors = {ste_id: set() for ste_id in automaton.ste_ids()}
+    for source, target in automaton.edges_unordered():
+        successors[source].add(target)
+    stes = list(automaton.stes())
+    start_all = {ste.ste_id for ste in stes if ste.start is StartKind.ALL_INPUT}
+    start_sod = {ste.ste_id for ste in stes if ste.start is StartKind.START_OF_DATA}
+    id_of = {bit: ste_id for ste_id, bit in bit_of.items()}
+
+    def vector(ids):
+        return sum(1 << bit_of[ste_id] for ste_id in ids)
+
+    def row(ids):
+        return vector(ids).to_bytes(N_WORDS * 8, "little")
+
+    offset, pending, sod = 0, set(), bool(start_sod)
+    if resume is not None:
+        offset, sod = resume.symbols_processed, sod and resume.start_of_data_pending
+        pending = {
+            id_of[bit]
+            for bit in range(N_WORDS * 64)
+            if resume.active_state_vector >> bit & 1
+        }
+    matched_rows, enabled_rows, checkpoints, reports = [], [], [], []
+    for piece in pieces:
+        for byte in piece:
+            enabled = pending | start_all | (start_sod if sod else set())
+            sod = False
+            matched = {ste_id for ste_id in enabled if automaton.ste(ste_id).matches(byte)}
+            enabled_rows.append(row(enabled))
+            matched_rows.append(row(matched))
+            reports.extend(
+                Report(offset, ste.ste_id, ste.report_code)
+                for ste in stes
+                if ste.reporting and ste.ste_id in matched
+            )
+            pending = set().union(*(successors[ste_id] for ste_id in matched))
+            offset += 1
+        checkpoints.append(Checkpoint(offset, vector(pending), sod))
+    return b"".join(matched_rows), b"".join(enabled_rows), checkpoints, reports
+
+
+class TestShiftStep:
+    """A kernel stepped by shifts, or pinned to the step cache, against
+    :func:`interpret` — the golden simulator drives the same
+    ``run_chunk``, so it cannot be the oracle here."""
+
+    @given(
+        st.one_of(factored_machines(), chain_machines(), bounded_machines()),
+        st.lists(st.sampled_from(SHIFT_ALPHABET), max_size=160).map(bytes),
+        st.lists(st.integers(0, 160), max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shifts_and_tables_are_the_interpreter(self, machine, data, cuts, draw):
+        automaton, bit_of = machine
+        cuts = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
+        pieces = [data[low:high] for low, high in zip(cuts, cuts[1:])] or [b""]
+        resume = None
+        if draw.draw(st.booleans(), label="resumed"):
+            active = draw.draw(st.sets(st.sampled_from(sorted(bit_of.values()))))
+            resume = Checkpoint(
+                draw.draw(st.integers(0, 99)),
+                sum(1 << bit for bit in active),
+                draw.draw(st.booleans()),
+            )
+        expected = interpret(automaton, bit_of, pieces, resume)
+        assert len(expected[0]) == len(data) * N_WORDS * 8
+        for offsets in (0, 10**9):
+            for csr in (False, True):
+                with mock.patch.object(kernel_module, "SHIFT_OFFSETS", offsets):
+                    kernel = BitsetKernel.from_automaton(automaton, bit_of, N_WORDS * 64)
+                    if csr:
+                        kernel = as_csr(kernel)
+                    got = scan_in_pieces(kernel, automaton, bit_of, pieces, resume)
+                assert got == expected, (offsets, csr)
+                if offsets:
+                    assert kernel._shifts != (), "took the step cache"
+                else:
+                    assert kernel.cache_info()["shift"] == {"offsets": 0, "cycles": 0}
 
 
 class TestPropagation:
