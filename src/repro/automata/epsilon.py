@@ -17,18 +17,20 @@ def remove_epsilon(nfa: Nfa) -> Nfa:
     For every state *q* and every state *r* in the epsilon closure of *q*:
     *q* inherits each consuming transition of *r*, and *q* becomes
     accepting if *r* is.  Unreachable states are trimmed afterwards.
+    States, closures and transitions are visited in the order the NFA
+    holds them, so the result is the same in every process.
     """
     result = Nfa()
-    closures = {state: nfa.epsilon_closure({state}) for state in nfa.states}
-    accept_states = nfa.accept_states
-    for state in nfa.states:
-        closure = closures[state]
+    states = nfa.states
+    closures = {state: nfa.epsilon_closure([state]) for state in states}
+    start_states, accept_states = nfa.start_states, nfa.accept_states
+    for state in states:
         result.add_state(
             state,
-            start=state in nfa.start_states,
-            accept=bool(closure & accept_states),
+            start=state in start_states,
+            accept=bool(closures[state] & accept_states),
         )
-    for state in nfa.states:
+    for state in states:
         for reachable in closures[state]:
             for symbols, target in nfa.transitions_from(reachable):
                 result.add_transition(state, symbols, target)

@@ -14,7 +14,7 @@ model via :mod:`repro.automata.transform`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import AbstractSet, Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
 from repro.automata.symbols import SymbolSet
 from repro.errors import AutomatonError
@@ -37,16 +37,21 @@ class Nfa:
     States are opaque hashable identifiers (strings in most of this
     library).  The class is mutable during construction; analysis passes
     treat it as read-only.
+
+    Every set of states is held as a dict (an insertion-ordered set) and
+    read back as a set-like view in that order, so that a pass which
+    iterates one builds the same automaton in every process: a ``set``
+    of strings iterates in an order ``PYTHONHASHSEED`` picks.
     """
 
     def __init__(self):
-        self._states: Set[StateId] = set()
-        self._start_states: Set[StateId] = set()
-        self._accept_states: Set[StateId] = set()
+        self._states: Dict[StateId, None] = {}
+        self._start_states: Dict[StateId, None] = {}
+        self._accept_states: Dict[StateId, None] = {}
         # state -> list of (symbols, target)
         self._transitions: Dict[StateId, List[Tuple[SymbolSet, StateId]]] = {}
-        # state -> set of epsilon targets
-        self._epsilon: Dict[StateId, Set[StateId]] = {}
+        # state -> epsilon targets, in the order they were added
+        self._epsilon: Dict[StateId, Dict[StateId, None]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -54,11 +59,11 @@ class Nfa:
         self, state: StateId, *, start: bool = False, accept: bool = False
     ) -> StateId:
         """Add ``state`` (idempotent); optionally mark it start/accepting."""
-        self._states.add(state)
+        self._states[state] = None
         if start:
-            self._start_states.add(state)
+            self._start_states[state] = None
         if accept:
-            self._accept_states.add(state)
+            self._accept_states[state] = None
         return state
 
     def add_transition(self, source: StateId, symbols: SymbolSet, target: StateId):
@@ -73,7 +78,7 @@ class Nfa:
         """Add an epsilon edge (taken without consuming input)."""
         self.add_state(source)
         self.add_state(target)
-        self._epsilon.setdefault(source, set()).add(target)
+        self._epsilon.setdefault(source, {})[target] = None
 
     def set_start(self, state: StateId):
         self.add_state(state, start=True)
@@ -84,16 +89,16 @@ class Nfa:
     # -- structure queries -------------------------------------------------
 
     @property
-    def states(self) -> Set[StateId]:
-        return set(self._states)
+    def states(self) -> AbstractSet[StateId]:
+        return dict(self._states).keys()
 
     @property
-    def start_states(self) -> Set[StateId]:
-        return set(self._start_states)
+    def start_states(self) -> AbstractSet[StateId]:
+        return dict(self._start_states).keys()
 
     @property
-    def accept_states(self) -> Set[StateId]:
-        return set(self._accept_states)
+    def accept_states(self) -> AbstractSet[StateId]:
+        return dict(self._accept_states).keys()
 
     def __len__(self) -> int:
         return len(self._states)
@@ -101,8 +106,8 @@ class Nfa:
     def transitions_from(self, state: StateId) -> List[Tuple[SymbolSet, StateId]]:
         return list(self._transitions.get(state, ()))
 
-    def epsilon_from(self, state: StateId) -> Set[StateId]:
-        return set(self._epsilon.get(state, ()))
+    def epsilon_from(self, state: StateId) -> AbstractSet[StateId]:
+        return dict(self._epsilon.get(state, {})).keys()
 
     def all_transitions(self) -> Iterator[Transition]:
         for source, edges in self._transitions.items():
@@ -119,25 +124,27 @@ class Nfa:
         """Raise :class:`AutomatonError` on structurally invalid automata."""
         if not self._start_states:
             raise AutomatonError("NFA has no start state")
-        dangling = (self._start_states | self._accept_states) - self._states
+        marked = self._start_states.keys() | self._accept_states.keys()
+        dangling = marked - self._states.keys()
         if dangling:
             raise AutomatonError(f"start/accept states not in Q: {sorted(map(str, dangling))}")
 
     # -- semantics ---------------------------------------------------------
 
-    def epsilon_closure(self, states: Iterable[StateId]) -> Set[StateId]:
-        """All states reachable from ``states`` via epsilon edges alone."""
-        closure = set(states)
+    def epsilon_closure(self, states: Iterable[StateId]) -> AbstractSet[StateId]:
+        """All states reachable from ``states`` via epsilon edges alone,
+        ``states`` first, then in the order a depth-first walk meets them."""
+        closure = dict.fromkeys(states)
         frontier = list(closure)
         while frontier:
             state = frontier.pop()
             for target in self._epsilon.get(state, ()):
                 if target not in closure:
-                    closure.add(target)
+                    closure[target] = None
                     frontier.append(target)
-        return closure
+        return closure.keys()
 
-    def step(self, active: Set[StateId], symbol: int) -> Set[StateId]:
+    def step(self, active: Iterable[StateId], symbol: int) -> AbstractSet[StateId]:
         """One consuming step: successors of ``active`` on ``symbol``."""
         successors: Set[StateId] = set()
         for state in active:
@@ -153,7 +160,7 @@ class Nfa:
             active = self.step(active, symbol)
             if not active:
                 break
-        return bool(active & self._accept_states)
+        return bool(active & self._accept_states.keys())
 
     def find_matches(self, data: bytes) -> List[int]:
         """Unanchored search: end offsets (1-based) at which a match completes.
@@ -163,21 +170,22 @@ class Nfa:
         """
         matches = []
         start_closure = self.epsilon_closure(self._start_states)
-        active: Set[StateId] = set(start_closure)
-        if active & self._accept_states:
+        active: AbstractSet[StateId] = start_closure
+        if active & self._accept_states.keys():
             matches.append(0)
         for offset, symbol in enumerate(data):
             active = self.step(active, symbol)
             active |= start_closure
-            if active & self._accept_states:
+            if active & self._accept_states.keys():
                 matches.append(offset + 1)
         return matches
 
     # -- transformations ---------------------------------------------------
 
-    def reachable_states(self) -> Set[StateId]:
-        """States reachable from a start state via any edge."""
-        seen = set(self._start_states)
+    def reachable_states(self) -> AbstractSet[StateId]:
+        """States reachable from a start state via any edge, the start
+        states first, then in the order a depth-first walk meets them."""
+        seen = dict(self._start_states)
         frontier = list(seen)
         while frontier:
             state = frontier.pop()
@@ -185,9 +193,9 @@ class Nfa:
             neighbours.extend(self._epsilon.get(state, ()))
             for target in neighbours:
                 if target not in seen:
-                    seen.add(target)
+                    seen[target] = None
                     frontier.append(target)
-        return seen
+        return seen.keys()
 
     def trim(self) -> "Nfa":
         """A copy with unreachable states dropped."""

@@ -12,8 +12,7 @@ output buffer).
 determinisation-hostile component on this backend, whole, because its
 kernel needs no determinisation: a placement whose edges fall in a few
 bit offsets (a chain, a bounded gap like ``x.{14}y``) steps by shifts,
-and any other steps each component on its own table once the whole-row
-step cache is full.
+and any other steps each component on its own table.
 """
 
 from __future__ import annotations

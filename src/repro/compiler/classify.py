@@ -11,7 +11,7 @@ a budget of distinct activation rows is exceeded.  The probe counts
 exactly the rows a lazy DFA would hash-cons, so a closed probe means the
 CC determinises cheaply (``lazy-dfa``) and an aborted one means it would
 blow up an eager DFA and thrash a lazy one (``packed-kernel``, whose
-step cache steps each component on its own table).
+step cache is one lazily determinised table per component).
 
 Beside the decision the classifier keeps a few structural features —
 state count, byte classes, symbol-set entropy, the probe's row count and

@@ -24,8 +24,8 @@ the scalar reference semantics.
 
 :meth:`MappedSimulator.run_many` runs several independent input streams
 (the Section 6 multi-stream scenario) one after the other on the one warm
-kernel: they share its match matrix, memoised propagation and step tables
-and idle fast-path tables, nothing more.
+kernel: they share its match matrix, propagation memo, step tables and
+idle fast-path tables, nothing more.
 """
 
 from __future__ import annotations

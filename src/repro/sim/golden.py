@@ -15,13 +15,13 @@ Semantics per input symbol (Micron AP / ANML convention):
 Execution runs on the packed-bitset kernel (:mod:`repro.sim.kernel`):
 state sets are ``uint64`` word arrays, each chunk of input gathers its
 match candidates from a ``(256, words)`` match matrix in one shot, and a
-non-idle cycle is either a lookup in the kernel's step cache (learned
-from a memoised gather/OR over a precomputed successor table) or, when
-the automaton's edges fall in a few bit offsets of this simulator's bit
-order, a handful of shifts on Python ints — so each cycle costs a few
-fixed-size operations instead of per-state Python work, and idle
-stretches of the input are skipped in whole vectorised slices.  Both
-ways run the same ``run_chunk`` as the mapped simulator, so the kernel's
+non-idle cycle is either one ``take`` of the kernel's per-component step
+tables (learned from per-bit successor ints of a precomputed successor
+table) or, when the automaton's edges fall in a few bit offsets of this
+simulator's bit order, a handful of shifts on Python ints — so each
+cycle costs a few fixed-size operations instead of per-state Python
+work, and idle stretches of the input are skipped in whole vectorised
+slices.  Both ways run the same ``run_chunk`` as the mapped simulator, so the kernel's
 tests compare it with an interpreter that shares no kernel code.
 """
 

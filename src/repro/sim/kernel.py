@@ -4,31 +4,24 @@ The interpreters in :mod:`repro.sim.golden` and :mod:`repro.sim.functional`
 originally stepped one symbol per Python-loop iteration over
 arbitrary-precision ints.  This module replaces that representation with
 ``uint64`` word arrays so the per-symbol work becomes a handful of fixed-size
-numpy operations, and layers five accelerations on top:
+numpy operations, and layers four accelerations on top:
 
 * **match matrix** — the 256-entry match table is one ``(256, words)``
   ``uint64`` matrix; a whole chunk of input gathers its per-symbol match
   candidates in a single fancy-index operation;
-* **successor table** — per-state successor masks live in a dense
-  ``(n_bits, words)`` matrix (sparse CSR triplets above a size budget), so
-  propagation is a gather plus a bitwise-OR reduction over the active bits
-  only, with whole-vector results memoised by the packed bytes of the
-  matched vector (the automaton revisits few distinct activation patterns,
-  the same locality the paper's partition-disabling hardware exploits);
-  :meth:`~BitsetKernel.propagate_int` is the same OR on rows held as
-  Python ints, one successor int per set bit, for the lazy DFA's misses;
-* **step cache, two levels** — a non-idle cycle is first looked up whole:
-  the previous activation row and the byte name a cached
-  ``(matched, enabled, next)`` entry, and the entries chain, so a ruleset
-  whose components' *product* converges runs on list indexing alone.  One
-  whose product does not (130 independent components rarely repeat a joint
-  state) fills that level's row budget; from then on whatever it lacks is
-  stepped on **per-component tables** (:class:`_ComponentTables`): each
-  weakly connected component of the successor table is determinised
-  lazily on its own words and byte classes, the tables are indexed by
-  *byte column* (bytes no component tells apart) so that all of them
-  advance with one ``take`` of one table row a byte, and the per-cycle
-  histories are rebuilt a block at a time from the component states;
+* **step cache** — a non-idle cycle is stepped on **per-component
+  tables** (:class:`_ComponentTables`): each weakly connected component
+  of the successor table is determinised lazily on its own words and
+  byte classes, the tables are indexed by *byte column* (bytes no
+  component tells apart) so that all of them advance with one ``take``
+  of one table row a byte, and the per-cycle histories are rebuilt a
+  block at a time from the component states.  What steps outside it
+  (the start-of-data cycle, the idle tables, a checkpoint's stray bits,
+  the lazy DFA's misses) propagates on rows held as Python ints
+  (:meth:`~BitsetKernel.propagate_int`, one successor int per set bit,
+  read off the dense ``(n_bits, words)`` successor matrix or its CSR
+  triplets, or one numpy gather of a wide row's dense rows), memoised
+  by the row;
 * **shift step** — a kernel whose edges fall in at most
   :data:`SHIFT_OFFSETS` distinct bit offsets (``target − source``) skips
   the step cache: a non-idle cycle is Shift-And on Python ints,
@@ -80,22 +73,17 @@ DENSE_TABLE_BYTES = 32 * 1024 * 1024
 #: Budget for memoised propagation results, in bytes.
 PROPAGATE_CACHE_BYTES = 32 * 1024 * 1024
 
-#: Distinct activation rows the whole-row step cache holds.  A ruleset
-#: whose components' product converges stays far below it; one that
-#: reaches it steps what the cache lacks on per-component tables.
-STEP_ROWS = 2048
-
-#: Budget for the step cache in bytes, half for each level: the whole-row
-#: level also stops growing when its rows and entries (up to 256 a row)
-#: fill their half, the component tables flush when their states do.
-STEP_CACHE_BYTES = 32 * 1024 * 1024
+#: Budget for the step cache in bytes: the component tables flush when
+#: their states fill it.
+STEP_CACHE_BYTES = 16 * 1024 * 1024
 
 #: Distinct bit offsets (``target − source``) up to which a kernel steps
 #: its non-idle cycles by shifts instead of on the step cache.  Warm, per
 #: byte, shifts against the step cache: 1 offset (Fermi) 0.8 vs 4.8 µs,
 #: 3 (``x.{14}y``) 0.62 vs 0.48 (but no cold misses), 20 (Hamming) 8–11
-#: vs 3–5, ~80 (Levenshtein) 11–16 vs 2–2.5 (2-CPU x86-64 host); any
-#: value from 3 to 19 splits them alike.
+#: vs 3–5, ~80 (Levenshtein) 11–16 vs 2–2.5 (2-CPU x86-64 host, with a
+#: whole-row level then in front of the component tables); any value
+#: from 3 to 19 splits them alike.
 SHIFT_OFFSETS = 8
 
 #: Cycles the component tables step between two rebuilds of the per-cycle
@@ -389,23 +377,14 @@ _COMPONENT_STATE_BYTES = 200
 #: independent ``x[yz]+.{2}z``-shaped components, 2-CPU x86-64 host.
 _VECTOR_WIDTH = 8
 
-#: Entry list of an activation row the full whole-row level has no room
-#: for: never filled, so every lookup in it misses.
-_NO_ROOM: list = [None] * 256
-
-#: What a whole-row entry (a tuple and two array headers) and a row (its
-#: 256-slot list, key and dictionary slot) cost beside their row bytes.
-_STEP_ENTRY_BYTES = 320
-_STEP_ROW_BYTES = 2240
-
-#: What a propagation-memo entry (its key's header, the result's array
-#: header, a tuple and a dictionary slot) costs beside its two rows.
+#: What a propagation-memo entry (its key's and its result's int headers
+#: and a dictionary slot) costs beside its two rows.
 _PROP_ENTRY_BYTES = 256
 
 
 class _ComponentTables:
-    """The step cache's second level: one lazily determinised table per
-    weakly connected component of a kernel's successor table.
+    """The step cache: one lazily determinised table per weakly
+    connected component of a kernel's successor table.
 
     A component's state is its share of the pending-activation row — the
     words it occupies under its own mask, since components may share a
@@ -514,7 +493,7 @@ class _ComponentTables:
         state_bytes = 4 * columns + 8 + 8 * widest + _COMPONENT_STATE_BYTES
         #: State budget; never so small that a flush leaves no room for
         #: the states of one cycle.
-        self.limit = max(3 * self.components, STEP_CACHE_BYTES // 2 // state_bytes)
+        self.limit = max(3 * self.components, STEP_CACHE_BYTES // state_bytes)
         #: Ids the tables can need: the sink, ``limit`` states and one more
         #: a component (see :meth:`split` and :meth:`_restep`).
         self._most = self.limit + self.components + 1
@@ -774,16 +753,14 @@ class BitsetKernel:
 
     def _init_caches(self):
         """Fresh memoisation state (shared by all construction paths)."""
-        self._prop_cache: Dict[bytes, Tuple[np.ndarray, bool]] = {}
-        self._prop_cache_limit = max(
+        # Propagation memo, keyed by the matched row as an int, and each
+        # bit's successor int, derived the first time a row sets the bit.
+        self._prop_ints: Dict[int, int] = {}
+        self._prop_limit = max(
             1024, PROPAGATE_CACHE_BYTES // (2 * self.row_bytes + _PROP_ENTRY_BYTES)
         )
         self._prop_hits = 0
         self._prop_misses = 0
-        # The same memo for rows held as ints (:meth:`propagate_int`),
-        # sharing the budget, and each bit's successor int, derived the
-        # first time a row sets the bit.
-        self._prop_ints: Dict[int, int] = {}
         self._successor_ints: Optional[List[Optional[int]]] = None
         self._match_ints: List[Optional[int]] = [None] * 256
         # Shift step: ``None`` until the first non-idle cycle counts the
@@ -791,18 +768,8 @@ class BitsetKernel:
         # start_all)``, or ``()`` on the step cache.
         self._shifts: Optional[tuple] = None
         self._shift_cycles = 0
-        # Step cache, whole-row level: full-cycle memo keyed by the packed
-        # previous activation row; each row's 256-entry list holds
-        # (matched, enabled, next_prev, nonzero, next_row_list) tuples
-        # that chain directly to the successor row's list, so the hot
-        # loop advances with pure list indexing (see :meth:`run_chunk`).
-        # What it lacks once it holds STEP_ROWS rows is stepped on the
-        # component level, built on the first such cycle.
-        self._step_rows: Dict[bytes, list] = {}
-        self._step_entries = 0
-        self._step_bytes = 0
-        self._step_lookups = 0
-        self._step_misses = 0
+        # Step cache: the component tables, built on the first non-idle
+        # cycle a shift plan does not take.
         self._components: Optional[_ComponentTables] = None
         self._occupied_row: Optional[np.ndarray] = None
         self._idle_next: Optional[np.ndarray] = None
@@ -958,7 +925,7 @@ class BitsetKernel:
 
     def unpack(self, row: np.ndarray) -> int:
         """(words,) uint64 array -> arbitrary-precision int."""
-        return int.from_bytes(np.ascontiguousarray(row).tobytes(), "little")
+        return int.from_bytes(row.tobytes(), "little")
 
     def _pack_rows(self, masks: List[int]) -> np.ndarray:
         """Ints -> their read-only ``(len(masks), words)`` uint64 rows."""
@@ -975,24 +942,6 @@ class BitsetKernel:
         return np.flatnonzero(flat)
 
     # -- propagation -------------------------------------------------------
-
-    def _successors_of(self, row: np.ndarray) -> np.ndarray:
-        return self._successors_of_bits(self.bit_indices(row))
-
-    def _successors_of_bits(self, bits: np.ndarray) -> np.ndarray:
-        if bits.size == 0:
-            return np.zeros(self.words, dtype=np.uint64)
-        if self._dense is not None:
-            return np.bitwise_or.reduce(self._dense[bits], axis=0)
-        out = np.zeros(self.words, dtype=np.uint64)
-        starts = self._csr_indptr[bits]
-        counts = self._csr_indptr[bits + 1] - starts
-        total = int(counts.sum())
-        if total:
-            run_starts = np.cumsum(counts) - counts
-            sel = np.repeat(starts - run_starts, counts) + np.arange(total)
-            np.bitwise_or.at(out, self._csr_words[sel], self._csr_masks[sel])
-        return out
 
     def edges(self) -> Tuple[np.ndarray, np.ndarray]:
         """The successor table (dense or CSR) as ``(tail, head)`` bit
@@ -1038,48 +987,47 @@ class BitsetKernel:
         return self._occupied_row
 
     def propagate(self, row: np.ndarray) -> Tuple[np.ndarray, bool]:
-        """Enabled-successor row of ``row``, plus a non-zero flag.
-
-        Results are memoised by the packed bytes of ``row``; the returned
-        array is read-only and must not be mutated by callers.
-        """
-        key = np.ascontiguousarray(row).tobytes()
-        hit = self._prop_cache.get(key)
-        if hit is None:
-            self._prop_misses += 1
-            out = self._successors_of(row)
-            out.setflags(write=False)
-            hit = (out, bool(out.any()))
-            if len(self._prop_cache) + len(self._prop_ints) < self._prop_cache_limit:
-                self._prop_cache[key] = hit
-        else:
-            self._prop_hits += 1
-        return hit
+        """Enabled-successor row of ``row``, plus a non-zero flag:
+        :meth:`propagate_int` on the row read as one int.  The returned
+        array is read-only."""
+        found = self.propagate_int(self.unpack(row))
+        out = np.frombuffer(found.to_bytes(self.row_bytes, "little"), np.uint64)
+        return out, found != 0
 
     def propagate_int(self, matched: int) -> int:
-        """:meth:`propagate` on a row held as one int: the OR of the
-        successor ints of its set bits.
+        """The successor row of a matched row held as one int: the OR of
+        the successor ints of its set bits.
 
         A bit's successor int is read off its dense row or CSR slice the
         first time a row sets it, so memory grows only with the bits
-        scans reach.  Results are memoised by ``matched`` under the
-        :meth:`propagate` memo's entry budget, which the two share.
+        scans reach.  A row of more than 64 set bits on a dense table
+        ORs their dense rows in numpy instead: past a word's worth of
+        bits, one gather beats an int OR a bit (1.5-3x at 128-650 bits
+        on Fermi, Snort, Hamming and Levenshtein).  Results are memoised
+        by ``matched``, up to the entries that
+        :data:`PROPAGATE_CACHE_BYTES` allows.
         """
         found = self._prop_ints.get(matched)
         if found is not None:
+            self._prop_hits += 1
             return found
-        successors = self._successor_ints
-        if successors is None:
-            successors = self._successor_ints = [None] * self.n_bits
-        found, rest = 0, matched
-        while rest:
-            bit = rest.bit_length() - 1
-            value = successors[bit]
-            if value is None:
-                value = successors[bit] = self._successor_int(bit)
-            found |= value
-            rest ^= 1 << bit
-        if len(self._prop_ints) + len(self._prop_cache) < self._prop_cache_limit:
+        self._prop_misses += 1
+        if self._dense is not None and matched.bit_count() > 64:
+            bits = self.bit_indices(self.pack(matched))
+            found = self.unpack(np.bitwise_or.reduce(self._dense[bits], axis=0))
+        else:
+            successors = self._successor_ints
+            if successors is None:
+                successors = self._successor_ints = [None] * self.n_bits
+            found, rest = 0, matched
+            while rest:
+                bit = rest.bit_length() - 1
+                value = successors[bit]
+                if value is None:
+                    value = successors[bit] = self._successor_int(bit)
+                found |= value
+                rest ^= 1 << bit
+        if len(self._prop_ints) < self._prop_limit:
             self._prop_ints[matched] = found
         return found
 
@@ -1095,57 +1043,7 @@ class BitsetKernel:
             value |= mask << (64 * word)
         return value
 
-    def propagate_matrix(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Batched propagate: (streams, words) matched rows -> ``out`` rows.
-
-        Every stream shares one memoised propagation table, so a pattern
-        any stream has visited is a dictionary hit for all of them.
-        Returns a boolean vector flagging which output rows are nonzero,
-        so callers can track per-stream idleness without re-scanning.
-        """
-        nonzero = np.zeros(rows.shape[0], dtype=bool)
-        for index in range(rows.shape[0]):
-            out[index], nonzero[index] = self.propagate(rows[index])
-        return nonzero
-
-    # -- step cache --------------------------------------------------------
-
-    def _step_full(self) -> bool:
-        """Whether the whole-row level has stopped growing: out of rows,
-        or out of its half of the byte budget."""
-        return (
-            len(self._step_rows) >= STEP_ROWS
-            or self._step_bytes >= STEP_CACHE_BYTES // 2
-        )
-
-    def _step_row(self, prev: np.ndarray) -> list:
-        """The step-cache entry list of activation row ``prev``."""
-        key = np.ascontiguousarray(prev).tobytes()
-        row = self._step_rows.get(key)
-        if row is None:
-            if self._step_full():
-                return _NO_ROOM
-            row = self._step_rows[key] = [None] * 256
-            self._step_bytes += _STEP_ROW_BYTES + self.row_bytes
-        return row
-
-    def _step_miss(self, row: list, prev: np.ndarray, symbol: int) -> Optional[tuple]:
-        """Compute, cache, and return one full-cycle step entry; ``None``
-        once the level is full (the component tables step what it lacks
-        from then on, see :meth:`_run_components`)."""
-        self._step_misses += 1
-        if self._step_full():
-            return None
-        enabled = prev | self.start_all_row
-        matched = self.match_matrix[symbol] & enabled
-        nxt, nonzero = self.propagate(matched)
-        matched.setflags(write=False)
-        enabled.setflags(write=False)
-        hit = (matched, enabled, nxt, nonzero, self._step_row(nxt))
-        row[symbol] = hit
-        self._step_entries += 1
-        self._step_bytes += _STEP_ENTRY_BYTES + 2 * self.row_bytes
-        return hit
+    # -- stepping non-idle cycles ------------------------------------------
 
     def _shift_plan(self) -> tuple:
         """``(left, right, start_all)``: per offset ``d`` of the edges,
@@ -1243,7 +1141,7 @@ class BitsetKernel:
             matched_rows[i : i + stepped] &= enabled
             if enabled_rows is not None:
                 enabled_rows[i : i + stepped] = enabled
-            level.lookups += stepped
+            level.lookups += stepped * level.components
             i += stepped
             state = history[stepped].copy()
             if (state == level.zero).all():
@@ -1253,42 +1151,33 @@ class BitsetKernel:
     def cache_info(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/flush counters for the kernel's memoisation layers.
 
-        ``propagate`` covers the successor-propagation memo (whole-vector
-        gather+OR results; its hits and misses count :meth:`propagate`
-        calls, its ``size`` the :meth:`propagate_int` entries that share
-        its ``limit`` too); ``step`` the whole-row level of the step
-        cache that :meth:`run_chunk`'s non-idle loop runs on (hits are
-        lookups minus misses; ``size`` and ``limit`` count entries; it
-        never flushes); ``component`` the tables it overflows into, all
-        zero until the first overflow builds them — ``lookups`` are the
-        cycles stepped there, ``misses`` those of them that had to
-        compute a transition; ``shift`` how a kernel whose edges fall in
-        few bit offsets steps instead — ``offsets`` their number (0 on
-        the step cache, and until the first non-idle cycle decides),
+        ``propagate`` covers the propagation memo (:meth:`propagate_int`,
+        which :meth:`propagate` calls too: its hits and misses count
+        calls, ``size`` and ``limit`` entries); ``step`` the component
+        tables that :meth:`run_chunk`'s non-idle cycles step on, all zero
+        until the first such cycle builds them — ``lookups`` are the
+        component transitions looked up (a cycle stepped looks one up
+        per component), ``misses`` those the tables lacked and computed,
+        ``hits`` the difference, ``states`` the states held against
+        their ``limit``; ``shift`` how a kernel whose edges fall in few
+        bit offsets steps instead — ``offsets`` their number (0 on the
+        step cache, and until the first non-idle cycle decides),
         ``cycles`` the cycles stepped by shifts.
         """
         left, right, _ = self._shifts or ((), (), 0)
+        step = {
+            key: getattr(self._components, key, 0)
+            for key in ("components", "states", "limit", "lookups", "misses", "flushes")
+        }
+        step["hits"] = step["lookups"] - step["misses"]
         return {
             "propagate": {
                 "hits": self._prop_hits,
                 "misses": self._prop_misses,
-                "size": len(self._prop_cache) + len(self._prop_ints),
-                "limit": self._prop_cache_limit,
+                "size": len(self._prop_ints),
+                "limit": self._prop_limit,
             },
-            "step": {
-                "hits": self._step_lookups - self._step_misses,
-                "misses": self._step_misses,
-                "flushes": 0,
-                "size": self._step_entries,
-                "rows": len(self._step_rows),
-                "limit": 256 * STEP_ROWS,
-            },
-            "component": {
-                key: getattr(self._components, key, 0)
-                for key in (
-                    "components", "states", "limit", "lookups", "misses", "flushes"
-                )
-            },
+            "step": step,
             "shift": {
                 "offsets": len(left) + len(right),
                 "cycles": self._shift_cycles,
@@ -1303,16 +1192,10 @@ class BitsetKernel:
         ``_idle_escape[symbol]`` flags the symbols that wake it up."""
         if self._idle_next is not None:
             return
-        idle_matched = self.match_matrix & self.start_all_row
-        nxt = np.zeros((256, self.words), dtype=np.uint64)
-        escape = np.zeros(256, dtype=bool)
-        for symbol in range(256):
-            row, nonzero = self.propagate(idle_matched[symbol])
-            nxt[symbol] = row
-            escape[symbol] = nonzero
-        nxt.setflags(write=False)
-        self._idle_next = nxt
-        self._idle_escape = escape
+        start = self.unpack(self.start_all_row)
+        nxt = [self.propagate_int(self.match_int(byte) & start) for byte in range(256)]
+        self._idle_next = self._pack_rows(nxt)
+        self._idle_escape = np.array(list(map(bool, nxt)))
 
     # -- entering, driving, leaving -----------------------------------------
 
@@ -1392,58 +1275,34 @@ class BitsetKernel:
         cached, read-only row); returns the updated
         ``(prev, prev_nonzero, sod)`` cursor.
 
-        Non-idle cycles run on the full-cycle step cache: each distinct
-        activation row owns a 256-entry list whose tuples carry the
-        cycle's matched/enabled rows plus a direct reference to the
-        successor row's own list, so a warm transition costs two list
-        indexes and no numpy work.  Once it holds ``STEP_ROWS`` rows it
-        stops growing, and a cycle it has no entry for hands over to the
-        per-component tables (:meth:`_run_components`) until the machine
-        is idle again or the chunk ends.  A kernel whose edges fall in at
-        most ``SHIFT_OFFSETS`` offsets steps its non-idle cycles by
-        shifts instead (:meth:`_run_shifts`), and never builds either
-        level.
+        A non-idle cycle steps by shifts (:meth:`_run_shifts`) on a
+        kernel whose edges fall in at most ``SHIFT_OFFSETS`` offsets, and
+        on the component tables (:meth:`_run_components`) on any other,
+        until the machine is idle again or the chunk ends.
         """
         cycles = len(sym)
         start_row = self.start_all_row
         escape_positions: Optional[np.ndarray] = None
         sym_list: Optional[list] = None
-        row: Optional[list] = None
-        lookups = 0
         i = 0
         while i < cycles:
             if prev_nonzero and not sod:
-                if sym_list is None:
-                    sym_list = sym.tolist()
-                if row is None:
-                    if self._shifts is None:
-                        self._shifts = self._shift_plan()
-                    if self._shifts:
-                        i, prev, prev_nonzero = self._run_shifts(
-                            sym_list, matched_rows, enabled_rows, i, prev
-                        )
-                        continue
-                    row = self._step_row(prev)
-                s = sym_list[i]
-                hit = row[s]
-                lookups += 1
-                if hit is None:
-                    hit = self._step_miss(row, prev, s)
-                    if hit is None:
-                        i, prev, prev_nonzero = self._run_components(
-                            sym, matched_rows, enabled_rows, i, prev
-                        )
-                        row = None
-                        continue
-                mrow, erow, prev, prev_nonzero, row = hit
-                matched_rows[i] = mrow
-                if enabled_rows is not None:
-                    enabled_rows[i] = erow
-                i += 1
+                if self._shifts is None:
+                    self._shifts = self._shift_plan()
+                if self._shifts:
+                    if sym_list is None:
+                        sym_list = sym.tolist()
+                    i, prev, prev_nonzero = self._run_shifts(
+                        sym_list, matched_rows, enabled_rows, i, prev
+                    )
+                else:
+                    i, prev, prev_nonzero = self._run_components(
+                        sym, matched_rows, enabled_rows, i, prev
+                    )
                 continue
             if sod:
                 # Start-of-data enables extra start states for exactly one
-                # cycle; step it outside the cache so cached entries stay
+                # cycle; step it outside the tables so their states stay
                 # keyed purely by the activation row.
                 if enabled_rows is None:
                     erow = self._scratch
@@ -1455,7 +1314,6 @@ class BitsetKernel:
                 mrow = matched_rows[i]
                 mrow &= erow
                 prev, prev_nonzero = self.propagate(mrow)
-                row = None
                 i += 1
                 continue
             # Idle: the enabled vector is exactly the all-input start set
@@ -1479,7 +1337,5 @@ class BitsetKernel:
                 matched_rows[j] &= start_row
                 prev = self._idle_next[int(sym[j])]
                 prev_nonzero = True
-                row = None
             i = j + 1
-        self._step_lookups += lookups
         return prev, prev_nonzero, sod

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.automata.anml import HomogeneousAutomaton, StartKind
@@ -153,9 +153,9 @@ class TestPopcountFallback:
 
 
 class TestStepCache:
-    """The full-cycle step cache behind ``run_chunk``: counters move
-    with use, and overflowing from the whole-row level into the
-    component tables never changes what a run returns."""
+    """The component tables behind ``run_chunk``: counters move with
+    use, and a budget that makes them flush never changes what a run
+    returns."""
 
     PATTERNS = ["ab+c", "cat", "d[aeiou]g"]
 
@@ -163,24 +163,26 @@ class TestStepCache:
         return compile_automaton(compile_patterns(self.PATTERNS), CA_P)
 
     def test_counters_track_hits_and_misses(self, monkeypatch):
-        # Chains of +1 edges: a shift kernel unless pinned to the cache.
+        # Chains of +1 edges: a shift kernel unless pinned to the tables.
         monkeypatch.setattr(kernel_module, "SHIFT_OFFSETS", 0)
         simulator = MappedSimulator(self._mapping())
         data = b"abbc cat dig abc dog cat " * 40
         simulator.run(data)
         info = simulator.cache_info()
+        # A ruleset that converges steps on the one level too.
+        assert info["step"]["components"] == len(self.PATTERNS)
         assert info["step"]["misses"] > 0
         assert info["step"]["hits"] > 0
+        assert info["step"]["hits"] == info["step"]["lookups"] - info["step"]["misses"]
         assert info["step"]["flushes"] == 0
-        assert info["step"]["size"] == info["step"]["misses"]
+        assert 0 < info["step"]["states"] <= info["step"]["limit"]
         warm_hits = info["step"]["hits"]
         simulator.run(data)
         again = simulator.cache_info()
         assert again["step"]["hits"] > warm_hits
         assert again["step"]["misses"] == info["step"]["misses"]
+        assert again["step"]["states"] == info["step"]["states"]
         assert again["propagate"]["misses"] >= 1
-        # A ruleset that converges never builds the component level.
-        assert set(again["component"].values()) == {0}
 
     @pytest.mark.parametrize(
         "state_bytes",
@@ -194,7 +196,6 @@ class TestStepCache:
         data = b"abbc cat dig abc dog cat " * 40
         expected = reports_of(MappedSimulator(mapping).run(data))
         monkeypatch.setattr(kernel_module, "SHIFT_OFFSETS", 0)
-        monkeypatch.setattr(kernel_module, "STEP_ROWS", 2)
         # A state that costs the whole budget: the tables hold the
         # fewest states they can and drop them over and over.
         monkeypatch.setattr(kernel_module, "_COMPONENT_STATE_BYTES", state_bytes)
@@ -202,20 +203,18 @@ class TestStepCache:
         result = tiny.run(data)
         assert reports_of(result) == expected
         info = tiny.cache_info()
-        assert info["step"]["rows"] <= 2
-        assert info["step"]["flushes"] == 0
-        assert info["component"]["components"] == len(self.PATTERNS)
-        assert info["component"]["lookups"] > 0
-        assert 0 < info["component"]["misses"]
+        assert info["step"]["components"] == len(self.PATTERNS)
+        assert info["step"]["lookups"] > 0
+        assert 0 < info["step"]["misses"]
         assert (
-            info["component"]["states"]
-            <= info["component"]["limit"] + info["component"]["components"]
+            info["step"]["states"]
+            <= info["step"]["limit"] + info["step"]["components"]
         )
-        assert (info["component"]["flushes"] > 0) == (state_bytes == 1 << 40)
+        assert (info["step"]["flushes"] > 0) == (state_bytes == 1 << 40)
         # The table never grows past the ids that state bound allows.
         assert (
             tiny.kernel._components.trans.shape[1]
-            <= info["component"]["limit"] + info["component"]["components"] + 1
+            <= info["step"]["limit"] + info["step"]["components"] + 1
         )
 
     @pytest.mark.parametrize("width", [1, 10**9], ids=["sweep", "loop"])
@@ -257,35 +256,32 @@ class TestStepCache:
         assert filled[level._column_of[ord("a")]] == filled[level._column_of[ord("b")]]
 
     def test_budgets_bound_what_the_caches_hold(self):
-        """64 KiB of Hamming never revisits a whole activation row (nor
-        did Fermi's, where the entry-count budget let the per-row slot
-        lists pile up to 206 MiB).  Both levels of the step cache share
-        ``STEP_CACHE_BYTES`` and the propagation memo has its own."""
+        """64 KiB of Hamming never revisits a whole activation row; the
+        component tables hold ``STEP_CACHE_BYTES`` and the propagation
+        memo has its own."""
         backend, held = scan_64k_holding("Hamming")
         budget = kernel_module.STEP_CACHE_BYTES + kernel_module.PROPAGATE_CACHE_BYTES
         assert held < budget, f"{held / 2**20:.0f} MiB held"
         info = backend.simulator.cache_info()
         assert info["shift"]["offsets"] == 0
-        assert info["step"]["rows"] == kernel_module.STEP_ROWS
-        assert info["component"]["lookups"] > 32 * 1024
+        assert info["step"]["lookups"] > 32 * 1024
 
     def test_a_shift_kernel_learns_nothing(self):
         """Fermi's edges all have offset +1: 64 KiB of it are stepped by
-        shifts, with no step row, no component table, and next to no
-        memory held in the kernel module."""
+        shifts, with no component table and next to no memory held in
+        the kernel module."""
         backend, held = scan_64k_holding("Fermi")
         info = backend.simulator.cache_info()
         assert info["shift"]["offsets"] == 1
         assert info["shift"]["cycles"] > 32 * 1024
-        assert info["step"]["rows"] == info["step"]["size"] == 0
-        assert set(info["component"].values()) == {0}
+        assert set(info["step"].values()) == {0}
         assert backend.simulator.kernel._components is None
         assert held < 1 << 20, f"{held / 2**20:.2f} MiB held"
 
     def test_the_propagation_memo_holds_its_budget(self, monkeypatch):
-        """An entry costs its key's and its result's row bytes, two object
-        headers, a tuple and a dictionary slot; charged its row bytes
-        alone, the memo held three times its budget."""
+        """An entry costs its key's and its result's row bytes, two int
+        headers and a dictionary slot; charged its row bytes alone, the
+        memo held three times its budget."""
         monkeypatch.setattr(kernel_module, "PROPAGATE_CACHE_BYTES", 2 << 20)
         artifact = CompiledArtifact.from_mapping(
             compile_automaton(get_benchmark("Fermi").build(), CA_P)
@@ -307,7 +303,8 @@ class TestStepCache:
         finally:
             tracemalloc.stop()
         held = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
-        assert kernel.cache_info()["propagate"]["size"] == kernel._prop_cache_limit
+        info = kernel.cache_info()["propagate"]
+        assert info["size"] == info["limit"]
         assert held <= 2 << 20, f"{held / 2**20:.2f} MiB held"
 
 
@@ -417,10 +414,11 @@ def scan_in_pieces(kernel, automaton, bit_of, pieces, resume=None):
     return b"".join(matched), b"".join(enabled), checkpoints, reports
 
 
-class TestWhereTheTwoLevelsMeet:
-    """Whole-row level, component tables, their overflow path, dense or
-    CSR underneath: one answer (pinned to the step cache: a machine
-    whose edges fall in few offsets would step by shifts)."""
+class TestComponentBudgetCsrAndSweepAgree:
+    """Component tables that flush or not, over a dense or a CSR
+    successor table, swept all at once or one component at a time: one
+    answer (pinned to the tables: a machine whose edges fall in few
+    offsets would step by shifts)."""
 
     @given(
         factored_machines(),
@@ -433,11 +431,10 @@ class TestWhereTheTwoLevelsMeet:
         cuts = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
         pieces = [data[low:high] for low, high in zip(cuts, cuts[1:])] or [b""]
 
-        def scan(step_rows, state_bytes, csr, width):
+        def scan(state_bytes, csr, width):
             with mock.patch.multiple(
                 kernel_module,
                 SHIFT_OFFSETS=0,
-                STEP_ROWS=step_rows,
                 _COMPONENT_STATE_BYTES=state_bytes,
                 COMPONENT_BLOCK=16,
                 _VECTOR_WIDTH=width,
@@ -448,20 +445,19 @@ class TestWhereTheTwoLevelsMeet:
                 return scan_in_pieces(kernel, automaton, bit_of, pieces)
 
         default = kernel_module._COMPONENT_STATE_BYTES
-        expected = scan(kernel_module.STEP_ROWS, default, False, 1)
+        expected = scan(default, False, 1)
         assert len(expected[0]) == len(data) * N_WORDS * 8
-        for step_rows in (0, 1, 3, kernel_module.STEP_ROWS):
-            for state_bytes in (1 << 40, default):
-                for csr in (False, True):
-                    # Every component swept at once, or each in its own loop.
-                    for width in (1, 10**9):
-                        assert scan(step_rows, state_bytes, csr, width) == expected, (
-                            step_rows, state_bytes, csr, width,
-                        )
+        for state_bytes in (1 << 40, default):
+            for csr in (False, True):
+                # Every component swept at once, or each in its own loop.
+                for width in (1, 10**9):
+                    assert scan(state_bytes, csr, width) == expected, (
+                        state_bytes, csr, width,
+                    )
 
     def test_a_checkpoint_bit_no_transition_touches_lives_one_cycle(self):
         """A lone state is in no component; set by a checkpoint it is
-        enabled for one cycle on either level."""
+        enabled for one cycle on the tables and by shifts."""
         automaton = HomogeneousAutomaton("lone")
         automaton.add_ste("lone", SymbolSet(b"a"), reporting=True)
         automaton.add_ste("p", SymbolSet(b"a"), start=StartKind.ALL_INPUT)
@@ -469,12 +465,8 @@ class TestWhereTheTwoLevelsMeet:
         automaton.add_edge("p", "q")
         bit_of = {"lone": 70, "p": 3, "q": 4}
         outcomes = []
-        for step_rows, offsets in (
-            (0, 0), (kernel_module.STEP_ROWS, 0), (kernel_module.STEP_ROWS, 10**9)
-        ):
-            with mock.patch.multiple(
-                kernel_module, STEP_ROWS=step_rows, SHIFT_OFFSETS=offsets
-            ):
+        for offsets in (0, 10**9):
+            with mock.patch.object(kernel_module, "SHIFT_OFFSETS", offsets):
                 kernel = BitsetKernel.from_automaton(automaton, bit_of, 128)
                 reports = []
                 kernel.drive(
@@ -487,7 +479,7 @@ class TestWhereTheTwoLevelsMeet:
                 )
                 outcomes.append(reports)
                 assert kernel.cache_info()["shift"]["cycles"] == (3 if offsets else 0)
-        assert outcomes == [[(7, 1 << 70), (8, 0), (9, 1 << 4)]] * 3
+        assert outcomes == [[(7, 1 << 70), (8, 0), (9, 1 << 4)]] * 2
 
 
 SHIFT_ALPHABET = ALPHABET + b"xy"
@@ -622,6 +614,52 @@ class TestShiftStep:
                 else:
                     assert kernel.cache_info()["shift"] == {"offsets": 0, "cycles": 0}
 
+    @given(st.one_of(chain_machines(), bounded_machines()), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_the_tables_reenter_after_the_machine_idles(self, machine, draw):
+        """Bursts that each wake the machine, each followed by a gap of a
+        byte no label but ``.`` holds (``x.{k}y`` dies within ``k + 1``
+        of them): within one chunk the tables go idle at a block's end
+        and come back through ``split`` once a burst."""
+        automaton, bit_of = machine
+        sources = {source for source, _ in automaton.edges_unordered()}
+        wakers = sorted(
+            byte
+            for byte in SHIFT_ALPHABET
+            for ste in automaton.stes()
+            if ste.start is StartKind.ALL_INPUT
+            and ste.ste_id in sources
+            and ste.matches(byte)
+        )
+        assume(wakers)
+        bursts = draw.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(wakers),
+                    st.lists(st.sampled_from(SHIFT_ALPHABET), max_size=24).map(bytes),
+                ).map(lambda burst: bytes([burst[0]]) + burst[1]),
+                min_size=2,
+                max_size=6,
+            ),
+            label="bursts",
+        )
+        data = b"".join(burst + b"z" * 40 for burst in bursts)
+        expected = interpret(automaton, bit_of, [data], None)
+        entered = []
+        run_components = BitsetKernel._run_components
+
+        def counted(kernel, *args):
+            entered.append(args[3])
+            return run_components(kernel, *args)
+
+        with mock.patch.multiple(
+            kernel_module, SHIFT_OFFSETS=0, COMPONENT_BLOCK=8
+        ), mock.patch.object(BitsetKernel, "_run_components", counted):
+            kernel = BitsetKernel.from_automaton(automaton, bit_of, N_WORDS * 64)
+            got = scan_in_pieces(kernel, automaton, bit_of, [data])
+        assert got == expected
+        assert len(entered) >= len(bursts), entered
+
 
 class TestPropagation:
     def brute_force(self, successors, pattern):
@@ -652,22 +690,38 @@ class TestPropagation:
             sparse.propagate(packed)[0]
         )
 
+    @pytest.mark.parametrize("width", (1, 64, 65, N_BITS))
+    def test_wide_and_narrow_rows_reach_the_same_successors(self, width):
+        """Past 64 set bits a dense kernel ORs its rows in numpy; below
+        that, and on CSR, it ORs one successor int a bit.  Both are the
+        brute force, on a table where each bit has its own successor, so
+        that a bit either path drops shows."""
+        successors = [1 << (bit * 7 + 3) % N_BITS for bit in range(N_BITS)]
+        match_table = [0] * 256
+        bits = random.Random(width).sample(range(N_BITS), width)
+        pattern = sum(1 << bit for bit in bits)
+        expected = self.brute_force(successors, pattern)
+        for dense_limit in (kernel_module.DENSE_TABLE_BYTES, 0):
+            kernel = BitsetKernel(
+                N_BITS, successors, match_table, 0, 0, 0, dense_limit=dense_limit
+            )
+            assert (kernel._dense is None) == (dense_limit == 0)
+            assert kernel.propagate_int(pattern) == expected
+            assert kernel.cache_info()["propagate"]["misses"] == 1
+
     def test_propagate_result_is_cached_and_readonly(self):
         kernel = make_kernel(seed=11)
-        packed = kernel.pack(0b101)
-        row_a, _ = kernel.propagate(packed)
-        row_b, _ = kernel.propagate(kernel.pack(0b101))
-        assert row_a is row_b
-        with pytest.raises(ValueError):
-            row_a[0] = 1
-
-    def test_propagate_matrix_matches_rowwise(self):
-        kernel = make_kernel(seed=13)
-        rows = np.stack([kernel.pack(1 << i) for i in range(0, N_BITS, 7)])
-        out = np.zeros_like(rows)
-        kernel.propagate_matrix(rows, out)
-        for row, result in zip(rows, out):
-            assert kernel.unpack(kernel.propagate(row)[0]) == kernel.unpack(result)
+        row_a, nonzero_a = kernel.propagate(kernel.pack(0b101))
+        first = kernel.cache_info()["propagate"]
+        row_b, nonzero_b = kernel.propagate(kernel.pack(0b101))
+        second = kernel.cache_info()["propagate"]
+        assert row_a.tobytes() == row_b.tobytes()
+        assert nonzero_a == nonzero_b
+        assert (first["hits"], first["misses"], first["size"]) == (0, 1, 1)
+        assert (second["hits"], second["misses"], second["size"]) == (1, 1, 1)
+        for row in (row_a, row_b):
+            with pytest.raises(ValueError):
+                row[0] = 1
 
 
 class TestIdleFastPath:

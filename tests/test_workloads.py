@@ -1,7 +1,10 @@
 """Tests for the benchmark suite, synthetic generators, distance automata,
 and input streams."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +119,32 @@ class TestLevenshteinAutomaton:
     def test_distance_must_be_less_than_length(self):
         with pytest.raises(AutomatonError):
             levenshtein_automaton(b"ab", 2)
+
+    def test_the_suite_ruleset_is_the_same_under_any_hash_seed(self):
+        """Epsilon removal and trimming once walked ``set``s of state
+        names, so the order of the split states — and so which label
+        each ``"{target}#{n}"`` got — changed with ``PYTHONHASHSEED``."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        probe = (
+            "from repro.workloads.suite import get_benchmark\n"
+            "automaton = get_benchmark('Levenshtein').build()\n"
+            "ids = automaton.ste_ids()\n"
+            "print(repr((ids, [automaton.ste(i).symbols.mask for i in ids],"
+            " sorted(automaton.edges_unordered()))))\n"
+        )
+        builds = [
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True, text=True, cwd=root, check=True,
+                env=dict(
+                    os.environ,
+                    PYTHONPATH=os.path.join(root, "src"),
+                    PYTHONHASHSEED=seed,
+                ),
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert builds[0] and builds[0] == builds[1]
 
 
 class TestGenerators:
