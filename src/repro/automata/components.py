@@ -51,7 +51,9 @@ def connected_components(automaton: HomogeneousAutomaton) -> List[List[str]]:
 
     Components are returned sorted by size ascending (the compiler packs
     smallest-first) with ties broken by the smallest member id so the
-    result is deterministic.
+    result is deterministic.  This order decides which partition holds a
+    state, not its slot there: ``Compiler._place`` fills each partition
+    in ``automaton.ste_ids()`` order.
 
     Works on the automaton's cached integer edge arrays, so the labelling
     itself is a few vectorised rounds (:func:`component_labels`) instead

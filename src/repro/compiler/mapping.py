@@ -56,12 +56,16 @@ def _component_seed(base_seed: int, component: List[str]) -> int:
 def _component_split_payload(
     automaton: HomogeneousAutomaton, component: List[str]
 ) -> Tuple[int, List[Tuple[int, int]], List[str]]:
-    """(node count, directed intra-CC edge list, members) for one split."""
+    """(node count, directed intra-CC edge list, members) for one split.
+
+    The edges are listed in sorted order: the split follows their order,
+    and a successor set's own order depends on the hash seed and on the
+    order its edges were added in."""
     index = {ste_id: i for i, ste_id in enumerate(component)}
     edges: List[Tuple[int, int]] = []
     for ste_id in component:
         source = index[ste_id]
-        for target in automaton.successors(ste_id):
+        for target in sorted(automaton.successors(ste_id)):
             if target in index and target != ste_id:
                 edges.append((source, index[target]))
     return len(component), edges, component
@@ -451,8 +455,11 @@ class Compiler:
         occupied = [
             position for position, ste_list in enumerate(layout) if ste_list
         ]
-        part, slot = placement_arrays(
-            automaton, [layout[position] for position in occupied]
-        )
+        # Within a partition the L-switch is a full crossbar, so a slot is
+        # free: fill each in automaton order, which lays a chain or grid
+        # out with one bit stride per direction for the kernel's shifts.
+        order = {ste: rank for rank, ste in enumerate(automaton.ste_ids())}
+        ste_lists = [sorted(layout[p], key=order.__getitem__) for p in occupied]
+        part, slot = placement_arrays(automaton, ste_lists)
         ways = np.asarray(occupied, dtype=np.int32) // per_way
         return Mapping(self.design, automaton, part, slot, ways)

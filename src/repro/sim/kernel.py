@@ -24,10 +24,10 @@ numpy operations, and layers four accelerations on top:
   by the row;
 * **shift step** — a kernel whose edges fall in at most
   :data:`SHIFT_OFFSETS` distinct bit offsets (``target − source``) skips
-  the step cache: a non-idle cycle is Shift-And on Python ints,
-  ``next = OR over d of shift(matched & M_d, d)`` with ``M_d`` the
-  sources of the edges at offset ``d``, exact with no learning and no
-  table memory;
+  the step cache: a non-idle cycle, and every later one of its chunk, is
+  Shift-And on Python ints, ``next = OR over d of shift(matched & M_d,
+  d)`` with ``M_d`` the sources of the edges at offset ``d``, exact with
+  no learning and no table memory;
 * **idle fast path** — while no state is active and the start states are
   quiescent, the enabled vector is exactly the all-input start set, so the
   kernel skips ahead over whole input slices with one vectorised
@@ -82,8 +82,9 @@ STEP_CACHE_BYTES = 16 * 1024 * 1024
 #: byte, shifts against the step cache: 1 offset (Fermi) 0.8 vs 4.8 µs,
 #: 3 (``x.{14}y``) 0.62 vs 0.48 (but no cold misses), 20 (Hamming) 8–11
 #: vs 3–5, ~80 (Levenshtein) 11–16 vs 2–2.5 (2-CPU x86-64 host, with a
-#: whole-row level then in front of the component tables); any value
-#: from 3 to 19 splits them alike.
+#: whole-row level then in front of the component tables, and partitions
+#: filled in sorted-id order); any value from 3 to 19 splits them alike.
+#: Filled in automaton order, Hamming has 4 offsets and Levenshtein 46.
 SHIFT_OFFSETS = 8
 
 #: Cycles the component tables step between two rebuilds of the per-cycle
@@ -1076,14 +1077,18 @@ class BitsetKernel:
         i: int,
         prev: np.ndarray,
     ) -> Tuple[int, np.ndarray, bool]:
-        """Step the cycles from ``i`` by shifts, filling the histories as
-        :meth:`run_chunk` does, until the machine is idle or the chunk
-        ends; returns the ``(i, prev, prev_nonzero)`` cursor.
+        """Step the cycles from ``i`` to the end of the chunk by shifts,
+        filling the histories as :meth:`run_chunk` does; returns the
+        ``(i, prev, prev_nonzero)`` cursor.
 
         Exact: each ``(M_d, d)`` pair moves the matched tails of the
         edges at offset ``d`` onto their heads, and together the pairs
         are every edge.  A bit no edge touches (a checkpoint may set one)
-        is in no ``M_d``: enabled one cycle, then gone."""
+        is in no ``M_d``: enabled one cycle, then gone.  An idle cycle
+        is the same step from an empty state, so the stretch does not go
+        back to the idle path when the machine goes quiet: on rulesets
+        that converge, that would be a stretch of a few cycles between
+        every two escapes."""
         left, right, start = self._shifts
         match, state = self._match_ints, self.unpack(prev)
         states = []
@@ -1095,9 +1100,7 @@ class BitsetKernel:
                 state |= (row & mask) << d
             for mask, d in right:
                 state |= (row & mask) >> d
-            if not state:
-                break
-        j = i + len(states)
+        j = len(sym_list)
         self._shift_cycles += j - i
         # One row a cycle leaves the ints; the rest is numpy.
         enabled = None if enabled_rows is None else enabled_rows[i:j]
@@ -1277,8 +1280,10 @@ class BitsetKernel:
 
         A non-idle cycle steps by shifts (:meth:`_run_shifts`) on a
         kernel whose edges fall in at most ``SHIFT_OFFSETS`` offsets, and
-        on the component tables (:meth:`_run_components`) on any other,
-        until the machine is idle again or the chunk ends.
+        then so does every later cycle of the chunk, idle or not; on any
+        other kernel it steps on the component tables
+        (:meth:`_run_components`) until the machine is idle again or the
+        chunk ends.
         """
         cycles = len(sym)
         start_row = self.start_all_row

@@ -6,7 +6,11 @@ one the compiled mapping must satisfy the structural invariants the
 simulators and bitstream generator rely on.
 """
 
+import os
 import random
+import subprocess
+import sys
+from typing import List, Set
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +111,85 @@ class TestMappingInvariants:
         )
 
 
+def reinserted(automaton: HomogeneousAutomaton, seed: int) -> HomogeneousAutomaton:
+    """The same states and edges, inserted in a shuffled order."""
+    order = automaton.ste_ids()
+    random.Random(seed).shuffle(order)
+    copy = HomogeneousAutomaton(automaton.automaton_id)
+    for ste_id in order:
+        ste = automaton.ste(ste_id)
+        copy.add_ste(
+            ste_id,
+            ste.symbols,
+            start=ste.start,
+            reporting=ste.reporting,
+            report_code=ste.report_code,
+        )
+    for source, target in automaton.edges_unordered():
+        copy.add_edge(source, target)
+    return copy
+
+
+def first_fit_members(automaton: HomogeneousAutomaton) -> List[Set[str]]:
+    """The partitions' member sets as smallest-first first-fit packing of
+    whole components gives them, in partition order."""
+    from repro.automata.components import connected_components
+
+    groups: List[Set[str]] = []
+    for members in connected_components(automaton):
+        for group in groups:
+            if len(group) + len(members) <= CA_P.partition_size:
+                group.update(members)
+                break
+        else:
+            groups.append(set(members))
+    return groups
+
+
+class TestSlotOrder:
+    """Within a partition slots follow the automaton's insertion order;
+    which partition holds a state does not depend on that order."""
+
+    @staticmethod
+    def assert_slots_ascend(mapping):
+        rank = {ste_id: i for i, ste_id in enumerate(mapping.automaton.ste_ids())}
+        for partition in mapping.partitions:
+            ranks = [rank[ste_id] for ste_id in partition.ste_ids]
+            assert ranks == sorted(ranks), partition.index
+
+    @given(small_cc_collection(), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_slots_follow_insertion_order_over_a_first_fit_packing(
+        self, automaton, seed
+    ):
+        expected = first_fit_members(automaton)
+        for machine in (automaton, reinserted(automaton, seed)):
+            mapping = Compiler(CA_P).compile(machine)
+            self.assert_slots_ascend(mapping)
+            assert [set(p.ste_ids) for p in mapping.partitions] == expected
+
+    @given(small_cc_collection(), st.integers(0, 2**16))
+    @settings(max_examples=10, deadline=None)
+    def test_a_split_component_keeps_its_partitions(self, automaton, seed):
+        """With a component too large for one partition, the split and
+        the way placement see the same states whatever their insertion
+        order."""
+        large = chain_automaton(400, extra_edges=80, seed=seed % 7)
+        combined = merge([large, automaton])
+        mappings = [
+            Compiler(CA_P).compile(machine)
+            for machine in (combined, reinserted(combined, seed))
+        ]
+        for mapping in mappings:
+            self.assert_slots_ascend(mapping)
+        first, second = (
+            [(p.way, set(p.ste_ids)) for p in mapping.partitions]
+            for mapping in mappings
+        )
+        assert first == second
+        assert len(first) > 2
+
+
 class TestSplitMappingInvariants:
     @pytest.mark.parametrize("seed", range(4))
     def test_split_cc_wire_budget(self, seed):
@@ -122,6 +205,32 @@ class TestSplitMappingInvariants:
         else:
             with pytest.raises(CompileError):
                 check(mapping)
+
+    def test_a_split_is_the_same_under_any_hash_seed(self):
+        """TCP's one oversized component was split on its edges in
+        successor-set order, so its placement changed with
+        ``PYTHONHASHSEED``."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        probe = (
+            "from repro.compiler import compile_automaton\n"
+            "from repro.core.design import CA_P\n"
+            "from repro.workloads.suite import get_benchmark\n"
+            "mapping = compile_automaton(get_benchmark('TCP').build(), CA_P)\n"
+            "print([(p.way, p.ste_ids) for p in mapping.partitions])\n"
+        )
+        placements = [
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True, text=True, cwd=root, check=True,
+                env=dict(
+                    os.environ,
+                    PYTHONPATH=os.path.join(root, "src"),
+                    PYTHONHASHSEED=seed,
+                ),
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert placements[0] and placements[0] == placements[1]
 
     @pytest.mark.parametrize("design", [CA_P, CA_S], ids=lambda d: d.name)
     def test_determinism(self, design):

@@ -256,10 +256,10 @@ class TestStepCache:
         assert filled[level._column_of[ord("a")]] == filled[level._column_of[ord("b")]]
 
     def test_budgets_bound_what_the_caches_hold(self):
-        """64 KiB of Hamming never revisits a whole activation row; the
-        component tables hold ``STEP_CACHE_BYTES`` and the propagation
-        memo has its own."""
-        backend, held = scan_64k_holding("Hamming")
+        """64 KiB of Levenshtein, whose edges fall in too many bit
+        offsets to shift, step on the component tables; they hold
+        ``STEP_CACHE_BYTES`` and the propagation memo has its own."""
+        backend, held = scan_64k_holding("Levenshtein")
         budget = kernel_module.STEP_CACHE_BYTES + kernel_module.PROPAGATE_CACHE_BYTES
         assert held < budget, f"{held / 2**20:.0f} MiB held"
         info = backend.simulator.cache_info()
@@ -277,6 +277,36 @@ class TestStepCache:
         assert set(info["step"].values()) == {0}
         assert backend.simulator.kernel._components is None
         assert held < 1 << 20, f"{held / 2**20:.2f} MiB held"
+
+    def test_hamming_steps_by_four_shifts(self, monkeypatch):
+        """Laid out in automaton order, Hamming's grid falls in four bit
+        offsets: it learns no table, and its resumed 4 KiB scans give the
+        reports, checkpoints and profiles of the same kernel pinned to
+        the component tables over 64 KiB."""
+        benchmark = get_benchmark("Hamming")
+        artifact = CompiledArtifact.from_mapping(
+            compile_automaton(benchmark.build(), CA_P)
+        )
+        data = benchmark.input_stream(64 * 1024, seed=1)
+
+        def scan():
+            backend = create_backend("packed-kernel", artifact)
+            checkpoint, seen = None, []
+            for start in range(0, len(data), 4096):
+                result = backend.scan(data[start : start + 4096], resume=checkpoint)
+                checkpoint = result.checkpoint
+                seen.append((result.reports, checkpoint, result.profile))
+            return seen, backend.simulator.cache_info()
+
+        shifted, info = scan()
+        assert info["shift"]["offsets"] == 4
+        assert info["shift"]["cycles"] > 0
+        assert set(info["step"].values()) == {0}
+        monkeypatch.setattr(kernel_module, "SHIFT_OFFSETS", 0)
+        tables, pinned = scan()
+        assert pinned["step"]["lookups"] > 0
+        assert any(reports for reports, _, _ in shifted)
+        assert shifted == tables
 
     def test_the_propagation_memo_holds_its_budget(self, monkeypatch):
         """An entry costs its key's and its result's row bytes, two int

@@ -373,8 +373,19 @@ class TestServerVerbs:
             server = ScanServer(service)
             await server.start()
             try:
+                # The queue holds one request, and each of the other five
+                # holds that slot once, for at most the scan ahead of it
+                # (5 ms of delay and a few bytes).  A retry waits at least
+                # half its capped backoff, 25 ms here, so two refusals of
+                # one request never fall in the same holder's stay: at
+                # most five refusals, so one of its first six attempts
+                # (of eight) is admitted.  The stock budget, 4 attempts
+                # from 5 ms, could run out inside ~35 ms of refusals.
                 net, retrier = await connect_retrying(
-                    *server.address, base_delay=0.005, rng=random.Random(0)
+                    *server.address,
+                    max_attempts=8,
+                    base_delay=0.05,
+                    rng=random.Random(0),
                 )
                 async with net:
                     outcomes = await asyncio.gather(*[
@@ -387,6 +398,8 @@ class TestServerVerbs:
 
         retrier, outcomes = run(scenario())
         assert all(o.offset == len(DATA) for o in outcomes)
+        assert retrier.retries > 0
+        assert retrier.exhausted == 0
 
     def test_drain_verb_stops_service_and_server(self):
         async def scenario():
