@@ -175,9 +175,7 @@ def determinize(nfa: Nfa, *, scanning: bool = False, max_states: int = 200_000) 
         if states not in dfa_ids:
             if len(dfa_ids) >= max_states:
                 raise DeterminisationExplosion(
-                    f"subset construction exceeded {max_states} states",
-                    state_estimate=len(dfa_ids),
-                    max_states=max_states,
+                    f"subset construction exceeded {max_states} states"
                 )
             dfa_ids[states] = len(rows)
             rows.append([DEAD] * ALPHABET)

@@ -10,7 +10,7 @@ The package splits into three layers:
   :class:`repro.sim.kernel.ScanResult`, the simulators' own;
 * :mod:`~repro.backends.registry` — name -> backend class, with the
   built-in substrates (packed kernel, golden interpreter, circuit
-  interpreter, lazy-DFA, eager-DFA baseline, fault-injection harness)
+  interpreter, lazy-DFA, fault-injection harness)
   registered lazily on first lookup.
 
 Import discipline: importing this package must stay cheap and
@@ -50,7 +50,6 @@ _LAZY = {
     "PackedKernelBackend": "repro.backends.mapped",
     "GoldenInterpreterBackend": "repro.backends.golden",
     "CircuitInterpreterBackend": "repro.backends.circuit",
-    "CpuDfaBackend": "repro.backends.cpu",
     "LazyDfaBackend": "repro.backends.lazydfa",
     "FaultInjectedBackend": "repro.backends.faulty",
 }

@@ -81,15 +81,13 @@ class BoundedEventLog:
 @dataclass(frozen=True)
 class BackendCapabilities:
     """What one backend can and cannot do; consult before relying on it.
+    Every backend reports the firing STE's identity and rule code.
 
     ``resume`` — checkpointed chunked scanning (:meth:`AutomatonBackend.
     stream` and the ``resume=`` argument); ``batch`` — a native
     multi-stream ``scan_many`` (others fall back to a per-stream loop);
     ``activity_profile`` — full energy-model counters (partition
     activations, G-switch crossings), not just symbol/report totals;
-    ``report_identity`` — reports carry the firing STE's identity and
-    rule code (the CPU DFA baseline collapses rule identity during
-    determinisation, so only match *offsets* are comparable);
     ``fault_events`` — accepts injected
     :class:`~repro.faults.models.FaultEvent`\\ s;
     ``split`` — a single stream can be split across a worker pool with
@@ -100,7 +98,6 @@ class BackendCapabilities:
     resume: bool = False
     batch: bool = False
     activity_profile: bool = False
-    report_identity: bool = True
     fault_events: bool = False
     split: bool = False
     description: str = ""

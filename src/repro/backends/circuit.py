@@ -28,7 +28,6 @@ _CAPABILITIES = BackendCapabilities(
     resume=False,
     batch=False,
     activity_profile=False,
-    report_identity=True,
     fault_events=False,
     description=(
         "set-based element-level interpreter over the automaton lifted "

@@ -34,7 +34,6 @@ _CAPABILITIES = BackendCapabilities(
     resume=False,
     batch=False,
     activity_profile=False,
-    report_identity=True,
     fault_events=True,
     description=(
         "mapped kernel executed under injected faults with match-parity "

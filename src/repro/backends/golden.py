@@ -28,7 +28,6 @@ _CAPABILITIES = BackendCapabilities(
     resume=True,
     batch=False,
     activity_profile=False,
-    report_identity=True,
     fault_events=False,
     description=(
         "reference interpreter over the automaton alone; ground-truth "

@@ -6,8 +6,9 @@ up on real rule sets like PowerEN — it hash-conses the packed kernel's
 activation rows into DFA states *as the input visits them*
 (:class:`~repro.sim.lazydfa.LazyDfaKernel`), so a warm transition costs
 one list index and match/report semantics stay bit-identical to the
-golden interpreter, full STE identity included.  The eager subset-
-construction baseline remains available as ``eager-dfa``.
+golden interpreter, full STE identity included.  The eager subset
+construction survives only as the paper's CPU model,
+:class:`~repro.baselines.cpu.DfaCpuEngine`.
 
 ``scan_many`` additionally shards streams across a process pool
 (:mod:`repro.sim.shard`): the kernel's packed tables and the warm DFA
@@ -85,7 +86,6 @@ _CAPABILITIES = BackendCapabilities(
     resume=True,
     batch=True,
     activity_profile=False,
-    report_identity=True,
     fault_events=False,
     split=True,
     description=(

@@ -29,7 +29,6 @@ _CAPABILITIES = BackendCapabilities(
     resume=True,
     batch=True,
     activity_profile=True,
-    report_identity=True,
     fault_events=False,
     description=(
         "packed-bitset simulation of the compiled mapping; full "

@@ -2,7 +2,7 @@
 
 Backends self-register at import time via :func:`register_backend`; the
 built-in set (packed kernel, golden interpreter, circuit interpreter,
-fault-injection harness, CPU DFA baseline) is imported lazily on the
+lazy-DFA, fault-injection harness) is imported lazily on the
 first lookup so that importing :mod:`repro.backends` never drags the
 whole simulator stack in (and cannot create import cycles with it).
 
@@ -30,7 +30,6 @@ _BUILTIN_MODULES = (
     "repro.backends.mapped",
     "repro.backends.golden",
     "repro.backends.circuit",
-    "repro.backends.cpu",
     "repro.backends.lazydfa",
     "repro.backends.faulty",
 )

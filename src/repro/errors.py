@@ -22,29 +22,7 @@ class SymbolSetError(AutomatonError):
 
 
 class DeterminisationExplosion(AutomatonError):
-    """Eager subset construction blew past its state budget.
-
-    Carries machine-readable attribution so callers (the engine's
-    fallback chain) can report *which*
-    component caused the blow-up instead of a bare string:
-    ``component_id`` is the smallest STE id of the offending connected
-    component (``None`` when attribution was not possible),
-    ``state_estimate`` the number of subset-construction rows reached
-    before aborting, and ``max_states`` the budget that was exceeded.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        component_id: "str | None" = None,
-        state_estimate: int = 0,
-        max_states: int = 0,
-    ):
-        self.component_id = component_id
-        self.state_estimate = state_estimate
-        self.max_states = max_states
-        super().__init__(message)
+    """Eager subset construction blew past its state budget."""
 
 
 class StrideError(AutomatonError):

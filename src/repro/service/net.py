@@ -47,9 +47,8 @@ field list; values that are not JSON scalars travel by field name
 
 Checkpoints serialise as ``[symbols, hex(state_vector), sod]`` — the
 active-state vector is an arbitrary-precision integer, which JSON
-numbers cannot carry exactly — with the dialect as a fourth element
-when the writer marked one
-(:meth:`~repro.sim.kernel.Checkpoint.wire_row`).
+numbers cannot carry exactly — and only in the placement layout every
+backend shares (:meth:`~repro.sim.kernel.Checkpoint.wire_row`).
 
 Backpressure: the server reads at most ``max_inflight`` frames per
 connection ahead of their responses; past that it simply stops reading

@@ -398,8 +398,8 @@ class ProcPoolScanExecutor(WorkerPool):
         chunk_bytes: int,
         deadline_at: Optional[float],
     ) -> SpanReply:
-        # The checkpoint crosses the pipe as it is (one layout, or a
-        # marked dialect): nothing to flatten, nothing to lose.
+        # The checkpoint crosses the pipe as it is: nothing to flatten,
+        # nothing to lose, and a marked one is refused on the far side.
         message = (
             spec.registration.fingerprint, data, checkpoint,
             chunk_bytes, deadline_at,

@@ -141,10 +141,11 @@ class Checkpoint:
 
     ``dialect`` is ``None`` for the one portable layout — the artifact's
     placement, see :func:`placement_ids` — which every backend built
-    from the same artifact reads and writes.  A writer whose vector
-    means something else (the golden *simulator*'s automaton order, the
-    eager DFA's minimised state id) names itself here, and only a reader
-    asking for that dialect accepts the checkpoint (:meth:`require`).
+    from the same artifact reads and writes, and the only one that
+    crosses the wire.  A writer whose vector means something else (the
+    golden *simulator*'s automaton order) names itself here, and only a
+    reader asking for that dialect accepts the checkpoint
+    (:meth:`require`).
     """
 
     symbols_processed: int
@@ -154,10 +155,12 @@ class Checkpoint:
 
     def require(self, dialect: Optional[str]) -> None:
         """Raise :class:`SimulationError` unless this checkpoint is in
-        ``dialect``, the one the caller resumes from, and its vector is
-        one a writer could have produced.  Every reader calls this
-        first: a checkpoint can come from outside (the wire), and a
-        negative vector has no lowest set bit to stop :meth:`relaid`."""
+        ``dialect``, the one the caller resumes from, and its vector and
+        symbol count are ones a writer could have produced.  Every
+        reader calls this first: a checkpoint can come from outside (the
+        wire), a negative vector has no lowest set bit to stop
+        :meth:`relaid`, and a negative count would put reports before
+        the stream's start."""
         if self.dialect != dialect:
             raise SimulationError(
                 f"cannot resume a {self.dialect or 'placement-layout'} "
@@ -168,6 +171,11 @@ class Checkpoint:
             raise SimulationError(
                 "checkpoint carries a negative state vector; was it taken "
                 "on a different automaton?"
+            )
+        if self.symbols_processed < 0:
+            raise SimulationError(
+                "checkpoint carries a negative symbol count; no stream "
+                "resumes before its start"
             )
 
     def relaid(
@@ -194,23 +202,29 @@ class Checkpoint:
         )
 
     def wire_row(self) -> list:
-        """``[symbols, hex(vector), sod]``, plus the dialect when there
-        is one (JSON numbers cannot carry the vector exactly)."""
+        """``[symbols, hex(vector), sod]`` (JSON numbers cannot carry the
+        vector exactly); a marked checkpoint does not travel."""
+        if self.dialect is not None:
+            raise SimulationError(
+                f"a {self.dialect} checkpoint does not leave the process: "
+                "only placement-layout ones are read on the other side"
+            )
         pending = bool(self.start_of_data_pending)
-        row = [self.symbols_processed, hex(self.active_state_vector), pending]
-        return row if self.dialect is None else row + [self.dialect]
+        return [self.symbols_processed, hex(self.active_state_vector), pending]
 
     @classmethod
     def from_wire_row(cls, row) -> "Checkpoint":
         """Inverse of :meth:`wire_row`; ``TypeError``/``ValueError`` on a
-        malformed row (three-element rows are placement-layout)."""
-        symbols, vector, sod, *dialect = row
-        if len(dialect) > 1 or not all(isinstance(d, str) for d in dialect):
-            raise ValueError("expected [symbols, vector, sod] or [..., dialect]")
+        malformed row."""
+        symbols, vector, sod = row
+        if type(symbols) is not int or symbols < 0:  # bool is not a count
+            raise ValueError("a symbol count is an integer >= 0")
+        if type(sod) is not bool:
+            raise ValueError("sod is true or false")
         vector = int(vector, 16)
         if vector < 0:
             raise ValueError("a state vector is not negative")
-        return cls(int(symbols), vector, bool(sod), *dialect)
+        return cls(symbols, vector, sod)
 
 
 @dataclass

@@ -1,11 +1,10 @@
 """Backend registry, artifact IR, and the cross-backend differential matrix.
 
 The differential matrix is the refactor's safety net: every registered
-execution backend must produce the identical match set — same offsets —
-on the same compiled artifact, across crafted inputs, suite workloads,
-and seeded random streams, whole-stream and chunked.  Backends whose
-capabilities erase rule identity (the DFA baseline) still must agree on
-offsets.
+execution backend must produce the golden interpreter's report list —
+same offsets, STE ids, codes and order — on the same compiled artifact,
+across crafted inputs, suite workloads, and seeded random streams,
+whole-stream and chunked.
 """
 
 import io
@@ -35,7 +34,6 @@ from repro.core.design import CA_P
 from repro.engine import CacheAutomatonEngine
 from repro.errors import (
     ArtifactError,
-    AutomatonError,
     BackendError,
     DegradedModeWarning,
     SimulationError,
@@ -57,21 +55,10 @@ SUITE_NAMES = ("Bro217", "ExactMatch", "Ranges05", "PowerEN")
 #: that callers still ask for, held to the same matrix while they do.
 NAMES = (*backend_names(), "hybrid")
 
-#: Options keeping the DFA baseline's subset construction bounded; every
-#: other backend ignores them.
-_OPTIONS = {"minimize": False, "max_states": 60_000}
-
 
 def _artifact(patterns):
     machine = compile_patterns(patterns, report_codes=patterns)
     return CompiledArtifact.from_mapping(compile_automaton(machine, CA_P))
-
-
-def _backend(name, artifact):
-    try:
-        return create_backend(name, artifact, **_OPTIONS)
-    except AutomatonError as error:  # DFA state blow-up on this workload
-        pytest.skip(f"{name}: {error}")
 
 
 @pytest.fixture(scope="module")
@@ -110,29 +97,29 @@ def ordered_artifacts():
 class TestDifferentialMatrix:
     @pytest.mark.parametrize("name", NAMES)
     def test_crafted_input(self, name, pattern_artifact):
-        golden = match_offsets(pattern_artifact.automaton, DATA)
-        backend = _backend(name, pattern_artifact)
-        assert backend.scan(DATA).report_offsets() == golden
+        golden = simulate(pattern_artifact.automaton, DATA).reports
+        backend = create_backend(name, pattern_artifact)
+        assert backend.scan(DATA).reports == golden
 
     @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize("workload", SUITE_NAMES)
     def test_suite_workloads(self, name, workload, suite_artifacts):
         artifact, data = suite_artifacts[workload]
-        golden = match_offsets(artifact.automaton, data)
-        backend = _backend(name, artifact)
-        assert backend.scan(data).report_offsets() == golden
+        golden = simulate(artifact.automaton, data).reports
+        backend = create_backend(name, artifact)
+        assert backend.scan(data).reports == golden
 
     @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize("seed", (11, 12))
     def test_seeded_random_streams(self, name, seed, pattern_artifact):
         data = random_over_alphabet(600, b"abcdgorst ", seed=seed)
-        golden = match_offsets(pattern_artifact.automaton, data)
-        backend = _backend(name, pattern_artifact)
-        assert backend.scan(data).report_offsets() == golden
+        golden = simulate(pattern_artifact.automaton, data).reports
+        backend = create_backend(name, pattern_artifact)
+        assert backend.scan(data).reports == golden
 
     @pytest.mark.parametrize("name", NAMES)
     def test_report_counts_without_collection(self, name, pattern_artifact):
-        backend = _backend(name, pattern_artifact)
+        backend = create_backend(name, pattern_artifact)
         result = backend.scan(DATA, collect_reports=False)
         assert result.reports == []
         assert result.profile.reports == len(
@@ -144,7 +131,7 @@ class TestDifferentialMatrix:
     def test_one_scan_result_and_one_counting_convention(
         self, name, pattern_artifact
     ):
-        backend = _backend(name, pattern_artifact)
+        backend = create_backend(name, pattern_artifact)
         collected = backend.scan(DATA)
         counted = backend.scan(DATA, collect_reports=False)
         batched = backend.scan_many([DATA])[0]
@@ -163,16 +150,14 @@ class TestDifferentialMatrix:
         self, name, workload, length, seed, ordered_artifacts
     ):
         """Rulesets where several states report on one symbol: every
-        backend that keeps STE identity emits the golden interpreter's
-        *sequence*, not just its multiset."""
-        if name == "eager-dfa":
-            pytest.skip("collapses STE identity; never built on SPM")
+        backend emits the golden interpreter's *sequence*, not just its
+        multiset."""
         artifact, benchmark = ordered_artifacts[workload]
         data = benchmark.input_stream(length, seed)
         golden = simulate(artifact.automaton, data).reports
         offsets = [report.offset for report in golden]
         assert len(set(offsets)) < len(offsets)
-        assert _backend(name, artifact).scan(data).reports == golden
+        assert create_backend(name, artifact).scan(data).reports == golden
 
     def test_packed_kernel_scan_is_the_simulators_run(self, pattern_artifact):
         backend = create_backend("packed-kernel", pattern_artifact)
@@ -210,35 +195,33 @@ class TestChunkedResume:
     def test_chunked_equals_whole_stream(
         self, name, chunk_size, pattern_artifact
     ):
-        backend = _backend(name, pattern_artifact)
+        backend = create_backend(name, pattern_artifact)
         if not backend.capabilities().resume:
             with pytest.raises(SimulationError):
                 backend.stream()
             return
-        whole = backend.scan(DATA).report_offsets()
         stream = backend.stream()
-        offsets = []
+        reports = []
         for start in range(0, len(DATA), chunk_size):
-            result = stream.scan(DATA[start : start + chunk_size])
-            offsets.extend(result.report_offsets())
-        assert sorted(set(offsets)) == whole
+            reports.extend(stream.scan(DATA[start : start + chunk_size]).reports)
+        assert reports == simulate(pattern_artifact.automaton, DATA).reports
         assert stream.position == len(DATA)
 
     @pytest.mark.parametrize("name", NAMES)
     def test_scan_many_matches_scan(self, name, pattern_artifact):
-        backend = _backend(name, pattern_artifact)
+        backend = create_backend(name, pattern_artifact)
         streams = [DATA, b"no matches here", DATA[10:40]]
         results = backend.scan_many(streams)
         assert len(results) == len(streams)
         for data, result in zip(streams, results):
-            assert (
-                result.report_offsets()
-                == backend.scan(data).report_offsets()
+            assert result.reports == backend.scan(data).reports
+            assert result.reports == (
+                simulate(pattern_artifact.automaton, data).reports
             )
 
     @pytest.mark.parametrize("name", NAMES)
     def test_scan_many_resume_count_mismatch(self, name, pattern_artifact):
-        backend = _backend(name, pattern_artifact)
+        backend = create_backend(name, pattern_artifact)
         with pytest.raises(SimulationError, match="2 checkpoints"):
             backend.scan_many([DATA], resumes=[None, None])
 
@@ -580,6 +563,18 @@ class TestRegistry:
         with pytest.raises(BackendError, match="unknown backend 'nope'"):
             resolve_backend_name("nope")
 
+    @pytest.mark.parametrize("name", ("eager-dfa", "eager"))
+    def test_retired_eager_dfa_is_an_unknown_name(self, name):
+        """The eager subset-construction backend is gone, alias and all;
+        its names get the roster of the five that remain."""
+        roster = (
+            "circuit, fault-injected, golden-interpreter, lazy-dfa, "
+            "packed-kernel"
+        )
+        assert backend_names() == roster.split(", ")
+        with pytest.raises(BackendError, match=f"registered backends: {roster}$"):
+            resolve_backend_name(name)
+
     @pytest.mark.parametrize(
         "alias,canonical",
         [
@@ -590,7 +585,6 @@ class TestRegistry:
             ("dfa", "lazy-dfa"),
             ("cpu", "lazy-dfa"),
             ("cpu-dfa", "lazy-dfa"),
-            ("eager", "eager-dfa"),
             ("faulty", "fault-injected"),
         ],
     )
@@ -623,7 +617,7 @@ class TestRegistry:
 
     def test_every_backend_declares_capabilities(self, pattern_artifact):
         for name in backend_names():
-            backend = _backend(name, pattern_artifact)
+            backend = create_backend(name, pattern_artifact)
             capabilities = backend.capabilities()
             assert capabilities.description
             assert backend.name == name

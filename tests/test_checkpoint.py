@@ -215,9 +215,8 @@ class TestCheckpointProperties:
 
 PORTABLE_PATTERNS = ["needle", "na[gn]a+", "^anchor", "spl", "it", "x.{14}y"]
 
-#: Registry name and options of every substrate that speaks the portable
-#: layout (eager-dfa cannot: see TestEagerDfaDialect), and ``hybrid``, a
-#: name for the packed kernel that callers still ask for.
+#: Registry name and options of every substrate that resumes, and
+#: ``hybrid``, a name for the packed kernel that callers still ask for.
 SUBSTRATES = {
     "golden-interpreter": ("golden-interpreter", {}),
     "packed-kernel": ("packed-kernel", {}),
@@ -307,15 +306,37 @@ class TestCheckpointPortability:
         with pytest.raises(ProtocolError, match="malformed checkpoint"):
             decode_checkpoint([0, "-1", False])
 
+    def test_a_negative_symbol_count_is_refused(self, backends):
+        """No stream resumes before its start: a count below zero used
+        to resume, and ``the cat`` reported at offset -94."""
+        for label, backend in backends.items():
+            with pytest.raises(SimulationError, match="negative symbol count"):
+                backend.scan(b"the cat", resume=Checkpoint(-100, 0, False))
 
-def test_a_stray_bit_gets_one_answer_from_every_backend():
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [-100, "0x0", False],
+            [1.9, "0x0", False],
+            [True, "0x0", False],
+            ["3", "0x0", False],
+            [3, "0x0", "no"],
+            [3, "0x0", 0],
+            [3, "0x0", None],
+        ],
+    )
+    def test_the_wire_codec_takes_only_a_count_and_a_bool(self, row):
+        """A count is a non-bool JSON integer >= 0 and ``sod`` a JSON
+        bool: ``1.9`` used to read as 1, ``"no"`` as true."""
+        with pytest.raises(ProtocolError, match="malformed checkpoint"):
+            decode_checkpoint(row)
+
+
+def test_a_stray_bit_gets_one_answer_from_every_backend(portable_artifact):
     """A placement-layout vector with a bit no state occupies (they come
     from the wire) is refused by every backend that resumes — the packed
     kernel and the lazy DFA used to scan on with it enabled for a cycle
     where the golden interpreter and hybrid raised."""
-    # No bounded gap here: eager-dfa is among the backends built.
-    machine = compile_patterns(["needle", "na[gn]a+", "^anchor"])
-    portable_artifact = CompiledArtifact.from_mapping(compile_automaton(machine, CA_P))
     stray = placement_ids(portable_artifact.mapping).index("")
     resumable = []
     for name in backend_names():
@@ -459,12 +480,11 @@ class TestPortabilityThroughTheService:
                 whole = await service.scan("acme", data)
                 async with await NetScanClient.connect(*server.address) as client:
                     head = await client.scan("acme", data[:37])
-                    # One bad resume frame is answered, not scanned; the
+                    # A bad resume frame is answered, not scanned; the
                     # connection and the event loop keep serving.
-                    with pytest.raises(ProtocolError, match="malformed"):
-                        await client.scan(
-                            "acme", data[37:], resume=Checkpoint(0, -1, False)
-                        )
+                    for bad in (Checkpoint(0, -1, False), Checkpoint(-100, 0, False)):
+                        with pytest.raises(ProtocolError, match="malformed"):
+                            await client.scan("acme", b"the cat", resume=bad)
                     tail = await client.scan(
                         "acme", data[37:], resume=head.checkpoint
                     )
@@ -478,72 +498,43 @@ class TestPortabilityThroughTheService:
         assert tail.checkpoint == whole.checkpoint
 
 
-class TestEagerDfaDialect:
-    """A minimised-DFA state id cannot express the active state vector:
-    eager-dfa marks its checkpoints, resumes only its own, and every
-    other substrate refuses them — typed, wherever the resume lands."""
+class TestMarkedDialect:
+    """``GoldenSimulator``'s automaton-order checkpoints are the one
+    marked dialect: they never leave the process, and every
+    placement-layout reader refuses them wherever the resume lands."""
 
-    #: Without ``x.{14}y``: subset construction would explode on it.
-    PATTERNS = PORTABLE_PATTERNS[:5]
-
-    def test_rejected_by_every_other_substrate_and_the_other_way(self):
-        machine = compile_patterns(self.PATTERNS)
-        portable_artifact = CompiledArtifact.from_mapping(
-            compile_automaton(machine, CA_P)
-        )
-        eager = create_backend("eager-dfa", portable_artifact)
-        whole = eager.scan(PORTABLE_STREAM).report_offsets()
-        for cut in PORTABLE_CUTS:
-            head = eager.scan(PORTABLE_STREAM[:cut])
-            assert head.checkpoint.dialect == "eager-dfa"
-            tail = eager.scan(PORTABLE_STREAM[cut:], resume=head.checkpoint)
-            assert sorted(
-                set(head.report_offsets()) | set(tail.report_offsets())
-            ) == whole
-        for label, (name, options) in SUBSTRATES.items():
-            other = create_backend(name, portable_artifact, **options)
-            with pytest.raises(SimulationError, match="eager-dfa"):
-                other.scan(b"tail", resume=head.checkpoint)
-            with pytest.raises(SimulationError, match="eager-dfa"):
-                eager.scan(b"tail", resume=other.scan(b"head").checkpoint)
-        for state in (-1, 1 << 40):  # marked like its own, but no state of it
-            with pytest.raises(SimulationError, match="different automaton"):
-                eager.scan(b"tail", resume=Checkpoint(3, state, False, "eager-dfa"))
-
-    def test_survives_the_wire_codec(self):
-        marked = Checkpoint(7, 5, False, "eager-dfa")
-        assert decode_checkpoint(encode_checkpoint(marked)) == marked
+    def test_only_a_plain_row_travels(self):
         plain = Checkpoint(7, 1 << 70, True)
-        assert len(encode_checkpoint(plain)) == 3
+        assert encode_checkpoint(plain) == [7, hex(1 << 70), True]
         assert decode_checkpoint(encode_checkpoint(plain)) == plain
-        assert decode_checkpoint([7, hex(1 << 70), True]) == plain
+        marked = Checkpoint(7, 5, False, "automaton-order")
+        with pytest.raises(SimulationError, match="does not leave the process"):
+            encode_checkpoint(marked)
+        with pytest.raises(ProtocolError, match="malformed checkpoint"):
+            decode_checkpoint([7, "0x5", False, "automaton-order"])
 
     @pytest.mark.parametrize("scan_workers", [0, 1])
-    def test_resumes_itself_and_is_refused_across_the_pipe(self, scan_workers):
+    def test_refused_on_both_planes(self, scan_workers, portable_artifact):
         data = PORTABLE_STREAM
+        marked = GoldenSimulator(portable_artifact.automaton).run(
+            data[:37]
+        ).checkpoint
+        assert marked.dialect == "automaton-order"
 
         async def scenario():
             service = ScanService(
                 workers=1, scan_workers=scan_workers, cache=False
             )
-            service.register("eager", self.PATTERNS, backend="eager-dfa")
-            service.register("lazy", self.PATTERNS, backend="lazy-dfa")
+            service.register("lazy", PORTABLE_PATTERNS, backend="lazy-dfa")
             await service.start()
             try:
-                whole = await service.scan("eager", data)
-                head = await service.scan("eager", data[:37])
-                tail = await service.scan(
-                    "eager", data[37:], resume=head.checkpoint
-                )
-                with pytest.raises(SimulationError, match="eager-dfa"):
-                    await service.scan("lazy", data[37:], resume=head.checkpoint)
-                return whole, head, tail
+                with pytest.raises(SimulationError, match="automaton-order"):
+                    await service.scan("lazy", data[37:], resume=marked)
+                return await service.scan("lazy", data)
             finally:
                 await service.stop()
 
-        whole, head, tail = asyncio.run(scenario())
-        assert head.checkpoint.dialect == "eager-dfa"
-        assert rows_of(head) + rows_of(tail) == rows_of(whole)
+        assert rows_of(asyncio.run(scenario()))
 
 
 # -- guard --------------------------------------------------------------------
@@ -551,13 +542,7 @@ class TestEagerDfaDialect:
 #: What only ``sim/kernel.py`` may do under ``src/repro``, as a pattern
 #: over comment- and string-free source, and who else may, with why.
 KERNEL_ONLY = {
-    "constructs a Checkpoint": (
-        r"(?<![\w.])Checkpoint\s*\(",
-        {
-            "backends/cpu.py": "its vector is a minimised-DFA state id: "
-            "written under a marked dialect nothing else reads",
-        },
-    ),
+    "constructs a Checkpoint": (r"(?<![\w.])Checkpoint\s*\(", {}),
     "loops over CHUNK_SYMBOLS": (
         r"\bCHUNK_SYMBOLS\b",
         {
@@ -568,8 +553,6 @@ KERNEL_ONLY = {
     "turns a reporting row into Reports": (
         r"(?<![\w.])Report\s*\(",
         {
-            "backends/cpu.py": "no reporting row: determinisation erased "
-            "STE identity, reports carry offsets only",
             "sim/circuit.py": "set-based counter/gate interpreter, runs "
             "on no packed kernel",
             "sim/crossbar.py": "bit-level switch model, reads partition "

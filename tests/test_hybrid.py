@@ -33,9 +33,9 @@ from repro.compiler.classify import (
 )
 from repro.core.design import CA_P
 from repro.engine import CacheAutomatonEngine
-from repro.errors import DeterminisationExplosion, SimulationError
+from repro.errors import SimulationError
 from repro.regex.compile import compile_patterns
-from repro.sim.golden import Checkpoint
+from repro.sim.golden import Checkpoint, GoldenSimulator
 
 #: Four DFA-friendly components plus one hostile one (bounded gap).
 MIXED_PATTERNS = ["bat", "c[ao]t", "dog+", "bar[t]?", "x.{14}y"]
@@ -300,12 +300,13 @@ class TestHybridBackend:
 
     def test_foreign_checkpoint_rejected(self, mixed_artifact):
         """Foreign means what it means everywhere: a checkpoint in a
-        marked dialect (eager-dfa's state id), or a vector naming state
-        bits this artifact's placement does not have."""
+        marked dialect (``GoldenSimulator``'s automaton order), or a
+        vector naming state bits this artifact's placement does not
+        have."""
         backend = create_backend("hybrid", mixed_artifact)
-        eager = create_backend("eager-dfa", _artifact(FRIENDLY_PATTERNS))
-        with pytest.raises(SimulationError, match="eager-dfa"):
-            backend.scan(b"abc", resume=eager.scan(b"abc").checkpoint)
+        marked = GoldenSimulator(mixed_artifact.automaton).run(b"abc").checkpoint
+        with pytest.raises(SimulationError, match="automaton-order"):
+            backend.scan(b"abc", resume=marked)
         placement = mixed_artifact.mapping
         n_bits = placement.partition_count * placement.design.partition_size
         # Too wide; a padding bit; negative (no lowest set bit to end on).
@@ -349,19 +350,6 @@ class TestHybridBackend:
 
 
 class TestDeterminisationExplosion:
-    def test_typed_error_carries_attribution(self, mixed_artifact):
-        with pytest.raises(DeterminisationExplosion) as excinfo:
-            create_backend(
-                "eager-dfa", mixed_artifact, minimize=False, max_states=100
-            )
-        error = excinfo.value
-        assert error.component_id is not None
-        assert error.state_estimate >= 100
-        assert error.max_states == 100
-        assert error.component_id in str(error)
-        # The hostile CC's states are the m4_* family (5th pattern).
-        assert error.component_id.startswith("m4")
-
     def test_default_engine_records_health_event(self):
         engine = CacheAutomatonEngine.from_patterns(
             MIXED_PATTERNS,

@@ -136,7 +136,7 @@ class TestFrameCodec:
             "acme",
             offset=64,
             reports=[Report(7, "s3", "cat")],
-            checkpoint=Checkpoint(64, 1 << 200, False, "marked"),
+            checkpoint=Checkpoint(64, 1 << 200, False),
         ),
     ]
 
@@ -307,6 +307,29 @@ class TestServerVerbs:
         assert [r.report_code for r in outcome.reports] == ["emu"]
         assert metrics["completed"] >= 1
         assert "scan_workers" in metrics
+
+    @pytest.mark.parametrize("backend", ["eager-dfa", "nope"])
+    def test_register_naming_no_backend_is_refused(self, backend):
+        """The retired eager-dfa is as unknown as any other name: the
+        register frame is answered with an error, and the connection
+        goes on serving."""
+        async def scenario():
+            service = await started_service()
+            server = ScanServer(service)
+            await server.start()
+            try:
+                async with await NetScanClient.connect(*server.address) as c:
+                    with pytest.raises(ServiceError, match="unknown backend"):
+                        await c.register("wire", ["emu"], backend=backend)
+                    outcome = await c.scan("acme", b"the cat")
+                return outcome, service.tenant_names()
+            finally:
+                await server.stop()
+                await service.stop()
+
+        outcome, tenants = run(scenario())
+        assert [r.offset for r in outcome.reports] == [6]
+        assert "wire" not in tenants
 
     def test_unknown_op_is_protocol_error(self):
         async def scenario():
