@@ -2,8 +2,8 @@
 
 A :class:`CompiledArtifact` is the complete, serialisable product of
 compilation — the placement (:class:`~repro.compiler.mapping.Mapping`),
-the packed simulator kernel tables, the k-stride alphabet, the per-CC
-classification, and the content fingerprints of both compiler inputs.
+the packed simulator kernel tables, the k-stride alphabet, the
+``auto=True`` placement decision, and the content fingerprints of both compiler inputs.
 It is the single argument of every backend's ``from_artifact`` and the
 one entry kind the artifact cache stores under
 :func:`~repro.compiler.cache.cache_key`.
@@ -53,7 +53,7 @@ _KERNEL_PREFIX = "kernel_"
 #: Payload member prefix for the compressed stride-alphabet tables.
 _STRIDE_PREFIX = "stride_"
 
-#: Payload member prefix for the per-CC classification tables.
+#: Payload member prefix for the placement-decision tables.
 _CLASSIFY_PREFIX = "classify_"
 
 
@@ -75,10 +75,12 @@ class CompiledArtifact:
     #: Compressed stride-alphabet tables (``stride_k`` /
     #: ``stride_class_of`` / ``stride_reps``); empty when unstrided.
     stride_tables: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: Per-CC classification tables (``classify_version`` and
-    #: ``classify_assignment``, see :mod:`repro.compiler.classify`): the
-    #: ``auto=True`` placement decision.  Empty until an ``auto=True``
-    #: engine attaches them; no backend reads them.
+    #: Placement-decision tables (``classify_version``,
+    #: ``classify_substrate``, ``classify_component`` and
+    #: ``classify_components``, see
+    #: :meth:`repro.compiler.classify.Placement.to_tables`): the
+    #: ``auto=True`` decision.  Empty until an ``auto=True`` engine
+    #: attaches them; no backend reads them.
     classify_tables: Dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -124,7 +126,7 @@ class CompiledArtifact:
     def with_classify_tables(
         self, classify_tables: Dict[str, np.ndarray]
     ) -> "CompiledArtifact":
-        """A copy carrying the per-CC classification tables."""
+        """A copy carrying the placement-decision tables."""
         return replace(self, classify_tables=dict(classify_tables))
 
     # -- serialisation -----------------------------------------------------
@@ -155,7 +157,7 @@ class CompiledArtifact:
             # Alphabet table names already carry the stride_ prefix.
             payload[name] = array
         for name, array in self.classify_tables.items():
-            # Classification table names already carry the classify_ prefix.
+            # Placement table names already carry the classify_ prefix.
             payload[name] = array
         return payload
 

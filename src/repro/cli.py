@@ -35,11 +35,13 @@ Subcommands::
         parse an ANML document and print its structural characteristics.
 
     python -m repro.cli classify RULES.txt [--probe-budget N]
-        run the per-component classifier (see
+        run the per-component census (see
         :mod:`repro.compiler.classify`) and print one row per connected
         component: states, byte classes, symbol entropy, the bounded
         subset-closure probe's rows and whether it aborted, and the
-        substrate that decides (``lazy-dfa`` iff the probe closed).
+        substrate that decides (``lazy-dfa`` iff the probe closed); then
+        the engine's ``auto=True`` decision for the whole ruleset and
+        why (``engine placement:``, at the default probe budget).
 
     python -m repro.cli designs
         list the built-in design points with their derived parameters.
@@ -269,7 +271,7 @@ def _cmd_backends(_arguments) -> int:
 
 
 def _cmd_classify(arguments) -> int:
-    from repro.compiler.classify import classify_automaton
+    from repro.compiler.classify import classify_automaton, place_automaton
 
     rules = _load_rules(arguments.rules)
     machine = compile_patterns(rules, report_codes=rules)
@@ -300,6 +302,8 @@ def _cmd_classify(arguments) -> int:
         f"{count} CC(s) -> {backend}" for backend, count in sorted(placed.items())
     )
     print(f"\nplacement: {summary}")
+    decision = place_automaton(machine)
+    print(f"engine placement: {decision.substrate} ({decision.reason()})")
     return 0
 
 

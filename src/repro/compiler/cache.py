@@ -19,8 +19,7 @@ entry, each under its own key:
   inputs of the compiler proper, and addresses the
   :class:`~repro.backends.artifact.CompiledArtifact` (``<key>.npz``):
   the placement arrays, the packed simulator tables, the stride alphabet
-  and the per-component classification (the ``auto=True`` placement
-  decision):
+  and the ``auto=True`` placement decision:
 
   * the **automaton fingerprint** hashes the canonically ordered state
     list (ids sorted), each state's symbol mask / start kind / report

@@ -1,29 +1,33 @@
-"""Per-component placement: which substrate a connected component fits.
+"""Placement: whether a ruleset runs on the lazy DFA or the packed kernel.
 
-The cache-automaton design wins by routing each part of the workload to
-the substrate it fits; the unit of routing is the weakly connected
-component (CC), exactly the compiler's atomic mapping unit
-(:mod:`repro.automata.components`).  This module decides, for every CC
-of a homogeneous automaton, one thing: whether its **bounded
-subset-closure probe** closes — a byte-class-compressed subset
-construction over the scanning semantics of just that CC, abandoned once
-a budget of distinct activation rows is exceeded.  The probe counts
-exactly the rows a lazy DFA would hash-cons, so a closed probe means the
-CC determinises cheaply (``lazy-dfa``) and an aborted one means it would
-blow up an eager DFA and thrash a lazy one (``packed-kernel``, whose
-step cache is one lazily determinised table per component).
+The unit of placement is the weakly connected component (CC), the
+compiler's atomic mapping unit (:mod:`repro.automata.components`).  Per
+CC the question is one thing: whether its **bounded subset-closure
+probe** closes — a byte-class-compressed subset construction over the
+scanning semantics of just that CC, abandoned once a budget of distinct
+activation rows is exceeded.  The probe counts exactly the rows a lazy
+DFA would hash-cons, so a closed probe means the CC determinises cheaply
+and an aborted one means it would blow up an eager DFA and thrash a lazy
+one.
 
-Beside the decision the classifier keeps a few structural features —
-state count, byte classes, symbol-set entropy, the probe's row count and
-the growth it implies — for ``repro classify`` to print.  What travels
-with the artifact is the decision alone: ``classify_version`` and
-``classify_assignment`` (:meth:`ComponentClassification.to_tables`,
-read back by :func:`cached_substrates`).
+The engine's ``auto=True`` decision is :func:`place_automaton`: the
+ruleset runs on ``lazy-dfa`` when every CC's probe closes, and whole on
+``packed-kernel`` otherwise, so it probes the CCs in order and stops at
+the first probe that aborts.  The :class:`Placement` it returns — the
+substrate, the deciding CC and the CC count — is what travels with the
+artifact (:meth:`Placement.to_tables`, read back by
+:func:`cached_placement`).
+
+The census, :func:`classify_automaton`, probes every CC to its budget
+and keeps a few structural features beside each verdict — state count,
+byte classes, symbol-set entropy, the probe's row count and the growth
+it implies — for ``repro classify`` and the benchmark's layer probe.
+No engine reads it.
 
 Everything here is deterministic: component order is the deterministic
 :func:`~repro.automata.components.connected_components` order, the probe
 iterates byte classes in first-byte order, and no wall-clock or RNG
-input enters the features or the assignment — the same automaton always
+input enters the features or the decision — the same automaton always
 yields the same placement, regardless of ``compile_jobs`` or process
 count.
 """
@@ -31,8 +35,9 @@ count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +45,7 @@ from repro.automata.anml import HomogeneousAutomaton, StartKind
 from repro.automata.components import connected_components
 from repro.automata.symbols import byte_signatures
 
-#: A component's substrate, indexed by whether its probe aborted;
-#: ``classify_assignment`` stores those indexes.
+#: A component's substrate, indexed by whether its probe aborted.
 SUBSTRATES: Tuple[str, ...] = ("lazy-dfa", "packed-kernel")
 
 #: Feature-table columns, in ``features`` column order.
@@ -57,13 +61,14 @@ FEATURE_COLUMNS: Tuple[str, ...] = (
 #: Hard cap on distinct activation rows the bounded probe will visit.
 PROBE_BUDGET_CAP = 512
 
-#: Serialised classification-table schema version (independent of the
+#: Serialised placement-table schema version (independent of the
 #: artifact format version; bump when the tables change meaning).
-#: Tables of another version are no decision: the ruleset is classified
-#: again and the tables rewritten.
-CLASSIFY_TABLE_VERSION = 2
+#: Tables of another version are no decision: the ruleset is placed
+#: again and the tables rewritten.  Version 2 held the census's
+#: per-component assignment.
+CLASSIFY_TABLE_VERSION = 3
 
-#: Payload-member prefix for classification tables inside an artifact.
+#: Payload-member prefix for placement tables inside an artifact.
 CLASSIFY_PREFIX = "classify_"
 
 
@@ -219,36 +224,6 @@ class ComponentClassification:
             table.append(row)
         return table
 
-    def to_tables(self) -> Dict[str, np.ndarray]:
-        """The decision as flat ``classify_*`` artifact payload members."""
-        return {
-            f"{CLASSIFY_PREFIX}version": np.asarray(
-                CLASSIFY_TABLE_VERSION, dtype=np.int64
-            ),
-            f"{CLASSIFY_PREFIX}assignment": np.asarray(
-                self.assignment, dtype=np.int32
-            ),
-        }
-
-
-def cached_substrates(
-    tables: Dict[str, np.ndarray]
-) -> Optional[List[str]]:
-    """Each component's substrate as ``classify_*`` tables recorded it —
-    what :func:`classify_automaton` with default arguments would assign —
-    or ``None`` when the tables cannot stand in for that call: absent,
-    written under another :data:`CLASSIFY_TABLE_VERSION`, or malformed.
-    """
-    try:
-        if int(tables[f"{CLASSIFY_PREFIX}version"]) != CLASSIFY_TABLE_VERSION:
-            return None
-        assignment = tables[f"{CLASSIFY_PREFIX}assignment"].tolist()
-        if min(assignment, default=0) < 0:
-            return None
-        return [SUBSTRATES[index] for index in assignment]
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError):
-        return None
-
 
 def classify_automaton(
     automaton: HomogeneousAutomaton,
@@ -280,3 +255,85 @@ def classify_automaton(
         )
         assignment[index] = aborted
     return ComponentClassification(components, features, assignment)
+
+
+class Placement(NamedTuple):
+    """The ``auto=True`` decision for one automaton.
+
+    ``substrate`` is ``lazy-dfa`` when every one of the
+    ``component_count`` CCs' probes closes, else ``packed-kernel``;
+    ``component`` is the index (in ``connected_components`` order) of
+    the first CC whose probe aborts, ``None`` when none does.  An
+    automaton without components runs on the packed kernel.
+    """
+
+    substrate: str
+    component: Optional[int]
+    component_count: int
+
+    def reason(self) -> str:
+        """Why, in words, for a health event or ``repro classify``."""
+        if self.component is not None:
+            return (
+                f"component {self.component} of {self.component_count} "
+                "exceeds its subset-closure budget"
+            )
+        if self.component_count:
+            return (
+                f"all {self.component_count} components' subset-closure "
+                "probes close"
+            )
+        return "no component to probe"
+
+    def to_tables(self) -> Dict[str, np.ndarray]:
+        """The decision as flat ``classify_*`` artifact payload members."""
+        return {
+            f"{CLASSIFY_PREFIX}version": np.asarray(
+                CLASSIFY_TABLE_VERSION, dtype=np.int64
+            ),
+            f"{CLASSIFY_PREFIX}substrate": np.asarray(self.substrate),
+            f"{CLASSIFY_PREFIX}component": np.asarray(
+                -1 if self.component is None else self.component,
+                dtype=np.int64,
+            ),
+            f"{CLASSIFY_PREFIX}components": np.asarray(
+                self.component_count, dtype=np.int64
+            ),
+        }
+
+
+def cached_placement(tables: Dict[str, np.ndarray]) -> Optional[Placement]:
+    """The decision ``classify_*`` tables recorded — what
+    :func:`place_automaton` would return — or ``None`` when the tables
+    cannot stand in for that call: absent, written under another
+    :data:`CLASSIFY_TABLE_VERSION`, or malformed.
+    """
+    try:
+        version, substrate, component, count = (
+            tables[f"{CLASSIFY_PREFIX}{name}"].item()
+            for name in ("version", "substrate", "component", "components")
+        )
+        if operator.index(version) != CLASSIFY_TABLE_VERSION:
+            return None
+        component, count = operator.index(component), operator.index(count)
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return None
+    hostile = component >= 0 or count == 0
+    if not -1 <= component < count or substrate != SUBSTRATES[hostile]:
+        return None
+    return Placement(substrate, None if component < 0 else component, count)
+
+
+def place_automaton(automaton: HomogeneousAutomaton) -> Placement:
+    """The ``auto=True`` decision: probe the CCs in
+    :func:`~repro.automata.components.connected_components` order at the
+    default budget and stop at the first probe that aborts — one hostile
+    component sends the whole ruleset to the packed kernel, so the rest
+    cannot change the answer.  Computes no feature; equal to the
+    census's verdict (:func:`classify_automaton`) by construction.
+    """
+    components = connected_components(automaton)
+    for index, members in enumerate(components):
+        if probe_subset_closure(automaton, members)[1]:
+            return Placement(SUBSTRATES[1], index, len(components))
+    return Placement(SUBSTRATES[not components], None, len(components))

@@ -57,7 +57,7 @@ from repro.backends.validation import (
 from repro.baselines.ap import ApModel
 from repro.compiler import Mapping, compile_automaton, compile_space_optimized
 from repro.compiler.cache import CacheStats, CompileCache, source_key
-from repro.compiler.classify import cached_substrates, classify_automaton
+from repro.compiler.classify import cached_placement, place_automaton
 from repro.core.design import CA_P, DesignPoint
 from repro.core.energy import ActivityProfile, EnergyModel
 from repro.errors import DegradedModeWarning, ReproError, SimulationError
@@ -259,16 +259,16 @@ class CacheAutomatonEngine:
         (see :func:`repro.backends.backend_names`; aliases accepted) —
         the packed mapped kernel by default.  ``auto=True`` (default
         off) is the placement policy knob: when no backend is named, the
-        engine picks the substrate itself from the per-CC classification
-        (:mod:`repro.compiler.classify`) — the lazy DFA when every
-        component's subset-closure probe closes, else the packed kernel
-        (it steps each component on its own table, so the friendly ones
-        ride along); the decision and its reason are recorded in
-        :meth:`health`.  The
-        classification is a compile product like the placement: it is
-        read from the cached artifact when that carries one, the
-        classifier runs only when it does not, and whatever it found is
-        stored with the artifact.  ``backend_options`` are passed
+        engine picks the substrate itself
+        (:func:`repro.compiler.classify.place_automaton`) — the lazy DFA
+        when every component's subset-closure probe closes, else the
+        packed kernel, for the whole ruleset; the probes run in component
+        order and stop at the first that aborts.  The decision and its
+        reason (the deciding component, or that all probes close) are
+        recorded in :meth:`health`.  The decision is a compile product
+        like the placement: it is read from the cached artifact when that
+        carries one, the probes run only when it does not, and what they
+        decided is stored with the artifact.  ``backend_options`` are passed
         through to the backend's ``from_artifact``.
         ``scan_jobs`` presets the worker count for process-sharded
         ``scan_many`` on backends that support it (the lazy-DFA
@@ -358,19 +358,23 @@ class CacheAutomatonEngine:
                     "quarantined corrupt cache artifact"
                 )
         if auto and self._requested_backend is None:
-            substrates = (
+            decision = (
                 None
                 if loaded is None
-                else cached_substrates(loaded.classify_tables)
+                else cached_placement(loaded.classify_tables)
             )
-            if substrates is None:
-                classification = classify_automaton(automaton)
-                classify_tables = classification.to_tables()
-                substrates = [
-                    classification.backend_of(index)
-                    for index in range(classification.component_count)
-                ]
-            backend_name = self._auto_placement(substrates)
+            source = "; decision read from the artifact"
+            if decision is None:
+                decision = place_automaton(automaton)
+                classify_tables = decision.to_tables()
+                source = ""
+            # One hostile component sends the whole ruleset to the packed
+            # kernel; the friendly ones ride along for nothing.
+            self._health_events.append(
+                f"auto placement selected {decision.substrate} "
+                f"({decision.reason()}{source})"
+            )
+            backend_name = decision.substrate
 
         if optimize:
             if self._cache is not None:
@@ -436,7 +440,7 @@ class CacheAutomatonEngine:
             and self._tier is not TIER_GOLDEN
         ):
             # Persist what this build computed and the artifact lacks: the
-            # backend's packed tables, and the per-CC classification, so
+            # backend's packed tables, and the auto=True decision, so
             # warm starts skip the subset-closure probes; a fresh one
             # supersedes tables that were not trusted.
             stored = artifact
@@ -456,26 +460,6 @@ class CacheAutomatonEngine:
         #: ``optimize`` selected one).
         self.automaton = artifact.automaton
         self._profile = ActivityProfile()
-
-    def _auto_placement(self, substrates: Sequence[str]) -> str:
-        """The ``auto=True`` policy over the components' substrates, one
-        entry per component: the lazy DFA when every component's
-        subset-closure probe closed, else the packed kernel — once one
-        component needs it the others ride along for nothing (its step
-        cache factors by component).  Records the decision, and why, as
-        a health event."""
-        hostile = sum(substrate != "lazy-dfa" for substrate in substrates)
-        if substrates and not hostile:
-            chosen = "lazy-dfa"
-            why = f"all {len(substrates)} components' subset-closure probes close"
-        else:
-            chosen = DEFAULT_BACKEND
-            why = (
-                f"{hostile} of {len(substrates)} components' subset-closure "
-                "probes exceed their budget"
-            )
-        self._health_events.append(f"auto placement selected {chosen} ({why})")
-        return chosen
 
     @staticmethod
     def _create_backend(

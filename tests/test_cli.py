@@ -144,6 +144,33 @@ class TestDesigns:
             assert name in output
 
 
+class TestClassify:
+    @pytest.mark.parametrize(
+        "rules",
+        [["bat", "c[ao]t", "dog+"], ["bat", "c[ao]t", "dog+", "x.{14}y"]],
+        ids=["friendly", "hostile"],
+    )
+    def test_engine_placement_is_the_engines(self, tmp_path, capsys, rules):
+        """Under the census table the command prints the engine's own
+        ``auto=True`` decision, from the function the engine calls."""
+        from repro.engine import CacheAutomatonEngine
+
+        path = tmp_path / "rules.txt"
+        path.write_text("\n".join(rules) + "\n")
+        assert main(["classify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("placement: ") for line in lines)
+        assert lines[-1].startswith("engine placement: ")
+        printed = lines[-1].split()[2]
+        engine = CacheAutomatonEngine.from_patterns(rules, auto=True, cache=None)
+        assert printed == engine.health().backend
+        # The reason is the health event's.
+        reason = lines[-1][len(f"engine placement: {printed} "):]
+        assert engine.health().events == (
+            f"auto placement selected {printed} {reason}",
+        )
+
+
 class TestAnmlInfo:
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.anml"

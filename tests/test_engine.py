@@ -9,7 +9,11 @@ import pytest
 import repro.engine
 from repro.compiler.cache import CompileCache
 from repro.backends.registry import resolve_backend_name
-from repro.compiler.classify import cached_substrates, classify_automaton
+from repro.compiler.classify import (
+    SUBSTRATES,
+    cached_placement,
+    place_automaton,
+)
 from repro.core.design import CA_S
 from repro.engine import CacheAutomatonEngine, Match
 from repro.errors import ReproError, SimulationError
@@ -266,14 +270,31 @@ PLACEMENTS = {
 }
 
 
+#: What a warm start appends to the auto-placement event it read back.
+FROM_ARTIFACT = "; decision read from the artifact)"
+
+
 def _observed(engine):
-    """What must not depend on whether the engine came up warm or cold."""
+    """What must not depend on whether the engine came up warm or cold:
+    the backend, the events (a read-back decision's tag taken off) and
+    the matches."""
     health = engine.health()
     return (
         health.backend,
-        health.events,
+        tuple(event.replace(FROM_ARTIFACT, ")") for event in health.events),
         sorted((m.end, m.rule, m.state) for m in engine.scan(WARM_DATA)),
     )
+
+
+def _read_back(engine):
+    """Whether the engine's one auto-placement event says the decision
+    came from the artifact rather than from the probes."""
+    (event,) = [
+        event
+        for event in engine.health().events
+        if event.startswith("auto placement selected ")
+    ]
+    return event.endswith(FROM_ARTIFACT)
 
 
 def _refuse(name):
@@ -285,13 +306,13 @@ def _refuse(name):
 
 @pytest.fixture()
 def no_front_end(monkeypatch):
-    """Arms raising stubs in place of the regex compiler and the per-CC
-    classifier."""
+    """Arms raising stubs in place of the regex compiler and the
+    ``auto=True`` placement decision."""
 
     def arm():
         for target in (
             "repro.engine.compile_patterns",
-            "repro.engine.classify_automaton",
+            "repro.engine.place_automaton",
         ):
             monkeypatch.setattr(target, _refuse(target))
 
@@ -314,6 +335,7 @@ class TestWarmStartRecomputesNothing:
         )
         assert warm.health().tier == "warm-cache"
         assert _observed(warm) == _observed(cold)
+        assert (_read_back(cold), _read_back(warm)) == (False, True)
         assert warm.cache_info()["stores"] == 0
         assert warm.automaton.ste_ids() == cold.automaton.ste_ids()
 
@@ -327,6 +349,7 @@ class TestWarmStartRecomputesNothing:
         warm = CacheAutomatonEngine(automaton, auto=True, cache=tmp_path)
         assert warm.health().tier == "warm-cache"
         assert _observed(warm) == _observed(cold)
+        assert (_read_back(cold), _read_back(warm)) == (False, True)
 
     def test_checkpoints_travel_between_cold_and_warm(self, tmp_path):
         patterns = PLACEMENTS["hybrid"]
@@ -347,9 +370,9 @@ class TestWarmStartRecomputesNothing:
             ) == sorted((r.offset, r.ste_id) for r in whole.reports)
 
     def test_decision_is_stored_by_whoever_classified_first(self, tmp_path):
-        """An engine that was told its backend stores no classification;
-        the first ``auto=True`` engine on that artifact classifies once
-        and adds it, the next one reads it."""
+        """An engine that was told its backend stores no decision; the
+        first ``auto=True`` engine on that artifact decides once and adds
+        it, the next one reads it."""
         CacheAutomatonEngine.from_patterns(
             FRIENDLY, backend="packed-kernel", cache=tmp_path
         )
@@ -367,17 +390,18 @@ class TestWarmStartRecomputesNothing:
         assert second.stats.stores == 0
         assert again.artifact.classify_tables
         assert _observed(again) == _observed(engine)
+        assert (_read_back(engine), _read_back(again)) == (False, True)
 
 
 class TestStaleClassification:
-    """Tables that default ``classify_automaton`` would not have written
-    are not a placement decision: the ruleset is classified again and the
-    tables replaced."""
+    """Tables that ``place_automaton`` would not have written are not a
+    placement decision: the ruleset is placed again and the tables
+    replaced."""
 
     @staticmethod
     def _restore(tmp_path, patterns, edit):
         """Cold-start ``patterns``, then rewrite the stored artifact's
-        classification through ``edit``; returns the cold engine."""
+        decision through ``edit``; returns the cold engine."""
         cold = CacheAutomatonEngine.from_patterns(
             patterns, auto=True, cache=tmp_path
         )
@@ -390,42 +414,68 @@ class TestStaleClassification:
         return cold
 
     @staticmethod
-    def _other_model(tables):
+    def _other(tables):
+        """The ``SUBSTRATES`` index of the substrate the ruleset does
+        *not* run on: stale tables name it, so trusting them would
+        show."""
+        return int(cached_placement(tables).substrate == "lazy-dfa")
+
+    @classmethod
+    def _other_model(cls, tables):
         """The tables a cost-model classifier wrote (table version 1):
         features, costs, the substrate list and the model's coefficients
-        beside an assignment that sends every component to the packed
-        kernel."""
-        count = len(tables["classify_assignment"])
+        beside an assignment that sends every component to the substrate
+        the ruleset does not run on."""
+        count = int(tables["classify_components"])
         return {
             "classify_version": np.asarray(1, dtype=np.int64),
             "classify_features": np.zeros((count, 10)),
             "classify_costs": np.zeros((count, 2)),
-            "classify_assignment": np.ones(count, dtype=np.int32),
+            "classify_assignment": np.full(
+                count, cls._other(tables), dtype=np.int32
+            ),
             "classify_substrates": np.asarray(["lazy-dfa", "packed-kernel"]),
             "classify_model": np.asarray([0.26, 25.0, 0.2, 0.094, 4096.0]),
         }
 
-    @staticmethod
-    def _other_version(tables):
+    @classmethod
+    def _version_2(cls, tables):
+        """The census's per-component assignment (table version 2), every
+        component on the substrate the ruleset does not run on."""
+        count = int(tables["classify_components"])
+        return {
+            "classify_version": np.asarray(2, dtype=np.int64),
+            "classify_assignment": np.full(
+                count, cls._other(tables), dtype=np.int32
+            ),
+        }
+
+    @classmethod
+    def _other_version(cls, tables):
+        """A well-formed decision for the other substrate, under a table
+        version nobody writes."""
+        other = cls._other(tables)
         edited = dict(tables)
         edited["classify_version"] = np.asarray(99, dtype=np.int64)
-        edited["classify_assignment"] = np.ones_like(
-            tables["classify_assignment"]
-        )
+        edited["classify_substrate"] = np.asarray(SUBSTRATES[other])
+        # The packed kernel names component 0, the lazy DFA none (-1).
+        edited["classify_component"] = np.asarray(other - 1, dtype=np.int64)
         return edited
 
     @pytest.mark.parametrize("backend", ["lazy-dfa", "hybrid"])
-    @pytest.mark.parametrize("edit", ["_other_model", "_other_version"])
+    @pytest.mark.parametrize(
+        "edit", ["_other_model", "_version_2", "_other_version"]
+    )
     def test_ignored_and_reclassified(
         self, tmp_path, monkeypatch, backend, edit
     ):
         patterns = PLACEMENTS[backend]
         cold = self._restore(tmp_path, patterns, getattr(self, edit))
         calls = []
-        classify = repro.engine.classify_automaton
+        place = repro.engine.place_automaton
         monkeypatch.setattr(
-            "repro.engine.classify_automaton",
-            lambda automaton: calls.append(1) or classify(automaton),
+            "repro.engine.place_automaton",
+            lambda automaton: calls.append(1) or place(automaton),
         )
         cache = CompileCache(tmp_path)
         warm = CacheAutomatonEngine.from_patterns(
@@ -434,40 +484,69 @@ class TestStaleClassification:
         assert calls == [1]
         assert warm.health().tier == "warm-cache"
         assert _observed(warm) == _observed(cold)
+        assert not _read_back(warm)
         # The fresh tables replaced the stale ones: the next start reads
         # the decision again.
         assert cache.stats.stores == 1
         stored = CompileCache(tmp_path).load_artifact(
             warm.automaton, warm.design
         )
-        assert cached_substrates(stored.classify_tables) is not None
         assert set(stored.classify_tables) == {
-            "classify_version", "classify_assignment",
+            "classify_version", "classify_substrate",
+            "classify_component", "classify_components",
         }
-        CacheAutomatonEngine.from_patterns(patterns, auto=True, cache=tmp_path)
+        assert int(stored.classify_tables["classify_version"]) == 3
+        assert cached_placement(stored.classify_tables).substrate == (
+            resolve_backend_name(backend)
+        )
+        again = CacheAutomatonEngine.from_patterns(
+            patterns, auto=True, cache=tmp_path
+        )
         assert calls == [1]
+        assert _read_back(again)
+        assert _observed(again) == _observed(cold)
 
     def test_malformed_tables_are_no_decision(self):
-        tables = classify_automaton(
+        placement = place_automaton(
             CacheAutomatonEngine.from_patterns(
                 PLACEMENTS["hybrid"], cache=None
             ).automaton
-        ).to_tables()
-        assert sorted(set(cached_substrates(tables))) == [
-            "lazy-dfa", "packed-kernel",
-        ]
-        assert cached_substrates({}) is None
+        )
+        assert placement == ("packed-kernel", 4, 5)
+        tables = placement.to_tables()
+        assert cached_placement(tables) == placement
+        assert cached_placement({}) is None
         for name, value in (
-            ("classify_assignment", np.asarray([0, 7], dtype=np.int32)),
-            ("classify_assignment", np.asarray([0, -1], dtype=np.int32)),
-            ("classify_assignment", np.asarray([0.0, 1.0])),
-            ("classify_version", np.asarray(1, dtype=np.int64)),
+            ("classify_substrate", np.asarray("eager-dfa")),
+            ("classify_substrate", np.asarray("lazy-dfa")),
+            ("classify_substrate", np.asarray(1)),
+            ("classify_component", np.asarray(5)),
+            ("classify_component", np.asarray(-1)),
+            ("classify_component", np.asarray(-2)),
+            ("classify_component", np.asarray(4.0)),
+            ("classify_component", np.asarray([4, 0])),
+            ("classify_components", np.asarray(-1)),
+            ("classify_components", np.asarray(4)),
+            ("classify_version", np.asarray(2, dtype=np.int64)),
+            ("classify_version", np.asarray("3")),
         ):
-            assert cached_substrates({**tables, name: value}) is None
+            assert cached_placement({**tables, name: value}) is None, name
+        for missing in tables:
+            partial = {k: v for k, v in tables.items() if k != missing}
+            assert cached_placement(partial) is None, missing
+        # A friendly ruleset's decision names no component.
+        friendly = place_automaton(compile_patterns(FRIENDLY))
+        assert friendly == ("lazy-dfa", None, len(FRIENDLY))
+        assert cached_placement(friendly.to_tables()) == friendly
+        stale = {
+            **friendly.to_tables(),
+            "classify_component": np.asarray(0, dtype=np.int64),
+        }
+        assert cached_placement(stale) is None
 
 
 def test_engine_classifies_only_when_the_artifact_has_no_decision():
-    """``classify_automaton`` is a compile stage, not a start-up step: the
+    """``place_automaton`` is a compile stage, not a start-up step: the
     engine may call it in one place, under the test that found no usable
     decision in the cached artifact."""
     tree = ast.parse(Path(repro.engine.__file__).read_text(encoding="utf-8"))
@@ -480,17 +559,19 @@ def test_engine_classifies_only_when_the_artifact_has_no_decision():
             for call in ast.walk(inner):
                 if (
                     isinstance(call, ast.Call)
-                    and ast.unparse(call.func) == "classify_automaton"
+                    and ast.unparse(call.func) == "place_automaton"
                 ):
                     guarded.append(test)
     calls = [
         node
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and ast.unparse(node.func).endswith("classify_automaton")
+        and ast.unparse(node.func).endswith(
+            ("place_automaton", "classify_automaton", "probe_subset_closure")
+        )
     ]
     assert len(calls) == 1
-    assert "substrates is None" in guarded
+    assert "decision is None" in guarded
     source = ast.unparse(tree)
-    assert source.index("load_artifact(") < source.index("classify_automaton(")
-    assert "substrates = None if loaded is None else cached_substrates(" in source
+    assert source.index("load_artifact(") < source.index("place_automaton(")
+    assert "decision = None if loaded is None else cached_placement(" in source

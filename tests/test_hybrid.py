@@ -1,18 +1,21 @@
-"""The ``auto=True`` placement classifier (:mod:`repro.compiler.classify`),
-its artifact tables, and the ``hybrid`` name, an alias of the packed
-kernel (whose step cache steps each component on its own table).
+"""The ``auto=True`` placement (:mod:`repro.compiler.classify`): the
+per-component census, the engine's early-exit decision and its artifact
+tables, and the ``hybrid`` name, an alias of the packed kernel.
 
 The headline scenario: one DFA-hostile component (``x.{14}y`` —
 bounded-gap patterns are the classic subset-construction blow-up) mixed
-with several DFA-friendly literal-ish components.  The classifier must
-call the friendly components ``lazy-dfa`` and the hostile one
+with several DFA-friendly literal-ish components.  The census must call
+the friendly components ``lazy-dfa`` and the hostile one
 ``packed-kernel`` — exactly the components whose subset-closure probe
-aborts — and ``auto=True`` must run the mixed ruleset whole on the
-packed kernel, bit-identical to the golden interpreter.
+aborts — the decision must name that component, and ``auto=True`` must
+run the mixed ruleset whole on the packed kernel, bit-identical to the
+golden interpreter.
 """
 
+import io
 import warnings
 
+import numpy as np
 import pytest
 
 import repro.engine
@@ -25,10 +28,13 @@ from repro.backends.registry import (
 )
 from repro.compiler import compile_automaton
 from repro.compiler.cache import CompileCache
+import repro.compiler.classify
+from repro.automata.anml import HomogeneousAutomaton
 from repro.compiler.classify import (
-    cached_substrates,
+    cached_placement,
     classify_automaton,
     default_probe_budget,
+    place_automaton,
     probe_subset_closure,
 )
 from repro.core.design import CA_P
@@ -65,12 +71,13 @@ def _substrates(classification):
 
 
 def _counting_classifier(monkeypatch):
-    """Route the engine's classifier through a call log; returns it."""
+    """Route the engine's placement decision through a call log; returns
+    it."""
     calls = []
-    classify = repro.engine.classify_automaton
+    place = repro.engine.place_automaton
     monkeypatch.setattr(
-        "repro.engine.classify_automaton",
-        lambda automaton: calls.append(1) or classify(automaton),
+        "repro.engine.place_automaton",
+        lambda automaton: calls.append(1) or place(automaton),
     )
     return calls
 
@@ -183,10 +190,13 @@ class TestClassifier:
             ), (name, index)
 
     def test_tables_round_trip(self, mixed_artifact):
-        classification = classify_automaton(mixed_artifact.automaton)
-        tables = classification.to_tables()
-        assert set(tables) == {"classify_version", "classify_assignment"}
-        assert cached_substrates(tables) == _substrates(classification)
+        placement = place_automaton(mixed_artifact.automaton)
+        tables = placement.to_tables()
+        assert set(tables) == {
+            "classify_version", "classify_substrate",
+            "classify_component", "classify_components",
+        }
+        assert cached_placement(tables) == placement
 
     def test_tables_reject_wrong_automaton(self, tmp_path, monkeypatch):
         """Tables name no automaton: they live in the artifact, whose
@@ -204,23 +214,103 @@ class TestClassifier:
 
 
 # ---------------------------------------------------------------------------
+# the engine's decision
+
+
+@pytest.fixture(scope="module")
+def suite_automata():
+    from repro.workloads.suite import build_suite
+
+    return {bench.name: bench.build() for bench in build_suite()}
+
+
+def _census_verdict(automaton):
+    """What the census says the engine must decide: the substrate, the
+    first component whose probe aborted, and the component count."""
+    classification = classify_automaton(automaton)
+    aborted = [
+        index
+        for index in range(classification.component_count)
+        if classification.backend_of(index) == "packed-kernel"
+    ]
+    count = classification.component_count
+    substrate = "lazy-dfa" if count and not aborted else "packed-kernel"
+    return substrate, (aborted[0] if aborted else None), count
+
+
+class TestPlacement:
+    """``place_automaton`` stops at the first aborted probe and must say
+    what the full census says."""
+
+    def test_every_suite_ruleset(self, suite_automata):
+        placed = {}
+        for name, automaton in suite_automata.items():
+            placement = place_automaton(automaton)
+            assert placement == _census_verdict(automaton), name
+            placed[name] = placement.substrate
+        # Both answers occur, so the equality is not vacuous.
+        assert set(placed.values()) == {"lazy-dfa", "packed-kernel"}
+        assert placed["Hamming"] == placed["Fermi"] == "packed-kernel"
+        assert placed["Snort"] == placed["ExactMatch"] == "lazy-dfa"
+
+    @pytest.mark.parametrize(
+        "patterns, component",
+        [
+            (["x.{14}y"], 0),
+            (MIXED_PATTERNS, 4),
+            (FRIENDLY_PATTERNS, None),
+            # Friendly rules, then one hostile rule, the last component
+            # probed (components are probed smallest first).
+            (FRIENDLY_PATTERNS + ["ab[0-9]e", "q(r|s)+t", "a.{12}b"], 5),
+        ],
+        ids=["bounded-gap", "mixed", "friendly", "hostile-last"],
+    )
+    def test_small_rulesets(self, patterns, component):
+        automaton = compile_patterns(patterns, report_codes=patterns)
+        placement = place_automaton(automaton)
+        assert placement == _census_verdict(automaton)
+        assert placement.component == component
+        assert placement.component_count == len(patterns)
+
+    def test_empty_automaton_runs_on_the_packed_kernel(self):
+        automaton = HomogeneousAutomaton("empty")
+        assert place_automaton(automaton) == ("packed-kernel", None, 0)
+        assert _census_verdict(automaton) == ("packed-kernel", None, 0)
+        assert place_automaton(automaton).reason() == "no component to probe"
+
+    def test_probes_stop_at_the_first_abort(self, suite_automata, monkeypatch):
+        """Hamming's first component aborts, so one probe decides;
+        Snort's all close, so each is probed once."""
+        calls = []
+        probe = repro.compiler.classify.probe_subset_closure
+        monkeypatch.setattr(
+            repro.compiler.classify,
+            "probe_subset_closure",
+            lambda *args, **kwargs: calls.append(1) or probe(*args, **kwargs),
+        )
+        assert place_automaton(suite_automata["Hamming"]).component == 0
+        assert len(calls) == 1
+        calls.clear()
+        snort = place_automaton(suite_automata["Snort"])
+        assert snort.substrate == "lazy-dfa"
+        assert len(calls) == snort.component_count == 170
+
+
+# ---------------------------------------------------------------------------
 # artifact tables
 
 
 class TestArtifactClassifyTables:
     def test_classify_tables_round_trip_payload(self, mixed_artifact):
-        classification = classify_automaton(mixed_artifact.automaton)
-        artifact = mixed_artifact.with_classify_tables(
-            classification.to_tables()
-        )
-        buffer = artifact.to_payload()
+        placement = place_automaton(mixed_artifact.automaton)
+        artifact = mixed_artifact.with_classify_tables(placement.to_tables())
         restored = CompiledArtifact.from_payload(
-            buffer, artifact.automaton, artifact.design
+            np.load(io.BytesIO(artifact.npz_bytes())),
+            artifact.automaton,
+            artifact.design,
         )
         assert set(restored.classify_tables) == set(artifact.classify_tables)
-        assert cached_substrates(restored.classify_tables) == _substrates(
-            classification
-        )
+        assert cached_placement(restored.classify_tables) == placement
 
     def test_version_2_payload_is_quarantined(self, tmp_path, monkeypatch):
         """A cache artifact written at version 2 must be rejected
@@ -333,7 +423,8 @@ class TestHybridBackend:
             cold.automaton, cold.design
         )
         tables = dict(artifact.classify_tables)
-        tables["classify_assignment"] = 0 * tables["classify_assignment"]
+        tables["classify_substrate"] = np.asarray("lazy-dfa")
+        tables["classify_component"] = np.asarray(-1, dtype=np.int64)
         CompileCache(tmp_path).store_artifact(
             artifact.with_classify_tables(tables)
         )
@@ -375,12 +466,13 @@ class TestEngineHybrid:
 
     def test_health_reports_placement(self):
         """Why a ruleset landed where it did is in ``health().events``:
-        how many components' probes exceeded their budget."""
+        the first component whose probe exceeded its budget, or that
+        every probe closed."""
         for patterns, reason in (
             (
                 MIXED_PATTERNS,
-                "auto placement selected packed-kernel (1 of 5 components' "
-                "subset-closure probes exceed their budget)",
+                "auto placement selected packed-kernel (component 4 of 5 "
+                "exceeds its subset-closure budget)",
             ),
             (
                 FRIENDLY_PATTERNS,
@@ -406,9 +498,14 @@ class TestEngineHybrid:
         assert warm.health().tier == "warm-cache"
         assert calls == []
         assert set(warm.artifact.classify_tables) == {
-            "classify_version", "classify_assignment",
+            "classify_version", "classify_substrate",
+            "classify_component", "classify_components",
         }
-        assert warm.health().events == cold.health().events
+        (event,) = cold.health().events
+        assert event.endswith(")")
+        assert warm.health().events == (
+            event[:-1] + "; decision read from the artifact)",
+        )
 
     def test_classification_stable_across_compile_jobs(self, tmp_path):
         decisions = []
