@@ -45,7 +45,7 @@ from repro.errors import ArtifactError
 #: dropped, or changes meaning.  Hashed into
 #: :func:`~repro.compiler.cache.cache_key`, so entries of another layout
 #: are simply never looked up again.
-ARTIFACT_FORMAT_VERSION = 3
+ARTIFACT_FORMAT_VERSION = 4
 
 #: Payload member prefix under which kernel tables are stored.
 _KERNEL_PREFIX = "kernel_"

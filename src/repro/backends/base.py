@@ -189,11 +189,12 @@ class AutomatonBackend:
 
     def share_tables(self) -> Dict[str, object]:
         """Everything a worker process needs to rebuild this backend
-        from one shared-memory block and scan with it
-        (:func:`~repro.sim.lazydfa.attach_kernel_dfa`); empty on a
-        backend workers rebuild from the registration instead (lazy-dfa
-        overrides, and turns what they return into reports with its
-        ``materialise_raw``)."""
+        and scan with it (:func:`~repro.sim.lazydfa.
+        kernel_dfa_from_tables`): a scan process gets them inside the
+        tenant's spec, a shard fan-out as one shared-memory block; empty
+        on a backend workers rebuild from the registration instead
+        (lazy-dfa overrides, and turns what they return into reports
+        with its ``materialise_raw``)."""
         return {}
 
     def stream(self) -> BackendStream:

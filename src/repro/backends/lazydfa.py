@@ -197,9 +197,8 @@ class LazyDfaBackend(AutomatonBackend):
         The union of the kernel's packed tables and the lazy DFA's
         :meth:`~repro.sim.lazydfa.LazyDfaKernel.export_tables` (warm
         transition tables plus the compressed stride alphabet when
-        strided) — publish it once through
-        :class:`~repro.parallel.SharedTables` and workers rebuild
-        zero-copy with ``BitsetKernel.from_packed`` + ``seed``.
+        strided); a worker rebuilds from it with
+        :func:`~repro.sim.lazydfa.kernel_dfa_from_tables`.
         """
         tables = dict(self.simulator.kernel.packed_tables())
         tables.update(self.dfa.export_tables())

@@ -38,10 +38,10 @@ lazy-DFA tenant, on both planes, on one
 left and its report events materialised once a span, and a chunk costs
 its walk.  Its events are decoded into reports by :func:`_materialised`,
 the one place either plane does it, once a span: parent-side for the
-in-loop plane and for a worker's shared-tables pair (a bare kernel pair
-cannot name STE ids, so its reply crosses the pipe ``raw``), in the
-worker for an engine it rebuilt (the parent's engine may have landed on
-another backend, a fallback tier, that cannot).  :class:`BackendSpans`
+in-loop plane and for a pair a worker built from a spec's tables (a
+bare kernel pair cannot name STE ids, so its reply crosses the pipe
+``raw``), in the worker for an engine it rebuilt (the parent's engine
+may have landed on another backend, a fallback tier, that cannot).  :class:`BackendSpans`
 scans anything else (the packed kernel, the golden-fallback tier) with
 one resumed ``backend.scan`` a chunk.
 
@@ -52,11 +52,12 @@ the plain tuple a :class:`SpanReply` is.  A worker that holds no engine
 for the fingerprint (first span of the tenant on this process, engine
 evicted from the per-process LRU, process respawned) fetches the spec
 with :func:`~repro.parallel.ask_parent`, cold-starts the engine
-(:func:`_build_engine`: from the tenant's shared-memory tables, else
-from its registration) and goes on with the span it already has.  The
-spec — pattern list included, 2–7 KB for the suite rulesets — therefore
-crosses a pipe once per (worker, fingerprint) instead of once per span,
-and the worker's engine cache is the only record of who knows what.
+(:func:`_build_engine`: from the tables the spec carries, else from its
+registration) and goes on with the span it already has.  The spec —
+pattern list and, for a lazy-DFA tenant, its kernel and warm DFA tables
+— therefore crosses a pipe once per (worker, fingerprint) instead of
+once per span, and the worker's engine cache is the only record of who
+knows what.
 """
 
 from __future__ import annotations
@@ -64,14 +65,14 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence
 
 from repro.backends.lazydfa import LazyDfaBackend
 from repro.parallel import WorkerPool, ask_parent
 from repro.service.errors import WorkerCrashed
 from repro.sim.kernel import Checkpoint
-from repro.sim.lazydfa import DfaCursor, attach_kernel_dfa
+from repro.sim.lazydfa import DfaCursor, kernel_dfa_from_tables
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.service.service import TenantRegistration
@@ -117,17 +118,18 @@ def worker_cache_spec(cache):
 class TenantWorkerSpec:
     """What a worker needs to serve one tenant, picklable.
 
-    ``shm_meta`` (when set) is the :class:`~repro.parallel.SharedTables`
-    handle for the fast path; the registration rides along so a worker
-    can always fall back to an engine rebuild — e.g. when the block was
-    unlinked by a hot-reload between dispatch and attach — from the
-    artifact cache ``cache`` names.
+    ``tables`` (when set) are the tenant backend's
+    :meth:`~repro.backends.base.AutomatonBackend.share_tables` — the
+    kernel's packed tables and the warm lazy DFA's — for the fast path;
+    they travel inside the spec, by value.  The registration rides along so
+    a worker can always fall back to an engine rebuild — when the tables
+    do not load — from the artifact cache ``cache`` names.
     """
 
     tenant: str
     registration: "TenantRegistration"
     cache: object
-    shm_meta: object = None
+    tables: Optional[Dict[str, object]] = field(default=None, compare=False)
 
 
 class SpanReply(NamedTuple):
@@ -214,11 +216,11 @@ class BackendSpans:
 class DfaSpans:
     """Spans scanned on a kernel + lazy DFA, one :class:`~repro.sim.
     lazydfa.DfaCursor` a span: the tenant's own lazy-DFA backend
-    in-loop, or the pair a worker rebuilt (from the tenant's
-    shared-tables block, or its registration).  A piece is never split
-    across processes.  The reply is ``raw``; ``backend`` decodes it
-    (:func:`_materialised`), and is ``None`` for a shared-tables pair,
-    whose reply the parent decodes."""
+    in-loop, or the pair a worker rebuilt (from the tables in the
+    tenant's spec, or its registration).  A piece is never split across
+    processes.  The reply is ``raw``; ``backend`` decodes it
+    (:func:`_materialised`), and is ``None`` for a pair built from a
+    spec's tables, whose reply the parent decodes."""
 
     raw = True
 
@@ -305,33 +307,28 @@ def _cached_engine(fingerprint: str):
 def _build_engine(spec: TenantWorkerSpec):
     """Cold-start the spec's engine in this process and cache it.
 
-    **Shared-tables fast path** (``spec.shm_meta`` set): attach the
-    block the parent published — the kernel's packed tables, the warm
-    DFA's ``dfa_rows``/``dfa_next`` and, when striding, the ``stride_*``
-    alphabet tables — copy the arrays out and rebuild the kernel + a
-    seeded lazy DFA (:func:`~repro.sim.lazydfa.attach_kernel_dfa`).  Its
-    spans reply ``raw``, so report identity is resolved exactly once,
-    parent-side.  **Engine rebuild path** (no block, or one that is
-    gone or does not attach): the registration's
+    **Tables fast path** (``spec.tables`` set): rebuild the kernel and a
+    seeded lazy DFA (:func:`~repro.sim.lazydfa.kernel_dfa_from_tables`)
+    from the kernel's packed tables, the warm DFA's ``dfa_rows``/
+    ``dfa_next`` and, when striding, the ``stride_*`` alphabet tables
+    the spec carries.  Its spans reply ``raw``, so report identity is
+    resolved exactly once, parent-side.  **Engine rebuild path** (no
+    tables, or tables that do not load): the registration's
     :meth:`~repro.service.service.TenantRegistration.build_engine` — the
     call that built the parent's engine — warm-starting from the same
     artifact cache directory; a lazy-DFA engine's spans are ``raw``
     too (:func:`span_scanner`).
 
     Returns ``(scanner, built, tables_error)``: ``built`` is ``"tables"``
-    or ``"rebuild"``; ``tables_error`` says why a published block was
+    or ``"rebuild"``; ``tables_error`` says why the spec's tables were
     not used, so the parent can count and log that it happened.
     """
     registration = spec.registration
     scanner, built, tables_error = None, "rebuild", None
-    if spec.shm_meta is not None:
+    if spec.tables is not None:
         try:
-            # copy=True: the parent may unlink the block (hot reload,
-            # drain) while this engine keeps serving from the cache.
-            kernel, dfa, _ = attach_kernel_dfa(
-                spec.shm_meta,
-                registration.backend_options.get("max_states"),
-                copy=True,
+            kernel, dfa = kernel_dfa_from_tables(
+                spec.tables, registration.backend_options.get("max_states")
             )
             scanner, built = DfaSpans(kernel, dfa), "tables"
         except Exception as error:

@@ -29,9 +29,8 @@ engine) and is robust by construction:
 * **Graceful drain** — :meth:`ScanService.stop` stops admitting,
   lets queued and in-flight work finish (or deadlines it out after
   ``drain_timeout``), then joins the workers.  Scan worker processes
-  live as long as the service, a tenant's shared-memory block
-  (:class:`~repro.parallel.SharedTables`) as long as its registration;
-  ``stop`` ends both, so a drained service holds no OS resources.
+  live as long as the service and ``stop`` ends them, so a drained
+  service holds no OS resources.
 
 Scanning is CPU-bound Python, so workers are cooperating coroutines on
 one loop: each yields between *spans* — whole chunks scanned until the
@@ -78,7 +77,6 @@ from repro.compiler.cache import design_fingerprint
 from repro.core.design import CA_P, DesignPoint
 from repro.engine import CacheAutomatonEngine
 from repro.errors import ReproError
-from repro.parallel import SharedTables
 from repro.service.breaker import CircuitBreaker
 from repro.service.errors import (
     DeadlineExceeded,
@@ -264,10 +262,9 @@ class _TenantState:
         self.in_flight = 0
         self.counters: Dict[str, int] = dict.fromkeys(TENANT_COUNTERS, 0)
         self._fallback = None
-        #: Lazily built picklable spec + published shared-memory block
-        #: for the process pool; reset on hot-reload.
+        #: Lazily built picklable spec for the process pool; reset on
+        #: hot-reload.
         self.worker_spec: Optional[TenantWorkerSpec] = None
-        self.shared: Optional[SharedTables] = None
         #: Chaos hooks (fault-injection harness): raise ``chaos_error``
         #: on the next ``chaos_faults`` primary scans; sleep
         #: ``chaos_delay`` seconds per chunk (a "slow tenant").
@@ -295,12 +292,6 @@ class _TenantState:
     def reset_backend_state(self):
         self._fallback = None
         self.worker_spec = None
-        self.close_shared()
-
-    def close_shared(self):
-        if self.shared is not None:
-            shared, self.shared = self.shared, None
-            shared.close()
 
 
 @dataclass(slots=True, eq=False)
@@ -602,10 +593,8 @@ class ScanService:
         holds its span a second ``drain_timeout`` after that is wedged:
         it is killed, which fails the span with :class:`WorkerCrashed`,
         so the drain is bounded whatever a worker does.  The pool is
-        then shut down and every tenant's published
-        :class:`~repro.parallel.SharedTables` block unlinked, so a
-        stopped service holds no OS resources beyond the engines
-        themselves.
+        then shut down, so a stopped service holds no OS resources
+        beyond the engines themselves.
         """
         if not self._started or self._shutdown:
             return
@@ -642,8 +631,6 @@ class ScanService:
         )
         if self._procpool is not None:
             self._procpool.shutdown()
-        for state in self._tenants.values():
-            state.close_shared()
         self.events.append("service stopped: drain complete")
 
     def _idle(self) -> bool:
@@ -864,7 +851,7 @@ class ScanService:
                 if reply.tables_error is not None:
                     self.events.append(
                         f"tenant {state.name!r}: scan process could "
-                        "not use the published tables "
+                        "not use the tenant's tables "
                         f"({reply.tables_error}); engine rebuilt"
                     )
                 # Yield between spans: this is what keeps deadlines,
@@ -909,19 +896,15 @@ class ScanService:
         """The tenant's picklable spec for worker processes (cached).
 
         Built on first process-pool scan: a backend with tables to share
-        (lazy-DFA) additionally publishes them through one shared-memory
-        block, held for the tenant's lifetime and released on hot-reload
-        or drain.
+        (lazy-DFA) puts them in the spec, which a worker receives once
+        per engine it builds; hot reload drops the spec.
         """
         if state.worker_spec is None:
-            tables = state.engine.backend.share_tables()
-            if tables:
-                state.shared = SharedTables(tables)
             state.worker_spec = TenantWorkerSpec(
                 state.name,
                 state.registration,
                 worker_cache_spec(self._cache),
-                state.shared.meta if tables else None,
+                state.engine.backend.share_tables() or None,
             )
         return state.worker_spec
 

@@ -18,10 +18,9 @@ numpy operations, and layers four accelerations on top:
   block at a time from the component states.  What steps outside it
   (the start-of-data cycle, the idle tables, a checkpoint's stray bits,
   the lazy DFA's misses) propagates on rows held as Python ints
-  (:meth:`~BitsetKernel.propagate_int`, one successor int per set bit,
-  read off the dense ``(n_bits, words)`` successor matrix or its CSR
-  triplets, or one numpy gather of a wide row's dense rows), memoised
-  by the row;
+  (:meth:`~BitsetKernel.propagate_int`: one successor int per set bit,
+  read off the kernel's edge list, or one numpy scatter of a wide row's
+  edge heads), memoised by the row;
 * **shift step** — a kernel whose edges fall in at most
   :data:`SHIFT_OFFSETS` distinct bit offsets (``target − source``) skips
   the step cache: a non-idle cycle, and every later one of its chunk, is
@@ -67,11 +66,16 @@ from repro.errors import FaultError, SimulationError
 #: Symbols processed per kernel chunk (gather + batched-stats granularity).
 CHUNK_SYMBOLS = 4096
 
-#: Dense successor-table budget; larger automata use the CSR representation.
-DENSE_TABLE_BYTES = 32 * 1024 * 1024
-
 #: Budget for memoised propagation results, in bytes.
 PROPAGATE_CACHE_BYTES = 32 * 1024 * 1024
+
+#: Set bits above which :meth:`BitsetKernel.propagate_int` scatters the
+#: heads of a row's edges in numpy instead of ORing one successor int a
+#: bit.  Warm, per row of 32 / 64 / 96 / 128 set bits, the int OR against
+#: the scatter: Fermi 7 / 21 / 29 / 40 vs 16 / 18 / 19 / 20 µs, Snort
+#: 14 / 25 / 37 / 48 vs 21 / 23 / 24 / 27 µs (2-CPU x86-64 host); on a
+#: synthetic million-state automaton the two cross between 64 and 256.
+PROPAGATE_SCATTER_BITS = 64
 
 #: Budget for the step cache in bytes: the component tables flush when
 #: their states fill it.
@@ -675,15 +679,32 @@ class _ComponentTables:
         return target
 
 
+def edge_list(
+    n_bits: int, tails: Sequence[int], heads: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(succ_indptr, succ_heads)`` of the edges ``tails[i] ->
+    heads[i]`` over ``n_bits`` states: ``int64`` offsets, one a tail bit
+    and one more, into ``int32`` heads sorted by tail and then head, an
+    edge given twice kept once."""
+    ends = np.asarray([tails, heads], dtype=np.int64).reshape(2, -1)
+    if ends.size and not 0 <= ends.min() <= ends.max() < n_bits:
+        raise SimulationError(f"an edge leaves the {n_bits}-bit state vector")
+    tail, head = np.divmod(np.unique(ends[0] * n_bits + ends[1]), n_bits)
+    indptr = np.searchsorted(tail, np.arange(n_bits + 1, dtype=np.int64))
+    return indptr.astype(np.int64), head.astype(np.int32)
+
+
 class BitsetKernel:
     """Packed-word execution engine for one fixed automaton bit layout.
 
     ``n_bits`` is the size of the state vector (for the mapped simulator
-    this includes per-partition span padding); ``successor_masks``,
-    ``match_table`` (256 entries), ``start_all``, ``start_sod`` and
-    ``report_mask`` are arbitrary-precision-int tables
-    (:meth:`from_automaton` derives them) — the kernel packs them once
-    at construction.
+    this includes per-partition span padding); ``edges`` is a ``(tails,
+    heads)`` pair of bit sequences, one position an edge (an L-switch
+    cross-point); ``match_table`` (256 entries), ``start_all``,
+    ``start_sod`` and ``report_mask`` are arbitrary-precision-int tables
+    (:meth:`from_automaton` derives them all) — the kernel packs them
+    once at construction.  The edges are kept as one edge list,
+    ``succ_indptr``/``succ_heads`` (:func:`edge_list`).
     """
 
     #: The :attr:`Checkpoint.dialect` this kernel reads and writes:
@@ -694,13 +715,11 @@ class BitsetKernel:
     def __init__(
         self,
         n_bits: int,
-        successor_masks: List[int],
+        edges: Tuple[Sequence[int], Sequence[int]],
         match_table: List[int],
         start_all: int,
         start_sod: int,
         report_mask: int,
-        *,
-        dense_limit: int = DENSE_TABLE_BYTES,
     ):
         self.n_bits = n_bits
         self.words = max(1, -(-n_bits // 64))
@@ -715,29 +734,7 @@ class BitsetKernel:
         self.report_row = self.pack(report_mask)
         self.report_row.setflags(write=False)
         self.has_sod = start_sod != 0
-
-        # Successor table: dense (n_bits, words) when it fits the budget,
-        # else CSR triplets (word index + 64-bit mask per entry).
-        self._dense: Optional[np.ndarray] = None
-        if n_bits * self.row_bytes <= dense_limit:
-            self._dense = self._pack_rows(successor_masks)
-            self._dense.setflags(write=False)
-        else:
-            indptr = [0]
-            csr_words: List[int] = []
-            csr_masks: List[int] = []
-            for mask in successor_masks:
-                while mask:
-                    word = (mask & -mask).bit_length() - 1 >> 6
-                    chunk = (mask >> (word * 64)) & 0xFFFF_FFFF_FFFF_FFFF
-                    csr_words.append(word)
-                    csr_masks.append(chunk)
-                    mask &= ~(0xFFFF_FFFF_FFFF_FFFF << (word * 64))
-                indptr.append(len(csr_words))
-            self._csr_indptr = np.array(indptr, dtype=np.int64)
-            self._csr_words = np.array(csr_words, dtype=np.int64)
-            self._csr_masks = np.array(csr_masks, dtype=np.uint64)
-
+        self._set_edges(*edge_list(n_bits, *edges))
         self._init_caches()
 
     @classmethod
@@ -746,9 +743,9 @@ class BitsetKernel:
     ) -> "BitsetKernel":
         """The kernel of ``automaton`` with STE ``s`` at bit ``bit_of[s]``
         of an ``n_bits`` vector (bits no STE owns stay inert)."""
-        successor_masks = [0] * n_bits
-        for source, target in automaton.edges_unordered():
-            successor_masks[bit_of[source]] |= 1 << bit_of[target]
+        arrays = automaton.edge_index_arrays()
+        bits = np.array([bit_of[ste_id] for ste_id in arrays.ids], dtype=np.int64)
+        edges = bits[arrays.sources], bits[arrays.targets]
         start_all = start_sod = report_mask = 0
         labelled_bits = []
         for ste in automaton.stes():
@@ -762,9 +759,35 @@ class BitsetKernel:
             labelled_bits.append((ste.symbols.mask, bit))
         match_table = byte_signatures(labelled_bits)
         return cls(
-            n_bits, successor_masks, match_table,
+            n_bits, edges, match_table,
             start_all, start_sod, report_mask,
         )
+
+    def _set_edges(self, indptr: np.ndarray, heads: np.ndarray) -> None:
+        """Adopt the edge list ``(succ_indptr, succ_heads)``: the heads of
+        the edges out of bit ``t`` are ``succ_heads[succ_indptr[t]:
+        succ_indptr[t + 1]]``.  Raises :class:`SimulationError` unless it
+        is one over this kernel's ``n_bits``."""
+        indptr, heads = np.ascontiguousarray(indptr), np.ascontiguousarray(heads)
+        n_bits = self.n_bits
+        if not (
+            indptr.dtype == np.int64
+            and heads.dtype == np.int32
+            and indptr.shape == (n_bits + 1,)
+            and heads.ndim == 1
+            and indptr[0] == 0
+            and indptr[-1] == len(heads)
+            and (np.diff(indptr) >= 0).all()
+            and (len(heads) == 0 or 0 <= heads.min() <= heads.max() < n_bits)
+        ):
+            raise SimulationError(
+                f"corrupt kernel tables: succ_indptr ({indptr.dtype} "
+                f"{indptr.shape}) and succ_heads ({heads.dtype} {heads.shape}) "
+                f"are not an edge list over {n_bits} bits"
+            )
+        indptr.setflags(write=False)
+        heads.setflags(write=False)
+        self.succ_indptr, self.succ_heads = indptr, heads
 
     def _init_caches(self):
         """Fresh memoisation state (shared by all construction paths)."""
@@ -777,6 +800,7 @@ class BitsetKernel:
         self._prop_hits = 0
         self._prop_misses = 0
         self._successor_ints: Optional[List[Optional[int]]] = None
+        self._tails: Optional[np.ndarray] = None
         self._match_ints: List[Optional[int]] = [None] * 256
         # Shift step: ``None`` until the first non-idle cycle counts the
         # edges' offsets, then :meth:`_shift_plan`'s ``(left, right,
@@ -800,27 +824,23 @@ class BitsetKernel:
         array conversion; exporting the arrays lets an artefact cache
         round-trip a kernel without ever rebuilding the int masks.
         """
-        tables = {
+        return {
             "n_bits": np.asarray(self.n_bits, dtype=np.int64),
             "match_matrix": self.match_matrix,
             "start_all": self.start_all_row,
             "start_sod": self.start_sod_row,
             "report": self.report_row,
+            "succ_indptr": self.succ_indptr,
+            "succ_heads": self.succ_heads,
         }
-        if self._dense is not None:
-            tables["succ_dense"] = self._dense
-        else:
-            tables["succ_indptr"] = self._csr_indptr
-            tables["succ_words"] = self._csr_words
-            tables["succ_masks"] = self._csr_masks
-        return tables
 
     @classmethod
     def from_packed(cls, tables: Dict[str, np.ndarray]) -> "BitsetKernel":
         """Rebuild a kernel directly from :meth:`packed_tables` output.
 
         The tables are validated for mutual consistency (shapes, dtypes,
-        word widths) before use: they typically arrive from an on-disk
+        word widths, an edge list that stays inside the state vector)
+        before use: they typically arrive from an on-disk
         artefact cache, and a corrupt artefact must surface here as a
         :class:`SimulationError` the engine can quarantine on — not as a
         wrong-shaped gather deep inside a scan.
@@ -853,22 +873,7 @@ class BitsetKernel:
             self.start_sod_row = frozen(tables["start_sod"], (self.words,))
             self.report_row = frozen(tables["report"], (self.words,))
             self.has_sod = bool(self.start_sod_row.any())
-            self._dense = None
-            if "succ_dense" in tables:
-                self._dense = frozen(
-                    tables["succ_dense"], (self.n_bits, self.words)
-                )
-            else:
-                self._csr_indptr = np.ascontiguousarray(tables["succ_indptr"])
-                self._csr_words = np.ascontiguousarray(tables["succ_words"])
-                self._csr_masks = np.ascontiguousarray(tables["succ_masks"])
-                if (
-                    self._csr_indptr.shape != (self.n_bits + 1,)
-                    or self._csr_words.shape != self._csr_masks.shape
-                ):
-                    raise SimulationError(
-                        "corrupt kernel tables: inconsistent CSR arrays"
-                    )
+            self._set_edges(tables["succ_indptr"], tables["succ_heads"])
         except KeyError as error:
             raise SimulationError(
                 f"corrupt kernel tables: missing {error}"
@@ -903,22 +908,19 @@ class BitsetKernel:
         promoting it to an all-input start state.  The perturbed kernel
         shares nothing mutable with the original.
         """
-        if self._dense is None and drop_edges:
-            raise FaultError(
-                "crossbar fault injection requires the dense successor "
-                "table; this automaton uses the CSR representation"
-            )
         tables = {
             name: array.copy() for name, array in self.packed_tables().items()
         }
+        tail, head = self.edges()
+        kept = np.ones(len(head), dtype=bool)
         for source, target in drop_edges:
             if not (0 <= source < self.n_bits and 0 <= target < self.n_bits):
                 raise FaultError(
                     f"edge fault ({source}, {target}) outside state space"
                 )
-            tables["succ_dense"][source, target >> 6] &= ~np.uint64(
-                1 << (target & 63)
-            )
+            kept &= (tail != source) | (head != target)
+        indptr, heads = edge_list(self.n_bits, tail[kept], head[kept])
+        tables["succ_indptr"], tables["succ_heads"] = indptr, heads
         for bit in stuck_high_bits:
             if not 0 <= bit < self.n_bits:
                 raise FaultError(f"stuck-high bit {bit} outside state space")
@@ -959,22 +961,18 @@ class BitsetKernel:
     # -- propagation -------------------------------------------------------
 
     def edges(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The successor table (dense or CSR) as ``(tail, head)`` bit
-        arrays, one pair an edge."""
-        if self._dense is not None:
-            source, word = np.nonzero(self._dense)
-            mask = self._dense[source, word]
-        else:
-            source = np.repeat(np.arange(self.n_bits), np.diff(self._csr_indptr))
-            word, mask = self._csr_words.astype(np.intp), self._csr_masks
-        edge, offset = np.nonzero(
-            np.unpackbits(
-                np.ascontiguousarray(mask).view(np.uint8).reshape(-1, 8),
-                axis=1,
-                bitorder="little",
+        """The edge list as ``(tail, head)`` bit arrays, one pair an edge,
+        sorted by tail and then head."""
+        return self._edge_tails(), self.succ_heads.astype(np.intp)
+
+    def _edge_tails(self) -> np.ndarray:
+        """The tail bit of every entry of ``succ_heads``."""
+        if self._tails is None:
+            self._tails = np.repeat(
+                np.arange(self.n_bits, dtype=np.intp), np.diff(self.succ_indptr)
             )
-        )
-        return source[edge], word[edge] * 64 + offset
+            self._tails.setflags(write=False)
+        return self._tails
 
     def match_int(self, byte: int) -> int:
         """The match row of ``byte`` as one int, unpacked the first time
@@ -994,10 +992,10 @@ class BitsetKernel:
             row |= self.start_all_row
             row |= self.start_sod_row
             row |= self.report_row
-            if self._dense is not None:
-                row |= np.bitwise_or.reduce(self._dense, axis=0)
-            else:
-                np.bitwise_or.at(row, self._csr_words, self._csr_masks)
+            heads = self.succ_heads
+            np.bitwise_or.at(
+                row, heads >> 6, np.uint64(1) << (heads & 63).astype(np.uint64)
+            )
             self._occupied_row = row
         return self._occupied_row
 
@@ -1013,23 +1011,20 @@ class BitsetKernel:
         """The successor row of a matched row held as one int: the OR of
         the successor ints of its set bits.
 
-        A bit's successor int is read off its dense row or CSR slice the
+        A bit's successor int is read off its slice of the edge list the
         first time a row sets it, so memory grows only with the bits
-        scans reach.  A row of more than 64 set bits on a dense table
-        ORs their dense rows in numpy instead: past a word's worth of
-        bits, one gather beats an int OR a bit (1.5-3x at 128-650 bits
-        on Fermi, Snort, Hamming and Levenshtein).  Results are memoised
-        by ``matched``, up to the entries that
-        :data:`PROPAGATE_CACHE_BYTES` allows.
+        scans reach.  A row of more than :data:`PROPAGATE_SCATTER_BITS`
+        set bits scatters the heads of its bits' edges in numpy instead
+        (:meth:`_scatter`).  Results are memoised by ``matched``, up to
+        the entries that :data:`PROPAGATE_CACHE_BYTES` allows.
         """
         found = self._prop_ints.get(matched)
         if found is not None:
             self._prop_hits += 1
             return found
         self._prop_misses += 1
-        if self._dense is not None and matched.bit_count() > 64:
-            bits = self.bit_indices(self.pack(matched))
-            found = self.unpack(np.bitwise_or.reduce(self._dense[bits], axis=0))
+        if matched.bit_count() > PROPAGATE_SCATTER_BITS:
+            found = self._scatter(matched)
         else:
             successors = self._successor_ints
             if successors is None:
@@ -1046,16 +1041,22 @@ class BitsetKernel:
             self._prop_ints[matched] = found
         return found
 
+    def _scatter(self, matched: int) -> int:
+        """:meth:`propagate_int` of a wide row in numpy: the heads of
+        every edge whose tail ``matched`` sets, as one int."""
+        raw = np.frombuffer(matched.to_bytes(self.row_bytes, "little"), np.uint8)
+        live = np.unpackbits(raw, bitorder="little").view(bool)
+        reached = np.zeros(self.words * 64, dtype=np.uint8)
+        reached[self.succ_heads[live[self._edge_tails()]]] = 1
+        packed = np.packbits(reached, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
+
     def _successor_int(self, bit: int) -> int:
         """The successor row of state ``bit`` as one int."""
-        if self._dense is not None:
-            return int.from_bytes(self._dense[bit].tobytes(), "little")
-        lo, hi = self._csr_indptr[bit : bit + 2].tolist()
+        lo, hi = self.succ_indptr[bit : bit + 2].tolist()
         value = 0
-        for word, mask in zip(
-            self._csr_words[lo:hi].tolist(), self._csr_masks[lo:hi].tolist()
-        ):
-            value |= mask << (64 * word)
+        for head in self.succ_heads[lo:hi].tolist():
+            value |= 1 << head
         return value
 
     # -- stepping non-idle cycles ------------------------------------------

@@ -521,35 +521,33 @@ class LazyDfaKernel:
 RawScanResult = Tuple[List[Tuple[int, int, bytes]], int, Checkpoint, int]
 
 
-def attach_kernel_dfa(meta, max_states: Optional[int], *, copy: bool):
-    """Rebuild the kernel + warm lazy DFA a parent published
-    (:meth:`~repro.backends.lazydfa.LazyDfaBackend.share_tables`) under
-    the parent's DFA state budget; returns ``(kernel, dfa, handle)``.
+def kernel_dfa_from_tables(tables, max_states: Optional[int]):
+    """The kernel + warm lazy DFA a parent's
+    :meth:`~repro.backends.lazydfa.LazyDfaBackend.share_tables` describe,
+    under the parent's DFA state budget: ``(kernel, dfa)``.  The kernel
+    aliases the arrays it is given."""
+    alphabet = None
+    if "stride_k" in tables:
+        # from_tables copies: the alphabet never aliases ``tables``.
+        alphabet = StrideAlphabet.from_tables(tables)
+    kernel = BitsetKernel.from_packed(tables)
+    dfa = LazyDfaKernel(kernel, max_states=max_states, alphabet=alphabet)
+    dfa.seed(tables)
+    return kernel, dfa
 
-    ``copy=False`` is zero-copy: the kernel aliases the mapping, and the
-    caller drops the pair, then closes ``handle``.  ``copy=True`` copies
-    the arrays out and closes the mapping here (``handle`` is ``None``):
-    a long-lived worker's pair outlives a block its parent may unlink at
-    any time (hot reload, drain).
-    """
+
+def attach_kernel_dfa(meta, max_states: Optional[int]):
+    """:func:`kernel_dfa_from_tables` on a published
+    :class:`~repro.parallel.SharedTables` block, zero-copy: returns
+    ``(kernel, dfa, handle)``, and the caller drops the pair, then
+    closes ``handle``."""
     handle, tables = attach_tables(meta)
     try:
-        if copy:
-            tables = {name: np.array(view) for name, view in tables.items()}
-        alphabet = None
-        if "stride_k" in tables:
-            # from_tables copies, so the alphabet outlives the mapping.
-            alphabet = StrideAlphabet.from_tables(tables)
-        kernel = BitsetKernel.from_packed(tables)
-        dfa = LazyDfaKernel(kernel, max_states=max_states, alphabet=alphabet)
-        dfa.seed(tables)
+        kernel, dfa = kernel_dfa_from_tables(tables, max_states)
     except BaseException:
         del tables
         detach_tables(handle)
         raise
-    if copy:  # no view of the mapping is left
-        handle.close()
-        return kernel, dfa, None
     return kernel, dfa, handle
 
 

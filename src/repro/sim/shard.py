@@ -43,7 +43,7 @@ def _scan_shard_worker(job) -> Tuple[List[RawScanResult], Dict[str, int]]:
     the parent's aggregate blind to the fan-out.
     """
     meta, (items, collect_events, max_states) = job
-    kernel, dfa, handle = attach_kernel_dfa(meta, max_states, copy=False)
+    kernel, dfa, handle = attach_kernel_dfa(meta, max_states)
     try:
         raws = [
             scan_one(kernel, dfa, data, resume, collect_events)

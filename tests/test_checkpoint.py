@@ -29,7 +29,6 @@ from repro.service.net import decode_checkpoint, encode_checkpoint
 from repro.sim.functional import MappedSimulator
 from repro.sim.golden import Checkpoint, GoldenSimulator
 from repro.sim.kernel import BitsetKernel, placement_ids
-from tests.test_kernel import as_csr
 from tests.test_lazytable import _code_only
 from tests.test_procpool import Ticker
 
@@ -347,16 +346,13 @@ def test_a_stray_bit_gets_one_answer_from_every_backend(portable_artifact):
                 backend.scan(b"needle", resume=Checkpoint(5, 1 << stray, False))
     assert {"packed-kernel", "lazy-dfa", "golden-interpreter"} <= set(resumable)
     # The same check guards a kernel rebuilt from its packed tables (a
-    # warm start has nothing else) and one on the CSR successor table.
+    # warm start has nothing else).
     kernel = create_backend("packed-kernel", portable_artifact).simulator.kernel
-    for rebuilt in (
-        BitsetKernel.from_packed(kernel.packed_tables()),
-        as_csr(kernel),
-    ):
-        with pytest.raises(SimulationError, match=f"state bit {stray},"):
-            rebuilt.enter(Checkpoint(5, 1 << stray, False))
-        taken = create_backend("packed-kernel", portable_artifact).scan(b"a nee")
-        assert rebuilt.enter(taken.checkpoint)[1]
+    rebuilt = BitsetKernel.from_packed(kernel.packed_tables())
+    with pytest.raises(SimulationError, match=f"state bit {stray},"):
+        rebuilt.enter(Checkpoint(5, 1 << stray, False))
+    taken = create_backend("packed-kernel", portable_artifact).scan(b"a nee")
+    assert rebuilt.enter(taken.checkpoint)[1]
 
 
 class TestPortabilityThroughTheService:

@@ -16,7 +16,7 @@ from repro.compiler.classify import (
 )
 from repro.core.design import CA_S
 from repro.engine import CacheAutomatonEngine, Match
-from repro.errors import ReproError, SimulationError
+from repro.errors import DegradedModeWarning, ReproError, SimulationError
 from repro.regex.compile import compile_patterns
 from repro.sim.golden import match_offsets
 
@@ -391,6 +391,36 @@ class TestWarmStartRecomputesNothing:
         assert again.artifact.classify_tables
         assert _observed(again) == _observed(engine)
         assert (_read_back(engine), _read_back(again)) == (False, True)
+
+
+class TestCorruptKernelTables:
+    @pytest.mark.parametrize("backend", ["lazy-dfa", "packed-kernel"])
+    def test_a_bad_edge_list_is_quarantined_and_recompiled(self, tmp_path, backend):
+        """A stored ``kernel_succ_heads`` that leaves the state vector is
+        refused by the kernel: the entry is quarantined, the ruleset
+        recompiled, the reports are the cold start's, and the tables
+        stored again serve the next start warm."""
+        cold = CacheAutomatonEngine.from_patterns(
+            FRIENDLY, backend=backend, cache=tmp_path
+        )
+        cache = CompileCache(tmp_path)
+        artifact = cache.load_artifact(cold.automaton, cold.design)
+        tables = dict(artifact.kernel_tables)
+        tables["succ_heads"] = tables["succ_heads"] + int(tables["n_bits"])
+        cache.store_artifact(artifact.with_kernel_tables(tables))
+        with pytest.warns(DegradedModeWarning, match="rejected"):
+            recovered = CacheAutomatonEngine.from_patterns(
+                FRIENDLY, backend=backend, cache=tmp_path
+            )
+        health = recovered.health()
+        assert health.tier == "recompiled"
+        assert health.cache["quarantines"] == 1
+        assert _observed(recovered)[2] == _observed(cold)[2]
+        again = CacheAutomatonEngine.from_patterns(
+            FRIENDLY, backend=backend, cache=tmp_path
+        )
+        assert again.health().tier == "warm-cache"
+        assert _observed(again)[2] == _observed(cold)[2]
 
 
 class TestStaleClassification:

@@ -151,18 +151,38 @@ class TestKernelFaults:
         assert outcomes <= {MASKED, SDC}
         assert SDC in outcomes
 
-    def test_with_faults_rejects_csr_edge_drop(self):
+    def test_edge_drop_scans_like_a_kernel_built_without_the_edge(self):
+        """A 128-bit chain ``0 -> 1 -> ... -> 127`` (every byte matches
+        every state, bit 0 starts, bit 127 reports): dropping the
+        cross-point ``60 -> 61`` scans exactly as the chain built without
+        that edge does, and not as the intact chain."""
         from repro.sim.kernel import BitsetKernel
 
-        kernel = BitsetKernel(
-            128, [1 << (i + 1) & ((1 << 128) - 1) for i in range(128)],
-            [1] * 256, 1, 0, 1 << 127, dense_limit=0,
-        )
-        assert "succ_dense" not in kernel.packed_tables()
-        with pytest.raises(FaultError, match="dense"):
-            kernel.with_faults(drop_edges=((0, 1),))
-        # Stuck-high injection works regardless of representation.
-        assert kernel.with_faults(stuck_high_bits=(5,)) is not kernel
+        def chain(edges):
+            tails = [tail for tail, _ in edges]
+            heads = [head for _, head in edges]
+            return BitsetKernel(
+                128, (tails, heads), [(1 << 128) - 1] * 256, 1, 0, 1 << 127
+            )
+
+        def scan(kernel):
+            matched = []
+            _, checkpoint = kernel.drive(
+                bytes(300),
+                None,
+                lambda sym, rows, enabled, offset: matched.append(rows.tobytes()),
+            )
+            return b"".join(matched), checkpoint
+
+        links = [(bit, bit + 1) for bit in range(127)]
+        intact = chain(links)
+        faulted = intact.with_faults(drop_edges=((60, 61),))
+        without = chain([link for link in links if link != (60, 61)])
+        assert scan(faulted) == scan(without)
+        assert scan(faulted) != scan(intact)
+        assert len(faulted.succ_heads) == len(intact.succ_heads) - 1
+        # Stuck-high injection composes with it.
+        assert intact.with_faults(stuck_high_bits=(5,)) is not intact
 
 
 class TestInjector:

@@ -3,7 +3,7 @@
 Three layers of evidence:
 
 * unit tests of the packed-word primitives (pack/unpack, match matrix,
-  dense and CSR successor propagation, the idle fast path);
+  successor propagation off the edge list, the idle fast path);
 * the chunk-boundary contract: splitting any input at *every* offset and
   resuming from the checkpoint must reproduce a single-shot run exactly —
   reports, activity profiles, and per-partition counts — for workloads
@@ -56,10 +56,21 @@ def random_tables(seed: int, n_bits: int = N_BITS):
     return successors, match_table, start_all
 
 
-def make_kernel(seed: int = 1, **kwargs) -> BitsetKernel:
+def edges_of(successors):
+    """The ``(tails, heads)`` edges of per-bit successor masks."""
+    pairs = [
+        (tail, head)
+        for tail, mask in enumerate(successors)
+        for head in range(mask.bit_length())
+        if mask >> head & 1
+    ]
+    return [tail for tail, _ in pairs], [head for _, head in pairs]
+
+
+def make_kernel(seed: int = 1) -> BitsetKernel:
     successors, match_table, start_all = random_tables(seed)
     return BitsetKernel(
-        N_BITS, successors, match_table, start_all, 0, 0, **kwargs
+        N_BITS, edges_of(successors), match_table, start_all, 0, 0
     )
 
 
@@ -67,16 +78,16 @@ class TestPacking:
     @given(st.integers(min_value=0, max_value=(1 << N_BITS) - 1))
     @settings(max_examples=50, deadline=None)
     def test_pack_unpack_roundtrip(self, value):
-        kernel = BitsetKernel(N_BITS, [0] * N_BITS, [0] * 256, 0, 0, 0)
+        kernel = BitsetKernel(N_BITS, ((), ()), [0] * 256, 0, 0, 0)
         assert kernel.unpack(kernel.pack(value)) == value
 
     def test_pack_rejects_oversized_vector(self):
-        kernel = BitsetKernel(8, [0] * 8, [0] * 256, 0, 0, 0)
+        kernel = BitsetKernel(8, ((), ()), [0] * 256, 0, 0, 0)
         with pytest.raises(SimulationError):
             kernel.pack(1 << 200)
 
     def test_bit_indices(self):
-        kernel = BitsetKernel(N_BITS, [0] * N_BITS, [0] * 256, 0, 0, 0)
+        kernel = BitsetKernel(N_BITS, ((), ()), [0] * 256, 0, 0, 0)
         value = (1 << 0) | (1 << 63) | (1 << 64) | (1 << 99)
         assert kernel.bit_indices(kernel.pack(value)).tolist() == [0, 63, 64, 99]
 
@@ -361,17 +372,6 @@ def scan_64k_holding(name: str):
     return backend, held
 
 
-def as_csr(kernel: BitsetKernel) -> BitsetKernel:
-    """The same kernel on the CSR successor table."""
-    tables = kernel.packed_tables()
-    dense = tables.pop("succ_dense")
-    source, word = np.nonzero(dense)
-    tables["succ_indptr"] = np.searchsorted(source, np.arange(kernel.n_bits + 1))
-    tables["succ_words"] = word
-    tables["succ_masks"] = dense[source, word]
-    return BitsetKernel.from_packed(tables)
-
-
 ALPHABET = b"abcd"
 N_WORDS = 6
 
@@ -445,10 +445,9 @@ def scan_in_pieces(kernel, automaton, bit_of, pieces, resume=None):
 
 
 class TestComponentBudgetCsrAndSweepAgree:
-    """Component tables that flush or not, over a dense or a CSR
-    successor table, swept all at once or one component at a time: one
-    answer (pinned to the tables: a machine whose edges fall in few
-    offsets would step by shifts)."""
+    """Component tables that flush or not, swept all at once or one
+    component at a time: one answer (pinned to the tables: a machine
+    whose edges fall in few offsets would step by shifts)."""
 
     @given(
         factored_machines(),
@@ -461,7 +460,7 @@ class TestComponentBudgetCsrAndSweepAgree:
         cuts = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
         pieces = [data[low:high] for low, high in zip(cuts, cuts[1:])] or [b""]
 
-        def scan(state_bytes, csr, width):
+        def scan(state_bytes, width):
             with mock.patch.multiple(
                 kernel_module,
                 SHIFT_OFFSETS=0,
@@ -470,20 +469,15 @@ class TestComponentBudgetCsrAndSweepAgree:
                 _VECTOR_WIDTH=width,
             ):
                 kernel = BitsetKernel.from_automaton(automaton, bit_of, N_WORDS * 64)
-                if csr:
-                    kernel = as_csr(kernel)
                 return scan_in_pieces(kernel, automaton, bit_of, pieces)
 
         default = kernel_module._COMPONENT_STATE_BYTES
-        expected = scan(default, False, 1)
+        expected = scan(default, 1)
         assert len(expected[0]) == len(data) * N_WORDS * 8
         for state_bytes in (1 << 40, default):
-            for csr in (False, True):
-                # Every component swept at once, or each in its own loop.
-                for width in (1, 10**9):
-                    assert scan(state_bytes, csr, width) == expected, (
-                        state_bytes, csr, width,
-                    )
+            # Every component swept at once, or each in its own loop.
+            for width in (1, 10**9):
+                assert scan(state_bytes, width) == expected, (state_bytes, width)
 
     def test_a_checkpoint_bit_no_transition_touches_lives_one_cycle(self):
         """A lone state is in no component; set by a checkpoint it is
@@ -632,17 +626,14 @@ class TestShiftStep:
         expected = interpret(automaton, bit_of, pieces, resume)
         assert len(expected[0]) == len(data) * N_WORDS * 8
         for offsets in (0, 10**9):
-            for csr in (False, True):
-                with mock.patch.object(kernel_module, "SHIFT_OFFSETS", offsets):
-                    kernel = BitsetKernel.from_automaton(automaton, bit_of, N_WORDS * 64)
-                    if csr:
-                        kernel = as_csr(kernel)
-                    got = scan_in_pieces(kernel, automaton, bit_of, pieces, resume)
-                assert got == expected, (offsets, csr)
-                if offsets:
-                    assert kernel._shifts != (), "took the step cache"
-                else:
-                    assert kernel.cache_info()["shift"] == {"offsets": 0, "cycles": 0}
+            with mock.patch.object(kernel_module, "SHIFT_OFFSETS", offsets):
+                kernel = BitsetKernel.from_automaton(automaton, bit_of, N_WORDS * 64)
+                got = scan_in_pieces(kernel, automaton, bit_of, pieces, resume)
+            assert got == expected, offsets
+            if offsets:
+                assert kernel._shifts != (), "took the step cache"
+            else:
+                assert kernel.cache_info()["shift"] == {"offsets": 0, "cycles": 0}
 
     @given(st.one_of(chain_machines(), bounded_machines()), st.data())
     @settings(max_examples=30, deadline=None)
@@ -691,6 +682,47 @@ class TestShiftStep:
         assert len(entered) >= len(bursts), entered
 
 
+#: Corruption name -> (packed table, edit), the edit a fresh array.
+CORRUPT_EDGE_LISTS = {
+    "int32-offsets": ("succ_indptr", lambda a: a.astype(np.int32)),
+    "int64-heads": ("succ_heads", lambda a: a.astype(np.int64)),
+    "one-offset-short": ("succ_indptr", lambda a: a[:-1]),
+    "2d-heads": ("succ_heads", lambda a: a.reshape(1, -1)),
+    "not-from-zero": ("succ_indptr", lambda a: a + 1),
+    "decreasing": (
+        "succ_indptr",
+        lambda a: np.concatenate([a[:50], [a[51] + 1], a[51:]]),
+    ),
+    "short-of-the-heads": ("succ_indptr", lambda a: np.append(a[:-1], a[-1] - 1)),
+    "negative-head": ("succ_heads", lambda a: np.append(np.int32(-1), a[1:])),
+    "head-past-the-vector": (
+        "succ_heads",
+        lambda a: np.append(a[:-1], np.int32(N_BITS)),
+    ),
+}
+
+
+class TestEdgeListValidation:
+    """``from_packed`` reads cache input: every way the edge list can be
+    wrong is a :class:`SimulationError`, never a wrong scan."""
+
+    @pytest.mark.parametrize(
+        "name, edit", CORRUPT_EDGE_LISTS.values(), ids=list(CORRUPT_EDGE_LISTS)
+    )
+    def test_a_corrupt_edge_list_is_refused(self, name, edit):
+        tables = dict(make_kernel(seed=5).packed_tables())
+        tables[name] = edit(tables[name])
+        with pytest.raises(SimulationError, match="corrupt kernel tables"):
+            BitsetKernel.from_packed(tables)
+
+    @pytest.mark.parametrize("name", ["succ_indptr", "succ_heads"])
+    def test_a_missing_half_is_refused(self, name):
+        tables = dict(make_kernel(seed=5).packed_tables())
+        del tables[name]
+        with pytest.raises(SimulationError, match=f"missing '{name}'"):
+            BitsetKernel.from_packed(tables)
+
+
 class TestPropagation:
     def brute_force(self, successors, pattern):
         combined = 0
@@ -709,35 +741,41 @@ class TestPropagation:
         assert kernel.unpack(row) == expected
         assert nonzero == (expected != 0)
 
-    @given(st.integers(min_value=0, max_value=(1 << N_BITS) - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_csr_matches_dense(self, pattern):
-        dense = make_kernel(seed=9)
-        sparse = make_kernel(seed=9, dense_limit=0)
-        assert sparse._dense is None
-        packed = dense.pack(pattern)
-        assert dense.unpack(dense.propagate(packed)[0]) == sparse.unpack(
-            sparse.propagate(packed)[0]
-        )
-
     @pytest.mark.parametrize("width", (1, 64, 65, N_BITS))
     def test_wide_and_narrow_rows_reach_the_same_successors(self, width):
-        """Past 64 set bits a dense kernel ORs its rows in numpy; below
-        that, and on CSR, it ORs one successor int a bit.  Both are the
-        brute force, on a table where each bit has its own successor, so
-        that a bit either path drops shows."""
+        """Up to ``PROPAGATE_SCATTER_BITS`` (64) set bits a row ORs one
+        successor int a bit; past it, it scatters its edges' heads in
+        numpy.  Both are the brute force, on a table where each bit has
+        its own successor, so that a bit either path drops shows."""
+        assert kernel_module.PROPAGATE_SCATTER_BITS == 64
         successors = [1 << (bit * 7 + 3) % N_BITS for bit in range(N_BITS)]
         match_table = [0] * 256
         bits = random.Random(width).sample(range(N_BITS), width)
         pattern = sum(1 << bit for bit in bits)
         expected = self.brute_force(successors, pattern)
-        for dense_limit in (kernel_module.DENSE_TABLE_BYTES, 0):
-            kernel = BitsetKernel(
-                N_BITS, successors, match_table, 0, 0, 0, dense_limit=dense_limit
-            )
-            assert (kernel._dense is None) == (dense_limit == 0)
+        kernel = BitsetKernel(
+            N_BITS, edges_of(successors), match_table, 0, 0, 0
+        )
+        scatter = mock.patch.object(
+            BitsetKernel, "_scatter", autospec=True, side_effect=BitsetKernel._scatter
+        )
+        with scatter as scattered:
             assert kernel.propagate_int(pattern) == expected
-            assert kernel.cache_info()["propagate"]["misses"] == 1
+        assert scattered.called == (width > 64)
+        assert kernel.cache_info()["propagate"]["misses"] == 1
+
+    def test_the_edge_list_drops_duplicates_and_keeps_tail_order(self):
+        kernel = BitsetKernel(
+            N_BITS, ([5, 2, 5, 2, 99], [7, 3, 7, 1, 0]), [0] * 256, 0, 0, 0
+        )
+        tail, head = kernel.edges()
+        assert list(zip(tail.tolist(), head.tolist())) == [
+            (2, 1), (2, 3), (5, 7), (99, 0),
+        ]
+        assert kernel.succ_indptr.dtype == np.int64
+        assert kernel.succ_heads.dtype == np.int32
+        with pytest.raises(SimulationError, match="leaves the 100-bit"):
+            BitsetKernel(N_BITS, ([0], [N_BITS]), [0] * 256, 0, 0, 0)
 
     def test_propagate_result_is_cached_and_readonly(self):
         kernel = make_kernel(seed=11)

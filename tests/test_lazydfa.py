@@ -3,17 +3,18 @@
 A fresh :class:`~repro.sim.lazydfa.LazyDfaKernel`'s first scan is all
 misses, so every transition it takes is one its step function computed
 just then — on rows held as ints, from successor ints read off the
-kernel's dense rows or CSR slices the first time a row sets their bit.
+kernel's edge list the first time a row sets their bit.
 Hypothesis draws the rulesets and the streams; the oracle is the golden
 backend's scan of the whole stream: the reports as a list (offset, STE
 id, report code, order), the checkpoint and the symbols consumed.
 
-Axes: dense and CSR successor tables, ``^``-anchored patterns (the
-start-of-data step), a match on the last byte, a state budget small
-enough to flush mid-scan, stride 1 and 2, a resume from a mid-stream
-checkpoint, and an ``export_tables -> seed`` round trip into a fresh
-kernel with cold misses on top.
+Axes: ``^``-anchored patterns (the start-of-data step), a match on the
+last byte, a state budget small enough to flush mid-scan, stride 1 and
+2, a resume from a mid-stream checkpoint, and an ``export_tables ->
+seed`` round trip into a fresh kernel with cold misses on top.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -24,27 +25,10 @@ from repro.backends.artifact import CompiledArtifact
 from repro.compiler import compile_automaton
 from repro.core.design import CA_P
 from repro.regex.compile import compile_patterns
-from repro.sim.kernel import BitsetKernel
+from repro.sim import kernel as kernel_module
 from repro.sim.lazydfa import LazyDfaKernel, scan_one
 
 _PIECES = ["a", "b", "c", "d", ".", "[ab]", "[cd]", "[^a]"]
-
-
-def _csr_copy(kernel: BitsetKernel) -> BitsetKernel:
-    """The same kernel built with a ``dense_limit`` that forces CSR."""
-    tables = kernel.packed_tables()
-    rows = lambda name: [kernel.unpack(row) for row in tables[name]]  # noqa: E731
-    csr = BitsetKernel(
-        kernel.n_bits,
-        rows("succ_dense"),
-        rows("match_matrix"),
-        kernel.unpack(tables["start_all"]),
-        kernel.unpack(tables["start_sod"]),
-        kernel.unpack(tables["report"]),
-        dense_limit=0,
-    )
-    assert csr.packed_tables().keys() >= {"succ_indptr", "succ_masks"}
-    return csr
 
 
 def _match_of(pattern: str) -> str:
@@ -77,7 +61,6 @@ def cases(draw):
     return {
         "patterns": patterns,
         "data": data.encode(),
-        "csr": draw(st.booleans()),
         "stride": draw(st.sampled_from([1, 2])),
         "flush": draw(st.booleans()),
         "cut": draw(st.floats(0, 1)),
@@ -101,8 +84,6 @@ def test_cold_lazy_dfa_is_bit_identical_to_golden(case):
     golden = create_backend("golden", artifact)
     backend = create_backend("lazy-dfa", artifact)
     kernel = backend.simulator.kernel
-    if case["csr"]:
-        kernel = _csr_copy(kernel)
     dfa = LazyDfaKernel(kernel, stride=case["stride"])
     budget = 3 if case["flush"] else dfa._max_states
     dfa._max_states = budget  # 3 is past the constructor's floor of 64
@@ -134,19 +115,27 @@ def test_cold_lazy_dfa_is_bit_identical_to_golden(case):
 
 
 def test_successor_ints_match_the_packed_propagate():
-    """``propagate_int`` is ``propagate`` on rows held as ints, on the
-    dense and the CSR successor table alike."""
+    """``propagate_int`` ORs one successor int a bit on narrow rows and
+    scatters edge heads in numpy on wide ones: forced either way, it is
+    the OR over the edges of the row's set bits."""
     machine = compile_patterns(["ab[cd]+a", "^c.d", "[ab].b"])
     kernel = create_backend(
         "lazy-dfa", CompiledArtifact.from_mapping(compile_automaton(machine, CA_P))
     ).simulator.kernel
+    tail, head = kernel.edges()
     rng = np.random.default_rng(3)
     occupied = kernel.unpack(kernel._occupied())
-    for table in (kernel, _csr_copy(kernel)):
-        for _ in range(50):
-            row = kernel.unpack(
-                rng.integers(0, 2**63, kernel.words, dtype=np.uint64)
-            ) & occupied
-            assert table.propagate_int(row) == kernel.unpack(
-                kernel.propagate(kernel.pack(row))[0]
-            )
+    for _ in range(50):
+        row = kernel.unpack(
+            rng.integers(0, 2**63, kernel.words, dtype=np.uint64)
+        ) & occupied
+        expected = 0
+        for source, target in zip(tail.tolist(), head.tolist()):
+            if row >> source & 1:
+                expected |= 1 << target
+        for scatter_from in (0, 10**9):
+            kernel._init_caches()
+            with mock.patch.object(
+                kernel_module, "PROPAGATE_SCATTER_BITS", scatter_from
+            ):
+                assert kernel.propagate_int(row) == expected

@@ -12,6 +12,7 @@ contract, now across real process boundaries.
 from __future__ import annotations
 
 import asyncio
+import glob
 import itertools
 import multiprocessing
 import os
@@ -52,6 +53,12 @@ DATA = b"the cat sat on the bar while the dog dogged a bat " * 4
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def shm_blocks():
+    """The shared-memory blocks on this host (none where there is no
+    ``/dev/shm``)."""
+    return set(glob.glob("/dev/shm/psm_*"))
 
 
 class Ticker:
@@ -99,8 +106,7 @@ class TestDifferentialBitIdentity:
     def test_procpool_matches_inloop(self, backend):
         """The acceptance-criteria differential: identical report rows
         across ``scan_workers in {0, 2}`` for both the engine-rebuild
-        path (default backend) and the shared-tables fast path
-        (lazy-dfa)."""
+        path (default backend) and the tables fast path (lazy-dfa)."""
         inloop, _ = run(scan_rows(DATA, backend=backend, scan_workers=0))
         pooled, snapshot = run(
             scan_rows(DATA, backend=backend, scan_workers=2)
@@ -150,14 +156,14 @@ class TestWorkerSpan:
 
     @pytest.fixture(params=[None, "lazy-dfa"])
     def tenant(self, request, monkeypatch):
-        """(backend, span) for the engine-rebuild and shared-tables
-        paths; ``span(data, checkpoint, chunk_bytes, deadline_at)``
-        returns (report rows, checkpoint, bytes consumed)."""
+        """(backend, span) for the engine-rebuild and tables paths;
+        ``span(data, checkpoint, chunk_bytes, deadline_at)`` returns
+        (report rows, checkpoint, bytes consumed)."""
         service = ScanService(workers=1, scan_workers=1, cache=False)
         service.register("acme", PATTERNS, backend=request.param)
         state = service._tenant("acme")
         spec = service._tenant_worker_spec(state)
-        assert (spec.shm_meta is not None) == (request.param == "lazy-dfa")
+        assert (spec.tables is not None) == (request.param == "lazy-dfa")
         # This process plays the worker: give it an engine cache of its
         # own for the length of the test, holding the tenant's engine
         # (a real worker would ask its parent for the spec).
@@ -181,8 +187,7 @@ class TestWorkerSpan:
                 ).reports
             return rows(reports), reply.checkpoint, reply.consumed
 
-        yield backend, span
-        state.close_shared()
+        return backend, span
 
     def test_expired_deadline_scans_one_chunk_and_resumes(self, tenant):
         backend, span = tenant
@@ -221,17 +226,16 @@ class TestWorkerSpan:
         assert checkpoint.symbols_processed == 48
 
     def test_rebuilt_lazy_dfa_engine_decodes_its_own_span(self, monkeypatch):
-        """Without a shared block a worker rebuilds the lazy-DFA engine
-        and scans its span on one cursor too, but hands back decoded
-        reports: the parent's engine may have landed on another backend
-        (the golden-fallback tier) that cannot read raw events."""
+        """Without tables in its spec a worker rebuilds the lazy-DFA
+        engine and scans its span on one cursor too, but hands back
+        decoded reports: the parent's engine may have landed on another
+        backend (the golden-fallback tier) that cannot read raw events."""
         monkeypatch.setattr(procpool, "SPAN_HOLD_S", 60.0)
         monkeypatch.setattr(procpool, "_WORKER_ENGINES", OrderedDict())
         service = ScanService(workers=1, scan_workers=1, cache=False)
         service.register("acme", PATTERNS, backend="lazy-dfa")
         state = service._tenant("acme")
-        spec = replace(service._tenant_worker_spec(state), shm_meta=None)
-        state.close_shared()
+        spec = replace(service._tenant_worker_spec(state), tables=None)
         scanner, built, _ = procpool._build_engine(spec)
         assert isinstance(scanner, procpool.DfaSpans) and built == "rebuild"
         reply = procpool.SpanReply._make(
@@ -664,6 +668,11 @@ class TestSupervision:
 
 class TestLifecycle:
     def test_stop_closes_pool_and_shared_tables(self):
+        """Stop ends every worker process and leaves ``/dev/shm`` as it
+        found it: a tenant's tables reach the workers inside its spec,
+        so there is no shared-memory block to close."""
+        found = shm_blocks()
+
         async def scenario():
             service = ScanService(
                 workers=1, scan_workers=2, chunk_bytes=16, cache=False
@@ -672,18 +681,24 @@ class TestLifecycle:
             await service.start()
             await service.scan("acme", DATA)
             state = service._tenant("acme")
-            assert state.shared is not None  # fast path published
+            assert state.worker_spec is not None and state.worker_spec.tables
+            assert shm_blocks() == found
+            processes = [w.process for w in service._procpool._workers]
+            assert processes
             await service.stop()
-            assert state.shared is None
+            assert not service._procpool._workers
+            assert not any(process.is_alive() for process in processes)
+            assert shm_blocks() == found
             with pytest.raises(ServiceClosed):
                 await service.scan("acme", DATA)
 
         run(scenario())
 
     def test_hot_reload_swaps_spec_and_shared_block(self):
-        """Re-registering with new patterns drops the cached worker spec
-        and the published shared-tables block; the next pooled scan
-        serves the *new* pattern set."""
+        """Re-registering with new patterns drops the cached worker spec,
+        whose tables stand in for the old shared block; the next pooled
+        scan serves the *new* pattern set and publishes no block."""
+        found = shm_blocks()
 
         async def scenario():
             service = ScanService(
@@ -695,12 +710,13 @@ class TestLifecycle:
                 before = await service.scan("acme", b"cat and emu")
                 state = service._tenant("acme")
                 first_spec = state.worker_spec
-                first_shared = state.shared
-                assert first_spec is not None and first_shared is not None
+                assert first_spec is not None and first_spec.tables
                 assert service.register("acme", ["emu"], backend="lazy-dfa")
-                assert state.worker_spec is None and state.shared is None
+                assert state.worker_spec is None
                 after = await service.scan("acme", b"cat and emu")
                 assert state.worker_spec is not first_spec
+                assert state.worker_spec.tables
+                assert shm_blocks() == found
                 return before, after
             finally:
                 await service.stop()
@@ -1136,37 +1152,36 @@ class TestWorkerSideSignals:
         assert snapshot["breaker_trips"] == 1
         assert any("4 engine degrade" in e for e in snapshot["events"])
 
-    def test_unusable_shared_block_is_counted_and_logged(self):
-        """A respawned worker finds the tenant's published block gone:
-        it rebuilds from the registration, bit-identically, and the
-        parent counts the rebuild and logs why."""
+    def test_tables_that_do_not_load_are_counted_and_logged(self):
+        """A spec whose tables the kernel refuses (a head outside the
+        state vector): the worker rebuilds from the registration,
+        bit-identically, and the parent counts the rebuild and logs why."""
 
         async def scenario():
             service = ScanService(
                 workers=1, scan_workers=1, chunk_bytes=64, cache=False
             )
             service.register("acme", PATTERNS, backend="lazy-dfa")
+            state = service._tenant("acme")
+            spec = service._tenant_worker_spec(state)
+            tables = dict(spec.tables)
+            tables["succ_heads"] = tables["succ_heads"] + int(tables["n_bits"])
+            state.worker_spec = replace(spec, tables=tables)
             await service.start()
             try:
-                before = await service.scan("acme", DATA)
-                warm = service.metrics_snapshot()
-                # Unlink behind the spec's back, then lose the engine.
-                service._tenant("acme").shared.close()
-                service.crash_scan_process()
-                with pytest.raises(WorkerCrashed):
-                    await service.scan("acme", DATA)
-                after = await service.scan("acme", DATA)
-                return before, after, warm, service.metrics_snapshot()
+                got = await service.scan("acme", DATA)
+                return got, service.metrics_snapshot()
             finally:
                 await service.stop()
 
-        before, after, warm, snapshot = run(scenario())
-        assert rows(after) == rows(before)
-        assert (warm["pool_cold_tables"], warm["pool_cold_rebuilds"]) == (1, 0)
-        assert snapshot["pool_cold_tables"] == 1
+        got, snapshot = run(scenario())
+        inloop, _ = run(scan_rows(DATA, backend="lazy-dfa"))
+        assert rows(got) == inloop
+        assert snapshot["pool_cold_tables"] == 0
         assert snapshot["pool_cold_rebuilds"] == 1
         assert any(
-            "could not use the published tables (FileNotFoundError" in event
+            "could not use the tenant's tables (SimulationError: corrupt "
+            "kernel tables" in event
             for event in snapshot["events"]
         )
 

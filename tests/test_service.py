@@ -513,10 +513,7 @@ class TestRegistration:
             "t", PATTERNS, backend=backend, stride=stride, limits=limits
         )
         state = service._tenant("t")
-        try:
-            spec = pickle.loads(pickle.dumps(service._tenant_worker_spec(state)))
-        finally:
-            state.close_shared()
+        spec = pickle.loads(pickle.dumps(service._tenant_worker_spec(state)))
         ours = service.tenant_engine("t")
         theirs = spec.registration.build_engine(spec.cache)
 
