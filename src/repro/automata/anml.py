@@ -14,11 +14,14 @@ and the ANMLZoo benchmarks (the subset this library needs).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import operator
 import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set
 
 import numpy as np
 
@@ -91,6 +94,7 @@ class HomogeneousAutomaton:
         self._edge_arrays: Optional[EdgeIndexArrays] = None
         self._edge_arrays_version = -1
         self._validated_version = -1
+        self._fingerprint_memo = (-1, "")
 
     # -- construction ------------------------------------------------------
 
@@ -304,18 +308,7 @@ class HomogeneousAutomaton:
 
     # -- array form ----------------------------------------------------------
 
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The automaton as flat arrays, the inverse of :meth:`from_arrays`.
-
-        The layout is :meth:`edge_index_arrays`'s: per-state columns in
-        sorted-id order, edges as index pairs into it, in (source, target)
-        order — equal automata give equal arrays whatever order their
-        successor sets iterate in.  ``order`` lists the states in
-        insertion order, which ``stes()`` exposes and a copy must keep.
-        The columns index tables of the *distinct* symbol masks and
-        report codes; strings travel as one JSON document (lossless for
-        any ``str``).
-        """
+    def _array_form(self) -> "_ArrayForm":
         edge_arrays = self.edge_index_arrays()
         masks: Dict[int, int] = {}
         codes: Dict[str, int] = {}
@@ -330,45 +323,72 @@ class HomogeneousAutomaton:
                 else codes.setdefault(ste.report_code, len(codes))
             )
         edge_order = edge_arrays.argsort_edges()
-        names = json.dumps(
-            {
-                "id": self.automaton_id,
-                "ids": edge_arrays.ids,
-                "codes": list(codes),
-            }
-        )
-        return {
-            "names": np.frombuffer(names.encode("ascii"), dtype=np.uint8),
-            "order": np.fromiter(
+        return _ArrayForm(
+            self.automaton_id,
+            edge_arrays.ids,
+            list(codes),
+            order=np.fromiter(
                 map(edge_arrays.index.__getitem__, self._stes),
                 dtype=np.int32,
                 count=len(self._stes),
             ),
-            "masks": np.frombuffer(
+            masks=np.frombuffer(
                 b"".join(mask.to_bytes(32, "little") for mask in masks),
                 dtype=np.uint8,
             ).reshape(len(masks), 32),
-            "mask_of": np.asarray(mask_of, dtype=np.int32),
-            "start": np.asarray(start, dtype=np.uint8),
-            "reporting": np.asarray(reporting, dtype=np.bool_),
-            "code_of": np.asarray(code_of, dtype=np.int32),
-            "sources": edge_arrays.sources[edge_order],
-            "targets": edge_arrays.targets[edge_order],
-        }
+            mask_of=np.asarray(mask_of, dtype=np.int32),
+            start=np.asarray(start, dtype=np.uint8),
+            reporting=np.asarray(reporting, dtype=np.bool_),
+            code_of=np.asarray(code_of, dtype=np.int32),
+            sources=edge_arrays.sources[edge_order],
+            targets=edge_arrays.targets[edge_order],
+        )
+
+    def _fingerprint(self, form: Optional["_ArrayForm"] = None) -> str:
+        """:meth:`_ArrayForm.fingerprint` of this automaton, memoised on
+        the mutation counter; ``form`` is its array form when the caller
+        already holds it."""
+        version, value = self._fingerprint_memo
+        if version != self._mutation_version:
+            if form is None:
+                form = self._array_form()
+            value = form.fingerprint()
+            self._fingerprint_memo = (self._mutation_version, value)
+        return value
+
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """The automaton as flat arrays, the inverse of :meth:`from_arrays`.
+
+        The layout is :meth:`edge_index_arrays`'s: per-state columns in
+        sorted-id order, edges as index pairs into it, in (source, target)
+        order — equal automata give equal arrays whatever order their
+        successor sets iterate in.  ``order`` lists the states in
+        insertion order, which ``stes()`` exposes and a copy must keep.
+        The columns index tables of the *distinct* symbol masks and
+        report codes; strings travel as one JSON document (lossless for
+        any ``str``).
+        """
+        return self._array_form().arrays()
 
     @classmethod
     def from_arrays(
         cls, arrays: Mapping[str, np.ndarray]
     ) -> "HomogeneousAutomaton":
-        """Rebuild an automaton from :meth:`to_arrays` output in bulk.
+        """Rebuild an automaton from :meth:`to_arrays` output.
 
         The arrays may come from disk, so everything :meth:`add_ste` and
         :meth:`add_edge` would have refused is refused here too — duplicate
         ids, empty symbol sets, edges to unknown states — along with any
         missing member, wrong shape or out-of-range index, all as
-        :class:`AutomatonError`.  The edge arrays arrive in
-        :meth:`edge_index_arrays`'s own layout, so that view is installed
-        rather than derived again from the sets just built from it.
+        :class:`AutomatonError`.  The ids are proven sorted and distinct by
+        one pairwise pass, not by sorting them.
+
+        Nothing per state is built here.  The automaton keeps the columns
+        it validated, answers ``ste_ids()``, ``len``, ``in`` and ``ste()``
+        from them, and builds its states and edge sets the first time any
+        other method needs them.  Its :meth:`edge_index_arrays` view is the
+        stored edge arrays, and its fingerprint is hashed from the columns
+        now, so loading an entry and checking it costs no graph walk.
         """
         try:
             names = json.loads(bytes(arrays["names"]))
@@ -413,8 +433,8 @@ class HomogeneousAutomaton:
             and within(targets, 0, count)
         ):
             raise AutomatonError("malformed automaton arrays")
-        index = dict(zip(ids, range(count)))
-        if len(index) != count or ids != sorted(ids):
+        # Strictly increasing: sorted, and so without repeats.
+        if not all(map(operator.lt, ids, ids[1:])):
             raise AutomatonError("automaton arrays repeat or misorder STE ids")
         if not np.array_equal(np.sort(order), np.arange(count)):
             raise AutomatonError("automaton arrays' order is no permutation")
@@ -423,40 +443,21 @@ class HomogeneousAutomaton:
             raise AutomatonError("automaton arrays repeat or misorder edges")
         if masks.shape[0] and not masks.any(axis=1).all():
             raise AutomatonError("automaton arrays hold an empty symbol set")
-        symbol_sets = [
-            SymbolSet.from_mask(int.from_bytes(row.tobytes(), "little"))
-            for row in masks
-        ]
-        codes.append(None)  # what code_of's -1 selects
-        stes = list(
-            map(
-                Ste,
+        return _ArrayAutomaton(
+            _ArrayForm(
+                automaton_id,
                 ids,
-                map(symbol_sets.__getitem__, mask_of.tolist()),
-                map(_START_KINDS.__getitem__, start.tolist()),
-                reporting.tolist(),
-                map(codes.__getitem__, code_of.tolist()),
+                codes,
+                order,
+                masks,
+                mask_of,
+                start,
+                reporting,
+                code_of,
+                sources,
+                targets,
             )
         )
-        automaton = cls(automaton_id)
-        automaton._stes = {
-            ste.ste_id: ste for ste in map(stes.__getitem__, order.tolist())
-        }
-        successors = automaton._successors = {
-            ste_id: set() for ste_id in automaton._stes
-        }
-        predecessors = automaton._predecessors = {
-            ste_id: set() for ste_id in automaton._stes
-        }
-        for source, target in zip(
-            map(ids.__getitem__, sources.tolist()),
-            map(ids.__getitem__, targets.tolist()),
-        ):
-            successors[source].add(target)
-            predecessors[target].add(source)
-        automaton._edge_arrays = EdgeIndexArrays(ids, index, sources, targets)
-        automaton._edge_arrays_version = automaton._mutation_version
-        return automaton
 
     def __repr__(self) -> str:
         return (
@@ -464,6 +465,180 @@ class HomogeneousAutomaton:
             f" edges={self.edge_count()}, starts={len(self.start_states())},"
             f" reports={len(self.reporting_states())})"
         )
+
+
+class _ArrayForm(NamedTuple):
+    """An automaton as :meth:`HomogeneousAutomaton.to_arrays` lays it out,
+    with the id and code lists already out of their JSON document."""
+
+    automaton_id: str
+    ids: List[str]
+    codes: List[str]
+    order: np.ndarray
+    masks: np.ndarray
+    mask_of: np.ndarray
+    start: np.ndarray
+    reporting: np.ndarray
+    code_of: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        names = json.dumps(
+            {"id": self.automaton_id, "ids": self.ids, "codes": self.codes}
+        )
+        arrays = {"names": np.frombuffer(names.encode("ascii"), dtype=np.uint8)}
+        for field in self._fields[3:]:
+            arrays[field] = getattr(self, field)
+        return arrays
+
+    def fingerprint(self) -> str:
+        """SHA-256 of, per state in sorted-id order, its UTF-8 id, ``\\0``,
+        its 32-byte little-endian symbol mask, its start kind's value,
+        ``R`` if it reports else ``-``, its UTF-8 report code (empty for
+        none) and ``\\0``; then ``sources`` and ``targets`` as
+        little-endian int32 — one ``join`` over per-column lookups."""
+        masks = [b"\x00" + row.tobytes() for row in self.masks]
+        flags = [
+            kind.value.encode("ascii") + flag
+            for kind in _START_KINDS
+            for flag in (b"-", b"R")
+        ]
+        # code_of's -1 selects the last entry: no code.
+        codes = [code.encode("utf-8") + b"\x00" for code in self.codes]
+        codes.append(b"\x00")
+        digest = hashlib.sha256(
+            b"".join(
+                chain.from_iterable(
+                    zip(
+                        map(str.encode, self.ids),
+                        map(masks.__getitem__, self.mask_of.tolist()),
+                        map(
+                            flags.__getitem__,
+                            (2 * self.start.astype(np.int32) + self.reporting)
+                            .tolist(),
+                        ),
+                        map(codes.__getitem__, self.code_of.tolist()),
+                    )
+                )
+            )
+        )
+        digest.update(self.sources.astype("<i4").tobytes())
+        digest.update(self.targets.astype("<i4").tobytes())
+        return digest.hexdigest()
+
+
+def _symbol_set(row: np.ndarray) -> SymbolSet:
+    """The symbol set of one 32-byte little-endian mask row."""
+    return SymbolSet.from_mask(int.from_bytes(row.tobytes(), "little"))
+
+
+class _ArrayAutomaton(HomogeneousAutomaton):
+    """What :meth:`HomogeneousAutomaton.from_arrays` returns: the validated
+    array form, decoded only as far as it is asked.
+
+    ``ste_ids()``, ``len``, ``in`` and ``ste()`` answer from the columns
+    (a state's :class:`Ste` is made on its first ``ste()`` and kept).
+    Every other method reads ``_stes``, ``_successors`` or
+    ``_predecessors``, which this object lacks: the first such read lands
+    in :meth:`__getattr__`, which decodes all three and turns the object
+    into a plain :class:`HomogeneousAutomaton`.  So an automaton built by
+    ``add_ste`` pays nothing for this, and this one pays nothing more once
+    decoded.
+    """
+
+    def __init__(self, form: _ArrayForm):
+        super().__init__(form.automaton_id)
+        del self._stes, self._successors, self._predecessors
+        self._form = form
+        self._made: Dict[int, Ste] = {}
+        self._symbol_sets: List[Optional[SymbolSet]] = [None] * len(form.masks)
+        self._edge_arrays = EdgeIndexArrays(
+            form.ids,
+            dict(zip(form.ids, range(len(form.ids)))),
+            form.sources,
+            form.targets,
+        )
+        self._edge_arrays_version = self._mutation_version
+        self._fingerprint(form)
+
+    def __getattr__(self, name: str):
+        if name not in ("_stes", "_successors", "_predecessors"):
+            raise AttributeError(name)
+        # Not self._decode: another thread may have decoded this object,
+        # and so changed its class, since the lookup that landed here.
+        _ArrayAutomaton._decode(self)
+        return getattr(self, name)
+
+    def __len__(self) -> int:
+        return len(self._form.ids)
+
+    def __contains__(self, ste_id: str) -> bool:
+        return ste_id in self._edge_arrays.index
+
+    def ste_ids(self) -> List[str]:
+        return list(map(self._form.ids.__getitem__, self._form.order.tolist()))
+
+    def ste(self, ste_id: str) -> Ste:
+        try:
+            at = self._edge_arrays.index[ste_id]
+        except KeyError:
+            raise AutomatonError(f"unknown STE {ste_id!r}") from None
+        made = self._made.get(at)
+        if made is None:
+            form, mask = self._form, int(self._form.mask_of[at])
+            symbols = self._symbol_sets[mask]
+            if symbols is None:
+                symbols = _symbol_set(form.masks[mask])
+                self._symbol_sets[mask] = symbols
+            code = int(form.code_of[at])
+            made = self._made[at] = Ste(
+                ste_id,
+                symbols,
+                _START_KINDS[form.start[at]],
+                bool(form.reporting[at]),
+                None if code < 0 else form.codes[code],
+            )
+        return made
+
+    def _decode(self):
+        """Every state at once, in bulk (reusing those ``ste()`` made),
+        and the edge sets.  Each dict is complete before it is set, and
+        the columns stay, so a reader in another thread never sees half
+        a graph."""
+        form, ids = self._form, self._form.ids
+        symbol_sets = [
+            _symbol_set(row) if symbols is None else symbols
+            for symbols, row in zip(self._symbol_sets, form.masks)
+        ]
+        codes = form.codes + [None]  # what code_of's -1 selects
+        made = list(
+            map(
+                Ste,
+                ids,
+                map(symbol_sets.__getitem__, form.mask_of.tolist()),
+                map(_START_KINDS.__getitem__, form.start.tolist()),
+                form.reporting.tolist(),
+                map(codes.__getitem__, form.code_of.tolist()),
+            )
+        )
+        # A copy taken in one C call: a reader's ste() may add to _made.
+        for at, ste in self._made.copy().items():
+            made[at] = ste
+        stes = {
+            ste.ste_id: ste for ste in map(made.__getitem__, form.order.tolist())
+        }
+        successors = {ste_id: set() for ste_id in stes}
+        predecessors = {ste_id: set() for ste_id in stes}
+        for source, target in zip(
+            map(ids.__getitem__, form.sources.tolist()),
+            map(ids.__getitem__, form.targets.tolist()),
+        ):
+            successors[source].add(target)
+            predecessors[target].add(source)
+        self._successors, self._predecessors = successors, predecessors
+        self._stes = stes
+        self.__class__ = HomogeneousAutomaton
 
 
 def merge(

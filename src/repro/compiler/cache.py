@@ -21,12 +21,13 @@ entry, each under its own key:
   the placement arrays, the packed simulator tables, the stride alphabet
   and the ``auto=True`` placement decision:
 
-  * the **automaton fingerprint** hashes the canonically ordered state
-    list (ids sorted), each state's symbol mask / start kind / report
-    flags, and the canonically ordered edge list — any structural change
-    changes the key (the hash is memoised on the automaton's mutation
-    counter, so unchanged automata fingerprint once per process; a
-    rebuilt automaton pays it once, as its own verification);
+  * the **automaton fingerprint** hashes the automaton's array form:
+    the canonically ordered state list (ids sorted), each state's symbol
+    mask / start kind / report flags, and the canonically ordered edge
+    list — any structural change changes the key (the hash is memoised
+    on the automaton's mutation counter, so unchanged automata
+    fingerprint once per process; a rebuilt automaton hashes the arrays
+    it was rebuilt from, as its own verification);
   * the **design fingerprint** hashes every field of the
     :class:`~repro.core.design.DesignPoint` (and the stride), so any
     parameter change (partition size, wire budgets, geometry, clock)
@@ -70,7 +71,7 @@ from typing import Callable, Dict, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
-from repro.automata.anml import HomogeneousAutomaton, StartKind
+from repro.automata.anml import HomogeneousAutomaton
 from repro.core.design import DesignPoint
 from repro.errors import ArtifactError, AutomatonError, DegradedModeWarning
 
@@ -107,45 +108,18 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-_START_BYTES = {kind: kind.value.encode("ascii") for kind in StartKind}
-
-
 def automaton_fingerprint(automaton: HomogeneousAutomaton) -> str:
-    """Content hash of the automaton's structure (canonical order).
+    """Content hash of the automaton's array form
+    (:meth:`~repro.automata.anml.HomogeneousAutomaton.to_arrays`): per
+    state in sorted-id order its id, symbol mask, start kind and report
+    flags, then the edges in (source, target) order.
 
     Memoised per automaton object on its mutation counter, so hot paths
-    (engine construction in a warm process) pay the hash once.
+    (engine construction in a warm process) pay the hash once.  An
+    automaton rebuilt by ``from_arrays`` carries the hash of the arrays
+    it was rebuilt from, so it is never walked for it.
     """
-    memo = getattr(automaton, "_fingerprint_memo", None)
-    if memo is not None and memo[0] == automaton.mutation_version:
-        return memo[1]
-    digest = hashlib.sha256()
-    arrays = automaton.edge_index_arrays()
-    # One join and one update for all states: a ruleset has thousands of
-    # states but few distinct masks, whose 32-byte forms are memoised.
-    mask_bytes: Dict[int, bytes] = {}
-    fields = []
-    for ste in map(automaton.ste, arrays.ids):
-        mask = ste.symbols.mask
-        packed = mask_bytes.get(mask)
-        if packed is None:
-            packed = mask_bytes[mask] = mask.to_bytes(32, "little")
-        fields += (
-            ste.ste_id.encode("utf-8"),
-            b"\x00",
-            packed,
-            _START_BYTES[ste.start],
-            b"R" if ste.reporting else b"-",
-            (ste.report_code or "").encode("utf-8"),
-            b"\x00",
-        )
-    digest.update(b"".join(fields))
-    order = arrays.argsort_edges()
-    digest.update(arrays.sources[order].astype("<i4").tobytes())
-    digest.update(arrays.targets[order].astype("<i4").tobytes())
-    value = digest.hexdigest()
-    automaton._fingerprint_memo = (automaton.mutation_version, value)
-    return value
+    return automaton._fingerprint()
 
 
 def design_fingerprint(design: DesignPoint, *, stride: int = 1) -> str:
@@ -398,12 +372,13 @@ class CompileCache:
         ``key`` (see :func:`source_key`); returns the entry's path, or
         ``None`` when the directory is unwritable."""
         path = self.automaton_path(key)
+        form = automaton._array_form()
         buffer = io.BytesIO()
         np.savez(
             buffer,
             key=np.asarray(key),
-            fingerprint=np.asarray(automaton_fingerprint(automaton)),
-            **automaton.to_arrays(),
+            fingerprint=np.asarray(automaton._fingerprint(form)),
+            **form.arrays(),
         )
         if not self._store_entry(path, buffer.getvalue()):
             return None
@@ -414,11 +389,14 @@ class CompileCache:
         """The compiled automaton stored under source key ``key``, or
         ``None`` on a miss.
 
-        The automaton is rebuilt in bulk from the stored arrays and its
-        fingerprint recomputed and compared with the stored one, so a hit
-        is as good as a compile, and the hash — memoised on the automaton
-        — is the one the artefact lookup that follows needs anyway.
-        Failures are handled as :meth:`load_artifact` handles them.
+        The stored arrays pass
+        :meth:`~repro.automata.anml.HomogeneousAutomaton.from_arrays`'s
+        checks, and the fingerprint it hashes from them must equal the
+        stored one, so a hit is as good as a compile.  The automaton keeps
+        those arrays and builds no per-state object until something walks
+        its graph, and the hash — memoised on the automaton — is the one
+        the artefact lookup that follows needs anyway.  Failures are
+        handled as :meth:`load_artifact` handles them.
         """
 
         def decode(data) -> HomogeneousAutomaton:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import io
 import multiprocessing
+import pickle
 import random
+import sys
 import threading
 import warnings
 from dataclasses import replace
@@ -247,16 +249,102 @@ class TestOtherLayoutsArePlainMisses:
         assert len(list(tmp_path.rglob("*.npz"))) == 2
 
 
+#: What a decoded automaton builds once something walks its graph.
+PER_STATE_DICTS = {"_stes", "_successors", "_predecessors"}
+
+
+def _undecoded(automaton):
+    return not PER_STATE_DICTS & set(vars(automaton))
+
+
 def _same_automaton(rebuilt, compiled):
-    """Everything a user of the automaton can observe, order included."""
+    """Everything a user of the automaton can observe, order included.
+
+    A freshly decoded ``rebuilt`` answers ids, size, membership and
+    single states from its arrays, and carries its fingerprint: those are
+    checked first, while it has built none of its per-state dicts; then
+    every other query, which builds them."""
+    fresh = _undecoded(rebuilt)
+    ids = compiled.ste_ids()
+    assert rebuilt.ste_ids() == ids
+    assert len(rebuilt) == len(compiled)
+    for ste_id in ids:
+        assert ste_id in rebuilt
+        assert rebuilt.ste(ste_id) == compiled.ste(ste_id)
+        assert rebuilt.ste(ste_id) is rebuilt.ste(ste_id)
+    assert "no such state" not in rebuilt
+    with pytest.raises(AutomatonError, match="unknown STE"):
+        rebuilt.ste("no such state")
+    if fresh:
+        assert rebuilt._fingerprint_memo == (
+            rebuilt.mutation_version,
+            automaton_fingerprint(compiled),
+        )
+        assert _undecoded(rebuilt)
+    made = {ste_id: rebuilt.ste(ste_id) for ste_id in ids}
     assert rebuilt.automaton_id == compiled.automaton_id
-    assert rebuilt.ste_ids() == compiled.ste_ids()
     assert list(rebuilt.stes()) == list(compiled.stes())
+    # The states handed out before the dicts were built are the ones in
+    # them.
+    assert all(rebuilt.ste(ste_id) is made[ste_id] for ste_id in ids)
     assert sorted(rebuilt.edges()) == sorted(compiled.edges())
-    for ste_id in compiled.ste_ids():
+    assert sorted(rebuilt.edges_unordered()) == sorted(compiled.edges())
+    assert rebuilt.edge_count() == compiled.edge_count()
+    for ste_id in ids:
+        assert rebuilt.successors(ste_id) == compiled.successors(ste_id)
         assert rebuilt.predecessors(ste_id) == compiled.predecessors(ste_id)
-    rebuilt.validate()
+        assert rebuilt.out_degree(ste_id) == compiled.out_degree(ste_id)
+        assert rebuilt.in_degree(ste_id) == compiled.in_degree(ste_id)
+    assert rebuilt.start_states() == compiled.start_states()
+    assert rebuilt.reporting_states() == compiled.reporting_states()
+    assert rebuilt.average_fan_out() == compiled.average_fan_out()
+    assert repr(rebuilt) == repr(compiled)
+    ours, theirs = rebuilt.edge_index_arrays(), compiled.edge_index_arrays()
+    assert (ours.ids, ours.index) == (theirs.ids, theirs.index)
+    assert sorted(zip(ours.sources.tolist(), ours.targets.tolist())) == sorted(
+        zip(theirs.sources.tolist(), theirs.targets.tolist())
+    )
+    ours, theirs = rebuilt.to_arrays(), compiled.to_arrays()
+    assert ours.keys() == theirs.keys()
+    assert all(np.array_equal(ours[name], theirs[name]) for name in ours)
+    if compiled.start_states():
+        rebuilt.validate()
+    else:
+        with pytest.raises(AutomatonError):
+            rebuilt.validate()
     assert automaton_fingerprint(rebuilt) == automaton_fingerprint(compiled)
+    assert not _undecoded(rebuilt)
+
+
+def _lonely():
+    """States and no edges."""
+    automaton = HomogeneousAutomaton("lonely")
+    automaton.add_ste("b", SymbolSet.single("b"), start=StartKind.ALL_INPUT)
+    automaton.add_ste(
+        "a", SymbolSet.single("a"), start=StartKind.ALL_INPUT, reporting=True
+    )
+    return automaton
+
+
+def _odd():
+    """Anchored and all-input starts, a reporting state without a code, a
+    code on a non-reporting state, a self loop, an id and a code JSON must
+    escape, insertion order that is not sorted order."""
+    automaton = HomogeneousAutomaton("odd \u2603 id")
+    automaton.add_ste("z", SymbolSet.any(), start=StartKind.START_OF_DATA)
+    automaton.add_ste(
+        "a\n\"b", SymbolSet.single(0), start=StartKind.ALL_INPUT,
+        reporting=True,
+    )
+    automaton.add_ste(
+        "m", SymbolSet.from_range(250, 255), report_code="unused\x00",
+    )
+    automaton.add_ste(
+        "b", SymbolSet.any(), reporting=True, report_code="c\u00f8de",
+    )
+    for source, target in [("z", "m"), ("m", "m"), ("m", "b"), ("z", "b")]:
+        automaton.add_edge(source, target)
+    return automaton
 
 
 SYNTH_LISTS = {
@@ -328,23 +416,7 @@ class TestAutomatonRoundTrip:
         }
 
     def test_every_field_survives(self):
-        """Anchored and all-input starts, a reporting state without a
-        code, a code on a non-reporting state, a self loop, an id and a
-        code JSON must escape, insertion order that is not sorted order."""
-        automaton = HomogeneousAutomaton("odd \u2603 id")
-        automaton.add_ste("z", SymbolSet.any(), start=StartKind.START_OF_DATA)
-        automaton.add_ste(
-            "a\n\"b", SymbolSet.single(0), start=StartKind.ALL_INPUT,
-            reporting=True,
-        )
-        automaton.add_ste(
-            "m", SymbolSet.from_range(250, 255), report_code="unused\x00",
-        )
-        automaton.add_ste(
-            "b", SymbolSet.any(), reporting=True, report_code="c\u00f8de",
-        )
-        for source, target in [("z", "m"), ("m", "m"), ("m", "b"), ("z", "b")]:
-            automaton.add_edge(source, target)
+        automaton = _odd()
         rebuilt = HomogeneousAutomaton.from_arrays(automaton.to_arrays())
         _same_automaton(rebuilt, automaton)
         # The rebuilt automaton is an ordinary one: it can be edited, and
@@ -353,6 +425,114 @@ class TestAutomatonRoundTrip:
         rebuilt.add_edge("b", "tail")
         assert "tail" in rebuilt.edge_index_arrays().index
         assert automaton_fingerprint(rebuilt) != automaton_fingerprint(automaton)
+
+    @pytest.mark.parametrize("make", [_odd, _lonely, HomogeneousAutomaton])
+    def test_small_automata_survive(self, make):
+        """The odd automaton, one without edges, one without states."""
+        automaton = make()
+        _same_automaton(
+            HomogeneousAutomaton.from_arrays(automaton.to_arrays()), automaton
+        )
+
+    @pytest.mark.parametrize("kind", sorted(SYNTH_LISTS))
+    def test_pickle_and_copy_of_an_untouched_automaton(self, kind):
+        compiled = compile_patterns(SYNTH_LISTS[kind]())
+        rebuilt = HomogeneousAutomaton.from_arrays(compiled.to_arrays())
+        unpickled = pickle.loads(pickle.dumps(rebuilt))
+        assert _undecoded(rebuilt)
+        _same_automaton(unpickled, compiled)
+        _same_automaton(rebuilt.copy(), compiled)
+        _same_automaton(rebuilt, compiled)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda a: list(a.stes()),
+            lambda a: sorted(a.edges()),
+            lambda a: sorted(a.edges_unordered()),
+            lambda a: [sorted(a.successors(s)) for s in a.ste_ids()],
+            lambda a: [sorted(a.predecessors(s)) for s in a.ste_ids()],
+            lambda a: [(a.out_degree(s), a.in_degree(s)) for s in a.ste_ids()],
+            lambda a: (a.edge_count(), a.average_fan_out()),
+            lambda a: (a.start_states(), a.reporting_states()),
+            lambda a: (a.validate(), repr(a)),
+            lambda a: sorted(a.copy("twin").edges()),
+            lambda a: sorted(a.relabelled("r").edges()),
+        ],
+    )
+    def test_any_query_can_come_first(self, query):
+        compiled = compile_patterns(SYNTH_LISTS["dotstar"]())
+        rebuilt = HomogeneousAutomaton.from_arrays(compiled.to_arrays())
+        assert query(rebuilt) == query(compiled)
+        assert not _undecoded(rebuilt)
+        _same_automaton(rebuilt, compiled)
+
+    def test_threads_reading_an_untouched_automaton_agree(self):
+        """Readers racing the one-time decode all see the whole graph."""
+        compiled = compile_patterns(SYNTH_LISTS["ids"]())
+        ids = compiled.ste_ids()
+
+        def view(automaton, walk_first):
+            """Half the readers walk the graph (and so decode it) while
+            the other half are still making states one by one."""
+            edges = sorted(automaton.edges_unordered()) if walk_first else []
+            states = [automaton.ste(ste_id) for ste_id in ids]
+            edges = edges or sorted(automaton.edges_unordered())
+            return states, edges, [sorted(automaton.predecessors(s)) for s in ids]
+
+        expected = view(compiled, True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                rebuilt = HomogeneousAutomaton.from_arrays(compiled.to_arrays())
+                seen = []
+                readers = [
+                    threading.Thread(
+                        target=lambda first=first: seen.append(
+                            view(rebuilt, first)
+                        )
+                    )
+                    for first in (True, False) * 2
+                ]
+                for reader in readers:
+                    reader.start()
+                for reader in readers:
+                    reader.join(timeout=60)
+                    assert not reader.is_alive()
+                assert seen == [expected] * len(readers)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda a: a.add_edge(a.ste_ids()[-1], a.ste_ids()[0]),
+            lambda a: a.remove_ste(a.ste_ids()[1]),
+            lambda a: a.add_ste("new", SymbolSet.single("n")),
+            lambda a: a.replace_ste(replace(a.ste(a.ste_ids()[0]), reporting=True)),
+        ],
+        ids=["add_edge", "remove_ste", "add_ste", "replace_ste"],
+    )
+    def test_a_first_mutation_drops_the_fingerprint(self, mutate):
+        compiled = compile_patterns(SYNTH_LISTS["ids"]())
+        rebuilt = HomogeneousAutomaton.from_arrays(compiled.to_arrays())
+        mutate(rebuilt)
+        assert rebuilt._fingerprint_memo[0] != rebuilt.mutation_version
+        twin = compiled.copy()
+        mutate(twin)
+        assert automaton_fingerprint(rebuilt) == automaton_fingerprint(twin)
+        assert automaton_fingerprint(rebuilt) != automaton_fingerprint(compiled)
+        _same_automaton(rebuilt, twin)
+
+    def test_the_pinned_list_rebuilds_to_its_fingerprint(self):
+        compiled = compile_patterns(
+            PINNED_PATTERNS, report_codes=PINNED_PATTERNS, automaton_id="engine"
+        )
+        rebuilt = HomogeneousAutomaton.from_arrays(compiled.to_arrays())
+        assert rebuilt._fingerprint_memo[1] == PINNED_FINGERPRINT
+        assert automaton_fingerprint(rebuilt) == PINNED_FINGERPRINT
+        assert _undecoded(rebuilt)
 
     @pytest.mark.parametrize(
         "damage",

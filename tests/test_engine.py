@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.engine
+from repro.automata import anml
 from repro.compiler.cache import CompileCache
 from repro.backends.registry import resolve_backend_name
 from repro.compiler.classify import (
@@ -391,6 +392,54 @@ class TestWarmStartRecomputesNothing:
         assert again.artifact.classify_tables
         assert _observed(again) == _observed(engine)
         assert (_read_back(engine), _read_back(again)) == (False, True)
+
+
+#: What a cached automaton builds once something walks its graph.
+PER_STATE_DICTS = {"_stes", "_successors", "_predecessors"}
+
+
+class TestWarmStartBuildsNoStates:
+    """A warm build and its scan read the cached automaton's arrays: they
+    make a ``Ste`` for no state but one that fired, once, and never build
+    the per-state dicts."""
+
+    @pytest.mark.parametrize(
+        "patterns, options",
+        [
+            (FRIENDLY, {"auto": True}),
+            (FRIENDLY + HOSTILE, {"auto": True}),
+            (FRIENDLY + HOSTILE, {"backend": "lazy-dfa"}),
+            (FRIENDLY + HOSTILE, {"backend": "packed-kernel"}),
+        ],
+        ids=["auto-lazy-dfa", "auto-packed-kernel", "lazy-dfa", "packed-kernel"],
+    )
+    def test_only_fired_states_are_made(
+        self, tmp_path, monkeypatch, patterns, options
+    ):
+        cold = CacheAutomatonEngine.from_patterns(
+            patterns, cache=tmp_path, **options
+        )
+        made = []
+        real = anml.Ste
+
+        def counting(*args, **kwargs):
+            ste = real(*args, **kwargs)
+            made.append(ste.ste_id)
+            return ste
+
+        monkeypatch.setattr(anml, "Ste", counting)
+        warm = CacheAutomatonEngine.from_patterns(
+            patterns, cache=tmp_path, **options
+        )
+        matches = warm.scan(WARM_DATA)
+        assert warm.health().tier == "warm-cache"
+        assert warm.health().backend == cold.health().backend
+        assert matches == cold.scan(WARM_DATA)
+        fired = {match.state for match in matches}
+        assert fired
+        assert len(made) == len(set(made))
+        assert set(made) <= fired
+        assert not PER_STATE_DICTS & set(vars(warm.automaton))
 
 
 class TestCorruptKernelTables:
