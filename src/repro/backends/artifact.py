@@ -9,13 +9,13 @@ one entry kind the artifact cache stores under
 :func:`~repro.compiler.cache.cache_key`.
 
 The payload (:meth:`CompiledArtifact.to_payload` /
-:meth:`~CompiledArtifact.from_payload`, an array dict persisted as
-``.npz``) holds the placement as the three arrays the mapping itself
-holds — ``part``, ``slot`` (aligned with
-``automaton.edge_index_arrays().ids``) and ``ways`` — so storing writes
-them as they are and loading hands them straight to
-:class:`~repro.compiler.mapping.Mapping`; beside them sit the
-fingerprints, the stride, and the ``kernel_*`` / ``stride_*`` /
+:meth:`~CompiledArtifact.from_payload`, an array dict persisted as one
+cache entry by :func:`~repro.compiler.cache.pack_entry`) holds the
+placement as the three arrays the mapping itself holds — ``part``,
+``slot`` (aligned with ``automaton.edge_index_arrays().ids``) and
+``ways`` — so storing writes them as they are and loading hands them
+straight to :class:`~repro.compiler.mapping.Mapping`; beside them sit
+the fingerprints, the stride, and the ``kernel_*`` / ``stride_*`` /
 ``classify_*`` tables.
 
 Versions follow one rule: :data:`ARTIFACT_FORMAT_VERSION` is hashed into
@@ -29,14 +29,18 @@ load, and a mismatch — as any corrupt or unreadable member — raises
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.automata.anml import HomogeneousAutomaton
-from repro.compiler.cache import automaton_fingerprint, design_fingerprint
+from repro.compiler.cache import (
+    automaton_fingerprint,
+    design_fingerprint,
+    pack_entry,
+    unpack_entry,
+)
 from repro.compiler.mapping import Mapping
 from repro.core.design import DesignPoint
 from repro.errors import ArtifactError
@@ -45,7 +49,7 @@ from repro.errors import ArtifactError
 #: dropped, or changes meaning.  Hashed into
 #: :func:`~repro.compiler.cache.cache_key`, so entries of another layout
 #: are simply never looked up again.
-ARTIFACT_FORMAT_VERSION = 4
+ARTIFACT_FORMAT_VERSION = 5
 
 #: Payload member prefix under which kernel tables are stored.
 _KERNEL_PREFIX = "kernel_"
@@ -172,16 +176,15 @@ class CompiledArtifact:
     ) -> "CompiledArtifact":
         """Rebuild an artifact against the in-memory compiler inputs.
 
-        ``data`` is any mapping of member name -> array (an open ``npz``
-        file works directly).  The payload's stored fingerprints are
-        re-verified against ``automaton``/``design``/``stride``; any
-        missing member, shape mismatch, unsupported version, stride
-        mismatch, or fingerprint mismatch raises :class:`ArtifactError`.
+        ``data`` is any mapping of member name -> array (what
+        :func:`~repro.compiler.cache.unpack_entry` returns).  The
+        payload's stored fingerprints are re-verified against
+        ``automaton``/``design``/``stride``; any missing member, shape
+        mismatch, unsupported version, stride mismatch, or fingerprint
+        mismatch raises :class:`ArtifactError`.
         """
         try:
-            members = set(
-                data.files if hasattr(data, "files") else data.keys()
-            )
+            members = set(data.keys())
             version = int(data["artifact_version"])
             if version != ARTIFACT_FORMAT_VERSION:
                 raise ArtifactError(
@@ -237,14 +240,12 @@ class CompiledArtifact:
             classify_tables=classify_tables,
         )
 
-    def npz_bytes(self) -> bytes:
-        """The payload serialised as ``npz`` bytes (cache file format)."""
-        buffer = io.BytesIO()
-        np.savez(buffer, **self.to_payload())
-        return buffer.getvalue()
+    def entry_bytes(self) -> bytes:
+        """The payload as one cache entry (the cache file's bytes)."""
+        return pack_entry(self.to_payload())
 
     @classmethod
-    def from_npz_bytes(
+    def from_entry_bytes(
         cls,
         payload: bytes,
         automaton: HomogeneousAutomaton,
@@ -252,9 +253,7 @@ class CompiledArtifact:
         *,
         stride: int = 1,
     ) -> "CompiledArtifact":
-        """Inverse of :meth:`npz_bytes`; raises :class:`ArtifactError`."""
-        try:
-            data = np.load(io.BytesIO(payload), allow_pickle=False)
-        except Exception as error:
-            raise ArtifactError(f"not a valid artifact archive: {error}") from None
-        return cls.from_payload(data, automaton, design, stride=stride)
+        """Inverse of :meth:`entry_bytes`; raises :class:`ArtifactError`."""
+        return cls.from_payload(
+            unpack_entry(payload), automaton, design, stride=stride
+        )

@@ -9,7 +9,7 @@ entry, each under its own key:
 * the **source key** (:func:`source_key`) hashes what the regex front
   end reads — :data:`FRONT_END_VERSION`, the ordered pattern list, the
   report codes, the automaton id — and addresses the *compiled
-  automaton* (``<key>.automaton.npz``: the arrays of
+  automaton* (``<key>.automaton``: the arrays of
   :meth:`~repro.automata.anml.HomogeneousAutomaton.to_arrays` plus the
   key and the automaton's fingerprint), so ``from_patterns`` rebuilds the
   automaton in bulk instead of parsing and merging again.  Reordering
@@ -17,7 +17,7 @@ entry, each under its own key:
 * the **artefact key** (:func:`cache_key`) hashes
   :data:`~repro.backends.artifact.ARTIFACT_FORMAT_VERSION` and the two
   inputs of the compiler proper, and addresses the
-  :class:`~repro.backends.artifact.CompiledArtifact` (``<key>.npz``):
+  :class:`~repro.backends.artifact.CompiledArtifact` (``<key>.artifact``):
   the placement arrays, the packed simulator tables, the stride alphabet
   and the ``auto=True`` placement decision:
 
@@ -31,7 +31,24 @@ entry, each under its own key:
   * the **design fingerprint** hashes every field of the
     :class:`~repro.core.design.DesignPoint` (and the stride), so any
     parameter change (partition size, wire budgets, geometry, clock)
-    busts the key.
+    busts the key.  It is memoised per (design, stride).
+
+Both kinds share one flat file layout (:func:`pack_entry` /
+:func:`unpack_entry`), so loading an entry is one read, one CRC-32 and
+one small JSON header, and every member is an aligned array view of the
+bytes read:
+
+====================  ==================================================
+bytes                 content
+====================  ==================================================
+8                     the magic tag :data:`ENTRY_MAGIC`
+4                     CRC-32 of everything after it (little-endian)
+4                     header length ``n`` (little-endian)
+``n``                 JSON header: member name -> ``[dtype.str, shape,
+                      offset]``, offsets counted from the first body
+to a multiple of 8    zero padding
+...                   the member bodies in C order, each padded to 8
+====================  ==================================================
 
 Versions follow one rule: the constant that versions an entry's layout
 is hashed into that entry's key.  Bumping it changes every address, so
@@ -39,11 +56,11 @@ entries of another version are plain misses — never read, never
 quarantined — and nothing on a read path compares version numbers to
 decide what to do.
 
-The artefact payload layout is owned by
+The artefact payload is owned by
 :class:`repro.backends.artifact.CompiledArtifact` and the automaton's by
 :class:`~repro.automata.anml.HomogeneousAutomaton` — this module only
-addresses, stores, and quarantines them, through one read path
-(:meth:`CompileCache._load_entry`) and one write path
+lays them out, addresses, stores, and quarantines them, through one read
+path (:meth:`CompileCache._load_entry`) and one write path
 (:meth:`CompileCache._store_entry`).  Entries store the keys and
 fingerprints they were written under and are re-verified on load;
 mismatches and unreadable files count as misses, never errors.  Corrupt
@@ -56,18 +73,19 @@ is emitted when it does).
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import io
 import json
 import os
 import random
+import struct
 import tempfile
 import time
 import warnings
-import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, TypeVar, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -82,10 +100,16 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Bump whenever the regex front end (parser, Glushkov construction,
 #: ``merge``'s state naming) would compile some pattern list to a
-#: different automaton, or the stored automaton's array layout changes.
-#: It is hashed into every source key, so entries written by the older
-#: front end are simply never looked up again.
-FRONT_END_VERSION = 1
+#: different automaton, or the stored automaton's array layout or file
+#: layout changes.  It is hashed into every source key, so entries
+#: written by the older front end are simply never looked up again.
+FRONT_END_VERSION = 2
+
+#: The first bytes of every cache entry (see :func:`pack_entry`).
+ENTRY_MAGIC = b"REPROENT"
+
+#: Magic tag, CRC-32 of the rest, header length.
+_PREFIX = struct.Struct("<8sII")
 
 #: Bounded-retry policy for transient cache I/O errors.
 RETRY_ATTEMPTS = 3
@@ -128,8 +152,15 @@ def design_fingerprint(design: DesignPoint, *, stride: int = 1) -> str:
     ``stride`` folds the k-stride execution transform into the hash, so
     strided and unstrided artefacts for the same design occupy distinct
     content addresses.  Stride 1 (unstrided) adds nothing, keeping every
-    pre-stride fingerprint stable.
+    pre-stride fingerprint stable.  Memoised per (design, stride): a
+    warm start asks for it once for the key and once to verify the
+    artefact.
     """
+    return _design_fingerprint(design, stride)
+
+
+@functools.lru_cache(maxsize=64)
+def _design_fingerprint(design: DesignPoint, stride: int) -> str:
     fields = asdict(design)
     if stride != 1:
         fields["__stride__"] = stride
@@ -165,6 +196,75 @@ def source_key(
         [FRONT_END_VERSION, automaton_id, list(patterns), list(report_codes)]
     )
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def _padded(size: int) -> int:
+    return -size % 8
+
+
+def pack_entry(members: Mapping[str, np.ndarray]) -> bytes:
+    """``members`` as one cache entry (layout in the module docstring);
+    :func:`unpack_entry` is the inverse.  An array whose dtype string
+    does not describe it — Python objects, structured records — is
+    refused with :class:`ValueError`: an entry holds plain data only."""
+    header: Dict[str, list] = {}
+    bodies = []
+    offset = 0
+    for name, value in members.items():
+        array = np.asarray(value)
+        if array.dtype.hasobject or np.dtype(array.dtype.str) != array.dtype:
+            raise ValueError(
+                f"member {name!r} is not plain data ({array.dtype})"
+            )
+        body = array.tobytes()
+        pad = bytes(_padded(len(body)))
+        header[name] = [array.dtype.str, list(array.shape), offset]
+        bodies += [body, pad]
+        offset += len(body) + len(pad)
+    head = json.dumps(header, separators=(",", ":")).encode("ascii")
+    rest = b"".join(
+        [
+            struct.pack("<I", len(head)),
+            head,
+            bytes(_padded(_PREFIX.size + len(head))),
+            *bodies,
+        ]
+    )
+    return ENTRY_MAGIC + struct.pack("<I", zlib.crc32(rest)) + rest
+
+
+def unpack_entry(buffer: Union[bytes, bytearray]) -> Dict[str, np.ndarray]:
+    """The members of a :func:`pack_entry` entry, each a view of
+    ``buffer`` (writable when ``buffer`` is a ``bytearray``).
+
+    Anything that is not a whole entry as written — another magic tag, a
+    failed checksum, a header that does not describe arrays inside the
+    buffer, an object dtype — raises :class:`~repro.errors.ArtifactError`.
+    """
+    if len(buffer) < _PREFIX.size:
+        raise ArtifactError("not a cache entry: too short")
+    magic, checksum, head_size = _PREFIX.unpack_from(buffer)
+    if magic != ENTRY_MAGIC:
+        raise ArtifactError("not a cache entry: wrong magic tag")
+    if zlib.crc32(memoryview(buffer)[len(ENTRY_MAGIC) + 4:]) != checksum:
+        raise ArtifactError("cache entry fails its checksum")
+    head_end = _PREFIX.size + head_size
+    base = head_end + _padded(head_end)
+    try:
+        header = json.loads(buffer[_PREFIX.size:head_end])
+        members = {}
+        for name, (dtype, shape, offset) in header.items():
+            dtype = np.dtype(dtype)
+            if dtype.hasobject:
+                raise ArtifactError(f"member {name!r} holds Python objects")
+            if not isinstance(offset, int) or offset < 0:
+                raise ArtifactError(f"member {name!r} has offset {offset!r}")
+            members[name] = np.ndarray(
+                tuple(shape), dtype, buffer, base + offset
+            )
+    except (AttributeError, TypeError, ValueError) as error:
+        raise ArtifactError(f"unreadable entry header: {error}") from None
+    return members
 
 
 @dataclass
@@ -286,7 +386,7 @@ class CompileCache:
         stride: int = 1,
     ) -> Path:
         return self._artifact_path(
-            cache_key(automaton, design, stride=stride), ".npz"
+            cache_key(automaton, design, stride=stride), ".artifact"
         )
 
     @staticmethod
@@ -320,30 +420,29 @@ class CompileCache:
     def _load_entry(
         self, path: Path, decode: Callable[..., _Entry]
     ) -> Optional[_Entry]:
-        """``decode(members)`` of the ``.npz`` entry at ``path``, or
-        ``None`` on any kind of miss.
+        """``decode(members)`` of the entry at ``path`` (a member name ->
+        array dict, see :func:`unpack_entry`), or ``None`` on any kind of
+        miss.
 
         Failure handling: a missing file is a plain miss; transient read
         errors are retried with backoff, then degrade to a miss with a
-        :class:`DegradedModeWarning`; an entry that is not an archive,
-        whose members do not read back (truncated, failed checksum), or
-        that ``decode`` refuses with :class:`~repro.errors.ArtifactError`
-        (the content address pins the key and the fingerprints, so a
-        mismatch means the file's bytes are wrong) is quarantined.
+        :class:`DegradedModeWarning`; an entry that does not unpack
+        (truncated, failed checksum, not an entry at all) or that
+        ``decode`` refuses with :class:`~repro.errors.ArtifactError` (the
+        content address pins the key and the fingerprints, so a mismatch
+        means the file's bytes are wrong) is quarantined.
         """
 
-        def read() -> _Entry:
-            # The file is opened here, not by numpy, which leaks the
-            # handle when the archive's directory does not parse.
+        def read() -> bytearray:
+            # A bytearray, so the members are writable arrays; a short
+            # read leaves zeros the checksum refuses.
             with open(path, "rb") as handle:
-                members = np.load(handle, allow_pickle=False)
-                if not hasattr(members, "files"):
-                    raise ArtifactError("a bare array, not an archive")
-                with members:
-                    return decode(members)
+                buffer = bytearray(os.fstat(handle.fileno()).st_size)
+                handle.readinto(buffer)
+            return buffer
 
         try:
-            return self._with_retries(read)
+            buffer = self._with_retries(read)
         except FileNotFoundError:
             return None
         except OSError as error:
@@ -354,16 +453,16 @@ class CompileCache:
                 stacklevel=3,
             )
             return None
-        except (
-            ArtifactError, ValueError, zipfile.BadZipFile, EOFError
-        ) as error:
+        try:
+            return decode(unpack_entry(buffer))
+        except ArtifactError as error:
             self._quarantine(path, str(error))
             return None
 
     # -- compiled automata ---------------------------------------------------
 
     def automaton_path(self, key: str) -> Path:
-        return self._artifact_path(key, ".automaton.npz")
+        return self._artifact_path(key, ".automaton")
 
     def store_automaton(
         self, key: str, automaton: HomogeneousAutomaton
@@ -373,14 +472,14 @@ class CompileCache:
         ``None`` when the directory is unwritable."""
         path = self.automaton_path(key)
         form = automaton._array_form()
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            key=np.asarray(key),
-            fingerprint=np.asarray(automaton._fingerprint(form)),
-            **form.arrays(),
+        payload = pack_entry(
+            {
+                "key": np.asarray(key),
+                "fingerprint": np.asarray(automaton._fingerprint(form)),
+                **form.arrays(),
+            }
         )
-        if not self._store_entry(path, buffer.getvalue()):
+        if not self._store_entry(path, payload):
             return None
         self.stats.automaton_stores += 1
         return path
@@ -428,7 +527,7 @@ class CompileCache:
         path = self.mapping_path(
             artifact.automaton, artifact.design, stride=artifact.stride
         )
-        if not self._store_entry(path, artifact.npz_bytes()):
+        if not self._store_entry(path, artifact.entry_bytes()):
             return None
         self.stats.stores += 1
         return path

@@ -7,7 +7,6 @@ across crafted inputs, suite workloads, and seeded random streams,
 whole-stream and chunked.
 """
 
-import io
 import os
 import re
 import warnings
@@ -30,6 +29,7 @@ from repro.backends import registry as registry_module
 from repro.backends.artifact import CompiledArtifact
 from repro.backends.base import AutomatonBackend
 from repro.compiler import compile_automaton
+from repro.compiler.cache import CompileCache, pack_entry, unpack_entry
 from repro.core.design import CA_P
 from repro.engine import CacheAutomatonEngine
 from repro.errors import (
@@ -538,8 +538,6 @@ class TestStride:
         )
 
     def test_strided_and_unstrided_artifacts_keyed_apart(self, tmp_path):
-        from repro.compiler.cache import CompileCache
-
         cache = CompileCache(tmp_path)
         plain = CacheAutomatonEngine.from_patterns(
             PATTERNS, cache=cache, backend="lazy-dfa"
@@ -625,8 +623,8 @@ class TestRegistry:
 
 class TestCompiledArtifact:
     def test_npz_round_trip_cold(self, pattern_artifact):
-        restored = CompiledArtifact.from_npz_bytes(
-            pattern_artifact.npz_bytes(),
+        restored = CompiledArtifact.from_entry_bytes(
+            pattern_artifact.entry_bytes(),
             pattern_artifact.automaton,
             pattern_artifact.design,
         )
@@ -646,8 +644,8 @@ class TestCompiledArtifact:
     def test_npz_round_trip_warm(self, pattern_artifact):
         backend = create_backend("packed-kernel", pattern_artifact)
         warm = pattern_artifact.with_kernel_tables(backend.packed_tables())
-        restored = CompiledArtifact.from_npz_bytes(
-            warm.npz_bytes(), warm.automaton, warm.design
+        restored = CompiledArtifact.from_entry_bytes(
+            warm.entry_bytes(), warm.automaton, warm.design
         )
         assert set(restored.kernel_tables) == set(warm.kernel_tables)
         for key, table in warm.kernel_tables.items():
@@ -662,14 +660,14 @@ class TestCompiledArtifact:
     def test_wrong_automaton_is_rejected(self, pattern_artifact):
         other = _artifact(["completely", "different"])
         with pytest.raises(ArtifactError, match="fingerprint"):
-            CompiledArtifact.from_npz_bytes(
-                pattern_artifact.npz_bytes(), other.automaton, other.design
+            CompiledArtifact.from_entry_bytes(
+                pattern_artifact.entry_bytes(), other.automaton, other.design
             )
 
     def test_corrupt_payload_is_rejected(self, pattern_artifact):
         with pytest.raises(ArtifactError):
-            CompiledArtifact.from_npz_bytes(
-                b"not an npz payload",
+            CompiledArtifact.from_entry_bytes(
+                b"not a cache entry",
                 pattern_artifact.automaton,
                 pattern_artifact.design,
             )
@@ -683,8 +681,8 @@ class TestCompiledArtifact:
         strided = CompiledArtifact.from_mapping(
             pattern_artifact.mapping, stride=2, stride_tables=alphabet.tables()
         )
-        restored = CompiledArtifact.from_npz_bytes(
-            strided.npz_bytes(), strided.automaton, strided.design, stride=2
+        restored = CompiledArtifact.from_entry_bytes(
+            strided.entry_bytes(), strided.automaton, strided.design, stride=2
         )
         assert restored.stride == 2
         assert set(restored.stride_tables) == set(strided.stride_tables)
@@ -699,8 +697,8 @@ class TestCompiledArtifact:
         # A stride-1 payload must not satisfy a stride-2 load (and vice
         # versa) — the cache treats them as distinct artifacts.
         with pytest.raises(ArtifactError, match="stride"):
-            CompiledArtifact.from_npz_bytes(
-                pattern_artifact.npz_bytes(),
+            CompiledArtifact.from_entry_bytes(
+                pattern_artifact.entry_bytes(),
                 pattern_artifact.automaton,
                 pattern_artifact.design,
                 stride=2,
@@ -709,18 +707,14 @@ class TestCompiledArtifact:
     def test_pre_stride_payload_is_rejected(self, pattern_artifact):
         # Simulate an artifact written before the stride-aware format:
         # downgrade the version member and drop the stride scalar.
-        members = dict(
-            np.load(io.BytesIO(pattern_artifact.npz_bytes()))
-        )
+        members = unpack_entry(pattern_artifact.entry_bytes())
         members["artifact_version"] = np.asarray(1, dtype=np.int64)
         del members["stride"]
-        buffer = io.BytesIO()
-        np.savez(buffer, **members)
         with pytest.raises(
             ArtifactError, match="unsupported artifact version 1"
         ):
-            CompiledArtifact.from_npz_bytes(
-                buffer.getvalue(),
+            CompiledArtifact.from_entry_bytes(
+                pack_entry(members),
                 pattern_artifact.automaton,
                 pattern_artifact.design,
             )
@@ -728,18 +722,15 @@ class TestCompiledArtifact:
     def test_cache_quarantines_pre_stride_artifact(
         self, tmp_path, pattern_artifact
     ):
-        from repro.compiler.cache import CompileCache
-
         cache = CompileCache(tmp_path)
         cache.store_artifact(pattern_artifact)
         path = cache.mapping_path(
             pattern_artifact.automaton, pattern_artifact.design
         )
-        members = dict(np.load(path))
+        members = unpack_entry(path.read_bytes())
         members["artifact_version"] = np.asarray(1, dtype=np.int64)
         del members["stride"]
-        with open(path, "wb") as handle:
-            np.savez(handle, **members)
+        path.write_bytes(pack_entry(members))
         with pytest.warns(DegradedModeWarning, match="artifact version"):
             assert (
                 cache.load_artifact(

@@ -11,14 +11,17 @@ automaton itself, rebuilt from arrays and re-verified by fingerprint.
 from __future__ import annotations
 
 import hashlib
-import io
+import itertools
+import json
 import multiprocessing
 import pickle
 import random
+import struct
 import sys
 import threading
 import warnings
-from dataclasses import replace
+import zlib
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -29,18 +32,22 @@ from repro.automata.anml import HomogeneousAutomaton, StartKind
 from repro.automata.symbols import SymbolSet
 from repro.backends import artifact as artifact_module
 from repro.backends.artifact import CompiledArtifact
+from repro.compiler import cache as cache_module
 from repro.compiler import compile_automaton, mapping_to_json
 from repro.compiler.cache import (
+    ENTRY_MAGIC,
     CacheStats,
     CompileCache,
     automaton_fingerprint,
     cache_key,
     design_fingerprint,
+    pack_entry,
     source_key,
+    unpack_entry,
 )
 from repro.core.design import CA_64, CA_P
 from repro.engine import CacheAutomatonEngine
-from repro.errors import AutomatonError, DegradedModeWarning
+from repro.errors import ArtifactError, AutomatonError, DegradedModeWarning
 from repro.parallel import default_mp_method
 from repro.regex.compile import compile_patterns
 from repro.sim.functional import MappedSimulator
@@ -82,6 +89,28 @@ class TestFingerprints:
         tweaked = replace(CA_P, name="CA_P_tweaked")
         assert design_fingerprint(tweaked) != design_fingerprint(CA_P)
         assert cache_key(automaton, tweaked) != cache_key(automaton, CA_P)
+
+    def test_design_is_hashed_once_per_design(self, tmp_path, monkeypatch):
+        """A warm start needs the design fingerprint for the artefact key
+        and again to verify the artefact; two warm starts hash it once."""
+        design = replace(CA_P, name="hashed-once")
+        CacheAutomatonEngine.from_patterns(
+            PATTERNS, cache=tmp_path, design=design
+        )
+        hashed = []
+
+        def counting_asdict(value):
+            hashed.append(value)
+            return asdict(value)
+
+        monkeypatch.setattr("repro.compiler.cache.asdict", counting_asdict)
+        cache_module._design_fingerprint.cache_clear()
+        for _ in range(2):
+            warm = CacheAutomatonEngine.from_patterns(
+                PATTERNS, cache=tmp_path, design=design
+            )
+            assert warm.health().tier == "warm-cache"
+        assert hashed == [design]
 
 
 class TestMappingRoundTrip:
@@ -144,7 +173,7 @@ class TestMappingRoundTrip:
     def test_corrupt_artifact_is_a_miss(self, cache, automaton):
         mapping = compile_automaton(automaton, CA_P)
         path = cache.store_artifact(CompiledArtifact.from_mapping(mapping))
-        path.write_bytes(b"not an npz archive")
+        path.write_bytes(b"not a cache entry")
         assert cache.load_artifact(automaton, CA_P) is None
 
 
@@ -165,16 +194,14 @@ class TestPlacementRoundTrip:
     )
     @settings(max_examples=30, deadline=None)
     def test_every_view_survives_the_payload(self, patterns, design):
-        """compile -> to_payload -> npz -> from_payload: the three arrays
+        """compile -> to_payload -> entry -> from_payload: the three arrays
         carry the whole placement, so every view derived from them on the
         far side equals the one derived on the near side."""
         machine = compile_patterns(patterns)
         mapping = compile_automaton(machine, design)
-        buffer = io.BytesIO()
-        np.savez(buffer, **CompiledArtifact.from_mapping(mapping).to_payload())
-        buffer.seek(0)
-        with np.load(buffer) as data:
-            loaded = CompiledArtifact.from_payload(data, machine, design).mapping
+        loaded = CompiledArtifact.from_entry_bytes(
+            CompiledArtifact.from_mapping(mapping).entry_bytes(), machine, design
+        ).mapping
         assert loaded.location == mapping.location
         assert [(p.index, p.way, p.ste_ids) for p in loaded.partitions] == [
             (p.index, p.way, p.ste_ids) for p in mapping.partitions
@@ -212,7 +239,7 @@ def _write_parent_commit_entry(root, artifact):
     ).hexdigest()
     path = root / "v1" / key[:2] / f"{key}.npz"
     path.parent.mkdir(parents=True)
-    path.write_bytes(artifact.npz_bytes())
+    path.write_bytes(artifact.entry_bytes())
 
 
 def _bump_layout_after_store(root, artifact, monkeypatch):
@@ -221,6 +248,10 @@ def _bump_layout_after_store(root, artifact, monkeypatch):
         "repro.backends.artifact.ARTIFACT_FORMAT_VERSION",
         artifact_module.ARTIFACT_FORMAT_VERSION + 1,
     )
+
+
+def _entries(root):
+    return [path for path in root.rglob("*") if path.is_file()]
 
 
 class TestOtherLayoutsArePlainMisses:
@@ -235,7 +266,7 @@ class TestOtherLayoutsArePlainMisses:
             _write_parent_commit_entry(tmp_path, artifact)
         else:
             _bump_layout_after_store(tmp_path, artifact, monkeypatch)
-        [stale] = list(tmp_path.rglob("*.npz"))
+        [stale] = _entries(tmp_path)
         before = stale.read_bytes()
         cache = CompileCache(tmp_path)
         with warnings.catch_warnings():
@@ -246,7 +277,7 @@ class TestOtherLayoutsArePlainMisses:
         assert cache.stats.quarantines == 0
         assert cache.stats.stores == 1
         assert stale.read_bytes() == before
-        assert len(list(tmp_path.rglob("*.npz"))) == 2
+        assert len(_entries(tmp_path)) == 2
 
 
 #: What a decoded automaton builds once something walks its graph.
@@ -577,18 +608,16 @@ def _rows(engine, data=PATTERN_DATA):
 
 
 def _automaton_entry(directory):
-    [path] = list(directory.rglob("*.automaton.npz"))
+    [path] = list(directory.rglob("*.automaton"))
     return path
 
 
 def _rewrite_entry(path, **members):
-    """The entry at ``path`` with ``members`` replaced, as a valid archive."""
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
+    """The entry at ``path`` with ``members`` replaced, as a valid entry
+    (checksum included)."""
+    arrays = unpack_entry(path.read_bytes())
     arrays.update(members)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    path.write_bytes(buffer.getvalue())
+    path.write_bytes(pack_entry(arrays))
 
 
 def _truncate(path):
@@ -596,10 +625,9 @@ def _truncate(path):
 
 
 def _flip_bit(path):
-    """One bit inside the ``targets`` column's data: the archive still
-    opens and every header parses, only that member's checksum fails."""
-    with np.load(path) as data:
-        column = data["targets"].tobytes()
+    """One bit inside the ``targets`` column's data: the magic tag and
+    the header are intact, only the entry's checksum fails."""
+    column = unpack_entry(path.read_bytes())["targets"].tobytes()
     payload = bytearray(path.read_bytes())
     payload[payload.index(column) + len(column) // 2] ^= 0x01
     path.write_bytes(bytes(payload))
@@ -616,6 +644,123 @@ def _other_automaton(path):
 
 def _stale_fingerprint(path):
     _rewrite_entry(path, fingerprint=np.asarray("f" * 64))
+
+
+def _fail_automaton_reads(monkeypatch, errors):
+    """Make the cache's reads of automaton entries raise the next of
+    ``errors`` until it runs out (the file is there; only reading it
+    fails)."""
+
+    def flaky_open(file, *args, **kwargs):
+        if str(file).endswith(".automaton"):
+            error = next(errors, None)
+            if error is not None:
+                raise error
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(
+        "repro.compiler.cache.open", flaky_open, raising=False
+    )
+
+
+def _sealed(header, body=bytes(16)):
+    """An entry with a valid magic tag and checksum around any header."""
+    head = json.dumps(header).encode("ascii")
+    rest = struct.pack("<I", len(head)) + head + bytes(-len(head) % 8) + body
+    return ENTRY_MAGIC + struct.pack("<I", zlib.crc32(rest)) + rest
+
+
+class TestEntryLayout:
+    def test_members_read_back_as_written(self):
+        members = {
+            "version": np.asarray(5, dtype=np.int64),
+            "key": np.asarray("0f" * 32),
+            "names": np.frombuffer(b'{"id": "e"}', dtype=np.uint8),
+            "masks": np.arange(96, dtype=np.uint8).reshape(3, 32),
+            "reporting": np.array([True, False, True]),
+            "empty": np.zeros((0, 32), dtype=np.uint8),
+            "strided": np.arange(12, dtype=np.int32).reshape(3, 4)[:, ::2],
+            "big_endian": np.arange(5, dtype=">u2"),
+        }
+        restored = unpack_entry(bytearray(pack_entry(members)))
+        assert list(restored) == list(members)
+        for name, array in members.items():
+            assert restored[name].dtype == array.dtype, name
+            assert restored[name].shape == array.shape, name
+            assert np.array_equal(restored[name], array), name
+            assert restored[name].flags.aligned, name
+            assert restored[name].flags.writeable, name
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([{}], dtype=object),
+            np.zeros(2, dtype=[("a", "<i4"), ("b", "|O")]),
+            np.zeros(2, dtype=[("a", "<i4"), ("b", "<f8")]),
+        ],
+    )
+    def test_members_that_are_not_plain_data_are_refused(self, array):
+        with pytest.raises(ValueError, match="not plain data"):
+            pack_entry({"member": array})
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"boxed": ["|O", [1], 0]},
+            {"boxed": ["<i8,|O", [1], 0]},
+            {"before": ["<i8", [1], -8]},
+            {"past": ["<i8", [3], 0]},
+            {"odd": ["not a dtype", [1], 0]},
+            {"flat": ["<i8", 1, 0]},
+            {"short": ["<i8", [1]]},
+            ["not", "a", "mapping"],
+        ],
+    )
+    def test_headers_that_describe_no_array_are_refused(self, header):
+        with pytest.raises(ArtifactError):
+            unpack_entry(_sealed(header))
+
+
+class TestEveryBitFlipIsQuarantined:
+    """One flipped bit at any byte of an entry of either kind — magic
+    tag, checksum, header or body — is quarantined: the load neither
+    raises nor returns, and a build over it recompiles."""
+
+    @pytest.mark.parametrize("kind", ["automaton", "artifact"])
+    def test_flip_one_bit_at_every_byte(self, tmp_path, kind):
+        directory = tmp_path / "cache"
+        cold = CacheAutomatonEngine.from_patterns(PATTERNS, cache=directory)
+        [path] = list(directory.rglob(f"*.{kind}"))
+        good = path.read_bytes()
+        cache = CompileCache(directory)
+        if kind == "automaton":
+            key = source_key(PATTERNS, PATTERNS, "engine")
+
+            def load():
+                return cache.load_automaton(key)
+
+        else:
+
+            def load():
+                return cache.load_artifact(cold.automaton, cold.design)
+
+        assert load() is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedModeWarning)
+            for position in range(len(good)):
+                damaged = bytearray(good)
+                damaged[position] ^= 1 << position % 8
+                path.write_bytes(damaged)
+                assert load() is None, position
+                assert not path.exists(), position
+                if position % 101 == 0:
+                    path.write_bytes(damaged)
+                    rebuilt = CacheAutomatonEngine.from_patterns(
+                        PATTERNS, cache=directory
+                    )
+                    assert _rows(rebuilt) == _rows(cold), position
+                    assert path.read_bytes() == good, position
+        assert cache.stats.quarantines == len(good)
 
 
 class TestAutomatonEntryFailures:
@@ -653,15 +798,7 @@ class TestAutomatonEntryFailures:
         directory = tmp_path / "cache"
         CacheAutomatonEngine.from_patterns(PATTERNS, cache=directory)
         monkeypatch.setattr("repro.compiler.cache.time.sleep", lambda _: None)
-        real_load = np.load
-        failures = [OSError("transient"), OSError("transient")]
-
-        def flaky_load(handle, *args, **kwargs):
-            if handle.name.endswith(".automaton.npz") and failures:
-                raise failures.pop()
-            return real_load(handle, *args, **kwargs)
-
-        monkeypatch.setattr("repro.compiler.cache.np.load", flaky_load)
+        _fail_automaton_reads(monkeypatch, iter([OSError("transient")] * 2))
         cache = CompileCache(directory)
         engine = CacheAutomatonEngine.from_patterns(PATTERNS, cache=cache)
         assert cache.stats.retries == 2
@@ -674,14 +811,9 @@ class TestAutomatonEntryFailures:
         directory = tmp_path / "cache"
         cold = CacheAutomatonEngine.from_patterns(PATTERNS, cache=directory)
         monkeypatch.setattr("repro.compiler.cache.time.sleep", lambda _: None)
-        real_load = np.load
-
-        def failing_load(handle, *args, **kwargs):
-            if handle.name.endswith(".automaton.npz"):
-                raise OSError("device not ready")
-            return real_load(handle, *args, **kwargs)
-
-        monkeypatch.setattr("repro.compiler.cache.np.load", failing_load)
+        _fail_automaton_reads(
+            monkeypatch, itertools.repeat(OSError("device not ready"))
+        )
         cache = CompileCache(directory)
         with pytest.warns(DegradedModeWarning, match="cache read failed"):
             engine = CacheAutomatonEngine.from_patterns(PATTERNS, cache=cache)
@@ -713,7 +845,7 @@ class TestAutomatonEntryFailures:
         CacheAutomatonEngine.from_patterns(
             PATTERNS, cache=optimized, optimize=True
         )
-        assert not list(optimized.directory.rglob("*.npz"))
+        assert not _entries(optimized.directory)
         assert optimized.stats.automaton_misses == 0
         assert optimized.stats.automaton_stores == 0
         assert optimized.stats.bypasses == 1
@@ -895,8 +1027,8 @@ class TestConcurrentTierChain:
         seeder.store_artifact(
             CompiledArtifact.from_mapping(compile_automaton(automaton, CA_P))
         )
-        artifact_path = next(directory.rglob("*.npz"))
-        artifact_path.write_bytes(b"garbage, not an npz archive")
+        artifact_path = next(directory.rglob("*.artifact"))
+        artifact_path.write_bytes(b"garbage, not a cache entry")
 
         barrier = threading.Barrier(2)
         results = {}

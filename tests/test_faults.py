@@ -324,8 +324,8 @@ class TestEngineDegradation:
         cold = CacheAutomatonEngine(automaton, cache=cache)
         assert cold.health().tier == "cold-compile"
         assert not cold.health().degraded
-        [artifact] = list((tmp_path / "artifacts").rglob("*.npz"))
-        artifact.write_bytes(b"garbage, not an archive")
+        [artifact] = list((tmp_path / "artifacts").rglob("*.artifact"))
+        artifact.write_bytes(b"garbage, not a cache entry")
         with pytest.warns(DegradedModeWarning, match="quarantine"):
             recovered = CacheAutomatonEngine(automaton, cache=cache)
         health = recovered.health()

@@ -12,7 +12,6 @@ run the mixed ruleset whole on the packed kernel, bit-identical to the
 golden interpreter.
 """
 
-import io
 import warnings
 
 import numpy as np
@@ -304,10 +303,8 @@ class TestArtifactClassifyTables:
     def test_classify_tables_round_trip_payload(self, mixed_artifact):
         placement = place_automaton(mixed_artifact.automaton)
         artifact = mixed_artifact.with_classify_tables(placement.to_tables())
-        restored = CompiledArtifact.from_payload(
-            np.load(io.BytesIO(artifact.npz_bytes())),
-            artifact.automaton,
-            artifact.design,
+        restored = CompiledArtifact.from_entry_bytes(
+            artifact.entry_bytes(), artifact.automaton, artifact.design
         )
         assert set(restored.classify_tables) == set(artifact.classify_tables)
         assert cached_placement(restored.classify_tables) == placement

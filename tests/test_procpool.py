@@ -1231,8 +1231,8 @@ class TestCrossProcessCacheContention:
         seeder.store_artifact(
             CompiledArtifact.from_mapping(compile_automaton(automaton, CA_P))
         )
-        artifact = next((tmp_path / "shared").rglob("*.npz"))
-        artifact.write_bytes(b"garbage, not an npz archive")
+        artifact = next((tmp_path / "shared").rglob("*.artifact"))
+        artifact.write_bytes(b"garbage, not a cache entry")
 
         context = multiprocessing.get_context(default_mp_method())
         barrier = context.Barrier(2)
