@@ -20,7 +20,6 @@ import operator
 import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set
 
 import numpy as np
@@ -493,36 +492,23 @@ class _ArrayForm(NamedTuple):
         return arrays
 
     def fingerprint(self) -> str:
-        """SHA-256 of, per state in sorted-id order, its UTF-8 id, ``\\0``,
-        its 32-byte little-endian symbol mask, its start kind's value,
-        ``R`` if it reports else ``-``, its UTF-8 report code (empty for
-        none) and ``\\0``; then ``sources`` and ``targets`` as
-        little-endian int32 — one ``join`` over per-column lookups."""
-        masks = [b"\x00" + row.tobytes() for row in self.masks]
-        flags = [
-            kind.value.encode("ascii") + flag
-            for kind in _START_KINDS
-            for flag in (b"-", b"R")
-        ]
-        # code_of's -1 selects the last entry: no code.
-        codes = [code.encode("utf-8") + b"\x00" for code in self.codes]
-        codes.append(b"\x00")
+        """SHA-256 of the columns: the state and edge counts as
+        little-endian int64; the UTF-8 ids joined by ``\\0``; per state
+        its 32-byte symbol mask (``masks[mask_of]``), then per state its
+        start kind's index and report flag as bytes; the report codes as
+        one JSON list and ``code_of`` (-1 for none) as little-endian
+        int32; then ``sources`` and ``targets`` as little-endian int32 —
+        a few bulk conversions, nothing per state in Python."""
         digest = hashlib.sha256(
-            b"".join(
-                chain.from_iterable(
-                    zip(
-                        map(str.encode, self.ids),
-                        map(masks.__getitem__, self.mask_of.tolist()),
-                        map(
-                            flags.__getitem__,
-                            (2 * self.start.astype(np.int32) + self.reporting)
-                            .tolist(),
-                        ),
-                        map(codes.__getitem__, self.code_of.tolist()),
-                    )
-                )
-            )
+            np.array([len(self.ids), len(self.sources)], "<i8").tobytes()
         )
+        digest.update("\0".join(self.ids).encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(self.masks[self.mask_of].tobytes())
+        digest.update(self.start.astype(np.uint8).tobytes())
+        digest.update(self.reporting.astype(np.uint8).tobytes())
+        digest.update(json.dumps(self.codes).encode("ascii"))
+        digest.update(self.code_of.astype("<i4").tobytes())
         digest.update(self.sources.astype("<i4").tobytes())
         digest.update(self.targets.astype("<i4").tobytes())
         return digest.hexdigest()

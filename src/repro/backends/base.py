@@ -197,6 +197,13 @@ class AutomatonBackend:
         with its ``materialise_raw``)."""
         return {}
 
+    def bind_table_entry(self, cache, key: str) -> None:
+        """Take the ``<key>.table`` entry of ``cache`` (a
+        :class:`~repro.compiler.cache.CompileCache`), which a backend that
+        learns a table as it scans adopts at build and stores into as it
+        learns; the others — all but lazy-dfa — have nothing to keep
+        there."""
+
     def stream(self) -> BackendStream:
         if not self.capabilities().resume:
             raise SimulationError(

@@ -42,6 +42,7 @@ with a :class:`~repro.errors.DegradedModeWarning`
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -203,6 +204,15 @@ class LazyDfaBackend(AutomatonBackend):
         tables = dict(self.simulator.kernel.packed_tables())
         tables.update(self.dfa.export_tables())
         return tables
+
+    def bind_table_entry(self, cache, key: str) -> None:
+        """Adopt the table ``cache`` holds under ``key`` for this kernel
+        (a warm start scans warm from its first byte), then store the
+        table there as scans learn
+        (:meth:`~repro.sim.lazydfa.LazyDfaKernel.persist`)."""
+        kernel = self.dfa.digest()
+        cache.load_table(key, kernel, self.dfa.width, self.dfa.seed)
+        self.dfa.persist(functools.partial(cache.store_table, key, kernel))
 
     def cache_info(self) -> Dict[str, int]:
         """The DFA transition cache's effectiveness counters."""

@@ -3,8 +3,8 @@
 Everything between a pattern list and a ready backend is a pure function
 of its inputs, so every stage's product is an entry of this cache
 (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), and a warm start is "read,
-verify, build the backend" and nothing else.  There are two kinds of
-entry, each under its own key:
+verify, build the backend" and nothing else.  There are three kinds of
+entry, under two keys:
 
 * the **source key** (:func:`source_key`) hashes what the regex front
   end reads — :data:`FRONT_END_VERSION`, the ordered pattern list, the
@@ -31,9 +31,18 @@ entry, each under its own key:
   * the **design fingerprint** hashes every field of the
     :class:`~repro.core.design.DesignPoint` (and the stride), so any
     parameter change (partition size, wire budgets, geometry, clock)
-    busts the key.  It is memoised per (design, stride).
+    busts the key.  It is memoised per (design, stride);
 
-Both kinds share one flat file layout (:func:`pack_entry` /
+* the artefact key also addresses the lazy DFA's **learned table**
+  (``<key>.table``: what
+  :meth:`~repro.sim.lazydfa.LazyDfaKernel.export_tables` gives, its
+  successor table kept as the learned cells, with the key and the
+  digest of the kernel the table was learned on), which a warm
+  engine adopts so that it scans warm from its first byte
+  (:meth:`CompileCache.load_table`, :meth:`CompileCache.store_table`).
+  A table offered to another kernel is quarantined, never adopted.
+
+All three share one flat file layout (:func:`pack_entry` /
 :func:`unpack_entry`), so loading an entry is one read, one CRC-32 and
 one small JSON header, and every member is an aligned array view of the
 bytes read:
@@ -103,7 +112,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: different automaton, or the stored automaton's array layout or file
 #: layout changes.  It is hashed into every source key, so entries
 #: written by the older front end are simply never looked up again.
-FRONT_END_VERSION = 2
+FRONT_END_VERSION = 3
 
 #: The first bytes of every cache entry (see :func:`pack_entry`).
 ENTRY_MAGIC = b"REPROENT"
@@ -134,9 +143,10 @@ def default_cache_root() -> Path:
 
 def automaton_fingerprint(automaton: HomogeneousAutomaton) -> str:
     """Content hash of the automaton's array form
-    (:meth:`~repro.automata.anml.HomogeneousAutomaton.to_arrays`): per
-    state in sorted-id order its id, symbol mask, start kind and report
-    flags, then the edges in (source, target) order.
+    (:meth:`~repro.automata.anml.HomogeneousAutomaton.to_arrays`), column
+    by column: the ids, each state's symbol mask, start kind, report flag
+    and report code in sorted-id order, then the edges in (source,
+    target) order.
 
     Memoised per automaton object on its mutation counter, so hot paths
     (engine construction in a warm process) pay the hash once.  An
@@ -273,10 +283,10 @@ class CacheStats:
 
     ``hits``/``misses``/``stores`` count artefact lookups;
     compiled-automaton lookups by source key have their own
-    ``automaton_*`` counters, so the artefact hit ratio keeps its
-    meaning.  ``quarantines`` counts corrupt entries of either kind
-    deleted on load; ``retries`` counts transient I/O errors that were
-    retried.
+    ``automaton_*`` counters and learned DFA tables their ``table_*``
+    ones, so the artefact hit ratio keeps its meaning.  ``quarantines``
+    counts corrupt entries of any kind deleted on load; ``retries``
+    counts transient I/O errors that were retried.
     """
 
     hits: int = 0
@@ -288,6 +298,9 @@ class CacheStats:
     automaton_hits: int = 0
     automaton_misses: int = 0
     automaton_stores: int = 0
+    table_hits: int = 0
+    table_misses: int = 0
+    table_stores: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(vars(self))
@@ -561,3 +574,109 @@ class CompileCache:
         else:
             self.stats.hits += 1
         return artifact
+
+    # -- learned DFA tables ------------------------------------------------
+
+    def table_path(self, key: str) -> Path:
+        return self._artifact_path(key, ".table")
+
+    def store_table(
+        self, key: str, kernel: str, tables: Mapping[str, np.ndarray]
+    ) -> Optional[Path]:
+        """Persist the ``dfa_rows``/``dfa_next`` of
+        :meth:`~repro.sim.lazydfa.LazyDfaKernel.export_tables` under
+        artefact key ``key``, named for the kernel they were learned on
+        (``kernel``, its :meth:`~repro.sim.lazydfa.LazyDfaKernel.digest`);
+        returns the entry's path, or ``None`` when the directory is
+        unwritable.
+
+        ``dfa_next`` is kept as its learned cells: ``dfa_cells``, their
+        ascending flat indices in the ``(states, dfa_width)`` table, and
+        ``dfa_targets``, their successors.  Most of a row is unlearned
+        (-1): over 16 lists of 40–200 rules, after an 8 KiB scan each,
+        the tables held 2.6 MB and their cells 120 KB."""
+        path = self.table_path(key)
+        successors = np.asarray(tables["dfa_next"])
+        cells = np.flatnonzero(successors >= 0)
+        payload = pack_entry(
+            {
+                "key": np.asarray(key),
+                "kernel": np.asarray(kernel),
+                "dfa_rows": tables["dfa_rows"],
+                "dfa_width": np.asarray(successors.shape[1], dtype=np.int64),
+                "dfa_cells": cells,
+                "dfa_targets": successors.reshape(-1)[cells],
+            }
+        )
+        # A table is rewritten at every doubling, so the old entry goes
+        # first: renaming over an existing file makes ext4 (auto_da_alloc)
+        # allocate and submit the new file's blocks inside the rename,
+        # ~140 µs against ~25 µs for unlink plus rename, and the write
+        # then lands in the scan that stored.  A reader in between sees a
+        # plain miss.
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:
+            pass
+        if not self._store_entry(path, payload):
+            return None
+        self.stats.table_stores += 1
+        return path
+
+    def load_table(
+        self,
+        key: str,
+        kernel: str,
+        width: int,
+        adopt: Callable[[Dict[str, np.ndarray]], None],
+    ) -> bool:
+        """Hand the table stored under artefact key ``key`` to ``adopt``
+        (:meth:`~repro.sim.lazydfa.LazyDfaKernel.seed`); ``False`` on a
+        miss.
+
+        The entry must name the kernel ``kernel`` digests and have that
+        kernel's table ``width``: a table learned on any other kernel, of
+        another width, or one ``adopt`` refuses is quarantined, never
+        adopted.  Failures are otherwise handled as :meth:`_load_entry`
+        describes.
+        """
+
+        def decode(data) -> bool:
+            try:
+                if str(data["key"]) != key:
+                    raise ArtifactError("stored artifact key does not match")
+                if str(data["kernel"]) != kernel:
+                    raise ArtifactError("table was learned on another kernel")
+                if int(data["dfa_width"]) != width:
+                    raise ArtifactError("table is of another width")
+                rows, cells = data["dfa_rows"], data["dfa_cells"]
+                # A row is at least a byte, so the table allocated below
+                # is bounded by the entry's size.
+                if rows.ndim != 2 or not rows.shape[1]:
+                    raise ValueError("rows are not a (states, bytes) table")
+                successors = np.full((len(rows), width), -1, dtype=np.int32)
+                if cells.ndim != 1 or not (
+                    cells.size == 0
+                    or 0 <= cells[0] <= cells[-1] < successors.size
+                    and (cells[1:] > cells[:-1]).all()
+                ):
+                    raise ValueError("cells are not ascending table indices")
+                successors.reshape(-1)[cells] = data["dfa_targets"]
+                adopt({"dfa_rows": rows, "dfa_next": successors})
+            except (
+                AutomatonError,  # StrideError: a table of another width
+                IndexError,
+                KeyError,
+                TypeError,
+                ValueError,
+            ) as error:
+                raise ArtifactError(f"unusable table: {error}") from None
+            return True
+
+        adopted = self._load_entry(self.table_path(key), decode) is not None
+        if adopted:
+            self.stats.table_hits += 1
+        else:
+            self.stats.table_misses += 1
+        return adopted
+

@@ -56,7 +56,7 @@ from repro.backends.validation import (
 )
 from repro.baselines.ap import ApModel
 from repro.compiler import Mapping, compile_automaton, compile_space_optimized
-from repro.compiler.cache import CacheStats, CompileCache, source_key
+from repro.compiler.cache import CacheStats, CompileCache, cache_key, source_key
 from repro.compiler.classify import cached_placement, place_automaton
 from repro.core.design import CA_P, DesignPoint
 from repro.core.energy import ActivityProfile, EnergyModel
@@ -452,6 +452,15 @@ class CacheAutomatonEngine:
                 stored = stored.with_classify_tables(classify_tables)
             if self._tier is not TIER_WARM_CACHE or stored is not artifact:
                 self._cache.store_artifact(stored)
+            # A backend that learns a table as it scans starts from the
+            # one an earlier engine on this artifact stored, and stores
+            # what it learns for the next.
+            quarantines_before = self._cache.stats.quarantines
+            engine_backend.bind_table_entry(
+                self._cache, cache_key(artifact.automaton, design, stride=stride)
+            )
+            if self._cache.stats.quarantines > quarantines_before:
+                self._health_events.append("quarantined corrupt cached DFA table")
 
         self.artifact = artifact
         self.mapping: Mapping = artifact.mapping

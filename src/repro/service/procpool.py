@@ -336,6 +336,10 @@ def _build_engine(spec: TenantWorkerSpec):
     if scanner is None:
         engine = registration.build_engine(spec.cache)
         scanner = span_scanner(engine.backend, engine.health_event_count)
+        if isinstance(scanner, DfaSpans):
+            # A worker reads the tenant's learned table; the parent's
+            # engine is the one that stores it.
+            scanner.dfa.persist(None)
     _WORKER_ENGINES[registration.fingerprint] = scanner
     while len(_WORKER_ENGINES) > WORKER_ENGINE_CACHE_LIMIT:
         _WORKER_ENGINES.popitem(last=False)

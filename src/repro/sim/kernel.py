@@ -1065,12 +1065,14 @@ class BitsetKernel:
         """``(left, right, start_all)``: per offset ``d`` of the edges,
         the int ``M_d`` of their tails and ``|d|``, split by the
         direction of the shift, and the all-input start row as an int —
-        or ``()`` when there are no offsets or more than
-        :data:`SHIFT_OFFSETS`.  Decided once, on the first non-idle
-        cycle; a shift kernel unpacks every match row now."""
+        or ``()`` when shifts are off (:data:`SHIFT_OFFSETS` is 0) or
+        the edges fall in more offsets than it allows.  A kernel without
+        edges has no offsets and an empty plan, whose successor row is
+        always 0.  Decided once, on the first non-idle cycle; a shift
+        kernel unpacks every match row now."""
         tail, head = self.edges()
         offsets, which = np.unique(head - tail, return_inverse=True)
-        if not 0 < len(offsets) <= SHIFT_OFFSETS:
+        if SHIFT_OFFSETS <= 0 or len(offsets) > SHIFT_OFFSETS:
             return ()
         masks = [0] * len(offsets)
         for index, bit in zip(which.tolist(), tail.tolist()):

@@ -55,7 +55,8 @@ flush-immune *event*, so callers can materialise golden-convention
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+import zlib
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -182,6 +183,11 @@ class LazyDfaKernel:
         events = self._table.records if alphabet is None else Interner()
         self._events: List[Tuple[int, bytes]] = events.values
         self._event_id = events.id
+        #: Where :meth:`closed` hands the table (see :meth:`persist`), and
+        #: the table's ``(misses, transitions)`` at its last store or
+        #: adoption.
+        self._store: Optional[Callable[[Dict[str, np.ndarray]], object]] = None
+        self._stored = (0, 0)
 
     @property
     def _max_states(self) -> int:
@@ -435,7 +441,10 @@ class LazyDfaKernel:
         ``stride_class_of``, ``stride_reps``) so workers rebuild the
         identical class map.  Reporting-row bytes are deliberately *not*
         exported — a seeded worker recomputes a reporting transition on
-        first use (see :meth:`seed`).
+        first use (see :meth:`seed`).  The consumers are worker
+        processes (a service tenant's spec, a shard fan-out) and the
+        ``<key>.table`` cache entry (:meth:`persist`), which keeps
+        ``dfa_rows`` and ``dfa_next``.
         """
         keys, nxt = self._table.publish()
         row_bytes = self._kernel.row_bytes
@@ -453,7 +462,9 @@ class LazyDfaKernel:
     def seed(self, tables: Dict[str, np.ndarray]) -> None:
         """Warm-start from — or, on a warm kernel, merge in —
         :meth:`export_tables` output, up to the state budget
-        (:meth:`LazyTable.adopt`).
+        (:meth:`LazyTable.adopt`): a worker's copy of its parent's table,
+        or the ``<key>.table`` cache entry an earlier engine on this
+        kernel stored (:meth:`persist`).
 
         Non-reporting transitions seed directly into the hot-loop lists;
         reporting ones stay missing (their reporting-row bytes were not
@@ -484,6 +495,53 @@ class LazyDfaKernel:
             for at in range(0, len(raw), row_bytes)
         ]
         self._table.adopt(keys, nxt)
+
+    # -- persistence -------------------------------------------------------
+
+    @property
+    def width(self) -> int:
+        """Columns of the transition table: 256 unstrided, else the
+        compressed stride-class count."""
+        return self._table.width
+
+    def digest(self) -> str:
+        """CRC-32 (8 hex digits) of the tables this kernel steps on: the
+        packed kernel tables and, strided, the alphabet's — each table's
+        name, dtype, shape and bytes in name order.  A learned table is
+        good only on the kernel whose digest it carries."""
+        tables = dict(self._kernel.packed_tables())
+        if self._alphabet is not None:
+            tables.update(self._alphabet.tables())
+        crc = 0
+        for name in sorted(tables):
+            array = np.ascontiguousarray(tables[name])
+            crc = zlib.crc32(f"{name}:{array.dtype.str}:{array.shape};".encode(), crc)
+            crc = zlib.crc32(array, crc)
+        return f"{crc:08x}"
+
+    def persist(
+        self, store: Optional[Callable[[Dict[str, np.ndarray]], object]]
+    ) -> None:
+        """From now on hand :meth:`export_tables` to ``store`` whenever a
+        scan ends having learned enough (:meth:`closed`); ``None`` stops
+        it.  What the table holds now counts as stored."""
+        self._store = store
+        self._stored = (self._table.misses, self._table.transitions)
+
+    def closed(self) -> None:
+        """A scan on this kernel ended (:meth:`DfaCursor.close`): store
+        the table when the misses since its last store or adoption at
+        least equal the transitions it held then.  Each store at least
+        doubles the misses behind it, so a kernel stores O(log misses)
+        times, and a store costs a fraction of the misses that paid for
+        it."""
+        if self._store is None:
+            return
+        misses, held = self._stored
+        learned = self._table.misses - misses
+        if learned and learned >= held:
+            self._stored = (self._table.misses, self._table.transitions)
+            self._store(self.export_tables())
 
     # -- introspection -----------------------------------------------------
 
@@ -604,6 +662,7 @@ class DfaCursor:
         checkpoint = self.kernel.leave(
             dfa.row(self.state), self.sod, self.base + self.offset
         )
+        dfa.closed()
         return raw_events, self.total, checkpoint, self.offset
 
 

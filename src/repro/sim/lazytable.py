@@ -45,17 +45,22 @@ it does with the records a scan met.
   cursor survives.
 * **Publication.**  An ``int32`` mirror of the silent successors is
   written at fill time, so :meth:`LazyTable.publish` hands out the
-  ``(states, width)`` table a shared-memory block carries without
-  walking the Python lists.  :meth:`LazyTable.adopt` merges such a table
-  into this one — fresh or warm — remapping ids through the keys and
-  stopping at the budget.  Transitions that carry a record are *not*
+  ``(states, width)`` table without walking the Python lists.  Its
+  consumers are worker processes (a service tenant's spec, a shard
+  fan-out's shared tables) and the lazy DFA's ``<key>.table`` cache
+  entry, which a warm engine adopts at build.  :meth:`LazyTable.adopt`
+  merges such a table into this one, remapping ids through the keys and
+  stopping at the budget; an empty table, the warm start's case, ends
+  with the source ids.  Transitions that carry a record are *not*
   published (``-1`` in the table): a consumer recomputes each on first
   use, one miss per distinct transition.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, islice
+from operator import setitem
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,6 +121,9 @@ class LazyTable:
         self.lookups = 0
         self.misses = 0
         self.flushes = 0
+        #: Transitions held: one a fill, none after a flush, and what an
+        #: adoption gained.
+        self.transitions = 0
         self.records = Interner()
         self.keys: List[Hashable] = []
         self.states: list = []
@@ -139,8 +147,8 @@ class LazyTable:
             self._ids[key] = sid
             self.keys.append(key)
             self.states.append(self._decode(key))
-            row = [~sid] * self.width
-            row.append(sid)
+            row = [~sid] * (self.width + 1)
+            row[-1] = sid
             self.enc_rows.append(row)
             capacity = self._next.shape[0]
             if sid >= capacity:
@@ -167,9 +175,11 @@ class LazyTable:
         state, so the caller's cursor survives the remap.
         """
         self.misses += 1
+        self.transitions += 1
         if len(self.keys) >= self.max_states:
             current = self.keys[sid]
             self.flushes += 1
+            self.transitions = 1
             self._next[: len(self.keys)] = -1
             self._ids.clear()
             del self.keys[:]
@@ -299,7 +309,8 @@ class LazyTable:
         transitions with records always do.  Nothing of ``nxt`` is kept
         (it may view memory that is unmapped right after).  A table of
         the wrong shape, or one whose successor ids are not ``-1`` or a
-        key's index, raises ``ValueError``.
+        key's index, raises ``ValueError``; so does a key not yet here
+        that repeats.
         """
         nxt = np.asarray(nxt)
         if nxt.shape != (len(keys), self.width):
@@ -312,30 +323,79 @@ class LazyTable:
                 f"adopt: successor ids run from {nxt.min()} to {nxt.max()}, "
                 f"outside -1 .. {len(keys) - 1}"
             )
+        # The keys not yet here take the next free ids in source order,
+        # as many as the budget leaves room for, so an empty table (a
+        # fresh kernel seeded from a cache entry or a worker's spec) ends
+        # with the source ids.  Each key is hashed once to look it up and
+        # a new one once more: a state key may be an int of thousands of
+        # bits, so a hash costs more than a step of the loop.
+        start = len(self.keys)
+        known = list(map(self._ids.get, keys))
+        new = [key for key, sid in zip(keys, known) if sid is None]
+        new = new[: max(0, self.max_states - start)]
+        added = dict(zip(new, range(start, start + len(new))))
+        if len(added) != len(new):
+            raise ValueError("adopt: a key repeats, so no table published it")
         # Source id -> local id.  The spare last slot is what a missing
         # (-1) source transition indexes, so missing stays missing.
-        sid_map = np.full(len(keys) + 1, -1, dtype=np.int32)
-        for index, key in enumerate(keys):
-            sid = self._ids.get(key)
-            if sid is None:
-                if len(self.keys) >= self.max_states:
-                    continue
-                sid = self.intern(key)
-            sid_map[index] = sid
-        sources = np.flatnonzero(sid_map[:-1] >= 0)
-        local = sid_map[sources]
-        remapped = sid_map[nxt[sources]]
-        # Whether (state, column) is silent is a property of the step
-        # function, not of who computed it, so the mirror alone says
-        # which of the offered transitions this table still lacks.
-        rows, columns = np.nonzero((remapped >= 0) & (self._next[local] < 0))
-        gained = remapped[rows, columns]
-        self._next[local[rows], columns] = gained
-        enc_rows = self.enc_rows
-        for sid, column, value in zip(
-            local[rows].tolist(), columns.tolist(), gained.tolist()
-        ):
-            enc_rows[sid][column] = enc_rows[value]
+        sid_map = np.array(
+            [-1 if sid is None else sid for sid in known] + [-1], dtype=np.int32
+        )
+        sid_map[np.flatnonzero(sid_map[:-1] < 0)[: len(new)]] = range(
+            start, start + len(new)
+        )
+        self._extend(added)
+        # Most of a table is unlearned, so only its learned cells are
+        # remapped: those whose source and successor both have an id
+        # here.  Whether (state, column) is silent is a property of the
+        # step function, not of who computed it, so the mirror alone
+        # says which of them this table still lacks.
+        rows, columns = np.nonzero(nxt >= 0)
+        local, gained = sid_map[rows], sid_map[nxt[rows, columns]]
+        keep = (local >= 0) & (gained >= 0)
+        local, columns, gained = local[keep], columns[keep], gained[keep]
+        keep = self._next[local, columns] < 0
+        local, columns, gained = local[keep], columns[keep], gained[keep]
+        self._next[local, columns] = gained
+        self._link(local, columns, gained)
+
+    def _extend(self, added: Dict[Hashable, int]) -> None:
+        """Intern the keys of ``added``, none of them here yet, under
+        their ids, which run on from the last one."""
+        start = len(self.keys)
+        self._ids.update(added)
+        self.keys += added
+        self.states += map(self._decode, added)
+        cells, rows = self.width + 1, self.enc_rows
+        for sid in range(start, len(self.keys)):
+            row = [~sid] * cells
+            row[-1] = sid
+            rows.append(row)
+        capacity = self._next.shape[0]
+        while capacity < len(self.keys):
+            capacity *= 2
+        if capacity > self._next.shape[0]:
+            grown = np.full((capacity, self.width), -1, dtype=np.int32)
+            grown[:start] = self._next[:start]
+            self._next = grown
+
+    def _link(
+        self, sources: np.ndarray, columns: np.ndarray, targets: np.ndarray
+    ) -> None:
+        """Point each ``(source, column)`` cell at ``target``'s row: the
+        silent transitions :meth:`adopt` gained, set in one C-level
+        pass instead of a Python loop a transition."""
+        row_of = self.enc_rows.__getitem__
+        deque(
+            map(
+                setitem,
+                map(row_of, sources.tolist()),
+                columns.tolist(),
+                map(row_of, targets.tolist()),
+            ),
+            maxlen=0,
+        )
+        self.transitions += len(columns)
 
     def counters(self) -> Dict[str, int]:
         """The ``cache_info()`` keys every table user reports; ``hits``

@@ -52,6 +52,7 @@ from repro.parallel import default_mp_method
 from repro.regex.compile import compile_patterns
 from repro.sim.functional import MappedSimulator
 from repro.sim.kernel import placement_ids
+from repro.sim.lazydfa import LazyDfaKernel
 from repro.workloads import synth
 from tests.conftest import chain_automaton
 
@@ -386,10 +387,11 @@ SYNTH_LISTS = {
 }
 
 #: ``compile_patterns(PINNED_PATTERNS, report_codes=PINNED_PATTERNS,
-#: automaton_id="engine")`` under front-end version 1.
+#: automaton_id="engine")`` under front-end version 3 (the automaton is
+#: version 1's; version 3 hashes its columns instead of its states).
 PINNED_PATTERNS = ["bat", "c[ao]t", "dog+", "bar[t]?", "x.{3}y", "^ab*c", "q|rs"]
 PINNED_FINGERPRINT = (
-    "2460d1c5d7f3d063102e2a8bb99793feeba055f59bc68c33b74ca53f6471890a"
+    "2850152570c79d567b3fa64f46e7b31687a601761d5af0d5b8b464f7479319f7"
 )
 
 
@@ -722,14 +724,23 @@ class TestEntryLayout:
 
 
 class TestEveryBitFlipIsQuarantined:
-    """One flipped bit at any byte of an entry of either kind — magic
-    tag, checksum, header or body — is quarantined: the load neither
-    raises nor returns, and a build over it recompiles."""
+    """One flipped bit at any byte of an entry of any kind — magic tag,
+    checksum, header or body — is quarantined: the load neither raises
+    nor returns, and a build over it recompiles (or, for a learned DFA
+    table, re-learns it and scans as the cold engine did)."""
 
-    @pytest.mark.parametrize("kind", ["automaton", "artifact"])
+    @pytest.mark.parametrize("kind", ["automaton", "artifact", "table"])
     def test_flip_one_bit_at_every_byte(self, tmp_path, kind):
         directory = tmp_path / "cache"
-        cold = CacheAutomatonEngine.from_patterns(PATTERNS, cache=directory)
+        backend = "lazy-dfa" if kind == "table" else None
+
+        def build():
+            engine = CacheAutomatonEngine.from_patterns(
+                PATTERNS, cache=directory, backend=backend
+            )
+            return engine, _rows(engine)
+
+        cold, cold_rows = build()
         [path] = list(directory.rglob(f"*.{kind}"))
         good = path.read_bytes()
         cache = CompileCache(directory)
@@ -739,10 +750,19 @@ class TestEveryBitFlipIsQuarantined:
             def load():
                 return cache.load_automaton(key)
 
-        else:
+        elif kind == "artifact":
 
             def load():
                 return cache.load_artifact(cold.automaton, cold.design)
+
+        else:
+            key = cache_key(cold.automaton, cold.design)
+            kernel = cold.backend.dfa.digest()
+
+            def load():
+                dfa = LazyDfaKernel(cold.backend.simulator.kernel)
+                if cache.load_table(key, kernel, dfa.width, dfa.seed):
+                    return dfa
 
         assert load() is not None
         with warnings.catch_warnings():
@@ -755,12 +775,139 @@ class TestEveryBitFlipIsQuarantined:
                 assert not path.exists(), position
                 if position % 101 == 0:
                     path.write_bytes(damaged)
-                    rebuilt = CacheAutomatonEngine.from_patterns(
-                        PATTERNS, cache=directory
-                    )
-                    assert _rows(rebuilt) == _rows(cold), position
+                    rebuilt, rows = build()
+                    assert rows == cold_rows, position
                     assert path.read_bytes() == good, position
         assert cache.stats.quarantines == len(good)
+
+
+class TestTableEntry:
+    """The ``<key>.table`` entry: the lazy DFA's learned table, stored
+    under the artifact's key and adopted only by the kernel it was
+    learned on."""
+
+    def _learn(self, directory, patterns=PATTERNS):
+        engine = CacheAutomatonEngine.from_patterns(
+            patterns, cache=directory, backend="lazy-dfa"
+        )
+        return engine, _rows(engine)
+
+    def test_a_warm_engine_adopts_the_table_and_misses_only_reports(self, tmp_path):
+        cold, cold_rows = self._learn(tmp_path)
+        assert cold.cache_info()["table_stores"] == 1
+        [path] = tmp_path.rglob("*.table")
+        assert path.name == cache_key(cold.automaton, cold.design) + ".table"
+        learned = cold.backend.dfa.export_tables()
+        stored = unpack_entry(path.read_bytes())
+        assert str(stored["kernel"]) == cold.backend.dfa.digest()
+        assert np.array_equal(stored["dfa_rows"], learned["dfa_rows"])
+        successors = learned["dfa_next"]
+        assert int(stored["dfa_width"]) == successors.shape[1]
+        cells = np.flatnonzero(successors >= 0)
+        assert np.array_equal(stored["dfa_cells"], cells)
+        assert np.array_equal(stored["dfa_targets"], successors.reshape(-1)[cells])
+        warm, warm_rows = self._learn(tmp_path)
+        assert warm_rows == cold_rows
+        assert warm.cache_info()["table_hits"] == 1
+        reporting = cold.backend.cache_info()["misses"] - int(
+            (learned["dfa_next"] >= 0).sum()
+        )
+        assert warm.backend.cache_info()["misses"] == reporting
+        # Nothing new was learned, so nothing was stored again.
+        assert warm.cache_info()["table_stores"] == 0
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda t: t.update(key=np.asarray("0" * 64)),
+            lambda t: t.update(kernel=np.asarray("0" * 8)),
+            lambda t: t.pop("dfa_targets"),
+            lambda t: t.update(dfa_width=np.asarray(255)),
+            lambda t: t.update(dfa_width=np.asarray(2**40)),
+            lambda t: t.update(dfa_rows=np.zeros((2**40, 0), np.uint8)),
+            lambda t: t.update(dfa_cells=t["dfa_cells"][::-1].copy()),
+            lambda t: t.update(dfa_cells=t["dfa_cells"] + t["dfa_rows"].size * 64),
+            lambda t: t.update(dfa_targets=t["dfa_targets"] + len(t["dfa_rows"])),
+            lambda t: t.update(dfa_rows=t["dfa_rows"][:, :-1].copy()),
+        ],
+        ids=[
+            "key", "kernel", "missing", "width", "huge-width", "empty-rows",
+            "descending", "past-end", "no-such-row", "row-width",
+        ],
+    )
+    def test_a_resealed_bad_table_is_quarantined_and_relearned(
+        self, tmp_path, damage
+    ):
+        _, cold_rows = self._learn(tmp_path)
+        [path] = tmp_path.rglob("*.table")
+        good = path.read_bytes()
+        members = dict(unpack_entry(good))
+        damage(members)
+        path.write_bytes(pack_entry(members))
+        cache = CompileCache(tmp_path)
+        with pytest.warns(DegradedModeWarning, match="quarantined"):
+            engine = CacheAutomatonEngine.from_patterns(
+                PATTERNS, cache=cache, backend="lazy-dfa"
+            )
+        assert cache.stats.quarantines == 1 and cache.stats.table_misses == 1
+        assert engine.backend.cache_info()["states"] == 0
+        assert _rows(engine) == cold_rows
+        assert path.read_bytes() == good
+
+    def test_a_table_learned_on_another_kernel_is_refused(self, tmp_path):
+        other = ["zebra", "quag+a"]
+        cold, _ = self._learn(tmp_path, other)
+        [learned] = tmp_path.rglob("*.table")
+        engine, rows = self._learn(tmp_path)
+        [path] = set(tmp_path.rglob("*.table")) - {learned}
+        path.unlink()
+        # The other list's table, renamed and re-keyed to this one: a
+        # whole, checksummed entry naming another kernel.
+        key = cache_key(engine.automaton, engine.design)
+        _rewrite_entry(learned, key=np.asarray(key))
+        learned.rename(path)
+        cache = CompileCache(tmp_path)
+        with pytest.warns(DegradedModeWarning, match="another kernel"):
+            refused = CacheAutomatonEngine.from_patterns(
+                PATTERNS, cache=cache, backend="lazy-dfa"
+            )
+        assert cache.stats.table_hits == 0
+        assert cache.stats.quarantines == 1
+        assert "quarantined corrupt cached DFA table" in refused.health().events
+        assert refused.backend.cache_info()["states"] == 0
+        assert _rows(refused) == rows
+        # The refused engine learned its own table and stored it.
+        assert cache.stats.table_stores == 1
+        dfa = LazyDfaKernel(engine.backend.simulator.kernel)
+        digest = engine.backend.dfa.digest()
+        assert cache.load_table(key, digest, dfa.width, dfa.seed)
+        with pytest.warns(DegradedModeWarning, match="another kernel"):
+            assert not cache.load_table(
+                key, cold.backend.dfa.digest(), dfa.width, dfa.seed
+            )
+        assert not path.exists()
+
+    def test_a_table_is_rewritten_without_renaming_over_it(
+        self, tmp_path, monkeypatch
+    ):
+        cold, _ = self._learn(tmp_path)
+        [path] = tmp_path.rglob("*.table")
+        stored = path.read_bytes()
+        over = []
+        rename = cache_module.os.replace
+
+        def replace(source, target):
+            over.append(target.exists())
+            rename(source, target)
+
+        monkeypatch.setattr(cache_module.os, "replace", replace)
+        cache = CompileCache(tmp_path)
+        dfa = cold.backend.dfa
+        key = cache_key(cold.automaton, cold.design)
+        assert cache.store_table(key, dfa.digest(), dfa.export_tables()) == path
+        assert over == [False]
+        assert path.read_bytes() == stored
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestAutomatonEntryFailures:
@@ -871,6 +1018,7 @@ class TestEngineCachePath:
             "hits": 0, "misses": 0, "bypasses": 0, "stores": 0,
             "quarantines": 0, "retries": 0,
             "automaton_hits": 0, "automaton_misses": 0, "automaton_stores": 0,
+            "table_hits": 0, "table_misses": 0, "table_stores": 0,
         }
 
     def test_optimize_bypasses_cache(self, cache, automaton):
@@ -888,12 +1036,14 @@ class TestEngineCachePath:
             "hits": 0, "misses": 1, "bypasses": 0, "stores": 1,
             "quarantines": 0, "retries": 0,
             "automaton_hits": 0, "automaton_misses": 1, "automaton_stores": 1,
+            "table_hits": 0, "table_misses": 0, "table_stores": 0,
         }
         warm = CacheAutomatonEngine.from_patterns(PATTERNS, cache=cache)
         assert warm.cache_info() == {
             "hits": 1, "misses": 1, "bypasses": 0, "stores": 1,
             "quarantines": 0, "retries": 0,
             "automaton_hits": 1, "automaton_misses": 1, "automaton_stores": 1,
+            "table_hits": 0, "table_misses": 0, "table_stores": 0,
         }
         assert warm.health().cache == warm.cache_info()
 

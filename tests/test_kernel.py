@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.automata.anml import HomogeneousAutomaton, StartKind
@@ -599,6 +599,27 @@ def interpret(automaton, bit_of, pieces, resume):
     return b"".join(matched_rows), b"".join(enabled_rows), checkpoints, reports
 
 
+def lone_state_machine():
+    """One all-input reporting state on ``a`` and no edge: a kernel with
+    no bit offsets at all."""
+    automaton = HomogeneousAutomaton("chains")
+    automaton.add_ste(
+        "c0s0", SymbolSet(b"a"), start=StartKind.ALL_INPUT, reporting=True
+    )
+    return automaton, {"c0s0": 0}
+
+
+class Drawn:
+    """Stands in for ``st.data()`` in an explicit example: its draws
+    return ``values``, in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy, label=None):
+        return self.values.pop(0)
+
+
 class TestShiftStep:
     """A kernel stepped by shifts, or pinned to the step cache, against
     :func:`interpret` — the golden simulator drives the same
@@ -610,6 +631,8 @@ class TestShiftStep:
         st.lists(st.integers(0, 160), max_size=4),
         st.data(),
     )
+    # Resumed with the state's bit set: the first cycle is not idle.
+    @example(lone_state_machine(), b"a", [], Drawn(True, {0}, 0, False))
     @settings(max_examples=60, deadline=None)
     def test_shifts_and_tables_are_the_interpreter(self, machine, data, cuts, draw):
         automaton, bit_of = machine

@@ -314,6 +314,40 @@ class TestLazyTable:
         assert rows[y][1] is rows[x]
         assert target.publish()[1].tolist() == [[-1, x], [-1, -1], [y, -1]]
 
+    def test_adopt_into_an_empty_table_keeps_the_source_ids(self):
+        """A fresh table takes the keys in order, so its mirror is the
+        source's and every silent cell is the successor's own row; under
+        a budget of two, the third state and the edge into it are left
+        out."""
+        source = LazyTable(2, 8, str.upper)
+        source.fill(source.intern("x"), 0, "y")
+        source.fill(1, 1, "x")
+        source.fill(1, 0, "z")
+        source.fill(0, 1, "x", record="r")
+        keys, nxt = source.publish()
+        whole = LazyTable(2, 8, str.upper)
+        whole.adopt(keys, nxt)
+        assert whole.keys == keys and whole.states == ["X", "Y", "Z"]
+        assert whole.publish()[1].tolist() == nxt.tolist()
+        rows = whole.enc_rows
+        assert rows[0][0] is rows[1] and rows[1][1] is rows[0]
+        assert rows[1][0] is rows[2] and rows[0][1] == ~0
+        assert whole.transitions == 3
+        # Offered again, the table gains nothing.
+        whole.adopt(keys, nxt)
+        assert whole.keys == keys and whole.transitions == 3
+        cut = LazyTable(2, 2, str.upper)
+        cut.adopt(keys, nxt)
+        assert cut.keys == ["x", "y"]
+        assert cut.publish()[1].tolist() == [[1, -1], [-1, 0]]
+        assert cut.transitions == 2
+
+    def test_adopt_rejects_a_repeated_key_into_an_empty_table(self):
+        table = LazyTable(2, 8, str.upper)
+        with pytest.raises(ValueError, match="repeats"):
+            table.adopt(["a", "a"], np.array([[1, -1], [-1, -1]], np.int32))
+        assert table.keys == []
+
     def test_adopt_rejects_a_table_of_another_shape(self):
         with pytest.raises(ValueError, match="adopt"):
             LazyTable(4, 8, str.upper).adopt(["a"], np.full((1, 2), -1, dtype=np.int32))
