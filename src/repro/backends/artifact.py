@@ -45,11 +45,12 @@ from repro.compiler.mapping import Mapping
 from repro.core.design import DesignPoint
 from repro.errors import ArtifactError
 
-#: The payload layout's version: bump it whenever a member is added,
-#: dropped, or changes meaning.  Hashed into
+#: The payload layout's version, and the ``<key>.table`` entry's, which
+#: lives under the same key: bump it whenever a member of either is
+#: added, dropped, or changes meaning.  Hashed into
 #: :func:`~repro.compiler.cache.cache_key`, so entries of another layout
 #: are simply never looked up again.
-ARTIFACT_FORMAT_VERSION = 5
+ARTIFACT_FORMAT_VERSION = 6
 
 #: Payload member prefix under which kernel tables are stored.
 _KERNEL_PREFIX = "kernel_"

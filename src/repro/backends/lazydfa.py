@@ -211,7 +211,7 @@ class LazyDfaBackend(AutomatonBackend):
         table there as scans learn
         (:meth:`~repro.sim.lazydfa.LazyDfaKernel.persist`)."""
         kernel = self.dfa.digest()
-        cache.load_table(key, kernel, self.dfa.width, self.dfa.seed)
+        cache.load_table(key, kernel, self.dfa.seed)
         self.dfa.persist(functools.partial(cache.store_table, key, kernel))
 
     def cache_info(self) -> Dict[str, int]:

@@ -34,11 +34,10 @@ entry, under two keys:
     busts the key.  It is memoised per (design, stride);
 
 * the artefact key also addresses the lazy DFA's **learned table**
-  (``<key>.table``: what
-  :meth:`~repro.sim.lazydfa.LazyDfaKernel.export_tables` gives, its
-  successor table kept as the learned cells, with the key and the
-  digest of the kernel the table was learned on), which a warm
-  engine adopts so that it scans warm from its first byte
+  (``<key>.table``: the state rows and the record of learned cells
+  :meth:`~repro.sim.lazydfa.LazyDfaKernel.export_tables` gives, with the
+  key and the digest of the kernel the table was learned on), which a
+  warm engine adopts so that it scans warm from its first byte
   (:meth:`CompileCache.load_table`, :meth:`CompileCache.store_table`).
   A table offered to another kernel is quarantined, never adopted.
 
@@ -583,29 +582,22 @@ class CompileCache:
     def store_table(
         self, key: str, kernel: str, tables: Mapping[str, np.ndarray]
     ) -> Optional[Path]:
-        """Persist the ``dfa_rows``/``dfa_next`` of
+        """Persist the ``dfa_rows`` and the ``dfa_sources`` /
+        ``dfa_columns`` / ``dfa_targets`` record of
         :meth:`~repro.sim.lazydfa.LazyDfaKernel.export_tables` under
         artefact key ``key``, named for the kernel they were learned on
         (``kernel``, its :meth:`~repro.sim.lazydfa.LazyDfaKernel.digest`);
         returns the entry's path, or ``None`` when the directory is
-        unwritable.
-
-        ``dfa_next`` is kept as its learned cells: ``dfa_cells``, their
-        ascending flat indices in the ``(states, dfa_width)`` table, and
-        ``dfa_targets``, their successors.  Most of a row is unlearned
-        (-1): over 16 lists of 40–200 rules, after an 8 KiB scan each,
-        the tables held 2.6 MB and their cells 120 KB."""
+        unwritable."""
         path = self.table_path(key)
-        successors = np.asarray(tables["dfa_next"])
-        cells = np.flatnonzero(successors >= 0)
         payload = pack_entry(
             {
                 "key": np.asarray(key),
                 "kernel": np.asarray(kernel),
                 "dfa_rows": tables["dfa_rows"],
-                "dfa_width": np.asarray(successors.shape[1], dtype=np.int64),
-                "dfa_cells": cells,
-                "dfa_targets": successors.reshape(-1)[cells],
+                "dfa_sources": tables["dfa_sources"],
+                "dfa_columns": tables["dfa_columns"],
+                "dfa_targets": tables["dfa_targets"],
             }
         )
         # A table is rewritten at every doubling, so the old entry goes
@@ -627,18 +619,16 @@ class CompileCache:
         self,
         key: str,
         kernel: str,
-        width: int,
         adopt: Callable[[Dict[str, np.ndarray]], None],
     ) -> bool:
         """Hand the table stored under artefact key ``key`` to ``adopt``
         (:meth:`~repro.sim.lazydfa.LazyDfaKernel.seed`); ``False`` on a
         miss.
 
-        The entry must name the kernel ``kernel`` digests and have that
-        kernel's table ``width``: a table learned on any other kernel, of
-        another width, or one ``adopt`` refuses is quarantined, never
-        adopted.  Failures are otherwise handled as :meth:`_load_entry`
-        describes.
+        The entry must name the kernel ``kernel`` digests: a table learned
+        on any other kernel, or one ``adopt`` refuses, is quarantined,
+        never adopted.  Failures are otherwise handled as
+        :meth:`_load_entry` describes.
         """
 
         def decode(data) -> bool:
@@ -647,29 +637,8 @@ class CompileCache:
                     raise ArtifactError("stored artifact key does not match")
                 if str(data["kernel"]) != kernel:
                     raise ArtifactError("table was learned on another kernel")
-                if int(data["dfa_width"]) != width:
-                    raise ArtifactError("table is of another width")
-                rows, cells = data["dfa_rows"], data["dfa_cells"]
-                # A row is at least a byte, so the table allocated below
-                # is bounded by the entry's size.
-                if rows.ndim != 2 or not rows.shape[1]:
-                    raise ValueError("rows are not a (states, bytes) table")
-                successors = np.full((len(rows), width), -1, dtype=np.int32)
-                if cells.ndim != 1 or not (
-                    cells.size == 0
-                    or 0 <= cells[0] <= cells[-1] < successors.size
-                    and (cells[1:] > cells[:-1]).all()
-                ):
-                    raise ValueError("cells are not ascending table indices")
-                successors.reshape(-1)[cells] = data["dfa_targets"]
-                adopt({"dfa_rows": rows, "dfa_next": successors})
-            except (
-                AutomatonError,  # StrideError: a table of another width
-                IndexError,
-                KeyError,
-                TypeError,
-                ValueError,
-            ) as error:
+                adopt(data)
+            except (IndexError, KeyError, TypeError, ValueError) as error:
                 raise ArtifactError(f"unusable table: {error}") from None
             return True
 
@@ -679,4 +648,3 @@ class CompileCache:
         else:
             self.stats.table_misses += 1
         return adopted
-

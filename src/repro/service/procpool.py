@@ -309,8 +309,9 @@ def _build_engine(spec: TenantWorkerSpec):
 
     **Tables fast path** (``spec.tables`` set): rebuild the kernel and a
     seeded lazy DFA (:func:`~repro.sim.lazydfa.kernel_dfa_from_tables`)
-    from the kernel's packed tables, the warm DFA's ``dfa_rows``/
-    ``dfa_next`` and, when striding, the ``stride_*`` alphabet tables
+    from the kernel's packed tables, the warm DFA's ``dfa_rows`` and its
+    record of learned cells (``dfa_sources``/``dfa_columns``/
+    ``dfa_targets``) and, when striding, the ``stride_*`` alphabet tables
     the spec carries.  Its spans reply ``raw``, so report identity is
     resolved exactly once, parent-side.  **Engine rebuild path** (no
     tables, or tables that do not load): the registration's

@@ -13,8 +13,9 @@ underlying :class:`~repro.sim.kernel.BitsetKernel` — the packed vector
 live in a :class:`~repro.sim.lazytable.LazyTable` keyed by the row held
 as one Python int (hash-consing, the chained rows and the walk over
 them, the bounded budget with flush on overflow, the flush-immune record
-table and shared-memory publication are all its; see that module), so
-a warm transition costs one Python list index and zero numpy work.
+table and the record of learned transitions it publishes are all its;
+see that module), so a warm transition costs one Python list index and
+zero numpy work.
 What is this module's own is the step function — one kernel cycle, or
 k of them — what a reporting transition records, and how a walk's
 records turn into report events.
@@ -30,7 +31,8 @@ so a warm start pays nothing for them up front.  Numpy is left at the
 boundaries: entering and leaving the kernel (checkpoint rows),
 publication (:meth:`LazyDfaKernel.export_tables` /
 :meth:`LazyDfaKernel.seed`, whose ``dfa_rows`` stay packed ``uint64``
-rows) and the reporting-row bytes an event carries.
+rows beside the table's record of learned cells) and the reporting-row
+bytes an event carries.
 
 **k-stride execution** (CAMA's alphabet transformation): with a
 :class:`~repro.automata.stride.StrideAlphabet` the DFA consumes k input
@@ -61,7 +63,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.automata.stride import StrideAlphabet, resolve_stride
-from repro.errors import StrideError
 from repro.parallel import attach_tables, detach_tables
 from repro.sim.kernel import BitsetKernel, Checkpoint, as_symbols
 from repro.sim.lazytable import Interner, LazyTable
@@ -69,12 +70,12 @@ from repro.sim.lazytable import Interner, LazyTable
 #: Budget for cached DFA states (transition rows + row keys).
 DFA_CACHE_BYTES = 16 * 1024 * 1024
 
-#: Per-state cache cost estimate at width 256: the int32 silent-successor
-#: row, the Python transition list (~8 bytes/slot + header) and the
-#: interned row key, plus 4 bytes/slot of slack that keeps the default
-#: state budget where every recorded run had it.  Strided kernels scale
-#: the row terms by their width.
-_STATE_COST_BYTES = 256 * (4 + 4 + 8) + 512
+#: Per-state cache cost estimate at width 256: the Python transition
+#: list (~8 bytes/slot + header) and the interned row key, plus 8
+#: bytes/slot of slack that keeps the default state budget where every
+#: recorded run had it.  Strided kernels scale the row terms by their
+#: width.
+_STATE_COST_BYTES = 256 * (8 + 8) + 512
 
 #: ``cache_info``-style keys that accumulate across workers; everything
 #: else (state counts, budgets, stride geometry) is a gauge and merges
@@ -434,26 +435,27 @@ class LazyDfaKernel:
         """Canonical DFA tables for publication to worker processes.
 
         ``dfa_rows`` are the interned packed activation rows (state id
-        order); ``dfa_next`` the ``(states, width)`` int32 table of
-        silent successors (-1 = not yet computed, or reporting), where
-        width is 256 unstrided or the compressed stride-class count.  A
-        strided kernel additionally ships its alphabet (``stride_k``,
+        order); ``dfa_sources``, ``dfa_columns`` and ``dfa_targets`` the
+        table's record of silent transitions (:meth:`LazyTable.publish`),
+        where a column is a byte unstrided or a compressed stride class.
+        A strided kernel additionally ships its alphabet (``stride_k``,
         ``stride_class_of``, ``stride_reps``) so workers rebuild the
-        identical class map.  Reporting-row bytes are deliberately *not*
-        exported — a seeded worker recomputes a reporting transition on
-        first use (see :meth:`seed`).  The consumers are worker
-        processes (a service tenant's spec, a shard fan-out) and the
-        ``<key>.table`` cache entry (:meth:`persist`), which keeps
-        ``dfa_rows`` and ``dfa_next``.
+        identical class map.  Reporting transitions are deliberately
+        *not* exported — a seeded worker recomputes one on first use
+        (see :meth:`seed`).  The consumers are worker processes (a
+        service tenant's spec, a shard fan-out) and the ``<key>.table``
+        cache entry (:meth:`persist`), which keeps all but the alphabet.
         """
-        keys, nxt = self._table.publish()
+        keys, sources, columns, targets = self._table.publish()
         row_bytes = self._kernel.row_bytes
         raw = b"".join(key.to_bytes(row_bytes, "little") for key in keys)
         tables = {
             "dfa_rows": np.frombuffer(raw, dtype=np.uint64).reshape(
                 len(keys), self._kernel.words
             ),
-            "dfa_next": nxt,
+            "dfa_sources": sources,
+            "dfa_columns": columns,
+            "dfa_targets": targets,
         }
         if self._alphabet is not None:
             tables.update(self._alphabet.tables())
@@ -470,39 +472,36 @@ class LazyDfaKernel:
         reporting ones stay missing (their reporting-row bytes were not
         shipped) and recompute through the miss path on first use — a
         one-time propagate per distinct reporting transition.  Tables
-        this kernel could not have exported raise: ``StrideError`` on
-        another width, ``ValueError`` on ``dfa_rows`` that are not
-        ``(len(dfa_next), words)`` ``uint64`` or on successor ids that
-        name no row.
+        this kernel could not have exported raise ``ValueError``:
+        ``dfa_rows`` that are not ``(states, words)`` ``uint64``, or a
+        record that :meth:`LazyTable.adopt` refuses (a column past this
+        kernel's width, an id that names no row).
         """
-        nxt = np.asarray(tables["dfa_next"])
-        if nxt.ndim == 2 and nxt.shape[1] != self._table.width:
-            raise StrideError(
-                f"seed tables have width {nxt.shape[1]} but this kernel's "
-                f"stride-{self._stride} alphabet has width {self._table.width}"
-            )
         rows = np.asarray(tables["dfa_rows"])
-        shape = (len(nxt), self._kernel.words)
-        if rows.dtype != np.uint64 or rows.shape != shape:
+        if (
+            rows.dtype != np.uint64
+            or rows.ndim != 2
+            or rows.shape[1] != self._kernel.words
+        ):
             # A row of another width would be a state of its own here.
             raise ValueError(
                 f"seed: dfa_rows are {rows.dtype} {rows.shape}, not the "
-                f"uint64 {shape} this kernel's states need"
+                f"uint64 (states, {self._kernel.words}) this kernel's "
+                f"states need"
             )
         raw, row_bytes = rows.tobytes(), self._kernel.row_bytes
         keys = [
             int.from_bytes(raw[at : at + row_bytes], "little")
             for at in range(0, len(raw), row_bytes)
         ]
-        self._table.adopt(keys, nxt)
+        self._table.adopt(
+            keys,
+            tables["dfa_sources"],
+            tables["dfa_columns"],
+            tables["dfa_targets"],
+        )
 
     # -- persistence -------------------------------------------------------
-
-    @property
-    def width(self) -> int:
-        """Columns of the transition table: 256 unstrided, else the
-        compressed stride-class count."""
-        return self._table.width
 
     def digest(self) -> str:
         """CRC-32 (8 hex digits) of the tables this kernel steps on: the

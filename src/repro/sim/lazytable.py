@@ -43,24 +43,27 @@ it does with the records a scan met.
   to the kernel's propagate path instead of exhausting memory) and
   re-interns the *current* state, returning its new id so the scan
   cursor survives.
-* **Publication.**  An ``int32`` mirror of the silent successors is
-  written at fill time, so :meth:`LazyTable.publish` hands out the
-  ``(states, width)`` table without walking the Python lists.  Its
-  consumers are worker processes (a service tenant's spec, a shard
-  fan-out's shared tables) and the lazy DFA's ``<key>.table`` cache
-  entry, which a warm engine adopts at build.  :meth:`LazyTable.adopt`
-  merges such a table into this one, remapping ids through the keys and
-  stopping at the budget; an empty table, the warm start's case, ends
-  with the source ids.  Transitions that carry a record are *not*
-  published (``-1`` in the table): a consumer recomputes each on first
-  use, one miss per distinct transition.
+* **One record of what was learned.**  :meth:`LazyTable.fill` appends
+  each silent transition's ``(source, column, target)`` to one ``int32``
+  array in fill order, and a flush empties it with the rest.  That
+  record is the table's only published form: :meth:`LazyTable.publish`
+  hands it out with the keys as three arrays, and :meth:`LazyTable.adopt`
+  merges one into this table, remapping ids through the keys, stopping
+  at the budget and reading the row cells to see what it lacks (an
+  empty table, the warm start's case, ends with the source ids).  Its
+  consumers are worker processes (a service tenant's spec, a shard or
+  split fan-out's shared tables) and the lazy DFA's ``<key>.table``
+  cache entry, which a warm engine adopts at build.  Transitions that
+  carry a record are *not* published: a consumer recomputes each on
+  first use, one miss per distinct transition.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from itertools import chain, islice
-from operator import setitem
+from operator import eq, getitem, setitem
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,7 +132,9 @@ class LazyTable:
         self.states: list = []
         self.enc_rows: List[list] = []
         self._ids: Dict[Hashable, int] = {}
-        self._next = np.full((256, self.width), -1, dtype=np.int32)
+        #: The silent transitions learned since the last flush, in fill
+        #: order, as ``source, column, target`` triples.
+        self._record = array("i")
 
     def __del__(self):
         self._clear_rows()
@@ -150,13 +155,6 @@ class LazyTable:
             row = [~sid] * (self.width + 1)
             row[-1] = sid
             self.enc_rows.append(row)
-            capacity = self._next.shape[0]
-            if sid >= capacity:
-                grown = np.full(
-                    (capacity * 2, self.width), -1, dtype=np.int32
-                )
-                grown[:capacity] = self._next
-                self._next = grown
         return sid
 
     def fill(
@@ -180,7 +178,7 @@ class LazyTable:
             current = self.keys[sid]
             self.flushes += 1
             self.transitions = 1
-            self._next[: len(self.keys)] = -1
+            del self._record[:]
             self._ids.clear()
             del self.keys[:]
             del self.states[:]
@@ -190,7 +188,7 @@ class LazyTable:
         if nid is None:
             nid = self.intern(next_key)
         if record is None:
-            self._next[sid, column] = nid
+            self._record.extend((sid, column, nid))
             cell = self.enc_rows[nid]
         else:
             cell = (self.records.id(record) + 1) << 32 | nid
@@ -294,35 +292,54 @@ class LazyTable:
             tally[record_id] = tally.get(record_id, 0) + 1
         return tally
 
-    def publish(self) -> Tuple[List[Hashable], np.ndarray]:
-        """``(keys in id order, (states, width) int32 silent successors)``,
-        both snapshots: later fills and flushes do not show in them."""
-        return list(self.keys), self._next[: len(self.keys)].copy()
+    def publish(self) -> Tuple[List[Hashable], np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys in id order, sources, columns, targets)``: the silent
+        transitions learned since the last flush as ``int32`` arrays in
+        fill order.  All four are snapshots: later fills and flushes do
+        not show in them."""
+        triples = np.array(self._record, dtype=np.int32).reshape(-1, 3)
+        return (list(self.keys), *triples.T.copy())
 
-    def adopt(self, keys: Sequence[Hashable], nxt: np.ndarray) -> None:
+    def adopt(
+        self,
+        keys: Sequence[Hashable],
+        sources: np.ndarray,
+        columns: np.ndarray,
+        targets: np.ndarray,
+    ) -> None:
         """Merge another table's :meth:`publish` output into this one.
 
         Source ids are remapped through the keys, so the two tables need
         not agree on numbering and this one may already be warm.  States
         that do not fit under ``max_states`` are left out, and with them
-        the transitions that lead there — they re-miss here, as
-        transitions with records always do.  Nothing of ``nxt`` is kept
-        (it may view memory that is unmapped right after).  A table of
-        the wrong shape, or one whose successor ids are not ``-1`` or a
-        key's index, raises ``ValueError``; so does a key not yet here
-        that repeats.
+        the transitions into and out of them — they re-miss here, as
+        transitions with records always do.  What this table gained goes
+        on its own record; a cell it already holds is neither set nor
+        recorded again.  Nothing of the arrays is kept (they may view
+        memory that is unmapped right after).  Arrays that are not one
+        record — not 1-D integers of one length, ids that are no key's
+        index, columns past the width — raise ``ValueError``; so does a
+        key not yet here that repeats.
         """
-        nxt = np.asarray(nxt)
-        if nxt.shape != (len(keys), self.width):
+        cells = [np.asarray(part) for part in (sources, columns, targets)]
+        if len({part.shape for part in cells}) != 1 or any(
+            part.ndim != 1 or part.dtype.kind not in "iu" for part in cells
+        ):
             raise ValueError(
-                f"adopt: table of shape {nxt.shape} does not match "
-                f"{len(keys)} keys of width {self.width}"
+                f"adopt: a record is three 1-D integer arrays of one "
+                f"length, not {[f'{p.dtype} {p.shape}' for p in cells]}"
             )
-        if nxt.size and not -1 <= int(nxt.min()) <= int(nxt.max()) < len(keys):
-            raise ValueError(
-                f"adopt: successor ids run from {nxt.min()} to {nxt.max()}, "
-                f"outside -1 .. {len(keys) - 1}"
-            )
+        sources, columns, targets = cells
+        for name, part, end in (
+            ("source id", sources, len(keys)),
+            ("column", columns, self.width),
+            ("target id", targets, len(keys)),
+        ):
+            if part.size and not 0 <= int(part.min()) <= int(part.max()) < end:
+                raise ValueError(
+                    f"adopt: {name}s run from {part.min()} to {part.max()}, "
+                    f"outside 0 .. {end - 1}"
+                )
         # The keys not yet here take the next free ids in source order,
         # as many as the budget leaves room for, so an empty table (a
         # fresh kernel seeded from a cache entry or a worker's spec) ends
@@ -336,27 +353,31 @@ class LazyTable:
         added = dict(zip(new, range(start, start + len(new))))
         if len(added) != len(new):
             raise ValueError("adopt: a key repeats, so no table published it")
-        # Source id -> local id.  The spare last slot is what a missing
-        # (-1) source transition indexes, so missing stays missing.
+        # Source id -> local id, -1 for a state left out.
+        fresh = iter(added.values())
         sid_map = np.array(
-            [-1 if sid is None else sid for sid in known] + [-1], dtype=np.int32
-        )
-        sid_map[np.flatnonzero(sid_map[:-1] < 0)[: len(new)]] = range(
-            start, start + len(new)
+            [next(fresh, -1) if sid is None else sid for sid in known],
+            dtype=np.int64,
         )
         self._extend(added)
-        # Most of a table is unlearned, so only its learned cells are
-        # remapped: those whose source and successor both have an id
-        # here.  Whether (state, column) is silent is a property of the
-        # step function, not of who computed it, so the mirror alone
-        # says which of them this table still lacks.
-        rows, columns = np.nonzero(nxt >= 0)
-        local, gained = sid_map[rows], sid_map[nxt[rows, columns]]
+        local, gained = sid_map[sources], sid_map[targets]
         keep = (local >= 0) & (gained >= 0)
         local, columns, gained = local[keep], columns[keep], gained[keep]
-        keep = self._next[local, columns] < 0
-        local, columns, gained = local[keep], columns[keep], gained[keep]
-        self._next[local, columns] = gained
+        if start:
+            # A cell this table lacks is still ``~source``: read the row
+            # cells in one C-level pass.  (An empty table lacks them
+            # all.)  Whether (state, column) is silent is a property of
+            # the step function, not of who computed it.
+            held = map(
+                getitem,
+                map(self.enc_rows.__getitem__, local.tolist()),
+                columns.tolist(),
+            )
+            lacking = np.fromiter(
+                map(eq, held, (~local).tolist()), dtype=bool, count=len(local)
+            )
+            local, columns = local[lacking], columns[lacking]
+            gained = gained[lacking]
         self._link(local, columns, gained)
 
     def _extend(self, added: Dict[Hashable, int]) -> None:
@@ -371,20 +392,13 @@ class LazyTable:
             row = [~sid] * cells
             row[-1] = sid
             rows.append(row)
-        capacity = self._next.shape[0]
-        while capacity < len(self.keys):
-            capacity *= 2
-        if capacity > self._next.shape[0]:
-            grown = np.full((capacity, self.width), -1, dtype=np.int32)
-            grown[:start] = self._next[:start]
-            self._next = grown
 
     def _link(
         self, sources: np.ndarray, columns: np.ndarray, targets: np.ndarray
     ) -> None:
-        """Point each ``(source, column)`` cell at ``target``'s row: the
-        silent transitions :meth:`adopt` gained, set in one C-level
-        pass instead of a Python loop a transition."""
+        """Point each ``(source, column)`` cell at ``target``'s row and
+        record it: the silent transitions :meth:`adopt` gained, set in
+        one C-level pass instead of a Python loop a transition."""
         row_of = self.enc_rows.__getitem__
         deque(
             map(
@@ -395,6 +409,8 @@ class LazyTable:
             ),
             maxlen=0,
         )
+        triples = np.stack([sources, columns, targets], axis=1)
+        self._record.frombytes(triples.astype(np.int32).tobytes())
         self.transitions += len(columns)
 
     def counters(self) -> Dict[str, int]:

@@ -3,18 +3,17 @@
 The Section 6 multi-stream scenario scales past one core by sharding
 independent input streams across worker processes
 (:func:`repro.parallel.fan_out`).  The expensive state — the packed
-kernel tables and the lazy DFA's two published tables, ``dfa_rows``
-(state keys) and ``dfa_next`` (silent successors; see
-:mod:`repro.sim.lazytable`), plus the stride alphabet when striding —
-is published *once* as a single shared-memory block; each worker maps
-it zero-copy, rebuilds a :class:`~repro.sim.kernel.BitsetKernel` via
-``from_packed`` and a warm-seeded
-:class:`~repro.sim.lazydfa.LazyDfaKernel`
-(:func:`~repro.sim.lazydfa.attach_kernel_dfa`),
-and scans its shard of streams.  Shards
-are strided slices and come back in submission order, so reassembly is
-deterministic — the worker count never changes what a scan returns,
-only how fast it returns.
+kernel tables and the lazy DFA's published table, ``dfa_rows`` (state
+keys) and the ``dfa_sources``/``dfa_columns``/``dfa_targets`` record of
+silent transitions (see :mod:`repro.sim.lazytable`), plus the stride
+alphabet when striding — is published *once* as a single shared-memory
+block; each worker maps it zero-copy, rebuilds a
+:class:`~repro.sim.kernel.BitsetKernel` via ``from_packed`` and a
+warm-seeded :class:`~repro.sim.lazydfa.LazyDfaKernel`
+(:func:`~repro.sim.lazydfa.attach_kernel_dfa`), and scans its shard of
+streams.  Shards are strided slices and come back in submission order,
+so reassembly is deterministic — the worker count never changes what a
+scan returns, only how fast it returns.
 
 Worker count comes from ``jobs=`` or the ``REPRO_SCAN_JOBS`` environment
 variable; sharding is opt-in (unset means 1 — a fork per batch costs

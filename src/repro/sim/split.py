@@ -104,9 +104,9 @@ class SfaKernel:
     The cached automaton is shared state; the per-chunk group
     bookkeeping lives in :meth:`scan_mapping`'s locals, so one kernel
     serves many chunks and its cache keeps warming.  ``export_tables``
-    /:meth:`seed` ship the silent transitions through shared memory the
-    same way the lazy DFA's tables travel — effectful transitions
-    recompute on first use, one miss each.
+    /:meth:`seed` ship the table's record of silent transitions through
+    shared memory the same way the lazy DFA's tables travel — effectful
+    transitions recompute on first use, one miss each.
     """
 
     def __init__(
@@ -294,12 +294,13 @@ class SfaKernel:
         State keys travel as a pool of distinct rows (``sfa_rows``) plus,
         per state, its row ids — const first, then the slots
         (``sfa_key_rids`` sliced by ``sfa_key_indptr``).  Only *silent*
-        transitions ship (``sfa_next``); effectful ones recompute on
-        first use in the consumer, exactly the discipline
-        :meth:`LazyDfaKernel.export_tables` applies to reporting
-        transitions.
+        transitions ship, as the table's record (``sfa_sources``,
+        ``sfa_columns``, ``sfa_targets``; :meth:`LazyTable.publish`);
+        effectful ones recompute on first use in the consumer, exactly
+        the discipline :meth:`LazyDfaKernel.export_tables` applies to
+        reporting transitions.
         """
-        keys, nxt = self._table.publish()
+        keys, sources, columns, targets = self._table.publish()
         pool = Interner()
         rids: List[int] = []
         indptr = [0]
@@ -312,7 +313,9 @@ class SfaKernel:
             ).reshape(len(pool.values), self._kernel.words),
             "sfa_key_indptr": np.array(indptr, dtype=np.int32),
             "sfa_key_rids": np.array(rids, dtype=np.int32),
-            "sfa_next": nxt,
+            "sfa_sources": sources,
+            "sfa_columns": columns,
+            "sfa_targets": targets,
         }
 
     def seed(self, tables: Dict[str, np.ndarray]) -> None:
@@ -336,7 +339,12 @@ class SfaKernel:
             tuple(rows[rid] for rid in rids[start:end])
             for start, end in zip(indptr, indptr[1:])
         ]
-        self._table.adopt(keys, tables["sfa_next"])
+        self._table.adopt(
+            keys,
+            tables["sfa_sources"],
+            tables["sfa_columns"],
+            tables["sfa_targets"],
+        )
 
     # -- introspection -----------------------------------------------------
 

@@ -761,7 +761,7 @@ class TestEveryBitFlipIsQuarantined:
 
             def load():
                 dfa = LazyDfaKernel(cold.backend.simulator.kernel)
-                if cache.load_table(key, kernel, dfa.width, dfa.seed):
+                if cache.load_table(key, kernel, dfa.seed):
                     return dfa
 
         assert load() is not None
@@ -800,17 +800,17 @@ class TestTableEntry:
         learned = cold.backend.dfa.export_tables()
         stored = unpack_entry(path.read_bytes())
         assert str(stored["kernel"]) == cold.backend.dfa.digest()
-        assert np.array_equal(stored["dfa_rows"], learned["dfa_rows"])
-        successors = learned["dfa_next"]
-        assert int(stored["dfa_width"]) == successors.shape[1]
-        cells = np.flatnonzero(successors >= 0)
-        assert np.array_equal(stored["dfa_cells"], cells)
-        assert np.array_equal(stored["dfa_targets"], successors.reshape(-1)[cells])
+        assert sorted(stored) == [
+            "dfa_columns", "dfa_rows", "dfa_sources", "dfa_targets",
+            "kernel", "key",
+        ]
+        for name in ("dfa_rows", "dfa_sources", "dfa_columns", "dfa_targets"):
+            assert np.array_equal(stored[name], learned[name]), name
         warm, warm_rows = self._learn(tmp_path)
         assert warm_rows == cold_rows
         assert warm.cache_info()["table_hits"] == 1
-        reporting = cold.backend.cache_info()["misses"] - int(
-            (learned["dfa_next"] >= 0).sum()
+        reporting = cold.backend.cache_info()["misses"] - len(
+            learned["dfa_sources"]
         )
         assert warm.backend.cache_info()["misses"] == reporting
         # Nothing new was learned, so nothing was stored again.
@@ -822,17 +822,18 @@ class TestTableEntry:
             lambda t: t.update(key=np.asarray("0" * 64)),
             lambda t: t.update(kernel=np.asarray("0" * 8)),
             lambda t: t.pop("dfa_targets"),
-            lambda t: t.update(dfa_width=np.asarray(255)),
-            lambda t: t.update(dfa_width=np.asarray(2**40)),
+            lambda t: t.update(dfa_columns=t["dfa_columns"][:-1].copy()),
+            lambda t: t.update(dfa_columns=t["dfa_columns"] + 256),
             lambda t: t.update(dfa_rows=np.zeros((2**40, 0), np.uint8)),
-            lambda t: t.update(dfa_cells=t["dfa_cells"][::-1].copy()),
-            lambda t: t.update(dfa_cells=t["dfa_cells"] + t["dfa_rows"].size * 64),
+            lambda t: t.update(dfa_sources=t["dfa_sources"] + len(t["dfa_rows"])),
+            lambda t: t.update(dfa_sources=t["dfa_sources"].reshape(-1, 1)),
             lambda t: t.update(dfa_targets=t["dfa_targets"] + len(t["dfa_rows"])),
             lambda t: t.update(dfa_rows=t["dfa_rows"][:, :-1].copy()),
         ],
         ids=[
-            "key", "kernel", "missing", "width", "huge-width", "empty-rows",
-            "descending", "past-end", "no-such-row", "row-width",
+            "key", "kernel", "missing", "ragged", "column-past-width",
+            "empty-rows", "source-past-states", "two-d-member", "no-such-row",
+            "row-width",
         ],
     )
     def test_a_resealed_bad_table_is_quarantined_and_relearned(
@@ -853,6 +854,51 @@ class TestTableEntry:
         assert engine.backend.cache_info()["states"] == 0
         assert _rows(engine) == cold_rows
         assert path.read_bytes() == good
+
+    def test_a_version_5_directory_is_plain_misses_until_restored(
+        self, tmp_path, monkeypatch
+    ):
+        """Format 5 kept a table's learned cells as ascending flat indices
+        (``dfa_width``, ``dfa_cells``, ``dfa_targets``).  Under its key
+        nothing of that directory is looked up any more, so nothing is
+        quarantined; the first build stores format-6 entries beside it,
+        and the next build is warm on them."""
+        monkeypatch.setattr(artifact_module, "ARTIFACT_FORMAT_VERSION", 5)
+        _, rows = self._learn(tmp_path)
+        [table] = tmp_path.rglob("*.table")
+        stored = unpack_entry(table.read_bytes())
+        cells = stored["dfa_sources"] * 256 + stored["dfa_columns"]
+        order = np.argsort(cells)
+        table.write_bytes(
+            pack_entry(
+                {
+                    "key": stored["key"],
+                    "kernel": stored["kernel"],
+                    "dfa_rows": stored["dfa_rows"],
+                    "dfa_width": np.asarray(256, dtype=np.int64),
+                    "dfa_cells": cells[order].astype(np.int64),
+                    "dfa_targets": stored["dfa_targets"][order],
+                }
+            )
+        )
+        written = {path: path.read_bytes() for path in _entries(tmp_path)}
+        monkeypatch.undo()
+        cache = CompileCache(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedModeWarning)
+            _, new_rows = self._learn(cache)
+        assert new_rows == rows
+        assert cache.stats == CacheStats(
+            misses=1, stores=1, automaton_hits=1, table_misses=1,
+            table_stores=1,
+        )
+        assert {path: path.read_bytes() for path in written} == written
+        assert len(_entries(tmp_path)) == len(written) + 2
+        warm = CompileCache(tmp_path)
+        _, warm_rows = self._learn(warm)
+        assert warm_rows == rows
+        assert (warm.stats.hits, warm.stats.table_hits) == (1, 1)
+        assert warm.stats.quarantines == 0
 
     def test_a_table_learned_on_another_kernel_is_refused(self, tmp_path):
         other = ["zebra", "quag+a"]
@@ -880,10 +926,10 @@ class TestTableEntry:
         assert cache.stats.table_stores == 1
         dfa = LazyDfaKernel(engine.backend.simulator.kernel)
         digest = engine.backend.dfa.digest()
-        assert cache.load_table(key, digest, dfa.width, dfa.seed)
+        assert cache.load_table(key, digest, dfa.seed)
         with pytest.warns(DegradedModeWarning, match="another kernel"):
             assert not cache.load_table(
-                key, cold.backend.dfa.digest(), dfa.width, dfa.seed
+                key, cold.backend.dfa.digest(), dfa.seed
             )
         assert not path.exists()
 

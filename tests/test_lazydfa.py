@@ -21,6 +21,7 @@ cut, and stores O(log misses) times, and only where a cache is its own.
 
 import asyncio
 import math
+import pickle
 import random
 from collections import OrderedDict
 from dataclasses import replace
@@ -43,7 +44,7 @@ from repro.service import procpool
 from repro.service.service import ScanService
 from repro.sim import kernel as kernel_module
 from repro.sim.golden import simulate
-from repro.sim.lazydfa import LazyDfaKernel, scan_one
+from repro.sim.lazydfa import LazyDfaKernel, kernel_dfa_from_tables, scan_one
 from repro.workloads import synth
 from repro.workloads.suite import get_benchmark
 
@@ -258,6 +259,47 @@ def test_a_warm_engine_on_a_churn_list_is_golden(kind, tmp_path):
     )
 
 
+def test_an_adopted_record_reaches_every_consumer_as_golden(tmp_path):
+    """A warm engine adopted the cold one's record from its table entry.
+    A pool worker's DFA built from its (pickled) spec tables, a shard
+    fan-out and a split fan-out — twice, folding the workers' records
+    back into the parent — all report as the golden interpreter does,
+    and the fold records no cell twice."""
+    bench = get_benchmark("Snort")
+    machine = bench.build()
+
+    def build():
+        return CacheAutomatonEngine(
+            machine,
+            backend="lazy-dfa",
+            cache=tmp_path,
+            backend_options={"split_min_chunk": 8},
+        )
+
+    build().scan(bench.input_stream(8192, seed=3))
+    warm = build()
+    assert warm.cache_info()["table_hits"] == 1
+    backend = warm.backend
+    streams = [bench.input_stream(4096, seed=seed) for seed in (3, 4, 5)]
+    expected = [_triples(simulate(machine, data)) for data in streams]
+    assert any(expected)
+    spec_tables = pickle.loads(pickle.dumps(backend.share_tables()))
+    kernel, dfa = kernel_dfa_from_tables(spec_tables, None)
+    assert dfa.cache_info()["states"] == backend.cache_info()["states"]
+    raws = [scan_one(kernel, dfa, data, None, True) for data in streams]
+    assert [_triples(backend.materialise_raw(raw, True)) for raw in raws] == expected
+    sharded = backend.scan_many(streams, jobs=2)
+    assert [_triples(result) for result in sharded] == expected
+    for _ in range(2):
+        assert [
+            _triples(backend.scan(data, split_jobs=2)) for data in streams
+        ] == expected
+    assert backend.worker_cache_info()["workers"] > 0
+    _, sources, columns, _ = backend._sfa._table.publish()
+    cells = list(zip(sources.tolist(), columns.tolist()))
+    assert cells and len(cells) == len(set(cells))
+
+
 def test_a_warm_tenant_scans_its_spans_as_golden(tmp_path):
     """In-loop service spans (16-byte chunks on one cursor a span) store
     the table at the span's close; a second service on the directory
@@ -279,8 +321,8 @@ def test_a_warm_tenant_scans_its_spans_as_golden(tmp_path):
     data = DATA * 8
     cold, engine = asyncio.run(serve(data))
     assert engine.cache_info()["table_stores"] == 1
-    learned = engine.backend.dfa.export_tables()["dfa_next"]
-    reporting = engine.backend.cache_info()["misses"] - int((learned >= 0).sum())
+    learned = engine.backend.dfa.export_tables()["dfa_sources"]
+    reporting = engine.backend.cache_info()["misses"] - len(learned)
     warm, engine = asyncio.run(serve(data))
     assert engine.cache_info()["table_hits"] == 1
     assert engine.backend.cache_info()["misses"] == reporting

@@ -6,6 +6,7 @@ kernel: the bounded budget flushes mid-scan without changing results,
 record ids survive flushes, ``export_tables -> seed`` warms a fresh
 kernel and merges correctly into a warm one whose ids differ, seeding
 respects the budget, and ``cache_info()`` keeps its keys.  Then the
+record of learned transitions against the rows it was read from, the
 table itself, and a source scan that keeps the mechanism in one place.
 """
 
@@ -25,6 +26,7 @@ from repro.backends.artifact import CompiledArtifact
 from repro.compiler import compile_automaton
 from repro.core.design import CA_P
 from repro.regex.compile import compile_patterns
+from repro.workloads.suite import get_benchmark
 from repro.sim.lazydfa import LazyDfaKernel
 from repro.sim.lazytable import CHECKED_STRETCH, LazyTable
 from repro.sim.split import SfaKernel
@@ -242,9 +244,121 @@ def test_seed_rejects_rows_that_are_not_this_kernels_states(
     warm.scan(symbols[:500], prev=kernel.pack(0), sod=kernel.has_sod)
     tables = warm.export_tables()
     cold = LazyDfaKernel(kernel)
-    with pytest.raises(ValueError, match="seed"):
+    # A short table is refused by the record's range check: some
+    # learned cell names the state it lost.
+    with pytest.raises(ValueError, match="seed|adopt"):
         cold.seed(dict(tables, dfa_rows=spoil(tables["dfa_rows"])))
     assert cold.cache_info()["states"] == 0
+
+
+# -- the record against the rows ----------------------------------------------
+
+
+def _silent_cells(table):
+    """``{(state key, column): successor key}`` read off the rows alone,
+    sharing nothing with the record: a cell that is a row is silent."""
+    keys, width = table.keys, table.width
+    return {
+        (keys[sid], column): keys[cell[width]]
+        for sid, row in enumerate(table.enc_rows)
+        for column, cell in enumerate(row[:width])
+        if cell.__class__ is list
+    }
+
+
+def _fresh_like(table, max_states=None):
+    return LazyTable(
+        table.width,
+        table.max_states if max_states is None else max_states,
+        table._decode,
+    )
+
+
+#: The determinisation-friendly suite rulesets, each scanned cold for
+#: 256 KiB on the lazy DFA.
+FRIENDLY = ["Snort", "ExactMatch", "Ranges1", "Bro217", "PowerEN"]
+
+
+@pytest.fixture(scope="module", params=FRIENDLY + ["flushed"])
+def learned(request, kernel, symbols):
+    """A table that learned from a scan, its rows and its record; the
+    ``flushed`` one went through many flushes, so its record holds only
+    what it learned since the last."""
+    if request.param == "flushed":
+        dfa = LazyDfaKernel(kernel, max_states=FLOOR)
+        dfa.scan(symbols, prev=kernel.pack(0), sod=kernel.has_sod)
+        assert dfa.cache_info()["flushes"] > 0
+        return dfa._table
+    bench = get_benchmark(request.param)
+    backend = create_backend(
+        "lazy-dfa",
+        CompiledArtifact.from_mapping(compile_automaton(bench.build(), CA_P)),
+    )
+    backend.scan(bench.input_stream(256 * 1024, seed=7))
+    assert backend.dfa.cache_info()["flushes"] == 0
+    return backend.dfa._table
+
+
+class TestRecordOracle:
+    """Whatever the record holds, a table that adopts it must end with
+    the source's silent cells exactly — as its rows say, not as its
+    record says."""
+
+    def test_a_fresh_table_adopts_exactly_the_silent_cells(self, learned):
+        expected = _silent_cells(learned)
+        assert expected
+        fresh = _fresh_like(learned)
+        fresh.adopt(*learned.publish())
+        assert fresh.keys == learned.keys
+        assert _silent_cells(fresh) == expected
+        assert fresh.transitions == len(expected)
+        # Its record is the source's, so a second generation is the same.
+        again = _fresh_like(learned)
+        again.adopt(*fresh.publish())
+        assert _silent_cells(again) == expected
+
+    def test_warm_into_warm_records_each_gained_cell_once(self, learned):
+        published = learned.publish()
+        keys, sources, columns, targets = published
+        # The later half of the record, under ids numbered backwards.
+        last, half = len(keys) - 1, len(sources) // 2
+        warm = _fresh_like(learned)
+        warm.adopt(
+            keys[::-1],
+            last - sources[half:],
+            columns[half:],
+            last - targets[half:],
+        )
+        assert warm.keys == keys[::-1]
+        before = _silent_cells(warm)
+        transitions = warm.transitions
+        warm.adopt(*published)
+        after = _silent_cells(warm)
+        assert after == _silent_cells(learned)
+        gained = len(after) - len(before)
+        assert warm.transitions - transitions == gained
+        _, *record = warm.publish()
+        cells = [(warm.keys[s], c) for s, c, _ in _cells(record)]
+        assert len(cells) == len(set(cells)) == len(after)
+        # Offered again, nothing is gained or recorded.
+        warm.adopt(*published)
+        assert warm.transitions - transitions == gained
+        assert len(warm.publish()[1]) == len(after)
+
+    def test_a_budget_cut_drops_the_cells_into_states_left_out(self, learned):
+        budget = len(learned.keys) // 2
+        cut = _fresh_like(learned, max_states=budget)
+        cut.adopt(*learned.publish())
+        kept = set(learned.keys[:budget])
+        assert cut.keys == learned.keys[:budget]
+        silent = _silent_cells(learned)
+        inside = {
+            cell: target
+            for cell, target in silent.items()
+            if cell[0] in kept and target in kept
+        }
+        assert 0 < len(inside) < len(silent)
+        assert _silent_cells(cut) == inside
 
 
 class TestLazyTable:
@@ -292,10 +406,18 @@ class TestLazyTable:
         a = table.intern("a")
         table.fill(a, 0, "b")
         table.fill(a, 1, "c", record="r")
-        keys, nxt = table.publish()
+        table.fill(1, 1, "a")
+        keys, *record = table.publish()
         assert keys == ["a", "b", "c"]
-        assert nxt.dtype == np.int32
-        assert nxt.tolist() == [[1, -1], [-1, -1], [-1, -1]]
+        assert [part.dtype for part in record] == [np.int32] * 3
+        assert _cells(record) == [(0, 0, 1), (1, 1, 0)]
+
+    def test_a_flush_empties_the_record(self):
+        table = LazyTable(2, 2, str.upper)
+        table.fill(table.intern("a"), 0, "b")
+        table.fill(1, 1, "c")  # budget reached: "b" comes back as 0
+        keys, *record = table.publish()
+        assert keys == ["b", "c"] and _cells(record) == [(0, 1, 1)]
 
     def test_adopt_remaps_ids_and_keeps_what_is_there(self):
         source = LazyTable(2, 8, str.upper)
@@ -312,10 +434,11 @@ class TestLazyTable:
         assert rows[x][1:] == [~x, x]
         assert rows[y][0] == (1 << 32) | 1
         assert rows[y][1] is rows[x]
-        assert target.publish()[1].tolist() == [[-1, x], [-1, -1], [y, -1]]
+        # The gained cells, in the source's fill order, under local ids.
+        assert _cells(target.publish()[1:]) == [(x, 0, y), (y, 1, x)]
 
     def test_adopt_into_an_empty_table_keeps_the_source_ids(self):
-        """A fresh table takes the keys in order, so its mirror is the
+        """A fresh table takes the keys in order, so its record is the
         source's and every silent cell is the successor's own row; under
         a budget of two, the third state and the edge into it are left
         out."""
@@ -324,45 +447,67 @@ class TestLazyTable:
         source.fill(1, 1, "x")
         source.fill(1, 0, "z")
         source.fill(0, 1, "x", record="r")
-        keys, nxt = source.publish()
+        keys, *record = source.publish()
         whole = LazyTable(2, 8, str.upper)
-        whole.adopt(keys, nxt)
+        whole.adopt(keys, *record)
         assert whole.keys == keys and whole.states == ["X", "Y", "Z"]
-        assert whole.publish()[1].tolist() == nxt.tolist()
+        assert _cells(whole.publish()[1:]) == _cells(record)
         rows = whole.enc_rows
         assert rows[0][0] is rows[1] and rows[1][1] is rows[0]
         assert rows[1][0] is rows[2] and rows[0][1] == ~0
         assert whole.transitions == 3
-        # Offered again, the table gains nothing.
-        whole.adopt(keys, nxt)
+        # Offered again, the table gains nothing and records nothing.
+        whole.adopt(keys, *record)
         assert whole.keys == keys and whole.transitions == 3
+        assert _cells(whole.publish()[1:]) == _cells(record)
         cut = LazyTable(2, 2, str.upper)
-        cut.adopt(keys, nxt)
+        cut.adopt(keys, *record)
         assert cut.keys == ["x", "y"]
-        assert cut.publish()[1].tolist() == [[1, -1], [-1, 0]]
+        assert _cells(cut.publish()[1:]) == [(0, 0, 1), (1, 1, 0)]
         assert cut.transitions == 2
 
     def test_adopt_rejects_a_repeated_key_into_an_empty_table(self):
         table = LazyTable(2, 8, str.upper)
         with pytest.raises(ValueError, match="repeats"):
-            table.adopt(["a", "a"], np.array([[1, -1], [-1, -1]], np.int32))
+            table.adopt(["a", "a"], *_record([(0, 0, 1)]))
         assert table.keys == []
 
     def test_adopt_rejects_a_table_of_another_shape(self):
-        with pytest.raises(ValueError, match="adopt"):
-            LazyTable(4, 8, str.upper).adopt(["a"], np.full((1, 2), -1, dtype=np.int32))
+        """A record learned at a wider width has columns past this one."""
+        table = LazyTable(4, 8, str.upper)
+        with pytest.raises(ValueError, match="adopt: columns"):
+            table.adopt(["a", "b"], *_record([(0, 4, 1)]))
+        assert table.keys == []
+
+    def test_adopt_rejects_ragged_record_arrays(self):
+        table = LazyTable(2, 8, str.upper)
+        sources, columns, targets = _record([(0, 0, 1), (1, 1, 0)])
+        for ragged in (
+            (sources[:1], columns, targets),
+            (sources, columns, targets[:1]),
+            tuple(part.reshape(2, 1) for part in (sources, columns, targets)),
+            (sources, columns.astype(np.float64), targets),
+        ):
+            with pytest.raises(ValueError, match="adopt"):
+                table.adopt(["a", "b"], *ragged)
+        assert table.keys == []
 
     def test_adopt_rejects_a_successor_id_below_missing(self):
-        """-2 would index the id map from its end and wire ``a -> b``."""
+        """-1, which no record holds, would index the id map from its end
+        and wire ``a -> b``."""
         table = LazyTable(2, 8, str.upper)
         with pytest.raises(ValueError, match="adopt"):
-            table.adopt(["a", "b"], np.array([[-2, -1], [-1, -1]], np.int32))
+            table.adopt(["a", "b"], *_record([(0, 0, -1)]))
+        with pytest.raises(ValueError, match="adopt"):
+            table.adopt(["a", "b"], *_record([(-1, 0, 0)]))
         assert table.keys == []
 
     def test_adopt_rejects_a_successor_id_past_the_keys(self):
         table = LazyTable(2, 8, str.upper)
         with pytest.raises(ValueError, match="adopt"):
-            table.adopt(["a", "b"], np.array([[1, 2], [-1, -1]], np.int32))
+            table.adopt(["a", "b"], *_record([(0, 1, 2)]))
+        with pytest.raises(ValueError, match="adopt"):
+            table.adopt(["a", "b"], *_record([(2, 1, 0)]))
         assert table.keys == []
 
     # -- the walk's edges ------------------------------------------------------
@@ -430,6 +575,16 @@ class TestLazyTable:
             assert live_row == []
         finally:
             gc.enable()
+
+
+def _record(cells):
+    """``(source, column, target)`` triples as a record's three arrays."""
+    return tuple(np.array(part, dtype=np.int32) for part in zip(*cells))
+
+
+def _cells(record):
+    """A record's three arrays as ``(source, column, target)`` triples."""
+    return list(zip(*(part.tolist() for part in record)))
 
 
 class _Toy:
