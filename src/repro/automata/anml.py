@@ -62,7 +62,8 @@ class StartKind(Enum):
 
 #: Start kinds in the order :meth:`HomogeneousAutomaton.to_arrays` numbers
 #: them (part of the stored layout).
-_START_KINDS = tuple(StartKind)
+START_KINDS = tuple(StartKind)
+_START_INDEX = {kind: index for index, kind in enumerate(START_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,7 @@ class HomogeneousAutomaton:
         self._edge_arrays_version = -1
         self._validated_version = -1
         self._fingerprint_memo = (-1, "")
+        self._form_memo: tuple = (-1, None)
 
     # -- construction ------------------------------------------------------
 
@@ -164,6 +166,10 @@ class HomogeneousAutomaton:
 
     def stes(self) -> Iterator[Ste]:
         return iter(self._stes.values())
+
+    def report_code(self, ste_id: str) -> Optional[str]:
+        """The report code of one STE (``None`` when it has none)."""
+        return self.ste(ste_id).report_code
 
     def ste_ids(self) -> List[str]:
         return list(self._stes)
@@ -308,13 +314,19 @@ class HomogeneousAutomaton:
     # -- array form ----------------------------------------------------------
 
     def _array_form(self) -> "_ArrayForm":
+        """This automaton in the layout of :meth:`to_arrays`, memoised on
+        the mutation counter (the placement probe, the kernel, the
+        fingerprint and the cache entry all read it)."""
+        version, form = self._form_memo
+        if version == self._mutation_version:
+            return form
         edge_arrays = self.edge_index_arrays()
         masks: Dict[int, int] = {}
         codes: Dict[str, int] = {}
         mask_of, start, reporting, code_of = [], [], [], []
         for ste in map(self._stes.__getitem__, edge_arrays.ids):
             mask_of.append(masks.setdefault(ste.symbols.mask, len(masks)))
-            start.append(_START_KINDS.index(ste.start))
+            start.append(_START_INDEX[ste.start])
             reporting.append(ste.reporting)
             code_of.append(
                 -1
@@ -322,7 +334,7 @@ class HomogeneousAutomaton:
                 else codes.setdefault(ste.report_code, len(codes))
             )
         edge_order = edge_arrays.argsort_edges()
-        return _ArrayForm(
+        form = _ArrayForm(
             self.automaton_id,
             edge_arrays.ids,
             list(codes),
@@ -342,6 +354,8 @@ class HomogeneousAutomaton:
             sources=edge_arrays.sources[edge_order],
             targets=edge_arrays.targets[edge_order],
         )
+        self._form_memo = (self._mutation_version, form)
+        return form
 
     def _fingerprint(self, form: Optional["_ArrayForm"] = None) -> str:
         """:meth:`_ArrayForm.fingerprint` of this automaton, memoised on
@@ -426,7 +440,7 @@ class HomogeneousAutomaton:
             and sources.ndim == 1
             and sources.shape == targets.shape
             and within(mask_of, 0, masks.shape[0])
-            and within(start, 0, len(_START_KINDS))
+            and within(start, 0, len(START_KINDS))
             and within(code_of, -1, len(codes))
             and within(sources, 0, count)
             and within(targets, 0, count)
@@ -519,18 +533,39 @@ def _symbol_set(row: np.ndarray) -> SymbolSet:
     return SymbolSet.from_mask(int.from_bytes(row.tobytes(), "little"))
 
 
-class _ArrayAutomaton(HomogeneousAutomaton):
-    """What :meth:`HomogeneousAutomaton.from_arrays` returns: the validated
-    array form, decoded only as far as it is asked.
+class _Decoded:
+    """``_stes``, ``_successors`` and ``_predecessors`` of an
+    :class:`_ArrayAutomaton` that has not built them: the first read
+    decodes the object, whose own attributes then shadow this one."""
 
-    ``ste_ids()``, ``len``, ``in`` and ``ste()`` answer from the columns
-    (a state's :class:`Ste` is made on its first ``ste()`` and kept).
+    def __get__(self, automaton, owner=None):
+        if automaton is None:
+            return self
+        # Not automaton._decode: another thread may have decoded it, and
+        # so changed its class, since the lookup that landed here.
+        _ArrayAutomaton._decode(automaton)
+        return vars(automaton)[self.name]
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+
+class _ArrayAutomaton(HomogeneousAutomaton):
+    """What :meth:`HomogeneousAutomaton.from_arrays` returns (the validated
+    array form) and what the regex front end builds (the array form of
+    its fragments, :func:`repro.regex.glushkov.concatenate`), decoded
+    only as far as it is asked.
+
+    ``ste_ids()``, ``len``, ``in``, ``ste()``, ``report_code()`` and
+    ``validate()`` answer from the columns (a state's :class:`Ste` is made
+    on its first ``ste()`` and kept).
     Every other method reads ``_stes``, ``_successors`` or
     ``_predecessors``, which this object lacks: the first such read lands
-    in :meth:`__getattr__`, which decodes all three and turns the object
-    into a plain :class:`HomogeneousAutomaton`.  So an automaton built by
-    ``add_ste`` pays nothing for this, and this one pays nothing more once
-    decoded.
+    in the class's :class:`_Decoded` attribute, which decodes all three
+    and turns the object into a plain :class:`HomogeneousAutomaton`.  So
+    an automaton built by ``add_ste`` pays nothing for this, and this one
+    pays nothing more once decoded (a ``__getattr__`` hook would tax
+    every attribute read, decoded or not: ~90 against ~20 ns).
     """
 
     def __init__(self, form: _ArrayForm):
@@ -538,6 +573,7 @@ class _ArrayAutomaton(HomogeneousAutomaton):
         del self._stes, self._successors, self._predecessors
         self._form = form
         self._made: Dict[int, Ste] = {}
+        self._report_codes: Optional[List[Optional[str]]] = None
         self._symbol_sets: List[Optional[SymbolSet]] = [None] * len(form.masks)
         self._edge_arrays = EdgeIndexArrays(
             form.ids,
@@ -546,15 +582,12 @@ class _ArrayAutomaton(HomogeneousAutomaton):
             form.targets,
         )
         self._edge_arrays_version = self._mutation_version
+        self._form_memo = (self._mutation_version, form)
         self._fingerprint(form)
 
-    def __getattr__(self, name: str):
-        if name not in ("_stes", "_successors", "_predecessors"):
-            raise AttributeError(name)
-        # Not self._decode: another thread may have decoded this object,
-        # and so changed its class, since the lookup that landed here.
-        _ArrayAutomaton._decode(self)
-        return getattr(self, name)
+    _stes = _Decoded()
+    _successors = _Decoded()
+    _predecessors = _Decoded()
 
     def __len__(self) -> int:
         return len(self._form.ids)
@@ -564,6 +597,13 @@ class _ArrayAutomaton(HomogeneousAutomaton):
 
     def ste_ids(self) -> List[str]:
         return list(map(self._form.ids.__getitem__, self._form.order.tolist()))
+
+    def validate(self):
+        # The columns were checked (or built) whole: no edge dangles.
+        if not len(self):
+            raise AutomatonError("automaton has no states")
+        if not self._form.start.any():
+            raise AutomatonError("automaton has no start states")
 
     def ste(self, ste_id: str) -> Ste:
         try:
@@ -581,11 +621,25 @@ class _ArrayAutomaton(HomogeneousAutomaton):
             made = self._made[at] = Ste(
                 ste_id,
                 symbols,
-                _START_KINDS[form.start[at]],
+                START_KINDS[form.start[at]],
                 bool(form.reporting[at]),
                 None if code < 0 else form.codes[code],
             )
         return made
+
+    def report_code(self, ste_id: str) -> Optional[str]:
+        try:
+            at = self._edge_arrays.index[ste_id]
+        except KeyError:
+            raise AutomatonError(f"unknown STE {ste_id!r}") from None
+        if self._report_codes is None:
+            # Once, in bulk: a report decode asks for a few states' codes,
+            # again and again.
+            codes = self._form.codes + [None]  # what code_of's -1 selects
+            self._report_codes = list(
+                map(codes.__getitem__, self._form.code_of.tolist())
+            )
+        return self._report_codes[at]
 
     def _decode(self):
         """Every state at once, in bulk (reusing those ``ste()`` made),
@@ -603,7 +657,7 @@ class _ArrayAutomaton(HomogeneousAutomaton):
                 Ste,
                 ids,
                 map(symbol_sets.__getitem__, form.mask_of.tolist()),
-                map(_START_KINDS.__getitem__, form.start.tolist()),
+                map(START_KINDS.__getitem__, form.start.tolist()),
                 form.reporting.tolist(),
                 map(codes.__getitem__, form.code_of.tolist()),
             )

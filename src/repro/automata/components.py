@@ -10,7 +10,7 @@ computes the Table 1 characteristics (#CCs, largest CC size).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -46,6 +46,20 @@ def component_labels(
             labels = jumped
 
 
+def component_order(
+    node_count: int, sources: np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(members, bounds)``: the nodes grouped by weak component, each
+    group ascending, component ``c`` being ``members[bounds[c]:bounds[c +
+    1]]``; components are ordered by size, ascending, ties broken by the
+    smallest member (the order :func:`connected_components` documents)."""
+    labels = component_labels(node_count, sources, targets)
+    sizes = np.bincount(labels, minlength=node_count)
+    members = np.lexsort((np.arange(node_count), labels, sizes[labels]))
+    starts = np.flatnonzero(np.diff(labels[members], prepend=-1))
+    return members, np.append(starts, node_count)
+
+
 def connected_components(automaton: HomogeneousAutomaton) -> List[List[str]]:
     """Weakly connected components, each a sorted list of STE ids.
 
@@ -56,18 +70,15 @@ def connected_components(automaton: HomogeneousAutomaton) -> List[List[str]]:
     in ``automaton.ste_ids()`` order.
 
     Works on the automaton's cached integer edge arrays, so the labelling
-    itself is a few vectorised rounds (:func:`component_labels`) instead
-    of a per-node BFS with set unions.
+    and the grouping are a few vectorised rounds (:func:`component_order`)
+    instead of a per-node BFS with set unions.
     """
     arrays = automaton.edge_index_arrays()
-    ids = arrays.ids  # lexically sorted, so groups come out sorted too
-    labels = component_labels(len(ids), arrays.sources, arrays.targets)
-    groups: Dict[int, List[str]] = {}
-    for ste_id, label in zip(ids, labels.tolist()):
-        groups.setdefault(label, []).append(ste_id)
-    components = list(groups.values())
-    components.sort(key=lambda cc: (len(cc), cc[0]))
-    return components
+    ids = arrays.ids  # lexically sorted, so index order is id order
+    members, bounds = component_order(len(ids), arrays.sources, arrays.targets)
+    ordered = list(map(ids.__getitem__, members.tolist()))
+    bounds = bounds.tolist()
+    return [ordered[low:high] for low, high in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ character classes: single symbols, ranges, unions, complements, and the
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -244,27 +244,94 @@ class SymbolSet:
         return f"SymbolSet({self.canonical_expression()})"
 
 
-def byte_signatures(labelled_bits: Iterable[Tuple[int, int]]) -> List[int]:
-    """Per-byte OR of the ``bits`` of every ``(mask, bits)`` pair whose
-    256-bit symbol ``mask`` contains the byte.
+def byte_signature_words(
+    masks: np.ndarray,
+    mask_of: np.ndarray,
+    bits: np.ndarray,
+    n_bits: int,
+    group: Optional[np.ndarray] = None,
+    groups: int = 1,
+) -> np.ndarray:
+    """``(groups, 256, words)`` ``uint64`` words, bit ``i`` of a row at
+    bit ``i % 64`` of word ``i // 64``: entry ``[g, b]`` is the OR of ``1
+    << bits[i]`` over the states ``i`` of group ``group[i]`` (all in group
+    0 by default) whose symbol mask — row ``mask_of[i]`` of the ``(k,
+    32)`` little-endian table ``masks`` — contains byte ``b``.  Every
+    ``bits[i]`` is below ``n_bits``; bits may repeat within a group.
 
-    With one pair per state and ``bits`` the state's position bit, entry
-    ``b`` is the set of states matching byte ``b`` — a kernel's match
-    table, a component's alphabet signature.  A ruleset has thousands of
-    states but a few dozen distinct masks, many of them wide (``.`` is
-    256 bits), so the bits are ORed per distinct mask first and each
-    mask's members walked once.
+    With ``bits`` the states' positions, entry ``[g, b]`` is the set of
+    group ``g``'s states matching byte ``b`` — a kernel's match matrix,
+    each component's alphabet signature.  A ruleset has thousands of
+    states but a few dozen distinct masks, most of them narrow, so the
+    bits are ORed per (group, mask) first and each such row is then ORed
+    into the bytes its mask holds: work in the (mask, byte) memberships
+    of the rows, all in a few bulk steps whatever the number of groups.
+    When wide masks make the memberships outweigh the states (Fermi: 852
+    masks, ~100k memberships) and one group has no repeated bit, a
+    ``(256, n_bits)`` bit grid scattered from the states is cheaper, and
+    is used.
     """
-    by_mask: dict[int, int] = {}
-    for mask, bits in labelled_bits:
-        by_mask[mask] = by_mask.get(mask, 0) | bits
-    signatures = [0] * ALPHABET_SIZE
-    for mask, bits in by_mask.items():
-        while mask:
-            low_bit = mask & -mask
-            signatures[low_bit.bit_length() - 1] |= bits
-            mask ^= low_bit
-    return signatures
+    masks = np.asarray(masks, dtype=np.uint8)
+    mask_of = np.asarray(mask_of, dtype=np.int64)
+    bits = np.asarray(bits, dtype=np.int64)
+    words = max(1, -(-n_bits // 64))
+    if group is None:
+        group = np.zeros_like(bits)
+        pairs, slot = np.unique(mask_of, return_inverse=True)
+        used, pair_mask = pairs, np.arange(len(pairs))
+        table = np.unpackbits(masks[used], axis=1, bitorder="little")
+        if int(table.sum()) * words > ALPHABET_SIZE * len(bits) and (
+            np.bincount(bits, minlength=1).max() <= 1
+        ):
+            grid = np.zeros((ALPHABET_SIZE, words * 64), dtype=np.uint8)
+            grid[:, bits] = table.T[:, slot.reshape(-1)]
+            packed = np.packbits(grid, axis=1, bitorder="little")
+            return packed.view(np.uint64).reshape(1, ALPHABET_SIZE, words)
+    else:
+        group = np.asarray(group, dtype=np.int64)
+        pairs, slot = np.unique(group * len(masks) + mask_of, return_inverse=True)
+        # Only the masks the states use: the table may be a whole ruleset's.
+        used, pair_mask = np.unique(pairs % len(masks), return_inverse=True)
+        table = np.unpackbits(masks[used], axis=1, bitorder="little")
+    by_pair = np.zeros((len(pairs), words), dtype=np.uint64)
+    np.bitwise_or.at(
+        by_pair,
+        (slot.reshape(-1), bits >> 6),
+        np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64)),
+    )
+    # Each (group, mask) row goes to every byte its mask holds.
+    held_mask, held_byte = np.divmod(np.flatnonzero(table), ALPHABET_SIZE)
+    first = np.searchsorted(held_mask, np.arange(len(table) + 1))
+    pair_mask = pair_mask.reshape(-1)
+    sizes = first[pair_mask + 1] - first[pair_mask]
+    source = np.repeat(np.arange(len(pairs)), sizes)
+    within = np.arange(len(source)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # A single group's pairs are its masks, whose quotient is group 0.
+    target = (pairs // max(1, len(masks)))[source] * ALPHABET_SIZE + held_byte[
+        first[pair_mask][source] + within
+    ]
+    order = np.argsort(target, kind="stable")
+    target = target[order]
+    starts = np.flatnonzero(np.diff(target, prepend=-1))
+    out = np.zeros((groups * ALPHABET_SIZE, words), dtype=np.uint64)
+    out[target[starts]] = np.bitwise_or.reduceat(
+        by_pair[source[order]], starts, axis=0
+    )
+    return out.reshape(groups, ALPHABET_SIZE, words)
+
+
+def byte_signatures(
+    masks: np.ndarray, mask_of: np.ndarray, bits: np.ndarray, n_bits: int
+) -> List[int]:
+    """:func:`byte_signature_words` of one group, as one int a byte."""
+    rows = byte_signature_words(masks, mask_of, bits, n_bits)[0]
+    if rows.shape[1] == 1:
+        return rows.ravel().tolist()
+    raw, width = rows.tobytes(), rows.shape[1] * 8
+    return [
+        int.from_bytes(raw[at : at + width], "little")
+        for at in range(0, len(raw), width)
+    ]
 
 
 def equivalence_classes(

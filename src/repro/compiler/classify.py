@@ -24,6 +24,17 @@ byte classes, symbol-set entropy, the probe's row count and the growth
 it implies — for ``repro classify`` and the benchmark's layer probe.
 No engine reads it.
 
+Both read the automaton's array form, never its per-state objects: the
+CC grouping (:func:`~repro.automata.components.component_order`), every
+CC's probe inputs and key (``_components``) are a few bulk numpy steps,
+and the byte signatures of a batch of CCs one
+:func:`~repro.automata.symbols.byte_signature_words` call.  A probe's
+answer depends on the CC's content only — member masks and start kinds,
+local edges, budget — so it is memoised in process (:data:`VERDICTS`,
+bounded by :data:`VERDICT_MEMO_BYTES`): a rule list edited in one rule
+probes that rule's CC only, and gets the :class:`Placement` a fresh
+probe would.
+
 Everything here is deterministic: component order is the deterministic
 :func:`~repro.automata.components.connected_components` order, the probe
 iterates byte classes in first-byte order, and no wall-clock or RNG
@@ -36,14 +47,21 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.automata.anml import HomogeneousAutomaton, StartKind
-from repro.automata.components import connected_components
-from repro.automata.symbols import byte_signatures
+from repro.automata.anml import (
+    START_KINDS,
+    HomogeneousAutomaton,
+    StartKind,
+    _ArrayForm,
+)
+from repro.automata.components import component_order
+from repro.automata.symbols import byte_signature_words, byte_signatures
+from repro.memo import BoundedMemo
 
 #: A component's substrate, indexed by whether its probe aborted.
 SUBSTRATES: Tuple[str, ...] = ("lazy-dfa", "packed-kernel")
@@ -71,6 +89,22 @@ CLASSIFY_TABLE_VERSION = 3
 #: Payload-member prefix for placement tables inside an artifact.
 CLASSIFY_PREFIX = "classify_"
 
+#: Bytes of probe verdicts the process keeps: an entry is its component's
+#: key (33 bytes a member, 8 an edge) plus a fixed overhead.
+VERDICT_MEMO_BYTES = 4 << 20
+
+_VERDICT_OVERHEAD_BYTES = 256
+
+#: ``(component key, budget) -> (rows, aborted, byte classes)`` of the
+#: probes run in this process (see :func:`probe_subset_closure`).
+VERDICTS = BoundedMemo(VERDICT_MEMO_BYTES)
+
+#: A member's key record: its 32-byte mask and its start kind.
+_RECORD_BYTES = 33
+
+_ALL_INPUT = START_KINDS.index(StartKind.ALL_INPUT)
+_START_OF_DATA = START_KINDS.index(StartKind.START_OF_DATA)
+
 
 def default_probe_budget(state_count: int) -> int:
     """Row budget for one CC's subset-closure probe.
@@ -82,19 +116,135 @@ def default_probe_budget(state_count: int) -> int:
     return min(PROBE_BUDGET_CAP, max(48, 8 * state_count))
 
 
+class _Component(NamedTuple):
+    """One CC's probe inputs, free of STE ids: per member, in member
+    order, its row of the automaton's mask table and its start kind's
+    index; its edges as member indices in (source, target) order; and
+    ``key``, the member count, each member's 32-byte mask and start kind
+    and the edges, as bytes — equal keys give equal probes.  ``masks`` is
+    the automaton's whole mask table."""
+
+    masks: np.ndarray
+    mask_rows: np.ndarray
+    start: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    key: bytes
+
+
+def _components(
+    form: _ArrayForm, members: np.ndarray, bounds: Sequence[int]
+) -> List[_Component]:
+    """The probe inputs of the member groups ``members[bounds[c]:bounds[c
+    + 1]]`` (indices into ``form.ids``), with the edges inside each group,
+    in one vectorised pass over the array form."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    count = len(bounds) - 1
+    sizes = np.diff(bounds)
+    group = np.full(len(form.ids), -1, dtype=np.int64)
+    group[members] = np.repeat(np.arange(count), sizes)
+    local = np.zeros(len(form.ids), dtype=np.int64)
+    local[members] = np.arange(len(members)) - np.repeat(bounds[:-1], sizes)
+    inside = (group[form.sources] >= 0) & (
+        group[form.sources] == group[form.targets]
+    )
+    edge_group = group[form.sources][inside]
+    sources = local[form.sources][inside].astype(np.int32)
+    targets = local[form.targets][inside].astype(np.int32)
+    by_group = np.lexsort((targets, sources, edge_group))
+    edge_group, sources, targets = (
+        edge_group[by_group], sources[by_group], targets[by_group]
+    )
+    edge_bounds = np.searchsorted(edge_group, np.arange(count + 1)).tolist()
+    mask_rows, start = form.mask_of[members], form.start[members]
+    records = np.concatenate(
+        [form.masks[mask_rows], start[:, None]], axis=1
+    ).tobytes()
+    edges = np.stack([sources, targets], axis=1).tobytes()
+    bounds = bounds.tolist()
+    components = []
+    for index in range(count):
+        low, high = bounds[index], bounds[index + 1]
+        edge_low, edge_high = edge_bounds[index], edge_bounds[index + 1]
+        components.append(
+            _Component(
+                form.masks,
+                mask_rows[low:high],
+                start[low:high],
+                sources[edge_low:edge_high],
+                targets[edge_low:edge_high],
+                (high - low).to_bytes(4, "little")
+                + records[low * _RECORD_BYTES : high * _RECORD_BYTES]
+                + edges[edge_low * 8 : edge_high * 8],
+            )
+        )
+    return components
+
+
+def _all_components(
+    automaton: HomogeneousAutomaton,
+) -> Tuple[List[List[str]], List[_Component]]:
+    """Every CC of ``automaton`` in :func:`~repro.automata.components.
+    connected_components` order: its member ids and its probe inputs."""
+    form = automaton._array_form()
+    members, bounds = component_order(len(form.ids), form.sources, form.targets)
+    ordered = list(map(form.ids.__getitem__, members.tolist()))
+    edges = bounds.tolist()
+    names = [ordered[low:high] for low, high in zip(edges, edges[1:])]
+    return names, _components(form, members, bounds)
+
+
+def _component_of(
+    automaton: HomogeneousAutomaton, members: Sequence[str]
+) -> _Component:
+    """The probe inputs of the CC ``members`` of ``automaton``."""
+    index = automaton.edge_index_arrays().index
+    positions = np.fromiter(map(index.__getitem__, members), np.int64, len(members))
+    return _components(automaton._array_form(), positions, [0, len(members)])[0]
+
+
+def _signatures(component: _Component) -> List[int]:
+    """Per-byte member-match bitmasks for one CC: ``result[b]`` has bit
+    ``i`` set iff member ``i`` matches byte ``b``; bytes with identical
+    signatures are one equivalence class of the CC's alphabet."""
+    size = len(component.mask_rows)
+    return byte_signatures(
+        component.masks, component.mask_rows, np.arange(size), size
+    )
+
+
+def _batch_signatures(components: Sequence[_Component]) -> List[List[int]]:
+    """:func:`_signatures` of each of one automaton's ``components``;
+    those of up to 64 members in one :func:`byte_signature_words` pass."""
+    small = [
+        index
+        for index, component in enumerate(components)
+        if len(component.mask_rows) <= 64
+    ]
+    found: Dict[int, List[int]] = {}
+    if small:
+        sizes = [len(components[index].mask_rows) for index in small]
+        offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        words = byte_signature_words(
+            components[small[0]].masks,
+            np.concatenate([components[index].mask_rows for index in small]),
+            np.arange(offsets.size) - offsets,
+            64,
+            np.repeat(np.arange(len(small)), sizes),
+            len(small),
+        )
+        found = dict(zip(small, words[:, :, 0].tolist()))
+    return [
+        found[index] if index in found else _signatures(component)
+        for index, component in enumerate(components)
+    ]
+
+
 def _component_byte_signatures(
     automaton: HomogeneousAutomaton, members: Sequence[str]
 ) -> List[int]:
-    """Per-byte member-match bitmasks for one CC.
-
-    ``result[b]`` has bit ``i`` set iff ``members[i]`` matches byte
-    ``b``; bytes with identical signatures are one equivalence class of
-    the CC's alphabet.
-    """
-    return byte_signatures(
-        (automaton.ste(ste_id).symbols.mask, 1 << position)
-        for position, ste_id in enumerate(members)
-    )
+    """:func:`_signatures` of the CC ``members`` of ``automaton``."""
+    return _signatures(_component_of(automaton, members))
 
 
 def probe_subset_closure(
@@ -103,6 +253,7 @@ def probe_subset_closure(
     *,
     budget: Optional[int] = None,
     signatures: Optional[Sequence[int]] = None,
+    component: Optional[_Component] = None,
 ) -> Tuple[int, bool, int]:
     """Bounded subset-closure probe of one CC's scanning semantics.
 
@@ -112,38 +263,43 @@ def probe_subset_closure(
     exist.  Returns ``(rows_visited, aborted, byte_classes)``; when
     ``aborted`` is True the closure is larger than the budget (possibly
     exponentially so).  ``signatures`` are the CC's
-    :func:`_component_byte_signatures`, for a caller that already has them.
+    :func:`_component_byte_signatures` and ``component`` its probe
+    inputs, for a caller that already has them.
+
+    The answer depends on the CC's content only — its members' masks and
+    start kinds and its edges, whatever the states are called — so an
+    equal CC probed before at the same budget, in this automaton or
+    another, is answered from the verdict memo (:data:`VERDICTS`).
 
     Deterministic: the worklist is ordered, byte classes are iterated in
     first-occurrence order, and rows are Python ints.
     """
     if not members:
         return 0, False, 0
+    if component is None:
+        component = _component_of(automaton, members)
+    size = len(component.mask_rows)
     if budget is None:
-        budget = default_probe_budget(len(members))
-    position = {ste_id: index for index, ste_id in enumerate(members)}
+        budget = default_probe_budget(size)
+    key = (component.key, budget)
+    verdict = VERDICTS.get(key)
+    if verdict is not None:
+        return verdict
     if signatures is None:
-        signatures = _component_byte_signatures(automaton, members)
+        signatures = _signatures(component)
     # Distinct byte classes, in first-byte order.
-    classes: List[int] = []
-    seen_signatures = set()
-    for signature in signatures:
-        if signature not in seen_signatures:
-            seen_signatures.add(signature)
-            classes.append(signature)
-    successor_mask = [0] * len(members)
-    all_input_mask = 0
-    sod_mask = 0
-    for ste_id in members:
-        source = position[ste_id]
-        for target in automaton.successors(ste_id):
-            if target in position:
-                successor_mask[source] |= 1 << position[target]
-        start = automaton.ste(ste_id).start
-        if start is StartKind.ALL_INPUT:
-            all_input_mask |= 1 << source
-        elif start is StartKind.START_OF_DATA:
-            sod_mask |= 1 << source
+    classes = list(dict.fromkeys(signatures))
+    successor_mask = [0] * size
+    for source, target in zip(
+        component.sources.tolist(), component.targets.tolist()
+    ):
+        successor_mask[source] |= 1 << target
+    all_input_mask = sod_mask = 0
+    for position, start in enumerate(component.start.tolist()):
+        if start == _ALL_INPUT:
+            all_input_mask |= 1 << position
+        elif start == _START_OF_DATA:
+            sod_mask |= 1 << position
     # The initial configuration: nothing active, start-of-data pending.
     # Its successors activate both start kinds; afterwards only the
     # all-input starts self-enable.
@@ -169,7 +325,9 @@ def probe_subset_closure(
                     break
                 seen.add(successor)
                 worklist.append((successor, False))
-    return len(seen), aborted, len(classes)
+    verdict = (len(seen), aborted, len(classes))
+    VERDICTS.put(key, verdict, len(component.key) + _VERDICT_OVERHEAD_BYTES)
+    return verdict
 
 
 def _symbol_entropy(signatures: Sequence[int]) -> float:
@@ -235,15 +393,19 @@ def classify_automaton(
     :func:`default_probe_budget`), ``packed-kernel`` when it aborts.
     Deterministic for a given automaton and budget.
     """
-    components = tuple(
-        tuple(members) for members in connected_components(automaton)
-    )
+    names, inputs = _all_components(automaton)
+    components = tuple(map(tuple, names))
     features = np.zeros((len(components), len(FEATURE_COLUMNS)), dtype=np.float64)
     assignment = np.zeros(len(components), dtype=np.int32)
-    for index, members in enumerate(components):
-        signatures = _component_byte_signatures(automaton, members)
+    for index, (members, component, signatures) in enumerate(
+        zip(components, inputs, _batch_signatures(inputs))
+    ):
         probe_states, aborted, byte_classes = probe_subset_closure(
-            automaton, members, budget=probe_budget, signatures=signatures
+            automaton,
+            members,
+            budget=probe_budget,
+            signatures=signatures,
+            component=component,
         )
         features[index] = (
             len(members),
@@ -332,8 +494,31 @@ def place_automaton(automaton: HomogeneousAutomaton) -> Placement:
     cannot change the answer.  Computes no feature; equal to the
     census's verdict (:func:`classify_automaton`) by construction.
     """
-    components = connected_components(automaton)
-    for index, members in enumerate(components):
-        if probe_subset_closure(automaton, members)[1]:
+    names, components = _all_components(automaton)
+    unseen = [
+        index
+        for index, component in enumerate(components)
+        if (component.key, default_probe_budget(len(component.mask_rows)))
+        not in VERDICTS
+    ]
+    signatures: Dict[int, List[int]] = {}
+    batch = 4
+    for index, (members, component) in enumerate(zip(names, components)):
+        at = bisect_left(unseen, index)
+        if index not in signatures and unseen[at : at + 1] == [index]:
+            # The next unseen CCs' signatures in one pass, twice as many
+            # each time: an early abort wastes little, and a ruleset
+            # probed to the end takes a few passes.
+            chosen = unseen[at : at + batch]
+            signatures = dict(
+                zip(chosen, _batch_signatures([components[i] for i in chosen]))
+            )
+            batch *= 2
+        if probe_subset_closure(
+            automaton,
+            members,
+            signatures=signatures.get(index),
+            component=component,
+        )[1]:
             return Placement(SUBSTRATES[1], index, len(components))
     return Placement(SUBSTRATES[not components], None, len(components))

@@ -53,12 +53,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.automata.anml import HomogeneousAutomaton, StartKind
-from repro.automata.symbols import byte_signatures
+from repro.automata.anml import START_KINDS, HomogeneousAutomaton, StartKind
+from repro.automata.symbols import byte_signature_words
 from repro.backends.validation import as_symbols
 from repro.core.energy import ActivityProfile
 from repro.errors import FaultError, SimulationError
@@ -375,8 +375,7 @@ class ReportDecoder:
             self._rank = report_rank(self._automaton)
         bits = BitsetKernel.bit_indices(np.frombuffer(row_bytes, np.uint64))
         fired = sorted((self._ids[bit] for bit in bits), key=self._rank.__getitem__)
-        stes = map(self._automaton.ste, fired)
-        found = tuple((ste.ste_id, ste.report_code) for ste in stes)
+        found = tuple(zip(fired, map(self._automaton.report_code, fired)))
         if len(self._memo) >= DECODE_MEMO_ROWS:
             self._memo.clear()
         self._memo[row_bytes] = found
@@ -700,8 +699,9 @@ class BitsetKernel:
     ``n_bits`` is the size of the state vector (for the mapped simulator
     this includes per-partition span padding); ``edges`` is a ``(tails,
     heads)`` pair of bit sequences, one position an edge (an L-switch
-    cross-point); ``match_table`` (256 entries), ``start_all``,
-    ``start_sod`` and ``report_mask`` are arbitrary-precision-int tables
+    cross-point); ``match_table`` (256 entries, or already the ``(256,
+    words)`` ``uint64`` match matrix), ``start_all``, ``start_sod`` and
+    ``report_mask`` are arbitrary-precision-int tables
     (:meth:`from_automaton` derives them all) — the kernel packs them
     once at construction.  The edges are kept as one edge list,
     ``succ_indptr``/``succ_heads`` (:func:`edge_list`).
@@ -716,7 +716,7 @@ class BitsetKernel:
         self,
         n_bits: int,
         edges: Tuple[Sequence[int], Sequence[int]],
-        match_table: List[int],
+        match_table: Union[List[int], np.ndarray],
         start_all: int,
         start_sod: int,
         report_mask: int,
@@ -725,7 +725,16 @@ class BitsetKernel:
         self.words = max(1, -(-n_bits // 64))
         self.row_bytes = self.words * 8
 
-        self.match_matrix = self._pack_rows(match_table)
+        self.match_matrix = (
+            np.ascontiguousarray(match_table, dtype=np.uint64)
+            if isinstance(match_table, np.ndarray)
+            else self._pack_rows(match_table)
+        )
+        if self.match_matrix.shape != (256, self.words):
+            raise SimulationError(
+                f"a match matrix of {self.match_matrix.shape}, not "
+                f"(256, {self.words})"
+            )
         self.match_matrix.setflags(write=False)
         self.start_all_row = self.pack(start_all)
         self.start_all_row.setflags(write=False)
@@ -743,21 +752,22 @@ class BitsetKernel:
     ) -> "BitsetKernel":
         """The kernel of ``automaton`` with STE ``s`` at bit ``bit_of[s]``
         of an ``n_bits`` vector (bits no STE owns stay inert)."""
-        arrays = automaton.edge_index_arrays()
-        bits = np.array([bit_of[ste_id] for ste_id in arrays.ids], dtype=np.int64)
-        edges = bits[arrays.sources], bits[arrays.targets]
-        start_all = start_sod = report_mask = 0
-        labelled_bits = []
-        for ste in automaton.stes():
-            bit = 1 << bit_of[ste.ste_id]
-            if ste.start is StartKind.ALL_INPUT:
-                start_all |= bit
-            elif ste.start is StartKind.START_OF_DATA:
-                start_sod |= bit
-            if ste.reporting:
-                report_mask |= bit
-            labelled_bits.append((ste.symbols.mask, bit))
-        match_table = byte_signatures(labelled_bits)
+        form = automaton._array_form()
+        bits = np.array([bit_of[ste_id] for ste_id in form.ids], dtype=np.int64)
+        edges = bits[form.sources], bits[form.targets]
+
+        def row(selected: np.ndarray) -> int:
+            """The int with the selected states' bits set."""
+            grid = np.zeros(-(-n_bits // 8) * 8, dtype=np.uint8)
+            grid[bits[selected]] = 1
+            return int.from_bytes(
+                np.packbits(grid, bitorder="little").tobytes(), "little"
+            )
+
+        start_all = row(form.start == START_KINDS.index(StartKind.ALL_INPUT))
+        start_sod = row(form.start == START_KINDS.index(StartKind.START_OF_DATA))
+        report_mask = row(form.reporting)
+        match_table = byte_signature_words(form.masks, form.mask_of, bits, n_bits)[0]
         return cls(
             n_bits, edges, match_table,
             start_all, start_sod, report_mask,

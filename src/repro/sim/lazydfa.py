@@ -58,6 +58,7 @@ flush-immune *event*, so callers can materialise golden-convention
 from __future__ import annotations
 
 import zlib
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -166,6 +167,7 @@ class LazyDfaKernel:
             alphabet.n_stride_classes if alphabet is not None else 256,
             max(64, int(max_states)),
             int,
+            partial(int.to_bytes, length=kernel.row_bytes, byteorder="little"),
         )
         # The step function's rows as ints: a byte's match row the first
         # time a step reads it (the kernel's list, which its shift step
@@ -435,7 +437,8 @@ class LazyDfaKernel:
         """Canonical DFA tables for publication to worker processes.
 
         ``dfa_rows`` are the interned packed activation rows (state id
-        order); ``dfa_sources``, ``dfa_columns`` and ``dfa_targets`` the
+        order; each packed once, :meth:`LazyTable.packed_keys`);
+        ``dfa_sources``, ``dfa_columns`` and ``dfa_targets`` the
         table's record of silent transitions (:meth:`LazyTable.publish`),
         where a column is a byte unstrided or a compressed stride class.
         A strided kernel additionally ships its alphabet (``stride_k``,
@@ -447,10 +450,8 @@ class LazyDfaKernel:
         cache entry (:meth:`persist`), which keeps all but the alphabet.
         """
         keys, sources, columns, targets = self._table.publish()
-        row_bytes = self._kernel.row_bytes
-        raw = b"".join(key.to_bytes(row_bytes, "little") for key in keys)
         tables = {
-            "dfa_rows": np.frombuffer(raw, dtype=np.uint64).reshape(
+            "dfa_rows": np.frombuffer(self._table.packed_keys(), np.uint64).reshape(
                 len(keys), self._kernel.words
             ),
             "dfa_sources": sources,
@@ -490,15 +491,13 @@ class LazyDfaKernel:
                 f"states need"
             )
         raw, row_bytes = rows.tobytes(), self._kernel.row_bytes
-        keys = [
-            int.from_bytes(raw[at : at + row_bytes], "little")
-            for at in range(0, len(raw), row_bytes)
-        ]
+        packed = [raw[at : at + row_bytes] for at in range(0, len(raw), row_bytes)]
         self._table.adopt(
-            keys,
+            [int.from_bytes(row, "little") for row in packed],
             tables["dfa_sources"],
             tables["dfa_columns"],
             tables["dfa_targets"],
+            packed,
         )
 
     # -- persistence -------------------------------------------------------

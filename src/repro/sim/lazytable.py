@@ -55,7 +55,11 @@ it does with the records a scan met.
   split fan-out's shared tables) and the lazy DFA's ``<key>.table``
   cache entry, which a warm engine adopts at build.  Transitions that
   carry a record are *not* published: a consumer recomputes each on
-  first use, one miss per distinct transition.
+  first use, one miss per distinct transition.  A table given a ``pack``
+  function keeps its keys' packed bytes the same way
+  (:meth:`LazyTable.packed_keys`: a key is packed once, the first time a
+  publication needs it, and a flush starts over), so a publication
+  encodes only the keys interned since the last one.
 """
 
 from __future__ import annotations
@@ -117,10 +121,15 @@ class LazyTable:
         width: int,
         max_states: int,
         decode: Callable[[Hashable], object],
+        pack: Optional[Callable[[Hashable], bytes]] = None,
     ):
         self.width = int(width)
         self.max_states = int(max_states)
         self._decode = decode
+        self._pack = pack
+        #: ``pack(key)`` of ``keys[:_packed_count]``, in id order.
+        self._packed = bytearray()
+        self._packed_count = 0
         self.lookups = 0
         self.misses = 0
         self.flushes = 0
@@ -179,6 +188,8 @@ class LazyTable:
             self.flushes += 1
             self.transitions = 1
             del self._record[:]
+            del self._packed[:]
+            self._packed_count = 0
             self._ids.clear()
             del self.keys[:]
             del self.states[:]
@@ -300,12 +311,22 @@ class LazyTable:
         triples = np.array(self._record, dtype=np.int32).reshape(-1, 3)
         return (list(self.keys), *triples.T.copy())
 
+    def packed_keys(self) -> bytes:
+        """``pack(key)`` of every key, in id order (the table was given a
+        ``pack`` function): each key is packed once, the first time this
+        is asked for after its intern."""
+        if self._packed_count < len(self.keys):
+            self._packed += b"".join(map(self._pack, self.keys[self._packed_count :]))
+            self._packed_count = len(self.keys)
+        return bytes(self._packed)
+
     def adopt(
         self,
         keys: Sequence[Hashable],
         sources: np.ndarray,
         columns: np.ndarray,
         targets: np.ndarray,
+        packed: Optional[Sequence[bytes]] = None,
     ) -> None:
         """Merge another table's :meth:`publish` output into this one.
 
@@ -319,7 +340,9 @@ class LazyTable:
         memory that is unmapped right after).  Arrays that are not one
         record — not 1-D integers of one length, ids that are no key's
         index, columns past the width — raise ``ValueError``; so does a
-        key not yet here that repeats.
+        key not yet here that repeats.  ``packed``, aligned with ``keys``,
+        is each key's ``pack`` output when the caller read the keys from
+        it, so the keys gained are not packed again.
         """
         cells = [np.asarray(part) for part in (sources, columns, targets)]
         if len({part.shape for part in cells}) != 1 or any(
@@ -348,8 +371,9 @@ class LazyTable:
         # bits, so a hash costs more than a step of the loop.
         start = len(self.keys)
         known = list(map(self._ids.get, keys))
-        new = [key for key, sid in zip(keys, known) if sid is None]
-        new = new[: max(0, self.max_states - start)]
+        new_at = [at for at, sid in enumerate(known) if sid is None]
+        new_at = new_at[: max(0, self.max_states - start)]
+        new = list(map(keys.__getitem__, new_at))
         added = dict(zip(new, range(start, start + len(new))))
         if len(added) != len(new):
             raise ValueError("adopt: a key repeats, so no table published it")
@@ -359,7 +383,9 @@ class LazyTable:
             [next(fresh, -1) if sid is None else sid for sid in known],
             dtype=np.int64,
         )
-        self._extend(added)
+        self._extend(
+            added, None if packed is None else b"".join(map(packed.__getitem__, new_at))
+        )
         local, gained = sid_map[sources], sid_map[targets]
         keep = (local >= 0) & (gained >= 0)
         local, columns, gained = local[keep], columns[keep], gained[keep]
@@ -380,13 +406,19 @@ class LazyTable:
             gained = gained[lacking]
         self._link(local, columns, gained)
 
-    def _extend(self, added: Dict[Hashable, int]) -> None:
+    def _extend(
+        self, added: Dict[Hashable, int], packed: Optional[bytes] = None
+    ) -> None:
         """Intern the keys of ``added``, none of them here yet, under
-        their ids, which run on from the last one."""
+        their ids, which run on from the last one; ``packed`` is their
+        ``pack`` output, when the caller has it."""
         start = len(self.keys)
         self._ids.update(added)
         self.keys += added
         self.states += map(self._decode, added)
+        if packed is not None and self._packed_count == start:
+            self._packed += packed
+            self._packed_count = len(self.keys)
         cells, rows = self.width + 1, self.enc_rows
         for sid in range(start, len(self.keys)):
             row = [~sid] * cells

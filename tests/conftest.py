@@ -9,6 +9,7 @@ import pytest
 from repro.automata.anml import HomogeneousAutomaton, StartKind
 from repro.automata.symbols import SymbolSet
 from repro.regex.compile import compile_patterns
+from repro.workloads import synth
 
 #: The paper's running example (Figure 1): patterns over {bat, bar, ...}.
 FIGURE1_PATTERNS = [
@@ -79,3 +80,19 @@ def chain_automaton(
         if u != v:
             automaton.add_edge(f"s{u}", f"s{v}")
     return automaton
+
+
+#: Rule kinds of the ``ruleset-churn`` benchmark's lists, in list order.
+_CHURN_KINDS = (
+    lambda count, seed: synth.ids_rules(count, seed=seed),
+    lambda count, seed: synth.dotstar_rules(count, 0.3, seed=seed),
+    lambda count, seed: synth.exact_match_rules(count, seed=seed),
+    lambda count, seed: synth.range_rules(count, 1.0, seed=seed),
+)
+
+
+def churn_patterns(index: int) -> list[str]:
+    """Pattern list ``index`` (0–15) of the ``ruleset-churn`` benchmark:
+    40–200 rules of one of four kinds."""
+    count = 40 + (index * 53) % 161
+    return _CHURN_KINDS[index % len(_CHURN_KINDS)](count, 1000 + index)

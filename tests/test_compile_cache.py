@@ -10,6 +10,7 @@ automaton itself, rebuilt from arrays and re-verified by fingerprint.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -427,6 +428,58 @@ class TestSourceKey:
             "automata written by the old front end must stop being served "
             "for these patterns), then re-pin this fingerprint"
         )
+
+
+#: Scanned by :class:`TestEntriesArePinned`.
+ENTRY_DATA = b"the cat sat on the bat; x0123456789abcdy doggg bart! qrs abbbc " * 8
+
+#: Per rule list built with ``auto=True`` and scanned (forwards, then
+#: backwards), each entry's ``(key prefix, SHA-256 prefix)``, as the
+#: per-state front end wrote them: the array front end must write the
+#: same bytes under the same names, so a directory the former filled
+#: serves the latter only hits.
+PINNED_ENTRIES = {
+    "pinned": {
+        ".automaton": ("f62eb09d937f5bf1", "29778352b6a7d850"),
+        ".artifact": ("0c53e4962c25c40f", "b3c34570d659e691"),
+        ".table": ("0c53e4962c25c40f", "d4eda10a0e5e5f5c"),
+    },
+    "friendly": {
+        ".automaton": ("90a93ab9fa0319d2", "2d36c5207e6839e6"),
+        ".artifact": ("77337d2e5537d8e6", "9d254f7baf3eb327"),
+        ".table": ("77337d2e5537d8e6", "f8c93a6ce14ca64b"),
+    },
+}
+ENTRY_LISTS = {
+    "pinned": PINNED_PATTERNS,
+    "friendly": ["bat", "c[ao]t", "dog+", "bar[t]?"],
+}
+
+
+class TestEntriesArePinned:
+    @pytest.mark.parametrize("name", sorted(PINNED_ENTRIES))
+    def test_new_entries_are_pinned_and_read_back_as_hits(self, tmp_path, name):
+        rules = ENTRY_LISTS[name]
+        cold = CacheAutomatonEngine.from_patterns(rules, auto=True, cache=tmp_path)
+        expected = cold.scan(ENTRY_DATA)
+        cold.scan(ENTRY_DATA[::-1])
+        del cold
+        gc.collect()
+        written = {
+            path.suffix: (
+                path.stem[:16],
+                hashlib.sha256(path.read_bytes()).hexdigest()[:16],
+            )
+            for path in tmp_path.rglob("*.*")
+        }
+        assert written == PINNED_ENTRIES[name]
+        warm = CacheAutomatonEngine.from_patterns(rules, auto=True, cache=tmp_path)
+        assert warm.scan(ENTRY_DATA) == expected
+        info = warm.cache_info()
+        assert (info["automaton_hits"], info["hits"], info["table_hits"]) == (1, 1, 1)
+        assert not any(
+            info[key] for key in info if key.endswith(("misses", "stores"))
+        ), info
 
 
 class TestAutomatonRoundTrip:

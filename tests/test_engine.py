@@ -5,21 +5,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.engine
 from repro.automata import anml
 from repro.compiler.cache import CompileCache
 from repro.backends.registry import resolve_backend_name
+from repro.compiler import classify
 from repro.compiler.classify import (
     SUBSTRATES,
+    VERDICT_MEMO_BYTES,
     cached_placement,
     place_automaton,
 )
 from repro.core.design import CA_S
 from repro.engine import CacheAutomatonEngine, Match
 from repro.errors import DegradedModeWarning, ReproError, SimulationError
+from repro.memo import BoundedMemo
 from repro.regex.compile import compile_patterns
 from repro.sim.golden import match_offsets
+from tests.conftest import churn_patterns
 
 
 @pytest.fixture(scope="module")
@@ -654,3 +660,113 @@ def test_engine_classifies_only_when_the_artifact_has_no_decision():
     source = ast.unparse(tree)
     assert source.index("load_artifact(") < source.index("place_automaton(")
     assert "decision = None if loaded is None else cached_placement(" in source
+
+
+# -- edits ----------------------------------------------------------------
+
+#: Rules the edit properties draw from: friendly ones and hostile ones
+#: (the bounded gaps abort their probes), some of them shaped alike.
+EDIT_POOL = [
+    "bat", "cat", "c[ao]t", "dog+", "bar[t]?", "^ab*c", "q(r|s)+t",
+    "[0-9]+z", "x.{14}y", "a.{12}b", "k.{12}m",
+]
+
+
+def _edited_scan_text(patterns):
+    """Bytes that fire some of ``patterns``' rules: the literal ones."""
+    literals = [rule for rule in patterns if rule.isalnum()]
+    return (" -- ".join(literals[:12]) + " padding text 0123456789 ").encode() * 4
+
+
+@pytest.fixture()
+def fresh_verdicts(monkeypatch):
+    """An empty probe-verdict memo of the default bound for one test."""
+    memo = BoundedMemo(VERDICT_MEMO_BYTES)
+    monkeypatch.setattr(classify, "VERDICTS", memo)
+    return memo
+
+
+class TestAnEditRecompilesItsEdit:
+    @pytest.mark.parametrize(
+        "options",
+        [{"auto": True}, {"backend": "lazy-dfa"}, {"backend": "packed-kernel"}],
+        ids=["auto", "lazy-dfa", "packed-kernel"],
+    )
+    def test_a_cold_build_makes_no_per_state_object(
+        self, tmp_path, monkeypatch, options
+    ):
+        """From patterns to reports, a cold build reads the automaton's
+        columns only: nothing decodes it into states and edge sets."""
+        decodes = []
+        real = anml._ArrayAutomaton._decode
+        monkeypatch.setattr(
+            anml._ArrayAutomaton,
+            "_decode",
+            lambda self: decodes.append(1) or real(self),
+        )
+        patterns = churn_patterns(10)
+        data = _edited_scan_text(patterns)
+        engine = CacheAutomatonEngine.from_patterns(
+            patterns, cache=tmp_path, **options
+        )
+        assert engine.health().tier == "cold-compile"
+        matches = engine.scan(data)
+        assert decodes == []
+        assert not PER_STATE_DICTS & set(vars(engine.automaton))
+        golden = CacheAutomatonEngine.from_patterns(
+            patterns, backend="golden-interpreter", cache=None
+        )
+        assert matches and matches == golden.scan(data)
+
+    def test_memoised_placement_equals_a_fresh_probe(self, fresh_verdicts):
+        from repro.workloads.suite import build_suite
+
+        for benchmark in build_suite():
+            automaton = benchmark.build()
+            fresh_verdicts.clear()
+            fresh = place_automaton(automaton)
+            probed = fresh_verdicts.info()["misses"]
+            assert place_automaton(automaton) == fresh, benchmark.name
+            assert fresh_verdicts.info()["misses"] == probed, benchmark.name
+
+    def test_an_edit_probes_its_component_only(self, fresh_verdicts):
+        patterns = churn_patterns(15)
+        first = place_automaton(compile_patterns(patterns))
+        assert first.substrate == "lazy-dfa"
+        edited = list(patterns)
+        edited[33] = "qzxwvy42"
+        automaton = compile_patterns(edited)
+        probed = fresh_verdicts.info()["misses"]
+        memoised = place_automaton(automaton)
+        assert fresh_verdicts.info()["misses"] == probed + 1
+        fresh_verdicts.clear()
+        assert memoised == place_automaton(automaton) == first
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.lists(st.sampled_from(EDIT_POOL), min_size=1, max_size=7),
+        at=st.integers(0, 6),
+        rule=st.sampled_from(EDIT_POOL),
+    )
+    def test_placement_after_an_edit_is_a_fresh_probes(self, base, at, rule):
+        edited = list(base)
+        edited[at % len(base)] = rule
+        memo = classify.VERDICTS
+        try:
+            classify.VERDICTS = BoundedMemo(VERDICT_MEMO_BYTES)
+            place_automaton(compile_patterns(base))
+            memoised = place_automaton(compile_patterns(edited))
+            classify.VERDICTS = BoundedMemo(VERDICT_MEMO_BYTES)
+            assert memoised == place_automaton(compile_patterns(edited))
+        finally:
+            classify.VERDICTS = memo
+
+    def test_the_verdict_memo_holds_its_byte_bound(self, fresh_verdicts):
+        automaton = compile_patterns(churn_patterns(15))
+        expected = place_automaton(automaton)
+        fresh_verdicts.clear()
+        fresh_verdicts.limit = 8_000
+        assert place_automaton(automaton) == expected
+        info = fresh_verdicts.info()
+        assert info["evictions"] > 0
+        assert 0 < info["bytes"] <= 8_000

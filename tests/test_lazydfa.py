@@ -408,3 +408,49 @@ class TestNothingIsStored:
         )
         assert reply.consumed
         assert not list(tmp_path.rglob("*.table"))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_exported_rows_pack_each_state_once(stride):
+    """``dfa_rows`` are the table's keys, each packed once: an export
+    packs only the states interned since the last one, and adopted rows
+    are kept as they came, through flushes alike."""
+    patterns = ["bat", "c[ao]t", "dog+", "x[0-9]+y"]
+    machine = compile_patterns(patterns, report_codes=patterns)
+    artifact = CompiledArtifact.from_mapping(compile_automaton(machine, CA_P))
+    kernel = create_backend("lazy-dfa", artifact).simulator.kernel
+    data = b"the cat sat on the bat; x0123456789y doggg bart! cot dot " * 6
+    warm = LazyDfaKernel(kernel, stride=stride)
+    scan_one(kernel, warm, data[::-1], None, False)
+
+    packs = []
+    real = int.to_bytes
+
+    def packed_keys(dfa):
+        keys = dfa._table.keys
+        raw = b"".join(real(key, kernel.row_bytes, "little") for key in keys)
+        return np.frombuffer(raw, np.uint64).reshape(len(keys), kernel.words)
+
+    for budget in (None, 3):
+        dfa = LazyDfaKernel(kernel, stride=stride)
+        dfa._table._pack = lambda key: packs.append(key) or real(
+            key, kernel.row_bytes, "little"
+        )
+        if budget is not None:
+            dfa._max_states = budget
+        dfa.seed(warm.export_tables())
+        assert packs == []  # adopted rows are kept as they came
+        for start in range(0, len(data), 37):
+            flushes = dfa.cache_info()["flushes"]
+            before = list(dfa._table.keys)
+            scan_one(kernel, dfa, data[start : start + 37], None, False)
+            packs.clear()
+            assert (dfa.export_tables()["dfa_rows"] == packed_keys(dfa)).all()
+            fresh = dfa._table.keys[len(before) :]
+            if dfa.cache_info()["flushes"] == flushes:
+                assert packs == fresh
+            assert len(packs) == len(set(packs)) <= len(dfa._table.keys)
+            packs.clear()
+            dfa.export_tables()
+            assert packs == []
+        assert (dfa.cache_info()["flushes"] > 0) == (budget is not None)

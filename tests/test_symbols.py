@@ -177,12 +177,18 @@ class TestProperties:
 
     @given(st.lists(st.tuples(symbol_sets, st.integers(0, 40)), max_size=30))
     def test_byte_signatures_equal_the_per_state_loop(self, labelled):
-        """Grouping states by distinct mask first must give what walking
-        every state's every symbol gives."""
-        expected = [0] * ALPHABET_SIZE
-        for symbols, position in labelled:
-            for symbol in symbols:
-                expected[symbol] |= 1 << position
-        assert expected == byte_signatures(
-            (symbols.mask, 1 << position) for symbols, position in labelled
-        )
+        """The table built from the mask columns must give what walking
+        every state's every symbol gives, in one word and in many, with
+        states sharing a mask row and a bit."""
+        masks = np.frombuffer(
+            b"".join(symbols.mask.to_bytes(32, "little") for symbols, _ in labelled),
+            dtype=np.uint8,
+        ).reshape(len(labelled), 32)
+        rows = np.arange(len(labelled)) // 2
+        positions = np.array([position for _, position in labelled], dtype=np.int64)
+        for spread, n_bits in ((1, 41), (97, 41 * 97)):
+            expected = [0] * ALPHABET_SIZE
+            for state, (_, position) in enumerate(labelled):
+                for symbol in labelled[state // 2][0]:  # its mask row's set
+                    expected[symbol] |= 1 << position * spread
+            assert expected == byte_signatures(masks, rows, positions * spread, n_bits)
