@@ -167,10 +167,6 @@ class HomogeneousAutomaton:
     def stes(self) -> Iterator[Ste]:
         return iter(self._stes.values())
 
-    def report_code(self, ste_id: str) -> Optional[str]:
-        """The report code of one STE (``None`` when it has none)."""
-        return self.ste(ste_id).report_code
-
     def ste_ids(self) -> List[str]:
         return list(self._stes)
 
@@ -556,7 +552,7 @@ class _ArrayAutomaton(HomogeneousAutomaton):
     its fragments, :func:`repro.regex.glushkov.concatenate`), decoded
     only as far as it is asked.
 
-    ``ste_ids()``, ``len``, ``in``, ``ste()``, ``report_code()`` and
+    ``ste_ids()``, ``len``, ``in``, ``ste()`` and
     ``validate()`` answer from the columns (a state's :class:`Ste` is made
     on its first ``ste()`` and kept).
     Every other method reads ``_stes``, ``_successors`` or
@@ -573,7 +569,6 @@ class _ArrayAutomaton(HomogeneousAutomaton):
         del self._stes, self._successors, self._predecessors
         self._form = form
         self._made: Dict[int, Ste] = {}
-        self._report_codes: Optional[List[Optional[str]]] = None
         self._symbol_sets: List[Optional[SymbolSet]] = [None] * len(form.masks)
         self._edge_arrays = EdgeIndexArrays(
             form.ids,
@@ -626,20 +621,6 @@ class _ArrayAutomaton(HomogeneousAutomaton):
                 None if code < 0 else form.codes[code],
             )
         return made
-
-    def report_code(self, ste_id: str) -> Optional[str]:
-        try:
-            at = self._edge_arrays.index[ste_id]
-        except KeyError:
-            raise AutomatonError(f"unknown STE {ste_id!r}") from None
-        if self._report_codes is None:
-            # Once, in bulk: a report decode asks for a few states' codes,
-            # again and again.
-            codes = self._form.codes + [None]  # what code_of's -1 selects
-            self._report_codes = list(
-                map(codes.__getitem__, self._form.code_of.tolist())
-            )
-        return self._report_codes[at]
 
     def _decode(self):
         """Every state at once, in bulk (reusing those ``ste()`` made),

@@ -48,7 +48,7 @@ from repro.sim.kernel import (
     RunStats,
     ScanResult,
     placement_bits,
-    placement_ids,
+    placement_positions,
     popcount_rows,
 )
 
@@ -239,10 +239,10 @@ class MappedSimulator:
         self._span_words = partition_size // 64 if partition_size % 64 == 0 else 0
         self._mask_bytes = self.mapping.partition_count * partition_size // 8
         # Reporting rows -> report identities in placement bit order; the
-        # bit -> STE id table is built on the first report, so rebuilding
+        # bit -> rank array is built on the first report, so rebuilding
         # from cached tables stays free of per-state Python loops.
-        ids = partial(placement_ids, self.mapping)
-        self.decoder = ReportDecoder(self.mapping.automaton, ids)
+        positions = partial(placement_positions, self.mapping)
+        self.decoder = ReportDecoder(self.mapping.automaton, positions)
 
     def _init_way_groups(self):
         # Way id per partition, for per-way G-switch activation counting;

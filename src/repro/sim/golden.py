@@ -61,7 +61,7 @@ class GoldenSimulator:
         self.bit_of: Dict[str, int] = {s: bit for bit, s in enumerate(ids)}
         self._kernel = BitsetKernel.from_automaton(automaton, self.bit_of, len(ids))
         self._kernel.dialect = AUTOMATON_ORDER
-        self._decoder = ReportDecoder(automaton, automaton.ste_ids)
+        self._decoder = ReportDecoder(automaton, lambda: automaton._array_form().order)
 
     def run(
         self,

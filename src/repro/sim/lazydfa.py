@@ -187,10 +187,11 @@ class LazyDfaKernel:
         self._events: List[Tuple[int, bytes]] = events.values
         self._event_id = events.id
         #: Where :meth:`closed` hands the table (see :meth:`persist`), and
-        #: the table's ``(misses, transitions)`` at its last store or
-        #: adoption.
+        #: the table's ``(flushes, silent cells)`` when learning was last
+        #: counted from, with the silent cells at the last store (0
+        #: before the first).
         self._store: Optional[Callable[[Dict[str, np.ndarray]], object]] = None
-        self._stored = (0, 0)
+        self._stored = (0, 0, 0)
 
     @property
     def _max_states(self) -> int:
@@ -472,7 +473,10 @@ class LazyDfaKernel:
         Non-reporting transitions seed directly into the hot-loop lists;
         reporting ones stay missing (their reporting-row bytes were not
         shipped) and recompute through the miss path on first use — a
-        one-time propagate per distinct reporting transition.  Tables
+        one-time propagate per distinct reporting transition.  The cells
+        gained go on the table's record: adopted before :meth:`persist`
+        (a warm build) they count as held, merged in after it as learned
+        by the store rule (:meth:`closed`).  Tables
         this kernel could not have exported raise ``ValueError``:
         ``dfa_rows`` that are not ``(states, words)`` ``uint64``, or a
         record that :meth:`LazyTable.adopt` refuses (a column past this
@@ -522,23 +526,29 @@ class LazyDfaKernel:
     ) -> None:
         """From now on hand :meth:`export_tables` to ``store`` whenever a
         scan ends having learned enough (:meth:`closed`); ``None`` stops
-        it.  What the table holds now counts as stored."""
+        it.  What the table holds now — a cache entry or a parent's
+        table it adopted — is not learned, and not stored either: the
+        first silent cell learned after this call stores."""
         self._store = store
-        self._stored = (self._table.misses, self._table.transitions)
+        self._stored = (self._table.flushes, self._table.silent, 0)
 
     def closed(self) -> None:
         """A scan on this kernel ended (:meth:`DfaCursor.close`): store
-        the table when the misses since its last store or adoption at
-        least equal the transitions it held then.  Each store at least
-        doubles the misses behind it, so a kernel stores O(log misses)
-        times, and a store costs a fraction of the misses that paid for
-        it."""
+        the table when the silent cells learned since its last store (or
+        :meth:`persist`) at least equal the silent cells it held at that
+        store — 0 before the first, so any cell the entry lacks stores
+        once.  Reporting transitions, which no entry keeps, do not
+        count.  Each later store at least doubles the cells, so a kernel
+        stores O(log cells) times; a flush starts the count over."""
         if self._store is None:
             return
-        misses, held = self._stored
-        learned = self._table.misses - misses
+        flushes, mark, held = self._stored
+        silent = self._table.silent
+        if flushes != self._table.flushes:
+            mark = held = 0
+        learned = silent - mark
         if learned and learned >= held:
-            self._stored = (self._table.misses, self._table.transitions)
+            self._stored = (self._table.flushes, silent, silent)
             self._store(self.export_tables())
 
     # -- introspection -----------------------------------------------------

@@ -53,9 +53,10 @@ it does with the records a scan met.
   empty table, the warm start's case, ends with the source ids).  Its
   consumers are worker processes (a service tenant's spec, a shard or
   split fan-out's shared tables) and the lazy DFA's ``<key>.table``
-  cache entry, which a warm engine adopts at build.  Transitions that
-  carry a record are *not* published: a consumer recomputes each on
-  first use, one miss per distinct transition.  A table given a ``pack``
+  cache entry, which a warm engine adopts at build.  Its length,
+  :attr:`LazyTable.silent`, is what the lazy DFA's store rule counts.
+  Transitions that carry a record are *not* published: a consumer
+  recomputes each on first use, one miss per distinct transition.  A table given a ``pack``
   function keeps its keys' packed bytes the same way
   (:meth:`LazyTable.packed_keys`: a key is packed once, the first time a
   publication needs it, and a flush starts over), so a publication
@@ -444,6 +445,12 @@ class LazyTable:
         triples = np.stack([sources, columns, targets], axis=1)
         self._record.frombytes(triples.astype(np.int32).tobytes())
         self.transitions += len(columns)
+
+    @property
+    def silent(self) -> int:
+        """Silent cells on the record: learned or adopted since the last
+        flush."""
+        return len(self._record) // 3
 
     def counters(self) -> Dict[str, int]:
         """The ``cache_info()`` keys every table user reports; ``hits``

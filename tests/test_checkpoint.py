@@ -7,6 +7,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from repro.service import (
 from repro.service.net import decode_checkpoint, encode_checkpoint
 from repro.sim.functional import MappedSimulator
 from repro.sim.golden import Checkpoint, GoldenSimulator
-from repro.sim.kernel import BitsetKernel, placement_ids
+from repro.sim.kernel import BitsetKernel, placement_positions
 from tests.test_lazytable import _code_only
 from tests.test_procpool import Ticker
 
@@ -336,7 +337,7 @@ def test_a_stray_bit_gets_one_answer_from_every_backend(portable_artifact):
     from the wire) is refused by every backend that resumes — the packed
     kernel and the lazy DFA used to scan on with it enabled for a cycle
     where the golden interpreter and hybrid raised."""
-    stray = placement_ids(portable_artifact.mapping).index("")
+    stray = int(np.flatnonzero(placement_positions(portable_artifact.mapping) < 0)[0])
     resumable = []
     for name in backend_names():
         backend = create_backend(name, portable_artifact)

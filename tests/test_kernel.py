@@ -422,10 +422,11 @@ def scan_in_pieces(kernel, automaton, bit_of, pieces, resume=None):
     """Everything a scan leaves behind, resumed from piece to piece: the
     matched and enabled histories, the checkpoint after every piece and
     the reports."""
-    ids = [""] * kernel.n_bits
+    positions = np.full(kernel.n_bits, -1)
+    index = automaton.edge_index_arrays().index
     for ste_id, bit in bit_of.items():
-        ids[bit] = ste_id
-    decoder = ReportDecoder(automaton, lambda: ids)
+        positions[bit] = index[ste_id]
+    decoder = ReportDecoder(automaton, lambda: positions)
     matched, enabled, reports = [], [], []
 
     def on_chunk(sym, matched_rows, enabled_rows, offset):

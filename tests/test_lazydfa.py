@@ -236,19 +236,24 @@ def test_a_warm_engine_on_a_friendly_suite_ruleset_is_golden(name, tmp_path):
     )
 
 
-@pytest.mark.parametrize("kind", sorted(_CHURN_LISTS))
-def test_a_warm_engine_on_a_churn_list_is_golden(kind, tmp_path):
-    """Text with a match of every fifth rule planted every 400 bytes; the
-    cold engine learns its first two thirds, the warm one scans its last
-    two."""
-    patterns = _CHURN_LISTS[kind]()
-    rng = random.Random(kind)
+def _planted(patterns, seed) -> bytes:
+    """6 KiB of text with a match of every fifth rule planted every 400
+    bytes."""
+    rng = random.Random(seed)
     data = bytearray(rng.choices(b"abcdefghijklmnopqrstuvwxyz0123456789 ", k=6144))
     needles = [_match_of(pattern).encode() for pattern in patterns[::5]]
     for at in range(0, len(data) - 64, 400):
         needle = needles[at // 400 % len(needles)]
         data[at : at + len(needle)] = needle
-    data = bytes(data)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("kind", sorted(_CHURN_LISTS))
+def test_a_warm_engine_on_a_churn_list_is_golden(kind, tmp_path):
+    """Planted text; the cold engine learns its first two thirds, the
+    warm one scans its last two."""
+    patterns = _CHURN_LISTS[kind]()
+    data = _planted(patterns, kind)
     _assert_warm_is_golden(
         lambda cache: CacheAutomatonEngine.from_patterns(
             patterns, auto=True, cache=cache
@@ -329,9 +334,69 @@ def test_a_warm_tenant_scans_its_spans_as_golden(tmp_path):
     assert cold == warm == _triples(simulate(engine.automaton, data))
 
 
+@pytest.mark.parametrize("kind", sorted(_CHURN_LISTS))
+def test_fresh_engines_converge_on_one_table_entry(kind, tmp_path):
+    """Three short-lived engines on one list and directory, as CLI runs
+    or hot reloads are.  The first scans the probe and stores what it
+    learned.  The second adopts that, scans the probe (nothing new, so
+    no store), then new bytes, and stores the cells it learned there.
+    The third adopts both and misses only the reporting transitions,
+    which no entry keeps: one miss each."""
+    patterns = _CHURN_LISTS[kind]()
+    data = _planted(patterns, kind)
+    probe, fresh = data[:4096], data[4096:]
+
+    def build():
+        return CacheAutomatonEngine.from_patterns(patterns, auto=True, cache=tmp_path)
+
+    first = build()
+    assert first.backend.name == "lazy-dfa"
+    first.scan(probe)
+    assert first.cache_info()["table_stores"] == 1
+    second = build()
+    second.scan(probe)
+    assert second.cache_info()["table_stores"] == 0
+    second.scan(fresh)
+    assert second.cache_info()["table_stores"] == 1
+    third = build()
+    assert third.cache_info()["table_hits"] == 1
+    assert third.scan(probe) + third.scan(fresh)
+    reporting = sum(
+        cell.__class__ is int and cell > 0
+        for row in third.backend.dfa._table.enc_rows
+        for cell in row[:-1]
+    )
+    assert third.backend.cache_info()["misses"] == reporting > 0
+    assert third.cache_info()["table_stores"] == 0
+
+
+def test_reporting_re_misses_do_not_store(tmp_path):
+    """A warm engine adopted a table of three silent cells; its scan of
+    the same bytes re-misses eight reporting transitions and learns no
+    silent cell, so the entry is not rewritten."""
+    patterns = list("abcdefgh")
+
+    def build():
+        return CacheAutomatonEngine.from_patterns(
+            patterns, backend="lazy-dfa", cache=tmp_path
+        )
+
+    data = b"xyzabcdefgh"
+    cold = build()
+    cold.scan(data)
+    assert cold.cache_info()["table_stores"] == 1
+    adopted = len(cold.backend.dfa.export_tables()["dfa_sources"])
+    warm = build()
+    assert warm.cache_info()["table_hits"] == 1
+    warm.scan(data)
+    assert warm.backend.cache_info()["misses"] > adopted
+    assert warm.cache_info()["table_stores"] == 0
+
+
 def test_a_long_stream_stores_logarithmically_often(tmp_path):
     """A 1 MiB stream in 4 KiB pieces: each store at least doubles the
-    misses behind it, so there are at most ceil(log2(misses)) + 1."""
+    silent cells behind it, so there are at most ceil(log2(misses)) + 1
+    (a cell costs a miss)."""
     bench = get_benchmark("Snort")
     cache = CompileCache(tmp_path)
     engine = CacheAutomatonEngine(bench.build(), backend="lazy-dfa", cache=cache)
