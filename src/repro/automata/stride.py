@@ -163,7 +163,7 @@ class StrideAlphabet:
 
     @classmethod
     def from_tables(cls, tables: Dict[str, np.ndarray]) -> "StrideAlphabet":
-        """Rebuild from a :meth:`tables` export (cache / shared memory)."""
+        """Rebuild from a :meth:`tables` export (cache / worker job)."""
         return cls(
             stride=int(np.asarray(tables["stride_k"]).reshape(())),
             byte_class=np.asarray(
@@ -222,7 +222,7 @@ class StrideAlphabet:
         return bytes(int(self.representatives[d]) for d in reversed(digits))
 
     def tables(self) -> Dict[str, np.ndarray]:
-        """Arrays for shared-memory publication / artifact payloads."""
+        """Arrays for worker jobs / artifact payloads."""
         return {
             "stride_k": np.array(self.stride, dtype=np.int32),
             "stride_class_of": np.asarray(self.byte_class, dtype=np.int32),

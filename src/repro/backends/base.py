@@ -191,7 +191,7 @@ class AutomatonBackend:
         """Everything a worker process needs to rebuild this backend
         and scan with it (:func:`~repro.sim.lazydfa.
         kernel_dfa_from_tables`): a scan process gets them inside the
-        tenant's spec, a shard fan-out as one shared-memory block; empty
+        tenant's spec, a shard fan-out inside each job; empty
         on a backend workers rebuild from the registration instead
         (lazy-dfa overrides, and turns what they return into reports
         with its ``materialise_raw``)."""

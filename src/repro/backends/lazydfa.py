@@ -11,11 +11,11 @@ construction survives only as the paper's CPU model,
 :class:`~repro.baselines.cpu.DfaCpuEngine`.
 
 ``scan_many`` additionally shards streams across a process pool
-(:mod:`repro.sim.shard`): the kernel's packed tables and the warm DFA
-transition tables are published once through shared memory, workers
-rebuild zero-copy and return raw report events, and the parent
-materialises :class:`Report` objects — so results are deterministic and
-independent of the worker count.  Control the pool with the ``jobs=``
+(:mod:`repro.sim.shard`): each worker's job carries the kernel's packed
+tables and the warm DFA transition tables, workers rebuild from them
+and return raw report events, and the parent materialises
+:class:`Report` objects — so results are deterministic and independent
+of the worker count.  Control the pool with the ``jobs=``
 backend option (engine: ``backend_options={"jobs": N}``) or
 ``REPRO_SCAN_JOBS``.
 
@@ -24,7 +24,7 @@ execution: the DFA consumes k bytes per cached transition over a
 CAMA-style compressed class alphabet
 (:mod:`repro.automata.stride`), with reports still bit-identical to
 the golden run.  Striding composes with sharding — the compressed
-alphabet ships through the same shared-memory block.
+alphabet rides in the same job.
 
 ``scan`` can additionally *split one stream* across a worker pool
 (:mod:`repro.sim.split`, SFA-style): the parent scans the leading
@@ -95,7 +95,7 @@ _CAPABILITIES = BackendCapabilities(
         "flush on overflow), bit-identical reports with full STE "
         "identity; optional k-stride execution over a compressed class "
         "alphabet (stride= / REPRO_STRIDE); scan_many shards streams "
-        "across a process pool over shared-memory tables; scan splits "
+        "across a process pool, tables inside each job; scan splits "
         "one stream across workers via SFA state mappings "
         "(split_jobs= / REPRO_SPLIT_JOBS)"
     ),
@@ -359,7 +359,7 @@ class LazyDfaBackend(AutomatonBackend):
         streams = list(streams)
         resumes = require_resume_count(resumes, len(streams))
         # Opt-in, like the split above: sharding forks a pool and
-        # publishes a shared-memory block whatever the batch holds.
+        # pickles the tables into every job whatever the batch holds.
         workers = resolve_jobs(
             self._jobs if jobs is None else jobs, SCAN_JOBS_ENV, 1
         )

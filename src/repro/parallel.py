@@ -33,13 +33,6 @@ size of a payload or of a reply.
   worker; it propagates as itself, the worker carries on.
 * parent → worker ``None`` — stop.
 
-**Tracker rule.**  Attaching a shared-memory block registers it with
-:mod:`multiprocessing.resource_tracker`.  A worker forked before the
-parent's tracker exists would start a private one on its first attach,
-and that tracker unlinks the parent's *live* block when its worker
-dies.  The tracker is therefore started before any worker is, so every
-child inherits the parent's.
-
 **Supervision is per worker.**  End-of-file on a pipe, a reply that
 cannot be read, or a failed send means that one process is gone: the
 job it held fails with :class:`WorkerLost` (the serving layer's
@@ -58,13 +51,10 @@ import time
 import warnings
 from collections import deque
 from concurrent.futures import Future
-from contextlib import ExitStack
 from multiprocessing import connection, get_all_start_methods, get_context
-from multiprocessing import resource_tracker, shared_memory, util
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional
+from multiprocessing import util
+from typing import Callable, Deque, List, NamedTuple, Optional
 from typing import Sequence, Tuple, Union
-
-import numpy as np
 
 from repro.errors import DegradedModeWarning, JobsError, ReproError
 
@@ -109,94 +99,6 @@ def resolve_jobs(
         raise JobsError(
             f"{source} must be an integer or 'auto', got {jobs!r}"
         ) from None
-
-
-# -- shared tables -----------------------------------------------------------
-
-
-class SharedTables:
-    """A dict of numpy arrays published as one shared-memory block.
-
-    ``meta`` is the picklable handle workers pass to
-    :func:`attach_tables`: the block name plus per-array (name, dtype,
-    shape, byte offset) entries.  The creator must :meth:`close` when
-    every consumer is done (the pool has exited) — use the instance as
-    a context manager so the block is released on *every* exit path,
-    including a pool that died before doing any work.  :meth:`close` is
-    idempotent and tolerates a block someone else already unlinked, so
-    belt-and-braces cleanup in error paths cannot raise over the
-    original failure.
-    """
-
-    def __init__(self, tables: Dict[str, np.ndarray]):
-        entries = []
-        arrays = []
-        offset = 0
-        for name, array in tables.items():
-            array = np.asarray(array)
-            if not array.flags.c_contiguous:
-                # NB: not ascontiguousarray — that promotes 0-d to (1,).
-                array = np.ascontiguousarray(array)
-            entries.append((name, array.dtype.str, array.shape, offset))
-            arrays.append(array)
-            # Keep every region 8-byte aligned for the uint64 tables.
-            offset += (array.nbytes + 7) & ~7
-        self._closed = True  # nothing to release until the block exists
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, offset))
-        self._closed = False
-        try:
-            for (name, dtype, shape, start), array in zip(entries, arrays):
-                np.ndarray(
-                    shape, dtype=dtype, buffer=self._shm.buf, offset=start
-                )[...] = array
-            self.meta = (self._shm.name, tuple(entries))
-        except BaseException:
-            # Never leak the block when population fails half-way.
-            self.close()
-            raise
-
-    def __enter__(self) -> "SharedTables":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._shm.close()
-        finally:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-
-def attach_tables(meta) -> Tuple[shared_memory.SharedMemory, Dict[str, np.ndarray]]:
-    """Map a :class:`SharedTables` block; returns (handle, array views).
-
-    The views alias the mapping — the caller must drop every view (and
-    everything built on them) before :func:`detach_tables`.
-    """
-    name, entries = meta
-    shm = shared_memory.SharedMemory(name=name)
-    tables = {
-        entry_name: np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=start)
-        for entry_name, dtype, shape, start in entries
-    }
-    return shm, tables
-
-
-def detach_tables(handle: shared_memory.SharedMemory) -> None:
-    """Close an attached block.  After a failure some views still live
-    in the traceback (``BufferError``); the handle then closes when
-    they go."""
-    try:
-        handle.close()
-    except BufferError:
-        pass
 
 
 # -- worker side -------------------------------------------------------------
@@ -293,9 +195,6 @@ class WorkerPool:
             self._ready(self._spawn())
 
     def _spawn(self) -> _Worker:
-        # Before the fork, so the child inherits this tracker instead of
-        # starting its own on its first attach (module docstring).
-        resource_tracker.ensure_running()
         context = get_context(self._mp_method)
         parent_end, child_end = context.Pipe()
         inherited = ()
@@ -514,7 +413,6 @@ def fan_out(
     jobs: int,
     *,
     what: str,
-    tables: Optional[Dict[str, np.ndarray]] = None,
     meanwhile: Optional[Callable[[], None]] = None,
 ) -> Optional[list]:
     """One-shot ``[fn(payload) for payload in payloads]`` on up to
@@ -523,24 +421,19 @@ def fan_out(
     caller runs its serial path.
 
     That is the whole degrade policy: only a failure of the *plane* —
-    ``OSError`` from process creation or from publishing ``tables``, a
-    worker lost mid-job — degrades.  An exception a job itself raised
-    (bad input, corrupt tables; ``OSError`` included) propagates as
-    itself: retrying it serially would mask it or fail identically,
-    twice as slowly.
+    ``OSError`` from process creation, a worker lost mid-job —
+    degrades.  An exception a job itself raised (bad input, corrupt
+    tables; ``OSError`` included) propagates as itself: retrying it
+    serially would mask it or fail identically, twice as slowly.
 
-    ``tables`` are published as one :class:`SharedTables` block for the
-    length of the call and every job receives ``(meta, payload)``.
-    ``meanwhile`` runs in the parent after the jobs are out and before
-    their replies are read: the parent's own share of the work.
+    A job's payload is everything its worker gets: tables ride inside
+    it, pickled down the worker's pipe like the rest.  ``meanwhile``
+    runs in the parent after the jobs are out and before their replies
+    are read: the parent's own share of the work.
     """
-    with ExitStack() as cleanup:
+    pool = WorkerPool(min(max(1, jobs), len(payloads)))
+    try:
         try:
-            if tables is not None:
-                meta = cleanup.enter_context(SharedTables(tables)).meta
-                payloads = [(meta, payload) for payload in payloads]
-            pool = WorkerPool(min(max(1, jobs), len(payloads)))
-            cleanup.callback(pool.shutdown)  # before the block goes
             futures = [pool.submit(fn, payload) for payload in payloads]
             if meanwhile is not None:
                 meanwhile()
@@ -557,3 +450,5 @@ def fan_out(
             return None
         # Outside the handler: an OSError raised here is the job's own.
         return [future.result() for future in futures]
+    finally:
+        pool.shutdown()

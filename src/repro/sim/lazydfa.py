@@ -64,7 +64,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.automata.stride import StrideAlphabet, resolve_stride
-from repro.parallel import attach_tables, detach_tables
 from repro.sim.kernel import BitsetKernel, Checkpoint, as_symbols
 from repro.sim.lazytable import Interner, LazyTable
 
@@ -600,21 +599,6 @@ def kernel_dfa_from_tables(tables, max_states: Optional[int]):
     dfa = LazyDfaKernel(kernel, max_states=max_states, alphabet=alphabet)
     dfa.seed(tables)
     return kernel, dfa
-
-
-def attach_kernel_dfa(meta, max_states: Optional[int]):
-    """:func:`kernel_dfa_from_tables` on a published
-    :class:`~repro.parallel.SharedTables` block, zero-copy: returns
-    ``(kernel, dfa, handle)``, and the caller drops the pair, then
-    closes ``handle``."""
-    handle, tables = attach_tables(meta)
-    try:
-        kernel, dfa = kernel_dfa_from_tables(tables, max_states)
-    except BaseException:
-        del tables
-        detach_tables(handle)
-        raise
-    return kernel, dfa, handle
 
 
 class DfaCursor:

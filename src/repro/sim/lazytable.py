@@ -52,7 +52,7 @@ it does with the records a scan met.
   at the budget and reading the row cells to see what it lacks (an
   empty table, the warm start's case, ends with the source ids).  Its
   consumers are worker processes (a service tenant's spec, a shard or
-  split fan-out's shared tables) and the lazy DFA's ``<key>.table``
+  split fan-out's jobs) and the lazy DFA's ``<key>.table``
   cache entry, which a warm engine adopts at build.  Its length,
   :attr:`LazyTable.silent`, is what the lazy DFA's store rule counts.
   Transitions that carry a record are *not* published: a consumer

@@ -1,19 +1,19 @@
-"""Process-parallel sharded scanning over shared kernel/DFA tables.
+"""Process-parallel sharded scanning over one warm kernel/DFA pair.
 
 The Section 6 multi-stream scenario scales past one core by sharding
 independent input streams across worker processes
-(:func:`repro.parallel.fan_out`).  The expensive state — the packed
-kernel tables and the lazy DFA's published table, ``dfa_rows`` (state
-keys) and the ``dfa_sources``/``dfa_columns``/``dfa_targets`` record of
-silent transitions (see :mod:`repro.sim.lazytable`), plus the stride
-alphabet when striding — is published *once* as a single shared-memory
-block; each worker maps it zero-copy, rebuilds a
-:class:`~repro.sim.kernel.BitsetKernel` via ``from_packed`` and a
-warm-seeded :class:`~repro.sim.lazydfa.LazyDfaKernel`
-(:func:`~repro.sim.lazydfa.attach_kernel_dfa`), and scans its shard of
-streams.  Shards are strided slices and come back in submission order,
-so reassembly is deterministic — the worker count never changes what a
-scan returns, only how fast it returns.
+(:func:`repro.parallel.fan_out`).  Each job carries the tables its
+worker needs — the packed kernel tables and the lazy DFA's published
+table, ``dfa_rows`` (state keys) and the
+``dfa_sources``/``dfa_columns``/``dfa_targets`` record of silent
+transitions (see :mod:`repro.sim.lazytable`), plus the stride alphabet
+when striding — and the worker rebuilds a
+:class:`~repro.sim.kernel.BitsetKernel` and a warm-seeded
+:class:`~repro.sim.lazydfa.LazyDfaKernel` from them
+(:func:`~repro.sim.lazydfa.kernel_dfa_from_tables`) and scans its shard
+of streams.  Shards are strided slices and come back in submission
+order, so reassembly is deterministic — the worker count never changes
+what a scan returns, only how fast it returns.
 
 Worker count comes from ``jobs=`` or the ``REPRO_SCAN_JOBS`` environment
 variable; sharding is opt-in (unset means 1 — a fork per batch costs
@@ -26,34 +26,28 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.parallel import detach_tables, fan_out
+from repro.parallel import fan_out
 from repro.sim.kernel import Checkpoint
-from repro.sim.lazydfa import RawScanResult, attach_kernel_dfa, scan_one
+from repro.sim.lazydfa import RawScanResult, kernel_dfa_from_tables, scan_one
 
 SCAN_JOBS_ENV = "REPRO_SCAN_JOBS"
 
 
 def _scan_shard_worker(job) -> Tuple[List[RawScanResult], Dict[str, int]]:
-    """Scan one shard of streams against the shared tables.
+    """Scan one shard of streams against the tables its job carries.
 
     Returns the raw results plus the worker DFA's
     :meth:`~LazyDfaKernel.cache_info` counters — per-worker
     hit/miss/flush totals would otherwise die with the process, leaving
     the parent's aggregate blind to the fan-out.
     """
-    meta, (items, collect_events, max_states) = job
-    kernel, dfa, handle = attach_kernel_dfa(meta, max_states)
-    try:
-        raws = [
-            scan_one(kernel, dfa, data, resume, collect_events)
-            for data, resume in items
-        ]
-        return raws, dfa.cache_info()
-    finally:
-        # Seeding copied what the DFA keeps of the mapping; the kernel
-        # aliases it.
-        kernel = dfa = None
-        detach_tables(handle)
+    tables, items, collect_events, max_states = job
+    kernel, dfa = kernel_dfa_from_tables(tables, max_states)
+    raws = [
+        scan_one(kernel, dfa, data, resume, collect_events)
+        for data, resume in items
+    ]
+    return raws, dfa.cache_info()
 
 
 def scan_streams_sharded(
@@ -82,10 +76,12 @@ def scan_streams_sharded(
     jobs = min(max(1, jobs), len(items))
     shard_results = fan_out(
         _scan_shard_worker,
-        [(items[start::jobs], collect_events, max_states) for start in range(jobs)],
+        [
+            (tables, items[start::jobs], collect_events, max_states)
+            for start in range(jobs)
+        ],
         jobs,
         what="process-sharded scanning",
-        tables=tables,
     )
     if shard_results is None:
         return None

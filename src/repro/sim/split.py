@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.parallel import attach_tables, detach_tables, fan_out
+from repro.parallel import fan_out
 from repro.sim.kernel import BitsetKernel, Checkpoint, as_symbols
 from repro.sim.lazydfa import RawScanResult
 from repro.sim.lazytable import Interner, LazyTable
@@ -104,8 +104,8 @@ class SfaKernel:
     The cached automaton is shared state; the per-chunk group
     bookkeeping lives in :meth:`scan_mapping`'s locals, so one kernel
     serves many chunks and its cache keeps warming.  ``export_tables``
-    /:meth:`seed` ship the table's record of silent transitions through
-    shared memory the same way the lazy DFA's tables travel — effectful
+    /:meth:`seed` ship the table's record of silent transitions inside
+    each worker's job, as the lazy DFA's tables travel — effectful
     transitions recompute on first use, one miss each.
     """
 
@@ -289,7 +289,7 @@ class SfaKernel:
     # -- publication -------------------------------------------------------
 
     def export_tables(self) -> Dict[str, np.ndarray]:
-        """Canonical SFA tables for shared-memory publication.
+        """Canonical SFA tables, as a worker's job carries them.
 
         State keys travel as a pool of distinct rows (``sfa_rows``) plus,
         per state, its row ids — const first, then the slots
@@ -327,8 +327,6 @@ class SfaKernel:
         states back into its master cache after a join — the next split
         call ships the union to every worker.
         """
-        # tobytes copies: the rows may view a shared-memory block that
-        # is unmapped right after seeding.
         rows = [
             row.tobytes()
             for row in np.asarray(tables["sfa_rows"], dtype=np.uint64)
@@ -364,26 +362,18 @@ class SfaKernel:
 
 
 def _split_mapping_worker(job):
-    """Build one chunk's mapping against the shared tables.
+    """Build one chunk's mapping against the tables its job carries.
 
-    Rebuilds the kernel zero-copy, seeds the SFA from the parent's warm
-    silent transitions, and maps its chunk.  Returns ``(mapping,
-    newly-warmed SFA tables, cache counters)`` — the parent merges the
-    tables back so the cache keeps warming across calls.
+    Rebuilds the kernel, seeds the SFA from the parent's warm silent
+    transitions, and maps its chunk.  Returns ``(mapping, newly-warmed
+    SFA tables, cache counters)`` — the parent merges the tables back
+    so the cache keeps warming across calls.
     """
-    meta, (data, slot_limit) = job
-    handle, tables = attach_tables(meta)
-    try:
-        kernel = BitsetKernel.from_packed(tables)
-        sfa = SfaKernel(kernel, slot_limit=slot_limit)
-        sfa.seed(tables)
-        mapping = sfa.scan_mapping(as_symbols(data))
-        return mapping, sfa.export_tables(), sfa.cache_info()
-    finally:
-        # Seeding copied what the SFA keeps of the mapping; the kernel
-        # and ``tables`` alias it.
-        kernel = sfa = tables = None
-        detach_tables(handle)
+    tables, data, slot_limit = job
+    sfa = SfaKernel(BitsetKernel.from_packed(tables), slot_limit=slot_limit)
+    sfa.seed(tables)
+    mapping = sfa.scan_mapping(as_symbols(data))
+    return mapping, sfa.export_tables(), sfa.cache_info()
 
 
 # -- join ------------------------------------------------------------------
@@ -461,15 +451,15 @@ def scan_stream_split(
 ) -> Optional[Tuple[RawScanResult, dict]]:
     """Scan one stream across ``jobs`` parallel actors; exact join.
 
-    The parent is actor 0: it publishes the kernel + SFA tables once
-    through shared memory, hands chunks 1..N-1 to worker processes,
-    scans chunk 0 itself on the (warm) lazy DFA ``dfa`` while they run,
-    then joins left-to-right.  Returns ``(raw result, stats)`` in the
-    serial scan's raw form, or ``None`` when the worker plane itself
-    is unusable (the caller falls back to its serial path); worker
-    exceptions propagate.  A chunk whose mapping was abandoned
-    (frontier explosion) is rescanned serially on ``dfa`` during the
-    join and counted in ``stats["degraded_chunks"]``.
+    The parent is actor 0: it hands chunks 1..N-1, each with the kernel
+    + SFA tables, to worker processes, scans chunk 0 itself on the
+    (warm) lazy DFA ``dfa`` while they run, then joins left-to-right.
+    Returns ``(raw result, stats)`` in the serial scan's raw form, or
+    ``None`` when the worker plane itself is unusable (the caller falls
+    back to its serial path); worker exceptions propagate.  A chunk
+    whose mapping was abandoned (frontier explosion) is rescanned
+    serially on ``dfa`` during the join and counted in
+    ``stats["degraded_chunks"]``.
     """
     symbols = as_symbols(data)
     length = len(symbols)
@@ -490,10 +480,12 @@ def scan_stream_split(
     leader: list = []
     worker_returns = fan_out(
         _split_mapping_worker,
-        [(bytes(data[start:end]), sfa.slot_limit) for start, end in bounds[1:]],
+        [
+            (tables, bytes(data[start:end]), sfa.slot_limit)
+            for start, end in bounds[1:]
+        ],
         len(bounds) - 1,
         what="split-stream scanning",
-        tables=tables,
         meanwhile=lambda: leader.append(scan_leader()),
     )
     if worker_returns is None:

@@ -14,9 +14,11 @@ path the site falls back to is the real one.
 from __future__ import annotations
 
 import glob
+import json
 import os
 import re
 import signal
+import subprocess
 import sys
 import time
 import warnings
@@ -235,6 +237,51 @@ class TestBlockingDriver:
             _REAL.clear()
 
 
+# -- nothing outlives a run -------------------------------------------------
+
+#: Run in a fresh interpreter, so nothing an earlier test started counts:
+#: a pool's life, then each one-shot fan-out on a lazy-DFA backend.
+_FRESH_RUN = """
+import json, multiprocessing
+from multiprocessing import resource_tracker
+from repro.backends import create_backend
+from repro.backends.artifact import CompiledArtifact
+from repro.compiler import compile_automaton
+from repro.core.design import CA_P
+from repro.parallel import WorkerPool
+from repro.regex.compile import compile_patterns
+
+pool = WorkerPool(2)
+pool.start()
+pool.shutdown()
+machine = compile_patterns({patterns!r}, report_codes={patterns!r})
+artifact = CompiledArtifact.from_mapping(compile_automaton(machine, CA_P))
+backend = create_backend("lazy-dfa", artifact, split_min_chunk=8)
+backend.scan_many([{stream!r}, {stream!r}[7:]], jobs=2)
+backend.scan({stream!r}, split_jobs=2)
+print(json.dumps({{
+    "workers": backend.worker_cache_info()["workers"],
+    "tracker": resource_tracker._resource_tracker._pid,
+    "children": [p.name for p in multiprocessing.active_children()],
+}}))
+"""
+
+
+def test_a_run_starts_no_tracker_and_leaves_no_process():
+    """Workers get their tables inside their jobs, so no run starts
+    multiprocessing's resource tracker, and every worker a pool or a
+    fan-out started has ended when it returns."""
+    root = Path(repro.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root))
+    script = _FRESH_RUN.format(patterns=PATTERNS, stream=STREAM)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == {"workers": 3, "tracker": None, "children": []}
+
+
 # -- guard --------------------------------------------------------------------
 
 
@@ -250,6 +297,14 @@ def test_parallel_is_the_only_module_that_imports_process_machinery():
         if pattern.search(path.read_text(encoding="utf-8"))
     )
     assert offenders == ["parallel.py"]
+    # Workers get their tables inside their jobs: no module, parallel.py
+    # included, names the shared-memory block or its tracker.
+    tracker = re.compile(r"\b(shared_memory|resource_tracker)\b")
+    assert not sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if tracker.search(path.read_text(encoding="utf-8"))
+    )
     # The two fan-out scanners are the lazy-DFA backend's own: what the
     # serial scan, the pool workers and each other need of them lives
     # beside ``LazyDfaKernel``, so retiring one is deleting its file.

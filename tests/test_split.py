@@ -3,13 +3,11 @@
 The contract under test: splitting ONE stream across N workers is
 bit-identical to the serial scan — report offsets, STE identity, report
 codes, totals, and the resume cursor — for every worker count, stride,
-and chunk geometry; degradations (frontier explosion, pool death) stay
-correct and are surfaced, never silent; and the shared-memory
-publication never leaks, whatever kills the pool.
+and chunk geometry; and degradations (frontier explosion, pool death)
+stay correct and are surfaced, never silent.
 """
 
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -21,17 +19,13 @@ from repro.core.design import CA_P
 from repro.engine import CacheAutomatonEngine
 from repro.errors import DegradedModeWarning
 from repro.regex.compile import compile_patterns
-from repro import parallel as parallel_module
-from repro.parallel import SharedTables, resolve_jobs
-from repro.sim import shard as shard_module
+from repro.parallel import resolve_jobs
 from repro.sim import split as split_module
 from repro.sim.golden import match_offsets
 from repro.sim.lazydfa import merge_cache_infos
-from repro.sim.shard import scan_streams_sharded
 from repro.sim.split import SPLIT_JOBS_ENV, SfaKernel, effective_split_jobs
 from repro.workloads.suite import build_suite
 from tests.test_parallel import (
-    _dies_in_worker,
     _raises_in_worker,
     inject_job_fault,
     inject_spawn_failure,
@@ -304,79 +298,6 @@ class TestDegradation:
         )
         with pytest.raises(ValueError, match="rejected its payload"):
             backend.scan(stream)
-
-
-class TestSharedMemoryHygiene:
-    """Satellite: the published block must never outlive a failed pool."""
-
-    def _recording_shm(self, monkeypatch):
-        created = []
-        real = parallel_module.shared_memory.SharedMemory
-
-        class Recording(real):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self._unlinked = False
-                if kwargs.get("create"):
-                    created.append(self)
-
-            def unlink(self):
-                self._unlinked = True
-                super().unlink()
-
-        monkeypatch.setattr(
-            parallel_module.shared_memory, "SharedMemory", Recording
-        )
-        return created
-
-    def _tables(self, artifact):
-        backend = create_backend("lazy-dfa", artifact)
-        tables = dict(backend.simulator.kernel.packed_tables())
-        tables.update(backend.dfa.export_tables())
-        return tables
-
-    def test_sharded_pool_death_releases_block(self, monkeypatch, artifact):
-        created = self._recording_shm(monkeypatch)
-        inject_spawn_failure(monkeypatch)
-        items = [(b"abcabc", None), (b"defdef", None)]
-        with pytest.warns(DegradedModeWarning, match="degrading to serial"):
-            outcome = scan_streams_sharded(self._tables(artifact), items, 2)
-        assert outcome is None
-        assert created, "publication never happened"
-        assert all(shm._unlinked for shm in created), "shared memory leaked"
-
-    def test_broken_pool_mid_map_releases_block(self, monkeypatch, artifact):
-        created = self._recording_shm(monkeypatch)
-        inject_job_fault(
-            monkeypatch, shard_module, "_scan_shard_worker", _dies_in_worker
-        )
-        items = [(b"abcabc", None)]
-        with pytest.warns(DegradedModeWarning):
-            outcome = scan_streams_sharded(self._tables(artifact), items, 2)
-        assert outcome is None
-        assert created and all(shm._unlinked for shm in created)
-
-    def test_split_pool_death_releases_block(self, monkeypatch, artifact,
-                                             stream):
-        created = self._recording_shm(monkeypatch)
-        inject_spawn_failure(monkeypatch)
-        backend = create_backend(
-            "lazy-dfa", artifact, split_jobs=2, split_min_chunk=8
-        )
-        with pytest.warns(DegradedModeWarning):
-            backend.scan(stream)
-        assert created and all(shm._unlinked for shm in created)
-
-    def test_close_is_idempotent(self):
-        shared = SharedTables({"a": np.arange(8, dtype=np.uint64)})
-        shared.close()
-        shared.close()  # second close must be a no-op, not an error
-
-    def test_context_manager_unlinks(self):
-        with SharedTables({"a": np.arange(8, dtype=np.uint64)}) as shared:
-            name = shared.meta[0]
-        with pytest.raises(FileNotFoundError):
-            parallel_module.shared_memory.SharedMemory(name=name)
 
 
 class TestWorkerCounters:
