@@ -17,7 +17,8 @@ States are laid out so each partition occupies one contiguous 256-bit
 span of a packed ``uint64`` state vector; execution runs on the shared
 packed-bitset kernel (:mod:`repro.sim.kernel`) and all per-partition
 reductions — activity, G-switch fan-in, report extraction — are computed
-batchwise over whole chunks of cycle history with
+batchwise over each chunk's summary (per-cycle counts and the rows of
+the cycles that report, cross or wake a partition) with
 ``reshape(-1, span_words).any(axis=-1)``-style numpy operations, keeping
 multi-megabyte runs tractable while staying bit-for-bit equivalent to
 the scalar reference semantics.
@@ -43,6 +44,7 @@ from repro.errors import SimulationError
 from repro.sim.kernel import (
     BitsetKernel,
     Checkpoint,
+    ChunkSummary,
     Report,
     ReportDecoder,
     RunStats,
@@ -90,12 +92,19 @@ class OutputBufferModel:
 
 
 class _RunAccumulator:
-    """Batchwise statistics for one stream: consumes chunk histories.
+    """Batchwise statistics for one stream: consumes chunk summaries.
 
-    Each :meth:`add` call folds one chunk's packed matched/enabled cycle
-    history into the run's stats, activity profile, output-buffer model,
-    and (optionally) reports, per-partition counts, and output records —
-    reproducing exactly what the scalar per-symbol loop accumulated.
+    Each :meth:`add` call folds one chunk's
+    :class:`~repro.sim.kernel.ChunkSummary` into the run's stats,
+    activity profile, output-buffer model, and (optionally) reports,
+    per-partition counts, and output records — reproducing exactly what
+    the scalar per-symbol loop accumulated.  The summary's per-cycle
+    counts give the matched-state totals; its rows, watched by the
+    simulator's report and crossing-source rows and busy on the
+    partitions that hold no all-input start, give everything else: a
+    partition that holds one is enabled every cycle, and a cycle whose
+    rows are not handed over fires no report, drives no G-switch and
+    enables no other partition.
     """
 
     def __init__(
@@ -122,25 +131,25 @@ class _RunAccumulator:
             else None
         )
 
-    def add(
-        self,
-        sym: np.ndarray,
-        matched_rows: np.ndarray,
-        enabled_rows: np.ndarray,
-        base_offset: int,
-    ):
+    def add(self, sym: np.ndarray, summary: ChunkSummary, base_offset: int):
         simulator = self._simulator
-        counts = popcount_rows(matched_rows)
+        counts = summary.counts
         self.stats.total_matched_states += int(counts.sum())
         if self.collect_cycle_stats:
             self.stats.matched_per_cycle.extend(counts.tolist())
         if simulator.mapping.partition_count == 0:
             return
 
-        activity = simulator._partition_any(enabled_rows)
-        partition_activations = int(np.count_nonzero(activity))
+        cycles = len(counts)
+        woken = simulator._woken
+        activity = simulator._partition_any(summary.enabled)[:, woken]
+        always_on = simulator.mapping.partition_count - len(woken)
+        partition_activations = always_on * cycles + int(np.count_nonzero(activity))
         if self.partition_counts is not None:
-            self.partition_counts += activity.sum(axis=0, dtype=np.int64)
+            self.partition_counts[simulator._always_on] += cycles
+            self.partition_counts[woken] += activity.sum(axis=0, dtype=np.int64)
+
+        matched_rows = summary.matched
 
         g1_crossings = g4_crossings = 0
         g1_switches = g4_switches = 0
@@ -156,21 +165,21 @@ class _RunAccumulator:
         report_count = 0
         reporting_rows = matched_rows & simulator._kernel.report_row
         report_counts = popcount_rows(reporting_rows)
-        report_cycles = np.flatnonzero(report_counts)
-        if report_cycles.size:
+        report_rows = np.flatnonzero(report_counts)
+        if report_rows.size:
             report_count = int(report_counts.sum())
-            for cycle in report_cycles:
-                cycle = int(cycle)
+            for index in report_rows.tolist():
+                cycle = int(summary.cycles[index])
                 offset = base_offset + cycle
-                self.buffer_model.record(int(report_counts[cycle]))
+                self.buffer_model.record(int(report_counts[index]))
                 if self.collect_reports:
                     simulator.decoder.emit(
-                        reporting_rows[cycle].tobytes(), offset, self.reports
+                        reporting_rows[index].tobytes(), offset, self.reports
                     )
                 if self.collect_records:
                     simulator._emit_records(
-                        reporting_rows[cycle],
-                        matched_rows[cycle],
+                        reporting_rows[index],
+                        matched_rows[index],
                         int(sym[cycle]),
                         offset,
                         self.output_records,
@@ -227,6 +236,7 @@ class MappedSimulator:
         self._g4_row = self._kernel.pack(g4_sources)
         self._g4_row.setflags(write=False)
         self._init_way_groups()
+        self._init_watch()
 
     def _init_span_geometry(self):
         """Span geometry and the report decoder (both construction paths)."""
@@ -265,6 +275,22 @@ class MappedSimulator:
             self._way_starts = np.zeros(0, dtype=np.int64)
             self._domain_starts = np.zeros(0, dtype=np.int64)
 
+    def _init_watch(self):
+        """What a run reads of the kernel's chunks (both construction
+        paths): the report and crossing-source bits it watches, and the
+        partitions that hold an all-input start — enabled every cycle, so
+        only the others' bits are busy."""
+        kernel = self._kernel
+        self._watch = kernel.unpack(kernel.report_row | self._g1_row | self._g4_row)
+        self._always_on = np.zeros(self.mapping.partition_count, dtype=bool)
+        if self.mapping.partition_count:
+            self._always_on = self._partition_any(kernel.start_all_row[None])[0]
+        self._woken = np.flatnonzero(~self._always_on)
+        busy = np.zeros(kernel.row_bytes, dtype=np.uint8)
+        spans = np.repeat(~self._always_on, self._span_bytes)
+        busy[: len(spans)] = np.where(spans, 0xFF, 0)
+        self._busy = int.from_bytes(busy.tobytes(), "little")
+
     @property
     def kernel(self) -> BitsetKernel:
         """The packed-bitset kernel executing this mapping (read-mostly;
@@ -301,9 +327,10 @@ class MappedSimulator:
         self._g4_row = np.ascontiguousarray(tables["g4_row"])
         self._g4_row.setflags(write=False)
         self._init_way_groups()
+        self._init_watch()
         return self
 
-    # -- packed-history helpers -------------------------------------------
+    # -- packed-row helpers -----------------------------------------------
 
     def _partition_any(self, rows: np.ndarray) -> np.ndarray:
         """Boolean (cycles, partitions) 'any set bit in the span' matrix.
@@ -386,7 +413,7 @@ class MappedSimulator:
             collect_cycle_stats=collect_cycle_stats,
         )
         symbols, checkpoint = self._kernel.drive(
-            data, resume, accumulator.add, enabled_history=True
+            data, resume, accumulator.add, self._watch, self._busy
         )
         return accumulator.finish(symbols, checkpoint)
 

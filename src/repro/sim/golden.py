@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.automata.anml import HomogeneousAutomaton
 from repro.sim.kernel import (  # Checkpoint, Report, RunStats: re-exported
     BitsetKernel,
@@ -62,6 +60,7 @@ class GoldenSimulator:
         self._kernel = BitsetKernel.from_automaton(automaton, self.bit_of, len(ids))
         self._kernel.dialect = AUTOMATON_ORDER
         self._decoder = ReportDecoder(automaton, lambda: automaton._array_form().order)
+        self._watch = self._kernel.unpack(self._kernel.report_row)
 
     def run(
         self,
@@ -82,32 +81,29 @@ class GoldenSimulator:
         suspended stream: report offsets stay global, and splitting a
         stream at any point yields exactly the reports of one long run.
         Entry, the chunk loop and exit are the kernel's
-        (:meth:`~repro.sim.kernel.BitsetKernel.drive`).
+        (:meth:`~repro.sim.kernel.BitsetKernel.drive`); its chunk
+        summaries carry the per-cycle counts and, watched by the report
+        row, the matched rows of the cycles that fire.
         """
         kernel = self._kernel
         reports: List[Report] = []
         stats = RunStats()
         report_count = 0
 
-        def on_chunk(sym, matched_rows, _enabled_rows, offset):
+        def on_chunk(sym, summary, offset):
             nonlocal report_count
-            counts = popcount_rows(matched_rows)
-            stats.total_matched_states += int(counts.sum())
+            stats.total_matched_states += int(summary.counts.sum())
             if collect_cycle_stats:
-                stats.matched_per_cycle.extend(counts.tolist())
-            reporting_rows = matched_rows & kernel.report_row
+                stats.matched_per_cycle.extend(summary.counts.tolist())
+            reporting_rows = summary.matched & kernel.report_row
             fired = popcount_rows(reporting_rows)
             report_count += int(fired.sum())
             if collect_reports:
-                for cycle in np.flatnonzero(fired).tolist():
-                    self._decoder.emit(
-                        reporting_rows[cycle].tobytes(),
-                        offset + cycle,
-                        reports,
-                    )
+                for row, cycle in zip(reporting_rows, summary.cycles.tolist()):
+                    self._decoder.emit(row.tobytes(), offset + cycle, reports)
 
         stats.symbols_processed, checkpoint = kernel.drive(
-            data, resume, on_chunk
+            data, resume, on_chunk, self._watch, 0
         )
         return ScanResult.counted(
             reports,

@@ -14,8 +14,8 @@ numpy operations, and layers four accelerations on top:
   of the successor table is determinised lazily on its own words and
   byte classes, the tables are indexed by *byte column* (bytes no
   component tells apart) so that all of them advance with one ``take``
-  of one table row a byte, and the per-cycle histories are rebuilt a
-  block at a time from the component states.  What steps outside it
+  of one table row a byte, and a block's rows are rebuilt from the
+  component states.  What steps outside it
   (the start-of-data cycle, the idle tables, a checkpoint's stray bits,
   the lazy DFA's misses) propagates on rows held as Python ints
   (:meth:`~BitsetKernel.propagate_int`: one successor int per set bit,
@@ -33,10 +33,11 @@ numpy operations, and layers four accelerations on top:
   escape-table lookup instead of stepping per symbol.
 
 Simulators drive the kernel chunk-at-a-time through :meth:`run_chunk`,
-which fills per-cycle matched/enabled histories; all statistics (match
-counts, partition activity, reports) are then computed *batchwise* over the
-packed history arrays, keeping them bit-for-bit identical to the scalar
-reference semantics.
+which hands over a :class:`ChunkSummary`: every cycle's matched-state
+count, and the packed rows of the few cycles whose rows meet what the
+consumer reads; all statistics (match counts, partition activity,
+reports) are then computed *batchwise* from it, bit-for-bit identical to
+the scalar reference semantics.
 
 This module is also the only one that knows how a stream gets *into and
 out of* a kernel (DESIGN.md, "Entering and leaving the kernel"): build
@@ -91,8 +92,8 @@ STEP_CACHE_BYTES = 16 * 1024 * 1024
 #: Filled in automaton order, Hamming has 4 offsets and Levenshtein 46.
 SHIFT_OFFSETS = 8
 
-#: Cycles the component tables step between two rebuilds of the per-cycle
-#: histories (and two looks at whether the machine has gone idle).
+#: Cycles the component tables step between two rebuilds of their rows
+#: (and two looks at whether the machine has gone idle).
 COMPONENT_BLOCK = 256
 
 #: Distinct reporting rows a :class:`ReportDecoder` memoises before it
@@ -312,6 +313,89 @@ class ScanResult:
             reports=len(reports) if report_count is None else report_count,
         )
         return cls(reports, profile, checkpoint, stats)
+
+
+@dataclass
+class ChunkSummary:
+    """What one chunk of a scan hands its consumer
+    (:meth:`BitsetKernel.drive`'s ``on_chunk``).
+
+    ``counts[c]`` is the number of states matched on cycle ``c``, for
+    every cycle of the chunk.  Rows come only for the cycles the
+    consumer reads: ``cycles`` (ascending) are those whose matched row
+    meets the consumer's *watch* row or whose enabled row meets its
+    *busy* row, and ``matched[k]`` / ``enabled[k]`` are the ``(words,)``
+    ``uint64`` rows of cycle ``cycles[k]``.  On every other cycle the
+    matched row misses the watch row and the enabled row the busy row.
+    """
+
+    counts: np.ndarray
+    cycles: np.ndarray
+    matched: np.ndarray
+    enabled: np.ndarray
+
+
+class _Handover:
+    """One chunk's :class:`ChunkSummary` under construction: the
+    stepping paths fill ``counts`` and hand over their watched rows in
+    cycle order."""
+
+    def __init__(self, cycles: int, words: int):
+        self.counts = np.empty(cycles, dtype=np.int64)
+        self._words = words
+        self._cycles: List[np.ndarray] = []
+        self._matched: List[np.ndarray] = []
+        self._enabled: List[np.ndarray] = []
+
+    def keep(self, cycles: np.ndarray, matched: np.ndarray, enabled: np.ndarray) -> None:
+        """Hand over the rows of ``cycles``."""
+        if len(cycles):
+            self._cycles.append(cycles)
+            self._matched.append(matched)
+            self._enabled.append(enabled)
+
+    def rows(
+        self, watch: "_Watch", i: int, matched: np.ndarray, enabled: np.ndarray
+    ) -> None:
+        """Count the rows of the cycles from ``i`` and hand over those
+        that meet the watch or busy row."""
+        self.counts[i : i + len(matched)] = popcount_rows(matched)
+        meets = (matched & watch.watch_row).any(axis=1)
+        if watch.busy:
+            meets |= (enabled & watch.busy_row).any(axis=1)
+        kept = np.flatnonzero(meets)
+        self.keep(kept + i, matched[kept], enabled[kept])
+
+    def summary(self) -> ChunkSummary:
+        if not self._cycles:
+            empty = np.empty((0, self._words), dtype=np.uint64)
+            return ChunkSummary(self.counts, np.empty(0, np.intp), empty, empty)
+        return ChunkSummary(
+            self.counts,
+            np.concatenate(self._cycles),
+            np.concatenate(self._matched),
+            np.concatenate(self._enabled),
+        )
+
+
+class _Watch:
+    """A consumer's watch and busy rows on one kernel, as ints and as
+    rows, with the per-byte tables that let a stretch skip the cycles no
+    row of which can meet them."""
+
+    def __init__(self, kernel: "BitsetKernel", watch: int, busy: int):
+        self.watch, self.busy = watch, busy
+        self.watch_row, self.busy_row = kernel.pack(watch), kernel.pack(busy)
+        start = kernel.start_all_row
+        #: An enabled row always holds the all-input starts: when they
+        #: meet the busy row, every cycle is handed over.
+        self.always = bool((start & self.busy_row).any())
+        #: Per byte: whether its match row meets the watch row at all
+        #: (as a list, for the shift loop), and whether an idle cycle on
+        #: it is handed over.
+        self.byte_meets = (kernel.match_matrix & self.watch_row).any(axis=1).tolist()
+        self.idle = (kernel.match_matrix & (start & self.watch_row)).any(axis=1)
+        self.idle |= self.always
 
 
 def placement_bits(mapping) -> Dict[str, int]:
@@ -860,7 +944,9 @@ class BitsetKernel:
         self._occupied_row: Optional[np.ndarray] = None
         self._idle_next: Optional[np.ndarray] = None
         self._idle_escape: Optional[np.ndarray] = None
-        self._scratch = np.zeros(self.words, dtype=np.uint64)
+        self._idle_counts: Optional[np.ndarray] = None
+        # The consumers' watch and busy rows (:class:`_Watch`), by ints.
+        self._watches: Dict[Tuple[int, int], _Watch] = {}
 
     # -- packed-table round-trip ------------------------------------------
 
@@ -1121,11 +1207,19 @@ class BitsetKernel:
         offsets, which = np.unique(head - tail, return_inverse=True)
         if SHIFT_OFFSETS <= 0 or len(offsets) > SHIFT_OFFSETS:
             return ()
-        masks = [0] * len(offsets)
-        for index, bit in zip(which.tolist(), tail.tolist()):
-            masks[index] |= 1 << bit
-        for byte in range(256):
-            self.match_int(byte)
+        grid = np.zeros((len(offsets), self.words * 64), dtype=np.uint8)
+        grid[which, tail] = 1
+        raw = np.packbits(grid, axis=1, bitorder="little").tobytes()
+        width = self.row_bytes
+        masks = [
+            int.from_bytes(raw[at : at + width], "little")
+            for at in range(0, len(raw), width)
+        ]
+        raw = self.match_matrix.tobytes()
+        self._match_ints[:] = [  # in place: the lazy DFA holds the list
+            int.from_bytes(raw[at : at + width], "little")
+            for at in range(0, len(raw), width)
+        ]
         pairs = list(zip(masks, offsets.tolist()))
         return (
             [(mask, d) for mask, d in pairs if d >= 0],
@@ -1136,14 +1230,14 @@ class BitsetKernel:
     def _run_shifts(
         self,
         sym_list: list,
-        matched_rows: np.ndarray,
-        enabled_rows: Optional[np.ndarray],
+        watch: _Watch,
+        out: _Handover,
         i: int,
         prev: np.ndarray,
     ) -> Tuple[int, np.ndarray, bool]:
         """Step the cycles from ``i`` to the end of the chunk by shifts,
-        filling the histories as :meth:`run_chunk` does; returns the
-        ``(i, prev, prev_nonzero)`` cursor.
+        counting and handing over into ``out`` as :meth:`run_chunk`
+        does; returns the ``(i, prev, prev_nonzero)`` cursor.
 
         Exact: each ``(M_d, d)`` pair moves the matched tails of the
         edges at offset ``d`` onto their heads, and together the pairs
@@ -1152,40 +1246,57 @@ class BitsetKernel:
         is the same step from an empty state, so the stretch does not go
         back to the idle path when the machine goes quiet: on rulesets
         that converge, that would be a stretch of a few cycles between
-        every two escapes."""
+        every two escapes.
+
+        The rows stay ints: a cycle costs its step, a ``bit_count`` and a
+        test against the watch row (only on a byte whose match row meets
+        it) and the busy row; the rows handed over are packed at the
+        end."""
         left, right, start = self._shifts
+        # The first pair sets the state instead of ORing into a zero: one
+        # big-int copy less a cycle (a plan with no left pair gets a
+        # pair that sets it to zero).
+        (first, by), *left = left or [(0, 0)]
         match, state = self._match_ints, self.unpack(prev)
-        states = []
-        for byte in itertools.islice(sym_list, i, None):
-            states.append(state)
+        seen, watched, busy = watch.byte_meets, watch.watch, watch.busy
+        always = watch.always
+        counts, kept, matched, enabled = [], [], [], []
+        count = counts.append
+        for cycle, byte in enumerate(itertools.islice(sym_list, i, None), i):
             row = match[byte] & (state | start)
-            state = 0
+            count(row.bit_count())
+            if always or seen[byte] and row & watched or busy and state & busy:
+                kept.append(cycle)
+                matched.append(row)
+                enabled.append(state | start)
+            state = (row & first) << by
             for mask, d in left:
                 state |= (row & mask) << d
             for mask, d in right:
                 state |= (row & mask) >> d
         j = len(sym_list)
         self._shift_cycles += j - i
-        # One row a cycle leaves the ints; the rest is numpy.
-        enabled = None if enabled_rows is None else enabled_rows[i:j]
-        enabled = np.bitwise_or(
-            self._pack_rows(states), self.start_all_row, out=enabled
-        )
-        matched_rows[i:j] &= enabled
+        out.counts[i:j] = counts
+        if kept:
+            out.keep(
+                np.array(kept, dtype=np.intp),
+                self._pack_rows(matched),
+                self._pack_rows(enabled),
+            )
         return j, self.pack(state), bool(state)
 
     def _run_components(
         self,
         sym: np.ndarray,
-        matched_rows: np.ndarray,
-        enabled_rows: Optional[np.ndarray],
+        watch: _Watch,
+        out: _Handover,
         i: int,
         prev: np.ndarray,
     ) -> Tuple[int, np.ndarray, bool]:
-        """Step the cycles from ``i`` on the component tables, filling
-        the histories as :meth:`run_chunk` does, until the machine is
-        idle or the chunk ends; returns the ``(i, prev, prev_nonzero)``
-        cursor."""
+        """Step the cycles from ``i`` on the component tables, counting
+        and handing over into ``out`` as :meth:`run_chunk` does, until
+        the machine is idle or the chunk ends; returns the ``(i, prev,
+        prev_nonzero)`` cursor."""
         level = self._components
         if level is None:
             level = self._components = _ComponentTables(self)
@@ -1193,11 +1304,7 @@ class BitsetKernel:
         if (prev & ~level.member_row).any():
             # Bits no transition touches: only a checkpoint sets them, and
             # they are gone a cycle later.
-            enabled = prev | start_row
-            matched_rows[i] &= enabled
-            if enabled_rows is not None:
-                enabled_rows[i] = enabled
-            return (i + 1, *self.propagate(matched_rows[i]))
+            return (i + 1, *self._one_cycle(sym, watch, out, i, prev | start_row))
         state = level.split(prev)
         cycles = len(sym)
         while i < cycles:
@@ -1205,15 +1312,30 @@ class BitsetKernel:
             stepped = len(history) - 1
             enabled = level.rows_of(history[:stepped])
             enabled |= start_row
-            matched_rows[i : i + stepped] &= enabled
-            if enabled_rows is not None:
-                enabled_rows[i : i + stepped] = enabled
+            matched = self.match_matrix[sym[i : i + stepped]]
+            matched &= enabled
+            out.rows(watch, i, matched, enabled)
             level.lookups += stepped * level.components
             i += stepped
             state = history[stepped].copy()
             if (state == level.zero).all():
                 return i, np.zeros(self.words, dtype=np.uint64), False
         return i, level.rows_of(state[None])[0], True
+
+    def _one_cycle(
+        self,
+        sym: np.ndarray,
+        watch: _Watch,
+        out: _Handover,
+        i: int,
+        enabled: np.ndarray,
+    ) -> Tuple[np.ndarray, bool]:
+        """Step cycle ``i`` alone from its ``enabled`` row, off the
+        tables (the start-of-data cycle, a checkpoint's stray bits);
+        returns :meth:`propagate`'s ``(prev, prev_nonzero)``."""
+        matched = self.match_matrix[sym[i]] & enabled
+        out.rows(watch, i, matched[None], enabled[None])
+        return self.propagate(matched)
 
     def cache_info(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/flush counters for the kernel's memoisation layers.
@@ -1256,13 +1378,15 @@ class BitsetKernel:
     def _ensure_idle_tables(self):
         """``_idle_next[symbol]`` is the activation row an idle machine
         (only all-input start states enabled) produces on ``symbol``;
-        ``_idle_escape[symbol]`` flags the symbols that wake it up."""
+        ``_idle_escape[symbol]`` flags the symbols that wake it up, and
+        ``_idle_counts[symbol]`` counts the states it matches."""
         if self._idle_next is not None:
             return
         start = self.unpack(self.start_all_row)
         nxt = [self.propagate_int(self.match_int(byte) & start) for byte in range(256)]
         self._idle_next = self._pack_rows(nxt)
         self._idle_escape = np.array(list(map(bool, nxt)))
+        self._idle_counts = popcount_rows(self.match_matrix & self.start_all_row)
 
     # -- entering, driving, leaving -----------------------------------------
 
@@ -1296,30 +1420,32 @@ class BitsetKernel:
         self,
         data: bytes,
         resume: Optional[Checkpoint],
-        on_chunk: Callable[..., None],
-        *,
-        enabled_history: bool = False,
+        on_chunk: Callable[[np.ndarray, ChunkSummary, int], None],
+        watch: int,
+        busy: int,
     ) -> Tuple[int, Checkpoint]:
         """Scan ``data`` from ``resume``, :data:`CHUNK_SYMBOLS` at a time.
 
-        After each chunk ``on_chunk(sym, matched_rows, enabled_rows,
-        offset)`` gets its symbols, per-cycle matched history, enabled
-        history (``None`` unless ``enabled_history``) and the global
-        offset of its first symbol.  Returns ``(symbols scanned,
+        After each chunk ``on_chunk(sym, summary, offset)`` gets its
+        symbols, its :class:`ChunkSummary` — every cycle's matched-state
+        count, and the matched and enabled rows of the cycles whose
+        matched row meets ``watch`` or whose enabled row meets ``busy``
+        (both state-vector ints: what the consumer reads) — and the
+        global offset of its first symbol.  Returns ``(symbols scanned,
         checkpoint to resume from)``.
         """
         symbols = as_symbols(data)
         prev, prev_nonzero, sod, base = self.enter(resume)
+        seen = self._watches.get((watch, busy))
+        if seen is None:
+            seen = self._watches[watch, busy] = _Watch(self, watch, busy)
         for start in range(0, len(symbols), CHUNK_SYMBOLS):
             sym = symbols[start : start + CHUNK_SYMBOLS]
-            matched_rows = self.match_matrix[sym]
-            enabled_rows = None
-            if enabled_history:
-                enabled_rows = np.empty((len(sym), self.words), np.uint64)
+            out = _Handover(len(sym), self.words)
             prev, prev_nonzero, sod = self.run_chunk(
-                sym, matched_rows, enabled_rows, prev, prev_nonzero, sod
+                sym, seen, out, prev, prev_nonzero, sod
             )
-            on_chunk(sym, matched_rows, enabled_rows, base + start)
+            on_chunk(sym, out.summary(), base + start)
         return len(symbols), self.leave(prev, sod, base + len(symbols))
 
     # -- chunk stepping ----------------------------------------------------
@@ -1327,27 +1453,25 @@ class BitsetKernel:
     def run_chunk(
         self,
         sym: np.ndarray,
-        matched_rows: np.ndarray,
-        enabled_rows: Optional[np.ndarray],
+        watch: _Watch,
+        out: _Handover,
         prev: np.ndarray,
         prev_nonzero: bool,
         sod: bool,
     ) -> Tuple[np.ndarray, bool, bool]:
-        """Advance the machine over one chunk of input.
-
-        On entry ``matched_rows`` must be ``match_matrix[sym]``; on exit it
-        holds the per-cycle *matched* vectors.  ``enabled_rows`` (optional)
-        receives the per-cycle *enabled* vectors — every row is written.
-        ``prev`` is the pending successor-activation row (may alias a
-        cached, read-only row); returns the updated
-        ``(prev, prev_nonzero, sod)`` cursor.
+        """Advance the machine over one chunk of input, filling ``out``:
+        every cycle's matched-state count, and the matched and enabled
+        rows of the cycles that meet ``watch``.  ``prev`` is the pending
+        successor-activation row (may alias a cached, read-only row);
+        returns the updated ``(prev, prev_nonzero, sod)`` cursor.
 
         A non-idle cycle steps by shifts (:meth:`_run_shifts`) on a
         kernel whose edges fall in at most ``SHIFT_OFFSETS`` offsets, and
         then so does every later cycle of the chunk, idle or not; on any
         other kernel it steps on the component tables
         (:meth:`_run_components`) until the machine is idle again or the
-        chunk ends.
+        chunk ends.  An idle stretch and its waking cycle are counted
+        and handed over off the idle tables, a byte at a time in numpy.
         """
         cycles = len(sym)
         start_row = self.start_all_row
@@ -1362,31 +1486,26 @@ class BitsetKernel:
                     if sym_list is None:
                         sym_list = sym.tolist()
                     i, prev, prev_nonzero = self._run_shifts(
-                        sym_list, matched_rows, enabled_rows, i, prev
+                        sym_list, watch, out, i, prev
                     )
                 else:
                     i, prev, prev_nonzero = self._run_components(
-                        sym, matched_rows, enabled_rows, i, prev
+                        sym, watch, out, i, prev
                     )
                 continue
             if sod:
                 # Start-of-data enables extra start states for exactly one
                 # cycle; step it outside the tables so their states stay
                 # keyed purely by the activation row.
-                if enabled_rows is None:
-                    erow = self._scratch
-                else:
-                    erow = enabled_rows[i]
-                np.bitwise_or(prev, start_row, out=erow)
-                erow |= self.start_sod_row
                 sod = False
-                mrow = matched_rows[i]
-                mrow &= erow
-                prev, prev_nonzero = self.propagate(mrow)
+                enabled = prev | start_row
+                enabled |= self.start_sod_row
+                prev, prev_nonzero = self._one_cycle(sym, watch, out, i, enabled)
                 i += 1
                 continue
             # Idle: the enabled vector is exactly the all-input start set
-            # until a symbol whose matched start states have successors.
+            # until a symbol whose matched start states have successors,
+            # which is stepped here too.
             if self._idle_escape is None:
                 self._ensure_idle_tables()
             if escape_positions is None:
@@ -1394,17 +1513,16 @@ class BitsetKernel:
             cursor = int(np.searchsorted(escape_positions, i))
             if cursor < escape_positions.size:
                 j = int(escape_positions[cursor])
-            else:
-                j = cycles
-            if j > i:
-                matched_rows[i:j] &= start_row
-                if enabled_rows is not None:
-                    enabled_rows[i:j] = start_row
-            if j < cycles:
-                if enabled_rows is not None:
-                    enabled_rows[j] = start_row
-                matched_rows[j] &= start_row
                 prev = self._idle_next[int(sym[j])]
                 prev_nonzero = True
+            else:
+                j = cycles
+            stretch = sym[i : j + 1]
+            out.counts[i : i + len(stretch)] = self._idle_counts[stretch]
+            kept = np.flatnonzero(watch.idle[stretch])
+            if kept.size:
+                matched = self.match_matrix[stretch[kept]] & start_row
+                enabled = np.broadcast_to(start_row, matched.shape)
+                out.keep(kept + i, matched, enabled)
             i = j + 1
         return prev, prev_nonzero, sod

@@ -166,12 +166,16 @@ class TestKernelFaults:
             )
 
         def scan(kernel):
-            matched = []
-            _, checkpoint = kernel.drive(
-                bytes(300),
-                None,
-                lambda sym, rows, enabled, offset: matched.append(rows.tobytes()),
-            )
+            # Watched and busy on every bit: every cycle with an enabled
+            # state hands over its rows, the others have none.
+            matched, every = [], (1 << kernel.n_bits) - 1
+
+            def on_chunk(sym, summary, offset):
+                rows = np.zeros((len(sym), kernel.words), dtype=np.uint64)
+                rows[summary.cycles] = summary.matched
+                matched.append(rows.tobytes())
+
+            _, checkpoint = kernel.drive(bytes(300), None, on_chunk, every, every)
             return b"".join(matched), checkpoint
 
         links = [(bit, bit + 1) for bit in range(127)]

@@ -26,18 +26,22 @@ from repro.automata.symbols import SymbolSet
 from repro.backends import create_backend
 from repro.backends.artifact import CompiledArtifact
 from repro.compiler import compile_automaton
+from repro.compiler.mapping import Mapping
 from repro.core.design import CA_P
+from repro.core.energy import ActivityProfile
 from repro.errors import SimulationError
 from repro.regex.compile import compile_patterns
 from repro.sim import kernel as kernel_module
-from repro.sim.functional import MappedSimulator
+from repro.sim.functional import MappedSimulator, OutputBufferModel, OutputRecord
 from repro.sim.golden import GoldenSimulator
 from repro.sim.kernel import (
     BitsetKernel,
     Checkpoint,
     Report,
     ReportDecoder,
+    RunStats,
     as_symbols,
+    placement_bits,
     popcount_rows,
 )
 from repro.workloads.suite import build_suite, get_benchmark
@@ -319,6 +323,37 @@ class TestStepCache:
         assert any(reports for reports, _, _ in shifted)
         assert shifted == tables
 
+    def test_a_warm_shift_scan_packs_only_the_rows_it_hands_over(self, monkeypatch):
+        """A warm 4 KiB Hamming scan with its activity profile packs the
+        rows of the cycles that fire alone, a matched and an enabled row
+        each (Hamming has no crossing source, and every partition holds
+        an all-input start, so nothing else is watched or busy): not a
+        row for every cycle."""
+        benchmark = get_benchmark("Hamming")
+        backend = create_backend(
+            "packed-kernel",
+            CompiledArtifact.from_mapping(compile_automaton(benchmark.build(), CA_P)),
+        )
+        simulator = backend.simulator
+        assert not (simulator._g1_row.any() or simulator._g4_row.any())
+        assert simulator._partition_any(simulator.kernel.start_all_row[None]).all()
+        data = benchmark.input_stream(8192, seed=1)
+        warm = backend.scan(data[:4096])
+        packed = []
+        pack_rows = BitsetKernel._pack_rows
+
+        def counted(kernel, masks):
+            packed.append(len(masks))
+            return pack_rows(kernel, masks)
+
+        monkeypatch.setattr(BitsetKernel, "_pack_rows", counted)
+        result = backend.scan(data[4096:], resume=warm.checkpoint)
+        watched = len(result.report_offsets())
+        assert 0 < watched < 64, watched
+        assert simulator.cache_info()["shift"]["cycles"] >= 4096
+        assert result.profile.partition_activations == 20 * 4096
+        assert sum(packed) <= 2 * watched, (sum(packed), watched)
+
     def test_the_propagation_memo_holds_its_budget(self, monkeypatch):
         """An entry costs its key's and its result's row bytes, two int
         headers and a dictionary slot; charged its row bytes alone, the
@@ -418,6 +453,26 @@ def factored_machines(draw):
     return automaton, bit_of
 
 
+def every_bit(kernel):
+    """A watch or busy row of every bit: each cycle with an enabled state
+    is handed over."""
+    return (1 << kernel.n_bits) - 1
+
+
+def dense_rows(kernel, summary):
+    """The ``(cycles, words)`` matched and enabled rows of a chunk
+    summary watched and busy on every bit (a cycle not handed over has
+    nothing enabled, so both its rows are zero), after checking its
+    counts against them."""
+    matched = np.zeros((len(summary.counts), kernel.words), dtype=np.uint64)
+    enabled = np.zeros_like(matched)
+    matched[summary.cycles] = summary.matched
+    enabled[summary.cycles] = summary.enabled
+    assert summary.counts.tolist() == popcount_rows(matched).tolist()
+    assert (summary.enabled.any(axis=1)).all()
+    return matched, enabled
+
+
 def scan_in_pieces(kernel, automaton, bit_of, pieces, resume=None):
     """Everything a scan leaves behind, resumed from piece to piece: the
     matched and enabled histories, the checkpoint after every piece and
@@ -429,7 +484,8 @@ def scan_in_pieces(kernel, automaton, bit_of, pieces, resume=None):
     decoder = ReportDecoder(automaton, lambda: positions)
     matched, enabled, reports = [], [], []
 
-    def on_chunk(sym, matched_rows, enabled_rows, offset):
+    def on_chunk(sym, summary, offset):
+        matched_rows, enabled_rows = dense_rows(kernel, summary)
         matched.append(matched_rows.tobytes())
         enabled.append(enabled_rows.tobytes())
         firing = matched_rows & kernel.report_row
@@ -439,7 +495,7 @@ def scan_in_pieces(kernel, automaton, bit_of, pieces, resume=None):
     checkpoint, checkpoints = resume, []
     for piece in pieces:
         _, checkpoint = kernel.drive(
-            piece, checkpoint, on_chunk, enabled_history=True
+            piece, checkpoint, on_chunk, every_bit(kernel), every_bit(kernel)
         )
         checkpoints.append(checkpoint)
     return b"".join(matched), b"".join(enabled), checkpoints, reports
@@ -497,10 +553,12 @@ class TestComponentBudgetCsrAndSweepAgree:
                 kernel.drive(
                     b"aab",
                     Checkpoint(7, 1 << 70, False),
-                    lambda sym, matched, enabled, offset: reports.extend(
+                    lambda sym, summary, offset: reports.extend(
                         (offset + cycle, kernel.unpack(row & kernel.report_row))
-                        for cycle, row in enumerate(matched)
+                        for cycle, row in enumerate(dense_rows(kernel, summary)[0])
                     ),
+                    every_bit(kernel),
+                    every_bit(kernel),
                 )
                 outcomes.append(reports)
                 assert kernel.cache_info()["shift"]["cycles"] == (3 if offsets else 0)
@@ -556,9 +614,10 @@ def bounded_machines(draw):
     return automaton, {ste_id: first + at for at, ste_id in enumerate(ids)}
 
 
-def interpret(automaton, bit_of, pieces, resume):
+def interpret(automaton, bit_of, pieces, resume, words=N_WORDS):
     """:func:`scan_in_pieces`, one cycle at a time over the automaton's
-    own STEs and ``edges_unordered()``: sets of STE ids, no kernel."""
+    own STEs and ``edges_unordered()``: sets of STE ids, no kernel; its
+    rows are ``words`` words wide."""
     successors = {ste_id: set() for ste_id in automaton.ste_ids()}
     for source, target in automaton.edges_unordered():
         successors[source].add(target)
@@ -571,14 +630,14 @@ def interpret(automaton, bit_of, pieces, resume):
         return sum(1 << bit_of[ste_id] for ste_id in ids)
 
     def row(ids):
-        return vector(ids).to_bytes(N_WORDS * 8, "little")
+        return vector(ids).to_bytes(words * 8, "little")
 
     offset, pending, sod = 0, set(), bool(start_sod)
     if resume is not None:
         offset, sod = resume.symbols_processed, sod and resume.start_of_data_pending
         pending = {
             id_of[bit]
-            for bit in range(N_WORDS * 64)
+            for bit in range(words * 64)
             if resume.active_state_vector >> bit & 1
         }
     matched_rows, enabled_rows, checkpoints, reports = [], [], [], []
@@ -704,6 +763,254 @@ class TestShiftStep:
             got = scan_in_pieces(kernel, automaton, bit_of, [data])
         assert got == expected
         assert len(entered) >= len(bursts), entered
+
+
+#: Ways of the four partitions of :func:`placed_machines`: 0 and 1 share
+#: a way (G1), 2 is another way of the same G4 domain, 3 another domain.
+PLACED_WAYS = (0, 0, 1, 5)
+
+
+@st.composite
+def placed_machines(draw):
+    """A machine on a hand-made placement over four partitions: a
+    backbone from an all-input start in partition 0 through 1 (a G1
+    crossing), 2 and 3 (G4 crossings), a start-of-data pair, a state no
+    edge touches, and random extra states and edges.  No all-input start
+    lands in partition 3, so it is enabled only when something reaches
+    it.  Returns ``(automaton, mapping)``."""
+    automaton = HomogeneousAutomaton("placed")
+    placed = {}
+    slots = [draw(st.integers(0, 40)) for _ in PLACED_WAYS]
+
+    def add(ste_id, partition, start=StartKind.NONE, reporting=None):
+        automaton.add_ste(
+            ste_id,
+            SymbolSet(draw(st.sets(st.sampled_from(SHIFT_ALPHABET), min_size=1))),
+            start=start,
+            reporting=draw(st.booleans()) if reporting is None else reporting,
+        )
+        placed[ste_id] = (partition, slots[partition])
+        slots[partition] += 1 + draw(st.integers(0, 2))
+
+    backbone = ["b0", "b1", "b2", "b3", "b4"]
+    for ste_id, partition in zip(backbone, (0, 1, 2, 3, 3)):
+        start = StartKind.ALL_INPUT if ste_id == "b0" else StartKind.NONE
+        add(ste_id, partition, start, reporting=ste_id == "b4" or None)
+    add("s0", draw(st.integers(0, 2)), StartKind.START_OF_DATA)
+    add("s1", draw(st.integers(0, 3)))
+    add("lone", draw(st.integers(0, 3)))
+    extra = [f"x{index}" for index in range(draw(st.integers(0, 8)))]
+    for ste_id in extra:
+        partition = draw(st.integers(0, 3))
+        start = StartKind.NONE
+        if partition < 3:
+            start = draw(st.sampled_from([StartKind.NONE, StartKind.ALL_INPUT]))
+        add(ste_id, partition, start)
+    for source, target in zip(backbone, backbone[1:]):
+        automaton.add_edge(source, target)
+    automaton.add_edge("s0", "s1")
+    linked = backbone + ["s0", "s1"] + extra
+    for _ in range(draw(st.integers(0, 6))):
+        automaton.add_edge(draw(st.sampled_from(linked)), draw(st.sampled_from(linked)))
+    ids = automaton.edge_index_arrays().ids
+    mapping = Mapping(
+        CA_P,
+        automaton,
+        np.array([placed[ste_id][0] for ste_id in ids], dtype=np.int64),
+        np.array([placed[ste_id][1] for ste_id in ids], dtype=np.int64),
+        np.array(PLACED_WAYS, dtype=np.int64),
+    )
+    return automaton, mapping
+
+
+def crossing_walk(automaton, crossing):
+    """Bytes that take an all-input start along a shortest path to a
+    source in ``crossing`` (source -> a target across partitions) and on
+    to that target: one byte each state's label holds."""
+    successors = {ste_id: [] for ste_id in automaton.ste_ids()}
+    for source, target in automaton.edges_unordered():
+        successors[source].append(target)
+    paths = {
+        ste.ste_id: [ste.ste_id]
+        for ste in automaton.stes()
+        if ste.start is StartKind.ALL_INPUT
+    }
+    frontier = list(paths)
+    while not crossing.keys() & paths.keys():
+        frontier = [
+            paths.setdefault(target, paths[source] + [target]) and target
+            for source in frontier
+            for target in successors[source]
+            if target not in paths
+        ]
+        assert frontier, "no crossing source is reachable"
+    source = min(crossing.keys() & paths.keys())
+    return bytes(
+        next(byte for byte in range(256) if automaton.ste(ste_id).matches(byte))
+        for ste_id in paths[source] + [crossing[source]]
+    )
+
+
+def dense_mapped_runs(mapping, pieces, resume):
+    """What :meth:`MappedSimulator.run` must return for each piece of a
+    resumed scan, built from :func:`interpret`'s per-cycle matched and
+    enabled rows: one int a row, and the crossing sources, partition
+    spans and switch groups read off the mapping one by one."""
+    automaton = mapping.automaton
+    size = mapping.design.partition_size
+    partitions = mapping.partition_count
+    words = partitions * size // 64
+    bit_of = placement_bits(mapping)
+    matched_rows, enabled_rows, checkpoints, reports = interpret(
+        automaton, bit_of, pieces, resume, words
+    )
+    width = words * 8
+
+    def rows(joined):
+        return [
+            int.from_bytes(joined[at : at + width], "little")
+            for at in range(0, len(joined), width)
+        ]
+
+    matched_rows, enabled_rows = rows(matched_rows), rows(enabled_rows)
+    g1 = g4 = 0
+    part_of = dict(zip(automaton.edge_index_arrays().ids, mapping.part.tolist()))
+    ways = mapping.ways.tolist()
+    for source, target in automaton.edges_unordered():
+        if part_of[source] != part_of[target]:
+            if ways[part_of[source]] == ways[part_of[target]]:
+                g1 |= 1 << bit_of[source]
+            else:
+                g4 |= 1 << bit_of[source]
+    report = sum(1 << bit_of[ste.ste_id] for ste in automaton.stes() if ste.reporting)
+    span = (1 << size) - 1
+
+    def spans(row):
+        return [p for p in range(partitions) if row >> (p * size) & span]
+
+    offset = 0 if resume is None else resume.symbols_processed
+    runs, cycle = [], 0
+    for piece, checkpoint in zip(pieces, checkpoints):
+        profile, stats = ActivityProfile(), RunStats()
+        buffer_model, records = OutputBufferModel(), []
+        counts = np.zeros(partitions, dtype=np.int64)
+        for byte in piece:
+            matched, enabled = matched_rows[cycle], enabled_rows[cycle]
+            stats.matched_per_cycle.append(matched.bit_count())
+            active = spans(enabled)
+            counts[active] += 1
+            g1_hit, g4_hit = spans(matched & g1), spans(matched & g4)
+            fired = matched & report
+            profile.add_activity(
+                partition_activations=len(active),
+                g1_crossings=(matched & g1).bit_count(),
+                g4_crossings=(matched & g4).bit_count(),
+                g1_switch_activations=len({ways[p] for p in g1_hit}),
+                g4_switch_activations=len({ways[p] // 4 for p in g4_hit}),
+                reports=fired.bit_count(),
+            )
+            if fired:
+                buffer_model.record(fired.bit_count())
+                records.extend(
+                    OutputRecord(p, matched >> (p * size) & span, byte, offset)
+                    for p in spans(fired)
+                )
+            cycle += 1
+            offset += 1
+        stats.symbols_processed = len(piece)
+        stats.total_matched_states = sum(stats.matched_per_cycle)
+        profile.add_activity(symbols=len(piece))
+        runs.append(
+            (
+                [report for report in reports if offset - len(piece) <= report.offset < offset],
+                profile, stats, counts.tolist(), records, buffer_model, checkpoint,
+            )
+        )
+    return runs
+
+
+def mapped_runs(mapping, pieces, resume):
+    """:func:`dense_mapped_runs`' fields of each piece's
+    :meth:`MappedSimulator.run`, every statistic collected."""
+    simulator, runs = MappedSimulator(mapping), []
+    for piece in pieces:
+        result = simulator.run(
+            piece,
+            resume=resume,
+            collect_partition_stats=True,
+            collect_records=True,
+            collect_cycle_stats=True,
+        )
+        resume = result.checkpoint
+        runs.append(
+            (
+                result.reports, result.profile, result.stats,
+                result.partition_activation_counts.tolist(),
+                list(result.output_records), result.output_buffer, resume,
+            )
+        )
+    return runs
+
+
+class TestActivityProfileOracle:
+    """The mapped simulator's activity profile, run statistics,
+    partition counts, output records and reports, resumed across cuts,
+    against a dense reference built from :func:`interpret` — on shifts
+    and pinned to the step cache."""
+
+    @given(
+        placed_machines(),
+        st.lists(st.sampled_from(SHIFT_ALPHABET), max_size=120).map(bytes),
+        st.lists(st.integers(0, 120), max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_placed_machine_profiles_as_the_dense_reference(
+        self, machine, data, cuts, draw
+    ):
+        automaton, mapping = machine
+        cuts = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
+        pieces = [data[low:high] for low, high in zip(cuts, cuts[1:])] or [b""]
+        resume = None
+        if draw.draw(st.booleans(), label="resumed"):
+            bit_of = placement_bits(mapping)
+            active = draw.draw(st.sets(st.sampled_from(sorted(bit_of.values()))))
+            resume = Checkpoint(
+                draw.draw(st.integers(0, 99)),
+                sum(1 << bit for bit in active),
+                draw.draw(st.booleans()),
+            )
+        expected = dense_mapped_runs(mapping, pieces, resume)
+        for offsets in (0, 10**9):
+            with mock.patch.object(kernel_module, "SHIFT_OFFSETS", offsets):
+                assert mapped_runs(mapping, pieces, resume) == expected, offsets
+
+    def test_tcp_profiles_as_the_dense_reference(self):
+        """TCP: a partition with no all-input start and 19 G1 sources,
+        on the step cache and on shifts.  Its own stream reaches neither
+        in 64 KiB, so bytes that walk to a crossing edge are spliced in."""
+        benchmark = get_benchmark("TCP")
+        automaton = benchmark.build()
+        mapping = compile_automaton(automaton, CA_P)
+        simulator = MappedSimulator(mapping)
+        uncovered = ~simulator._partition_any(simulator.kernel.start_all_row[None])[0]
+        assert uncovered.any() and simulator._g1_row.any()
+        crossing, _ = mapping.crossing_edges()
+        arrays = automaton.edge_index_arrays()
+        walk = crossing_walk(
+            automaton,
+            {arrays.ids[arrays.sources[edge]]: arrays.ids[arrays.targets[edge]] for edge in crossing.tolist()},
+        )
+        data = benchmark.input_stream(1536, seed=2)
+        data = data[:300] + walk + data[300:900] + walk + data[900:]
+        pieces = [data[:305], data[305:1000], data[1000:]]
+        expected = dense_mapped_runs(mapping, pieces, None)
+        assert any(run[0] for run in expected)
+        assert any(run[1].g1_crossings for run in expected)
+        assert any(run[3][0] for run in expected), "the uncovered partition woke"
+        for offsets in (0, 10**9):
+            with mock.patch.object(kernel_module, "SHIFT_OFFSETS", offsets):
+                assert mapped_runs(mapping, pieces, None) == expected, offsets
 
 
 #: Corruption name -> (packed table, edit), the edit a fresh array.
